@@ -15,7 +15,7 @@ use alf_hwmodel::{Accelerator, ConvWorkload, Dataflow, Mapper};
 use alf_nn::activation::ActivationKind;
 use alf_nn::{softmax_cross_entropy, Conv2d, Layer, RunCtx};
 use alf_tensor::init::Init;
-use alf_tensor::ops::{conv2d, matmul, matmul_sparse_lhs, reference, Conv2dSpec};
+use alf_tensor::ops::{conv2d, matmul, reference, Conv2dSpec};
 use alf_tensor::rng::Rng;
 use alf_tensor::Tensor;
 
@@ -32,33 +32,6 @@ fn bench_matmul(c: &mut Criterion) {
             bench.iter(|| reference::matmul(black_box(&a), black_box(&b)).unwrap())
         });
     }
-}
-
-fn bench_sparse_lhs(c: &mut Criterion) {
-    // The masked-Wcode case the matmul_sparse_lhs split exists for: the
-    // code conv's weight matrix with half its output-channel rows pruned
-    // to zero. Dense pays full flops; the sparse path compacts live rows.
-    // Compare against the same matrix through the dense kernel to see what
-    // the split buys (and run a dense *unmasked* control to confirm the
-    // dense kernel itself no longer branches on zeros).
-    let mut rng = Rng::new(5);
-    let (m, k, n) = (64, 288, 1024);
-    let mut a = Tensor::randn(&[m, k], Init::He, &mut rng);
-    for i in (0..m).step_by(2) {
-        for v in a.data_mut()[i * k..(i + 1) * k].iter_mut() {
-            *v = 0.0;
-        }
-    }
-    let b = Tensor::randn(&[k, n], Init::He, &mut rng);
-    c.bench_function("wcode_masked_dense_64x288x1024", |bench| {
-        bench.iter(|| matmul(black_box(&a), black_box(&b)).unwrap())
-    });
-    c.bench_function("wcode_masked_sparse_64x288x1024", |bench| {
-        bench.iter(|| matmul_sparse_lhs(black_box(&a), black_box(&b)).unwrap())
-    });
-    c.bench_function("wcode_masked_seed_zeroskip_64x288x1024", |bench| {
-        bench.iter(|| reference::matmul(black_box(&a), black_box(&b)).unwrap())
-    });
 }
 
 fn bench_conv2d(c: &mut Criterion) {
@@ -217,7 +190,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_matmul,
-    bench_sparse_lhs,
     bench_conv2d,
     bench_conv_backward,
     bench_alf_block_forward,

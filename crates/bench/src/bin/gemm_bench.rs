@@ -3,7 +3,7 @@
 //! Measures the cache-blocked kernel (`alf_tensor::ops::gemm`) against the
 //! preserved seed loops (`alf_tensor::ops::reference`) across a ladder of
 //! shapes, reports GFLOP/s and speedups, sweeps worker-thread counts, and
-//! compares the sparse-LHS path against dense on a masked-`Wcode`-shaped
+//! sweeps `ActiveRows` occupancy against dense on a `Wcode`-shaped
 //! problem. Results go to stdout as a table and to `BENCH_gemm.json`.
 //!
 //! `--scale smoke` (default) finishes in seconds and **gates**: the
@@ -19,8 +19,7 @@ use alf_bench::Scale;
 use alf_obs::json::JsonWriter;
 use alf_tensor::init::Init;
 use alf_tensor::ops::{
-    auto_threads, gemm_active_rows_into, gemm_into, gemm_sparse_lhs_into, reference, ActiveRows,
-    Workspace,
+    auto_threads, gemm_active_rows_into, gemm_into, reference, ActiveRows, Workspace,
 };
 use alf_tensor::rng::Rng;
 use alf_tensor::Tensor;
@@ -162,7 +161,6 @@ fn main() {
     }
     w.end_array();
 
-    bench_sparse(scale, &mut rng, &mut w);
     let occupancy_ok = bench_occupancy(scale, &mut rng, &mut w);
     w.end_object();
     let mut json = w.finish();
@@ -281,62 +279,6 @@ fn bench_occupancy(scale: Scale, rng: &mut Rng, w: &mut JsonWriter) -> bool {
     let ok = speedups.windows(2).all(|p| p[1] > p[0]);
     w.field_bool("occupancy_gate_ok", ok);
     ok
-}
-
-/// Dense vs sparse-LHS on a masked-`Wcode`-shaped product (half the LHS
-/// rows zeroed, as mid-training pruning produces). Writes the
-/// `sparse_lhs` field of the open report object.
-fn bench_sparse(scale: Scale, rng: &mut Rng, w: &mut JsonWriter) {
-    let (m, k, n) = match scale {
-        Scale::Smoke => (64, 288, 2048),
-        Scale::Paper => (128, 1152, 8192),
-    };
-    let mut a = Tensor::randn(&[m, k], Init::Rand, rng);
-    for i in (0..m).step_by(2) {
-        for v in a.data_mut()[i * k..(i + 1) * k].iter_mut() {
-            *v = 0.0;
-        }
-    }
-    let b = Tensor::randn(&[k, n], Init::Rand, rng);
-    let mut ws = Workspace::new();
-    let mut c = vec![0.0f32; m * n];
-
-    let t_dense = time_median(|| {
-        gemm_into(
-            &mut c,
-            a.data(),
-            false,
-            b.data(),
-            false,
-            m,
-            k,
-            n,
-            &mut ws,
-            1,
-        );
-        std::hint::black_box(&c);
-    });
-    let t_sparse = time_median(|| {
-        gemm_sparse_lhs_into(&mut c, a.data(), b.data(), m, k, n, &mut ws, 1);
-        std::hint::black_box(&c);
-    });
-    let speedup = t_dense.as_secs_f64() / t_sparse.as_secs_f64();
-    println!(
-        "\nsparse-LHS ({m}x{k}x{n}, 50% rows zero)  dense {:.3} ms  sparse {:.3} ms  {:.2}x",
-        t_dense.as_secs_f64() * 1e3,
-        t_sparse.as_secs_f64() * 1e3,
-        speedup
-    );
-    w.key("sparse_lhs");
-    w.begin_object();
-    w.field_u64("m", m as u64);
-    w.field_u64("k", k as u64);
-    w.field_u64("n", n as u64);
-    w.field_f64("zero_row_fraction", 0.5);
-    w.field_f64("dense_ms", t_dense.as_secs_f64() * 1e3);
-    w.field_f64("sparse_ms", t_sparse.as_secs_f64() * 1e3);
-    w.field_f64("speedup", speedup);
-    w.end_object();
 }
 
 /// Median wall-clock of repeated runs: one warm-up, then up to

@@ -502,7 +502,7 @@ fn socket_open_loop(
 }
 
 /// Clips the trailing `fraction` of every ALF block's mask entries so the
-/// code has exact zero filters for `deploy::compress` to strip.
+/// code has exact zero filters for `deploy::Pipeline` to strip.
 fn clip_masks(model: &mut CnnModel, fraction: f64) {
     for block in model.alf_blocks_mut() {
         let co = block.autoencoder().mask().len();

@@ -149,13 +149,9 @@ impl AlfBlock {
         }
         // The code conv's weight is derived state — overwritten from the
         // autoencoder before every forward pass. Once the mask starts
-        // pruning, whole output channels of that weight are zero, so the
-        // conv's GEMM is told to compact the live rows instead of
-        // multiplying zeros.
-        let mut code_conv = Conv2d::new(c_in, c_out, kernel, stride, pad, false, Init::Zeros, rng);
-        if config.mask_enabled {
-            code_conv.set_sparse_weight_hint(true);
-        }
+        // pruning, whole output channels of that weight are zero; forward
+        // hands the conv the live rows so its GEMMs skip them.
+        let code_conv = Conv2d::new(c_in, c_out, kernel, stride, pad, false, Init::Zeros, rng);
         let expansion = Conv2d::new(c_out, c_out, 1, 1, 0, false, config.exp_init, rng);
         Self {
             w,
@@ -196,14 +192,10 @@ impl AlfBlock {
     /// Toggles the occupancy-aware execution paths (the code conv's
     /// `ActiveRows` elision and the autoencoder's sparse step). Purely a
     /// performance switch — both settings produce bitwise-identical
-    /// results; `train_bench`'s dense reference runs with this off, which
-    /// also clears the conv's zero-row scan hint so the baseline is a
-    /// genuinely dense execution.
+    /// results; `train_bench`'s dense reference runs with this off.
     pub fn set_sparse_execution(&mut self, on: bool) {
         self.sparse_exec = on;
         self.ae.set_sparse_exec(on);
-        self.code_conv
-            .set_sparse_weight_hint(on && self.config.mask_enabled);
         self.active_dirty = true;
     }
 
@@ -328,7 +320,7 @@ impl AlfBlock {
         self.ae.compact(&rows)?;
         // The code conv's weight is derived — rebuilt from the compacted
         // autoencoder on the next forward; only the geometry changes here.
-        let mut code_conv = Conv2d::new(
+        self.code_conv = Conv2d::new(
             c_in,
             live,
             spec.kernel,
@@ -338,8 +330,6 @@ impl AlfBlock {
             Init::Zeros,
             &mut Rng::new(0),
         );
-        code_conv.set_sparse_weight_hint(self.sparse_exec);
-        self.code_conv = code_conv;
         // Expansion input channels: exp'[o, i] = exp[o, idx[i]].
         let co = self.expansion.c_out();
         let old = self.expansion.weight().clone();
@@ -367,10 +357,9 @@ impl Layer for AlfBlock {
         self.code_conv.set_weight(code)?;
         self.code_conv.zero_grads();
         // Refresh the cached occupancy descriptor only when the mask may
-        // have moved. The descriptor both skips the conv's per-step
-        // zero-row scan and drives the packed-panel elision; it is only
-        // handed over when σae(0) == 0, i.e. when pruned code rows are
-        // guaranteed to be exact zeros (`sparse_eligible`).
+        // have moved. The descriptor drives the packed-panel elision; it
+        // is only handed over when σae(0) == 0, i.e. when pruned code rows
+        // are guaranteed to be exact zeros (`sparse_eligible`).
         if self.active_dirty {
             let rows =
                 (self.sparse_exec && self.ae.sparse_eligible()).then(|| self.ae.active_rows());
@@ -648,36 +637,48 @@ mod tests {
     fn sparse_and_dense_execution_are_bitwise_identical() {
         // Prune two channels via the mask, then run a full forward/backward
         // with and without the occupancy-aware paths: outputs, input
-        // gradients and every parameter gradient must match exactly.
-        let mut cfg = AlfBlockConfig::paper_default();
-        cfg.threshold = 0.05;
-        cfg.inter_bn = true;
-        let mut sparse = AlfBlock::new(2, 4, 3, 1, 1, cfg, &mut Rng::new(20));
-        sparse.autoencoder_mut().set_mask_value(1, 0.0);
-        sparse.autoencoder_mut().set_mask_value(2, 0.01); // clipped at t=0.05
-        let mut dense = sparse.clone();
-        dense.set_sparse_execution(false);
+        // gradients and every parameter gradient must match exactly. With
+        // a sigmoid σae the pruned code rows are 0.5, not zero, so the
+        // block must decline elision and still match.
+        for sigma_ae in [ActivationKind::Tanh, ActivationKind::Sigmoid] {
+            let mut cfg = AlfBlockConfig::paper_default();
+            cfg.sigma_ae = sigma_ae;
+            cfg.threshold = 0.05;
+            cfg.inter_bn = true;
+            let mut sparse = AlfBlock::new(2, 4, 3, 1, 1, cfg, &mut Rng::new(20));
+            sparse.autoencoder_mut().set_mask_value(1, 0.0);
+            sparse.autoencoder_mut().set_mask_value(2, 0.01); // clipped at t=0.05
+            let mut dense = sparse.clone();
+            dense.set_sparse_execution(false);
 
-        let mut rng = Rng::new(21);
-        let x = Tensor::randn(&[2, 2, 5, 5], Init::Rand, &mut rng);
-        let mut ctx_s = RunCtx::train();
-        let mut ctx_d = RunCtx::train();
-        let ys = sparse.forward(&x, &mut ctx_s).unwrap();
-        let yd = dense.forward(&x, &mut ctx_d).unwrap();
-        assert_eq!(ys.data(), yd.data(), "forward outputs differ");
-        assert!(sparse.code_conv.active_rows().is_some());
-        assert!(dense.code_conv.active_rows().is_none());
+            let mut rng = Rng::new(21);
+            let x = Tensor::randn(&[2, 2, 5, 5], Init::Rand, &mut rng);
+            let mut ctx_s = RunCtx::train();
+            let mut ctx_d = RunCtx::train();
+            let ys = sparse.forward(&x, &mut ctx_s).unwrap();
+            let yd = dense.forward(&x, &mut ctx_d).unwrap();
+            assert_eq!(ys.data(), yd.data(), "{sigma_ae:?}: forward outputs differ");
+            assert_eq!(
+                sparse.code_conv.active_rows().is_some(),
+                sigma_ae == ActivationKind::Tanh
+            );
+            assert!(dense.code_conv.active_rows().is_none());
 
-        let gs = sparse.backward(&ys, &mut ctx_s).unwrap();
-        let gd = dense.backward(&yd, &mut ctx_d).unwrap();
-        assert_eq!(gs.data(), gd.data(), "input gradients differ");
-        let mut grads_s = Vec::new();
-        sparse.visit_params(&mut |p| grads_s.push(p.grad.clone()));
-        let mut i = 0;
-        dense.visit_params(&mut |p| {
-            assert_eq!(p.grad.data(), grads_s[i].data(), "param grad {i} differs");
-            i += 1;
-        });
+            let gs = sparse.backward(&ys, &mut ctx_s).unwrap();
+            let gd = dense.backward(&yd, &mut ctx_d).unwrap();
+            assert_eq!(gs.data(), gd.data(), "{sigma_ae:?}: input gradients differ");
+            let mut grads_s = Vec::new();
+            sparse.visit_params(&mut |p| grads_s.push(p.grad.clone()));
+            let mut i = 0;
+            dense.visit_params(&mut |p| {
+                assert_eq!(
+                    p.grad.data(),
+                    grads_s[i].data(),
+                    "{sigma_ae:?}: param grad {i} differs"
+                );
+                i += 1;
+            });
+        }
     }
 
     #[test]

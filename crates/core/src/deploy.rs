@@ -24,9 +24,7 @@
 //!
 //! [`Deployed`] carries the stripped (and possibly folded) f32 model, the
 //! optional [`QuantizedModel`] int8 form with its [`QuantReport`], and
-//! per-layer [`LayerProvenance`] records of what each transform did. The
-//! flat [`compress`] entry point survives as a deprecated wrapper over
-//! `Pipeline::new().run(..)`.
+//! per-layer [`LayerProvenance`] records of what each transform did.
 
 use alf_nn::activation::ActivationKind;
 use alf_nn::conv::Conv2d;
@@ -430,24 +428,6 @@ impl Pipeline {
     }
 }
 
-/// Produces the densely-compressed deployment form of a model: every ALF
-/// block is replaced by a stripped `code conv → expansion` pair; standard
-/// convolutions (and BN running statistics, classifier, …) are copied
-/// unchanged.
-///
-/// # Errors
-///
-/// Returns an error when a block uses `σinter ≠ none` or `BNinter`, which
-/// cannot be folded into a linear conv pair (the paper's selected
-/// configuration uses neither).
-#[deprecated(
-    note = "use deploy::Pipeline::new().run(model) — it also offers BN folding \
-                     and int8 quantization"
-)]
-pub fn compress(model: &CnnModel) -> Result<CnnModel> {
-    strip_model(model)
-}
-
 /// Per-layer deployment records for an input of `h × w` pixels, pairing
 /// each convolution's geometry with its retained code size.
 pub fn conv_report(model: &CnnModel, h: usize, w: usize) -> Vec<DeployedConvInfo> {
@@ -700,15 +680,5 @@ mod tests {
         );
         // Per-layer timings cover every conv unit exactly once.
         assert_eq!(qm.layer_times_ns().len(), deployed.provenance.len());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_compress_delegates_to_the_pipeline() {
-        let model = pruned_model(20);
-        let via_wrapper = compress(&model).unwrap();
-        let via_pipeline = strip(&model);
-        assert_eq!(cost(&via_wrapper, 16, 16), cost(&via_pipeline, 16, 16));
-        assert_eq!(via_wrapper.name(), via_pipeline.name());
     }
 }

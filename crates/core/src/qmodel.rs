@@ -435,7 +435,7 @@ impl QuantizedModel {
                         // im2col, and its `[co, h·w]` product is the
                         // image's NCHW output — requantize writes
                         // straight through.
-                        let mut acc = self.ws.take_i32("qm_acc1", conv.c_out * plane);
+                        let mut acc: Vec<i32> = self.ws.take("qm_acc1", conv.c_out * plane);
                         for b in 0..n {
                             let src = &cur[b * c * plane..(b + 1) * c * plane];
                             gemm_i8_into(
@@ -460,13 +460,13 @@ impl QuantizedModel {
                                 }
                             }
                         }
-                        self.ws.give_i32("qm_acc1", acc);
+                        self.ws.give("qm_acc1", acc);
                     } else {
                         let kk = conv.spec.kernel * conv.spec.kernel;
                         let (rows, cols) = (c * kk, n * ho * wo);
-                        let mut colbuf = self.ws.take_i8("qm_cols", rows * cols);
+                        let mut colbuf: Vec<i8> = self.ws.take("qm_cols", rows * cols);
                         im2col_i8_into(&mut colbuf, &cur, n, c, h, w, conv.spec);
-                        let mut acc = self.ws.take_i32("qm_acc", conv.c_out * cols);
+                        let mut acc: Vec<i32> = self.ws.take("qm_acc", conv.c_out * cols);
                         gemm_i8_into(
                             &mut acc,
                             &conv.weight,
@@ -476,7 +476,7 @@ impl QuantizedModel {
                             cols,
                             &mut self.ws,
                         );
-                        self.ws.give_i8("qm_cols", colbuf);
+                        self.ws.give("qm_cols", colbuf);
                         // Requantize on store, rearranging [co, n·ho·wo]
                         // into NCHW as we go.
                         for co in 0..conv.c_out {
@@ -491,7 +491,7 @@ impl QuantizedModel {
                                 }
                             }
                         }
-                        self.ws.give_i32("qm_acc", acc);
+                        self.ws.give("qm_acc", acc);
                     }
                     std::mem::swap(&mut cur, &mut nxt);
                     (c, h, w) = (conv.c_out, ho, wo);

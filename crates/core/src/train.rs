@@ -16,6 +16,7 @@ use alf_nn::loss::{correct_count, softmax_cross_entropy};
 use alf_nn::optim::{LrSchedule, Sgd};
 use alf_nn::{ProfileReport, RunCtx};
 use alf_obs::events::{EventLog, TelemetrySink};
+use alf_obs::runtime::resolve_threads;
 use alf_tensor::rng::Rng;
 use alf_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -422,12 +423,6 @@ impl AlfTrainer {
     }
 }
 
-// `resolve_threads` moved to `alf_obs::runtime` so `ALF_GEMM_THREADS`,
-// `ALF_EVAL_THREADS` and `ALF_DP_THREADS` all route through one parser;
-// re-exported here to keep the old `core::train::resolve_threads` path
-// compiling.
-pub use alf_obs::runtime::resolve_threads;
-
 /// A flattened copy of a model's state tensors, used to refresh long-lived
 /// model replicas in place instead of re-cloning them.
 ///
@@ -769,15 +764,6 @@ mod tests {
             assert_eq!(acc, base, "accuracy changed at {threads} threads");
             assert!(ev.replicas() <= threads);
         }
-    }
-
-    #[test]
-    fn resolve_threads_precedence() {
-        // Explicit wins regardless of environment; zero clamps to one.
-        assert_eq!(resolve_threads(Some(3), "ALF_TEST_THREADS_UNSET"), 3);
-        assert_eq!(resolve_threads(Some(0), "ALF_TEST_THREADS_UNSET"), 1);
-        // With neither explicit nor env the host default applies (≥ 1).
-        assert!(resolve_threads(None, "ALF_TEST_THREADS_UNSET") >= 1);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! frame := u32 len | payload (len bytes) | u32 crc32(payload)
 //! ```
 //!
-//! all little-endian, with the CRC from the workspace's shared
-//! [`alf_obs::crc32`]. Framing errors are typed: a bad magic is a
+//! encoded and validated by the workspace's shared [`alf_obs::frame`]
+//! codec; this module adds the preamble, the size cap, rank attribution
+//! and the wire counters. Framing errors are typed: a bad magic is a
 //! [`DistError::ProtocolMismatch`], a CRC or length violation is a
 //! [`DistError::FrameCorrupt`], and EOF / an expired read deadline is a
 //! [`DistError::RankLost`] naming the peer the stream belongs to.
@@ -18,7 +19,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use alf_obs::crc32;
+use alf_obs::frame::{self, FrameError};
 use alf_obs::{Counter, Histogram, HistogramSpec, MetricsRegistry};
 
 use crate::error::{DistError, Result};
@@ -135,18 +136,15 @@ impl FrameStream {
 
     /// Writes one `len | payload | crc` frame.
     pub fn write_frame(&mut self, payload: &[u8]) -> Result<()> {
-        let len = u32::try_from(payload.len()).map_err(|_| DistError::FrameCorrupt {
-            detail: format!("frame payload of {} bytes exceeds u32", payload.len()),
-        })?;
-        if len > MAX_FRAME {
+        if payload.len() > MAX_FRAME as usize {
             return Err(DistError::FrameCorrupt {
-                detail: format!("frame payload of {len} bytes exceeds cap {MAX_FRAME}"),
+                detail: format!(
+                    "frame payload of {} bytes exceeds cap {MAX_FRAME}",
+                    payload.len()
+                ),
             });
         }
-        let mut wire = Vec::with_capacity(payload.len() + 8);
-        wire.extend_from_slice(&len.to_le_bytes());
-        wire.extend_from_slice(payload);
-        wire.extend_from_slice(&crc32(payload).to_le_bytes());
+        let wire = frame::encode(payload);
         self.stream.write_all(&wire).map_err(|e| self.lost(&e))?;
         self.metrics.bytes_tx.add(wire.len() as u64);
         self.metrics.frames_tx.inc();
@@ -156,35 +154,15 @@ impl FrameStream {
     /// Reads one frame, validating length and CRC, honouring the
     /// socket's read deadline.
     pub fn read_frame(&mut self) -> Result<Vec<u8>> {
-        let mut raw_len = [0u8; 4];
-        self.stream
-            .read_exact(&mut raw_len)
-            .map_err(|e| self.lost(&e))?;
-        let len = u32::from_le_bytes(raw_len);
-        if len > MAX_FRAME {
-            return Err(DistError::FrameCorrupt {
-                detail: format!("frame length {len} exceeds cap {MAX_FRAME}"),
-            });
-        }
-        let mut payload = vec![0u8; len as usize];
-        self.stream
-            .read_exact(&mut payload)
-            .map_err(|e| self.lost(&e))?;
-        let mut raw_crc = [0u8; 4];
-        self.stream
-            .read_exact(&mut raw_crc)
-            .map_err(|e| self.lost(&e))?;
-        let want = u32::from_le_bytes(raw_crc);
-        let got = crc32(&payload);
-        if want != got {
-            return Err(DistError::FrameCorrupt {
-                detail: format!(
-                    "frame CRC mismatch from rank {}: stored {want:#010x}, computed {got:#010x}",
-                    self.peer_rank
-                ),
-            });
-        }
-        self.metrics.bytes_rx.add(u64::from(len) + 8);
+        let payload = frame::read_from(&mut self.stream, MAX_FRAME).map_err(|e| match e {
+            FrameError::Io(e) => self.lost(&e),
+            corrupt => DistError::FrameCorrupt {
+                detail: format!("{corrupt} (from rank {})", self.peer_rank),
+            },
+        })?;
+        self.metrics
+            .bytes_rx
+            .add((payload.len() + frame::OVERHEAD) as u64);
         self.metrics.frames_rx.inc();
         Ok(payload)
     }

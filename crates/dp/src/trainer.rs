@@ -1,7 +1,6 @@
 //! The data-parallel two-player trainer.
 
 use alf_core::checkpoint::{self, TrainerState};
-use alf_core::train::resolve_threads;
 use alf_core::AeStats;
 use alf_core::{AlfHyper, CnnModel, EpochStats, Evaluator, StateSnapshot, TrainReport};
 use alf_data::plan::{shard_range, EpochPlan};
@@ -11,6 +10,7 @@ use alf_nn::loss::{correct_count, softmax_cross_entropy};
 use alf_nn::optim::Sgd;
 use alf_nn::RunCtx;
 use alf_obs::events::{EventLog, TelemetrySink};
+use alf_obs::runtime::resolve_threads;
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
 use bytes::Bytes;

@@ -31,7 +31,7 @@ use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 use alf_bench::report::ParetoPoint;
-use alf_obs::crc32;
+use alf_obs::frame;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 8] = b"ALFLAB01";
@@ -277,46 +277,6 @@ fn decode_record(mut payload: Bytes) -> Result<JobRecord, String> {
     Ok(JobRecord { id, status })
 }
 
-fn frame(payload: &Bytes) -> Vec<u8> {
-    let body = payload.clone().to_vec();
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(
-        &u32::try_from(body.len())
-            .expect("frame fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out
-}
-
-/// Splits raw bytes (after the magic) into intact frame payloads,
-/// returning them with the byte offset just past the last intact frame.
-/// A short/CRC-failing tail ends the walk (torn write); it is *not* an
-/// error here — the caller truncates it away.
-fn split_frames(raw: &[u8]) -> (Vec<Bytes>, usize) {
-    let mut frames = Vec::new();
-    let mut at = 0usize;
-    loop {
-        if raw.len() - at < 4 {
-            break;
-        }
-        let mut head = Bytes::copy_from_slice(&raw[at..at + 4]);
-        let len = head.get_u32_le() as usize;
-        if len > MAX_FRAME as usize || raw.len() - at < 4 + len + 4 {
-            break;
-        }
-        let payload = &raw[at + 4..at + 4 + len];
-        let mut tail = Bytes::copy_from_slice(&raw[at + 4 + len..at + 8 + len]);
-        if tail.get_u32_le() != crc32(payload) {
-            break;
-        }
-        frames.push(Bytes::copy_from_slice(payload));
-        at += 8 + len;
-    }
-    (frames, at)
-}
-
 /// A cached job's persisted measurements: `(secs, metrics, pareto)`.
 pub type CompletedPayload = (f64, BTreeMap<String, f64>, Vec<ParetoPoint>);
 
@@ -347,7 +307,7 @@ impl ManifestFile {
             .truncate(true)
             .open(path)?;
         file.write_all(MAGIC)?;
-        file.write_all(&frame(&encode_header(scale, fingerprint)))?;
+        file.write_all(&frame::encode(&encode_header(scale, fingerprint)))?;
         file.flush()?;
         Ok(Self {
             file,
@@ -385,14 +345,16 @@ impl ManifestFile {
         if raw.len() < MAGIC.len() || &raw[..MAGIC.len()] != MAGIC {
             return Err(corrupt("bad magic".into()));
         }
-        let (frames, mut intact_end) = split_frames(&raw[MAGIC.len()..]);
+        // A short or CRC-failing tail ends the walk (torn write); it is
+        // not an error — it is truncated away below.
+        let (frames, mut intact_end) = frame::split(&raw[MAGIC.len()..], MAX_FRAME);
         intact_end += MAGIC.len();
         let Some((header, body)) = frames.split_first() else {
             // Magic but no intact header: a run killed mid-create.
             return Self::create(path, scale, fingerprint);
         };
-        let (got_scale, got_fp) =
-            decode_header(header.clone()).map_err(|e| corrupt(format!("header: {e}")))?;
+        let (got_scale, got_fp) = decode_header(Bytes::copy_from_slice(header))
+            .map_err(|e| corrupt(format!("header: {e}")))?;
         if got_scale != scale || got_fp != fingerprint {
             return Err(CampaignError::Mismatch {
                 path: path.to_path_buf(),
@@ -403,7 +365,8 @@ impl ManifestFile {
         let mut records = Vec::with_capacity(body.len());
         for (i, payload) in body.iter().enumerate() {
             records.push(
-                decode_record(payload.clone()).map_err(|e| corrupt(format!("record {i}: {e}")))?,
+                decode_record(Bytes::copy_from_slice(payload))
+                    .map_err(|e| corrupt(format!("record {i}: {e}")))?,
             );
         }
         let mut file = OpenOptions::new().write(true).open(path)?;
@@ -476,7 +439,7 @@ impl ManifestFile {
         let payload = encode_record(rec);
         let decoded = decode_record(payload.clone()).expect("record round-trips");
         assert_eq!(&decoded, rec, "record round-trips losslessly");
-        self.file.write_all(&frame(&payload))?;
+        self.file.write_all(&frame::encode(&payload))?;
         self.file.flush()?;
         self.records.push(rec.clone());
         Ok(())
@@ -510,12 +473,6 @@ mod tests {
                 }],
             },
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

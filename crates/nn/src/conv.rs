@@ -11,7 +11,7 @@
 use alf_tensor::init::Init;
 use alf_tensor::ops::{
     auto_threads, col2im_into, conv2d, gemm_active_k_into, gemm_active_rows_into, gemm_into,
-    gemm_sparse_lhs_into, im2col_into, ActiveRows, Conv2dSpec,
+    im2col_into, ActiveRows, Conv2dSpec,
 };
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
@@ -26,9 +26,9 @@ use crate::Result;
 /// block *writes* the autoencoder code `Wcode` into the convolution before
 /// every forward pass; the gradient that `backward` accumulates on the
 /// weight is then routed to `W` through the straight-through estimator
-/// (paper Eq. 5). A block that injects *masked* codes should also set
-/// [`Conv2d::set_sparse_weight_hint`] so the forward GEMM skips the
-/// all-zero weight rows pruning produces.
+/// (paper Eq. 5). A block that injects *masked* codes should also install
+/// the live channels with [`Conv2d::set_active_rows`] so the GEMMs skip
+/// the all-zero weight rows pruning produces.
 ///
 /// # Example
 ///
@@ -52,7 +52,6 @@ pub struct Conv2d {
     spec: Conv2dSpec,
     c_in: usize,
     c_out: usize,
-    sparse_weight_hint: bool,
     active_rows: Option<ActiveRows>,
     cache: Option<Cache>,
     /// Layer-owned im2col column matrix, reused across steps. It must
@@ -96,7 +95,6 @@ impl Conv2d {
             spec: Conv2dSpec::new(kernel, stride, pad),
             c_in,
             c_out,
-            sparse_weight_hint: false,
             active_rows: None,
             cache: None,
             cols: Vec::new(),
@@ -178,20 +176,6 @@ impl Conv2d {
         self
     }
 
-    /// Declares that the injected weight is expected to contain all-zero
-    /// output-channel rows (a masked `Wcode` after pruning). The forward
-    /// GEMM then routes through the sparse-LHS kernel, which compacts the
-    /// live rows instead of multiplying zeros. Purely a performance hint —
-    /// results are identical either way.
-    pub fn set_sparse_weight_hint(&mut self, on: bool) {
-        self.sparse_weight_hint = on;
-    }
-
-    /// Whether the sparse-weight hint is set.
-    pub fn sparse_weight_hint(&self) -> bool {
-        self.sparse_weight_hint
-    }
-
     /// Installs (or clears) the set of live output channels.
     ///
     /// With a descriptor installed the layer takes the occupancy-aware
@@ -202,9 +186,7 @@ impl Conv2d {
     /// an ALF block deriving the descriptor from its clipped mask —
     /// guarantees that the *weight rows* of inactive channels are exact
     /// zeros; under that contract every produced value is bitwise
-    /// identical to the dense path. A descriptor takes precedence over
-    /// [`Conv2d::set_sparse_weight_hint`] (no scan is needed when the
-    /// live set is declared).
+    /// identical to the dense path.
     ///
     /// # Errors
     ///
@@ -274,17 +256,6 @@ impl Layer for Conv2d {
                 rows,
                 ncols,
                 live,
-                &mut ctx.ws,
-                threads,
-            );
-        } else if self.sparse_weight_hint {
-            gemm_sparse_lhs_into(
-                &mut prod,
-                self.weight.value.data(),
-                &self.cols,
-                self.c_out,
-                rows,
-                ncols,
                 &mut ctx.ws,
                 threads,
             );
@@ -645,32 +616,6 @@ mod tests {
         let mut decays = Vec::new();
         conv.visit_params(&mut |p| decays.push(p.decay));
         assert_eq!(decays, vec![false]);
-    }
-
-    #[test]
-    fn sparse_hint_does_not_change_results() {
-        let mut ctx = RunCtx::train();
-        let mut rng = Rng::new(15);
-        let x = Tensor::randn(&[2, 2, 6, 6], Init::Rand, &mut rng);
-        let mut dense = mk(16, false);
-        // Zero out one output channel's filters, as a pruned Wcode would.
-        let mut wt = dense.weight().clone();
-        let row = 2 * 9; // ci·k² elements per output channel
-        for v in wt.data_mut()[row..2 * row].iter_mut() {
-            *v = 0.0;
-        }
-        dense.set_weight(wt.clone()).unwrap();
-        let mut sparse = dense.clone();
-        sparse.set_sparse_weight_hint(true);
-        assert!(sparse.sparse_weight_hint());
-
-        let yd = dense.forward(&x, &mut ctx).unwrap();
-        let ys = sparse.forward(&x, &mut ctx).unwrap();
-        assert!(yd.allclose(&ys, 1e-6));
-        let gd = dense.backward(&yd, &mut ctx).unwrap();
-        let gs = sparse.backward(&ys, &mut ctx).unwrap();
-        assert!(gd.allclose(&gs, 1e-5));
-        assert!(dense.weight_grad().allclose(sparse.weight_grad(), 1e-4));
     }
 
     #[test]

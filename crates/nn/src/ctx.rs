@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn report_includes_arena_high_water() {
         let mut ctx = RunCtx::train().with_profiler();
-        let b = ctx.ws.take("scratch", 256);
+        let b: Vec<f32> = ctx.ws.take("scratch", 256);
         ctx.ws.give("scratch", b);
         let report = ctx.report().unwrap();
         assert!(report.ws_high_water_bytes >= 256 * 4);

@@ -15,6 +15,8 @@
 //!   ([`resolve_threads`]).
 //! * [`crc`] — the workspace's single CRC-32 ([`crc32`]) shared by every
 //!   checksummed byte format (campaign manifest, dist wire frames).
+//! * [`frame`] — the single `u32 len | payload | u32 crc32` frame codec
+//!   those two formats are built from.
 //!
 //! It deliberately has **no dependencies** (std only) so that every crate
 //! in the workspace — including `alf-tensor` at the bottom of the stack —
@@ -37,6 +39,7 @@
 
 pub mod crc;
 pub mod events;
+pub mod frame;
 pub mod json;
 pub mod metrics;
 pub mod runtime;

@@ -109,8 +109,28 @@ pub fn im2col_into(dst: &mut [f32], input: &Tensor, spec: Conv2dSpec) -> Result<
             ),
         ));
     }
-    dst.fill(0.0);
-    let src = input.data();
+    unfold(dst, input.data(), n, ci, h, w, spec);
+    Ok(())
+}
+
+/// The one im2col loop, shared by the f32 and i8 wrappers
+/// ([`im2col_into`], [`im2col_i8_into`](super::im2col_i8_into)): copies
+/// every in-bounds tap of the `NCHW` `src` into its `[ci·k·k,
+/// n·h_out·w_out]` slot of `dst`; padding taps stay at `T::default()`
+/// (zero). Callers have checked both lengths.
+pub(super) fn unfold<T: Copy + Default>(
+    dst: &mut [T],
+    src: &[T],
+    n: usize,
+    ci: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+) {
+    let (ho, wo) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let cols = n * ho * wo;
+    dst.fill(T::default());
     for b in 0..n {
         for c in 0..ci {
             let plane = &src[(b * ci + c) * h * w..(b * ci + c + 1) * h * w];
@@ -136,7 +156,6 @@ pub fn im2col_into(dst: &mut [f32], input: &Tensor, spec: Conv2dSpec) -> Result<
             }
         }
     }
-    Ok(())
 }
 
 /// Folds a column matrix back into an `NCHW` tensor, *accumulating*

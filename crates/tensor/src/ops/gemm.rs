@@ -38,9 +38,17 @@
 //! not as a pre-pass copy of a compacted operand. [`ActiveRows`] is the
 //! workspace-wide descriptor of which rows survive a clipped ALF mask;
 //! [`gemm_active_rows_into`] and [`gemm_active_k_into`] are the sparse
-//! entry points, and [`gemm_sparse_lhs_into`] (scan-based, for operands
-//! whose sparsity is discovered rather than declared) rides the same
-//! driver.
+//! entry points. Declared row/depth elision is the *only* sparse
+//! mechanism: nothing scans an operand for zeros.
+//!
+//! **One driver for every element type.** The loop nest, both packers and
+//! the per-worker tile walk are generic over a private `Element` trait
+//! that hides exactly three things: the accumulator type of `C` (`f32`
+//! for `f32` operands, `i32` for `i8`), how an operand value is widened
+//! into the f32 lane of a packed panel, and which `alf-gemm-kernels` tile
+//! consumes a panel pair. The int8 product ([`super::gemm_i8_into`]) is
+//! therefore the same code as the f32 one, entered with one thread and
+//! identity gathers; see [`super::qgemm`] for why it stays exact.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block through the
@@ -52,12 +60,13 @@
 //! threshold so small products (the common case inside per-layer training
 //! steps) never pay thread-spawn latency.
 //!
-//! All scratch (packing panels, sparse-compaction buffers) comes from the
-//! caller's [`Workspace`], so steady-state calls are allocation-free.
+//! All scratch (packing panels, the compact `C` of a row-gathered
+//! product) comes from the caller's [`Workspace`], so steady-state calls
+//! are allocation-free.
 
 use super::workspace::Workspace;
 use crate::ShapeError;
-use alf_gemm_kernels::{microkernel_into, microkernel_into_clipped};
+use alf_gemm_kernels::{microkernel_i8_into, microkernel_into, microkernel_into_clipped};
 
 // The micro-kernels and the tile geometry live in `alf-gemm-kernels`, a
 // dedicated crate, because their codegen is context-sensitive: compiled in
@@ -85,11 +94,6 @@ pub const MAX_THREADS: usize = 8;
 /// the one core and pay spawn/join on top (the scaling regression the
 /// gemm benchmark records as `engaged_threads`).
 const PAR_FLOP_THRESHOLD: f64 = 8.0e6;
-
-/// Minimum fraction of all-zero LHS rows (in eighths) for
-/// [`gemm_sparse_lhs_into`] to take the gathered path; below this the
-/// row-map indirection and `C` scatter cost more than they save.
-const SPARSE_MIN_ZERO_EIGHTHS: usize = 1;
 
 /// The set of surviving (unpruned) rows of a masked operand.
 ///
@@ -254,7 +258,7 @@ fn thread_override() -> Option<usize> {
 /// and with identity maps the packed panels — and therefore the result —
 /// are bitwise identical to the plain dense path.
 #[derive(Clone, Copy)]
-struct Gather<'g> {
+pub(super) struct Gather<'g> {
     rmap: Option<&'g [usize]>,
     kmap: Option<&'g [usize]>,
     am: usize,
@@ -262,7 +266,7 @@ struct Gather<'g> {
 }
 
 impl<'g> Gather<'g> {
-    fn dense(m: usize, k: usize) -> Self {
+    pub(super) fn dense(m: usize, k: usize) -> Self {
         Self {
             rmap: None,
             kmap: None,
@@ -306,9 +310,8 @@ pub fn gemm_into(
 /// other row of `C` is written as exact `0.0`, regardless of what `A`
 /// holds there.
 ///
-/// This is the declared-sparsity sibling of [`gemm_sparse_lhs_into`]: the
-/// caller (an ALF block with a clipped mask) already knows which rows
-/// survive, so no scan happens and — crucially for the backward pass —
+/// The caller (an ALF block with a clipped mask) declares which rows
+/// survive, so nothing scans `A` and — crucially for the backward pass —
 /// the *skipped rows need not be zero in `A`*. The code-conv forward uses
 /// it to skip pruned weight rows; the backward weight-gradient GEMM uses
 /// it (with `tb = true`) to never compute gradient rows the mask-gated
@@ -358,20 +361,7 @@ pub fn gemm_active_rows_into(
         "gemm_active_rows: B buffer is not [{k}x{n}] (tb={tb})"
     );
     if rows.is_all() {
-        gemm_driver(
-            c,
-            a,
-            false,
-            b,
-            tb,
-            m,
-            k,
-            n,
-            ws,
-            threads,
-            Gather::dense(m, k),
-        );
-        return;
+        return gemm_into(c, a, false, b, tb, m, k, n, ws, threads);
     }
     c.fill(0.0);
     let live = rows.len();
@@ -441,20 +431,7 @@ pub fn gemm_active_k_into(
     );
     assert_eq!(b.len(), k * n, "gemm_active_k: B buffer is not [{k}x{n}]");
     if active.is_all() {
-        gemm_driver(
-            c,
-            a,
-            ta,
-            b,
-            false,
-            m,
-            k,
-            n,
-            ws,
-            threads,
-            Gather::dense(m, k),
-        );
-        return;
+        return gemm_into(c, a, ta, b, false, m, k, n, ws, threads);
     }
     let ke = active.len();
     if ke == 0 || m == 0 || n == 0 {
@@ -470,15 +447,67 @@ pub fn gemm_active_k_into(
     gemm_driver(c, a, ta, b, false, m, ke, n, ws, threads, gather);
 }
 
+/// What the blocked driver is generic over: the operand element type.
+///
+/// Packed panels always hold f32 lanes (that is what the register tiles
+/// in `alf-gemm-kernels` consume), so an element only has to say how it
+/// widens into a lane, what `C` accumulates in, and which tile to run.
+pub(super) trait Element: Copy + Sync {
+    /// Element type of `C`.
+    type Acc: Copy + Default + Send;
+
+    /// The value as a packed-panel lane.
+    fn widen(self) -> f32;
+
+    /// Adds one `apanel · bpanel` product tile into `c` (row stride `n`),
+    /// writing only the live `rlim`×`clim` region.
+    fn tile(
+        apanel: &[f32],
+        bpanel: &[f32],
+        c: &mut [Self::Acc],
+        n: usize,
+        rlim: usize,
+        clim: usize,
+    );
+}
+
+impl Element for f32 {
+    type Acc = f32;
+
+    fn widen(self) -> f32 {
+        self
+    }
+
+    fn tile(apanel: &[f32], bpanel: &[f32], c: &mut [f32], n: usize, rlim: usize, clim: usize) {
+        if rlim == MR && clim == NR {
+            microkernel_into(apanel, bpanel, c, n);
+        } else {
+            microkernel_into_clipped(apanel, bpanel, c, n, rlim, clim);
+        }
+    }
+}
+
+impl Element for i8 {
+    type Acc = i32;
+
+    fn widen(self) -> f32 {
+        f32::from(self)
+    }
+
+    fn tile(apanel: &[f32], bpanel: &[f32], c: &mut [i32], n: usize, rlim: usize, clim: usize) {
+        microkernel_i8_into(apanel, bpanel, c, n, rlim, clim);
+    }
+}
+
 /// The blocked driver behind every entry point. `m` and `k` are the
 /// *logical* (post-gather) dimensions the blocking runs over; `gather`
 /// carries the physical strides and optional index maps (see [`Gather`]).
 #[allow(clippy::too_many_arguments)]
-fn gemm_driver(
-    c: &mut [f32],
-    a: &[f32],
+pub(super) fn gemm_driver<T: Element>(
+    c: &mut [T::Acc],
+    a: &[T],
     ta: bool,
-    b: &[f32],
+    b: &[T],
     tb: bool,
     m: usize,
     k: usize,
@@ -492,7 +521,7 @@ fn gemm_driver(
     debug_assert_eq!(b.len(), gather.ak * n);
     debug_assert_eq!(gather.rmap.map_or(gather.am, <[usize]>::len), m);
     debug_assert_eq!(gather.kmap.map_or(gather.ak, <[usize]>::len), k);
-    c.fill(0.0);
+    c.fill(T::Acc::default());
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -504,10 +533,10 @@ fn gemm_driver(
     // Contiguous row chunks, each a whole number of MC blocks, so packed
     // panels never straddle a worker boundary.
     let rows_per_chunk = n_blocks.div_ceil(threads) * MC;
-    let mut bpack = ws.take("gemm_bpack", kmax * ncmax);
+    let mut bpack: Vec<f32> = ws.take("gemm_bpack", kmax * ncmax);
     // Each worker packs its whole row range once per (jc, pc) block, so
     // its buffer spans rows_per_chunk (already an MR multiple) rows.
-    let mut apack_all = ws.take("gemm_apack", threads * rows_per_chunk * kmax);
+    let mut apack_all: Vec<f32> = ws.take("gemm_apack", threads * rows_per_chunk * kmax);
 
     let mut jc = 0;
     while jc < n {
@@ -570,11 +599,11 @@ fn gemm_driver(
 ///
 /// `c_rows` holds rows `row0 .. row0 + mrows` of `C` at full stride `n`.
 #[allow(clippy::too_many_arguments)]
-fn process_rows(
-    c_rows: &mut [f32],
+fn process_rows<T: Element>(
+    c_rows: &mut [T::Acc],
     row0: usize,
     mrows: usize,
-    a: &[f32],
+    a: &[T],
     ta: bool,
     n: usize,
     jc: usize,
@@ -597,13 +626,8 @@ fn process_rows(
             let cbase = jc + jp * NR;
             let clim = NR.min(nc - jp * NR);
             let coff = rbase * n + cbase;
-            if rlim == MR && clim == NR {
-                let cend = coff + (MR - 1) * n + NR;
-                microkernel_into(apanel, bpanel, &mut c_rows[coff..cend], n);
-            } else {
-                let cend = coff + (rlim - 1) * n + clim;
-                microkernel_into_clipped(apanel, bpanel, &mut c_rows[coff..cend], n, rlim, clim);
-            }
+            let cend = coff + (rlim - 1) * n + clim;
+            T::tile(apanel, bpanel, &mut c_rows[coff..cend], n, rlim, clim);
         }
     }
 }
@@ -613,9 +637,9 @@ fn process_rows(
 /// kmap(p0 + p)]`, zero-padding rows past `mc`. This is where row/depth
 /// elision physically happens — a pruned row simply has no panel slot.
 #[allow(clippy::too_many_arguments)]
-fn pack_a(
+fn pack_a<T: Element>(
     apack: &mut [f32],
-    a: &[f32],
+    a: &[T],
     ta: bool,
     i0: usize,
     mc: usize,
@@ -632,9 +656,9 @@ fn pack_a(
                 *slot = if row < i0 + mc {
                     let pr = gather.rmap.map_or(row, |rm| rm[row]);
                     if ta {
-                        a[pk * gather.am + pr]
+                        a[pk * gather.am + pr].widen()
                     } else {
-                        a[pr * gather.ak + pk]
+                        a[pr * gather.ak + pk].widen()
                     }
                 } else {
                     0.0
@@ -646,11 +670,14 @@ fn pack_a(
 
 /// Packs `B[p0..p0+kc, j0..j0+nc]` (transpose- and gather-aware) into
 /// `NR`-column panels: `bpack[(jp·kc + p)·NR + r] = B[kmap(p0 + p),
-/// j0 + jp·NR + r]`, zero-padding columns past `nc`.
+/// j0 + jp·NR + r]`, zero-padding columns past `nc`. A non-transposed `B`
+/// row is contiguous across a panel's columns, so that case is a straight
+/// widening copy — this is the O(k·n) stage small-`m` products (every conv
+/// at batch 8) spend most of their non-tile time in.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(
+fn pack_b<T: Element>(
     bpack: &mut [f32],
-    b: &[f32],
+    b: &[T],
     tb: bool,
     n: usize,
     p0: usize,
@@ -661,84 +688,24 @@ fn pack_b(
 ) {
     for jp in 0..nc.div_ceil(NR) {
         let panel = &mut bpack[jp * kc * NR..(jp + 1) * kc * NR];
+        let col0 = j0 + jp * NR;
+        let live = NR.min(j0 + nc - col0);
         for (p, out) in panel.chunks_exact_mut(NR).enumerate().take(kc) {
             let pk = gather.kmap.map_or(p0 + p, |km| km[p0 + p]);
-            for (r, slot) in out.iter_mut().enumerate() {
-                let col = j0 + jp * NR + r;
-                *slot = if col < j0 + nc {
-                    if tb {
-                        b[col * gather.ak + pk]
-                    } else {
-                        b[pk * n + col]
-                    }
-                } else {
-                    0.0
-                };
+            let (cols, pad) = out.split_at_mut(live);
+            if tb {
+                for (r, slot) in cols.iter_mut().enumerate() {
+                    *slot = b[(col0 + r) * gather.ak + pk].widen();
+                }
+            } else {
+                let src = &b[pk * n + col0..pk * n + col0 + live];
+                for (slot, &v) in cols.iter_mut().zip(src) {
+                    *slot = v.widen();
+                }
             }
+            pad.fill(0.0);
         }
     }
-}
-
-/// `C = A · B` where `A` (`[m,k]`, non-transposed) is expected to contain
-/// all-zero rows — the masked `Wcode` weight matrix of an ALF block, whose
-/// pruned code channels zero out whole rows.
-///
-/// Scans `A` once for all-zero rows, then runs the blocked driver with a
-/// row gather over the survivors — pruned rows are skipped at panel-pack
-/// time, exactly like [`gemm_active_rows_into`] — and scatters the compact
-/// result back; zero rows of `C` are written directly. Falls back to the
-/// dense kernel when fewer than 1/8 of the rows are zero, where the gather
-/// indirection and scatter outweigh the skipped flops (see the
-/// `sparse_vs_dense` micro-benchmark in `crates/bench`).
-///
-/// # Panics
-///
-/// Panics when a buffer length disagrees with the stated dimensions.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS gemm signature
-pub fn gemm_sparse_lhs_into(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ws: &mut Workspace,
-    threads: usize,
-) {
-    assert_eq!(c.len(), m * n, "gemm_sparse_lhs: C buffer is not [{m}x{n}]");
-    assert_eq!(a.len(), m * k, "gemm_sparse_lhs: A buffer is not [{m}x{k}]");
-    assert_eq!(b.len(), k * n, "gemm_sparse_lhs: B buffer is not [{k}x{n}]");
-    let mut rows = ws.take_idx("gemm_sparse_rows", m);
-    for i in 0..m {
-        if a[i * k..(i + 1) * k].iter().any(|&v| v != 0.0) {
-            rows.push(i);
-        }
-    }
-    let zero_rows = m - rows.len();
-    if zero_rows * 8 < m * SPARSE_MIN_ZERO_EIGHTHS {
-        ws.give_idx("gemm_sparse_rows", rows);
-        gemm_into(c, a, false, b, false, m, k, n, ws, threads);
-        return;
-    }
-    c.fill(0.0);
-    if rows.is_empty() || k == 0 || n == 0 {
-        ws.give_idx("gemm_sparse_rows", rows);
-        return;
-    }
-    let live = rows.len();
-    let mut cc = ws.take("gemm_sparse_c", live * n);
-    let gather = Gather {
-        rmap: Some(&rows),
-        kmap: None,
-        am: m,
-        ak: k,
-    };
-    gemm_driver(&mut cc, a, false, b, false, live, k, n, ws, threads, gather);
-    for (ri, &i) in rows.iter().enumerate() {
-        c[i * n..(i + 1) * n].copy_from_slice(&cc[ri * n..(ri + 1) * n]);
-    }
-    ws.give("gemm_sparse_c", cc);
-    ws.give_idx("gemm_sparse_rows", rows);
 }
 
 #[cfg(test)]
@@ -916,72 +883,6 @@ mod tests {
             );
         }
         assert_eq!(ws.alloc_events(), warm);
-    }
-
-    #[test]
-    fn sparse_lhs_matches_dense_on_masked_rows() {
-        let mut rng = Rng::new(21);
-        for &(m, k, n, stride) in &[(16, 9, 12, 2), (33, 20, 7, 3), (40, 16, 16, 1)] {
-            let mut a = Tensor::randn(&[m, k], Init::Rand, &mut rng);
-            // Zero every `stride`-th row (stride 1 → all rows zero).
-            for i in (0..m).step_by(stride.max(1)) {
-                if stride == 1 || i % stride == 0 {
-                    for v in a.data_mut()[i * k..(i + 1) * k].iter_mut() {
-                        *v = 0.0;
-                    }
-                }
-            }
-            let b = Tensor::randn(&[k, n], Init::Rand, &mut rng);
-            let expect = reference::matmul(&a, &b).unwrap();
-            let mut ws = Workspace::new();
-            let mut c = vec![1.0f32; m * n];
-            gemm_sparse_lhs_into(&mut c, a.data(), b.data(), m, k, n, &mut ws, 1);
-            let got = Tensor::from_vec(c, &[m, n]).unwrap();
-            assert!(got.allclose(&expect, 1e-4), "{m}x{k}x{n} stride={stride}");
-        }
-    }
-
-    #[test]
-    fn sparse_lhs_dense_fallback_matches() {
-        // No zero rows at all → dense fallback path.
-        let mut rng = Rng::new(22);
-        let a = Tensor::randn(&[10, 6], Init::Rand, &mut rng);
-        let b = Tensor::randn(&[6, 8], Init::Rand, &mut rng);
-        let expect = reference::matmul(&a, &b).unwrap();
-        let mut ws = Workspace::new();
-        let mut c = vec![0.0f32; 80];
-        gemm_sparse_lhs_into(&mut c, a.data(), b.data(), 10, 6, 8, &mut ws, 1);
-        assert!(Tensor::from_vec(c, &[10, 8])
-            .unwrap()
-            .allclose(&expect, 1e-4));
-    }
-
-    #[test]
-    fn sparse_lhs_all_rows_zero_yields_zero_output() {
-        let a = Tensor::zeros(&[12, 7]);
-        let mut rng = Rng::new(23);
-        let b = Tensor::randn(&[7, 9], Init::Rand, &mut rng);
-        let mut ws = Workspace::new();
-        let mut c = vec![3.0f32; 12 * 9];
-        gemm_sparse_lhs_into(&mut c, a.data(), b.data(), 12, 7, 9, &mut ws, 1);
-        assert_eq!(c, vec![0.0; 12 * 9]);
-    }
-
-    #[test]
-    fn sparse_lhs_single_surviving_row() {
-        let mut rng = Rng::new(24);
-        let mut a = Tensor::zeros(&[20, 5]);
-        for v in a.data_mut()[7 * 5..8 * 5].iter_mut() {
-            *v = 1.5;
-        }
-        let b = Tensor::randn(&[5, 6], Init::Rand, &mut rng);
-        let expect = reference::matmul(&a, &b).unwrap();
-        let mut ws = Workspace::new();
-        let mut c = vec![9.0f32; 20 * 6];
-        gemm_sparse_lhs_into(&mut c, a.data(), b.data(), 20, 5, 6, &mut ws, 1);
-        assert!(Tensor::from_vec(c, &[20, 6])
-            .unwrap()
-            .allclose(&expect, 1e-5));
     }
 
     #[test]

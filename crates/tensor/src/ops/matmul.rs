@@ -1,9 +1,35 @@
 use crate::{ShapeError, Tensor};
 
-use super::gemm::{
-    auto_threads, gemm_active_rows_into, gemm_into, gemm_sparse_lhs_into, ActiveRows,
-};
+use super::gemm::{auto_threads, gemm_active_rows_into, gemm_into, ActiveRows};
 use super::workspace::{with_thread_workspace, Workspace};
+
+/// `op(A) · op(B)` as a fresh tensor — the one body behind the whole
+/// `matmul*` family; the public functions only choose the transposes and
+/// where packing scratch comes from.
+fn product(
+    op: &str,
+    a: &Tensor,
+    ta: bool,
+    b: &Tensor,
+    tb: bool,
+    ws: &mut Workspace,
+) -> Result<Tensor, ShapeError> {
+    let (m, k, n) = dims_for(op, a, b, ta, tb)?;
+    let mut out = Tensor::zeros(&[m, n]);
+    gemm_into(
+        out.data_mut(),
+        a.data(),
+        ta,
+        b.data(),
+        tb,
+        m,
+        k,
+        n,
+        ws,
+        auto_threads(m, k, n),
+    );
+    Ok(out)
+}
 
 /// Dense matrix product `C = A · B` for rank-2 tensors.
 ///
@@ -13,7 +39,7 @@ use super::workspace::{with_thread_workspace, Workspace};
 /// shared [`Workspace`](super::Workspace). The seed's naive loop survives
 /// as [`super::reference::matmul`] for differential testing; unlike the
 /// seed, this path has **no** per-element zero test — masked weights with
-/// structurally zero rows should use [`matmul_sparse_lhs`] instead.
+/// pruned rows should declare them through [`matmul_active_rows`].
 ///
 /// # Errors
 ///
@@ -31,23 +57,7 @@ use super::workspace::{with_thread_workspace, Workspace};
 /// # }
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul", a, b, false, false)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    with_thread_workspace(|ws| {
-        gemm_into(
-            out.data_mut(),
-            a.data(),
-            false,
-            b.data(),
-            false,
-            m,
-            k,
-            n,
-            ws,
-            auto_threads(m, k, n),
-        );
-    });
-    Ok(out)
+    with_thread_workspace(|ws| matmul_ws(a, b, ws))
 }
 
 /// `C = Aᵀ · B` without materialising the transpose.
@@ -60,23 +70,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
 ///
 /// Returns an error unless `A` is `[k, m]` and `B` is `[k, n]`.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul_at", a, b, true, false)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    with_thread_workspace(|ws| {
-        gemm_into(
-            out.data_mut(),
-            a.data(),
-            true,
-            b.data(),
-            false,
-            m,
-            k,
-            n,
-            ws,
-            auto_threads(m, k, n),
-        );
-    });
-    Ok(out)
+    with_thread_workspace(|ws| matmul_at_ws(a, b, ws))
 }
 
 /// `C = A · Bᵀ` without materialising the transpose.
@@ -88,65 +82,16 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
 ///
 /// Returns an error unless `A` is `[m, k]` and `B` is `[n, k]`.
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul_bt", a, b, false, true)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    with_thread_workspace(|ws| {
-        gemm_into(
-            out.data_mut(),
-            a.data(),
-            false,
-            b.data(),
-            true,
-            m,
-            k,
-            n,
-            ws,
-            auto_threads(m, k, n),
-        );
-    });
-    Ok(out)
-}
-
-/// `C = A · B` where `A` is expected to contain whole rows of zeros — the
-/// masked `Wcode` matrix an ALF block feeds its code convolution after
-/// pruning has zeroed code channels.
-///
-/// The seed kernel served this case with an `av == 0.0` branch inside
-/// every dense matmul's inner loop, taxing all callers for one caller's
-/// sparsity. The split moves that cost here: nonzero rows are compacted,
-/// multiplied densely with the blocked kernel, and scattered back. Falls
-/// back to dense [`matmul`] behaviour when fewer than 1/8 of rows are
-/// zero. Results match [`matmul`] exactly for the rows both compute.
-///
-/// # Errors
-///
-/// Returns an error unless `A` is `[m, k]` and `B` is `[k, n]`.
-pub fn matmul_sparse_lhs(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul_sparse_lhs", a, b, false, false)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    with_thread_workspace(|ws| {
-        gemm_sparse_lhs_into(
-            out.data_mut(),
-            a.data(),
-            b.data(),
-            m,
-            k,
-            n,
-            ws,
-            auto_threads(m, k, n),
-        );
-    });
-    Ok(out)
+    with_thread_workspace(|ws| matmul_bt_ws(a, b, ws))
 }
 
 /// `C = A · B` computing only the rows named by an [`ActiveRows`]
 /// descriptor; every other row of `C` is exact `0.0`.
 ///
-/// The declared-sparsity sibling of [`matmul_sparse_lhs`]: no scan of `A`
-/// happens, and the skipped rows of `A` need not hold zeros — the
-/// descriptor, typically derived from an ALF block's clipped mask, is the
-/// sole authority on which rows matter. Surviving rows are bitwise
-/// identical to [`matmul`]'s.
+/// No scan of `A` happens, and the skipped rows of `A` need not hold
+/// zeros — the descriptor, typically derived from an ALF block's clipped
+/// mask, is the sole authority on which rows matter. Surviving rows are
+/// bitwise identical to [`matmul`]'s.
 ///
 /// # Errors
 ///
@@ -194,21 +139,7 @@ pub fn matmul_active_rows(a: &Tensor, b: &Tensor, rows: &ActiveRows) -> Result<T
 ///
 /// Returns an error unless `A` is `[m, k]` and `B` is `[k, n]`.
 pub fn matmul_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul", a, b, false, false)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    gemm_into(
-        out.data_mut(),
-        a.data(),
-        false,
-        b.data(),
-        false,
-        m,
-        k,
-        n,
-        ws,
-        auto_threads(m, k, n),
-    );
-    Ok(out)
+    product("matmul", a, false, b, false, ws)
 }
 
 /// [`matmul_at`] drawing packing scratch from a caller-supplied arena.
@@ -217,21 +148,7 @@ pub fn matmul_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tensor, S
 ///
 /// Returns an error unless `A` is `[k, m]` and `B` is `[k, n]`.
 pub fn matmul_at_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul_at", a, b, true, false)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    gemm_into(
-        out.data_mut(),
-        a.data(),
-        true,
-        b.data(),
-        false,
-        m,
-        k,
-        n,
-        ws,
-        auto_threads(m, k, n),
-    );
-    Ok(out)
+    product("matmul_at", a, true, b, false, ws)
 }
 
 /// [`matmul_bt`] drawing packing scratch from a caller-supplied arena.
@@ -240,21 +157,7 @@ pub fn matmul_at_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tensor
 ///
 /// Returns an error unless `A` is `[m, k]` and `B` is `[n, k]`.
 pub fn matmul_bt_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul_bt", a, b, false, true)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    gemm_into(
-        out.data_mut(),
-        a.data(),
-        false,
-        b.data(),
-        true,
-        m,
-        k,
-        n,
-        ws,
-        auto_threads(m, k, n),
-    );
-    Ok(out)
+    product("matmul_bt", a, false, b, true, ws)
 }
 
 pub(crate) fn dims_for(
@@ -378,20 +281,14 @@ mod tests {
         assert!(matmul(&a, &Tensor::zeros(&[3])).is_err());
         assert!(matmul_at(&a, &Tensor::zeros(&[3, 2])).is_err());
         assert!(matmul_bt(&a, &Tensor::zeros(&[2, 2])).is_err());
-        assert!(matmul_sparse_lhs(&a, &Tensor::zeros(&[4, 2])).is_err());
     }
 
     #[test]
     fn zero_rows_short_circuit_correctly() {
-        // Kept from the seed: zero LHS rows must yield zero output rows in
-        // both the dense and the sparse entry points.
+        // Kept from the seed: zero LHS rows must yield zero output rows.
         let a = Tensor::from_vec(vec![0.0, 1.0, 0.0, 0.0], &[2, 2]).unwrap();
         let b = Tensor::from_vec(vec![3.0, 4.0, 5.0, 6.0], &[2, 2]).unwrap();
         assert_eq!(matmul(&a, &b).unwrap().data(), &[5.0, 6.0, 0.0, 0.0]);
-        assert_eq!(
-            matmul_sparse_lhs(&a, &b).unwrap().data(),
-            &[5.0, 6.0, 0.0, 0.0]
-        );
     }
 
     #[test]
@@ -427,19 +324,5 @@ mod tests {
         assert_eq!(&one.data()[2 * 5..3 * 5], &dense.data()[2 * 5..3 * 5]);
         assert!(one.data()[..2 * 5].iter().all(|&v| v == 0.0));
         assert!(one.data()[3 * 5..].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn sparse_lhs_equals_dense_on_masked_matrix() {
-        let mut rng = Rng::new(45);
-        let mut a = Tensor::randn(&[24, 10], Init::Rand, &mut rng);
-        for i in (0..24).step_by(3) {
-            for v in a.data_mut()[i * 10..(i + 1) * 10].iter_mut() {
-                *v = 0.0;
-            }
-        }
-        let b = Tensor::randn(&[10, 14], Init::Rand, &mut rng);
-        let dense = matmul(&a, &b).unwrap();
-        assert!(matmul_sparse_lhs(&a, &b).unwrap().allclose(&dense, 1e-5));
     }
 }

@@ -8,22 +8,28 @@
 //!
 //! Performance architecture (see `DESIGN.md` for the full picture):
 //!
-//! * [`gemm`] holds the cache-blocked, register-tiled, multithreaded
-//!   kernel every matrix product routes through; [`gemm_into`] /
-//!   [`gemm_sparse_lhs_into`] / [`gemm_active_rows_into`] /
-//!   [`gemm_active_k_into`] are the slice-level entry points hot loops
-//!   call with their own [`Workspace`]. [`ActiveRows`] is the shared
-//!   descriptor of which rows of a masked operand survive pruning.
-//! * [`matmul`] / [`matmul_at`] / [`matmul_bt`] / [`matmul_sparse_lhs`] /
-//!   [`matmul_active_rows`] are the tensor-level conveniences, drawing
-//!   scratch from a thread-local workspace.
-//! * [`qgemm`] is the int8 sibling: [`gemm_i8_into`] runs `i8×i8→i32`
-//!   products with the same panel-packing structure for the quantized
+//! * [`gemm`] holds the one cache-blocked, register-tiled, multithreaded
+//!   driver every matrix product routes through — f32 and int8 alike: the
+//!   loop nest and both packers are generic over the operand element, and
+//!   a private element trait picks the accumulator type and the register
+//!   tile. [`gemm_into`] / [`gemm_active_rows_into`] /
+//!   [`gemm_active_k_into`] are the slice-level f32 entry points hot
+//!   loops call with their own [`Workspace`]. [`ActiveRows`] is the
+//!   shared descriptor of which rows of a masked operand survive pruning;
+//!   declared row/depth elision at pack time is the only sparse mechanism.
+//! * [`matmul`] / [`matmul_at`] / [`matmul_bt`] / [`matmul_active_rows`]
+//!   are the tensor-level conveniences, drawing scratch from a
+//!   thread-local workspace (the `_ws` variants take the caller's).
+//! * [`qgemm`] holds the int8 entry points: [`gemm_i8_into`] runs
+//!   `i8×i8→i32` products through the same driver for the quantized
 //!   deployment path, and [`im2col_i8_into`] feeds it.
 //! * [`reference`] preserves the seed's naive kernels for differential
 //!   tests and as the benchmark baseline.
-//! * [`im2col_into`] / [`col2im_into`] write into caller-owned buffers so
-//!   layer code can keep the whole conv step allocation-free.
+//! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop and, like
+//!   [`col2im_into`], write into caller-owned buffers so layer code can
+//!   keep the whole conv step allocation-free.
+//! * [`Workspace`] is the scratch arena: one pool of named slots, generic
+//!   over the element type.
 
 mod channels;
 mod conv;
@@ -36,12 +42,11 @@ mod workspace;
 pub use channels::{concat_channels, split_channels};
 pub use conv::{col2im, col2im_into, conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
 pub use gemm::{
-    auto_threads, gemm_active_k_into, gemm_active_rows_into, gemm_into, gemm_sparse_lhs_into,
-    host_parallelism, ActiveRows,
+    auto_threads, gemm_active_k_into, gemm_active_rows_into, gemm_into, host_parallelism,
+    ActiveRows,
 };
 pub use matmul::{
-    matmul, matmul_active_rows, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws,
-    matmul_sparse_lhs, matmul_ws,
+    matmul, matmul_active_rows, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws,
 };
 pub use qgemm::{gemm_i8_into, im2col_i8_into};
 pub use workspace::{with_thread_workspace, Workspace};

@@ -1,40 +1,45 @@
-//! Int8 companion of the blocked [`gemm`](super::gemm) kernel.
+//! Int8 entry points into the shared kernel layer.
 //!
 //! The quantized deployment path runs convolutions as `i8×i8→i32` matrix
 //! products: weights and activations are symmetric int8, accumulation is
 //! exact in i32, and requantization back to i8 happens on store (in
-//! `alf-core::qmodel`, where the scales live). This module provides the
-//! blocked product and the i8 im2col that feeds it.
+//! `alf-core::qmodel`, where the scales live). Nothing here re-implements
+//! blocking or unfolding: [`gemm_i8_into`] enters the one blocked driver
+//! in [`gemm`](super::gemm) with `i8` operands, and [`im2col_i8_into`]
+//! enters the one unfold loop in `conv.rs` with an `i8` buffer.
 //!
-//! The blocking mirrors the f32 driver — [`NC`]-wide column strips,
-//! [`KC`]-deep slabs packed once into [`NR`]-column panels, [`MR`]-row `A`
-//! panels streamed against them — and the register tile lives in
-//! `alf-gemm-kernels` for the same codegen-isolation reason as the f32
-//! tile (see that crate's docs). The packing routines widen the i8
-//! operands into f32 panel slots: the micro-kernel then accumulates in
-//! f32, which is *exact* for these integer values as long as partial sums
-//! stay below 2²⁴ — guaranteed here because `KC · 127² < 2²⁴` (see the
-//! kernel's docs for the full argument). The result is therefore still
-//! bit-identical to a naive i32 triple loop by construction; there is no
-//! evaluation-order subtlety to defend, only cache behaviour.
+//! What the driver's element trait does for `i8`: the packers widen each
+//! value into an f32 panel lane, the register tile
+//! (`alf_gemm_kernels::microkernel_i8_into`, isolated in its own crate for
+//! the same codegen reason as the f32 tile) accumulates those lanes in
+//! f32, and the write-back converts to the i32 `C`. That is *exact*, not
+//! approximate: every product of two i8 values has magnitude ≤ 127², and
+//! a packed panel is at most [`KC`](super::gemm::KC) deep, so every
+//! partial sum inside a tile stays below `KC · 127² < 2²⁴`, where f32
+//! represents every integer. Sums across `KC` slabs are added in i32. The
+//! result is therefore bit-identical to a naive i32 triple loop by
+//! construction; there is no evaluation-order subtlety to defend, only
+//! cache behaviour.
 //!
-//! The driver is single-threaded on purpose: the conv shapes the int8
-//! path runs (`m = c_out ≤ 64` for Plain-20) never span more than one
-//! [`MC`](super::gemm::MC) row block, which is exactly the unit the f32
-//! driver partitions across workers — it, too, runs these shapes on one
-//! thread. Serving-level parallelism comes from replica workers instead.
+//! The int8 product runs on one thread with identity gathers on purpose:
+//! the conv shapes the int8 path runs (`m = c_out ≤ 64` for Plain-20)
+//! never span more than one [`MC`](super::gemm::MC) row block, which is
+//! exactly the unit the driver partitions across workers — the f32 path
+//! runs these shapes on one thread too. Serving-level parallelism comes
+//! from replica workers instead.
 
-use super::gemm::{KC, MC, NC};
+use super::conv::unfold;
+use super::gemm::{gemm_driver, Gather};
 use super::workspace::Workspace;
 use super::Conv2dSpec;
-use alf_gemm_kernels::{microkernel_i8_into, MR, NR};
 
 /// `C = A · B` for int8 operands with exact i32 accumulation.
 ///
 /// `A` is `[m, k]` row-major i8, `B` is `[k, n]` row-major i8, `C` is
 /// `[m, n]` row-major i32 and is fully overwritten. Packing panels come
-/// from `ws` (`qgemm_apack` / `qgemm_bpack` f32 slots — the i8 values are
-/// widened at pack time), so steady-state calls are allocation-free.
+/// from `ws` (the driver's f32 `gemm_apack` / `gemm_bpack` slots — the i8
+/// values are widened at pack time), so steady-state calls are
+/// allocation-free.
 ///
 /// # Panics
 ///
@@ -51,87 +56,7 @@ pub fn gemm_i8_into(
     assert_eq!(c.len(), m * n, "gemm_i8: C buffer is not [{m}x{n}]");
     assert_eq!(a.len(), m * k, "gemm_i8: A buffer is not [{m}x{k}]");
     assert_eq!(b.len(), k * n, "gemm_i8: B buffer is not [{k}x{n}]");
-    c.fill(0);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let kmax = k.min(KC);
-    let ncmax = n.min(NC).div_ceil(NR) * NR;
-    let mcmax = m.min(MC).div_ceil(MR) * MR;
-    let mut bpack = ws.take("qgemm_bpack", kmax * ncmax);
-    let mut apack = ws.take("qgemm_apack", mcmax * kmax);
-
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            pack_b_i8(&mut bpack, b, n, pc, kc, jc, nc);
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                pack_a_i8(&mut apack, a, k, ic, mc, pc, kc);
-                let j_panels = nc.div_ceil(NR);
-                for ip in 0..mc.div_ceil(MR) {
-                    let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
-                    let rbase = ic + ip * MR;
-                    let rlim = MR.min(m - rbase).min(mc - ip * MR);
-                    for jp in 0..j_panels {
-                        let bpanel = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
-                        let cbase = jc + jp * NR;
-                        let clim = NR.min(nc - jp * NR);
-                        let coff = rbase * n + cbase;
-                        let cend = coff + (rlim - 1) * n + clim;
-                        microkernel_i8_into(apanel, bpanel, &mut c[coff..cend], n, rlim, clim);
-                    }
-                }
-                ic += mc;
-            }
-            pc += kc;
-        }
-        jc += nc;
-    }
-    ws.give("qgemm_bpack", bpack);
-    ws.give("qgemm_apack", apack);
-}
-
-/// Packs `A[i0..i0+mc, p0..p0+kc]` into `MR`-row f32 panels, widening
-/// each i8 value and zero-padding rows past `mc` — the i8 twin of the f32
-/// `pack_a` (no transpose or gather: quantized weights are always stored
-/// `[c_out, ci·k²]` row-major).
-fn pack_a_i8(apack: &mut [f32], a: &[i8], k: usize, i0: usize, mc: usize, p0: usize, kc: usize) {
-    for ip in 0..mc.div_ceil(MR) {
-        let panel = &mut apack[ip * kc * MR..(ip + 1) * kc * MR];
-        for (p, out) in panel.chunks_exact_mut(MR).enumerate().take(kc) {
-            for (r, slot) in out.iter_mut().enumerate() {
-                let row = i0 + ip * MR + r;
-                *slot = if row < i0 + mc {
-                    f32::from(a[row * k + p0 + p])
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// Packs `B[p0..p0+kc, j0..j0+nc]` into `NR`-column f32 panels, widening
-/// each i8 value and zero-padding columns past `nc`.
-fn pack_b_i8(bpack: &mut [f32], b: &[i8], n: usize, p0: usize, kc: usize, j0: usize, nc: usize) {
-    for jp in 0..nc.div_ceil(NR) {
-        let panel = &mut bpack[jp * kc * NR..(jp + 1) * kc * NR];
-        for (p, out) in panel.chunks_exact_mut(NR).enumerate().take(kc) {
-            for (r, slot) in out.iter_mut().enumerate() {
-                let col = j0 + jp * NR + r;
-                *slot = if col < j0 + nc {
-                    f32::from(b[(p0 + p) * n + col])
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
+    gemm_driver(c, a, false, b, false, m, k, n, ws, 1, Gather::dense(m, k));
 }
 
 /// [`im2col_into`](super::im2col_into) for int8 activations: unfolds an
@@ -154,42 +79,20 @@ pub fn im2col_i8_into(
     spec: Conv2dSpec,
 ) {
     let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let rows = ci * k * k;
-    let cols = n * ho * wo;
+    let rows = ci * spec.kernel * spec.kernel;
     assert_eq!(src.len(), n * ci * h * w, "im2col_i8: bad input length");
-    assert_eq!(dst.len(), rows * cols, "im2col_i8: bad buffer length");
-    dst.fill(0);
-    for b in 0..n {
-        for c in 0..ci {
-            let plane = &src[(b * ci + c) * h * w..(b * ci + c + 1) * h * w];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (c * k + ky) * k + kx;
-                    for oy in 0..ho {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for ox in 0..wo {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let col = (b * ho + oy) * wo + ox;
-                            dst[row * cols + col] = plane[iy * w + ix as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    assert_eq!(
+        dst.len(),
+        rows * n * ho * wo,
+        "im2col_i8: bad buffer length"
+    );
+    unfold(dst, src, n, ci, h, w, spec);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::gemm::{KC, MC, NC};
 
     fn reference_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
         let mut c = vec![0i32; m * n];
@@ -229,6 +132,9 @@ mod tests {
             (17, 33, 5),
             (64, 27, 1024 + 9),
             (MC + 5, KC + 3, 40),
+            // Several MC blocks in one packed row range, ragged in all
+            // three blocking dimensions at once.
+            (2 * MC + 3, KC + 3, NC + 9),
         ] {
             let (a, b) = operands(m, k, n);
             let mut c = vec![-7i32; m * n];

@@ -24,7 +24,7 @@ use super::matmul::dims_for;
 /// The zero-skip made every dense matmul pay a branch per `A` element to
 /// speed up the rare masked-weight case; the production path now splits
 /// that into [`super::matmul`] (dense, branch-free) and
-/// [`super::matmul_sparse_lhs`] (explicit row compaction).
+/// [`super::matmul_active_rows`] (declared row elision).
 ///
 /// # Errors
 ///

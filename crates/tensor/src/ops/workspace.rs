@@ -19,9 +19,17 @@
 //! counter, which is how the zero-allocation-per-step guarantee of the
 //! conv path is enforced in tests.
 
+use std::any::Any;
 use std::cell::RefCell;
+use std::mem::size_of;
 
 /// Named scratch-buffer arena with allocation accounting.
+///
+/// One pool serves every element type the kernel layer needs (`f32`
+/// panels and column matrices, `i8` quantized columns, `i32`
+/// accumulators): a slot is keyed by its name *and* its element type, so
+/// `take::<i8>("x", ..)` and `take::<f32>("x", ..)` are two independent
+/// buffers.
 ///
 /// # Example
 ///
@@ -29,22 +37,19 @@ use std::cell::RefCell;
 /// use alf_tensor::ops::Workspace;
 ///
 /// let mut ws = Workspace::new();
-/// let mut buf = ws.take("cols", 128);
+/// let mut buf: Vec<f32> = ws.take("cols", 128);
 /// buf[0] = 1.0;
 /// ws.give("cols", buf);
 /// assert_eq!(ws.alloc_events(), 1);
 ///
 /// // Steady state: same slot, same size — no new allocation.
-/// let buf = ws.take("cols", 128);
+/// let buf: Vec<f32> = ws.take("cols", 128);
 /// ws.give("cols", buf);
 /// assert_eq!(ws.alloc_events(), 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
     slots: Vec<Slot>,
-    idx_slots: Vec<IdxSlot>,
-    i8_slots: Vec<I8Slot>,
-    i32_slots: Vec<I32Slot>,
     alloc_events: u64,
     frozen: bool,
 }
@@ -52,32 +57,21 @@ pub struct Workspace {
 #[derive(Debug)]
 struct Slot {
     name: &'static str,
-    buf: Vec<f32>,
-    /// Largest capacity ever observed for this slot, in elements. The
+    /// A `Vec<T>`, empty while the buffer is taken out; `T` is part of
+    /// the slot's identity and is recovered by downcast.
+    buf: Box<dyn Any + Send + Sync>,
+    /// Largest capacity ever observed for this slot, in bytes. The
     /// buffer itself is moved out while in use, so the high-water mark
     /// must be recorded here rather than read off `buf`.
-    cap: usize,
+    cap_bytes: usize,
 }
 
-#[derive(Debug)]
-struct IdxSlot {
-    name: &'static str,
-    buf: Vec<usize>,
-    cap: usize,
-}
-
-#[derive(Debug)]
-struct I8Slot {
-    name: &'static str,
-    buf: Vec<i8>,
-    cap: usize,
-}
-
-#[derive(Debug)]
-struct I32Slot {
-    name: &'static str,
-    buf: Vec<i32>,
-    cap: usize,
+impl Slot {
+    fn vec_mut<T: 'static>(&mut self) -> &mut Vec<T> {
+        self.buf
+            .downcast_mut()
+            .expect("slot was matched by element type")
+    }
 }
 
 impl Workspace {
@@ -86,34 +80,46 @@ impl Workspace {
         Self::default()
     }
 
-    /// Takes the named buffer out of the arena, resized to `len`
-    /// elements. Contents are unspecified (previous contents are
-    /// preserved up to the common length — the conv backward pass relies
-    /// on re-taking the column buffer its forward pass filled).
+    fn position<T: 'static>(&self, name: &'static str) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| s.name == name && s.buf.is::<Vec<T>>())
+    }
+
+    /// Takes the named buffer of element type `T` out of the arena,
+    /// resized to `len` elements. Contents are unspecified (previous
+    /// contents are preserved up to the common length — the conv backward
+    /// pass relies on re-taking the column buffer its forward pass
+    /// filled — and new elements are `T::default()`).
     ///
     /// Counts an allocation event when the slot is new or must grow; in a
     /// [frozen](Workspace::freeze) workspace growth additionally trips a
     /// debug assertion.
-    pub fn take(&mut self, name: &'static str, len: usize) -> Vec<f32> {
-        let idx = match self.slots.iter().position(|s| s.name == name) {
+    pub fn take<T: Copy + Default + Send + Sync + 'static>(
+        &mut self,
+        name: &'static str,
+        len: usize,
+    ) -> Vec<T> {
+        let idx = match self.position::<T>(name) {
             Some(i) => i,
             None => {
                 self.note_alloc(name, len);
                 self.slots.push(Slot {
                     name,
-                    buf: Vec::with_capacity(len),
-                    cap: 0,
+                    buf: Box::new(Vec::<T>::with_capacity(len)),
+                    cap_bytes: 0,
                 });
                 self.slots.len() - 1
             }
         };
-        let mut buf = std::mem::take(&mut self.slots[idx].buf);
+        let mut buf = std::mem::take(self.slots[idx].vec_mut::<T>());
         if buf.capacity() < len {
             self.note_grow(name, buf.capacity(), len);
             buf.reserve(len - buf.len());
         }
-        buf.resize(len, 0.0);
-        self.slots[idx].cap = self.slots[idx].cap.max(buf.capacity());
+        buf.resize(len, T::default());
+        let slot = &mut self.slots[idx];
+        slot.cap_bytes = slot.cap_bytes.max(buf.capacity() * size_of::<T>());
         buf
     }
 
@@ -122,143 +128,21 @@ impl Workspace {
     /// adopted (slot created, counted as an allocation event) — this is
     /// what lets a cloned layer, whose clone carried live cached buffers
     /// but a fresh workspace, donate them back on its first step.
-    pub fn give(&mut self, name: &'static str, buf: Vec<f32>) {
-        match self.slots.iter_mut().find(|s| s.name == name) {
-            Some(slot) => {
-                slot.cap = slot.cap.max(buf.capacity());
-                slot.buf = buf;
+    pub fn give<T: Send + Sync + 'static>(&mut self, name: &'static str, buf: Vec<T>) {
+        let bytes = buf.capacity() * size_of::<T>();
+        match self.position::<T>(name) {
+            Some(i) => {
+                let slot = &mut self.slots[i];
+                slot.cap_bytes = slot.cap_bytes.max(bytes);
+                *slot.vec_mut() = buf;
             }
             None => {
                 self.note_alloc(name, buf.capacity());
-                let cap = buf.capacity();
-                self.slots.push(Slot { name, buf, cap });
-            }
-        }
-    }
-
-    /// Takes the named index buffer out of the arena, cleared, with
-    /// capacity for at least `cap` entries. Used by the sparse-LHS GEMM
-    /// path for its row map; accounting matches [`Workspace::take`].
-    pub fn take_idx(&mut self, name: &'static str, cap: usize) -> Vec<usize> {
-        let idx = match self.idx_slots.iter().position(|s| s.name == name) {
-            Some(i) => i,
-            None => {
-                self.note_alloc(name, cap);
-                self.idx_slots.push(IdxSlot {
+                self.slots.push(Slot {
                     name,
-                    buf: Vec::with_capacity(cap),
-                    cap: 0,
+                    buf: Box::new(buf),
+                    cap_bytes: bytes,
                 });
-                self.idx_slots.len() - 1
-            }
-        };
-        let mut buf = std::mem::take(&mut self.idx_slots[idx].buf);
-        buf.clear();
-        if buf.capacity() < cap {
-            self.note_grow(name, buf.capacity(), cap);
-            buf.reserve(cap);
-        }
-        self.idx_slots[idx].cap = self.idx_slots[idx].cap.max(buf.capacity());
-        buf
-    }
-
-    /// Returns an index buffer to the arena; adoption semantics match
-    /// [`Workspace::give`].
-    pub fn give_idx(&mut self, name: &'static str, buf: Vec<usize>) {
-        match self.idx_slots.iter_mut().find(|s| s.name == name) {
-            Some(slot) => {
-                slot.cap = slot.cap.max(buf.capacity());
-                slot.buf = buf;
-            }
-            None => {
-                self.note_alloc(name, buf.capacity());
-                let cap = buf.capacity();
-                self.idx_slots.push(IdxSlot { name, buf, cap });
-            }
-        }
-    }
-
-    /// Takes the named i8 buffer out of the arena, resized to `len`
-    /// elements; contents semantics and allocation accounting match
-    /// [`Workspace::take`]. Used by the int8 inference path for quantized
-    /// im2col matrices and GEMM packing panels.
-    pub fn take_i8(&mut self, name: &'static str, len: usize) -> Vec<i8> {
-        let idx = match self.i8_slots.iter().position(|s| s.name == name) {
-            Some(i) => i,
-            None => {
-                self.note_alloc(name, len);
-                self.i8_slots.push(I8Slot {
-                    name,
-                    buf: Vec::with_capacity(len),
-                    cap: 0,
-                });
-                self.i8_slots.len() - 1
-            }
-        };
-        let mut buf = std::mem::take(&mut self.i8_slots[idx].buf);
-        if buf.capacity() < len {
-            self.note_grow(name, buf.capacity(), len);
-            buf.reserve(len - buf.len());
-        }
-        buf.resize(len, 0);
-        self.i8_slots[idx].cap = self.i8_slots[idx].cap.max(buf.capacity());
-        buf
-    }
-
-    /// Returns an i8 buffer to the arena; adoption semantics match
-    /// [`Workspace::give`].
-    pub fn give_i8(&mut self, name: &'static str, buf: Vec<i8>) {
-        match self.i8_slots.iter_mut().find(|s| s.name == name) {
-            Some(slot) => {
-                slot.cap = slot.cap.max(buf.capacity());
-                slot.buf = buf;
-            }
-            None => {
-                self.note_alloc(name, buf.capacity());
-                let cap = buf.capacity();
-                self.i8_slots.push(I8Slot { name, buf, cap });
-            }
-        }
-    }
-
-    /// Takes the named i32 buffer out of the arena, resized to `len`
-    /// elements; contents semantics and allocation accounting match
-    /// [`Workspace::take`]. Used for the int8 GEMM's i32 accumulators.
-    pub fn take_i32(&mut self, name: &'static str, len: usize) -> Vec<i32> {
-        let idx = match self.i32_slots.iter().position(|s| s.name == name) {
-            Some(i) => i,
-            None => {
-                self.note_alloc(name, len);
-                self.i32_slots.push(I32Slot {
-                    name,
-                    buf: Vec::with_capacity(len),
-                    cap: 0,
-                });
-                self.i32_slots.len() - 1
-            }
-        };
-        let mut buf = std::mem::take(&mut self.i32_slots[idx].buf);
-        if buf.capacity() < len {
-            self.note_grow(name, buf.capacity(), len);
-            buf.reserve(len - buf.len());
-        }
-        buf.resize(len, 0);
-        self.i32_slots[idx].cap = self.i32_slots[idx].cap.max(buf.capacity());
-        buf
-    }
-
-    /// Returns an i32 buffer to the arena; adoption semantics match
-    /// [`Workspace::give`].
-    pub fn give_i32(&mut self, name: &'static str, buf: Vec<i32>) {
-        match self.i32_slots.iter_mut().find(|s| s.name == name) {
-            Some(slot) => {
-                slot.cap = slot.cap.max(buf.capacity());
-                slot.buf = buf;
-            }
-            None => {
-                self.note_alloc(name, buf.capacity());
-                let cap = buf.capacity();
-                self.i32_slots.push(I32Slot { name, buf, cap });
             }
         }
     }
@@ -275,14 +159,7 @@ impl Workspace {
     /// from resident buffers; it is what the profiler reports as scratch
     /// footprint.
     pub fn high_water_bytes(&self) -> usize {
-        let f32s: usize = self.slots.iter().map(|s| s.cap).sum();
-        let idxs: usize = self.idx_slots.iter().map(|s| s.cap).sum();
-        let i8s: usize = self.i8_slots.iter().map(|s| s.cap).sum();
-        let i32s: usize = self.i32_slots.iter().map(|s| s.cap).sum();
-        f32s * std::mem::size_of::<f32>()
-            + idxs * std::mem::size_of::<usize>()
-            + i8s
-            + i32s * std::mem::size_of::<i32>()
+        self.slots.iter().map(|s| s.cap_bytes).sum()
     }
 
     /// Marks the workspace as warmed up: any further buffer growth trips
@@ -353,10 +230,10 @@ mod tests {
     #[test]
     fn take_give_roundtrip_preserves_contents() {
         let mut ws = Workspace::new();
-        let mut a = ws.take("a", 4);
+        let mut a = ws.take::<f32>("a", 4);
         a.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         ws.give("a", a);
-        let a = ws.take("a", 4);
+        let a = ws.take::<f32>("a", 4);
         assert_eq!(a, vec![1.0, 2.0, 3.0, 4.0]);
         ws.give("a", a);
     }
@@ -365,14 +242,14 @@ mod tests {
     fn steady_state_is_allocation_free() {
         let mut ws = Workspace::new();
         for name in ["x", "y"] {
-            let b = ws.take(name, 256);
+            let b = ws.take::<f32>(name, 256);
             ws.give(name, b);
         }
         let warmup = ws.alloc_events();
         ws.freeze();
         for _ in 0..10 {
             for name in ["x", "y"] {
-                let b = ws.take(name, 256);
+                let b = ws.take::<f32>(name, 256);
                 ws.give(name, b);
             }
         }
@@ -382,12 +259,12 @@ mod tests {
     #[test]
     fn shrinking_then_regrowing_within_capacity_is_free() {
         let mut ws = Workspace::new();
-        let b = ws.take("x", 512);
+        let b = ws.take::<f32>("x", 512);
         ws.give("x", b);
         let events = ws.alloc_events();
-        let b = ws.take("x", 64);
+        let b = ws.take::<f32>("x", 64);
         ws.give("x", b);
-        let b = ws.take("x", 512);
+        let b = ws.take::<f32>("x", 512);
         ws.give("x", b);
         assert_eq!(ws.alloc_events(), events);
     }
@@ -395,10 +272,10 @@ mod tests {
     #[test]
     fn growth_counts_an_event() {
         let mut ws = Workspace::new();
-        let b = ws.take("x", 16);
+        let b = ws.take::<f32>("x", 16);
         ws.give("x", b);
         assert_eq!(ws.alloc_events(), 1);
-        let b = ws.take("x", 1024);
+        let b = ws.take::<f32>("x", 1024);
         ws.give("x", b);
         assert_eq!(ws.alloc_events(), 2);
     }
@@ -408,77 +285,84 @@ mod tests {
     #[should_panic(expected = "workspace frozen")]
     fn frozen_growth_trips_debug_assertion() {
         let mut ws = Workspace::new();
-        let b = ws.take("x", 8);
+        let b = ws.take::<f32>("x", 8);
         ws.give("x", b);
         ws.freeze();
-        let _ = ws.take("x", 8192);
+        let _ = ws.take::<f32>("x", 8192);
     }
 
     #[test]
     fn give_adopts_unknown_buffers() {
         let mut ws = Workspace::new();
-        ws.give("adopted", vec![1.0; 4]);
+        ws.give("adopted", vec![1.0f32; 4]);
         assert_eq!(ws.alloc_events(), 1);
-        let b = ws.take("adopted", 4);
+        let b = ws.take::<f32>("adopted", 4);
         assert_eq!(b, vec![1.0; 4]);
         ws.give("adopted", b);
         assert_eq!(ws.alloc_events(), 1);
     }
 
     #[test]
-    fn idx_slots_reuse_capacity() {
-        let mut ws = Workspace::new();
-        let mut r = ws.take_idx("rows", 64);
-        r.extend(0..50);
-        ws.give_idx("rows", r);
-        let events = ws.alloc_events();
-        ws.freeze();
-        let r = ws.take_idx("rows", 64);
-        assert!(r.is_empty());
-        ws.give_idx("rows", r);
-        assert_eq!(ws.alloc_events(), events);
-    }
-
-    #[test]
     fn high_water_tracks_peak_capacity() {
         let mut ws = Workspace::new();
         assert_eq!(ws.high_water_bytes(), 0);
-        let b = ws.take("x", 100);
+        let b = ws.take::<f32>("x", 100);
         // Live buffers count even while taken out.
         assert!(ws.high_water_bytes() >= 100 * 4);
         ws.give("x", b);
-        let b = ws.take("x", 10); // shrinking never lowers the mark
+        let b = ws.take::<f32>("x", 10); // shrinking never lowers the mark
         ws.give("x", b);
         assert!(ws.high_water_bytes() >= 100 * 4);
-        let r = ws.take_idx("rows", 8);
-        ws.give_idx("rows", r);
-        assert!(ws.high_water_bytes() >= 100 * 4 + 8 * std::mem::size_of::<usize>());
     }
 
     #[test]
-    fn i8_and_i32_slots_reuse_capacity() {
+    fn one_pool_serves_every_element_type() {
+        fn cycle<T: Copy + Default + Send + Sync + 'static>(ws: &mut Workspace, mark: T) {
+            let mut b: Vec<T> = ws.take("shared", 64);
+            b[0] = mark;
+            ws.give("shared", b);
+        }
         let mut ws = Workspace::new();
-        let mut q = ws.take_i8("q", 64);
-        q[0] = -5;
-        ws.give_i8("q", q);
-        let a = ws.take_i32("acc", 32);
-        ws.give_i32("acc", a);
-        let events = ws.alloc_events();
+        cycle(&mut ws, 1.5f32);
+        cycle(&mut ws, -5i8);
+        cycle(&mut ws, 7i32);
+        // Same name, three element types: three slots, none aliasing.
+        assert_eq!(ws.alloc_events(), 3);
+        let hw = ws.high_water_bytes();
+        assert!(hw >= 64 * (4 + 1 + 4), "{hw}");
+        assert!(hw < 2 * 64 * (4 + 1 + 4), "bytes, not elements: {hw}");
+
+        // Steady state is allocation-free for each type, contents survive.
         ws.freeze();
-        let q = ws.take_i8("q", 64);
-        assert_eq!(q[0], -5, "contents preserved up to common length");
-        ws.give_i8("q", q);
-        let a = ws.take_i32("acc", 32);
-        ws.give_i32("acc", a);
-        assert_eq!(ws.alloc_events(), events);
-        ws.thaw();
-        assert!(ws.high_water_bytes() >= 64 + 32 * 4);
+        cycle(&mut ws, 1.5f32);
+        cycle(&mut ws, -5i8);
+        cycle(&mut ws, 7i32);
+        assert_eq!(ws.alloc_events(), 3);
+        assert_eq!(ws.take::<f32>("shared", 64)[0], 1.5);
+        assert_eq!(ws.take::<i8>("shared", 64)[0], -5);
+        assert_eq!(ws.take::<i32>("shared", 64)[0], 7);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn frozen_growth_trips_for_each_element_type() {
+        fn grows_when_frozen<T: Copy + Default + Send + Sync + 'static>() -> bool {
+            let mut ws = Workspace::new();
+            let b: Vec<T> = ws.take("x", 8);
+            ws.give("x", b);
+            ws.freeze();
+            let grow = std::panic::AssertUnwindSafe(move || drop(ws.take::<T>("x", 8192)));
+            std::panic::catch_unwind(grow).is_err()
+        }
+        assert!(grows_when_frozen::<f32>());
+        assert!(grows_when_frozen::<i8>());
+        assert!(grows_when_frozen::<i32>());
     }
 
     #[test]
     fn clone_is_fresh() {
         let mut ws = Workspace::new();
-        let b = ws.take("x", 1000);
+        let b = ws.take::<f32>("x", 1000);
         ws.give("x", b);
         let clone = ws.clone();
         assert_eq!(clone.alloc_events(), 0);

@@ -1,7 +1,7 @@
 //! Integration test for the `alf-dp` subsystem through the facade: a
 //! data-parallel ALF run must be bitwise independent of the worker
 //! count, survive a kill/resume round-trip through a v2 checkpoint, and
-//! hand `deploy::compress` a deployable model at the end — the full
+//! hand `deploy::Pipeline` a deployable model at the end — the full
 //! train → checkpoint → resume → deploy pipeline.
 
 use alf::core::block::AlfBlockConfig;
