@@ -480,22 +480,21 @@ pub fn headline(ctx: &JobCtx<'_>) -> Result<JobResult> {
         .quantize(QuantSpec::int8(images.clone()))
         .run(&alf_p20.model)?;
     let mut qm = lowered.quantized.expect("pipeline ran with quantize");
+    qm.ctx_mut().enable_profiler();
     qm.forward(&images)?;
+    let int8_profile = qm.ctx().report().expect("profiler was attached");
     let p20_workloads = alf_hwmodel::alf_network(&paper_geometry, &alf_p20.ratios, 16);
     let hw16 = super::map_hw(NetworkReport::evaluate(&mapper, &p20_workloads))?.merged();
     let mapper8 = Mapper::new(Accelerator::eyeriss_int8(), Dataflow::RowStationary);
     let hw8 = super::map_hw(NetworkReport::evaluate(&mapper8, &p20_workloads))?.merged();
 
     let (mut f32_total_ns, mut int8_total_ns) = (0u64, 0u64);
-    let int8_rows: Vec<Vec<String>> = qm
-        .layer_times_ns()
+    let int8_rows: Vec<Vec<String>> = int8_profile
+        .layers
         .iter()
-        .map(|(name, int8_ns)| {
-            let f32_ns = f32_profile
-                .layers
-                .iter()
-                .find(|l| &l.name == name)
-                .map(|l| l.fwd_ns);
+        .map(|l| {
+            let (name, int8_ns) = (&l.name, l.fwd_ns);
+            let f32_ns = f32_profile.layer(name).map(|l| l.fwd_ns);
             let predicted = match (
                 hw16.layers.iter().find(|r| &r.name == name),
                 hw8.layers.iter().find(|r| &r.name == name),
@@ -512,10 +511,10 @@ pub fn headline(ctx: &JobCtx<'_>) -> Result<JobResult> {
             vec![
                 name.clone(),
                 f32_ns.map_or_else(|| "—".into(), |f| format!("{:.3}", f as f64 / 1e6)),
-                format!("{:.3}", *int8_ns as f64 / 1e6),
+                format!("{:.3}", int8_ns as f64 / 1e6),
                 f32_ns.map_or_else(
                     || "—".into(),
-                    |f| format!("{:.2}x", f as f64 / (*int8_ns).max(1) as f64),
+                    |f| format!("{:.2}x", f as f64 / int8_ns.max(1) as f64),
                 ),
                 predicted.map_or_else(|| "—".into(), |p| format!("{:.2}x", p)),
             ]

@@ -671,6 +671,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        qm.ctx_mut().enable_profiler();
         let q_top1 = qm.predict(&x).unwrap();
         let agree = f32_top1.iter().zip(&q_top1).filter(|(a, b)| a == b).count();
         assert!(
@@ -678,7 +679,8 @@ mod tests {
             "{agree}/{}",
             f32_top1.len()
         );
-        // Per-layer timings cover every conv unit exactly once.
-        assert_eq!(qm.layer_times_ns().len(), deployed.provenance.len());
+        // Per-layer profile scopes cover every conv unit exactly once.
+        let profile = qm.ctx().report().expect("profiler was attached");
+        assert_eq!(profile.layers.len(), deployed.provenance.len());
     }
 }

@@ -16,14 +16,12 @@
 //! and classifier) stays in f32 — it is a vanishing fraction of the MACs
 //! and quantizing the logits would only cost accuracy.
 
-use std::time::Instant;
-
 use alf_nn::activation::ActivationKind;
 use alf_nn::conv::Conv2d;
 use alf_nn::linear::Linear;
 use alf_nn::pool::GlobalAvgPool;
-use alf_nn::{Layer, RunCtx};
-use alf_tensor::ops::{gemm_i8_into, im2col_i8_into, Conv2dSpec, Workspace};
+use alf_nn::{Layer, Pass, RunCtx};
+use alf_tensor::ops::{gemm_i8_into, im2col_i8_into, Conv2dSpec};
 use alf_tensor::{ShapeError, Tensor};
 
 use crate::model::{CnnModel, ConvKind, Unit};
@@ -36,7 +34,7 @@ struct QConv {
     /// Stage name (`convXYZ`, or `convXYZ/code` / `convXYZ/expand` for a
     /// deployed ALF pair).
     name: String,
-    /// Owning `ConvUnit` name — the key per-layer timings aggregate under.
+    /// Owning `ConvUnit` name — the profiler scope the stage reports under.
     unit: String,
     /// Row-major `[c_out, c_in·k·k]` int8 weights.
     weight: Vec<i8>,
@@ -94,14 +92,14 @@ pub struct QuantizedModel {
     global_pool: GlobalAvgPool,
     classifier: Linear,
     num_classes: usize,
-    ws: Workspace,
+    /// The engine's one long-lived eval context: GEMM scratch and
+    /// accumulators come from its arena, the f32 tail runs on it, and its
+    /// profiler (when attached) times each conv stage under its unit name.
+    ctx: RunCtx,
     /// Ping-pong i8 activation buffers (kept across calls so the steady
     /// state is allocation-free).
     act_a: Vec<i8>,
     act_b: Vec<i8>,
-    /// Wall-clock nanoseconds per `ConvUnit` for the most recent forward,
-    /// in network order (deployed code/expand pairs are merged).
-    layer_times_ns: Vec<(String, u64)>,
 }
 
 fn fit_scale(t: &Tensor) -> Result<f32, QuantError> {
@@ -330,10 +328,9 @@ impl QuantizedModel {
                 global_pool,
                 classifier,
                 num_classes: model.num_classes(),
-                ws: Workspace::new(),
+                ctx: RunCtx::eval(),
                 act_a: Vec::new(),
                 act_b: Vec::new(),
-                layer_times_ns: Vec::new(),
             },
             report,
         ))
@@ -372,11 +369,17 @@ impl QuantizedModel {
             .collect()
     }
 
-    /// Wall-clock nanoseconds per `ConvUnit` for the most recent
-    /// [`forward`](Self::forward), in network order. A deployed code →
+    /// The engine's execution context. With a profiler attached
+    /// (`ctx_mut().enable_profiler()`), every [`forward`](Self::forward)
+    /// records one scope per `ConvUnit` in network order; a deployed code →
     /// expansion pair reports as one entry under the unit's name.
-    pub fn layer_times_ns(&self) -> &[(String, u64)] {
-        &self.layer_times_ns
+    pub fn ctx(&self) -> &RunCtx {
+        &self.ctx
+    }
+
+    /// Mutable context access: profiler control, arena freeze/thaw.
+    pub fn ctx_mut(&mut self) -> &mut RunCtx {
+        &mut self.ctx
     }
 
     /// Runs the int8 pipeline on an f32 `NCHW` batch, returning f32
@@ -396,7 +399,6 @@ impl QuantizedModel {
             ));
         }
         let (n, mut c, mut h, mut w) = (dims[0], dims[1], dims[2], dims[3]);
-        self.layer_times_ns.clear();
         // Quantize the input once at the calibrated scale.
         let q_in = Quantizer {
             bits: 8,
@@ -410,7 +412,6 @@ impl QuantizedModel {
         let mut stages = std::mem::take(&mut self.stages);
         let mut result = Ok(());
         for stage in &stages {
-            let t0 = Instant::now();
             match stage {
                 QStage::Conv(conv) => {
                     if conv.c_in != c {
@@ -427,6 +428,7 @@ impl QuantizedModel {
                     let deq = conv.in_scale * conv.w_scale;
                     let inv_out = 1.0 / conv.out_scale;
                     let plane = ho * wo;
+                    let scope = self.ctx.scope_start();
                     nxt.resize(n * conv.c_out * plane, 0);
                     if conv.spec.kernel == 1 && conv.spec.stride == 1 && conv.spec.pad == 0 {
                         // 1×1 fast path (every deployed expansion conv):
@@ -435,7 +437,7 @@ impl QuantizedModel {
                         // im2col, and its `[co, h·w]` product is the
                         // image's NCHW output — requantize writes
                         // straight through.
-                        let mut acc: Vec<i32> = self.ws.take("qm_acc1", conv.c_out * plane);
+                        let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc1", conv.c_out * plane);
                         for b in 0..n {
                             let src = &cur[b * c * plane..(b + 1) * c * plane];
                             gemm_i8_into(
@@ -445,7 +447,7 @@ impl QuantizedModel {
                                 conv.c_out,
                                 c,
                                 plane,
-                                &mut self.ws,
+                                &mut self.ctx.ws,
                             );
                             let dst =
                                 &mut nxt[b * conv.c_out * plane..(b + 1) * conv.c_out * plane];
@@ -460,13 +462,13 @@ impl QuantizedModel {
                                 }
                             }
                         }
-                        self.ws.give("qm_acc1", acc);
+                        self.ctx.ws.give("qm_acc1", acc);
                     } else {
                         let kk = conv.spec.kernel * conv.spec.kernel;
                         let (rows, cols) = (c * kk, n * ho * wo);
-                        let mut colbuf: Vec<i8> = self.ws.take("qm_cols", rows * cols);
+                        let mut colbuf: Vec<i8> = self.ctx.ws.take("qm_cols", rows * cols);
                         im2col_i8_into(&mut colbuf, &cur, n, c, h, w, conv.spec);
-                        let mut acc: Vec<i32> = self.ws.take("qm_acc", conv.c_out * cols);
+                        let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc", conv.c_out * cols);
                         gemm_i8_into(
                             &mut acc,
                             &conv.weight,
@@ -474,9 +476,9 @@ impl QuantizedModel {
                             conv.c_out,
                             rows,
                             cols,
-                            &mut self.ws,
+                            &mut self.ctx.ws,
                         );
-                        self.ws.give("qm_cols", colbuf);
+                        self.ctx.ws.give("qm_cols", colbuf);
                         // Requantize on store, rearranging [co, n·ho·wo]
                         // into NCHW as we go.
                         for co in 0..conv.c_out {
@@ -491,18 +493,11 @@ impl QuantizedModel {
                                 }
                             }
                         }
-                        self.ws.give("qm_acc", acc);
+                        self.ctx.ws.give("qm_acc", acc);
                     }
                     std::mem::swap(&mut cur, &mut nxt);
                     (c, h, w) = (conv.c_out, ho, wo);
-                    match self.layer_times_ns.last_mut() {
-                        Some((unit, ns)) if *unit == conv.unit => {
-                            *ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        _ => self
-                            .layer_times_ns
-                            .push((conv.unit.clone(), t0.elapsed().as_nanos() as u64)),
-                    }
+                    self.ctx.scope_end(scope, &conv.unit, Pass::Forward);
                 }
                 QStage::MaxPool { window } => {
                     let k = *window;
@@ -553,9 +548,8 @@ impl QuantizedModel {
             self.act_a.iter().map(|&q| q as f32 * last_scale).collect(),
             &[n, c, h, w],
         )?;
-        let mut ctx = RunCtx::eval();
-        let pooled = self.global_pool.forward(&feat, &mut ctx)?;
-        self.classifier.forward(&pooled, &mut ctx)
+        let pooled = self.global_pool.forward(&feat, &mut self.ctx)?;
+        self.classifier.forward(&pooled, &mut self.ctx)
     }
 
     /// Top-1 class predictions for a batch (convenience over `forward`).

@@ -18,10 +18,12 @@ use alf_nn::{ProfileReport, RunCtx};
 use alf_obs::events::{EventLog, TelemetrySink};
 use alf_obs::runtime::resolve_threads;
 use alf_tensor::rng::Rng;
-use alf_tensor::Tensor;
+use alf_tensor::{ShapeError, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::autoencoder::AeStats;
+use crate::block::AlfBlock;
+use crate::checkpoint::TrainerState;
 use crate::model::CnnModel;
 use crate::schedule::PruneSchedule;
 use crate::Result;
@@ -139,7 +141,45 @@ impl TrainReport {
     }
 }
 
+/// What one move of the task player reports back to the round.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskOutcome {
+    /// Batch-mean task loss.
+    pub loss: f64,
+    /// Correctly classified samples of the batch.
+    pub correct: usize,
+    /// Samples in the batch.
+    pub seen: usize,
+    /// Workers the gradient was computed on; the autoencoder player fans
+    /// out over the same number.
+    pub workers: usize,
+    /// `(before, after)` clipping L2 norm of the reduced gradient. Only a
+    /// sharded source has one; it adds `grad_norm`, `grad_norm_clipped`
+    /// and `workers` to the `train.step` record.
+    pub grad_norm: Option<(f32, f32)>,
+}
+
+// Sums over the steps of the epoch in progress. f64 so the accumulation is
+// well-conditioned; every sum is a deterministic left fold. Not part of
+// `TrainerState`: a resumed epoch's reported statistics cover only the
+// post-resume steps (weights are unaffected; see DESIGN.md).
+#[derive(Debug, Default)]
+struct EpochSums {
+    loss: f64,
+    l_rec: f64,
+    correct: usize,
+    seen: usize,
+    steps: usize,
+}
+
 /// Drives the two-player training of a [`CnnModel`].
+///
+/// This type owns the round — learning-rate schedule, task player,
+/// autoencoder player, optional compaction, statistics, telemetry,
+/// held-out evaluation and epoch roll-over — and is itself the paper's
+/// whole-batch task-gradient source ([`AlfTrainer::run_epoch`]). `alf-dp`'s
+/// `DpTrainer` embeds it and supplies the sharded source through
+/// [`AlfTrainer::play_round`].
 ///
 /// Works for vanilla models too: with no ALF blocks the autoencoder player
 /// is a no-op and the loop degenerates to ordinary SGD training.
@@ -168,16 +208,20 @@ pub struct AlfTrainer {
     hyper: AlfHyper,
     task_opt: Sgd,
     rng: Rng,
-    epoch: usize,
+    // Trajectory position: the epoch in progress and the steps played in it.
+    epoch: u64,
+    step: u64,
+    sums: EpochSums,
     // One execution context for the whole run: the arena reaches its
     // steady state during the first batch and every later step reuses it.
     ctx: RunCtx,
+    // One more context per worker when the autoencoder player fans out.
+    ae_ctxs: Vec<RunCtx>,
     eval: Evaluator,
     // Per-step JSONL telemetry; disabled (one branch per step) by default.
     telemetry: EventLog,
-    // Reused per-step buffer for the autoencoder players' stats, filled
-    // only while telemetry is enabled.
-    ae_stats_buf: Vec<AeStats>,
+    // Every block's last autoencoder stats of the step, in block order.
+    ae_stats: Vec<AeStats>,
     // Occupancy threshold below which blocks physically compact after the
     // autoencoder step (None = never; see `set_compact_below`).
     compact_below: Option<f32>,
@@ -198,10 +242,13 @@ impl AlfTrainer {
             task_opt,
             rng: Rng::new(seed ^ 0xa1f0_0000),
             epoch: 0,
+            step: 0,
+            sums: EpochSums::default(),
             ctx: RunCtx::train(),
+            ae_ctxs: Vec::new(),
             eval: Evaluator::new(),
             telemetry: EventLog::disabled(),
-            ae_stats_buf: Vec::new(),
+            ae_stats: Vec::new(),
             compact_below: None,
         })
     }
@@ -231,8 +278,9 @@ impl AlfTrainer {
 
     /// Streams per-step and per-epoch telemetry (`train.step` /
     /// `train.epoch` JSONL events) into `sink`. Telemetry is read-only —
-    /// it observes losses and mask statistics the step already computed —
-    /// so enabling it never changes trained weights.
+    /// it observes losses, gradient norms and mask statistics the step
+    /// already computed — so enabling it never changes trained weights
+    /// (asserted bitwise in `tests/telemetry.rs`).
     pub fn set_telemetry_sink(&mut self, sink: Box<dyn TelemetrySink>) {
         self.telemetry = EventLog::new(sink);
     }
@@ -292,6 +340,43 @@ impl AlfTrainer {
         self.model
     }
 
+    /// The hyper-parameters of the game.
+    pub fn hyper(&self) -> &AlfHyper {
+        &self.hyper
+    }
+
+    /// Current epoch (0-based; the epoch in progress).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Step within the current epoch (batches already consumed).
+    pub fn step(&self) -> u64 {
+        self.step
+    }
+
+    /// The non-model half of a v2 checkpoint: momentum, `νprune` schedule
+    /// and trajectory position. `data_seed` belongs to the source that
+    /// orders the data, so the caller supplies it.
+    pub fn trainer_state(&self, data_seed: u64) -> TrainerState {
+        TrainerState {
+            momentum: self.task_opt.velocities().to_vec(),
+            schedule: self.hyper.prune_schedule,
+            epoch: self.epoch,
+            step: self.step,
+            data_seed,
+        }
+    }
+
+    /// Restores what [`AlfTrainer::trainer_state`] captured (the model
+    /// itself is restored by `checkpoint::load_trainer`).
+    pub fn restore_trainer_state(&mut self, state: TrainerState) {
+        self.task_opt.set_velocities(state.momentum);
+        self.hyper.prune_schedule = state.schedule;
+        self.epoch = state.epoch;
+        self.step = state.step;
+    }
+
     /// Runs `epochs` additional epochs, returning the statistics for the
     /// epochs run in *this* call.
     ///
@@ -309,108 +394,175 @@ impl AlfTrainer {
         Ok(report)
     }
 
-    /// Runs a single epoch (all training batches + one evaluation).
+    /// Runs a single epoch (all training batches + one evaluation) with
+    /// the whole-batch task-gradient source: shuffled [`Dataset::batches`]
+    /// order, one batch-statistics forward/backward over the whole batch.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the model or data pipeline.
     pub fn run_epoch(&mut self, data: &Dataset) -> Result<EpochStats> {
-        let lr = self.hyper.lr_schedule.lr_at(self.hyper.task_lr, self.epoch);
-        self.task_opt.set_lr(lr);
-        let mut loss_sum = 0.0;
-        let mut correct = 0usize;
-        let mut seen = 0usize;
-        let mut l_rec_sum = 0.0;
-        let mut batches = 0usize;
+        let augment = self.hyper.augment;
         let mut shuffle_rng = self.rng.split();
         // Only consume an RNG split when augmentation is on, so enabling it
         // is the sole thing that changes the training trajectory.
-        let mut augment_rng = self.hyper.augment.map(|_| self.rng.split());
+        let mut augment_rng = augment.map(|_| self.rng.split());
         for batch in data.batches(Split::Train, self.hyper.batch_size, Some(&mut shuffle_rng)) {
             let (mut images, labels) = batch?;
-            if let (Some(policy), Some(rng)) = (&self.hyper.augment, augment_rng.as_mut()) {
+            if let (Some(policy), Some(rng)) = (&augment, augment_rng.as_mut()) {
                 policy.apply(&mut images, rng)?;
             }
-            // --- task player ---
-            self.model.zero_grads();
-            let logits = self.model.forward(&images, &mut self.ctx)?;
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-            correct += correct_count(&logits, &labels)?;
-            seen += labels.len();
-            self.model.backward(&grad, &mut self.ctx)?;
-            self.task_opt.step_layer(&mut self.model);
-            // --- autoencoder player ---
-            let ae_lr = self.hyper.ae_lr;
-            let schedule = self.hyper.prune_schedule;
-            let mut block_l_rec = 0.0;
-            let ae_steps = self.hyper.ae_steps_per_batch.max(1);
-            // Stats are collected (read-only) only while telemetry is on;
-            // the arithmetic of the step itself is identical either way.
-            let collect = self.telemetry.is_enabled();
-            let ae_stats = &mut self.ae_stats_buf;
-            ae_stats.clear();
-            let ctx = &mut self.ctx;
-            let blocks = self.model.alf_blocks_mut();
-            let n_blocks = blocks.len();
-            for block in blocks {
-                let mut last = None;
-                for _ in 0..ae_steps {
-                    last = Some(block.autoencoder_step_in(ae_lr, &schedule, ctx)?);
-                }
-                let last = last.expect("ae_steps >= 1");
-                block_l_rec += last.l_rec;
-                if collect {
-                    ae_stats.push(last);
-                }
-            }
-            if n_blocks > 0 {
-                l_rec_sum += block_l_rec / n_blocks as f32;
-            }
-            // --- physical compaction (optional) ---
-            if let Some(occ) = self.compact_below {
-                let compacted = self.model.compact_blocks_below(occ)?;
-                if compacted > 0 {
-                    // Expansion / inter-BN parameter shapes changed:
-                    // momentum restarts for exactly those slots.
-                    let reset = self.task_opt.realign(&mut self.model);
-                    if let Some(mut ev) = self.telemetry.event("train.compact") {
-                        ev.field_u64("epoch", self.epoch as u64);
-                        ev.field_u64("step", batches as u64);
-                        ev.field_u64("blocks_compacted", compacted as u64);
-                        ev.field_u64("momentum_slots_reset", reset as u64);
-                        ev.field_f32("remaining_filters", self.model.remaining_filter_fraction());
-                    }
-                }
-            }
-            if let Some(mut ev) = self.telemetry.event("train.step") {
-                ev.field_u64("epoch", self.epoch as u64);
-                ev.field_u64("step", batches as u64);
-                ev.field_f32("task_loss", loss);
-                ev.field_f32("lr", lr);
-                ev.field_f32s("l_rec", self.ae_stats_buf.iter().map(|s| s.l_rec));
-                ev.field_f32s("l_prune", self.ae_stats_buf.iter().map(|s| s.l_prune));
-                ev.field_f32s("nu_prune", self.ae_stats_buf.iter().map(|s| s.nu_prune));
-                ev.field_f32s(
-                    "mask_occupancy",
-                    self.ae_stats_buf.iter().map(|s| 1.0 - s.zero_fraction),
-                );
-            }
-            loss_sum += loss;
-            batches += 1;
+            self.play_round(|model, opt, ctx| {
+                model.zero_grads();
+                let logits = model.forward(&images, ctx)?;
+                let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
+                let correct = correct_count(&logits, &labels)?;
+                model.backward(&grad, ctx)?;
+                opt.step_layer(model);
+                Ok::<_, ShapeError>(TaskOutcome {
+                    loss: f64::from(loss),
+                    correct,
+                    seen: labels.len(),
+                    workers: 1,
+                    grad_norm: None,
+                })
+            })?;
         }
+        self.finish_epoch(data)
+    }
+
+    /// Plays one round of the two-player game on one batch: sets the
+    /// epoch's learning rate, lets `task` make the task player's move —
+    /// compute the batch gradient however the source does, then step the
+    /// optimizer on the model, with the round's train-mode context at hand
+    /// — then moves every block's autoencoder player, compacts if asked
+    /// to, and records the step.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `task` fails with, and shape errors from the autoencoder
+    /// step or compaction.
+    pub fn play_round<E: From<ShapeError>>(
+        &mut self,
+        task: impl FnOnce(&mut CnnModel, &mut Sgd, &mut RunCtx) -> std::result::Result<TaskOutcome, E>,
+    ) -> std::result::Result<(), E> {
+        let lr = self
+            .hyper
+            .lr_schedule
+            .lr_at(self.hyper.task_lr, self.epoch as usize);
+        self.task_opt.set_lr(lr);
+        let out = task(&mut self.model, &mut self.task_opt, &mut self.ctx)?;
+        self.autoencoder_player(out.workers)?;
+        if let Some(occ) = self.compact_below {
+            let compacted = self.model.compact_blocks_below(occ)?;
+            if compacted > 0 {
+                // Expansion / inter-BN parameter shapes changed:
+                // momentum restarts for exactly those slots.
+                let reset = self.task_opt.realign(&mut self.model);
+                if let Some(mut ev) = self.telemetry.event("train.compact") {
+                    ev.field_u64("epoch", self.epoch);
+                    ev.field_u64("step", self.step);
+                    ev.field_u64("blocks_compacted", compacted as u64);
+                    ev.field_u64("momentum_slots_reset", reset as u64);
+                    ev.field_f32("remaining_filters", self.model.remaining_filter_fraction());
+                }
+            }
+        }
+        if let Some(mut ev) = self.telemetry.event("train.step") {
+            ev.field_u64("epoch", self.epoch);
+            ev.field_u64("step", self.step);
+            ev.field_f32("task_loss", out.loss as f32);
+            ev.field_f32("lr", lr);
+            if let Some((norm, clipped)) = out.grad_norm {
+                ev.field_f32("grad_norm", norm);
+                ev.field_f32("grad_norm_clipped", clipped);
+                ev.field_u64("workers", out.workers as u64);
+            }
+            ev.field_f32s("l_rec", self.ae_stats.iter().map(|s| s.l_rec));
+            ev.field_f32s("l_prune", self.ae_stats.iter().map(|s| s.l_prune));
+            ev.field_f32s("nu_prune", self.ae_stats.iter().map(|s| s.nu_prune));
+            ev.field_f32s(
+                "mask_occupancy",
+                self.ae_stats.iter().map(|s| 1.0 - s.zero_fraction),
+            );
+        }
+        self.sums.loss += out.loss;
+        self.sums.correct += out.correct;
+        self.sums.seen += out.seen;
+        self.sums.steps += 1;
+        self.step += 1;
+        Ok(())
+    }
+
+    /// One move of the autoencoder player on every ALF block: inline on
+    /// the round's context at one worker, block-per-worker above. Blocks
+    /// are mutually independent, so the fan-out cannot change any block's
+    /// arithmetic; reconstruction losses are folded in block order.
+    fn autoencoder_player(&mut self, workers: usize) -> Result<()> {
+        self.ae_stats.clear();
+        let mut blocks = self.model.alf_blocks_mut();
+        let n_blocks = blocks.len();
+        if n_blocks == 0 {
+            return Ok(());
+        }
+        let workers = workers.clamp(1, n_blocks);
+        if workers == 1 {
+            play_blocks(&self.hyper, &mut blocks, &mut self.ctx, &mut self.ae_stats)?;
+        } else {
+            if self.ae_ctxs.len() < workers {
+                self.ae_ctxs.resize_with(workers, RunCtx::train);
+            }
+            let hyper = &self.hyper;
+            let per_chunk = crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = blocks
+                    .chunks_mut(n_blocks.div_ceil(workers))
+                    .zip(&mut self.ae_ctxs)
+                    .map(|(chunk, ctx)| {
+                        scope.spawn(move |_| -> Result<Vec<AeStats>> {
+                            let mut out = Vec::with_capacity(chunk.len());
+                            play_blocks(hyper, chunk, ctx, &mut out)?;
+                            Ok(out)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("autoencoder worker panicked"))
+                    .collect::<Result<Vec<_>>>()
+            })
+            .expect("autoencoder scope panicked")?;
+            self.ae_stats.extend(per_chunk.into_iter().flatten());
+        }
+        let l_rec = self
+            .ae_stats
+            .iter()
+            .fold(0.0f64, |sum, s| sum + f64::from(s.l_rec));
+        self.sums.l_rec += l_rec / n_blocks as f64;
+        Ok(())
+    }
+
+    /// Closes the epoch in progress: held-out evaluation, the epoch's
+    /// statistics and `train.epoch` record, then roll-over to step 0 of
+    /// the next epoch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the evaluation.
+    pub fn finish_epoch(&mut self, data: &Dataset) -> Result<EpochStats> {
         let test_accuracy =
             self.eval
                 .evaluate(&self.model, data, Split::Test, self.hyper.batch_size)?;
+        let sums = std::mem::take(&mut self.sums);
         let stats = EpochStats {
-            epoch: self.epoch,
-            train_loss: loss_sum / batches.max(1) as f32,
-            train_accuracy: correct as f32 / seen.max(1) as f32,
+            epoch: self.epoch as usize,
+            train_loss: (sums.loss / sums.steps.max(1) as f64) as f32,
+            train_accuracy: sums.correct as f32 / sums.seen.max(1) as f32,
             test_accuracy,
             remaining_filters: self.model.remaining_filter_fraction(),
-            mean_l_rec: l_rec_sum / batches.max(1) as f32,
+            mean_l_rec: (sums.l_rec / sums.steps.max(1) as f64) as f32,
         };
         if let Some(mut ev) = self.telemetry.event("train.epoch") {
-            ev.field_u64("epoch", stats.epoch as u64);
+            ev.field_u64("epoch", self.epoch);
             ev.field_f32("train_loss", stats.train_loss);
             ev.field_f32("train_accuracy", stats.train_accuracy);
             ev.field_f32("test_accuracy", stats.test_accuracy);
@@ -419,8 +571,27 @@ impl AlfTrainer {
         }
         self.telemetry.flush();
         self.epoch += 1;
+        self.step = 0;
         Ok(stats)
     }
+}
+
+/// Moves the autoencoder player of each of `blocks` in turn
+/// (`ae_steps_per_batch` steps each), pushing every block's last stats.
+fn play_blocks(
+    hyper: &AlfHyper,
+    blocks: &mut [&mut AlfBlock],
+    ctx: &mut RunCtx,
+    out: &mut Vec<AeStats>,
+) -> Result<()> {
+    for block in blocks {
+        let mut last = None;
+        for _ in 0..hyper.ae_steps_per_batch.max(1) {
+            last = Some(block.autoencoder_step_in(hyper.ae_lr, &hyper.prune_schedule, ctx)?);
+        }
+        out.push(last.expect("at least one autoencoder step"));
+    }
+    Ok(())
 }
 
 /// A flattened copy of a model's state tensors, used to refresh long-lived
@@ -475,6 +646,29 @@ impl StateSnapshot {
             idx += 1;
         });
         ok && idx == self.shapes.len() && offset == self.state.len()
+    }
+
+    /// Brings exactly `n` long-lived `(replica, context)` pairs up to date
+    /// with `model`: in-place state copy where the structure matches, full
+    /// re-clone otherwise (e.g. after deployment surgery or compaction).
+    /// Missing replicas are cloned with a context minted by `ctx`.
+    pub fn sync_replicas(
+        &mut self,
+        model: &CnnModel,
+        replicas: &mut Vec<(CnnModel, RunCtx)>,
+        n: usize,
+        ctx: impl Fn() -> RunCtx,
+    ) {
+        self.capture(model);
+        replicas.truncate(n);
+        for (replica, _) in replicas.iter_mut() {
+            if !self.restore(replica) {
+                *replica = model.clone();
+            }
+        }
+        while replicas.len() < n {
+            replicas.push((model.clone(), ctx()));
+        }
     }
 }
 
@@ -543,7 +737,8 @@ impl Evaluator {
         let threads = resolve_threads(self.threads, "ALF_EVAL_THREADS")
             .min(n.div_ceil(batch_size.max(1)))
             .max(1);
-        self.sync_slots(model, threads);
+        self.snapshot
+            .sync_replicas(model, &mut self.slots, threads, RunCtx::eval);
         let chunk = n.div_ceil(threads);
         let results = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -578,21 +773,6 @@ impl Evaluator {
             .into_iter()
             .fold((0usize, 0usize), |(c, t), (dc, dt)| (c + dc, t + dt));
         Ok(correct as f32 / total.max(1) as f32)
-    }
-
-    /// Brings `threads` replicas up to date with `model`: in-place state
-    /// copy where shapes line up, full re-clone otherwise.
-    fn sync_slots(&mut self, model: &CnnModel, threads: usize) {
-        self.snapshot.capture(model);
-        self.slots.truncate(threads);
-        for (replica, _) in &mut self.slots {
-            if !self.snapshot.restore(replica) {
-                *replica = model.clone();
-            }
-        }
-        while self.slots.len() < threads {
-            self.slots.push((model.clone(), RunCtx::eval()));
-        }
     }
 }
 

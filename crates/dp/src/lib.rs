@@ -1,13 +1,14 @@
 //! Deterministic data-parallel training for the ALF two-player game.
 //!
-//! [`DpTrainer`] is the multi-worker counterpart of
-//! `alf_core::AlfTrainer`: each minibatch is sharded across N long-lived
-//! worker replicas (the prewarmed `(CnnModel, RunCtx)` replica pattern
-//! shared with `Evaluator` and `alf-serve`), every worker runs
-//! forward/backward on its shard, and the per-sample gradients are
-//! combined with a **fixed-order tree all-reduce** before a single task
-//! optimizer step on the master model. The per-block autoencoder players
-//! are parallelised block-per-worker.
+//! [`DpTrainer`] is the *sharded* task-gradient source of the two-player
+//! round that `alf_core::AlfTrainer` owns (and embeds one): each
+//! minibatch is sharded across N long-lived worker replicas (the
+//! prewarmed `(CnnModel, RunCtx)` replica pattern shared with
+//! `Evaluator` and `alf-serve`), every worker runs forward/backward on
+//! its shard, and the per-sample gradients are combined with a
+//! **fixed-order tree all-reduce** before a single task optimizer step on
+//! the master model. The round then runs the per-block autoencoder
+//! players block-per-worker.
 //!
 //! The engine's defining property is that the worker count is *purely a
 //! resource knob*: training at 1, 2, 4 or 7 workers produces bitwise

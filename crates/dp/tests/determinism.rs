@@ -43,29 +43,34 @@ proptest! {
 
     /// Four trainers at 1/2/4/7 workers, same model and seeds, 8 steps
     /// over a 6-step epoch (so the run crosses the epoch boundary):
-    /// bitwise-equal full state, including the ALF autoencoder players.
+    /// bitwise-equal full state — for Plain-20-ALF, whose autoencoder
+    /// players run inline at 1 worker and block-per-worker above, and for
+    /// vanilla Plain-20, where the player is empty.
     #[test]
     fn worker_count_never_changes_the_trajectory(
         data_seed in 0u64..1000,
         model_seed in 0u64..1000,
     ) {
         let data = small_data(data_seed);
-        let model =
-            plain20_alf(4, 4, AlfBlockConfig::paper_default(), model_seed).unwrap();
-        let mut states = Vec::new();
-        for threads in [1usize, 2, 4, 7] {
-            let mut t =
-                DpTrainer::new(model.clone(), config(threads, data_seed)).unwrap();
-            t.run_steps(&data, 8).unwrap();
-            prop_assert_eq!((t.epoch(), t.step()), (1, 2));
-            states.push((threads, t.state_vector()));
-        }
-        let (_, reference) = &states[0];
-        for (threads, state) in &states[1..] {
-            prop_assert_eq!(
-                state, reference,
-                "state diverged between 1 and {} workers", threads
-            );
+        for model in [
+            plain20_alf(4, 4, AlfBlockConfig::paper_default(), model_seed).unwrap(),
+            plain20(4, 4).unwrap(),
+        ] {
+            let mut states = Vec::new();
+            for threads in [1usize, 2, 4, 7] {
+                let mut t =
+                    DpTrainer::new(model.clone(), config(threads, data_seed)).unwrap();
+                t.run_steps(&data, 8).unwrap();
+                prop_assert_eq!((t.epoch(), t.step()), (1, 2));
+                states.push((threads, t.state_vector()));
+            }
+            let (_, reference) = &states[0];
+            for (threads, state) in &states[1..] {
+                prop_assert_eq!(
+                    state, reference,
+                    "{} state diverged between 1 and {} workers", model.name(), threads
+                );
+            }
         }
     }
 }

@@ -10,8 +10,8 @@
 
 use alf_tensor::init::Init;
 use alf_tensor::ops::{
-    auto_threads, col2im_into, conv2d, gemm_active_k_into, gemm_active_rows_into, gemm_into,
-    im2col_into, ActiveRows, Conv2dSpec,
+    auto_threads, col2im_into, gemm_active_k_into, gemm_active_rows_into, gemm_into, im2col_into,
+    ActiveRows, Conv2dSpec,
 };
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
@@ -444,22 +444,6 @@ impl Layer for Conv2d {
     }
 }
 
-/// Computes the output of a fixed (non-trainable) convolution; a thin
-/// re-export of [`alf_tensor::ops::conv2d`] that deployment code uses so it
-/// does not need the layer machinery.
-///
-/// # Errors
-///
-/// Propagates shape errors from the underlying kernel.
-pub fn conv2d_fixed(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: Conv2dSpec,
-) -> Result<Tensor> {
-    conv2d(input, weight, bias, spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,7 +470,9 @@ mod tests {
         let mut conv = Conv2d::new(3, 5, 3, 2, 1, true, Init::Rand, &mut rng);
         let x = Tensor::randn(&[2, 3, 9, 9], Init::Rand, &mut rng);
         let via_layer = conv.forward(&x, &mut ctx).unwrap();
-        let via_free = conv2d(&x, conv.weight(), Some(&Tensor::zeros(&[5])), conv.spec()).unwrap();
+        let via_free =
+            alf_tensor::ops::conv2d(&x, conv.weight(), Some(&Tensor::zeros(&[5])), conv.spec())
+                .unwrap();
         assert!(via_layer.allclose(&via_free, 1e-5));
     }
 

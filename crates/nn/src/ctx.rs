@@ -60,7 +60,10 @@ pub enum Pass {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+///
+/// Cloning copies the mode and profiler; the clone's arena starts empty
+/// (scratch is not state) and warms on first use.
+#[derive(Debug, Clone)]
 pub struct RunCtx {
     mode: Mode,
     /// Shared scratch arena. Public so layers can pass `&mut ctx.ws`

@@ -9,8 +9,7 @@
 //!   `backward` call receives: the [`layer::Mode`], the shared scratch
 //!   arena all layers draw from, and an optional per-layer profiler.
 //! * [`conv::Conv2d`], [`linear::Linear`], [`norm::BatchNorm2d`],
-//!   [`activation`] layers, [`pool`] layers and a [`seq::Sequential`]
-//!   container.
+//!   [`activation`] layers and [`pool`] layers.
 //! * [`loss`] — softmax cross-entropy (`Ltask`'s data term) and MSE
 //!   (`Lrec`, the autoencoder reconstruction loss).
 //! * [`optim::Sgd`] — SGD with momentum and L2 weight decay, the optimizer
@@ -31,7 +30,6 @@
 pub mod activation;
 pub mod conv;
 pub mod ctx;
-pub mod dropout;
 pub mod gradcheck;
 pub mod layer;
 pub mod linear;
@@ -39,7 +37,6 @@ pub mod loss;
 pub mod norm;
 pub mod optim;
 pub mod pool;
-pub mod seq;
 pub mod ste;
 
 pub use activation::{Activation, ActivationKind};
@@ -49,8 +46,7 @@ pub use layer::{Layer, Mode, Param};
 pub use linear::Linear;
 pub use loss::{correct_count, mse_loss, softmax_cross_entropy};
 pub use norm::BatchNorm2d;
-pub use optim::{Adam, LrSchedule, Sgd};
-pub use seq::Sequential;
+pub use optim::{LrSchedule, Sgd};
 
 /// Crate-wide result alias; all fallible layer operations yield
 /// [`alf_tensor::ShapeError`].

@@ -255,137 +255,6 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba, 2015) with optional L2 weight decay.
-///
-/// Provided as an alternative task optimizer for experimentation; the
-/// paper's experiments (and this reproduction's defaults) use
-/// SGD + momentum, but Adam is useful for the quick synthetic-task
-/// studies where tuning a learning-rate schedule is not worth it.
-///
-/// # Example
-///
-/// ```
-/// use alf_nn::{optim::Adam, Param};
-/// use alf_tensor::Tensor;
-///
-/// let mut p = Param::new(Tensor::ones(&[2]), false);
-/// p.grad = Tensor::full(&[2], 1.0);
-/// let mut adam = Adam::new(0.1, 0.0);
-/// adam.begin_step();
-/// adam.update(&mut p);
-/// assert!(p.value.data()[0] < 1.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-    t: u32,
-    cursor: usize,
-}
-
-impl Adam {
-    /// Creates an Adam optimizer with the standard β₁ = 0.9, β₂ = 0.999,
-    /// ε = 1e-8.
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative hyper-parameters.
-    pub fn new(lr: f32, weight_decay: f32) -> Self {
-        assert!(lr >= 0.0 && weight_decay >= 0.0);
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-            cursor: 0,
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Overrides the learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr >= 0.0);
-        self.lr = lr;
-    }
-
-    /// Starts a new step: advances the bias-correction clock and resets the
-    /// parameter cursor.
-    pub fn begin_step(&mut self) {
-        self.t += 1;
-        self.cursor = 0;
-    }
-
-    /// Applies one Adam update to a parameter and advances the cursor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter shape changed between steps.
-    pub fn update(&mut self, param: &mut Param) {
-        let slot = self.cursor;
-        self.cursor += 1;
-        if self.m.len() <= slot {
-            self.m.push(Tensor::zeros(param.value.dims()));
-            self.v.push(Tensor::zeros(param.value.dims()));
-        }
-        assert_eq!(
-            self.m[slot].dims(),
-            param.value.dims(),
-            "parameter shape changed between optimizer steps"
-        );
-        let decay = if param.decay { self.weight_decay } else { 0.0 };
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..param.value.len() {
-            let g = param.grad.data()[i] + decay * param.value.data()[i];
-            let m = &mut self.m[slot].data_mut()[i];
-            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-            let m_hat = *m / bc1;
-            let v = &mut self.v[slot].data_mut()[i];
-            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-            let v_hat = *v / bc2;
-            param.value.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-    }
-
-    /// Convenience: runs a full step over a layer.
-    pub fn step_layer(&mut self, layer: &mut dyn crate::Layer) {
-        self.begin_step();
-        layer.visit_params(&mut |p| self.update(p));
-    }
-}
-
-/// Scales all gradients of a layer so their global L2 norm is at most
-/// `max_norm`, returning the pre-clip norm. A standard guard against the
-/// occasional exploding batch on deep plain networks.
-///
-/// # Panics
-///
-/// Panics if `max_norm` is not positive.
-pub fn clip_grad_norm(layer: &mut dyn crate::Layer, max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let mut sq = 0.0f32;
-    layer.visit_params(&mut |p| sq += p.grad.sq_norm());
-    let norm = sq.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        layer.visit_params(&mut |p| p.grad.scale_inplace(scale));
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,37 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_on_quadratic() {
-        // minimise 0.5·(w − 3)²
-        let mut p = Param::new(Tensor::zeros(&[1]), false);
-        let mut adam = Adam::new(0.3, 0.0);
-        for _ in 0..200 {
-            p.grad = Tensor::full(&[1], p.value.data()[0] - 3.0);
-            adam.begin_step();
-            adam.update(&mut p);
-        }
-        assert!((p.value.data()[0] - 3.0).abs() < 1e-2, "{:?}", p.value);
-    }
-
-    #[test]
-    fn adam_first_step_magnitude_is_lr() {
-        // With bias correction, the first Adam step is ≈ lr regardless of
-        // gradient scale.
-        for g in [0.01f32, 1.0, 100.0] {
-            let mut p = Param::new(Tensor::zeros(&[1]), false);
-            p.grad = Tensor::full(&[1], g);
-            let mut adam = Adam::new(0.1, 0.0);
-            adam.begin_step();
-            adam.update(&mut p);
-            assert!(
-                (p.value.data()[0] + 0.1).abs() < 1e-3,
-                "grad {g}: step {}",
-                p.value.data()[0]
-            );
-        }
-    }
-
-    #[test]
     fn realign_resets_only_shape_changed_velocities() {
         use crate::linear::Linear;
         use crate::Layer;
@@ -621,38 +459,5 @@ mod tests {
         // And the next step must not panic on the new shapes.
         small.visit_params(&mut |p| p.grad = Tensor::full(p.value.dims(), 1.0));
         sgd.step_layer(&mut small);
-    }
-
-    #[test]
-    fn adam_weight_decay_respects_flag() {
-        let mut decayed = param_with_grad(1.0, 0.0, true);
-        let mut plain = param_with_grad(1.0, 0.0, false);
-        let mut adam = Adam::new(0.1, 0.5);
-        adam.begin_step();
-        adam.update(&mut decayed);
-        adam.update(&mut plain);
-        assert!(decayed.value.data()[0] < 1.0);
-        assert_eq!(plain.value.data()[0], 1.0);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_down_only_when_needed() {
-        use crate::linear::Linear;
-        use crate::Layer;
-        use alf_tensor::init::Init;
-        use alf_tensor::rng::Rng;
-        let mut fc = Linear::new(3, 2, Init::Rand, &mut Rng::new(0));
-        fc.visit_params(&mut |p| p.grad = Tensor::full(p.value.dims(), 10.0));
-        let before = clip_grad_norm(&mut fc, 1.0);
-        assert!(before > 1.0);
-        let mut sq = 0.0;
-        fc.visit_params(&mut |p| sq += p.grad.sq_norm());
-        assert!((sq.sqrt() - 1.0).abs() < 1e-4);
-        // Below the bound: untouched.
-        let after = clip_grad_norm(&mut fc, 10.0);
-        assert!((after - 1.0).abs() < 1e-4);
-        let mut sq2 = 0.0;
-        fc.visit_params(&mut |p| sq2 += p.grad.sq_norm());
-        assert!((sq2.sqrt() - 1.0).abs() < 1e-4);
     }
 }

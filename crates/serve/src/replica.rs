@@ -161,15 +161,22 @@ impl Replica {
         self.quant.is_some()
     }
 
-    /// The replica's execution context (arena + profiler).
+    /// The execution context (arena + profiler) of the engine that runs
+    /// this replica's batches: the int8 engine's own for an int8 replica.
     pub fn ctx(&self) -> &RunCtx {
-        &self.ctx
+        match &self.quant {
+            Some(q) => q.ctx(),
+            None => &self.ctx,
+        }
     }
 
     /// Mutable context access — used by the server's freeze/thaw hooks and
     /// by tests asserting the zero-allocation steady state.
     pub fn ctx_mut(&mut self) -> &mut RunCtx {
-        &mut self.ctx
+        match &mut self.quant {
+            Some(q) => q.ctx_mut(),
+            None => &mut self.ctx,
+        }
     }
 
     /// Grows the arena and layer caches to their steady state by running
@@ -263,13 +270,14 @@ impl Replica {
     pub fn load_checkpoint(&mut self, blob: &[u8]) -> Result<()> {
         checkpoint::load(&mut self.model, blob)
             .map_err(|e| ServeError::BadCheckpoint(e.to_string()))?;
-        if let Some(calib) = &self.calib {
+        if let (Some(calib), Some(old)) = (&self.calib, &mut self.quant) {
             // Int8 replicas re-run the lowering so the served engine
-            // tracks the new weights.
-            self.quant = Some(
-                Self::lower_int8(&self.model, calib)
-                    .map_err(|e| ServeError::BadCheckpoint(e.to_string()))?,
-            );
+            // tracks the new weights; the warm (possibly frozen) arena and
+            // its allocation count move over to the new engine.
+            let mut new = Self::lower_int8(&self.model, calib)
+                .map_err(|e| ServeError::BadCheckpoint(e.to_string()))?;
+            std::mem::swap(new.ctx_mut(), old.ctx_mut());
+            *old = new;
         }
         Ok(())
     }

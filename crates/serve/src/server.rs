@@ -920,4 +920,44 @@ mod tests {
         assert_eq!(server.stats().swaps, 1);
         server.shutdown();
     }
+
+    #[test]
+    fn int8_engine_arena_is_the_one_the_server_freezes_and_counts() {
+        let model = plain20(4, 4).unwrap();
+        let calib = Tensor::from_fn(&[4, 3, 12, 12], |i| (i % 17) as f32 * 0.1 - 0.8);
+        // One worker and a long window, so k quick submissions form one
+        // batch of k (or split into smaller ones — sizes still in range).
+        let cfg = ServeConfig {
+            workers: 1,
+            max_wait: Duration::from_millis(20),
+            precision: Precision::Int8(calib),
+            ..tiny_config()
+        };
+        let max_batch = cfg.max_batch;
+        let server = Server::start(&model, cfg).unwrap();
+        server.submit(image(0)).unwrap().wait().unwrap();
+        let after_prewarm = server.arena_alloc_events();
+        assert!(
+            after_prewarm > 0,
+            "prewarm grew the int8 engine's arena; the server must see it"
+        );
+        server.freeze_arenas(true);
+        for k in 1..=max_batch {
+            let pendings: Vec<Pending> = (0..k).map(|i| server.submit(image(i)).unwrap()).collect();
+            for p in pendings {
+                p.wait().unwrap();
+            }
+            if k == 2 {
+                // A hot swap re-lowers the engine; the warm frozen arena
+                // carries over to the new one.
+                server.swap_model(&model).unwrap();
+            }
+        }
+        assert_eq!(
+            server.arena_alloc_events(),
+            after_prewarm,
+            "steady-state int8 serving grew the frozen arena"
+        );
+        server.shutdown();
+    }
 }

@@ -200,6 +200,27 @@ if [ "$crc_defs" -ne 1 ]; then
   exit 1
 fi
 
+# The two-player round is written once (alf_core::train::AlfTrainer):
+# both task-gradient sources go through its one autoencoder-player loop
+# and its one `train.step` emitter. A second call site or a second
+# literal means a trainer regrew its own copy of the round.
+echo "==> single autoencoder-player loop"
+ae_calls=$(grep -rn "autoencoder_step_in(" crates/*/src --include='*.rs' \
+  | grep -v "^crates/core/src/block.rs:" | wc -l)
+if [ "$ae_calls" -ne 1 ]; then
+  grep -rn "autoencoder_step_in(" crates/*/src --include='*.rs' || true
+  echo "FAIL: expected exactly 1 autoencoder_step_in call outside block.rs, found $ae_calls"
+  exit 1
+fi
+echo "==> single train.step emitter"
+step_emitters=$(grep -rn '"train\.step"' crates/*/src --include='*.rs' \
+  | grep -v ':[0-9]*: *//' | wc -l)
+if [ "$step_emitters" -ne 1 ]; then
+  grep -rn '"train\.step"' crates/*/src --include='*.rs' || true
+  echo "FAIL: expected exactly 1 \"train.step\" literal, found $step_emitters"
+  exit 1
+fi
+
 # The observability crate is the workspace's public-facing telemetry
 # API; its docs must build clean.
 echo "==> cargo doc -p alf-obs (warnings denied)"

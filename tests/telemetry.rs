@@ -4,9 +4,10 @@
 //!   occupancy and the νprune schedule position for **every** step;
 //! * enabling telemetry is read-only — trained weights stay bitwise
 //!   identical to a sink-less run;
-//! * one profiled `AlfTrainer` step produces a `train.step` record whose
-//!   shape matches a golden skeleton, and the profiler exports through
-//!   the `MetricsRegistry`.
+//! * one step of either trainer — whole-batch `AlfTrainer` (profiled) or
+//!   sharded `DpTrainer` — produces a `train.step` record whose shape
+//!   matches one golden skeleton (the round's single emitter), and the
+//!   profiler exports through the `MetricsRegistry`.
 
 use alf::core::block::AlfBlockConfig;
 use alf::core::models::plain20_alf;
@@ -132,6 +133,11 @@ fn golden_jsonl_shape_for_one_profiled_training_step() -> alf::Result<()> {
     trainer.set_telemetry_sink(Box::new(sink));
     trainer.set_profile(true);
     trainer.run_epoch(&d)?;
+    // The sharded source goes through the same emitter.
+    let (dp_sink, dp_handle) = MemorySink::bounded(16);
+    let mut dp = DpTrainer::new(model()?, DpConfig::new(hyper(), DATA_SEED))?;
+    dp.set_telemetry_sink(Box::new(dp_sink));
+    dp.run_epoch(&d)?;
 
     // Mask every number so the golden string pins structure — the full
     // key set, order, and per-block array arity — not float values.
@@ -167,20 +173,32 @@ fn golden_jsonl_shape_for_one_profiled_training_step() -> alf::Result<()> {
         out
     };
 
+    // One skeleton for both sources: only the sharded one reports a
+    // reduced-gradient norm and a worker count, right after `lr`.
     let per_block = vec!["#"; n_blocks].join(",");
-    let golden_step = format!(
-        "{{\"event\":\"train.step\",\"seq\":#,\"t_ms\":#,\"epoch\":#,\"step\":#,\
-         \"task_loss\":#,\"lr\":#,\"l_rec\":[{per_block}],\"l_prune\":[{per_block}],\
-         \"nu_prune\":[{per_block}],\"mask_occupancy\":[{per_block}]}}"
-    );
+    let golden_step = |sharded: &str| {
+        format!(
+            "{{\"event\":\"train.step\",\"seq\":#,\"t_ms\":#,\"epoch\":#,\"step\":#,\
+             \"task_loss\":#,\"lr\":#,{sharded}\"l_rec\":[{per_block}],\
+             \"l_prune\":[{per_block}],\"nu_prune\":[{per_block}],\
+             \"mask_occupancy\":[{per_block}]}}"
+        )
+    };
     let golden_epoch = "{\"event\":\"train.epoch\",\"seq\":#,\"t_ms\":#,\"epoch\":#,\
                         \"train_loss\":#,\"train_accuracy\":#,\"test_accuracy\":#,\
                         \"remaining_filters\":#,\"mean_l_rec\":#}";
 
-    let lines = handle.lines();
-    assert_eq!(lines.len(), 2, "one step + one epoch record: {lines:?}");
-    assert_eq!(mask(&lines[0]), golden_step);
-    assert_eq!(mask(&lines[1]), golden_epoch);
+    for (lines, sharded) in [
+        (handle.lines(), ""),
+        (
+            dp_handle.lines(),
+            "\"grad_norm\":#,\"grad_norm_clipped\":#,\"workers\":#,",
+        ),
+    ] {
+        assert_eq!(lines.len(), 2, "one step + one epoch record: {lines:?}");
+        assert_eq!(mask(&lines[0]), golden_step(sharded));
+        assert_eq!(mask(&lines[1]), golden_epoch);
+    }
 
     // The same step's profile exports through the metrics registry.
     let report = trainer.profile_report().expect("profiler was on");
