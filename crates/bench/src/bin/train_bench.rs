@@ -8,9 +8,10 @@
 //!   must be bitwise identical, and a run killed mid-epoch and resumed
 //!   from its checkpoint at yet another worker count must land on the
 //!   same state bitwise;
-//! * **gates speedup** (only when the host has ≥ 2 cores): the 4-worker
-//!   run must process at least 1.5× the images per second of the
-//!   1-worker run at smoke scale;
+//! * **gates speedup** (only when the host has a core per worker, i.e.
+//!   ≥ 4): the 4-worker run must process at least 1.5× the images per
+//!   second of the 1-worker run at smoke scale; on a smaller host the
+//!   measured ratio is printed and the gate reported as skipped;
 //! * **gates telemetry** (smoke scale): a third 1-worker run with JSONL
 //!   telemetry streaming into an in-memory sink must land on the same
 //!   state bitwise (telemetry is read-only) and stay within noise of the
@@ -28,10 +29,11 @@
 //!   sparse row encoding engaged — distribution changes where the adds
 //!   happen, never what they compute, and the wire cost tracks pruning.
 //!
-//! When a gate cannot run (data-parallel speedup on a 1-core host) the
-//! bench emits a `train.bench.gate_skipped` telemetry event and prints
-//! both the JSONL record and a human-readable reason, so a green CI run
-//! on a small host is distinguishable from a gate that actually passed.
+//! When a gate cannot run (data-parallel speedup on a host with fewer
+//! cores than workers) the bench emits a `train.bench.gate_skipped`
+//! telemetry event and prints both the JSONL record and a human-readable
+//! reason, so a green CI run on a small host is distinguishable from a
+//! gate that actually passed.
 //!
 //! Results go to stdout as a table and to `BENCH_train.json`
 //! (throughput per worker count, speedup, whether each gate was
@@ -210,7 +212,7 @@ fn main() {
     // gradient wire must shrink as the mask empties ---
     let dist = (scale == Scale::Smoke).then(|| dist_section(&p, &data, &states[0], steps));
 
-    let speedup_gate = host_cores >= 2;
+    let speedup_gate = host_cores >= PAR_WORKERS;
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("bench", "train");
@@ -293,9 +295,10 @@ fn main() {
         if let Some(mut ev) = log.event("train.bench.gate_skipped") {
             ev.field_str("gate", "dp_speedup");
             ev.field_u64("host_cores", host_cores as u64);
+            ev.field_f64("measured_speedup", speedup);
             ev.field_str(
                 "reason",
-                "host reports a single core; data-parallel speedup cannot be measured",
+                "host has fewer cores than workers; the speedup gate needs one core per worker",
             );
         }
         log.flush();
@@ -303,8 +306,8 @@ fn main() {
             println!("{line}");
         }
         println!(
-            "note: dp-speedup gate SKIPPED — host reports a single core, so the \
-             {PAR_WORKERS}-worker run cannot demonstrate a speedup here"
+            "note: dp-speedup gate SKIPPED — {host_cores} core(s) for {PAR_WORKERS} workers; \
+             measured {speedup:.2}x against the {MIN_SPEEDUP}x gate, not enforced here"
         );
     }
 

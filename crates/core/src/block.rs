@@ -112,6 +112,14 @@ pub struct AlfBlock {
     // the last forward (autoencoder step, direct mutation, checkpoint
     // load, compaction) — the task player's step never touches the mask.
     active_dirty: bool,
+    // `Wcode` is a function of `W`, `Wenc` and `M` only: the code conv's
+    // weight is rebuilt on the first forward after any of them may have
+    // moved (everything that sets `active_dirty`, plus the mutable
+    // parameter/state visitors — the optimizer's and the replica sync's
+    // routes to `W`) and reused by every forward until the next change.
+    code_dirty: bool,
+    #[cfg(test)]
+    code_refreshes: usize,
 }
 
 impl AlfBlock {
@@ -163,6 +171,9 @@ impl AlfBlock {
             config,
             sparse_exec: true,
             active_dirty: true,
+            code_dirty: true,
+            #[cfg(test)]
+            code_refreshes: 0,
         }
     }
 
@@ -183,10 +194,18 @@ impl AlfBlock {
 
     /// Mutable access to the block's autoencoder (for experiments that
     /// manipulate the mask or encoder directly). Conservatively invalidates
-    /// the cached occupancy descriptor, since the caller may move the mask.
+    /// the cached code and occupancy descriptor, since the caller may move
+    /// the mask or the encoder.
     pub fn autoencoder_mut(&mut self) -> &mut WeightAutoencoder {
-        self.active_dirty = true;
+        self.invalidate_derived();
         &mut self.ae
+    }
+
+    /// `W`, `Wenc` or `M` may have changed: the cached code and occupancy
+    /// descriptor are stale.
+    fn invalidate_derived(&mut self) {
+        self.active_dirty = true;
+        self.code_dirty = true;
     }
 
     /// Toggles the occupancy-aware execution paths (the code conv's
@@ -263,7 +282,7 @@ impl AlfBlock {
     /// constructed through [`AlfBlock::new`]).
     pub fn autoencoder_step(&mut self, lr: f32, schedule: &PruneSchedule) -> Result<AeStats> {
         let nu = schedule.nu(self.ae.zero_fraction());
-        self.active_dirty = true;
+        self.invalidate_derived();
         self.ae.step(&self.w.value, lr, nu)
     }
 
@@ -282,7 +301,7 @@ impl AlfBlock {
         ctx: &mut RunCtx,
     ) -> Result<AeStats> {
         let nu = schedule.nu(self.ae.zero_fraction());
-        self.active_dirty = true;
+        self.invalidate_derived();
         self.ae.step_in(&self.w.value, lr, nu, &mut ctx.ws)
     }
 
@@ -345,16 +364,24 @@ impl AlfBlock {
         if let Some(bn) = &mut self.inter_bn {
             bn.select_channels(rows.indices())?;
         }
-        self.active_dirty = true;
+        self.invalidate_derived();
         Ok(true)
     }
 }
 
 impl Layer for AlfBlock {
     fn forward(&mut self, input: &Tensor, ctx: &mut RunCtx) -> Result<Tensor> {
-        // Refresh the derived code weights from the current W / Wenc / M.
-        let code = self.ae.code(&self.w.value)?;
-        self.code_conv.set_weight(code)?;
+        // Refresh the derived code weights from the current W / Wenc / M
+        // — once per change, not once per forward.
+        if self.code_dirty {
+            let code = self.ae.code(&self.w.value)?;
+            self.code_conv.set_weight(code)?;
+            self.code_dirty = false;
+            #[cfg(test)]
+            {
+                self.code_refreshes += 1;
+            }
+        }
         self.code_conv.zero_grads();
         // Refresh the cached occupancy descriptor only when the mask may
         // have moved. The descriptor drives the packed-panel elision; it
@@ -429,12 +456,24 @@ impl Layer for AlfBlock {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         // W is trained by the task player (via STE); the code conv's weight
         // is derived and must NOT be visited. Wenc/Wdec/M belong to the
-        // autoencoder player and are likewise excluded here.
+        // autoencoder player and are likewise excluded here. The visitor
+        // may write W (the optimizer step does), so the code is stale.
+        self.code_dirty = true;
         visitor(&mut self.w);
         if let Some(bn) = &mut self.inter_bn {
             bn.visit_params(visitor);
         }
         self.expansion.visit_params(visitor);
+    }
+
+    fn zero_grads(&mut self) {
+        // Not through `visit_params`: zeroing gradients moves no weight
+        // and must not cost a code rebuild.
+        self.w.zero_grad();
+        if let Some(bn) = &mut self.inter_bn {
+            bn.zero_grads();
+        }
+        self.expansion.zero_grads();
     }
 
     fn visit_params_ref(&self, visitor: &mut dyn FnMut(&Param)) {
@@ -448,9 +487,10 @@ impl Layer for AlfBlock {
     fn visit_state(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
         // Checkpoints must capture both players: W plus the autoencoder's
         // Wenc/Wdec/M (the code conv's weight is derived and excluded).
-        // A checkpoint load may overwrite the mask through this visitor, so
-        // the cached occupancy descriptor must be recomputed.
-        self.active_dirty = true;
+        // A checkpoint load or replica sync may overwrite W, the encoder
+        // and the mask through this visitor, so the cached code and
+        // occupancy descriptor must be recomputed.
+        self.invalidate_derived();
         visitor(&mut self.w.value);
         self.ae.visit_state(visitor);
         if let Some(bn) = &mut self.inter_bn {
@@ -781,6 +821,114 @@ mod tests {
         let fan = 18;
         assert!(before.w.grad.data()[fan..2 * fan].iter().all(|&v| v == 0.0));
         assert!(before.w.grad.data()[..fan].iter().any(|&v| v != 0.0));
+    }
+
+    /// Twin blocks, one with a cached code (it has run a forward) and one
+    /// fresh (never forwarded, so it can only build its code from scratch),
+    /// go through the same mutation: their next forwards must agree
+    /// bitwise, i.e. every route to `W`, `Wenc` or `M` invalidates the
+    /// cached `Wcode`.
+    #[test]
+    fn every_weight_mutation_invalidates_the_cached_code() {
+        type Mutation = fn(&mut AlfBlock);
+        let mutations: [(&str, Mutation); 6] = [
+            ("optimizer step through visit_params", |b| {
+                b.visit_params(&mut |p| p.grad = Tensor::full(p.value.dims(), 0.25));
+                alf_nn::Sgd::new(0.1, 0.9, 0.0).step_layer(b);
+            }),
+            ("autoencoder_step_in", |b| {
+                let mut ctx = RunCtx::train();
+                for _ in 0..3 {
+                    b.autoencoder_step_in(0.05, &PruneSchedule::paper_default(), &mut ctx)
+                        .unwrap();
+                }
+            }),
+            ("autoencoder_mut().set_mask_value", |b| {
+                b.autoencoder_mut().set_mask_value(1, 0.0);
+                b.autoencoder_mut().set_mask_value(2, 0.5);
+            }),
+            // What `StateSnapshot::restore` and a checkpoint load do.
+            ("state write through visit_state", |b| {
+                b.visit_state(&mut |t| t.data_mut().iter_mut().for_each(|v| *v *= 0.5));
+            }),
+            ("compact_if_below", |b| {
+                b.autoencoder_mut().set_mask_value(0, 0.0);
+                b.autoencoder_mut().set_mask_value(3, 0.0);
+                assert!(b.compact_if_below(0.9).unwrap());
+            }),
+            ("clone", |b| *b = b.clone()),
+        ];
+        let mut cfg = AlfBlockConfig::paper_default();
+        cfg.inter_bn = true;
+        let x = Tensor::randn(&[2, 2, 5, 5], Init::Rand, &mut Rng::new(31));
+        for (name, mutate) in mutations {
+            let mut fresh = AlfBlock::new(2, 4, 3, 1, 1, cfg, &mut Rng::new(30));
+            let mut cached = fresh.clone();
+            let mut ctx = RunCtx::eval();
+            cached.forward(&x, &mut ctx).unwrap();
+            assert_eq!(cached.code_refreshes, 1, "{name}");
+            mutate(&mut cached);
+            mutate(&mut fresh);
+            assert_eq!(fresh.code_refreshes, 0, "{name}");
+            let want = fresh.forward(&x, &mut ctx).unwrap();
+            let got = cached.forward(&x, &mut ctx).unwrap();
+            assert_eq!(got.data(), want.data(), "{name}");
+            assert_eq!(
+                cached.code_conv.weight(),
+                fresh.code_conv.weight(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_restore_and_checkpoint_load_invalidate_the_cached_code() {
+        let cfg = AlfBlockConfig::paper_default();
+        let source = crate::models::plain20_alf(4, 4, cfg, 36).unwrap();
+        let x = Tensor::randn(&[1, 3, 8, 8], Init::Rand, &mut Rng::new(38));
+        let mut ctx = RunCtx::eval();
+        let want = source.clone().forward(&x, &mut ctx).unwrap();
+        let mut snapshot = crate::StateSnapshot::new();
+        snapshot.capture(&source);
+        let blob = crate::checkpoint::save(&source);
+        for via_snapshot in [true, false] {
+            let mut model = crate::models::plain20_alf(4, 4, cfg, 37).unwrap();
+            assert_ne!(model.forward(&x, &mut ctx).unwrap().data(), want.data());
+            if via_snapshot {
+                assert!(snapshot.restore(&mut model));
+            } else {
+                crate::checkpoint::load(&mut model, &blob).unwrap();
+            }
+            assert_eq!(model.forward(&x, &mut ctx).unwrap().data(), want.data());
+        }
+    }
+
+    #[test]
+    fn reads_zero_grads_and_forwards_reuse_the_cached_code() {
+        let mut b = block(32);
+        let x = Tensor::randn(&[1, 2, 4, 4], Init::Rand, &mut Rng::new(33));
+        let mut ctx = RunCtx::train();
+        let y = b.forward(&x, &mut ctx).unwrap();
+        b.backward(&y, &mut ctx).unwrap();
+        b.zero_grads();
+        b.visit_params_ref(&mut |p| assert_eq!(p.grad.sum(), 0.0));
+        b.visit_state_ref(&mut |_| {});
+        ctx.set_mode(alf_nn::Mode::Stats);
+        b.forward(&x, &mut ctx).unwrap();
+        ctx.set_mode(alf_nn::Mode::Train);
+        b.forward(&x, &mut ctx).unwrap();
+        assert_eq!(b.code_refreshes, 1);
+        // A model-level `zero_grads` reaches the block without a mutable
+        // parameter visit either.
+        let mut model =
+            crate::models::plain20_alf(4, 4, AlfBlockConfig::paper_default(), 34).unwrap();
+        let x = Tensor::randn(&[1, 3, 8, 8], Init::Rand, &mut Rng::new(35));
+        let logits = model.forward(&x, &mut ctx).unwrap();
+        model.backward(&logits, &mut ctx).unwrap();
+        model.zero_grads();
+        model.visit_params_ref(&mut |p| assert_eq!(p.grad.sum(), 0.0));
+        model.forward(&x, &mut ctx).unwrap();
+        assert!(model.alf_blocks().iter().all(|b| b.code_refreshes == 1));
     }
 
     #[test]

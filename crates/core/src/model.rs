@@ -9,7 +9,7 @@
 
 use alf_nn::activation::{Activation, ActivationKind};
 use alf_nn::conv::Conv2d;
-use alf_nn::layer::{Layer, Mode, Param};
+use alf_nn::layer::{Layer, Param};
 use alf_nn::linear::Linear;
 use alf_nn::norm::BatchNorm2d;
 use alf_nn::pool::{GlobalAvgPool, MaxPool2d};
@@ -107,6 +107,21 @@ impl Layer for ConvKind {
             ConvKind::Deployed { code, expansion } => {
                 code.visit_params(v);
                 expansion.visit_params(v);
+            }
+        }
+    }
+
+    // Composites forward `zero_grads` to their children instead of taking
+    // the default route through `visit_params`: an ALF block must treat a
+    // mutable parameter visit as a possible weight change (and rebuild its
+    // code), which zeroing gradients is not.
+    fn zero_grads(&mut self) {
+        match self {
+            ConvKind::Standard(c) => c.zero_grads(),
+            ConvKind::Alf(b) => b.zero_grads(),
+            ConvKind::Deployed { code, expansion } => {
+                code.zero_grads();
+                expansion.zero_grads();
             }
         }
     }
@@ -281,6 +296,13 @@ impl Layer for ConvUnit {
         }
     }
 
+    fn zero_grads(&mut self) {
+        self.conv.zero_grads();
+        if let Some(bn) = &mut self.bn {
+            bn.zero_grads();
+        }
+    }
+
     fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
         self.conv.visit_params_ref(v);
         if let Some(bn) = &self.bn {
@@ -359,7 +381,7 @@ impl Layer for PadShortcut {
             }
         }
         ctx.count_bytes(4 * (x.len() + out.len()) as u64);
-        self.input_dims = (ctx.mode() == Mode::Train).then_some([n, c, h, w]);
+        ctx.mode().cache(&mut self.input_dims, || [n, c, h, w]);
         Ok(out)
     }
 
@@ -442,7 +464,7 @@ impl Layer for ResidualUnit {
         let h = self.a.forward(x, ctx)?;
         let h = self.b.forward(&h, ctx)?;
         let sum = h.add(&skip)?;
-        self.cached_skip = (ctx.mode() == Mode::Train).then_some(skip);
+        ctx.mode().cache(&mut self.cached_skip, || skip);
         self.final_act.forward(&sum, ctx)
     }
 
@@ -461,6 +483,11 @@ impl Layer for ResidualUnit {
     fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
         self.a.visit_params(v);
         self.b.visit_params(v);
+    }
+
+    fn zero_grads(&mut self) {
+        self.a.zero_grads();
+        self.b.zero_grads();
     }
 
     fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
@@ -535,6 +562,12 @@ impl Layer for FireUnit {
         self.squeeze.visit_params(v);
         self.expand1.visit_params(v);
         self.expand3.visit_params(v);
+    }
+
+    fn zero_grads(&mut self) {
+        for cu in self.conv_units_mut() {
+            cu.zero_grads();
+        }
     }
 
     fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
@@ -633,6 +666,10 @@ impl Layer for Unit {
 
     fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
         self.inner_mut().0.visit_params(v);
+    }
+
+    fn zero_grads(&mut self) {
+        self.inner_mut().0.zero_grads();
     }
 
     fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
@@ -1032,6 +1069,12 @@ impl Layer for CnnModel {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         for unit in &mut self.units {
             unit.visit_params(visitor);
+        }
+    }
+
+    fn zero_grads(&mut self) {
+        for unit in &mut self.units {
+            unit.zero_grads();
         }
     }
 

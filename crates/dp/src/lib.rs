@@ -4,8 +4,9 @@
 //! round that `alf_core::AlfTrainer` owns (and embeds one): each
 //! minibatch is sharded across N long-lived worker replicas (the
 //! prewarmed `(CnnModel, RunCtx)` replica pattern shared with
-//! `Evaluator` and `alf-serve`), every worker runs forward/backward on
-//! its shard, and the per-sample gradients are combined with a
+//! `Evaluator` and `alf-serve`), every worker runs its share of the
+//! batch-norm statistics pass and then forward/backward on its shard,
+//! and the per-sample gradients are combined with a
 //! **fixed-order tree all-reduce** before a single task optimizer step on
 //! the master model. The round then runs the per-block autoencoder
 //! players block-per-worker.
@@ -18,10 +19,16 @@
 //!   accumulation ever crosses a shard boundary),
 //! * the reduction tree over the per-sample gradient leaves is a pure
 //!   function of the batch size ([`allreduce`]), and
-//! * batch-norm statistics are refreshed by a deterministic master-side
-//!   pilot forward over each batch, and workers normalise with those
-//!   *frozen* statistics rather than (shard-layout-dependent) per-shard
-//!   batch statistics.
+//! * batch-norm running statistics are refreshed once per step by a
+//!   forward-only *statistics pass* that the workers themselves run,
+//!   each over its shard of the clean batch (`alf_nn::Mode::Stats`):
+//!   every sample contributes one partial sum per channel, and the
+//!   partials are folded in batch-slot order through a shared
+//!   `alf_nn::StatExchange`, so the result is bitwise that of one
+//!   whole-batch train-mode forward whatever the shard layout. Workers
+//!   then normalise with those *frozen* statistics rather than
+//!   (shard-layout-dependent) per-shard batch statistics. The master
+//!   model runs no forward at all inside a step.
 //!
 //! The same crate owns **fault tolerance**: [`DpTrainer::checkpoint`]
 //! captures everything a run's trajectory depends on — model state, SGD

@@ -4,15 +4,17 @@ use alf_core::checkpoint;
 use alf_core::train::TaskOutcome;
 use alf_core::{AlfHyper, AlfTrainer, CnnModel, EpochStats, StateSnapshot, TrainReport};
 use alf_data::plan::{shard_range, EpochPlan};
-use alf_data::{Dataset, Split};
-use alf_nn::layer::Layer;
+use alf_data::{Augment, Dataset, Split};
+use alf_nn::layer::{Layer, Mode};
 use alf_nn::loss::{correct_count, softmax_cross_entropy};
-use alf_nn::RunCtx;
+use alf_nn::{RunCtx, StatExchange, StatLink};
 use alf_obs::events::TelemetrySink;
 use alf_obs::runtime::resolve_threads;
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
 use bytes::Bytes;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::reduce::{LocalReducer, ReduceError, Reducer, StepContext};
 use crate::Result;
@@ -87,6 +89,118 @@ fn split_shards<T>(mut slice: &mut [T], shards: usize) -> Vec<&mut [T]> {
     out
 }
 
+/// The sharded half of one step: where the batch comes from and which of
+/// its slots this participant owes gradients for.
+struct ShardJob<'a> {
+    data: &'a Dataset,
+    /// Dataset indices of the whole batch, in slot order.
+    batch: &'a [usize],
+    /// This participant's slots ([`Reducer::partition`]).
+    part: Range<usize>,
+    augment: Option<Augment>,
+    data_seed: u64,
+    epoch: u64,
+    step: u64,
+}
+
+impl ShardJob<'_> {
+    /// Runs one scoped worker per replica. Each first takes its shard of
+    /// the **statistics pass** — a forward-only [`Mode::Stats`] pass over
+    /// the *whole* clean batch (whatever `part` is: every participant needs
+    /// the whole batch's statistics), sharded over the workers and joined
+    /// by a [`StatExchange`], so every replica ends up with the running
+    /// statistics one whole-batch train-mode forward would have left — and
+    /// goes straight on to its per-sample frozen-norm forward/backward
+    /// loop over its shard of `part`, filling one leaf, loss and
+    /// correctness flag per sample (indexed from `part.start`).
+    fn run(
+        &self,
+        replicas: &mut [(CnnModel, RunCtx)],
+        leaves: &mut [Vec<f32>],
+        losses: &mut [f32],
+        corrects: &mut [u8],
+    ) -> Result<()> {
+        let threads = replicas.len();
+        let b = self.batch.len();
+        let plen = self.part.len();
+        let exchange = Arc::new(StatExchange::new(b));
+        let leaf_chunks = split_shards(leaves, threads);
+        let loss_chunks = split_shards(losses, threads);
+        let correct_chunks = split_shards(corrects, threads);
+        crossbeam::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for (s, (((leaves, losses), corrects), slot)) in leaf_chunks
+                .into_iter()
+                .zip(loss_chunks)
+                .zip(correct_chunks)
+                .zip(replicas.iter_mut())
+                .enumerate()
+            {
+                let exchange = &exchange;
+                handles.push(scope.spawn(move |_| -> Result<()> {
+                    let (replica, ctx) = slot;
+                    let stat_shard = shard_range(b, s, threads);
+                    exchange.participate(|| {
+                        let (images, _labels) = self
+                            .data
+                            .gather(Split::Train, &self.batch[stat_shard.clone()])?;
+                        ctx.set_mode(Mode::Stats);
+                        ctx.set_stat_link(Some(StatLink::new(
+                            Arc::clone(exchange),
+                            stat_shard.start,
+                        )));
+                        let out = replica.forward(&images, ctx);
+                        ctx.set_stat_link(None);
+                        ctx.set_mode(Mode::Train);
+                        out.map(drop)
+                    })?;
+                    for (local, p) in shard_range(plen, s, threads).enumerate() {
+                        // Global batch slot: augmentation draws and leaf
+                        // positions are keyed by it, never by the shard or
+                        // partition layout.
+                        let j = self.part.start + p;
+                        // Per-sample granularity: no float accumulation
+                        // crosses a shard boundary, so the leaves are
+                        // independent of the shard layout.
+                        let (mut images, labels) =
+                            self.data.gather(Split::Train, &[self.batch[j]])?;
+                        if let Some(policy) = &self.augment {
+                            let mut rng =
+                                sample_rng(self.data_seed, self.epoch, self.step, j as u64);
+                            policy.apply(&mut images, &mut rng)?;
+                        }
+                        replica.zero_grads();
+                        let logits = replica.forward(&images, ctx)?;
+                        let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
+                        let right = correct_count(&logits, &labels)?;
+                        replica.backward(&grad, ctx)?;
+                        let leaf = &mut leaves[local];
+                        leaf.clear();
+                        replica.visit_params_ref(&mut |p| {
+                            leaf.extend_from_slice(p.grad.data());
+                        });
+                        losses[local] = loss;
+                        corrects[local] = right as u8;
+                    }
+                    Ok(())
+                }));
+            }
+            // Report the failure itself, not a peer's account of being
+            // released from the exchange by it.
+            let mut failed: Option<ShapeError> = None;
+            for h in handles {
+                if let Err(e) = h.join().expect("dp worker panicked") {
+                    if failed.as_ref().is_none_or(|f| f.op() == "stat_exchange") {
+                        failed = Some(e);
+                    }
+                }
+            }
+            failed.map_or(Ok(()), Err)
+        })
+        .expect("dp scope panicked")
+    }
+}
+
 fn total_param_len(model: &CnnModel) -> usize {
     let mut n = 0usize;
     model.visit_params_ref(&mut |p| n += p.value.len());
@@ -133,7 +247,6 @@ fn shape_err(detail: impl Into<String>) -> ReduceError {
 #[derive(Debug)]
 pub struct DpTrainer {
     // The round: model, optimizer, trajectory position, hyper-parameters.
-    // Its context (train mode) runs the per-step BN pilot forward.
     round: AlfTrainer,
     threads: Option<usize>,
     max_grad_norm: Option<f32>,
@@ -366,23 +479,18 @@ impl DpTrainer {
             sample_correct,
             ..
         } = self;
-        let (epoch, step) = (round.epoch(), round.step());
-        round.play_round(|model, opt, ctx| {
-            // --- BN statistics: master pilot forward ---
-            // Workers normalise with *frozen* running statistics (batch
-            // statistics over a one-sample shard would tie the run to the
-            // shard layout), so the master refreshes those statistics first
-            // with one train-mode forward over the clean batch — the same
-            // EMA tracking ordinary BN training performs, computed at batch
-            // granularity on a single thread. A pure function of the
-            // trajectory position, never of the worker count.
-            let (pilot, _labels) = data.gather(Split::Train, batch)?;
-            model.forward(&pilot, ctx)?;
-
-            // --- shard this participant's slice over workers ---
-            // Replicas train with frozen normalisation statistics; the
-            // running stats the pilot just refreshed are part of the
-            // synced weights.
+        let job = ShardJob {
+            data,
+            batch,
+            part: part.clone(),
+            augment,
+            data_seed: *data_seed,
+            epoch: round.epoch(),
+            step: round.step(),
+        };
+        round.play_round(|model, opt, _ctx| {
+            // Replicas train with frozen normalisation statistics, which
+            // their own sharded statistics pass refreshes first.
             snapshot.sync_replicas(model, replicas, threads, || {
                 let mut ctx = RunCtx::train();
                 ctx.set_freeze_norm(true);
@@ -391,60 +499,13 @@ impl DpTrainer {
             leaves.resize_with(plen, Vec::new);
             sample_loss.resize(plen, 0.0);
             sample_correct.resize(plen, 0);
-            if plen > 0 {
-                let data_seed = *data_seed;
-                let part_start = part.start;
-                let leaf_chunks = split_shards(&mut leaves[..plen], threads);
-                let loss_chunks = split_shards(&mut sample_loss[..plen], threads);
-                let correct_chunks = split_shards(&mut sample_correct[..plen], threads);
-                crossbeam::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for (s, (((leaves, losses), corrects), slot)) in leaf_chunks
-                        .into_iter()
-                        .zip(loss_chunks)
-                        .zip(correct_chunks)
-                        .zip(replicas.iter_mut())
-                        .enumerate()
-                    {
-                        let range = shard_range(plen, s, threads);
-                        handles.push(scope.spawn(move |_| -> Result<()> {
-                            let (replica, ctx) = slot;
-                            for (local, p) in range.enumerate() {
-                                // Global batch slot: augmentation draws and
-                                // leaf positions are keyed by it, never by
-                                // the shard or partition layout.
-                                let j = part_start + p;
-                                // Per-sample granularity: no float accumulation
-                                // crosses a shard boundary, so the leaves are
-                                // independent of the shard layout.
-                                let (mut images, labels) =
-                                    data.gather(Split::Train, &[batch[j]])?;
-                                if let Some(policy) = &augment {
-                                    let mut rng = sample_rng(data_seed, epoch, step, j as u64);
-                                    policy.apply(&mut images, &mut rng)?;
-                                }
-                                replica.zero_grads();
-                                let logits = replica.forward(&images, ctx)?;
-                                let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-                                let right = correct_count(&logits, &labels)?;
-                                replica.backward(&grad, ctx)?;
-                                let leaf = &mut leaves[local];
-                                leaf.clear();
-                                replica.visit_params_ref(&mut |p| {
-                                    leaf.extend_from_slice(p.grad.data());
-                                });
-                                losses[local] = loss;
-                                corrects[local] = right as u8;
-                            }
-                            Ok(())
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("dp worker panicked"))
-                        .collect::<Result<Vec<_>>>()
-                })
-                .expect("dp scope panicked")?;
+            job.run(replicas, leaves, sample_loss, sample_correct)?;
+            // The pass moved nothing but the running statistics, to the
+            // same values on every replica: the master takes replica 0's
+            // state whole.
+            snapshot.capture(&replicas[0].0);
+            if !snapshot.restore(model) {
+                return Err(shape_err("replica state does not fit the master model"));
             }
 
             // Reduce the per-sample leaves in the fixed tree order, then scale
@@ -459,8 +520,8 @@ impl DpTrainer {
                 &sample_correct[..plen],
                 &StepContext {
                     model,
-                    epoch,
-                    step,
+                    epoch: job.epoch,
+                    step: job.step,
                     batch: b,
                 },
             )?;
@@ -634,6 +695,65 @@ mod tests {
         let mut resumed = DpTrainer::resume(model, quick_config(1), &blob).unwrap();
         let err = resumed.advance_step(&tiny).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    /// A shard that fails before the statistics rendezvous must release
+    /// its peer with an error, not leave it waiting for partials forever.
+    #[test]
+    fn failing_shard_errors_the_step_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let data = small_data(9);
+            let model = plain20_alf(4, 4, AlfBlockConfig::paper_default(), 10).unwrap();
+            let mut replicas: Vec<_> = (0..2).map(|_| (model.clone(), RunCtx::train())).collect();
+            // Worker 1's shard holds an index past the end of the data:
+            // its gather fails while worker 0 is already at (or on its way
+            // to) the first batch-norm rendezvous.
+            let job = ShardJob {
+                data: &data,
+                batch: &[0, 1, 2, usize::MAX],
+                part: 0..4,
+                augment: None,
+                data_seed: 0,
+                epoch: 0,
+                step: 0,
+            };
+            let (mut leaves, mut losses, mut corrects) = (vec![Vec::new(); 4], [0.0; 4], [0; 4]);
+            let out = job.run(&mut replicas, &mut leaves, &mut losses, &mut corrects);
+            tx.send(out).unwrap();
+        });
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("step hung on a failed shard")
+            .unwrap_err();
+        assert_eq!(err.op(), "dataset gather", "{err}");
+    }
+
+    /// A replica alternates a statistics pass over its shard (several
+    /// samples) with one-sample training passes: after warm-up neither may
+    /// grow the replica's arena again.
+    #[test]
+    fn replica_arenas_are_steady_across_steps() {
+        let data = small_data(11);
+        let model = plain20_alf(4, 4, AlfBlockConfig::paper_default(), 12).unwrap();
+        let mut trainer = DpTrainer::new(model, quick_config(2)).unwrap();
+        trainer.run_steps(&data, 2).unwrap();
+        let warm: Vec<u64> = trainer
+            .replicas
+            .iter_mut()
+            .map(|(_, ctx)| {
+                // Growth past this point also trips a debug assertion.
+                ctx.ws.freeze();
+                ctx.ws.alloc_events()
+            })
+            .collect();
+        trainer.run_steps(&data, 4).unwrap();
+        let after: Vec<u64> = trainer
+            .replicas
+            .iter()
+            .map(|(_, ctx)| ctx.ws.alloc_events())
+            .collect();
+        assert_eq!(after, warm);
     }
 
     #[test]

@@ -116,17 +116,17 @@ impl Layer for Activation {
         let out = self.kind.apply_tensor(input);
         ctx.count_flops(input.len() as u64);
         ctx.count_bytes(4 * 2 * input.len() as u64);
-        if ctx.mode() == Mode::Train {
+        match ctx.mode() {
             // Reuse the cached output tensor when the shape matches so the
             // steady-state step stays allocation-free here.
-            match self.output.as_mut() {
+            Mode::Train => match self.output.as_mut() {
                 Some(cached) if cached.dims() == out.dims() => {
                     cached.data_mut().copy_from_slice(out.data());
                 }
                 _ => self.output = Some(out.clone()),
-            }
-        } else {
-            self.output = None;
+            },
+            Mode::Eval => self.output = None,
+            Mode::Stats => {}
         }
         Ok(out)
     }

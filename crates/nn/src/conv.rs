@@ -235,9 +235,19 @@ impl Layer for Conv2d {
         let ncols = n * ho * wo;
 
         // The layer-owned column matrix reaches steady capacity after the
-        // first step; `resize` within capacity never reallocates.
-        self.cols.resize(rows * ncols, 0.0);
-        im2col_into(&mut self.cols, input, self.spec)?;
+        // first step; `resize` within capacity never reallocates. It is a
+        // backward cache, so a statistics pass unfolds into an arena slot
+        // instead of overwriting (and growing) it.
+        let mut stat_cols =
+            (ctx.mode() == Mode::Stats).then(|| ctx.ws.take::<f32>("stat_cols", rows * ncols));
+        let cols = match &mut stat_cols {
+            Some(scratch) => scratch,
+            None => {
+                self.cols.resize(rows * ncols, 0.0);
+                &mut self.cols
+            }
+        };
+        im2col_into(cols, input, self.spec)?;
 
         // [co, ci·k²] × [ci·k², n·ho·wo] → [co, n·ho·wo]; the stored
         // [co, ci, k, k] weight is already row-major [co, ci·k²].
@@ -250,7 +260,7 @@ impl Layer for Conv2d {
             gemm_active_rows_into(
                 &mut prod,
                 self.weight.value.data(),
-                &self.cols,
+                cols,
                 false,
                 self.c_out,
                 rows,
@@ -264,7 +274,7 @@ impl Layer for Conv2d {
                 &mut prod,
                 self.weight.value.data(),
                 false,
-                &self.cols,
+                cols,
                 false,
                 self.c_out,
                 rows,
@@ -272,6 +282,9 @@ impl Layer for Conv2d {
                 &mut ctx.ws,
                 threads,
             );
+        }
+        if let Some(scratch) = stat_cols {
+            ctx.ws.give("stat_cols", scratch);
         }
         ctx.count_flops(2 * (self.c_out * rows * ncols) as u64);
         ctx.count_bytes(4 * (input.len() + self.weight.value.len() + self.c_out * ncols) as u64);
@@ -293,13 +306,9 @@ impl Layer for Conv2d {
         }
         ctx.ws.give("prod", prod);
 
-        self.cache = if ctx.mode() == Mode::Train {
-            Some(Cache {
-                input_dims: [n, ci, h, w],
-            })
-        } else {
-            None
-        };
+        ctx.mode().cache(&mut self.cache, || Cache {
+            input_dims: [n, ci, h, w],
+        });
         Ok(out)
     }
 

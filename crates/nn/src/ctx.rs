@@ -32,6 +32,7 @@ use alf_obs::metrics::MetricsRegistry;
 use alf_tensor::ops::Workspace;
 
 use crate::layer::Mode;
+use crate::stats::StatLink;
 
 /// Which half of the cache-and-replay contract a profiled scope covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +73,7 @@ pub struct RunCtx {
     pub ws: Workspace,
     profiler: Option<Profiler>,
     freeze_norm: bool,
+    stat_link: Option<StatLink>,
 }
 
 impl RunCtx {
@@ -82,6 +84,7 @@ impl RunCtx {
             ws: Workspace::new(),
             profiler: None,
             freeze_norm: false,
+            stat_link: None,
         }
     }
 
@@ -122,7 +125,7 @@ impl RunCtx {
     /// (and so the whole run) depend on the shard layout, while frozen
     /// statistics are a pure function of the synced weights. Off by
     /// default; ignored in [`Mode::Eval`] (eval always uses running
-    /// statistics).
+    /// statistics) and [`Mode::Stats`] (whose purpose is to refresh them).
     pub fn freeze_norm(&self) -> bool {
         self.freeze_norm
     }
@@ -131,6 +134,18 @@ impl RunCtx {
     /// [`RunCtx::freeze_norm`]).
     pub fn set_freeze_norm(&mut self, on: bool) {
         self.freeze_norm = on;
+    }
+
+    /// The batch this context's [`Mode::Stats`] forwards are a shard of,
+    /// if any: normalisation layers then take their batch statistics over
+    /// every participant's samples instead of the local input alone.
+    pub fn stat_link(&self) -> Option<&StatLink> {
+        self.stat_link.as_ref()
+    }
+
+    /// Installs (or clears) the [`StatLink`] of a sharded statistics pass.
+    pub fn set_stat_link(&mut self, link: Option<StatLink>) {
+        self.stat_link = link;
     }
 
     /// Builder-style: enables profiling and returns the context.

@@ -14,8 +14,27 @@ use crate::Result;
 pub enum Mode {
     /// Training: caches for backward are populated; BN uses batch stats.
     Train,
-    /// Inference: no caches needed; BN uses running stats.
+    /// Inference: caches are dropped; BN uses running stats.
     Eval,
+    /// Forward-only statistics pass: BN normalises with batch statistics
+    /// and updates its running statistics exactly as [`Mode::Train`] does
+    /// (over every participant's samples when the context carries a
+    /// [`StatLink`](crate::StatLink)), but every backward cache is left
+    /// as it was found — a replica can alternate this pass with training
+    /// passes of another batch size without reallocating either's buffers.
+    Stats,
+}
+
+impl Mode {
+    /// Applies the mode's policy to a layer's backward cache: `Train`
+    /// stores `make()`, `Eval` drops the cache, `Stats` leaves it alone.
+    pub fn cache<T>(self, slot: &mut Option<T>, make: impl FnOnce() -> T) {
+        match self {
+            Mode::Train => *slot = Some(make()),
+            Mode::Eval => *slot = None,
+            Mode::Stats => {}
+        }
+    }
 }
 
 /// A trainable parameter: value, accumulated gradient, and whether L2
@@ -159,6 +178,63 @@ mod tests {
         p.grad = Tensor::full(&[3], 2.0);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
+    }
+
+    /// `Mode::Stats` leaves every backward cache as it found it: a
+    /// statistics forward of another batch size, slipped between a training
+    /// forward and its backward, changes no gradient of any layer.
+    #[test]
+    fn stats_forward_between_train_forward_and_backward_is_invisible() {
+        use crate::{
+            pool::{AvgPool2d, Flatten, GlobalAvgPool, MaxPool2d},
+            Activation, ActivationKind, BatchNorm2d, Conv2d, Linear,
+        };
+        use alf_tensor::init::Init;
+        use alf_tensor::rng::Rng;
+
+        let conv = || Conv2d::new(2, 3, 3, 1, 1, true, Init::Rand, &mut Rng::new(1));
+        let image = vec![2, 4, 4];
+        type Make = Box<dyn Fn() -> Box<dyn Layer>>;
+        let table: Vec<(Make, Vec<usize>)> = vec![
+            (Box::new(move || Box::new(conv())), image.clone()),
+            (
+                Box::new(|| Box::new(Linear::new(32, 3, Init::Rand, &mut Rng::new(2)))),
+                vec![32],
+            ),
+            (
+                Box::new(|| Box::new(Activation::new(ActivationKind::Tanh))),
+                image.clone(),
+            ),
+            (Box::new(|| Box::new(BatchNorm2d::new(2))), image.clone()),
+            (Box::new(|| Box::new(MaxPool2d::new(2))), image.clone()),
+            (Box::new(|| Box::new(AvgPool2d::new(2))), image.clone()),
+            (Box::new(|| Box::new(GlobalAvgPool::new())), image.clone()),
+            (Box::new(|| Box::new(Flatten::new())), image),
+        ];
+        let mut rng = Rng::new(3);
+        for (make, sample) in table {
+            let dims = |n: usize| [&[n][..], &sample[..]].concat();
+            let one = Tensor::randn(&dims(1), Init::Rand, &mut rng);
+            let many = Tensor::randn(&dims(3), Init::Rand, &mut rng);
+            let (mut layer, mut reference) = (make(), make());
+            let mut ctx = RunCtx::train();
+            ctx.set_freeze_norm(true);
+            let y = layer.forward(&one, &mut ctx).unwrap();
+            reference.forward(&one, &mut ctx).unwrap();
+            ctx.set_mode(Mode::Stats);
+            layer.forward(&many, &mut ctx).unwrap();
+            ctx.set_mode(Mode::Train);
+            let got = layer.backward(&y, &mut ctx).unwrap();
+            let want = reference.backward(&y, &mut ctx).unwrap();
+            assert_eq!(got.data(), want.data(), "{layer:?}");
+            let mut grads = Vec::new();
+            reference.visit_params_ref(&mut |p| grads.push(p.grad.clone()));
+            let mut i = 0;
+            layer.visit_params_ref(&mut |p| {
+                assert_eq!(p.grad.data(), grads[i].data());
+                i += 1;
+            });
+        }
     }
 
     #[test]

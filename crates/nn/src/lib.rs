@@ -10,6 +10,8 @@
 //!   arena all layers draw from, and an optional per-layer profiler.
 //! * [`conv::Conv2d`], [`linear::Linear`], [`norm::BatchNorm2d`],
 //!   [`activation`] layers and [`pool`] layers.
+//! * [`stats`] — the slot-ordered exchange that lets batch norm take
+//!   whole-batch statistics over a batch sharded across workers.
 //! * [`loss`] — softmax cross-entropy (`Ltask`'s data term) and MSE
 //!   (`Lrec`, the autoencoder reconstruction loss).
 //! * [`optim::Sgd`] — SGD with momentum and L2 weight decay, the optimizer
@@ -37,6 +39,7 @@ pub mod loss;
 pub mod norm;
 pub mod optim;
 pub mod pool;
+pub mod stats;
 pub mod ste;
 
 pub use activation::{Activation, ActivationKind};
@@ -47,6 +50,7 @@ pub use linear::Linear;
 pub use loss::{correct_count, mse_loss, softmax_cross_entropy};
 pub use norm::BatchNorm2d;
 pub use optim::{LrSchedule, Sgd};
+pub use stats::{StatExchange, StatLink};
 
 /// Crate-wide result alias; all fallible layer operations yield
 /// [`alf_tensor::ShapeError`].

@@ -6,7 +6,7 @@ use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
 
 use crate::ctx::RunCtx;
-use crate::layer::{missing_cache, Layer, Mode, Param};
+use crate::layer::{missing_cache, Layer, Param};
 use crate::Result;
 
 /// Affine layer `y = x·Wᵀ + b` with `x: [n, in]`, `W: [out, in]`.
@@ -96,7 +96,7 @@ impl Layer for Linear {
         }
         ctx.count_flops(2 * (n * in_f * out_f) as u64);
         ctx.count_bytes(4 * (input.len() + self.weight.value.len() + n * out_f) as u64);
-        self.input = (ctx.mode() == Mode::Train).then(|| input.clone());
+        ctx.mode().cache(&mut self.input, || input.clone());
         Ok(out)
     }
 

@@ -4,6 +4,7 @@ use alf_tensor::{ShapeError, Tensor};
 
 use crate::ctx::RunCtx;
 use crate::layer::{missing_cache, Layer, Mode, Param};
+use crate::stats::{fold_slots, StatLink};
 use crate::Result;
 
 /// 2-D batch normalisation with learnable scale/shift and running
@@ -158,105 +159,127 @@ impl BatchNorm2d {
     }
 }
 
+/// Per-channel batch mean and (biased) variance of `input`
+/// (`[n, c, hw]`), the one definition of the batch-statistics arithmetic:
+/// each sample contributes one partial sum per channel — its plane sum,
+/// then its plane sum of squared deviations from the batch mean — and the
+/// partials are folded in slot order ([`fold_slots`]). With a `link` the
+/// fold runs over every participant's samples, so a shard sees exactly the
+/// statistics one pass over the whole batch computes.
+fn batch_stats(
+    input: &[f32],
+    [n, c, hw]: [usize; 3],
+    link: Option<&StatLink>,
+) -> Result<(Vec<f32>, Vec<f32>)> {
+    let m = (link.map_or(n, StatLink::slots) * hw) as f32;
+    let fold = |partials: &[f32]| match link {
+        Some(link) => link.fold(partials, c),
+        None => Ok(fold_slots(partials, c)),
+    };
+    let mut partials = vec![0.0f32; n * c];
+    for (p, plane) in partials.iter_mut().zip(0..) {
+        *p = input[plane * hw..][..hw].iter().sum::<f32>();
+    }
+    let mut mean = fold(&partials)?;
+    for v in &mut mean {
+        *v /= m;
+    }
+    for (p, plane) in partials.iter_mut().zip(0..) {
+        let mu = mean[plane % c];
+        *p = input[plane * hw..][..hw]
+            .iter()
+            .map(|&x| (x - mu) * (x - mu))
+            .sum::<f32>();
+    }
+    let mut var = fold(&partials)?;
+    for v in &mut var {
+        *v /= m;
+    }
+    Ok((mean, var))
+}
+
 impl Layer for BatchNorm2d {
-    #[allow(clippy::needless_range_loop)] // `ch` addresses several per-channel buffers
     fn forward(&mut self, input: &Tensor, ctx: &mut RunCtx) -> Result<Tensor> {
         let (n, c, h, w) = self.check_input(input)?;
-        let m = (n * h * w) as f32;
         let hw = h * w;
         let mut out = Tensor::zeros(input.dims());
         ctx.count_flops(10 * input.len() as u64);
         ctx.count_bytes(4 * 3 * input.len() as u64);
-        match ctx.mode() {
-            Mode::Train if ctx.freeze_norm() => {
-                // Frozen statistics: normalise with the running stats —
-                // bitwise the same normalisation evaluation applies — and
-                // leave them untouched. Caches xhat for the
-                // fixed-statistics gradient.
-                let (mut xhat, mut inv_stds) = match self.cache.take() {
-                    Some(cache) if cache.xhat.dims() == input.dims() => (cache.xhat, cache.inv_std),
-                    _ => (Tensor::zeros(input.dims()), vec![0.0; c]),
-                };
-                inv_stds.resize(c, 0.0);
-                for ch in 0..c {
-                    let mean = self.running_mean.data()[ch];
-                    let inv_std = 1.0 / (self.running_var.data()[ch] + self.eps).sqrt();
-                    inv_stds[ch] = inv_std;
-                    let (g, bta) = (self.gamma.value.data()[ch], self.beta.value.data()[ch]);
-                    for b in 0..n {
-                        let base = (b * c + ch) * hw;
-                        for i in 0..hw {
-                            let xh = (input.data()[base + i] - mean) * inv_std;
-                            xhat.data_mut()[base + i] = xh;
-                            out.data_mut()[base + i] = g * xh + bta;
-                        }
-                    }
-                }
-                self.cache = Some(Cache {
-                    xhat,
-                    inv_std: inv_stds,
-                    frozen: true,
-                });
-            }
-            Mode::Train => {
-                // Reuse the previous step's cache buffers when the shape
-                // matches — every element is overwritten below, so steady
-                // state allocates nothing here.
-                let (mut xhat, mut inv_stds) = match self.cache.take() {
-                    Some(cache) if cache.xhat.dims() == input.dims() => (cache.xhat, cache.inv_std),
-                    _ => (Tensor::zeros(input.dims()), vec![0.0; c]),
-                };
-                inv_stds.resize(c, 0.0);
-                for ch in 0..c {
-                    let mut mean = 0.0;
-                    for b in 0..n {
-                        let plane = &input.data()[(b * c + ch) * hw..(b * c + ch + 1) * hw];
-                        mean += plane.iter().sum::<f32>();
-                    }
-                    mean /= m;
-                    let mut var = 0.0;
-                    for b in 0..n {
-                        let plane = &input.data()[(b * c + ch) * hw..(b * c + ch + 1) * hw];
-                        var += plane.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>();
-                    }
-                    var /= m;
-                    let inv_std = 1.0 / (var + self.eps).sqrt();
-                    inv_stds[ch] = inv_std;
-                    let (g, bta) = (self.gamma.value.data()[ch], self.beta.value.data()[ch]);
-                    for b in 0..n {
-                        let base = (b * c + ch) * hw;
-                        for i in 0..hw {
-                            let xh = (input.data()[base + i] - mean) * inv_std;
-                            xhat.data_mut()[base + i] = xh;
-                            out.data_mut()[base + i] = g * xh + bta;
-                        }
-                    }
-                    let rm = &mut self.running_mean.data_mut()[ch];
-                    *rm = self.momentum * *rm + (1.0 - self.momentum) * mean;
-                    let rv = &mut self.running_var.data_mut()[ch];
-                    *rv = self.momentum * *rv + (1.0 - self.momentum) * var;
-                }
-                self.cache = Some(Cache {
-                    xhat,
-                    inv_std: inv_stds,
-                    frozen: false,
-                });
-            }
-            Mode::Eval => {
-                self.cache = None;
-                for ch in 0..c {
-                    let mean = self.running_mean.data()[ch];
-                    let inv_std = 1.0 / (self.running_var.data()[ch] + self.eps).sqrt();
-                    let (g, bta) = (self.gamma.value.data()[ch], self.beta.value.data()[ch]);
-                    for b in 0..n {
-                        let base = (b * c + ch) * hw;
-                        for i in 0..hw {
-                            out.data_mut()[base + i] =
-                                g * (input.data()[base + i] - mean) * inv_std + bta;
-                        }
+        let mode = ctx.mode();
+        if mode == Mode::Eval {
+            self.cache = None;
+            for ch in 0..c {
+                let mean = self.running_mean.data()[ch];
+                let inv_std = 1.0 / (self.running_var.data()[ch] + self.eps).sqrt();
+                let (g, bta) = (self.gamma.value.data()[ch], self.beta.value.data()[ch]);
+                for b in 0..n {
+                    let base = (b * c + ch) * hw;
+                    for i in 0..hw {
+                        out.data_mut()[base + i] =
+                            g * (input.data()[base + i] - mean) * inv_std + bta;
                     }
                 }
             }
+            return Ok(out);
+        }
+        // Frozen statistics: normalise with the running stats — bitwise
+        // the same normalisation evaluation applies — and leave them
+        // untouched; backward then treats them as constants. Otherwise
+        // batch statistics, which the running stats track.
+        let frozen = mode == Mode::Train && ctx.freeze_norm();
+        let (mean, var) = if frozen {
+            (
+                self.running_mean.data().to_vec(),
+                self.running_var.data().to_vec(),
+            )
+        } else {
+            let link = ctx.stat_link().filter(|_| mode == Mode::Stats);
+            let (mean, var) = batch_stats(input.data(), [n, c, hw], link)?;
+            let tracked = self.running_mean.data_mut().iter_mut().zip(&mean);
+            for (rm, &mu) in tracked {
+                *rm = self.momentum * *rm + (1.0 - self.momentum) * mu;
+            }
+            let tracked = self.running_var.data_mut().iter_mut().zip(&var);
+            for (rv, &v) in tracked {
+                *rv = self.momentum * *rv + (1.0 - self.momentum) * v;
+            }
+            (mean, var)
+        };
+        let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
+        // Only a training pass owns the backward cache; its xhat buffer is
+        // reused when the shape matches — every element is overwritten
+        // below, so steady state allocates nothing here.
+        let mut xhat = (mode == Mode::Train).then(|| match self.cache.take() {
+            Some(cache) if cache.xhat.dims() == input.dims() => cache.xhat,
+            _ => Tensor::zeros(input.dims()),
+        });
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        for plane in 0..n * c {
+            let ch = plane % c;
+            let (mu, is, g, bta) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
+            let x = &input.data()[plane * hw..][..hw];
+            let y = &mut out.data_mut()[plane * hw..][..hw];
+            match &mut xhat {
+                Some(xhat) => {
+                    let xh = &mut xhat.data_mut()[plane * hw..][..hw];
+                    for ((y, xh), &x) in y.iter_mut().zip(xh).zip(x) {
+                        *xh = (x - mu) * is;
+                        *y = g * *xh + bta;
+                    }
+                }
+                None => {
+                    for (y, &x) in y.iter_mut().zip(x) {
+                        *y = g * ((x - mu) * is) + bta;
+                    }
+                }
+            }
+        }
+        if let Some(xhat) = xhat {
+            self.cache = Some(Cache {
+                xhat,
+                inv_std,
+                frozen,
+            });
         }
         Ok(out)
     }
@@ -345,8 +368,11 @@ impl Layer for BatchNorm2d {
 mod tests {
     use super::*;
     use crate::gradcheck;
+    use crate::stats::StatExchange;
     use alf_tensor::init::Init;
     use alf_tensor::rng::Rng;
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn train_output_is_normalised() {
@@ -430,6 +456,107 @@ mod tests {
         }
         // Parameter gradients still accumulate (β gets Σdy = 9).
         assert!((bn.beta.grad.data()[0] - 9.0).abs() < 1e-4);
+    }
+
+    /// Runs `bn` clones over `x` cut into `shards` contiguous shards, one
+    /// thread each, as one sharded [`Mode::Stats`] pass; returns the
+    /// concatenated outputs and every shard's layer afterwards.
+    fn sharded_stats(bn: &BatchNorm2d, x: &Tensor, shards: usize) -> (Vec<f32>, Vec<BatchNorm2d>) {
+        let n = x.dims()[0];
+        let per = x.len() / n;
+        let exchange = Arc::new(StatExchange::new(n));
+        let results: Vec<(Tensor, BatchNorm2d)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..shards)
+                .map(|s| {
+                    let (lo, hi) = (s * n / shards, (s + 1) * n / shards);
+                    let exchange = Arc::clone(&exchange);
+                    let mut bn = bn.clone();
+                    scope.spawn(move || {
+                        let mut dims = x.dims().to_vec();
+                        dims[0] = hi - lo;
+                        let shard =
+                            Tensor::from_vec(x.data()[lo * per..hi * per].to_vec(), &dims).unwrap();
+                        let mut ctx = RunCtx::new(Mode::Stats);
+                        ctx.set_stat_link(Some(StatLink::new(exchange, lo)));
+                        (bn.forward(&shard, &mut ctx).unwrap(), bn)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut out = Vec::new();
+        let mut layers = Vec::new();
+        for (y, bn) in results {
+            out.extend_from_slice(y.data());
+            layers.push(bn);
+        }
+        (out, layers)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The sharded statistics pass is bitwise one whole-batch training
+        /// forward: same outputs, same running statistics on every shard,
+        /// for every contiguous split — uneven and one-sample shards
+        /// included.
+        #[test]
+        fn sharded_stats_pass_is_bitwise_a_whole_batch_train_forward(
+            n in 1usize..8,
+            c in 1usize..5,
+            h in 1usize..5,
+            w in 1usize..4,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = Rng::new(seed);
+            let x = Tensor::randn(&[n, c, h, w], Init::He, &mut rng);
+            let mut bn = BatchNorm2d::new(c);
+            bn.gamma.value = Tensor::randn(&[c], Init::Rand, &mut rng);
+            bn.beta.value = Tensor::randn(&[c], Init::Rand, &mut rng);
+            bn.running_mean = Tensor::randn(&[c], Init::Rand, &mut rng);
+            let mut whole = bn.clone();
+            let want = whole.forward(&x, &mut RunCtx::train()).unwrap();
+            for shards in [1usize, 2, 3, 5] {
+                let (got, layers) = sharded_stats(&bn, &x, shards.min(n));
+                prop_assert_eq!(&got[..], want.data());
+                for layer in &layers {
+                    prop_assert_eq!(layer.running_mean.data(), whole.running_mean.data());
+                    prop_assert_eq!(layer.running_var.data(), whole.running_var.data());
+                    prop_assert!(layer.cache.is_none());
+                }
+            }
+            // Without a link the pass stands alone over its own input, and
+            // it ignores `freeze_norm` (refreshing the statistics is its job).
+            let mut alone = bn.clone();
+            let mut ctx = RunCtx::new(Mode::Stats);
+            ctx.set_freeze_norm(true);
+            let got = alone.forward(&x, &mut ctx).unwrap();
+            prop_assert_eq!(got.data(), want.data());
+            prop_assert_eq!(alone.running_var.data(), whole.running_var.data());
+        }
+    }
+
+    #[test]
+    fn stats_pass_leaves_the_backward_cache_alone() {
+        let mut rng = Rng::new(11);
+        let one = Tensor::randn(&[1, 2, 3, 3], Init::He, &mut rng);
+        let many = Tensor::randn(&[4, 2, 3, 3], Init::He, &mut rng);
+        let mut bn = BatchNorm2d::new(2);
+        let mut ctx = RunCtx::train();
+        ctx.set_freeze_norm(true);
+        bn.forward(&one, &mut ctx).unwrap();
+        let mut untouched = bn.clone();
+        let ptr = bn.cache.as_ref().unwrap().xhat.data().as_ptr();
+        ctx.set_mode(Mode::Stats);
+        bn.forward(&many, &mut ctx).unwrap();
+        ctx.set_mode(Mode::Train);
+        assert_eq!(bn.cache.as_ref().unwrap().xhat.data().as_ptr(), ptr);
+        // The pending one-sample backward still sees its own forward.
+        let dy = Tensor::ones(one.dims());
+        assert_eq!(
+            bn.backward(&dy, &mut ctx).unwrap().data(),
+            untouched.backward(&dy, &mut ctx).unwrap().data()
+        );
     }
 
     #[test]

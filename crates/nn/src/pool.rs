@@ -48,7 +48,7 @@ impl Layer for GlobalAvgPool {
         }
         ctx.count_flops(input.len() as u64);
         ctx.count_bytes(4 * (input.len() + n * c) as u64);
-        self.input_dims = (ctx.mode() == Mode::Train).then_some([n, c, h, w]);
+        ctx.mode().cache(&mut self.input_dims, || [n, c, h, w]);
         Ok(out)
     }
 
@@ -122,7 +122,13 @@ impl Layer for MaxPool2d {
         }
         let (ho, wo) = (h / k, w / k);
         let mut out = Tensor::zeros(&[n, c, ho, wo]);
-        let mut argmax = match self.argmax.take() {
+        // A statistics pass must leave the cached argmax for the backward
+        // pass that owns it, so it writes into the spare buffer instead.
+        let cached = match ctx.mode() {
+            Mode::Stats => None,
+            Mode::Train | Mode::Eval => self.argmax.take(),
+        };
+        let mut argmax = match cached {
             Some((buf, _)) => buf,
             None => std::mem::take(&mut self.spare),
         };
@@ -247,7 +253,7 @@ impl Layer for AvgPool2d {
         }
         ctx.count_flops(input.len() as u64);
         ctx.count_bytes(4 * (input.len() + n * c * ho * wo) as u64);
-        self.input_dims = (ctx.mode() == Mode::Train).then_some([n, c, h, w]);
+        ctx.mode().cache(&mut self.input_dims, || [n, c, h, w]);
         Ok(out)
     }
 
@@ -306,7 +312,8 @@ impl Layer for Flatten {
         }
         let n = input.dims()[0];
         let rest = input.len() / n;
-        self.input_dims = (ctx.mode() == Mode::Train).then(|| input.dims().to_vec());
+        ctx.mode()
+            .cache(&mut self.input_dims, || input.dims().to_vec());
         input.reshape(&[n, rest])
     }
 
