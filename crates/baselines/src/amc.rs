@@ -15,13 +15,12 @@ use alf_core::train::evaluate;
 use alf_core::{CnnModel, NetworkCost};
 use alf_data::{Dataset, Split};
 use alf_tensor::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::api::chained_cost;
 use crate::Result;
 
 /// Hyper-parameters of the CEM policy search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AmcConfig {
     /// Candidates sampled per iteration.
     pub population: usize,
@@ -55,7 +54,7 @@ impl Default for AmcConfig {
 }
 
 /// Outcome of an AMC search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AmcOutcome {
     /// Best per-layer keep ratios found.
     pub keep_ratios: Vec<f32>,

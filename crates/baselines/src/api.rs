@@ -2,12 +2,11 @@
 
 use alf_core::model::ConvKind;
 use alf_core::{CnnModel, ConvShape, NetworkCost};
-use serde::{Deserialize, Serialize};
 
 use crate::magnitude::filter_ranking;
 
 /// The policy class of a compression method (Table I's taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Handcrafted rule (magnitude, FPGM).
     Handcrafted,
@@ -35,7 +34,7 @@ impl std::fmt::Display for Policy {
 }
 
 /// Outcome of applying a compression method to a network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressionResult {
     /// Method name (`magnitude`, `fpgm`, `amc`, `lcnn`, `alf`).
     pub method: String,

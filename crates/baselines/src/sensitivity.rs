@@ -10,13 +10,12 @@ use alf_core::model::ConvKind;
 use alf_core::train::evaluate;
 use alf_core::CnnModel;
 use alf_data::{Dataset, Split};
-use serde::{Deserialize, Serialize};
 
 use crate::magnitude::filter_ranking;
 use crate::Result;
 
 /// Sensitivity curve of one layer: accuracy at each probed keep-ratio.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSensitivity {
     /// Layer name.
     pub name: String,

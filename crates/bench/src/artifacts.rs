@@ -2,15 +2,12 @@
 //!
 //! The results grid keeps re-using the same handful of trained
 //! references — the vanilla Plain-20/ResNet-20, their ALF counterparts,
-//! and the synth-ImageNet ResNet-18 pair. Before this module each binary
-//! re-trained them from scratch under its own ad-hoc seeds; the
-//! [`ArtifactStore`] pins one canonical `(dataset, model seed, trainer
-//! seed)` triple per [`BaselineKind`] and caches the trained result, so
-//!
-//! * a standalone binary gets its references lazily on first use, and
-//! * the `alf-lab` DAG runs each `baseline:*` job once, after which every
-//!   consumer job hits the cache — asserted end-to-end through
-//!   [`ArtifactStore::train_counts`].
+//! and the synth-ImageNet ResNet-18 pair. The [`ArtifactStore`] pins one
+//! canonical `(dataset, model seed, trainer seed)` triple per
+//! [`BaselineKind`] and caches the trained result, so the `alf-lab` DAG
+//! runs each `baseline:*` job once, after which every consumer job hits
+//! the cache — asserted end-to-end through
+//! [`ArtifactStore::train_counts`].
 //!
 //! Training is deterministic for a given triple (see
 //! `alf_core::train::train_seeded`), so a cached artifact is bitwise what

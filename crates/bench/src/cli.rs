@@ -1,8 +1,4 @@
-//! The one command-line parser shared by every bench binary and the
-//! `alf-lab` campaign runner.
-//!
-//! Before this module each experiment binary re-parsed `std::env::args`
-//! by hand; now all of them (and `alf-lab`) accept the same surface:
+//! The command-line surface `alf-lab` parses for the experiment jobs:
 //!
 //! * `--scale {smoke|paper}` or the shorthands `--smoke` / `--paper`
 //!   (default: smoke);
@@ -10,7 +6,7 @@
 //! * `--out DIR` — artifact directory for the text table + JSON pair
 //!   every job writes (default `results`).
 //!
-//! Unknown arguments are kept and can be consumed by binary-specific
+//! Unknown arguments are kept and can be consumed by caller-specific
 //! flags through [`BenchArgs::flag`] / [`BenchArgs::value`];
 //! [`BenchArgs::finish`] rejects leftovers so typos fail loudly.
 
@@ -26,25 +22,9 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses the scale from `std::env::args`: either `--scale
+    /// Parses the scale from an argv slice: either `--scale
     /// {smoke|paper}` or the bare shorthands `--smoke` / `--paper`.
     /// Defaults to smoke.
-    ///
-    /// This is the workspace's only scale parser (`scripts/verify.sh`
-    /// grep-gates that it stays the single definition); binaries that
-    /// need the rest of the shared surface use [`BenchArgs::parse`],
-    /// which routes through the same argv logic.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on an unknown scale value or when both
-    /// shorthands are given.
-    pub fn from_args() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_argv(&argv).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The argv half of [`Scale::from_args`], reusable on any slice.
     ///
     /// # Errors
     ///
@@ -97,13 +77,6 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args`, exiting with a message on malformed input
-    /// (the behaviour every bench binary previously hand-rolled).
-    pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_argv(&argv).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Parses an explicit argv slice.
     ///
     /// # Errors

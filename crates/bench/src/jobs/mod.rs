@@ -1,13 +1,11 @@
 //! The paper's results grid as typed, composable job functions.
 //!
-//! Each figure/table binary used to own its experiment body; those bodies
-//! now live here as functions from a [`JobCtx`] to a structured
-//! [`JobResult`], and the binaries are thin wrappers. [`JobKind`] is the
-//! declarative grid: every job has a stable id, an explicit dependency
-//! list ([`JobKind::deps`] — shared `baseline:*` training jobs feed the
-//! tables, figures and ablations so each reference trains exactly once),
-//! and a thread lease ([`JobKind::threads`]) the `alf-lab` scheduler
-//! budgets with.
+//! Each experiment body is a function from a [`JobCtx`] to a structured
+//! [`JobResult`]. [`JobKind`] is the declarative grid: every job has a
+//! stable id, an explicit dependency list ([`JobKind::deps`] — shared
+//! `baseline:*` training jobs feed the tables, figures and ablations so
+//! each reference trains exactly once), and a thread lease
+//! ([`JobKind::threads`]) the `alf-lab` scheduler budgets with.
 
 use alf_core::train::Evaluator;
 use alf_core::{ConvShape, Result};
@@ -212,33 +210,6 @@ impl JobKind {
 /// (the mapper's errors are configuration bugs, reported as such).
 pub(crate) fn map_hw<T>(r: std::result::Result<T, alf_hwmodel::MapperError>) -> Result<T> {
     r.map_err(|e| alf_tensor::ShapeError::new("hwmodel", e.to_string()))
-}
-
-/// Body of every standalone figure/table binary: parse the shared CLI
-/// surface, run one job against a fresh artifact store (dependencies
-/// resolve lazily through the store), print the text report and write the
-/// `results/<job>.{txt,json}` artifact pair.
-///
-/// # Panics
-///
-/// Panics on malformed arguments, an unknown job id, or a failing job —
-/// the standalone binaries are developer tools and fail loudly.
-pub fn standalone_main(id: &str) {
-    let args = crate::BenchArgs::parse();
-    let scale = args.scale;
-    let threads = args.jobs;
-    let out = args.out_dir();
-    args.finish().unwrap_or_else(|e| panic!("{e}"));
-    let job = JobKind::from_id(id).unwrap_or_else(|| panic!("unknown job '{id}'"));
-    let store = ArtifactStore::with_threads(scale, threads);
-    let ctx = JobCtx {
-        store: &store,
-        threads,
-    };
-    let result = job.run(&ctx).expect("job failed");
-    print!("{}", result.to_text());
-    let (txt, json) = result.write_artifacts(&out).expect("write artifacts");
-    eprintln!("wrote {} and {}", txt.display(), json.display());
 }
 
 /// Maps measured keep *ratios* onto per-layer kept-filter counts of a

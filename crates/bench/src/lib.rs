@@ -1,9 +1,10 @@
-//! Shared infrastructure for the experiment binaries and the `alf-lab`
+//! The paper's experiments as a library of jobs, run by the `alf-lab`
 //! campaign runner.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/`:
+//! Every table and figure of the paper is a job (`alf-lab list` prints
+//! the grid; `alf-lab run --only <job>` runs one with its dependencies):
 //!
-//! | artefact  | binary              |
+//! | artefact  | job id              |
 //! |-----------|---------------------|
 //! | Fig. 2a   | `fig2a`             |
 //! | Fig. 2b   | `fig2b`             |
@@ -12,17 +13,15 @@
 //! | Fig. 3    | `fig3`              |
 //! | Table III | `table3`            |
 //! | headline  | `headline`          |
-//! | ablations | `ablation_ste`, `ablation_nuprune`, `ablation_dataflow`, `ablation_fusion`, `ablation_quant` |
+//! | ablations | `ablation_ste`, `ablation_nuprune`, `ablation_dataflow`, `ablation_fusion`, `ablation_quant`, `sensitivity` |
 //!
-//! The experiment *bodies* live in [`jobs`] as functions from a typed
-//! context to a structured [`report::JobResult`]; the binaries are thin
-//! wrappers that parse [`cli::BenchArgs`], run one job against a fresh
-//! [`artifacts::ArtifactStore`], print the text report and drop
-//! `results/<job>.{txt,json}`. `alf-lab` runs the same jobs as one
+//! The experiment bodies live in [`jobs`] as functions from a typed
+//! context to a structured [`report::JobResult`], written as
+//! `<out>/<job>.{txt,json}`. `alf-lab` runs them as one
 //! dependency-scheduled campaign in which the shared baseline trainings
 //! of [`artifacts`] happen exactly once.
 //!
-//! All binaries accept `--scale smoke` (default; seconds) or
+//! Every job runs at `--scale smoke` (default; seconds) or
 //! `--scale paper` (the full sweep; minutes to hours on a laptop).
 
 #![forbid(unsafe_code)]

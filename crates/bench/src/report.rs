@@ -2,8 +2,8 @@
 //!
 //! Every figure/table job produces a [`JobResult`] — named tables, a flat
 //! metrics map, free-text notes, and the [`ParetoPoint`]s it contributes
-//! to the campaign-level accuracy-vs-cost frontier. The thin binary
-//! wrappers (and the `alf-lab` scheduler) render the same result twice:
+//! to the campaign-level accuracy-vs-cost frontier. The `alf-lab`
+//! scheduler renders the same result twice:
 //! [`JobResult::to_text`] for humans, [`JobResult::to_json`] (through
 //! `alf_obs::JsonWriter`) for machines, written side by side as
 //! `<out>/<job>.txt` and `<out>/<job>.json`.

@@ -46,7 +46,7 @@ use alf_tensor::{ShapeError, Tensor};
 use crate::Result;
 
 /// Statistics of one autoencoder optimisation step.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AeStats {
     /// Reconstruction loss `Lrec = MSE(W, Wrec)`.
     pub l_rec: f32,

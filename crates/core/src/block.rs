@@ -211,7 +211,8 @@ impl AlfBlock {
     /// Toggles the occupancy-aware execution paths (the code conv's
     /// `ActiveRows` elision and the autoencoder's sparse step). Purely a
     /// performance switch — both settings produce bitwise-identical
-    /// results; `train_bench`'s dense reference runs with this off.
+    /// results; the dense references of the sparse/dense tests run with
+    /// this off.
     pub fn set_sparse_execution(&mut self, on: bool) {
         self.sparse_exec = on;
         self.ae.set_sparse_exec(on);

@@ -8,7 +8,6 @@
 
 use alf_nn::activation::ActivationKind;
 use alf_tensor::init::Init;
-use serde::{Deserialize, Serialize};
 
 use crate::block::AlfBlockConfig;
 use crate::models::plain20_alf;
@@ -16,7 +15,7 @@ use crate::train::{AlfHyper, AlfTrainer};
 use crate::Result;
 
 /// Shared experimental setup for the exploration runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploreSetup {
     /// Dataset seed.
     pub data_seed: u64,
@@ -99,8 +98,8 @@ impl ExploreSetup {
     }
 
     /// Runs a batch of labelled configurations, fanning them out across
-    /// `crossbeam` scoped threads (each configuration trains
-    /// independently). Results come back in input order.
+    /// scoped threads (each configuration trains independently). Results
+    /// come back in input order.
     fn run_configs(&self, configs: Vec<(String, AlfBlockConfig)>) -> Result<Vec<ConfigResult>> {
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -108,10 +107,10 @@ impl ExploreSetup {
             .min(configs.len())
             .max(1);
         let chunk = configs.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for group in configs.chunks(chunk) {
-                handles.push(scope.spawn(move |_| -> Result<Vec<ConfigResult>> {
+                handles.push(scope.spawn(move || -> Result<Vec<ConfigResult>> {
                     group
                         .iter()
                         .map(|(label, config)| self.run_config(label, *config))
@@ -124,12 +123,11 @@ impl ExploreSetup {
             }
             Ok(out)
         })
-        .expect("exploration scope panicked")
     }
 }
 
 /// Accuracy of one explored configuration across repeats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigResult {
     /// Configuration label in the paper's bar notation, e.g.
     /// `xavier|relu|bn`.
@@ -173,7 +171,7 @@ impl ConfigResult {
 
 /// One variant of the Setup 3 sweep (Fig. 2c): an autoencoder learning
 /// rate / clip threshold pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PruneVariant {
     /// Display label (e.g. `lr=1e-3,t=1e-4`).
     pub label: String,
@@ -195,7 +193,7 @@ impl PruneVariant {
 }
 
 /// Per-variant outcome of the Setup 3 sweep: the full per-epoch series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PruneSweepResult {
     /// Variant label.
     pub label: String,

@@ -6,8 +6,6 @@
 //! exactly; the unit tests check the paper's own numbers (Plain-20 /
 //! ResNet-20: 0.27 M params, 81.1 M OPs at 32×32).
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one executed convolution layer.
 ///
 /// Everything the cost model (and the accelerator model in `alf-hwmodel`)
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(conv1.params(), 432);
 /// assert_eq!(conv1.macs(), 432 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConvShape {
     /// Layer name (e.g. `conv311` in the paper's Fig. 3 notation).
     pub name: String,
@@ -124,7 +122,7 @@ impl ConvShape {
 }
 
 /// Aggregate cost of a network: totals of [`ConvShape`] layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetworkCost {
     /// Total trainable parameters.
     pub params: u64,

@@ -11,7 +11,6 @@
 
 use alf_nn::layer::Layer;
 use alf_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::model::CnnModel;
 
@@ -68,7 +67,7 @@ impl std::fmt::Display for QuantError {
 impl std::error::Error for QuantError {}
 
 /// A symmetric linear quantizer for one tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     /// Bit-width `b ∈ [2, 16]`.
     pub bits: u8,
@@ -130,7 +129,7 @@ impl Quantizer {
 }
 
 /// Summary of quantizing a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantReport {
     /// Bit-width applied.
     pub bits: u8,

@@ -7,8 +7,6 @@
 //! the end of training — the adaptive analogue of Han et al.'s layer
 //! sensitivity.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the `νprune` schedule.
 ///
 /// # Example
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.nu(0.85), 0.0);        // no pressure at the target
 /// assert_eq!(s.nu(1.0), 0.0);         // clamped beyond the target
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PruneSchedule {
     /// Sensitivity slope `m ∈ [1, 10]`.
     pub slope: f32,

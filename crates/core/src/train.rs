@@ -19,7 +19,6 @@ use alf_obs::events::{EventLog, TelemetrySink};
 use alf_obs::runtime::resolve_threads;
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::autoencoder::AeStats;
 use crate::block::AlfBlock;
@@ -29,7 +28,7 @@ use crate::schedule::PruneSchedule;
 use crate::Result;
 
 /// Hyper-parameters of the two-player game.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlfHyper {
     /// Task-player learning rate.
     pub task_lr: f32,
@@ -74,7 +73,7 @@ impl Default for AlfHyper {
 }
 
 /// Per-epoch training statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -92,7 +91,7 @@ pub struct EpochStats {
 }
 
 /// Full training trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Name of the trained model.
     pub model_name: String,
@@ -513,12 +512,12 @@ impl AlfTrainer {
                 self.ae_ctxs.resize_with(workers, RunCtx::train);
             }
             let hyper = &self.hyper;
-            let per_chunk = crossbeam::thread::scope(|scope| {
+            let per_chunk = std::thread::scope(|scope| {
                 let handles: Vec<_> = blocks
                     .chunks_mut(n_blocks.div_ceil(workers))
                     .zip(&mut self.ae_ctxs)
                     .map(|(chunk, ctx)| {
-                        scope.spawn(move |_| -> Result<Vec<AeStats>> {
+                        scope.spawn(move || -> Result<Vec<AeStats>> {
                             let mut out = Vec::with_capacity(chunk.len());
                             play_blocks(hyper, chunk, ctx, &mut out)?;
                             Ok(out)
@@ -529,8 +528,7 @@ impl AlfTrainer {
                     .into_iter()
                     .map(|h| h.join().expect("autoencoder worker panicked"))
                     .collect::<Result<Vec<_>>>()
-            })
-            .expect("autoencoder scope panicked")?;
+            })?;
             self.ae_stats.extend(per_chunk.into_iter().flatten());
         }
         let l_rec = self
@@ -714,7 +712,7 @@ impl Evaluator {
     }
 
     /// Evaluates classification accuracy of `model` on a dataset split,
-    /// fanning batches out over `crossbeam` scoped threads.
+    /// fanning batches out over scoped threads.
     ///
     /// The source model is only read (through [`Layer::visit_state_ref`]),
     /// so callers holding a shared borrow — e.g. a serving loop evaluating
@@ -740,7 +738,7 @@ impl Evaluator {
         self.snapshot
             .sync_replicas(model, &mut self.slots, threads, RunCtx::eval);
         let chunk = n.div_ceil(threads);
-        let results = crossbeam::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (t, slot) in self.slots.iter_mut().enumerate() {
                 let lo = t * chunk;
@@ -748,7 +746,7 @@ impl Evaluator {
                 if lo >= hi {
                     continue;
                 }
-                handles.push(scope.spawn(move |_| -> Result<(usize, usize)> {
+                handles.push(scope.spawn(move || -> Result<(usize, usize)> {
                     let (local, ctx) = slot;
                     let mut correct = 0usize;
                     let mut start = lo;
@@ -767,8 +765,7 @@ impl Evaluator {
                 .into_iter()
                 .map(|h| h.join().expect("evaluation thread panicked"))
                 .collect::<Result<Vec<_>>>()
-        })
-        .expect("evaluation scope panicked")?;
+        })?;
         let (correct, total) = results
             .into_iter()
             .fold((0usize, 0usize), |(c, t), (dc, dt)| (c + dc, t + dt));

@@ -7,7 +7,6 @@
 
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::Result;
 
@@ -27,7 +26,7 @@ use crate::Result;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Augment {
     /// Probability of a horizontal flip per sample.
     pub hflip_prob: f32,

@@ -21,7 +21,7 @@
 //! The same floating-point adds happen on the same operand bits in the
 //! same dependency order as `tree_reduce_into_first`, so results are
 //! **bitwise identical to a single process at any rank count** — gated
-//! by `tests/dist.rs` and `train_bench`'s dist section.
+//! by `tests/dist.rs`.
 //!
 //! # Wire format
 //!

@@ -12,7 +12,7 @@
 //! add of `tree_reduce_into_first` thus happens exactly once, on
 //! identical operand bits, in a dependency-respecting order — so any
 //! rank count reproduces the single-process `DpTrainer` bitwise, which
-//! `tests/dist.rs` and the `train_bench` dist section gate.
+//! `tests/dist.rs` gates.
 //!
 //! Only gradients cross the wire: every rank replays the identical
 //! batch-mean scale, clip, optimizer step and autoencoder move from the

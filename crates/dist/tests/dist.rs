@@ -1,6 +1,7 @@
 //! Integration gates for the socket collective: multi-rank runs must be
 //! bitwise-identical to the single-process `DpTrainer`, failures must be
-//! typed, and the sparse gradient wire must engage on pruned models.
+//! typed, and the sparse gradient wire must engage on pruned models and
+//! carry fewer bytes the lower the mask occupancy.
 //!
 //! Ranks run as in-process threads over real loopback TCP sockets —
 //! same wire, same framing, same reducer as `alf dist`, minus the
@@ -122,16 +123,16 @@ fn collectives_are_bitwise_identical_to_single_process() {
 fn pruned_model_engages_the_sparse_wire_and_stays_bitwise() {
     let data = small_data(13);
     // Wide threshold so a few optimisation steps can't move forced
-    // channels across the clip band (same trick as train_bench's sweep).
+    // channels across the clip band.
     let config = AlfBlockConfig {
         threshold: 0.5,
         ..AlfBlockConfig::paper_default()
     };
-    let pruned_model = || {
+    let model_at = |occupancy: f32| {
         let mut m = plain20_alf(4, 8, config, 3).unwrap();
         for block in m.alf_blocks_mut() {
             let total = block.total_filters();
-            let clip = total / 2;
+            let clip = ((1.0 - occupancy) * total as f32).round() as usize;
             for ch in 0..clip.min(total.saturating_sub(1)) {
                 block.autoencoder_mut().set_mask_value(ch, 0.05);
             }
@@ -139,35 +140,52 @@ fn pruned_model_engages_the_sparse_wire_and_stays_bitwise() {
         m
     };
     let steps = 4usize;
-    let mut reference = DpTrainer::new(pruned_model(), quick_config()).unwrap();
-    reference.run_steps(&data, steps).unwrap();
+    // Gradient bytes both ranks put on the wire, per occupancy level.
+    let mut wire_bytes = Vec::new();
+    for occupancy in [1.0f32, 0.7, 0.4] {
+        let mut reference = DpTrainer::new(model_at(occupancy), quick_config()).unwrap();
+        reference.run_steps(&data, steps).unwrap();
 
-    let addr = alf_dist::ephemeral_addr().unwrap();
-    let listener = TcpListener::bind(addr).unwrap();
-    let (master_bits, sparse_count, worker_bits) = thread::scope(|s| {
-        let worker = s.spawn(|| {
-            let dist = DistConfig::new(2, 1, addr);
-            let mut trainer = DpTrainer::new(pruned_model(), quick_config()).unwrap();
-            let mut red = DistReducer::worker(dist, trainer.model(), None).unwrap();
+        let addr = alf_dist::ephemeral_addr().unwrap();
+        let listener = TcpListener::bind(addr).unwrap();
+        let (master_bits, sparse_count, bytes, worker_bits) = thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let dist = DistConfig::new(2, 1, addr);
+                let mut trainer = DpTrainer::new(model_at(occupancy), quick_config()).unwrap();
+                let mut red = DistReducer::worker(dist, trainer.model(), None).unwrap();
+                for _ in 0..steps {
+                    trainer.advance_step_with(&data, &mut red).unwrap();
+                }
+                (state_bits(&trainer), red.metrics().grad_bytes_tx.get())
+            });
+            let dist = DistConfig::new(2, 0, addr);
+            let mut trainer = DpTrainer::new(model_at(occupancy), quick_config()).unwrap();
+            let mut red = DistReducer::master(dist, trainer.model(), &listener, None).unwrap();
             for _ in 0..steps {
                 trainer.advance_step_with(&data, &mut red).unwrap();
             }
-            state_bits(&trainer)
+            let sparse = red.metrics().tensors_sparse.get();
+            let (worker_bits, worker_bytes) = worker.join().unwrap();
+            let bytes = red.metrics().grad_bytes_tx.get() + worker_bytes;
+            (state_bits(&trainer), sparse, bytes, worker_bits)
         });
-        let dist = DistConfig::new(2, 0, addr);
-        let mut trainer = DpTrainer::new(pruned_model(), quick_config()).unwrap();
-        let mut red = DistReducer::master(dist, trainer.model(), &listener, None).unwrap();
-        for _ in 0..steps {
-            trainer.advance_step_with(&data, &mut red).unwrap();
+        assert_eq!(
+            master_bits,
+            state_bits(&reference),
+            "occupancy {occupancy}: collective diverged from the 1-process reference"
+        );
+        assert_eq!(worker_bits, master_bits, "occupancy {occupancy}");
+        if occupancy < 1.0 {
+            assert!(
+                sparse_count > 0,
+                "occupancy {occupancy}: pruned STE model should take the sparse encoding"
+            );
         }
-        let sparse = red.metrics().tensors_sparse.get();
-        (state_bits(&trainer), sparse, worker.join().unwrap())
-    });
-    assert_eq!(master_bits, state_bits(&reference));
-    assert_eq!(worker_bits, master_bits);
+        wire_bytes.push(bytes);
+    }
     assert!(
-        sparse_count > 0,
-        "half-pruned STE model should take the sparse encoding at least once"
+        wire_bytes.windows(2).all(|pair| pair[1] < pair[0]),
+        "gradient bytes on the wire must strictly decrease as occupancy drops: {wire_bytes:?}"
     );
 }
 

@@ -127,7 +127,7 @@ impl ShardJob<'_> {
         let leaf_chunks = split_shards(leaves, threads);
         let loss_chunks = split_shards(losses, threads);
         let correct_chunks = split_shards(corrects, threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (s, (((leaves, losses), corrects), slot)) in leaf_chunks
                 .into_iter()
@@ -137,7 +137,7 @@ impl ShardJob<'_> {
                 .enumerate()
             {
                 let exchange = &exchange;
-                handles.push(scope.spawn(move |_| -> Result<()> {
+                handles.push(scope.spawn(move || -> Result<()> {
                     let (replica, ctx) = slot;
                     let stat_shard = shard_range(b, s, threads);
                     exchange.participate(|| {
@@ -197,7 +197,6 @@ impl ShardJob<'_> {
             }
             failed.map_or(Ok(()), Err)
         })
-        .expect("dp scope panicked")
     }
 }
 
@@ -565,7 +564,7 @@ impl DpTrainer {
     }
 
     /// Flat copy of the model's full persistent state, for bitwise
-    /// comparisons in tests and the determinism gate of `train_bench`.
+    /// comparisons in tests.
     pub fn state_vector(&self) -> Vec<f32> {
         let mut out = Vec::new();
         self.model()

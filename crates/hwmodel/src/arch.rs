@@ -1,14 +1,12 @@
 //! Accelerator hardware description.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy cost of one access at each memory level, normalised to a single
 /// register-file read (= 1.0).
 ///
 /// The defaults follow the relative costs published with Eyeriss
 /// (Chen et al., ISCA 2016): register file 1×, inter-PE/global buffer 6×,
 /// off-chip DRAM 200× — the same normalisation the paper uses for Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyTable {
     /// Register-file access (the normalisation unit).
     pub rf: f64,
@@ -39,7 +37,7 @@ impl Default for EnergyTable {
 /// assert_eq!(acc.pe_count(), 256);
 /// assert_eq!(acc.global_buffer_words, 65536); // 128 KiB of 16-bit words
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Accelerator {
     /// Human-readable name.
     pub name: String,

@@ -6,10 +6,8 @@
 //! models; weight- and output-stationary are provided for the ablation
 //! bench (`ablation_dataflow`).
 
-use serde::{Deserialize, Serialize};
-
 /// The spatial/temporal reuse pattern of the PE array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Eyeriss row-stationary: a PE holds one filter row and slides it over
     /// one input row; kernel rows map onto PE rows, output rows onto PE

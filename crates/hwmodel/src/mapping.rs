@@ -1,7 +1,5 @@
 //! Mapping of a convolution onto the accelerator and its analytical cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::Accelerator;
 use crate::dataflow::Dataflow;
 use crate::workload::ConvWorkload;
@@ -14,7 +12,7 @@ use crate::workload::ConvWorkload;
 /// * `c_tile` — input channels resident in the global buffer at once.
 /// * `m_spatial` — filters unrolled vertically across the PE array.
 /// * `c_spatial` — input channels unrolled horizontally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mapping {
     /// Output rows per pixel pass.
     pub e_rows: usize,
@@ -30,7 +28,7 @@ pub struct Mapping {
 
 /// Evaluated cost of a mapping: access counts per level, energy breakdown,
 /// latency and PE utilisation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MappingCost {
     /// Register-file accesses.
     pub rf_accesses: f64,

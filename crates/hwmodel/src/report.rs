@@ -1,12 +1,10 @@
 //! Per-layer and per-network evaluation reports (the data behind Fig. 3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::mapper::{Mapper, MapperError};
 use crate::workload::ConvWorkload;
 
 /// Evaluated cost of one layer on the accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer name.
     pub name: String,
@@ -36,7 +34,7 @@ impl LayerReport {
 /// Multi-part layers (an ALF block's code conv + expansion) can be merged
 /// into a single display row with [`NetworkReport::merged`] so the output
 /// lines up with the paper's per-layer figure.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NetworkReport {
     /// Per-layer reports, in execution order.
     pub layers: Vec<LayerReport>,

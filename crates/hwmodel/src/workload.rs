@@ -1,7 +1,6 @@
 //! Convolution workload description (loop bounds of one layer).
 
 use alf_core::ConvShape;
-use serde::{Deserialize, Serialize};
 
 /// One convolution layer's execution bounds, including the batch size.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let w = ConvWorkload::from_shape(&shape, 16);
 /// assert_eq!(w.macs(), 16 * 3 * 16 * 9 * 32 * 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConvWorkload {
     /// Layer name.
     pub name: String,

@@ -4,9 +4,9 @@
 //! a request and blocks until the full `content-length`-framed response
 //! arrives. Bytes read past the current response (server pipelining never
 //! happens here, but short reads split anywhere) carry over to the next
-//! call. This is the load-generation side of `serve_bench`'s socket mode
-//! and of the socket smoke test — deliberately simple, not a general
-//! client.
+//! call. This is the load-generation side of the `serve_http` benchmark
+//! workload and of the socket smoke test — deliberately simple, not a
+//! general client.
 //!
 //! The connection carries **both** a read and a write deadline (a
 //! stalled server can block a writer too, once the socket send buffer

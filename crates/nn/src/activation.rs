@@ -13,7 +13,7 @@ use crate::layer::{missing_cache, Layer, Mode};
 use crate::Result;
 
 /// Which pointwise non-linearity to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivationKind {
     /// Rectified linear unit, `max(0, x)`.
     Relu,

@@ -10,7 +10,7 @@ use alf_tensor::Tensor;
 use crate::layer::Param;
 
 /// Learning-rate schedule evaluated per epoch.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LrSchedule {
     /// Constant learning rate.
     Constant,

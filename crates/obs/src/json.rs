@@ -1,7 +1,7 @@
 //! The workspace's single JSON writer.
 //!
 //! Every JSON emitter in the workspace — the profiler report, server
-//! statistics, the bench binaries' `BENCH_*.json` files and the JSONL
+//! statistics, the experiment jobs' reports and the JSONL
 //! event log — routes through [`JsonWriter`], so escaping and number
 //! formatting are defined in exactly one place (`scripts/verify.sh`
 //! grep-gates that [`json_escape`] stays the only escape implementation).

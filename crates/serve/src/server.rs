@@ -1,8 +1,8 @@
 //! The serving engine: bounded admission queue, worker-side dynamic
 //! micro-batching, hot checkpoint swap and graceful drain.
 //!
-//! Concurrency layout (std primitives only — the vendored `crossbeam`
-//! carries just scoped threads, which long-lived workers cannot use):
+//! Concurrency layout (std primitives only; long-lived workers cannot
+//! use scoped threads):
 //!
 //! * One `Mutex<QueueState>` + `Condvar` carries requests and the drain
 //!   flag. Workers coalesce batches *pull-side*: the worker that pops the

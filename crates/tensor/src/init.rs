@@ -20,7 +20,7 @@ use crate::Tensor;
 /// let w = Tensor::randn(&[16, 3, 3, 3], Init::He, &mut rng);
 /// assert_eq!(w.len(), 16 * 3 * 3 * 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Init {
     /// He normal: `N(0, sqrt(2 / fan_in))` — suited to ReLU networks.
     He,

@@ -12,7 +12,7 @@ use super::matmul;
 /// let spec = Conv2dSpec::new(3, 1, 1); // 3x3, stride 1, "same" padding
 /// assert_eq!(spec.output_hw(32, 32), (32, 32));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dSpec {
     /// Square kernel size `K`.
     pub kernel: usize,

@@ -51,8 +51,8 @@
 //! identity gathers; see [`super::qgemm`] for why it stays exact.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
-//! `MC` (one chunk per worker, spawned per `(NC, KC)` block through the
-//! crossbeam facade). Workers share the read-only packed `B` and own
+//! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
+//! `std::thread::scope`). Workers share the read-only packed `B` and own
 //! disjoint `A`-packing buffers and `C` row ranges, so results are
 //! **bitwise identical for every thread count**: each `C` element is
 //! accumulated by exactly one worker in exactly the order the
@@ -563,14 +563,14 @@ pub(super) fn gemm_driver<T: Element>(
                 );
             } else {
                 let bref = &bpack;
-                crossbeam::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     let chunks = c
                         .chunks_mut(rows_per_chunk * n)
                         .zip(apack_all.chunks_mut(rows_per_chunk * kmax))
                         .enumerate();
                     let handles: Vec<_> = chunks
                         .map(|(t, (c_chunk, apack))| {
-                            scope.spawn(move |_| {
+                            scope.spawn(move || {
                                 let row0 = t * rows_per_chunk;
                                 let mrows = c_chunk.len() / n;
                                 process_rows(
@@ -583,8 +583,7 @@ pub(super) fn gemm_driver<T: Element>(
                     for h in handles {
                         h.join().expect("gemm worker panicked");
                     }
-                })
-                .expect("gemm thread scope failed");
+                });
             }
             pc += kc;
         }

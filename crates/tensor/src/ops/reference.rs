@@ -3,14 +3,10 @@
 //! These are the exact loop nests the repo shipped with before the
 //! blocked GEMM landed ([`super::gemm`]): single-threaded, no packing, no
 //! tiling, and — in the non-transposed variants — an unconditional
-//! `av == 0.0` skip in the inner loop. They exist for two reasons:
-//!
-//! 1. **Differential testing.** The blocked kernel is property-tested
-//!    against these across randomized shapes; any divergence beyond
-//!    accumulation-order rounding is a kernel bug.
-//! 2. **Benchmark baseline.** `BENCH_gemm.json` reports the blocked
-//!    kernel's speedup over these loops, so the baseline must stay
-//!    byte-for-byte what the seed ran.
+//! `av == 0.0` skip in the inner loop. They exist for differential
+//! testing: the blocked kernel is property-tested against these across
+//! randomized shapes; any divergence beyond accumulation-order rounding
+//! is a kernel bug.
 //!
 //! Do not "optimise" this module; route performance work through
 //! [`super::gemm`] instead.

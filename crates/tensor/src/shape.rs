@@ -17,7 +17,7 @@ use crate::ShapeError;
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// assert_eq!(s.offset(&[1, 2, 3]), 23);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

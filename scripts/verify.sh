@@ -7,52 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-# The serving benchmark gates that the deploy::Pipeline compressed form
-# improves serving throughput, that the fused int8 deployment beats the
-# f32 compressed path while agreeing with it on >=99% of predictions,
-# and that the server neither deadlocks nor panics under open-loop load
-# — in process and again end to end over real TCP connections (the
-# socket section of BENCH_serve.json); the timeout turns a hang into a
-# hard failure.
-echo "==> serve_bench --smoke (includes socket-mode + int8 gates)"
-timeout 300 cargo run --release -q -p alf-bench --bin serve_bench -- --smoke
-
-# The int8 serving integration test drives Precision::Int8 through the
-# public Server API: every request must come back with a valid class and
-# the int8 predictions must track the f32 deployment's.
-echo "==> int8 serving smoke (release)"
-timeout 300 cargo test --release -q --test serving \
-  int8_precision_serves_and_tracks_the_f32_deployment
-
-# The socket smoke test drives the network front end over an ephemeral
-# port: concurrent keep-alive clients, one hot checkpoint swap over the
-# wire, one tenant-over-quota burst. Every request must be answered or
-# typed-rejected and the /metrics totals must account exactly for the
-# client-side tallies; the timeout turns a poll-loop wedge into a hard
-# failure.
-echo "==> alf-net socket smoke (release)"
-timeout 300 cargo test --release -q -p alf-net --test socket_smoke
-
-# The training benchmark gates that data-parallel training is bitwise
-# independent of the worker count, that a killed run resumes from its
-# checkpoint bitwise identically (plus a >=1.5x 4-worker speedup gate on
-# hosts with a core per worker; smaller hosts print the measured ratio
-# and record speedup_gate_enforced: false), and that per-step JSONL
-# telemetry is read-only
-# (bitwise-identical weights) and stays within noise of the
-# telemetry-off wall time; the timeout turns a hang into a hard failure.
-echo "==> train_bench --smoke (includes telemetry overhead + bitwise gates)"
-timeout 300 cargo run --release -q -p alf-bench --bin train_bench -- --smoke
-
-# The GEMM benchmark gates that the blocked kernel beats the seed loops
-# and that packed-panel elision pays off monotonically as the zero-row
-# fraction rises (the occupancy-sweep gate), while staying bitwise equal
-# to the dense kernel; the timeout turns a hang into a hard failure.
-echo "==> gemm_bench --smoke (includes occupancy-sweep gate)"
-timeout 300 cargo run --release -q -p alf-bench --bin gemm_bench -- --scale smoke
+# Every crate's unit and integration suites, not only the facade's: the
+# bitwise gates (worker count, rank count, kill/resume, sparse vs dense,
+# telemetry on/off), the socket smoke and the int8 serving check all
+# live there. `[profile.test]` is opt-level 2, so no separate release
+# invocations are needed; the timeout turns a hang into a hard failure.
+echo "==> cargo test --workspace -q"
+timeout 900 cargo test --workspace -q
 
 # The repo benchmark is a package of its own that calls a frozen set of
 # the workspace's public names (benchmark/src/surface.rs). Building and
@@ -62,11 +23,6 @@ timeout 300 cargo run --release -q -p alf-bench --bin gemm_bench -- --scale smok
 echo "==> benchmark package: cargo test + run.sh --quick"
 (cd benchmark && cargo test --release --offline)
 timeout 600 bash benchmark/run.sh --quick
-
-# The kill/resume suite in release mode: checkpoints taken at every
-# phase of an epoch must restore the exact trajectory.
-echo "==> alf-dp resume tests (release)"
-timeout 300 cargo test --release -q -p alf-dp --test resume
 
 # The distributed-training smoke, end to end over real processes: a
 # 4-rank socket collective is killed mid-epoch (rank 2 dies after its
@@ -143,18 +99,6 @@ if ! grep -q '"status":"cached"' "$LAB_OUT/pareto-smoke.json"; then
   exit 1
 fi
 rm -rf "$LAB_OUT"
-
-# The experiment CLI surface is defined in exactly one place
-# (alf_bench::cli::Scale::from_args). A second `fn from_args` means a
-# binary regrew its own argv parsing that can drift from the shared
-# --scale/--jobs/--out surface.
-echo "==> single Scale::from_args definition"
-from_args_defs=$(grep -rn "pub fn from_args" crates src --include='*.rs' | wc -l)
-if [ "$from_args_defs" -ne 1 ]; then
-  grep -rn "pub fn from_args" crates src --include='*.rs' || true
-  echo "FAIL: expected exactly 1 from_args definition, found $from_args_defs"
-  exit 1
-fi
 
 # JSON formatting/escaping is defined in exactly one place
 # (alf_obs::json). A second `fn json_escape` anywhere in the workspace

@@ -1,7 +1,8 @@
 //! Quantitative checks against numbers stated in the paper that are exact
 //! architecture arithmetic (not training outcomes): Table II/III model
 //! costs, the `Ccode,max` bound of Eq. 2, and the Eyeriss model
-//! configuration of §IV-B.
+//! configuration of §IV-B — plus one consistency check that the headline
+//! table EXPERIMENTS.md prints is the committed `results/headline.json`.
 
 use alf::core::models::geometry;
 use alf::core::{ConvShape, NetworkCost};
@@ -100,4 +101,45 @@ fn alf_headline_is_reachable_at_paper_remaining_ratio() {
         (45.0..75.0).contains(&dm),
         "ops reduction {dm:.0}% should bracket the paper's 61%"
     );
+}
+
+#[test]
+fn experiments_headline_table_matches_committed_results() {
+    // EXPERIMENTS.md's "Headline claim" table is a hand copy of
+    // `results/headline.json`; each rounded metric must appear in the
+    // "measured" cell of its row.
+    let json = include_str!("../results/headline.json");
+    let doc = include_str!("../EXPERIMENTS.md");
+    let metric = |key: &str| -> f64 {
+        let tag = format!("\"{key}\":");
+        let start = json.find(&tag).unwrap_or_else(|| panic!("no {key}")) + tag.len();
+        let end = start + json[start..].find([',', '}']).unwrap();
+        json[start..end].parse().unwrap()
+    };
+    let rows = [
+        ("parameters", format!("−{:.0}%", metric("param_reduction"))),
+        ("operations", format!("−{:.0}%", metric("ops_reduction"))),
+        (
+            "execution time",
+            format!("−{:.0}%", metric("latency_reduction")),
+        ),
+        ("energy", format!("−{:.0}%", metric("energy_reduction"))),
+        (
+            "accuracy drop",
+            format!("{:.1} pts", 100.0 * metric("accuracy_drop")),
+        ),
+        (
+            "remaining filters",
+            format!("{:.0}%", 100.0 * metric("remaining_filters")),
+        ),
+    ];
+    let table = &doc[doc.find("## Headline claim").expect("headline section")..];
+    for (name, want) in rows {
+        let row = table
+            .lines()
+            .find(|l| l.starts_with(&format!("| {name} |")))
+            .unwrap_or_else(|| panic!("no '{name}' row"));
+        let measured = row.split('|').nth(2).unwrap().trim();
+        assert_eq!(measured, want, "EXPERIMENTS.md row '{name}'");
+    }
 }
