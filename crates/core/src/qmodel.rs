@@ -5,8 +5,10 @@
 //! and biases by `deploy::Pipeline` — plus a small calibration batch.
 //! Weights are symmetric per-tensor int8 (via [`Quantizer`]), activations
 //! are symmetric int8 with scales fitted to the calibration activations,
-//! and every convolution runs as an `i8×i8→i32` blocked GEMM
-//! (`alf_tensor::ops::gemm_i8_into`) with exact i32 accumulation.
+//! and every convolution runs as an `i8×i8→i32` blocked GEMM with exact
+//! i32 accumulation (`alf_tensor::ops::gemm_i8_into` per image for the
+//! 1×1 expansions, `alf_tensor::ops::conv_gemm_into` — the GEMM that packs
+//! its panels straight from the activations — for every other kernel).
 //!
 //! Requantization happens on store: the i32 accumulator is mapped back to
 //! real units with `acc · s_in · s_w`, the (f32) bias is added, the ReLU
@@ -21,7 +23,7 @@ use alf_nn::conv::Conv2d;
 use alf_nn::linear::Linear;
 use alf_nn::pool::GlobalAvgPool;
 use alf_nn::{Layer, Pass, RunCtx};
-use alf_tensor::ops::{gemm_i8_into, im2col_i8_into, Conv2dSpec};
+use alf_tensor::ops::{conv_gemm_into, gemm_i8_into, Conv2dSpec};
 use alf_tensor::{ShapeError, Tensor};
 
 use crate::model::{CnnModel, ConvKind, Unit};
@@ -464,21 +466,22 @@ impl QuantizedModel {
                         }
                         self.ctx.ws.give("qm_acc1", acc);
                     } else {
-                        let kk = conv.spec.kernel * conv.spec.kernel;
-                        let (rows, cols) = (c * kk, n * ho * wo);
-                        let mut colbuf: Vec<i8> = self.ctx.ws.take("qm_cols", rows * cols);
-                        im2col_i8_into(&mut colbuf, &cur, n, c, h, w, conv.spec);
+                        // Everything else: one implicit GEMM over the
+                        // whole batch, its B panels packed straight from
+                        // the i8 activations (no column matrix).
+                        let cols = n * plane;
                         let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc", conv.c_out * cols);
-                        gemm_i8_into(
+                        conv_gemm_into(
                             &mut acc,
                             &conv.weight,
-                            &colbuf,
+                            &cur,
                             conv.c_out,
-                            rows,
-                            cols,
+                            [n, c, h, w],
+                            conv.spec,
+                            None,
                             &mut self.ctx.ws,
+                            1,
                         );
-                        self.ctx.ws.give("qm_cols", colbuf);
                         // Requantize on store, rearranging [co, n·ho·wo]
                         // into NCHW as we go.
                         for co in 0..conv.c_out {

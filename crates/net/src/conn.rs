@@ -54,7 +54,7 @@ struct InFlight {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tick {
     /// Connection stays registered; `progressed` is true when bytes moved
-    /// or a request resolved (the poll loop skips its idle sleep then).
+    /// or a request resolved (the poll loop skips its idle park then).
     Open {
         /// Whether this tick did any work.
         progressed: bool,

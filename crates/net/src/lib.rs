@@ -18,7 +18,10 @@
 //!   [`ServeError`](alf_serve::ServeError) behind it.
 //! * [`NetServer`] — a nonblocking TCP listener and one poll thread
 //!   driving every connection's state machine; inference itself stays on
-//!   the serving workers.
+//!   the serving workers. The poll thread parks when idle: a finished
+//!   prediction unparks it at once (it is the thread that submitted the
+//!   request), new bytes on a socket wait for its next timed poll
+//!   (≤ 300 µs).
 //! * [`client::HttpClient`] — the blocking keep-alive client used by the
 //!   socket benchmarks and smoke tests.
 //!

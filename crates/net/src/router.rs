@@ -463,16 +463,12 @@ mod tests {
     use crate::http::{HttpLimits, RequestParser};
     use crate::quota::QuotaConfig;
     use alf_core::models::plain20;
-    use std::time::Duration;
 
     fn spec(name: &str) -> ModelSpec {
         ModelSpec {
             name: name.to_string(),
             model: plain20(4, 4).unwrap(),
-            serve: ServeConfig {
-                max_wait: Duration::from_millis(1),
-                ..ServeConfig::new(3, 12, 12)
-            },
+            serve: ServeConfig::new(3, 12, 12),
         }
     }
 

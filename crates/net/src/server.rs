@@ -4,12 +4,17 @@
 //! No epoll, no `unsafe`, no dependencies: the listener and every
 //! accepted stream are `set_nonblocking(true)`, and the single
 //! `alf-net-poll` thread loops accept → tick-every-connection → (idle)
-//! sleep ~300 µs. Each [`Connection`](crate::conn::Connection) tick makes
+//! park ≤ 300 µs. Each [`Connection`](crate::conn::Connection) tick makes
 //! whatever progress its socket allows; ticks never block, so a stalled
 //! peer cannot wedge the loop, and the replica workers inside each
 //! [`alf_serve::Server`] do the actual inference on their own threads —
 //! the poll thread only shuttles bytes and polls
-//! [`Pending::try_wait`](alf_serve::Pending::try_wait).
+//! [`Pending::try_wait`](alf_serve::Pending::try_wait). The two kinds of
+//! event it waits for wake it differently: a finished prediction unparks
+//! it (the poll thread is the one that submitted the request, and
+//! `alf_serve` unparks the submitter), so the response is written at once;
+//! bytes arriving on a socket are only seen at the next timed poll,
+//! because readiness notification needs epoll.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -59,7 +64,7 @@ impl NetConfig {
     }
 }
 
-/// How long the poll loop sleeps when no connection made progress.
+/// Longest the poll loop parks when no connection made progress.
 const IDLE_SLEEP: Duration = Duration::from_micros(300);
 
 /// A running front end: listener, poll thread, and the model servers
@@ -223,7 +228,10 @@ fn poll_loop(
         }
 
         if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
+            // A finished prediction unparks this thread (it submitted the
+            // request), so the response goes out at once; bytes arriving
+            // on a socket do not, hence the timeout.
+            std::thread::park_timeout(IDLE_SLEEP);
         }
     }
     // Poll thread exit closes the listener and every connection.
@@ -243,10 +251,7 @@ mod tests {
         ModelSpec {
             name: name.to_string(),
             model: plain20(4, 4).unwrap(),
-            serve: ServeConfig {
-                max_wait: Duration::from_millis(1),
-                ..ServeConfig::new(3, 12, 12)
-            },
+            serve: ServeConfig::new(3, 12, 12),
         }
     }
 

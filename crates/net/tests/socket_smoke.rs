@@ -44,7 +44,6 @@ fn socket_smoke() {
         name: "m".to_string(),
         model: plain20(4, 4).unwrap(),
         serve: ServeConfig {
-            max_wait: Duration::from_millis(1),
             queue_depth: 64,
             ..ServeConfig::new(3, 12, 12)
         },

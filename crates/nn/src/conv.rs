@@ -7,11 +7,18 @@
 //! across steps. A steady-state training step therefore allocates nothing
 //! beyond the output / input-gradient tensors the `Layer` API returns by
 //! value.
+//!
+//! Only [`Mode::Train`] owns a column matrix. The forward-only modes run
+//! the convolution as an implicit GEMM
+//! ([`conv_gemm_into`](alf_tensor::ops::conv_gemm_into): the `B` panels are
+//! packed straight from the `NCHW` input, bit for bit the panels the
+//! unfold-then-pack route builds): [`Mode::Eval`] releases the buffer a
+//! training run left behind, [`Mode::Stats`] neither reads nor writes it.
 
 use alf_tensor::init::Init;
 use alf_tensor::ops::{
-    auto_threads, col2im_into, gemm_active_k_into, gemm_active_rows_into, gemm_into, im2col_into,
-    ActiveRows, Conv2dSpec,
+    auto_threads, col2im_into, conv_gemm_into, gemm_active_k_into, gemm_active_rows_into,
+    gemm_into, im2col_into, ActiveRows, Conv2dSpec,
 };
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
@@ -54,9 +61,10 @@ pub struct Conv2d {
     c_out: usize,
     active_rows: Option<ActiveRows>,
     cache: Option<Cache>,
-    /// Layer-owned im2col column matrix, reused across steps. It must
-    /// survive from `forward` to `backward`, so it cannot live in the
-    /// shared arena — every conv would fight over one slot name there.
+    /// Layer-owned im2col column matrix of the last training forward,
+    /// reused across steps. It must survive from `forward` to `backward`,
+    /// so it cannot live in the shared arena — every conv would fight over
+    /// one slot name there. Empty in a layer that only ever evaluates.
     cols: Vec<f32>,
 }
 
@@ -234,57 +242,68 @@ impl Layer for Conv2d {
         let rows = ci * k * k;
         let ncols = n * ho * wo;
 
-        // The layer-owned column matrix reaches steady capacity after the
-        // first step; `resize` within capacity never reallocates. It is a
-        // backward cache, so a statistics pass unfolds into an arena slot
-        // instead of overwriting (and growing) it.
-        let mut stat_cols =
-            (ctx.mode() == Mode::Stats).then(|| ctx.ws.take::<f32>("stat_cols", rows * ncols));
-        let cols = match &mut stat_cols {
-            Some(scratch) => scratch,
-            None => {
-                self.cols.resize(rows * ncols, 0.0);
-                &mut self.cols
-            }
-        };
-        im2col_into(cols, input, self.spec)?;
-
         // [co, ci·k²] × [ci·k², n·ho·wo] → [co, n·ho·wo]; the stored
-        // [co, ci, k, k] weight is already row-major [co, ci·k²].
+        // [co, ci, k, k] weight is already row-major [co, ci·k²]. With a
+        // live-channel descriptor only those channels' rows are packed and
+        // multiplied; pruned channels are written as exact zeros, which is
+        // what their all-zero weight rows would produce.
         let mut prod = ctx.ws.take("prod", self.c_out * ncols);
         let threads = auto_threads(self.c_out, rows, ncols);
-        if let Some(live) = &self.active_rows {
-            // Declared occupancy: only the live channels' rows are packed
-            // and multiplied; pruned channels are written as exact zeros,
-            // which is what their all-zero weight rows would produce.
-            gemm_active_rows_into(
+        let live = self.active_rows.as_ref();
+        if ctx.mode() == Mode::Train {
+            // Backward multiplies by the column matrix, so a training
+            // forward unfolds it into the layer-owned buffer, which reaches
+            // steady capacity after the first step (`resize` within
+            // capacity never reallocates).
+            self.cols.resize(rows * ncols, 0.0);
+            im2col_into(&mut self.cols, input, self.spec)?;
+            match live {
+                Some(live) => gemm_active_rows_into(
+                    &mut prod,
+                    self.weight.value.data(),
+                    &self.cols,
+                    false,
+                    self.c_out,
+                    rows,
+                    ncols,
+                    live,
+                    &mut ctx.ws,
+                    threads,
+                ),
+                None => gemm_into(
+                    &mut prod,
+                    self.weight.value.data(),
+                    false,
+                    &self.cols,
+                    false,
+                    self.c_out,
+                    rows,
+                    ncols,
+                    &mut ctx.ws,
+                    threads,
+                ),
+            }
+        } else {
+            // Nothing will read a column matrix: the GEMM packs its panels
+            // straight from the input (bit for bit the panels above). An
+            // eval pass also gives the backward buffer back, as it drops
+            // `cache` below — a serving replica cloned from a trained model
+            // should not carry one batch-sized matrix per layer. A
+            // statistics pass leaves it for the training steps around it.
+            if ctx.mode() == Mode::Eval {
+                self.cols = Vec::new();
+            }
+            conv_gemm_into(
                 &mut prod,
                 self.weight.value.data(),
-                cols,
-                false,
+                input.data(),
                 self.c_out,
-                rows,
-                ncols,
+                [n, ci, h, w],
+                self.spec,
                 live,
                 &mut ctx.ws,
                 threads,
             );
-        } else {
-            gemm_into(
-                &mut prod,
-                self.weight.value.data(),
-                false,
-                cols,
-                false,
-                self.c_out,
-                rows,
-                ncols,
-                &mut ctx.ws,
-                threads,
-            );
-        }
-        if let Some(scratch) = stat_cols {
-            ctx.ws.give("stat_cols", scratch);
         }
         ctx.count_flops(2 * (self.c_out * rows * ncols) as u64);
         ctx.count_bytes(4 * (input.len() + self.weight.value.len() + self.c_out * ncols) as u64);

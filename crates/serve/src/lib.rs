@@ -3,10 +3,16 @@
 //! The paper's deployment story ends with [`alf_core::deploy::Pipeline`]
 //! producing a dense `code conv → 1×1 expansion` network; this crate is
 //! the runtime that actually serves it. A [`Server`] accepts single-image
-//! classification requests on a bounded submission queue, coalesces them
-//! into dynamic micro-batches (flushing on `max_batch` or `max_wait`,
-//! whichever comes first) and fans the batches out to a pool of worker
-//! threads. Each worker owns a long-lived `(model, RunCtx)` [`Replica`],
+//! classification requests on a bounded submission queue and a pool of
+//! worker threads pulls batches off it. Batch formation is
+//! work-conserving: a free worker takes what is queued at that moment —
+//! an even share of it while siblings are free too, up to `max_batch` once
+//! they are all busy — and never holds a request back to wait for
+//! batch-mates, so a lone request costs one forward and full batches
+//! appear exactly when the replicas are saturated. (There is no batching
+//! window: on these models a batch of 8 takes ≈ 8× a batch of 1, so a
+//! window bought latency and no throughput; DESIGN.md has the numbers.)
+//! Each worker owns a long-lived `(model, RunCtx)` [`Replica`],
 //! so after warm-up the per-batch arena traffic is zero — the same
 //! steady-state contract the training hot loop enforces in
 //! `tests/profiling.rs`.
@@ -19,7 +25,7 @@
 //! same calibration.
 //!
 //! ```text
-//! submit() ──► bounded queue ──► micro-batcher ──► worker replicas
+//! submit() ──► bounded queue ──► fair-share pull ──► worker replicas
 //!    │              │                                   │
 //!    │         Overloaded /                        Prediction per
 //!    │         ShuttingDown                        request (Pending)

@@ -1,15 +1,18 @@
-//! The serving engine: bounded admission queue, worker-side dynamic
-//! micro-batching, hot checkpoint swap and graceful drain.
+//! The serving engine: bounded admission queue, work-conserving
+//! worker-side batch formation, hot checkpoint swap and graceful drain.
 //!
 //! Concurrency layout (std primitives only; long-lived workers cannot
 //! use scoped threads):
 //!
-//! * One `Mutex<QueueState>` + `Condvar` carries requests and the drain
-//!   flag. Workers coalesce batches *pull-side*: the worker that pops the
-//!   first request keeps popping until `max_batch` or until
-//!   `first.enqueued + max_wait` passes (waiting on the condvar with a
-//!   timeout in between), so batching adds no dedicated batcher thread
-//!   and no per-request wakeup churn.
+//! * One `Mutex<QueueState>` + `Condvar` carries requests, the drain flag
+//!   and the count of workers that hold no batch. Batches form
+//!   *pull-side* and nobody ever waits for batch-mates: a worker takes
+//!   what is queued *now*, at most its `fair_share` of it, leaves the
+//!   rest to the idle siblings and wakes one of them. A lone request on an
+//!   idle server therefore costs one forward; full batches form by
+//!   themselves whenever every replica is busy and the queue backs up —
+//!   the only time a batch buys anything (a batch of 8 costs ≈ 8 batches
+//!   of 1 on these models, see DESIGN.md "Queue → batcher").
 //! * Hot swap is a versioned blob behind its own mutex: `swap_checkpoint`
 //!   validates against a staging replica, then publishes the blob with a
 //!   bumped version (`AtomicU64`, release). Workers compare the version
@@ -17,13 +20,16 @@
 //!   requests always run on a consistent model.
 //! * Per-request responses travel through a oneshot `ResponseSlot`
 //!   (`Mutex<Option<..>>` + `Condvar`) handed back to the caller as a
-//!   [`Pending`].
+//!   [`Pending`]. The slot remembers the submitting thread and unparks it
+//!   when the answer lands, so a caller that polls many `Pending`s
+//!   ([`Pending::try_wait`]) can `park_timeout` between rounds instead of
+//!   sleeping through completions.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::thread::{JoinHandle, Thread};
+use std::time::Instant;
 
 use alf_core::checkpoint;
 use alf_core::model::CnnModel;
@@ -56,10 +62,8 @@ pub enum Precision {
 pub struct ServeConfig {
     /// Worker threads, each owning one model replica.
     pub workers: usize,
-    /// Largest micro-batch a worker will coalesce.
+    /// Largest micro-batch a worker will take from the queue.
     pub max_batch: usize,
-    /// Longest a request waits for batch-mates before its batch flushes.
-    pub max_wait: Duration,
     /// Admission bound: submissions beyond this many queued requests are
     /// rejected with [`ServeError::Overloaded`].
     pub queue_depth: usize,
@@ -84,13 +88,11 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults for a `[channels, height, width]` input geometry: 2
-    /// workers, batches of up to 8, 2 ms batching window, 64-deep queue,
-    /// prewarm on.
+    /// workers, batches of up to 8, 64-deep queue, prewarm on.
     pub fn new(channels: usize, height: usize, width: usize) -> Self {
         Self {
             workers: 2,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             queue_depth: 64,
             channels,
             height,
@@ -141,16 +143,23 @@ impl ServeConfig {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ResponseSlot {
     result: Mutex<Option<Result<Prediction>>>,
     cv: Condvar,
+    /// The thread that submitted the request: a poll-driven caller parks
+    /// there between [`Pending::try_wait`] rounds.
+    submitter: Thread,
 }
 
 impl ResponseSlot {
+    /// Stores the answer, then wakes both kinds of waiter: whoever blocks
+    /// in [`Pending::wait`] (any thread) and the submitting thread, should
+    /// it be parked.
     fn fill(&self, r: Result<Prediction>) {
         *self.result.lock().expect("response slot poisoned") = Some(r);
         self.cv.notify_all();
+        self.submitter.unpark();
     }
 }
 
@@ -164,6 +173,8 @@ pub struct Pending {
 impl Pending {
     /// Non-blocking poll: takes the answer if the request has been served
     /// (or rejected) and `None` while it is still queued or in flight.
+    /// The thread that submitted the request is unparked when the answer
+    /// arrives, so it may `std::thread::park_timeout` between polls.
     /// Once this returns `Some`, the slot is empty — the caller owns the
     /// taken value and later polls (or [`Pending::wait`]) would block
     /// forever, so poll-driven callers must keep it.
@@ -199,10 +210,24 @@ struct QueuedRequest {
     slot: Arc<ResponseSlot>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct QueueState {
     items: VecDeque<QueuedRequest>,
     draining: bool,
+    /// Workers holding no batch: waiting on the condvar, or about to look
+    /// at the queue. A worker leaves the count when it walks off with a
+    /// batch and rejoins it *before* it answers that batch, so a request
+    /// submitted in reply to an answer already sees its worker as free.
+    idle: usize,
+}
+
+/// How many of the `queued` requests a worker may take when `idle` workers
+/// (itself included) hold no batch: an even split, rounded up, capped at
+/// `max_batch`. With siblings free it leaves them their part instead of
+/// serialising it behind its own forward; with every sibling busy it takes
+/// all it may, which is how full batches form under load.
+fn fair_share(queued: usize, idle: usize, max_batch: usize) -> usize {
+    queued.div_ceil(idle).min(max_batch)
 }
 
 #[derive(Debug)]
@@ -297,7 +322,11 @@ impl Server {
             replicas.push(replica);
         }
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState::default()),
+            queue: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                draining: false,
+                idle: cfg.workers,
+            }),
             queue_cv: Condvar::new(),
             swap: Mutex::new(SwapState {
                 staging: model.clone(),
@@ -382,7 +411,11 @@ impl Server {
                 image.dims()
             )));
         }
-        let slot = Arc::new(ResponseSlot::default());
+        let slot = Arc::new(ResponseSlot {
+            result: Mutex::new(None),
+            cv: Condvar::new(),
+            submitter: std::thread::current(),
+        });
         {
             let mut queue = self.shared.queue.lock().expect("queue poisoned");
             if queue.draining {
@@ -528,19 +561,18 @@ impl Drop for Server {
 
 /// Batcher-side deadline enforcement: a popped request whose deadline has
 /// passed is answered with [`ServeError::Expired`] on the spot (the slot
-/// fill wakes its waiter) and never reaches a replica. Returns `true` when
-/// the request survived and was appended to `batch`.
-fn expire_if_late(request: QueuedRequest, shared: &Shared, batch: &mut Vec<QueuedRequest>) -> bool {
+/// fill wakes its waiter) and never reaches a replica; one that survived is
+/// appended to `batch`.
+fn expire_if_late(request: QueuedRequest, shared: &Shared, batch: &mut Vec<QueuedRequest>) {
     let late = request
         .deadline
         .is_some_and(|deadline| Instant::now() >= deadline);
     if late {
         shared.expired.inc();
         request.slot.fill(Err(ServeError::Expired));
-        return false;
+        return;
     }
     batch.push(request);
-    true
 }
 
 fn worker_loop(index: usize, mut replica: Replica, shared: Arc<Shared>) {
@@ -551,44 +583,30 @@ fn worker_loop(index: usize, mut replica: Replica, shared: Arc<Shared>) {
     // same value whether or not this worker has served a batch yet.
     shared.worker_alloc_events[index].store(replica.ctx().ws.alloc_events(), Ordering::Release);
     loop {
-        // ---- coalesce one micro-batch (pull-side batching) ----
+        // ---- take this worker's share of what is queued now ----
         let mut batch: Vec<QueuedRequest> = Vec::with_capacity(cfg.max_batch);
         {
             let mut queue = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if let Some(first) = queue.items.pop_front() {
-                    if expire_if_late(first, &shared, &mut batch) {
-                        break;
+            while batch.is_empty() {
+                if queue.items.is_empty() {
+                    if queue.draining {
+                        return; // queue empty + draining ⇒ done
                     }
+                    queue = shared.queue_cv.wait(queue).expect("queue poisoned");
                     continue;
                 }
-                if queue.draining {
-                    return; // queue empty + draining ⇒ done
+                let share = fair_share(queue.items.len(), queue.idle, cfg.max_batch);
+                while batch.len() < share {
+                    let Some(request) = queue.items.pop_front() else {
+                        break;
+                    };
+                    expire_if_late(request, &shared, &mut batch);
                 }
-                queue = shared.queue_cv.wait(queue).expect("queue poisoned");
             }
-            let deadline = batch[0].enqueued + cfg.max_wait;
-            while batch.len() < cfg.max_batch {
-                if let Some(next) = queue.items.pop_front() {
-                    expire_if_late(next, &shared, &mut batch);
-                    continue;
-                }
-                if queue.draining {
-                    break; // flush immediately during drain
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timeout) = shared
-                    .queue_cv
-                    .wait_timeout(queue, deadline - now)
-                    .expect("queue poisoned");
-                queue = guard;
-            }
-            // A coalescing wait may have consumed a wakeup aimed at an
-            // idle sibling; if work remains, pass the baton.
-            if !queue.items.is_empty() {
+            queue.idle -= 1;
+            // The rest belongs to the idle siblings; the submissions'
+            // wake-ups may all have landed on this worker, so pass one on.
+            if queue.idle > 0 && !queue.items.is_empty() {
                 shared.queue_cv.notify_one();
             }
             shared.queue_len.set(queue.items.len() as f64);
@@ -620,6 +638,8 @@ fn worker_loop(index: usize, mut replica: Replica, shared: Arc<Shared>) {
         let outcome = replica.run_batch(&images);
         drop(images);
         shared.worker_alloc_events[index].store(replica.ctx().ws.alloc_events(), Ordering::Release);
+        // Free again — counted before the answers go out (see `idle`).
+        shared.queue.lock().expect("queue poisoned").idle += 1;
         match outcome {
             Ok(predictions) => {
                 let n = batch.len();
@@ -656,12 +676,12 @@ mod tests {
     use super::*;
     use alf_core::models::plain20;
     use alf_nn::layer::Layer;
+    use std::time::Duration;
 
     fn tiny_config() -> ServeConfig {
         ServeConfig {
             workers: 2,
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_depth: 32,
             prewarm: true,
             ..ServeConfig::new(3, 12, 12)
@@ -776,12 +796,11 @@ mod tests {
     #[test]
     fn overload_rejection_is_typed_and_counted() {
         let model = plain20(4, 4).unwrap();
-        // One worker with a long batching window and a tiny queue: fill
-        // the in-flight batch, then the queue, then watch rejections.
+        // One worker serving one request at a time behind a tiny queue:
+        // submissions outrun it, fill the queue, then get rejected.
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 1,
-            max_wait: Duration::from_millis(50),
             queue_depth: 2,
             ..tiny_config()
         };
@@ -834,6 +853,120 @@ mod tests {
             stats.submitted,
             "every admitted request is answered or expired"
         );
+    }
+
+    #[test]
+    fn fair_share_splits_the_queue_among_idle_workers() {
+        // (queued, idle incl. the caller, max_batch) → share
+        for (queued, idle, max_batch, want) in [
+            (1, 1, 8, 1),
+            (1, 2, 8, 1),
+            (2, 2, 8, 1), // one each: the sibling runs the other one now
+            (3, 2, 8, 2),
+            (2, 1, 8, 2), // sibling busy: both, or the second waits a forward
+            (8, 1, 8, 8),
+            (32, 1, 8, 8), // backlog behind busy replicas: full batches
+            (32, 2, 8, 8),
+            (15, 2, 8, 8),
+            (5, 4, 8, 2),
+            (9, 1, 4, 4),
+        ] {
+            assert_eq!(
+                fair_share(queued, idle, max_batch),
+                want,
+                "queued {queued}, idle {idle}, max_batch {max_batch}"
+            );
+        }
+    }
+
+    #[test]
+    fn closed_loop_clients_never_share_a_batch() {
+        // Two clients with one request in flight each, two replicas: a
+        // worker that finds both requests queued takes one and leaves the
+        // other to its (idle) sibling, so no request ever waits behind a
+        // batch-mate's forward. Deterministic: both requests queued means
+        // neither is in a batch, and a worker counts as idle again before
+        // the answer that triggers the next submission goes out.
+        let model = plain20(4, 4).unwrap();
+        let server = Server::start(&model, tiny_config()).unwrap();
+        std::thread::scope(|scope| {
+            for client in 0..2 {
+                let server = &server;
+                scope.spawn(move || {
+                    for i in 0..200 {
+                        server.submit(image(client + i)).unwrap().wait().unwrap();
+                    }
+                });
+            }
+        });
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!(stats.completed, 400);
+        assert_eq!(stats.batch_histogram[1], 400, "{:?}", stats.batch_histogram);
+        assert!(stats.batch_histogram[2..].iter().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn a_backlog_behind_busy_workers_leaves_in_full_batches() {
+        let model = plain20(4, 4).unwrap();
+        let cfg = ServeConfig {
+            queue_depth: 64,
+            ..tiny_config()
+        };
+        let max_batch = cfg.max_batch;
+        let server = Server::start(&model, cfg).unwrap();
+        // Gate: publish a same-weights swap and keep its lock, so a worker
+        // blocks between taking a batch and running it.
+        let mut gate = server.shared.swap.lock().unwrap();
+        gate.blob = Arc::new(checkpoint::save(&model).to_vec());
+        gate.version += 1;
+        server
+            .shared
+            .swap_version
+            .store(gate.version, Ordering::Release);
+        let idle = || server.shared.queue.lock().unwrap().idle;
+        let mut pendings = Vec::new();
+        for left in [1, 0] {
+            pendings.push(server.submit(image(0)).unwrap());
+            while idle() != left {
+                std::thread::yield_now();
+            }
+        }
+        // Both workers hold one request at the gate; 32 more queue up.
+        pendings.extend((0..32).map(|i| server.submit(image(i)).unwrap()));
+        drop(gate);
+        for p in pendings {
+            p.wait().unwrap();
+        }
+        server.shutdown();
+        let hist = server.stats().batch_histogram;
+        // Every take that finds at least max_batch per worker queued is a
+        // full batch whoever is idle: 32, 28, .. 8 queued ⇒ 7 of them. How
+        // the last 4 split depends on who is free by then.
+        assert!(hist[max_batch] >= 7, "{hist:?}");
+        assert_eq!(server.stats().completed, 34);
+    }
+
+    #[test]
+    fn fill_unparks_the_submitting_thread() {
+        let model = plain20(4, 4).unwrap();
+        let server = Server::start(&model, tiny_config()).unwrap();
+        let pending = server.submit(image(0)).unwrap();
+        let submitted = Instant::now();
+        let answer = loop {
+            if let Some(result) = pending.try_wait() {
+                break result;
+            }
+            // Far longer than the forward: only an unpark ends this early.
+            std::thread::park_timeout(Duration::from_secs(5));
+        };
+        assert!(answer.is_ok());
+        assert!(
+            submitted.elapsed() < Duration::from_secs(1),
+            "the poller slept through the completion: {:?}",
+            submitted.elapsed()
+        );
+        server.shutdown();
     }
 
     #[test]
@@ -925,11 +1058,10 @@ mod tests {
     fn int8_engine_arena_is_the_one_the_server_freezes_and_counts() {
         let model = plain20(4, 4).unwrap();
         let calib = Tensor::from_fn(&[4, 3, 12, 12], |i| (i % 17) as f32 * 0.1 - 0.8);
-        // One worker and a long window, so k quick submissions form one
-        // batch of k (or split into smaller ones — sizes still in range).
+        // One worker: k quick submissions leave as one batch of k or as
+        // smaller ones, every size up to max_batch being in prewarm's range.
         let cfg = ServeConfig {
             workers: 1,
-            max_wait: Duration::from_millis(20),
             precision: Precision::Int8(calib),
             ..tiny_config()
         };

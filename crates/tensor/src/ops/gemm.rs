@@ -50,6 +50,12 @@
 //! therefore the same code as the f32 one, entered with one thread and
 //! identity gathers; see [`super::qgemm`] for why it stays exact.
 //!
+//! **Convolutions pack from the image.** [`conv_gemm_into`] is the same
+//! driver with a second `B` packer that reads each panel out of the `NCHW`
+//! input instead of an unfolded column matrix — same panels, same bits,
+//! one `ci·k²`-fold copy of the input fewer. Forward-only convolutions
+//! (eval, the statistics pass, int8) use it.
+//!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
 //! `std::thread::scope`). Workers share the read-only packed `B` and own
@@ -64,6 +70,7 @@
 //! product) comes from the caller's [`Workspace`], so steady-state calls
 //! are allocation-free.
 
+use super::conv::Conv2dSpec;
 use super::workspace::Workspace;
 use crate::ShapeError;
 use alf_gemm_kernels::{microkernel_i8_into, microkernel_into, microkernel_into_clipped};
@@ -303,7 +310,8 @@ pub fn gemm_into(
     assert_eq!(c.len(), m * n, "gemm: C buffer is not [{m}x{n}]");
     assert_eq!(a.len(), m * k, "gemm: A buffer is not [{m}x{k}] (ta={ta})");
     assert_eq!(b.len(), k * n, "gemm: B buffer is not [{k}x{n}] (tb={tb})");
-    gemm_driver(c, a, ta, b, tb, m, k, n, ws, threads, Gather::dense(m, k));
+    let b = BOperand::Matrix { data: b, tb };
+    gemm_driver(c, a, ta, b, m, k, n, ws, threads, Gather::dense(m, k));
 }
 
 /// `C = A · op(B)` computing **only** the rows listed in `rows`; every
@@ -360,10 +368,30 @@ pub fn gemm_active_rows_into(
         k * n,
         "gemm_active_rows: B buffer is not [{k}x{n}] (tb={tb})"
     );
-    if rows.is_all() {
-        return gemm_into(c, a, false, b, tb, m, k, n, ws, threads);
-    }
-    c.fill(0.0);
+    let b = BOperand::Matrix { data: b, tb };
+    gemm_rows(c, a, b, m, k, n, Some(rows), ws, threads);
+}
+
+/// `C = A · B` restricted to the `rows` of `A` that survive (all of them
+/// for `None` or a full descriptor): the one body behind
+/// [`gemm_active_rows_into`] and [`conv_gemm_into`]. Skipped rows of `C`
+/// are written as zero; callers have checked the buffer lengths.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows<T: Element>(
+    c: &mut [T::Acc],
+    a: &[T],
+    b: BOperand<'_, T>,
+    m: usize,
+    k: usize,
+    n: usize,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let Some(rows) = rows.filter(|r| !r.is_all()) else {
+        return gemm_driver(c, a, false, b, m, k, n, ws, threads, Gather::dense(m, k));
+    };
+    c.fill(T::Acc::default());
     let live = rows.len();
     if live == 0 || k == 0 || n == 0 {
         return;
@@ -379,7 +407,7 @@ pub fn gemm_active_rows_into(
         am: m,
         ak: k,
     };
-    gemm_driver(&mut cc, a, false, b, tb, live, k, n, ws, threads, gather);
+    gemm_driver(&mut cc, a, false, b, live, k, n, ws, threads, gather);
     for (ri, &i) in rows.indices().iter().enumerate() {
         c[i * n..(i + 1) * n].copy_from_slice(&cc[ri * n..(ri + 1) * n]);
     }
@@ -444,7 +472,75 @@ pub fn gemm_active_k_into(
         am: m,
         ak: k,
     };
-    gemm_driver(c, a, ta, b, false, m, ke, n, ws, threads, gather);
+    let b = BOperand::Matrix { data: b, tb: false };
+    gemm_driver(c, a, ta, b, m, ke, n, ws, threads, gather);
+}
+
+/// Convolution as one GEMM, with the im2col matrix never materialised:
+/// `C = A · unfold(X)` where `A` is the `[m, ci·k²]` weight matrix, `X` the
+/// `NCHW` input (`dims = [n, ci, h, w]`) and `C` the `[m, n·h_out·w_out]`
+/// product the im2col route would give.
+///
+/// The blocked driver runs unchanged; only its `B` packer differs — it
+/// reads each [`NR`]-column panel straight out of the image (see
+/// `pack_b_image`), writing exactly the lanes [`pack_b`] would copy out of
+/// [`im2col_into`](super::im2col_into)'s matrix. The panels, hence every
+/// bit of `C`, are therefore those of `im2col_into` + [`gemm_into`] (or
+/// `im2col_i8_into` + `gemm_i8_into` for `i8`), without the `ci·k²`-fold
+/// copy of the input whose cost no amount of filter pruning shrinks.
+/// `rows` restricts the product to the surviving filters exactly as
+/// [`gemm_active_rows_into`] does.
+///
+/// Forward-only callers use it (eval, the statistics pass, int8); a
+/// training forward still unfolds, because its backward pass multiplies by
+/// the column matrix.
+///
+/// # Panics
+///
+/// Panics when a buffer length disagrees with the stated dimensions,
+/// `rows` does not cover `m` rows, or the padded input is smaller than the
+/// kernel.
+#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
+pub fn conv_gemm_into<T: Element>(
+    c: &mut [T::Acc],
+    a: &[T],
+    x: &[T],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let [n, ci, h, w] = dims;
+    let (ho, wo) = spec.output_hw(h, w);
+    let k = ci * spec.kernel * spec.kernel;
+    let ncols = n * ho * wo;
+    assert_eq!(x.len(), n * ci * h * w, "conv_gemm: X is not {dims:?}");
+    assert_eq!(a.len(), m * k, "conv_gemm: A buffer is not [{m}x{k}]");
+    assert_eq!(
+        c.len(),
+        m * ncols,
+        "conv_gemm: C buffer is not [{m}x{ncols}]"
+    );
+    if let Some(rows) = rows {
+        assert_eq!(
+            rows.total(),
+            m,
+            "conv_gemm: descriptor covers {} rows, A has {m}",
+            rows.total()
+        );
+    }
+    let b = BOperand::Image(ConvImage {
+        x,
+        ci,
+        h,
+        w,
+        ho,
+        wo,
+        spec,
+    });
+    gemm_rows(c, a, b, m, k, ncols, rows, ws, threads);
 }
 
 /// What the blocked driver is generic over: the operand element type.
@@ -452,9 +548,11 @@ pub fn gemm_active_k_into(
 /// Packed panels always hold f32 lanes (that is what the register tiles
 /// in `alf-gemm-kernels` consume), so an element only has to say how it
 /// widens into a lane, what `C` accumulates in, and which tile to run.
-pub(super) trait Element: Copy + Sync {
+/// Implemented for `f32` and `i8`; public only so that
+/// [`conv_gemm_into`] can name it.
+pub trait Element: Copy + Sync {
     /// Element type of `C`.
-    type Acc: Copy + Default + Send;
+    type Acc: Copy + Default + Send + Sync + 'static;
 
     /// The value as a packed-panel lane.
     fn widen(self) -> f32;
@@ -499,6 +597,29 @@ impl Element for i8 {
     }
 }
 
+/// The right-hand operand of the blocked driver: where `pack_b` gets the
+/// `[k, n]` values it packs.
+#[derive(Clone, Copy)]
+pub(super) enum BOperand<'b, T> {
+    /// A stored matrix, `[k, n]` row-major (`[n, k]` when `tb`).
+    Matrix { data: &'b [T], tb: bool },
+    /// The im2col matrix of an image, read in place.
+    Image(ConvImage<'b, T>),
+}
+
+/// An `NCHW` buffer seen as the `[ci·k², n·ho·wo]` matrix im2col would
+/// unfold it into.
+#[derive(Clone, Copy)]
+pub(super) struct ConvImage<'b, T> {
+    x: &'b [T],
+    ci: usize,
+    h: usize,
+    w: usize,
+    ho: usize,
+    wo: usize,
+    spec: Conv2dSpec,
+}
+
 /// The blocked driver behind every entry point. `m` and `k` are the
 /// *logical* (post-gather) dimensions the blocking runs over; `gather`
 /// carries the physical strides and optional index maps (see [`Gather`]).
@@ -507,8 +628,7 @@ pub(super) fn gemm_driver<T: Element>(
     c: &mut [T::Acc],
     a: &[T],
     ta: bool,
-    b: &[T],
-    tb: bool,
+    b: BOperand<'_, T>,
     m: usize,
     k: usize,
     n: usize,
@@ -518,7 +638,9 @@ pub(super) fn gemm_driver<T: Element>(
 ) {
     debug_assert_eq!(c.len(), m * n);
     debug_assert_eq!(a.len(), gather.am * gather.ak);
-    debug_assert_eq!(b.len(), gather.ak * n);
+    if let BOperand::Matrix { data, .. } = b {
+        debug_assert_eq!(data.len(), gather.ak * n);
+    }
     debug_assert_eq!(gather.rmap.map_or(gather.am, <[usize]>::len), m);
     debug_assert_eq!(gather.kmap.map_or(gather.ak, <[usize]>::len), k);
     c.fill(T::Acc::default());
@@ -544,7 +666,12 @@ pub(super) fn gemm_driver<T: Element>(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(&mut bpack, b, tb, n, pc, kc, jc, nc, gather);
+            match b {
+                BOperand::Matrix { data, tb } => {
+                    pack_b(&mut bpack, data, tb, n, pc, kc, jc, nc, gather);
+                }
+                BOperand::Image(image) => pack_b_image(&mut bpack, image, pc, kc, jc, nc),
+            }
             if threads == 1 {
                 process_rows(
                     c,
@@ -703,6 +830,135 @@ fn pack_b<T: Element>(
                 }
             }
             pad.fill(0.0);
+        }
+    }
+}
+
+/// [`pack_b`] for the implicit im2col matrix of `image`: fills the same
+/// panel slots with the same values, `bpack[(jp·kc + p)·NR + r] =
+/// unfold(X)[p0 + p, j0 + jp·NR + r]`, but reads them from the `NCHW`
+/// buffer. Column `j` of that matrix is output pixel `(b, oy, ox)`, depth
+/// `p` is tap `(c, ky, kx)`; the entry is `X[b, c, oy·s + ky − pad,
+/// ox·s + kx − pad]`, or zero outside the image.
+///
+/// A panel's `NR` consecutive columns are decoded once into runs of pixels
+/// that share an output row (one run, or two where the panel straddles a
+/// row or image boundary; more only when `wo < NR`). For every depth a
+/// run then reads from a single input row: the in-bounds part is a
+/// contiguous slice at stride 1 and an every-`s`-th gather otherwise, and
+/// everything else in the lane group — padding taps and the columns past
+/// `nc` — stays at the zero it was filled with.
+fn pack_b_image<T: Element>(
+    bpack: &mut [f32],
+    image: ConvImage<'_, T>,
+    p0: usize,
+    kc: usize,
+    j0: usize,
+    nc: usize,
+) {
+    /// Columns `r0 .. r0 + len` of a panel: pixels `ox ..` of one output row.
+    #[derive(Clone, Copy, Default)]
+    struct Run {
+        r0: usize,
+        len: usize,
+        /// Offset of image `b`'s first plane in `x`.
+        base: usize,
+        /// Input row / column of tap `(ky, kx) = (0, 0)` for the run's
+        /// first pixel; negative inside the top / left padding.
+        iy0: isize,
+        ix0: isize,
+    }
+
+    let ConvImage {
+        x,
+        ci,
+        h,
+        w,
+        ho,
+        wo,
+        spec,
+    } = image;
+    let (kk, s, pad) = (spec.kernel, spec.stride, spec.pad as isize);
+    for jp in 0..nc.div_ceil(NR) {
+        let panel = &mut bpack[jp * kc * NR..(jp + 1) * kc * NR];
+        let col0 = j0 + jp * NR;
+        let live = NR.min(j0 + nc - col0);
+
+        let mut runs = [Run::default(); NR];
+        let mut n_runs = 0;
+        let (mut b, mut oy, mut ox) = (col0 / (ho * wo), col0 / wo % ho, col0 % wo);
+        let mut r0 = 0;
+        while r0 < live {
+            let len = (wo - ox).min(live - r0);
+            runs[n_runs] = Run {
+                r0,
+                len,
+                base: b * ci * h * w,
+                iy0: (oy * s) as isize - pad,
+                ix0: (ox * s) as isize - pad,
+            };
+            n_runs += 1;
+            r0 += len;
+            ox = 0;
+            oy += 1;
+            if oy == ho {
+                (oy, b) = (0, b + 1);
+            }
+        }
+
+        let (mut c, mut ky, mut kx) = (p0 / (kk * kk), p0 / kk % kk, p0 % kk);
+        for out in panel.chunks_exact_mut(NR).take(kc) {
+            out.fill(0.0);
+            for run in &runs[..n_runs] {
+                let iy = run.iy0 + ky as isize;
+                let ix = run.ix0 + kx as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                let row = run.base + (c * h + iy as usize) * w;
+                // Pixels lo..hi of the run are the ones whose tap column
+                // `ix + r·s` lies in `0..w`.
+                let (lo, hi) = if s == 1 {
+                    let hi = (w as isize - ix).clamp(0, run.len as isize);
+                    ((-ix).max(0) as usize, hi as usize)
+                } else if ix >= w as isize {
+                    (0, 0)
+                } else {
+                    let last = (w as isize - 1 - ix) as usize / s;
+                    (ix.min(0).unsigned_abs().div_ceil(s), run.len.min(last + 1))
+                };
+                if lo >= hi {
+                    continue;
+                }
+                let first = (row as isize + ix + (lo * s) as isize) as usize;
+                if s != 1 {
+                    let dst = &mut out[run.r0 + lo..run.r0 + hi];
+                    for (slot, &v) in dst.iter_mut().zip(x[first..row + w].iter().step_by(s)) {
+                        *slot = v.widen();
+                    }
+                    continue;
+                }
+                let src = &x[first..first + (hi - lo)];
+                if src.len() == NR {
+                    // A whole panel row out of one image row, the common
+                    // case: a fixed trip count compiles to one vector move
+                    // (plus the widening for i8).
+                    for r in 0..NR {
+                        out[r] = src[r].widen();
+                    }
+                } else {
+                    for (slot, &v) in out[run.r0 + lo..].iter_mut().zip(src) {
+                        *slot = v.widen();
+                    }
+                }
+            }
+            kx += 1;
+            if kx == kk {
+                (kx, ky) = (0, ky + 1);
+                if ky == kk {
+                    (ky, c) = (0, c + 1);
+                }
+            }
         }
     }
 }

@@ -27,7 +27,10 @@
 //!   tests and as the benchmark baseline.
 //! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop and, like
 //!   [`col2im_into`], write into caller-owned buffers so layer code can
-//!   keep the whole conv step allocation-free.
+//!   keep the whole conv step allocation-free. Only a training forward
+//!   needs them: [`conv_gemm_into`] is the forward-only convolution, the
+//!   same driver packing its `B` panels straight from the `NCHW` input
+//!   (f32 and i8), bitwise equal to unfold + GEMM without the unfold.
 //! * [`Workspace`] is the scratch arena: one pool of named slots, generic
 //!   over the element type.
 
@@ -42,8 +45,8 @@ mod workspace;
 pub use channels::{concat_channels, split_channels};
 pub use conv::{col2im, col2im_into, conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
 pub use gemm::{
-    auto_threads, gemm_active_k_into, gemm_active_rows_into, gemm_into, host_parallelism,
-    ActiveRows,
+    auto_threads, conv_gemm_into, gemm_active_k_into, gemm_active_rows_into, gemm_into,
+    host_parallelism, ActiveRows,
 };
 pub use matmul::{
     matmul, matmul_active_rows, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws,

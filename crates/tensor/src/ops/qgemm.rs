@@ -6,7 +6,10 @@
 //! `alf-core::qmodel`, where the scales live). Nothing here re-implements
 //! blocking or unfolding: [`gemm_i8_into`] enters the one blocked driver
 //! in [`gemm`](super::gemm) with `i8` operands, and [`im2col_i8_into`]
-//! enters the one unfold loop in `conv.rs` with an `i8` buffer.
+//! enters the one unfold loop in `conv.rs` with an `i8` buffer. (The
+//! engine itself no longer unfolds: its k×k convolutions are the `i8`
+//! instantiation of [`conv_gemm_into`](super::conv_gemm_into); the pair
+//! here is what that entry is property-tested against.)
 //!
 //! What the driver's element trait does for `i8`: the packers widen each
 //! value into an f32 panel lane, the register tile
@@ -29,7 +32,7 @@
 //! from replica workers instead.
 
 use super::conv::unfold;
-use super::gemm::{gemm_driver, Gather};
+use super::gemm::{gemm_driver, BOperand, Gather};
 use super::workspace::Workspace;
 use super::Conv2dSpec;
 
@@ -56,7 +59,8 @@ pub fn gemm_i8_into(
     assert_eq!(c.len(), m * n, "gemm_i8: C buffer is not [{m}x{n}]");
     assert_eq!(a.len(), m * k, "gemm_i8: A buffer is not [{m}x{k}]");
     assert_eq!(b.len(), k * n, "gemm_i8: B buffer is not [{k}x{n}]");
-    gemm_driver(c, a, false, b, false, m, k, n, ws, 1, Gather::dense(m, k));
+    let b = BOperand::Matrix { data: b, tb: false };
+    gemm_driver(c, a, false, b, m, k, n, ws, 1, Gather::dense(m, k));
 }
 
 /// [`im2col_into`](super::im2col_into) for int8 activations: unfolds an

@@ -8,8 +8,10 @@ use alf::hwmodel::{Accelerator, ConvWorkload, Dataflow, Mapper};
 use alf::nn::activation::ActivationKind;
 use alf::nn::ste;
 use alf::tensor::init::Init;
+use alf::tensor::ops::gemm::{KC, NC};
 use alf::tensor::ops::{
-    col2im, conv2d, gemm_into, im2col, matmul, matmul_at, matmul_bt, reference, Conv2dSpec,
+    col2im, conv2d, conv_gemm_into, gemm_active_rows_into, gemm_i8_into, gemm_into, im2col,
+    im2col_i8_into, im2col_into, matmul, matmul_at, matmul_bt, reference, ActiveRows, Conv2dSpec,
     Workspace,
 };
 use alf::tensor::rng::Rng;
@@ -326,6 +328,67 @@ proptest! {
             prop_assert!(bitwise_equal,
                          "threads={} changes bits at {}x{}x{}", threads, m, k, n);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The implicit-GEMM convolution packs its `B` panels straight from the
+    /// `NCHW` input; they must be the panels `pack_b` builds from the
+    /// unfolded column matrix, so the product is *bitwise* the im2col +
+    /// GEMM one — f32 dense, f32 under any live-row subset, and int8. The
+    /// `deep` / `wide` flags force the depth past one `KC` slab and the
+    /// column count past one `NC` strip; the narrow shapes have output rows
+    /// shorter than a panel (`wo < NR`, down to 1) and column counts that
+    /// are no multiple of `NR`, so single panels straddle several output
+    /// rows and images.
+    #[test]
+    fn fused_conv_gemm_is_bitwise_the_im2col_route(
+        n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
+        deep in 0usize..2, wide in 0usize..2, ci_extra in 1usize..5, side_extra in 0usize..12,
+        m in 1usize..20, keep in proptest::collection::vec(0usize..2, 20), seed in 0u64..1000) {
+        let k = [1usize, 3, 5][kidx];
+        let ci = if deep == 1 { KC / (k * k) + ci_extra } else { ci_extra };
+        let side = if wide == 1 { 33 * stride + k } else { k + side_extra };
+        let spec = Conv2dSpec::new(k, stride, pad);
+        let (ho, wo) = spec.output_hw(side, side);
+        let (rows, cols) = (ci * k * k, n * ho * wo);
+        prop_assert!(deep == 0 || rows > KC);
+        prop_assert!(wide == 0 || cols > NC);
+
+        let mut rng = Rng::new(seed);
+        let x = Tensor::randn(&[n, ci, side, side], Init::Rand, &mut rng);
+        let a = Tensor::randn(&[m, rows], Init::Rand, &mut rng);
+        let live = ActiveRows::from_indices((0..m).filter(|&i| keep[i] == 1).collect(), m).unwrap();
+        let mut ws = Workspace::new();
+        let dims = [n, ci, side, side];
+
+        let mut unfolded = vec![0.0f32; rows * cols];
+        im2col_into(&mut unfolded, &x, spec).unwrap();
+        let mut want = vec![0.0f32; m * cols];
+        let mut got = vec![f32::NAN; m * cols];
+        gemm_into(&mut want, a.data(), false, &unfolded, false, m, rows, cols, &mut ws, 1);
+        conv_gemm_into(&mut got, a.data(), x.data(), m, dims, spec, None, &mut ws, 1);
+        prop_assert!(want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits()),
+                     "dense: n{} ci{} side{} k{} s{} p{} m{}", n, ci, side, k, stride, pad, m);
+
+        gemm_active_rows_into(&mut want, a.data(), &unfolded, false, m, rows, cols, &live, &mut ws, 1);
+        got.fill(f32::NAN);
+        conv_gemm_into(&mut got, a.data(), x.data(), m, dims, spec, Some(&live), &mut ws, 1);
+        prop_assert!(want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits()),
+                     "rows {:?}: n{} ci{} side{} k{} s{} p{} m{}",
+                     live.indices(), n, ci, side, k, stride, pad, m);
+
+        let quantize = |t: &Tensor| -> Vec<i8> { t.data().iter().map(|v| (v * 60.0) as i8).collect() };
+        let (x8, a8) = (quantize(&x), quantize(&a));
+        let mut unfolded8 = vec![0i8; rows * cols];
+        im2col_i8_into(&mut unfolded8, &x8, n, ci, side, side, spec);
+        let mut want8 = vec![0i32; m * cols];
+        let mut got8 = vec![i32::MIN; m * cols];
+        gemm_i8_into(&mut want8, &a8, &unfolded8, m, rows, cols, &mut ws);
+        conv_gemm_into(&mut got8, &a8, &x8, m, dims, spec, None, &mut ws, 1);
+        prop_assert!(want8 == got8, "i8: n{} ci{} side{} k{} s{} p{} m{}", n, ci, side, k, stride, pad, m);
     }
 }
 

@@ -43,7 +43,6 @@ fn serve_config(workers: usize, max_batch: usize, queue_depth: usize) -> ServeCo
     ServeConfig {
         workers,
         max_batch,
-        max_wait: Duration::from_millis(1),
         queue_depth,
         ..ServeConfig::new(3, IMAGE, IMAGE)
     }
