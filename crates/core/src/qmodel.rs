@@ -7,8 +7,9 @@
 //! are symmetric int8 with scales fitted to the calibration activations,
 //! and every convolution runs as an `i8×i8→i32` blocked GEMM with exact
 //! i32 accumulation (`alf_tensor::ops::gemm_i8_into` per image for the
-//! 1×1 expansions, `alf_tensor::ops::conv_gemm_into` — the GEMM that packs
-//! its panels straight from the activations — for every other kernel).
+//! 1×1 expansions, `alf_tensor::ops::conv_gemm_into` — which builds no
+//! column matrix and, for stride-1 kernels on AVX2 hosts, packs no `B`
+//! panel either — for every other kernel).
 //!
 //! Requantization happens on store: the i32 accumulator is mapped back to
 //! real units with `acc · s_in · s_w`, the (f32) bias is added, the ReLU
@@ -111,8 +112,14 @@ fn fit_scale(t: &Tensor) -> Result<f32, QuantError> {
 /// Maps one i32 accumulator back to the next layer's i8 grid: dequantize
 /// (`acc · s_in · s_w`), add bias, optional ReLU, then round into `s_out`
 /// steps. The rounding is the branch-predictable `+±0.5`-then-truncate
-/// form of round-half-away-from-zero — identical to `f32::round` on every
-/// input, but vectorizable (no libm call in the hot store loop).
+/// form of round-half-away-from-zero, vectorizable where `f32::round` is a
+/// libm call in the hot store loop. It is **not** `f32::round` on every
+/// input: the `+ 0.5` is itself rounded, so the one f32 just below a half
+/// (`0.5 − 2⁻²⁵`, and its mirror) sums to exactly `1.0` and lands on 1
+/// where `round` gives 0. This function is the engine's definition of the
+/// store — calibration, the serving oracle and the benchmark compare the
+/// engine with itself — so the arithmetic stays and a unit test pins the
+/// edge.
 #[inline(always)]
 fn requantize(acc: i32, deq: f32, bias: f32, relu: bool, inv_out: f32) -> i8 {
     let mut v = acc as f32 * deq + bias;
@@ -467,8 +474,8 @@ impl QuantizedModel {
                         self.ctx.ws.give("qm_acc1", acc);
                     } else {
                         // Everything else: one implicit GEMM over the
-                        // whole batch, its B panels packed straight from
-                        // the i8 activations (no column matrix).
+                        // whole batch, read straight from the i8
+                        // activations (no column matrix).
                         let cols = n * plane;
                         let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc", conv.c_out * cols);
                         conv_gemm_into(
@@ -587,5 +594,52 @@ impl QuantizedModel {
                 QStage::MaxPool { .. } => 0,
             })
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::requantize;
+
+    /// `requantize` of the real value `r` on a unit output grid.
+    fn store(r: f32) -> i8 {
+        requantize(0, 1.0, r, false, 1.0)
+    }
+
+    #[test]
+    fn requantize_rounds_half_away_from_zero_and_saturates() {
+        for (r, want) in [
+            (0.0, 0),
+            (0.49, 0),
+            (0.5, 1),
+            (-0.5, -1),
+            (2.5, 3),
+            (-2.5, -3),
+            (126.4, 126),
+            (1e6, 127),
+            (-1e6, -127),
+        ] {
+            assert_eq!(store(r), want, "{r}");
+        }
+        assert_eq!(
+            requantize(-7, 0.5, 1.0, true, 2.0),
+            0,
+            "ReLU before rounding"
+        );
+        assert_eq!(requantize(7, 0.5, 1.0, false, 2.0), 9);
+    }
+
+    #[test]
+    fn requantize_differs_from_f32_round_just_below_a_half() {
+        // 0.5 − 2⁻²⁵ is the largest f32 below a half; adding 0.5 lands
+        // midway between 1 − 2⁻²⁴ and 1.0 and ties to even, 1.0.
+        let below_half = 0.5 - 2.0f32.powi(-25);
+        assert!(below_half < 0.5);
+        assert_eq!(below_half.round(), 0.0);
+        assert_eq!(store(below_half), 1);
+        assert_eq!(store(-below_half), -1);
+        // One step further from the half the two agree again.
+        let next = f32::from_bits(below_half.to_bits() - 1);
+        assert_eq!(store(next), 0);
     }
 }

@@ -1,7 +1,34 @@
 //! Register-tiled GEMM micro-kernels for the blocked matrix multiply in
-//! `alf-tensor`.
+//! `alf-tensor`, and the pack-free convolution tile beside them.
 //!
-//! # Why these few functions live in their own crate
+//! # Which tile is written how
+//!
+//! * [`microkernel_into`], [`microkernel_into_clipped`] and
+//!   [`microkernel_i8_into`] — the `MR`×`NR` tiles every *packed* product
+//!   runs on — are safe Rust that **leans on the auto-vectorizer**, and
+//!   through it on this crate's isolation and the root `lto = false` (next
+//!   section). They are also the portable route: they run on any target.
+//! * [`ConvTile`] — the [`CONV_MR`]-row, two-vector tile stride-1 k×k
+//!   convolutions run on — is **explicit AVX2** (`core::arch` intrinsics in
+//!   the `conv_tile` module, compiled on x86-64 only and handed out only
+//!   after `is_x86_feature_detected!("avx2")`). Its codegen does not depend
+//!   on the vectorizer's mood; the auto-vectorised form of the same tile
+//!   spills its accumulators and ran 3–5 GF/s.
+//!
+//! The two kinds of tile produce the same bits for the same convolution:
+//! per element both run `acc = acc + a·b` from `+0.0` in ascending depth
+//! order and add the accumulator into `C` once per `KC` slab.
+//!
+//! # Unsafe policy
+//!
+//! The crate denies `unsafe_code`; `conv_tile` alone carries a scoped
+//! `allow`, and every other crate of the workspace keeps
+//! `#![forbid(unsafe_code)]` (`scripts/verify.sh` greps for it). Inside that
+//! module `unsafe` is pointer loads/stores and the dispatch into
+//! `#[target_feature]` functions, each behind a slice-length assert in a
+//! safe wrapper — see the module docs.
+//!
+//! # Why the packed tiles live in their own crate
 //!
 //! The kernels are deliberately written as plain nested iterator loops and
 //! rely on LLVM's loop vectorizer to lower them to the classic
@@ -35,8 +62,15 @@
 //! loops' evaluation order requirements (per-element accumulation stays
 //! in ascending-`k` order, one accumulator per element).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod conv_tile;
+#[cfg(target_arch = "x86_64")]
+pub use conv_tile::{ConvTile, Placement, TapOffsets, CONV_LANES, CONV_MR};
 
 /// Rows of the register tile (and of packed `A` panels).
 ///
@@ -48,6 +82,11 @@ pub const MR: usize = 8;
 
 /// Columns of the register tile (and of packed `B` panels).
 pub const NR: usize = 8;
+
+/// Deepest panel whose int8 partial sums stay exact in f32 lanes:
+/// `2²⁴ / 127² = 1040.6`, so at `kc ≤ 1040` every partial sum is an exactly
+/// representable f32 integer (see [`microkernel_i8_into`]).
+const I8_EXACT_DEPTH: usize = 1040;
 
 /// Multiplies one packed `A` panel by one packed `B` panel and adds the
 /// `MR`×`NR` product tile into `c`, whose rows are `n` apart.
@@ -152,10 +191,8 @@ pub fn microkernel_i8_into(
     rlim: usize,
     clim: usize,
 ) {
-    // 2²⁴ / 127² = 1040.6: at kc ≤ 1040 every partial sum stays an
-    // exactly representable f32 integer.
     debug_assert!(
-        apanel.len() <= 1040 * MR,
+        apanel.len() <= I8_EXACT_DEPTH * MR,
         "i8 panel too deep for exact f32 accumulation"
     );
     let mut acc = [[0.0f32; NR]; MR];

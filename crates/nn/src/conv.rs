@@ -9,11 +9,13 @@
 //! value.
 //!
 //! Only [`Mode::Train`] owns a column matrix. The forward-only modes run
-//! the convolution as an implicit GEMM
-//! ([`conv_gemm_into`](alf_tensor::ops::conv_gemm_into): the `B` panels are
-//! packed straight from the `NCHW` input, bit for bit the panels the
-//! unfold-then-pack route builds): [`Mode::Eval`] releases the buffer a
-//! training run left behind, [`Mode::Stats`] neither reads nor writes it.
+//! the convolution through
+//! [`conv_gemm_into`](alf_tensor::ops::conv_gemm_into), which unfolds
+//! nothing: a stride-1 k×k kernel runs on the pack-free AVX2 tile, anything
+//! else has its `B` panels packed straight from the `NCHW` input — either
+//! way bit for bit the product of the unfold-then-pack route.
+//! [`Mode::Eval`] releases the buffer a training run left behind,
+//! [`Mode::Stats`] neither reads nor writes it.
 
 use alf_tensor::init::Init;
 use alf_tensor::ops::{
@@ -284,8 +286,8 @@ impl Layer for Conv2d {
                 ),
             }
         } else {
-            // Nothing will read a column matrix: the GEMM packs its panels
-            // straight from the input (bit for bit the panels above). An
+            // Nothing will read a column matrix, so none is built (the
+            // product is bit for bit the one above). An
             // eval pass also gives the backward buffer back, as it drops
             // `cache` below — a serving replica cloned from a trained model
             // should not carry one batch-sized matrix per layer. A

@@ -14,16 +14,17 @@
 //!   [`MR`]-row panels; a panel is L1-resident while the inner loop
 //!   streams the packed `B` strip past it,
 //! * an `MR`×`NR` register tile at the core, provided by the
-//!   `alf-gemm-kernels` crate. The kernels are safe Rust shaped for
-//!   LLVM's loop vectorizer (the workspace forbids `unsafe`, so explicit
-//!   intrinsics are off the table; `.cargo/config.toml` builds with
+//!   `alf-gemm-kernels` crate. These packed tiles are safe Rust shaped for
+//!   LLVM's loop vectorizer (`.cargo/config.toml` builds with
 //!   `-C target-cpu=native` to unlock AVX2/AVX-512 codegen), and they
 //!   live in their own crate because compiling them next to their
 //!   callers flips the vectorizer into a ~3x-slower shuffle-based form —
 //!   see that crate's docs for the full story. The tile's `C` write-back
 //!   lives *inside* the kernel function: the accumulator never crosses a
 //!   call boundary, which keeps it in registers instead of round-tripping
-//!   through a return slot on the stack.
+//!   through a return slot on the stack. (That crate is also the one place
+//!   the workspace allows `unsafe`: its explicit AVX2 convolution tile,
+//!   below. This crate and every other keep `#![forbid(unsafe_code)]`.)
 //!
 //! Transposed operands are handled in the packing routines — `Aᵀ` and
 //! `Bᵀ` cost a different read stride during the O(size) pack, never a
@@ -50,11 +51,17 @@
 //! therefore the same code as the f32 one, entered with one thread and
 //! identity gathers; see [`super::qgemm`] for why it stays exact.
 //!
-//! **Convolutions pack from the image.** [`conv_gemm_into`] is the same
-//! driver with a second `B` packer that reads each panel out of the `NCHW`
-//! input instead of an unfolded column matrix — same panels, same bits,
-//! one `ci·k²`-fold copy of the input fewer. Forward-only convolutions
-//! (eval, the statistics pass, int8) use it.
+//! **Convolutions never unfold.** [`conv_gemm_into`] is the forward-only
+//! convolution (eval, the statistics pass, int8), and it has two routes,
+//! chosen per call from the geometry — never by a flag. The *packed* route
+//! is this driver with a second `B` packer that reads each panel out of
+//! the `NCHW` input instead of an unfolded column matrix — same panels,
+//! same bits, one `ci·k²`-fold copy of the input fewer. The *direct* route
+//! (`conv_direct`, stride-1 k×k convolutions on AVX2 hosts) packs no `B`
+//! at all: the explicit tile of `alf-gemm-kernels` loads its operands from
+//! a zero-bordered copy of the image, in the packed route's per-element
+//! operation order, so the two routes agree bit for bit and the packed one
+//! is the checked portable fallback.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
@@ -74,6 +81,8 @@ use super::conv::Conv2dSpec;
 use super::workspace::Workspace;
 use crate::ShapeError;
 use alf_gemm_kernels::{microkernel_i8_into, microkernel_into, microkernel_into_clipped};
+#[cfg(target_arch = "x86_64")]
+use alf_gemm_kernels::{ConvTile, Placement, TapOffsets};
 
 // The micro-kernels and the tile geometry live in `alf-gemm-kernels`, a
 // dedicated crate, because their codegen is context-sensitive: compiled in
@@ -479,17 +488,29 @@ pub fn gemm_active_k_into(
 /// Convolution as one GEMM, with the im2col matrix never materialised:
 /// `C = A · unfold(X)` where `A` is the `[m, ci·k²]` weight matrix, `X` the
 /// `NCHW` input (`dims = [n, ci, h, w]`) and `C` the `[m, n·h_out·w_out]`
-/// product the im2col route would give.
+/// product the im2col route would give. `rows` restricts the product to
+/// the surviving filters exactly as [`gemm_active_rows_into`] does.
 ///
-/// The blocked driver runs unchanged; only its `B` packer differs — it
-/// reads each [`NR`]-column panel straight out of the image (see
-/// `pack_b_image`), writing exactly the lanes [`pack_b`] would copy out of
-/// [`im2col_into`](super::im2col_into)'s matrix. The panels, hence every
-/// bit of `C`, are therefore those of `im2col_into` + [`gemm_into`] (or
-/// `im2col_i8_into` + `gemm_i8_into` for `i8`), without the `ci·k²`-fold
-/// copy of the input whose cost no amount of filter pruning shrinks.
-/// `rows` restricts the product to the surviving filters exactly as
-/// [`gemm_active_rows_into`] does.
+/// One of two routes runs, and every bit of `C` is the same on both — that
+/// of `im2col_into` + [`gemm_into`] (or `im2col_i8_into` + `gemm_i8_into`
+/// for `i8`):
+///
+/// * **Direct** — when `spec.stride == 1`, `spec.kernel ≥ 2`, the host has
+///   AVX2, and the packed route would run the call on one thread (the live
+///   rows fit one [`MC`] block, or `threads` is 1). No `B` is packed: each
+///   image is copied once into a zero-bordered scratch and the explicit
+///   tile of `alf-gemm-kernels` reads it in place (see `conv_direct`).
+///   `threads` only takes part in that routing test; the direct route
+///   itself is single-threaded.
+/// * **Packed** — everything else (stride 2, 1×1, wide-`m` calls that
+///   engage workers, hosts without AVX2, other architectures). The blocked
+///   driver runs unchanged; only its `B` packer differs — it reads each
+///   [`NR`]-column panel straight out of the image (see `pack_b_image`),
+///   writing exactly the lanes `pack_b` would copy out of
+///   [`im2col_into`](super::im2col_into)'s matrix, without the `ci·k²`-fold
+///   copy of the input whose cost no amount of filter pruning shrinks. A
+///   1×1 kernel stays here because it has no tap reuse to pay for the
+///   bordered copy.
 ///
 /// Forward-only callers use it (eval, the statistics pass, int8); a
 /// training forward still unfolds, because its backward pass multiplies by
@@ -531,6 +552,15 @@ pub fn conv_gemm_into<T: Element>(
             rows.total()
         );
     }
+    #[cfg(target_arch = "x86_64")]
+    if spec.stride == 1
+        && spec.kernel >= 2
+        && workers(threads, rows.map_or(m, ActiveRows::len)) == 1
+    {
+        if let Some(tile) = ConvTile::detect() {
+            return super::conv_direct::conv_direct_into(tile, c, a, x, m, dims, spec, rows, ws);
+        }
+    }
     let b = BOperand::Image(ConvImage {
         x,
         ci,
@@ -541,6 +571,12 @@ pub fn conv_gemm_into<T: Element>(
         spec,
     });
     gemm_rows(c, a, b, m, k, ncols, rows, ws, threads);
+}
+
+/// Workers the blocked driver engages for `m` logical rows when asked for
+/// `threads`: one per [`MC`] row block at most.
+fn workers(threads: usize, m: usize) -> usize {
+    threads.clamp(1, m.div_ceil(MC).max(1)).min(MAX_THREADS)
 }
 
 /// What the blocked driver is generic over: the operand element type.
@@ -567,6 +603,19 @@ pub trait Element: Copy + Sync {
         rlim: usize,
         clim: usize,
     );
+
+    /// Adds one direct-convolution product tile into `c`: the arguments of
+    /// `ConvTile::f32_into` / `ConvTile::i8_into`.
+    #[cfg(target_arch = "x86_64")]
+    fn conv_tile(
+        tile: ConvTile,
+        taps: TapOffsets<'_>,
+        weights: &[f32],
+        image: &[f32],
+        c: &mut [Self::Acc],
+        rows: &[usize],
+        at: Placement,
+    );
 }
 
 impl Element for f32 {
@@ -583,6 +632,19 @@ impl Element for f32 {
             microkernel_into_clipped(apanel, bpanel, c, n, rlim, clim);
         }
     }
+
+    #[cfg(target_arch = "x86_64")]
+    fn conv_tile(
+        tile: ConvTile,
+        taps: TapOffsets<'_>,
+        weights: &[f32],
+        image: &[f32],
+        c: &mut [f32],
+        rows: &[usize],
+        at: Placement,
+    ) {
+        tile.f32_into(taps, weights, image, c, rows, at);
+    }
 }
 
 impl Element for i8 {
@@ -594,6 +656,19 @@ impl Element for i8 {
 
     fn tile(apanel: &[f32], bpanel: &[f32], c: &mut [i32], n: usize, rlim: usize, clim: usize) {
         microkernel_i8_into(apanel, bpanel, c, n, rlim, clim);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn conv_tile(
+        tile: ConvTile,
+        taps: TapOffsets<'_>,
+        weights: &[f32],
+        image: &[f32],
+        c: &mut [i32],
+        rows: &[usize],
+        at: Placement,
+    ) {
+        tile.i8_into(taps, weights, image, c, rows, at);
     }
 }
 
@@ -649,7 +724,7 @@ pub(super) fn gemm_driver<T: Element>(
     }
 
     let n_blocks = m.div_ceil(MC);
-    let threads = threads.clamp(1, n_blocks).min(MAX_THREADS);
+    let threads = workers(threads, m);
     let kmax = k.min(KC);
     let ncmax = n.min(NC).div_ceil(NR) * NR;
     // Contiguous row chunks, each a whole number of MC blocks, so packed
@@ -1281,6 +1356,43 @@ mod tests {
                 &mut ws,
                 1,
             );
+        }
+        assert_eq!(ws.alloc_events(), warm);
+    }
+
+    #[test]
+    fn conv_gemm_is_allocation_free_after_warmup_on_both_routes() {
+        // Stride 1 takes the direct route where the host has AVX2, stride 2
+        // the packed one; each runs f32 (dense and row-gathered) and i8.
+        // One warm-up per geometry sizes every slot — the padded image, the
+        // weight panels and the tap table included — and nothing grows
+        // after, whichever geometry the slots last served.
+        let (n, ci, h, w, m) = (2, 5, 11, 19, 9);
+        let dims = [n, ci, h, w];
+        let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)];
+        let x: Vec<f32> = (0..n * ci * h * w).map(|i| (i % 17) as f32 - 8.0).collect();
+        let a: Vec<f32> = (0..m * ci * 9).map(|i| (i % 13) as f32 - 6.0).collect();
+        let (x8, a8): (Vec<i8>, Vec<i8>) = (
+            x.iter().map(|&v| v as i8).collect(),
+            a.iter().map(|&v| v as i8).collect(),
+        );
+        let rows = ActiveRows::from_indices(vec![0, 2, 3, 8], m).unwrap();
+        let mut ws = Workspace::new();
+        let pass = |ws: &mut Workspace| {
+            for spec in specs {
+                let (ho, wo) = spec.output_hw(h, w);
+                let mut c = vec![0.0f32; m * n * ho * wo];
+                let mut c8 = vec![0i32; m * n * ho * wo];
+                conv_gemm_into(&mut c, &a, &x, m, dims, spec, None, ws, 1);
+                conv_gemm_into(&mut c, &a, &x, m, dims, spec, Some(&rows), ws, 1);
+                conv_gemm_into(&mut c8, &a8, &x8, m, dims, spec, None, ws, 1);
+            }
+        };
+        pass(&mut ws);
+        let warm = ws.alloc_events();
+        ws.freeze();
+        for _ in 0..3 {
+            pass(&mut ws);
         }
         assert_eq!(ws.alloc_events(), warm);
     }

@@ -28,14 +28,18 @@
 //! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop and, like
 //!   [`col2im_into`], write into caller-owned buffers so layer code can
 //!   keep the whole conv step allocation-free. Only a training forward
-//!   needs them: [`conv_gemm_into`] is the forward-only convolution, the
-//!   same driver packing its `B` panels straight from the `NCHW` input
-//!   (f32 and i8), bitwise equal to unfold + GEMM without the unfold.
+//!   needs them: [`conv_gemm_into`] is the forward-only convolution (f32
+//!   and i8), bitwise equal to unfold + GEMM without the unfold — the same
+//!   driver packing its `B` panels straight from the `NCHW` input, or, for
+//!   stride-1 k×k kernels on AVX2 hosts, the pack-free tile of
+//!   `alf-gemm-kernels` reading a zero-bordered copy of the image.
 //! * [`Workspace`] is the scratch arena: one pool of named slots, generic
 //!   over the element type.
 
 mod channels;
 mod conv;
+#[cfg(target_arch = "x86_64")]
+mod conv_direct;
 pub mod gemm;
 mod matmul;
 pub mod qgemm;

@@ -8,13 +8,17 @@
 //! in [`gemm`](super::gemm) with `i8` operands, and [`im2col_i8_into`]
 //! enters the one unfold loop in `conv.rs` with an `i8` buffer. (The
 //! engine itself no longer unfolds: its k×k convolutions are the `i8`
-//! instantiation of [`conv_gemm_into`](super::conv_gemm_into); the pair
-//! here is what that entry is property-tested against.)
+//! instantiation of [`conv_gemm_into`](super::conv_gemm_into) — the
+//! stride-1 ones on the pack-free AVX2 tile, the rest on the driver's
+//! image packer; the pair here is the packed route on an unfolded matrix,
+//! which is what that entry is property-tested against, bit for bit.)
 //!
 //! What the driver's element trait does for `i8`: the packers widen each
 //! value into an f32 panel lane, the register tile
 //! (`alf_gemm_kernels::microkernel_i8_into`, isolated in its own crate for
-//! the same codegen reason as the f32 tile) accumulates those lanes in
+//! the same codegen reason as the f32 tile; `ConvTile::i8_into` on the
+//! direct convolution route, where the widening happens once, as the image
+//! is copied) accumulates those lanes in
 //! f32, and the write-back converts to the i32 `C`. That is *exact*, not
 //! approximate: every product of two i8 values has magnitude ≤ 127², and
 //! a packed panel is at most [`KC`](super::gemm::KC) deep, so every

@@ -167,6 +167,19 @@ if [ "$step_emitters" -ne 1 ]; then
   exit 1
 fi
 
+# `unsafe` lives in one module of one crate (the explicit AVX2 convolution
+# tile, alf_gemm_kernels::conv_tile); every other crate root carries
+# `#![forbid(unsafe_code)]`, and this grep also covers what that attribute
+# does not: tests, examples, the vendored stand-ins and the benchmark.
+echo "==> unsafe only under crates/gemm-kernels/src/"
+unsafe_sites=$(grep -rnE "unsafe \{|unsafe fn" crates src tests examples vendor benchmark/src \
+  --include='*.rs' | grep -v "^crates/gemm-kernels/src/" || true)
+if [ -n "$unsafe_sites" ]; then
+  echo "$unsafe_sites"
+  echo "FAIL: unsafe code outside crates/gemm-kernels/src/"
+  exit 1
+fi
+
 # The observability crate is the workspace's public-facing telemetry
 # API; its docs must build clean.
 echo "==> cargo doc -p alf-obs (warnings denied)"

@@ -331,64 +331,169 @@ proptest! {
     }
 }
 
+/// One convolution of `fused_conv_gemm_is_bitwise_the_im2col_route`.
+#[derive(Debug)]
+struct FusedConv {
+    n: usize,
+    ci: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+    m: usize,
+    /// The surviving filters of the row-gathered comparison.
+    live: Vec<usize>,
+    seed: u64,
+    /// Int8 operands at ±127 instead of a spread of small values.
+    extreme: bool,
+}
+
+/// `conv_gemm_into` against the route it replaces — `im2col*_into` +
+/// `gemm*_into`, i.e. the packed driver on an unfolded matrix — bit for
+/// bit: f32 dense, f32 under the live-row subset, and int8. `ws` is the
+/// caller's, carried from one geometry to the next as a layer stack carries
+/// it, so scratch arrives holding another convolution's data.
+fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCaseError> {
+    let &FusedConv {
+        n,
+        ci,
+        h,
+        w,
+        spec,
+        m,
+        seed,
+        extreme,
+        ..
+    } = case;
+    let (ho, wo) = spec.output_hw(h, w);
+    let (rows, cols) = (ci * spec.kernel * spec.kernel, n * ho * wo);
+    let mut rng = Rng::new(seed);
+    let x = Tensor::randn(&[n, ci, h, w], Init::Rand, &mut rng);
+    let a = Tensor::randn(&[m, rows], Init::Rand, &mut rng);
+    let live = ActiveRows::from_indices(case.live.clone(), m).unwrap();
+    let dims = [n, ci, h, w];
+    let same_bits = |w: &[f32], g: &[f32]| w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits());
+
+    let mut unfolded = vec![0.0f32; rows * cols];
+    im2col_into(&mut unfolded, &x, spec).unwrap();
+    let mut want = vec![0.0f32; m * cols];
+    let mut got = vec![f32::NAN; m * cols];
+    gemm_into(
+        &mut want,
+        a.data(),
+        false,
+        &unfolded,
+        false,
+        m,
+        rows,
+        cols,
+        ws,
+        1,
+    );
+    conv_gemm_into(&mut got, a.data(), x.data(), m, dims, spec, None, ws, 1);
+    prop_assert!(same_bits(&want, &got), "dense: {:?}", case);
+
+    gemm_active_rows_into(
+        &mut want,
+        a.data(),
+        &unfolded,
+        false,
+        m,
+        rows,
+        cols,
+        &live,
+        ws,
+        1,
+    );
+    got.fill(f32::NAN);
+    conv_gemm_into(
+        &mut got,
+        a.data(),
+        x.data(),
+        m,
+        dims,
+        spec,
+        Some(&live),
+        ws,
+        1,
+    );
+    prop_assert!(same_bits(&want, &got), "rows: {:?}", case);
+
+    let quantize = |t: &Tensor| -> Vec<i8> {
+        let q = |v: &f32| {
+            if extreme {
+                127 * v.signum() as i8
+            } else {
+                (v * 60.0) as i8
+            }
+        };
+        t.data().iter().map(q).collect()
+    };
+    let (x8, a8) = (quantize(&x), quantize(&a));
+    let mut unfolded8 = vec![0i8; rows * cols];
+    im2col_i8_into(&mut unfolded8, &x8, n, ci, h, w, spec);
+    let mut want8 = vec![0i32; m * cols];
+    let mut got8 = vec![i32::MIN; m * cols];
+    gemm_i8_into(&mut want8, &a8, &unfolded8, m, rows, cols, ws);
+    conv_gemm_into(&mut got8, &a8, &x8, m, dims, spec, None, ws, 1);
+    prop_assert!(want8 == got8, "i8: {:?}", case);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The implicit-GEMM convolution packs its `B` panels straight from the
-    /// `NCHW` input; they must be the panels `pack_b` builds from the
-    /// unfolded column matrix, so the product is *bitwise* the im2col +
-    /// GEMM one — f32 dense, f32 under any live-row subset, and int8. The
-    /// `deep` / `wide` flags force the depth past one `KC` slab and the
-    /// column count past one `NC` strip; the narrow shapes have output rows
-    /// shorter than a panel (`wo < NR`, down to 1) and column counts that
-    /// are no multiple of `NR`, so single panels straddle several output
-    /// rows and images.
+    /// The forward-only convolution never unfolds: it packs its `B` panels
+    /// straight from the `NCHW` input, or — stride 1, k ≥ 2, AVX2 — packs
+    /// none and runs the explicit tile on a zero-bordered copy. Either way
+    /// the product must be *bitwise* the im2col + GEMM one.
+    ///
+    /// Every case runs one free draw over all strides, kernels and pads
+    /// (the `deep` / `wide` flags force the depth past one `KC` slab and
+    /// the column count past one `NC` strip; the narrow shapes have output
+    /// rows shorter than a panel, down to 1, and column counts that are no
+    /// multiple of `NR`, so single panels straddle several output rows and
+    /// images), then one draw from each family the direct route's tile
+    /// placement and flush logic branch on. `m` runs 1–19 throughout, so
+    /// row blocks of the six-row tile come out full, ragged and single.
     #[test]
     fn fused_conv_gemm_is_bitwise_the_im2col_route(
         n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
         deep in 0usize..2, wide in 0usize..2, ci_extra in 1usize..5, side_extra in 0usize..12,
         m in 1usize..20, keep in proptest::collection::vec(0usize..2, 20), seed in 0u64..1000) {
+        let mut ws = Workspace::new();
+        let kept: Vec<usize> = (0..m).filter(|&i| keep[i] == 1).collect();
+        let base = |ci: usize, h: usize, w: usize, k: usize, pad: usize| FusedConv {
+            n, ci, h, w, spec: Conv2dSpec::new(k, 1, pad), m, live: kept.clone(), seed, extreme: false,
+        };
+
         let k = [1usize, 3, 5][kidx];
         let ci = if deep == 1 { KC / (k * k) + ci_extra } else { ci_extra };
         let side = if wide == 1 { 33 * stride + k } else { k + side_extra };
         let spec = Conv2dSpec::new(k, stride, pad);
         let (ho, wo) = spec.output_hw(side, side);
-        let (rows, cols) = (ci * k * k, n * ho * wo);
-        prop_assert!(deep == 0 || rows > KC);
-        prop_assert!(wide == 0 || cols > NC);
+        prop_assert!(deep == 0 || ci * k * k > KC);
+        prop_assert!(wide == 0 || n * ho * wo > NC);
+        fused_conv_agrees(&FusedConv { spec, ..base(ci, side, side, k, pad) }, &mut ws)?;
 
-        let mut rng = Rng::new(seed);
-        let x = Tensor::randn(&[n, ci, side, side], Init::Rand, &mut rng);
-        let a = Tensor::randn(&[m, rows], Init::Rand, &mut rng);
-        let live = ActiveRows::from_indices((0..m).filter(|&i| keep[i] == 1).collect(), m).unwrap();
-        let mut ws = Workspace::new();
-        let dims = [n, ci, side, side];
-
-        let mut unfolded = vec![0.0f32; rows * cols];
-        im2col_into(&mut unfolded, &x, spec).unwrap();
-        let mut want = vec![0.0f32; m * cols];
-        let mut got = vec![f32::NAN; m * cols];
-        gemm_into(&mut want, a.data(), false, &unfolded, false, m, rows, cols, &mut ws, 1);
-        conv_gemm_into(&mut got, a.data(), x.data(), m, dims, spec, None, &mut ws, 1);
-        prop_assert!(want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits()),
-                     "dense: n{} ci{} side{} k{} s{} p{} m{}", n, ci, side, k, stride, pad, m);
-
-        gemm_active_rows_into(&mut want, a.data(), &unfolded, false, m, rows, cols, &live, &mut ws, 1);
-        got.fill(f32::NAN);
-        conv_gemm_into(&mut got, a.data(), x.data(), m, dims, spec, Some(&live), &mut ws, 1);
-        prop_assert!(want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits()),
-                     "rows {:?}: n{} ci{} side{} k{} s{} p{} m{}",
-                     live.indices(), n, ci, side, k, stride, pad, m);
-
-        let quantize = |t: &Tensor| -> Vec<i8> { t.data().iter().map(|v| (v * 60.0) as i8).collect() };
-        let (x8, a8) = (quantize(&x), quantize(&a));
-        let mut unfolded8 = vec![0i8; rows * cols];
-        im2col_i8_into(&mut unfolded8, &x8, n, ci, side, side, spec);
-        let mut want8 = vec![0i32; m * cols];
-        let mut got8 = vec![i32::MIN; m * cols];
-        gemm_i8_into(&mut want8, &a8, &unfolded8, m, rows, cols, &mut ws);
-        conv_gemm_into(&mut got8, &a8, &x8, m, dims, spec, None, &mut ws, 1);
-        prop_assert!(want8 == got8, "i8: n{} ci{} side{} k{} s{} p{} m{}", n, ci, side, k, stride, pad, m);
+        // Two-row tiles: rows of at most one vector, an odd row count so
+        // the last tile's partner is off; once more with a single live row.
+        let two_row = base(ci_extra, 3 + side_extra / 2 * 2, 1 + side_extra % 8, 3, 1);
+        fused_conv_agrees(&two_row, &mut ws)?;
+        fused_conv_agrees(&FusedConv { live: vec![seed as usize % m], ..two_row }, &mut ws)?;
+        // One-row tiles whose last vector, or last two, are ragged: odd
+        // `wo` from 9 to 31, so no multiple of 8 or 16.
+        let wo = 9 + 2 * side_extra;
+        fused_conv_agrees(&base(ci_extra, 2 + n, wo + 2 - 2 * pad, 3, pad), &mut ws)?;
+        // Two flushes: more than 2·KC taps, both slab boundaries inside a
+        // channel (KC = 28·9 + 4).
+        fused_conv_agrees(&base(2 * KC / 9 + ci_extra, 3 + side_extra % 4, 4, 3, 1), &mut ws)?;
+        // 5×5 under every pad the model zoo uses.
+        fused_conv_agrees(&base(ci_extra, 5 + side_extra % 5, 5 + side_extra, 5, pad), &mut ws)?;
+        // Int8 at full scale over at least one whole slab: the f32-lane
+        // accumulation must still be exact.
+        let full_scale = FusedConv { extreme: true, ..base(KC / 9 + ci_extra, 4, 9 + side_extra, 3, 1) };
+        prop_assert!(full_scale.ci * 9 >= KC);
+        fused_conv_agrees(&full_scale, &mut ws)?;
     }
 }
 
