@@ -34,7 +34,7 @@ use alf_tensor::{ShapeError, Tensor};
 
 use crate::block::AlfBlock;
 use crate::metrics::{ConvShape, NetworkCost};
-use crate::model::{CnnModel, ConvKind, Unit};
+use crate::model::{CnnModel, ConvKind};
 use crate::qmodel::QuantizedModel;
 use crate::quant::{QuantError, QuantReport};
 use crate::Result;
@@ -145,22 +145,8 @@ fn deploy_conv(kind: &ConvKind) -> Result<ConvKind> {
 /// expansion` pair (the unconditional first stage of every [`Pipeline`]).
 fn strip_model(model: &CnnModel) -> Result<CnnModel> {
     let mut out = model.clone();
-    for unit in out.units_mut() {
-        match unit {
-            Unit::Conv(cu) => {
-                *cu.conv_mut() = deploy_conv(cu.conv())?;
-            }
-            Unit::Residual(r) => {
-                *r.a_mut().conv_mut() = deploy_conv(r.a().conv())?;
-                *r.b_mut().conv_mut() = deploy_conv(r.b().conv())?;
-            }
-            Unit::Fire(f) => {
-                for cu in f.conv_units_mut() {
-                    *cu.conv_mut() = deploy_conv(cu.conv())?;
-                }
-            }
-            _ => {}
-        }
+    for cu in out.conv_units_mut() {
+        *cu.conv_mut() = deploy_conv(cu.conv())?;
     }
     out.set_name(format!("deployed-{}", model.name()));
     Ok(out)
@@ -307,7 +293,7 @@ impl From<QuantError> for DeployError {
 
 impl From<DeployError> for ShapeError {
     /// Lets `Pipeline::run(..)?` flow into the crate-wide
-    /// [`Result`](crate::Result) at call sites that don't need the typed
+    /// [`Result`] at call sites that don't need the typed
     /// split (bench jobs, examples).
     fn from(e: DeployError) -> Self {
         match e {
@@ -380,20 +366,22 @@ impl Pipeline {
     /// quantization without `fold_bn(true)`.
     pub fn run(&self, model: &CnnModel) -> std::result::Result<Deployed, DeployError> {
         let mut out = strip_model(model)?;
-        if self.fold_bn {
-            fold_batchnorm(&mut out)?;
-        }
+        // Taken before folding: a unit is folded exactly when it still has
+        // a batch-norm for `fold_batchnorm` to take.
         let mut provenance: Vec<LayerProvenance> = out
             .conv_units()
             .into_iter()
             .map(|cu| LayerProvenance {
                 layer: cu.name().to_string(),
                 stripped_to: cu.conv().c_code(),
-                folded_bn: self.fold_bn,
+                folded_bn: self.fold_bn && cu.bn().is_some(),
                 weight_scale: None,
                 act_scale: None,
             })
             .collect();
+        if self.fold_bn {
+            fold_batchnorm(&mut out)?;
+        }
         let (quantized, report) = match &self.quant {
             None => (None, None),
             Some(spec) => {
@@ -432,12 +420,11 @@ impl Pipeline {
 /// each convolution's geometry with its retained code size.
 pub fn conv_report(model: &CnnModel, h: usize, w: usize) -> Vec<DeployedConvInfo> {
     model
-        .conv_shapes(h, w)
+        .conv_geometry(h, w)
         .into_iter()
-        .zip(model.conv_kinds())
-        .map(|(shape, kind)| DeployedConvInfo {
+        .map(|(cu, shape)| DeployedConvInfo {
             shape,
-            c_code: kind.c_code(),
+            c_code: cu.conv().c_code(),
         })
         .collect()
 }
@@ -456,6 +443,7 @@ pub fn cost(model: &CnnModel, h: usize, w: usize) -> NetworkCost {
 mod tests {
     use super::*;
     use crate::block::AlfBlockConfig;
+    use crate::checkpoint;
     use crate::models::{plain20, plain20_alf, resnet20_alf};
     use crate::schedule::PruneSchedule;
     use alf_nn::{Layer, RunCtx};
@@ -619,6 +607,27 @@ mod tests {
         let a = stripped.forward(&x, &mut RunCtx::eval()).unwrap();
         let b = folded.forward(&x, &mut RunCtx::eval()).unwrap();
         assert!(a.allclose(&b, 1e-4));
+    }
+
+    /// `folded_bn` records what happened to each unit, not what was asked
+    /// for: running an already-folded model through `fold_bn(true)` again
+    /// finds no batch-norm, folds nothing and says so.
+    #[test]
+    fn refolding_a_folded_model_reports_nothing_folded() {
+        let mut model = plain20(4, 4).unwrap();
+        roughen_batchnorm(&mut model, 20);
+        let first = Pipeline::new().fold_bn(true).run(&model).unwrap();
+        assert!(first.provenance.iter().all(|p| p.folded_bn));
+        let second = Pipeline::new().fold_bn(true).run(&first.model).unwrap();
+        assert_eq!(second.provenance.len(), first.provenance.len());
+        assert!(second.provenance.iter().all(|p| !p.folded_bn));
+        assert_eq!(
+            checkpoint::save(&second.model)[..],
+            checkpoint::save(&first.model)[..],
+            "a second fold must leave the weights alone"
+        );
+        let unfolded = Pipeline::new().run(&model).unwrap();
+        assert!(unfolded.provenance.iter().all(|p| !p.folded_bn));
     }
 
     #[test]

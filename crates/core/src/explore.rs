@@ -169,81 +169,6 @@ impl ConfigResult {
     }
 }
 
-/// One variant of the Setup 3 sweep (Fig. 2c): an autoencoder learning
-/// rate / clip threshold pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PruneVariant {
-    /// Display label (e.g. `lr=1e-3,t=1e-4`).
-    pub label: String,
-    /// Autoencoder learning rate `lrae`.
-    pub ae_lr: f32,
-    /// Mask clip threshold `t`.
-    pub threshold: f32,
-}
-
-impl PruneVariant {
-    /// Creates a variant with the conventional label.
-    pub fn new(ae_lr: f32, threshold: f32) -> Self {
-        Self {
-            label: format!("lr={ae_lr:.0e},t={threshold:.0e}"),
-            ae_lr,
-            threshold,
-        }
-    }
-}
-
-/// Per-variant outcome of the Setup 3 sweep: the full per-epoch series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PruneSweepResult {
-    /// Variant label.
-    pub label: String,
-    /// Per-epoch statistics (remaining filters, accuracy, losses).
-    pub epochs: Vec<crate::train::EpochStats>,
-}
-
-impl PruneSweepResult {
-    /// Final remaining-filter fraction.
-    pub fn final_remaining(&self) -> f32 {
-        self.epochs.last().map_or(1.0, |e| e.remaining_filters)
-    }
-
-    /// Final test accuracy.
-    pub fn final_accuracy(&self) -> f32 {
-        self.epochs.last().map_or(0.0, |e| e.test_accuracy)
-    }
-}
-
-/// Setup 3 (Fig. 2c): trains one ALF Plain-20 per `(lrae, t)` variant with
-/// the pruning mask *enabled* and records the remaining-filters/accuracy
-/// trajectory over epochs.
-///
-/// # Errors
-///
-/// Propagates model/training shape errors.
-pub fn prune_sweep(
-    setup: &ExploreSetup,
-    variants: &[PruneVariant],
-) -> Result<Vec<PruneSweepResult>> {
-    let data = setup.dataset()?;
-    let mut out = Vec::with_capacity(variants.len());
-    for variant in variants {
-        let config = AlfBlockConfig {
-            threshold: variant.threshold,
-            ..AlfBlockConfig::paper_default()
-        };
-        let mut hyper = setup.hyper.clone();
-        hyper.ae_lr = variant.ae_lr;
-        let model = plain20_alf(setup.num_classes, setup.width, config, 1000)?;
-        let mut trainer = crate::train::AlfTrainer::new(model, hyper, 1000)?;
-        let report = trainer.run(&data, setup.epochs)?;
-        out.push(PruneSweepResult {
-            label: variant.label.clone(),
-            epochs: report.epochs,
-        });
-    }
-    Ok(out)
-}
-
 /// Setup 1 (Fig. 2a): explores `[Wexp,init | σinter | BNinter]` over the
 /// paper's six configurations.
 ///
@@ -342,24 +267,6 @@ mod tests {
             assert_eq!(r.accuracies.len(), 1);
             assert!((0.0..=1.0).contains(&r.accuracies[0]));
         }
-    }
-
-    #[test]
-    fn prune_sweep_records_full_series() {
-        let mut setup = ExploreSetup::smoke();
-        setup.epochs = 2;
-        setup.train_size = 32;
-        setup.test_size = 16;
-        setup.hyper.ae_steps_per_batch = 4;
-        let variants = [PruneVariant::new(5e-2, 2e-2), PruneVariant::new(1e-3, 2e-2)];
-        let results = prune_sweep(&setup, &variants).unwrap();
-        assert_eq!(results.len(), 2);
-        for r in &results {
-            assert_eq!(r.epochs.len(), 2);
-            assert!((0.0..=1.0).contains(&r.final_remaining()));
-            assert!((0.0..=1.0).contains(&r.final_accuracy()));
-        }
-        assert_eq!(results[0].label, "lr=5e-2,t=2e-2");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use alf_nn::activation::{Activation, ActivationKind};
 use alf_nn::conv::Conv2d;
-use alf_nn::layer::{Layer, Param};
+use alf_nn::layer::Layer;
 use alf_nn::linear::Linear;
 use alf_nn::norm::BatchNorm2d;
 use alf_nn::pool::{GlobalAvgPool, MaxPool2d};
@@ -100,61 +100,24 @@ impl Layer for ConvKind {
         }
     }
 
-    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
+    fn children(&self, visit: &mut dyn FnMut(&dyn Layer)) {
         match self {
-            ConvKind::Standard(c) => c.visit_params(v),
-            ConvKind::Alf(b) => b.visit_params(v),
+            ConvKind::Standard(c) => visit(c),
+            ConvKind::Alf(b) => visit(b),
             ConvKind::Deployed { code, expansion } => {
-                code.visit_params(v);
-                expansion.visit_params(v);
+                visit(code);
+                visit(expansion);
             }
         }
     }
 
-    // Composites forward `zero_grads` to their children instead of taking
-    // the default route through `visit_params`: an ALF block must treat a
-    // mutable parameter visit as a possible weight change (and rebuild its
-    // code), which zeroing gradients is not.
-    fn zero_grads(&mut self) {
+    fn children_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Layer)) {
         match self {
-            ConvKind::Standard(c) => c.zero_grads(),
-            ConvKind::Alf(b) => b.zero_grads(),
+            ConvKind::Standard(c) => visit(c),
+            ConvKind::Alf(b) => visit(b),
             ConvKind::Deployed { code, expansion } => {
-                code.zero_grads();
-                expansion.zero_grads();
-            }
-        }
-    }
-
-    fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
-        match self {
-            ConvKind::Standard(c) => c.visit_params_ref(v),
-            ConvKind::Alf(b) => b.visit_params_ref(v),
-            ConvKind::Deployed { code, expansion } => {
-                code.visit_params_ref(v);
-                expansion.visit_params_ref(v);
-            }
-        }
-    }
-
-    fn visit_state(&mut self, v: &mut dyn FnMut(&mut Tensor)) {
-        match self {
-            ConvKind::Standard(c) => c.visit_state(v),
-            ConvKind::Alf(b) => b.visit_state(v),
-            ConvKind::Deployed { code, expansion } => {
-                code.visit_state(v);
-                expansion.visit_state(v);
-            }
-        }
-    }
-
-    fn visit_state_ref(&self, v: &mut dyn FnMut(&Tensor)) {
-        match self {
-            ConvKind::Standard(c) => c.visit_state_ref(v),
-            ConvKind::Alf(b) => b.visit_state_ref(v),
-            ConvKind::Deployed { code, expansion } => {
-                code.visit_state_ref(v);
-                expansion.visit_state_ref(v);
+                visit(code);
+                visit(expansion);
             }
         }
     }
@@ -289,38 +252,17 @@ impl Layer for ConvUnit {
         out
     }
 
-    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
-        self.conv.visit_params(v);
-        if let Some(bn) = &mut self.bn {
-            bn.visit_params(v);
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        self.conv.zero_grads();
-        if let Some(bn) = &mut self.bn {
-            bn.zero_grads();
-        }
-    }
-
-    fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
-        self.conv.visit_params_ref(v);
+    fn children(&self, visit: &mut dyn FnMut(&dyn Layer)) {
+        visit(&self.conv);
         if let Some(bn) = &self.bn {
-            bn.visit_params_ref(v);
+            visit(bn);
         }
     }
 
-    fn visit_state(&mut self, v: &mut dyn FnMut(&mut Tensor)) {
-        self.conv.visit_state(v);
+    fn children_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Layer)) {
+        visit(&mut self.conv);
         if let Some(bn) = &mut self.bn {
-            bn.visit_state(v);
-        }
-    }
-
-    fn visit_state_ref(&self, v: &mut dyn FnMut(&Tensor)) {
-        self.conv.visit_state_ref(v);
-        if let Some(bn) = &self.bn {
-            bn.visit_state_ref(v);
+            visit(bn);
         }
     }
 }
@@ -422,24 +364,9 @@ impl ResidualUnit {
         &self.a
     }
 
-    /// Mutable access to the first conv unit.
-    pub fn a_mut(&mut self) -> &mut ConvUnit {
-        &mut self.a
-    }
-
     /// Second conv unit (conv → BN, activation after the add).
     pub fn b(&self) -> &ConvUnit {
         &self.b
-    }
-
-    /// Mutable access to the second conv unit.
-    pub fn b_mut(&mut self) -> &mut ConvUnit {
-        &mut self.b
-    }
-
-    /// Mutable access to both conv units at once.
-    pub fn units_mut(&mut self) -> (&mut ConvUnit, &mut ConvUnit) {
-        (&mut self.a, &mut self.b)
     }
 
     /// Creates a basic block from its two conv units; `shortcut` is `None`
@@ -480,112 +407,14 @@ impl Layer for ResidualUnit {
         g_main.add(&g_skip)
     }
 
-    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
-        self.a.visit_params(v);
-        self.b.visit_params(v);
+    fn children(&self, visit: &mut dyn FnMut(&dyn Layer)) {
+        visit(&self.a);
+        visit(&self.b);
     }
 
-    fn zero_grads(&mut self) {
-        self.a.zero_grads();
-        self.b.zero_grads();
-    }
-
-    fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
-        self.a.visit_params_ref(v);
-        self.b.visit_params_ref(v);
-    }
-
-    fn visit_state(&mut self, v: &mut dyn FnMut(&mut Tensor)) {
-        self.a.visit_state(v);
-        self.b.visit_state(v);
-    }
-
-    fn visit_state_ref(&self, v: &mut dyn FnMut(&Tensor)) {
-        self.a.visit_state_ref(v);
-        self.b.visit_state_ref(v);
-    }
-}
-
-/// SqueezeNet-style fire module: a 1×1 squeeze conv feeding two parallel
-/// expand convs (1×1 and 3×3) whose outputs concatenate along channels.
-#[derive(Debug, Clone)]
-pub struct FireUnit {
-    squeeze: ConvUnit,
-    expand1: ConvUnit,
-    expand3: ConvUnit,
-}
-
-impl FireUnit {
-    /// Creates a fire module from its three conv units. The expand units
-    /// must take the squeeze unit's output channels as input and produce
-    /// equal spatial sizes (1×1 and 3×3-pad-1 convs at stride 1 do).
-    pub fn new(squeeze: ConvUnit, expand1: ConvUnit, expand3: ConvUnit) -> Self {
-        Self {
-            squeeze,
-            expand1,
-            expand3,
-        }
-    }
-
-    /// Total output channels (both expand branches concatenated).
-    pub fn c_out(&self) -> usize {
-        self.expand1.conv().c_out() + self.expand3.conv().c_out()
-    }
-
-    pub(crate) fn conv_units(&self) -> [&ConvUnit; 3] {
-        [&self.squeeze, &self.expand1, &self.expand3]
-    }
-
-    pub(crate) fn conv_units_mut(&mut self) -> [&mut ConvUnit; 3] {
-        [&mut self.squeeze, &mut self.expand1, &mut self.expand3]
-    }
-}
-
-impl Layer for FireUnit {
-    fn forward(&mut self, x: &Tensor, ctx: &mut RunCtx) -> Result<Tensor> {
-        let s = self.squeeze.forward(x, ctx)?;
-        let a = self.expand1.forward(&s, ctx)?;
-        let b = self.expand3.forward(&s, ctx)?;
-        alf_tensor::ops::concat_channels(&a, &b)
-    }
-
-    fn backward(&mut self, g: &Tensor, ctx: &mut RunCtx) -> Result<Tensor> {
-        let c1 = self.expand1.conv().c_out();
-        let (ga, gb) = alf_tensor::ops::split_channels(g, c1)?;
-        let gs_a = self.expand1.backward(&ga, ctx)?;
-        let gs_b = self.expand3.backward(&gb, ctx)?;
-        let gs = gs_a.add(&gs_b)?;
-        self.squeeze.backward(&gs, ctx)
-    }
-
-    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
-        self.squeeze.visit_params(v);
-        self.expand1.visit_params(v);
-        self.expand3.visit_params(v);
-    }
-
-    fn zero_grads(&mut self) {
-        for cu in self.conv_units_mut() {
-            cu.zero_grads();
-        }
-    }
-
-    fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
-        self.squeeze.visit_params_ref(v);
-        self.expand1.visit_params_ref(v);
-        self.expand3.visit_params_ref(v);
-    }
-
-    fn visit_state(&mut self, v: &mut dyn FnMut(&mut Tensor)) {
-        self.squeeze.visit_state(v);
-        self.expand1.visit_state(v);
-        self.expand3.visit_state(v);
-    }
-
-    fn visit_state_ref(&self, v: &mut dyn FnMut(&Tensor)) {
-        self.squeeze.visit_state_ref(v);
-        self.expand1.visit_state_ref(v);
-        self.expand3.visit_state_ref(v);
+    fn children_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Layer)) {
+        visit(&mut self.a);
+        visit(&mut self.b);
     }
 }
 
@@ -597,8 +426,6 @@ pub enum Unit {
     Conv(ConvUnit),
     /// Residual basic block.
     Residual(ResidualUnit),
-    /// SqueezeNet fire module.
-    Fire(FireUnit),
     /// Max pooling (ImageNet-geometry stems).
     MaxPool(MaxPool2d),
     /// Global average pooling (`[n,c,h,w] → [n,c]`).
@@ -616,7 +443,6 @@ impl Unit {
         match self {
             Unit::Conv(cu) => (cu, None),
             Unit::Residual(r) => (r, None),
-            Unit::Fire(f) => (f, None),
             Unit::MaxPool(mp) => (mp, Some("maxpool")),
             Unit::GlobalPool(gp) => (gp, Some("global_pool")),
             Unit::Classifier(fc) => (fc, Some("fc")),
@@ -629,11 +455,32 @@ impl Unit {
         match self {
             Unit::Conv(cu) => cu,
             Unit::Residual(r) => r,
-            Unit::Fire(f) => f,
             Unit::MaxPool(mp) => mp,
             Unit::GlobalPool(gp) => gp,
             Unit::Classifier(fc) => fc,
         }
+    }
+
+    /// The unit's conv units in execution order (a residual block
+    /// contributes `a` then `b`) — with [`Unit::conv_units_mut`] the one
+    /// conv-unit walk every model-level listing derives from.
+    fn conv_units(&self) -> impl Iterator<Item = &ConvUnit> + '_ {
+        let (first, second) = match self {
+            Unit::Conv(cu) => (Some(cu), None),
+            Unit::Residual(r) => (Some(&r.a), Some(&r.b)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Mutable counterpart of [`Unit::conv_units`], same order.
+    fn conv_units_mut(&mut self) -> impl Iterator<Item = &mut ConvUnit> + '_ {
+        let (first, second) = match self {
+            Unit::Conv(cu) => (Some(cu), None),
+            Unit::Residual(r) => (Some(&mut r.a), Some(&mut r.b)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 
@@ -664,24 +511,12 @@ impl Layer for Unit {
         }
     }
 
-    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
-        self.inner_mut().0.visit_params(v);
+    fn children(&self, visit: &mut dyn FnMut(&dyn Layer)) {
+        visit(self.inner());
     }
 
-    fn zero_grads(&mut self) {
-        self.inner_mut().0.zero_grads();
-    }
-
-    fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
-        self.inner().visit_params_ref(v);
-    }
-
-    fn visit_state(&mut self, v: &mut dyn FnMut(&mut Tensor)) {
-        self.inner_mut().0.visit_state(v);
-    }
-
-    fn visit_state_ref(&self, v: &mut dyn FnMut(&Tensor)) {
-        self.inner().visit_state_ref(v);
+    fn children_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Layer)) {
+        visit(self.inner_mut().0);
     }
 }
 
@@ -751,23 +586,9 @@ impl CnnModel {
         &mut self.units
     }
 
-    /// All convolutions in execution order (residual blocks contribute
-    /// their two convs in `a`, `b` order) — parallel to
-    /// [`CnnModel::conv_shapes`].
+    /// All convolutions in [`CnnModel::conv_units`] order.
     pub fn conv_kinds(&self) -> Vec<&ConvKind> {
-        let mut out = Vec::new();
-        for unit in &self.units {
-            match unit {
-                Unit::Conv(cu) => out.push(cu.conv()),
-                Unit::Residual(r) => {
-                    out.push(r.a.conv());
-                    out.push(r.b.conv());
-                }
-                Unit::Fire(f) => out.extend(f.conv_units().map(ConvUnit::conv)),
-                _ => {}
-            }
-        }
-        out
+        self.conv_units().into_iter().map(ConvUnit::conv).collect()
     }
 
     /// Renames the model (deployment marks compressed models).
@@ -776,73 +597,35 @@ impl CnnModel {
     }
 
     /// All conv units in execution order (residual blocks contribute
-    /// `a`, `b`) — parallel to [`CnnModel::conv_shapes`].
+    /// `a`, `b`). Every per-convolution listing of the model —
+    /// [`conv_kinds`](CnnModel::conv_kinds),
+    /// [`alf_blocks`](CnnModel::alf_blocks),
+    /// [`filter_stats`](CnnModel::filter_stats),
+    /// [`conv_shapes`](CnnModel::conv_shapes) — is this walk, filtered or
+    /// mapped, so they are index-parallel by construction.
     pub fn conv_units(&self) -> Vec<&ConvUnit> {
-        let mut out = Vec::new();
-        for unit in &self.units {
-            match unit {
-                Unit::Conv(cu) => out.push(cu),
-                Unit::Residual(r) => {
-                    out.push(&r.a);
-                    out.push(&r.b);
-                }
-                Unit::Fire(f) => out.extend(f.conv_units()),
-                _ => {}
-            }
-        }
-        out
+        self.units.iter().flat_map(Unit::conv_units).collect()
     }
 
-    /// All conv units in execution order, mutably (residual blocks
-    /// contribute `a`, `b`) — parallel to [`CnnModel::conv_shapes`]. Used
-    /// by the pruning baselines for model surgery.
+    /// [`CnnModel::conv_units`], mutably. Used by deployment and the
+    /// pruning baselines for model surgery.
     pub fn conv_units_mut(&mut self) -> Vec<&mut ConvUnit> {
-        let mut out = Vec::new();
-        for unit in &mut self.units {
-            match unit {
-                Unit::Conv(cu) => out.push(cu),
-                Unit::Residual(r) => {
-                    let (a, b) = r.units_mut();
-                    out.push(a);
-                    out.push(b);
-                }
-                Unit::Fire(f) => out.extend(f.conv_units_mut()),
-                _ => {}
-            }
-        }
-        out
+        self.units
+            .iter_mut()
+            .flat_map(Unit::conv_units_mut)
+            .collect()
     }
 
     /// All ALF blocks in network order (read-only) — the hook telemetry
     /// consumers use to size per-block signal arrays.
     pub fn alf_blocks(&self) -> Vec<&AlfBlock> {
-        let mut out = Vec::new();
-        for unit in &self.units {
-            match unit {
-                Unit::Conv(cu) => {
-                    if let ConvKind::Alf(b) = cu.conv() {
-                        out.push(b);
-                    }
-                }
-                Unit::Residual(r) => {
-                    if let ConvKind::Alf(b) = r.a.conv() {
-                        out.push(b);
-                    }
-                    if let ConvKind::Alf(b) = r.b.conv() {
-                        out.push(b);
-                    }
-                }
-                Unit::Fire(f) => {
-                    for cu in f.conv_units() {
-                        if let ConvKind::Alf(b) = cu.conv() {
-                            out.push(b);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
+        self.conv_units()
+            .into_iter()
+            .filter_map(|cu| match cu.conv() {
+                ConvKind::Alf(b) => Some(b),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Per-parameter live-row descriptors for the model's flat parameter
@@ -893,36 +676,16 @@ impl CnnModel {
         out
     }
 
-    /// Iterates over all ALF blocks (in network order) mutably — the hook
-    /// the autoencoder player uses.
+    /// All ALF blocks in network order, mutably — the hook the
+    /// autoencoder player uses.
     pub fn alf_blocks_mut(&mut self) -> Vec<&mut AlfBlock> {
-        let mut out = Vec::new();
-        for unit in &mut self.units {
-            match unit {
-                Unit::Conv(cu) => {
-                    if let ConvKind::Alf(b) = cu.conv_mut() {
-                        out.push(b);
-                    }
-                }
-                Unit::Residual(r) => {
-                    if let ConvKind::Alf(b) = r.a.conv_mut() {
-                        out.push(b);
-                    }
-                    if let ConvKind::Alf(b) = r.b.conv_mut() {
-                        out.push(b);
-                    }
-                }
-                Unit::Fire(f) => {
-                    for cu in f.conv_units_mut() {
-                        if let ConvKind::Alf(b) = cu.conv_mut() {
-                            out.push(b);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
+        self.conv_units_mut()
+            .into_iter()
+            .filter_map(|cu| match cu.conv_mut() {
+                ConvKind::Alf(b) => Some(b),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Toggles the occupancy-aware execution paths on every ALF block (see
@@ -955,28 +718,15 @@ impl CnnModel {
 
     /// `(name, active, total)` filter statistics for every ALF block.
     pub fn filter_stats(&self) -> Vec<(String, usize, usize)> {
-        let mut out = Vec::new();
-        let mut record = |cu: &ConvUnit| {
-            if let ConvKind::Alf(b) = cu.conv() {
-                out.push((cu.name().to_string(), b.active_filters(), b.total_filters()));
-            }
-        };
-        for unit in &self.units {
-            match unit {
-                Unit::Conv(cu) => record(cu),
-                Unit::Residual(r) => {
-                    record(&r.a);
-                    record(&r.b);
+        self.conv_units()
+            .into_iter()
+            .filter_map(|cu| match cu.conv() {
+                ConvKind::Alf(b) => {
+                    Some((cu.name().to_string(), b.active_filters(), b.total_filters()))
                 }
-                Unit::Fire(f) => {
-                    for cu in f.conv_units() {
-                        record(cu);
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
+                _ => None,
+            })
+            .collect()
     }
 
     /// Per-ALF-block keep ratio `active / total`, in [`filter_stats`]
@@ -1004,48 +754,33 @@ impl CnnModel {
         }
     }
 
+    /// Every conv unit with its geometry for an input of `h × w` pixels,
+    /// in [`CnnModel::conv_units`] order: the spatial size is threaded
+    /// through the convolutions and max-pools in between.
+    pub(crate) fn conv_geometry(&self, mut h: usize, mut w: usize) -> Vec<(&ConvUnit, ConvShape)> {
+        let mut out = Vec::new();
+        for unit in &self.units {
+            for cu in unit.conv_units() {
+                let spec = cu.conv().spec();
+                (h, w) = spec.output_hw(h, w);
+                let (c_in, c_out) = (cu.conv().c_in(), cu.conv().c_out());
+                let shape = ConvShape::new(cu.name(), c_in, c_out, spec.kernel, spec.stride, h, w);
+                out.push((cu, shape));
+            }
+            if let Unit::MaxPool(mp) = unit {
+                h /= mp.window();
+                w /= mp.window();
+            }
+        }
+        out
+    }
+
     /// Geometry of every convolution for an input of `h × w` pixels, in
     /// execution order (the input to Params/OPs accounting and the
     /// accelerator model).
-    pub fn conv_shapes(&self, mut h: usize, mut w: usize) -> Vec<ConvShape> {
-        let mut shapes = Vec::new();
-        let mut push = |cu: &ConvUnit, h: &mut usize, w: &mut usize| {
-            let spec = cu.conv().spec();
-            let (ho, wo) = spec.output_hw(*h, *w);
-            shapes.push(ConvShape::new(
-                cu.name(),
-                cu.conv().c_in(),
-                cu.conv().c_out(),
-                spec.kernel,
-                spec.stride,
-                ho,
-                wo,
-            ));
-            *h = ho;
-            *w = wo;
-        };
-        for unit in &self.units {
-            match unit {
-                Unit::Conv(cu) => push(cu, &mut h, &mut w),
-                Unit::Residual(r) => {
-                    push(&r.a, &mut h, &mut w);
-                    push(&r.b, &mut h, &mut w);
-                }
-                Unit::Fire(f) => {
-                    // Squeeze advances the spatial state (1x1/stride-1 is a
-                    // no-op); the parallel expands share it.
-                    for cu in f.conv_units() {
-                        push(cu, &mut h, &mut w);
-                    }
-                }
-                Unit::MaxPool(mp) => {
-                    h /= mp.window();
-                    w /= mp.window();
-                }
-                Unit::GlobalPool(_) | Unit::Classifier(_) => {}
-            }
-        }
-        shapes
+    pub fn conv_shapes(&self, h: usize, w: usize) -> Vec<ConvShape> {
+        let geometry = self.conv_geometry(h, w);
+        geometry.into_iter().map(|(_, shape)| shape).collect()
     }
 }
 
@@ -1066,33 +801,15 @@ impl Layer for CnnModel {
         Ok(g)
     }
 
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        for unit in &mut self.units {
-            unit.visit_params(visitor);
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        for unit in &mut self.units {
-            unit.zero_grads();
-        }
-    }
-
-    fn visit_params_ref(&self, visitor: &mut dyn FnMut(&Param)) {
+    fn children(&self, visit: &mut dyn FnMut(&dyn Layer)) {
         for unit in &self.units {
-            unit.visit_params_ref(visitor);
+            visit(unit);
         }
     }
 
-    fn visit_state(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
+    fn children_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Layer)) {
         for unit in &mut self.units {
-            unit.visit_state(visitor);
-        }
-    }
-
-    fn visit_state_ref(&self, visitor: &mut dyn FnMut(&Tensor)) {
-        for unit in &self.units {
-            unit.visit_state_ref(visitor);
+            visit(unit);
         }
     }
 }

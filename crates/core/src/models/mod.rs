@@ -248,66 +248,6 @@ pub fn resnet18_small(
     CnnModel::from_units("resnet18-small", units, num_classes)
 }
 
-/// A SqueezeNet-shaped model scaled for synthetic data: a 3×3 stem, four
-/// fire modules with one spatial downsampling, global average pooling and
-/// a linear classifier. `width` is the stem channel count (the original's
-/// proportions are kept: squeeze = width/2, expand = width per branch).
-///
-/// # Errors
-///
-/// Propagates construction errors (cannot occur for valid arguments).
-///
-/// # Panics
-///
-/// Panics if `width < 2` (the squeeze path would vanish).
-pub fn squeezenet_small(
-    num_classes: usize,
-    width: usize,
-    style: ConvStyle,
-    seed: u64,
-) -> Result<CnnModel> {
-    assert!(width >= 2, "width must be at least 2");
-    let mut rng = Rng::new(seed);
-    let mut units = Vec::new();
-    units.push(Unit::Conv(ConvUnit::new(
-        "conv1",
-        style.build(3, width, 3, 1, 1, &mut rng),
-        Some(ActivationKind::Relu),
-    )));
-    let fire = |name: &str, c_in: usize, squeeze: usize, expand: usize, rng: &mut Rng| {
-        Unit::Fire(crate::model::FireUnit::new(
-            ConvUnit::new(
-                format!("{name}_s1"),
-                style.build(c_in, squeeze, 1, 1, 0, rng),
-                Some(ActivationKind::Relu),
-            ),
-            ConvUnit::new(
-                format!("{name}_e1"),
-                style.build(squeeze, expand, 1, 1, 0, rng),
-                Some(ActivationKind::Relu),
-            ),
-            ConvUnit::new(
-                format!("{name}_e3"),
-                style.build(squeeze, expand, 3, 1, 1, rng),
-                Some(ActivationKind::Relu),
-            ),
-        ))
-    };
-    units.push(fire("fire2", width, width / 2, width, &mut rng));
-    units.push(fire("fire3", 2 * width, width / 2, width, &mut rng));
-    units.push(Unit::MaxPool(alf_nn::pool::MaxPool2d::new(2)));
-    units.push(fire("fire4", 2 * width, width, 2 * width, &mut rng));
-    units.push(fire("fire5", 4 * width, width, 2 * width, &mut rng));
-    units.push(Unit::GlobalPool(GlobalAvgPool::new()));
-    units.push(Unit::Classifier(Linear::new(
-        4 * width,
-        num_classes,
-        Init::Xavier,
-        &mut rng,
-    )));
-    CnnModel::from_units("squeezenet-small", units, num_classes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,54 +334,6 @@ mod tests {
             .unwrap();
         assert_eq!(y.dims(), &[1, 5]);
         assert_eq!(model.conv_shapes(64, 64).len(), 17);
-    }
-
-    #[test]
-    fn squeezenet_small_forward_backward() {
-        let mut model = squeezenet_small(5, 4, ConvStyle::Standard, 9).unwrap();
-        let x = Tensor::zeros(&[2, 3, 16, 16]);
-        let y = model.forward(&x, &mut RunCtx::train()).unwrap();
-        assert_eq!(y.dims(), &[2, 5]);
-        let g = model.backward(&y, &mut RunCtx::train()).unwrap();
-        assert_eq!(g.dims(), x.dims());
-        // conv1 + 4 fire modules × 3 convs.
-        assert_eq!(model.conv_shapes(16, 16).len(), 13);
-    }
-
-    #[test]
-    fn squeezenet_small_alf_variant_prunes_and_deploys() {
-        let cfg = crate::block::AlfBlockConfig {
-            threshold: 5e-2,
-            ..crate::block::AlfBlockConfig::paper_default()
-        };
-        let mut model = squeezenet_small(4, 4, ConvStyle::Alf(cfg), 10).unwrap();
-        assert_eq!(model.alf_blocks_mut().len(), 13);
-        for block in model.alf_blocks_mut() {
-            for _ in 0..800 {
-                block
-                    .autoencoder_step(5e-3, &crate::PruneSchedule::new(8.0, 0.9))
-                    .unwrap();
-            }
-        }
-        let mut deployed = crate::deploy::Pipeline::new().run(&model).unwrap().model;
-        let mut rng = alf_tensor::rng::Rng::new(11);
-        let x = Tensor::randn(&[1, 3, 16, 16], alf_tensor::init::Init::Rand, &mut rng);
-        let a = model.forward(&x, &mut RunCtx::eval()).unwrap();
-        let b = deployed.forward(&x, &mut RunCtx::eval()).unwrap();
-        assert!(a.allclose(&b, 1e-4), "fire-module deployment must be exact");
-    }
-
-    #[test]
-    fn squeezenet_small_checkpoints() {
-        let mut a = squeezenet_small(4, 4, ConvStyle::Standard, 12).unwrap();
-        let blob = crate::checkpoint::save(&a);
-        let mut b = squeezenet_small(4, 4, ConvStyle::Standard, 99).unwrap();
-        crate::checkpoint::load(&mut b, &blob).unwrap();
-        let x = Tensor::ones(&[1, 3, 8, 8]);
-        assert_eq!(
-            a.forward(&x, &mut RunCtx::eval()).unwrap(),
-            b.forward(&x, &mut RunCtx::eval()).unwrap()
-        );
     }
 
     #[test]

@@ -214,7 +214,7 @@ impl QuantizedModel {
     /// [`QuantError::EmptyCalibration`] for an empty calibration batch;
     /// [`QuantError::Unsupported`] for model forms outside the int8
     /// engine's reach — a remaining batch-norm layer (fold first), a
-    /// training-form ALF block (deploy first), residual or fire units,
+    /// training-form ALF block (deploy first), residual units,
     /// or a non-ReLU activation; [`QuantError::NonFinite`] when a weight
     /// or calibration activation holds a NaN or infinity.
     ///
@@ -314,11 +314,6 @@ impl QuantizedModel {
                 Unit::Residual(_) => {
                     return Err(QuantError::Unsupported {
                         what: "residual units (int8 engine covers plain conv stacks)".into(),
-                    })
-                }
-                Unit::Fire(_) => {
-                    return Err(QuantError::Unsupported {
-                        what: "fire units (int8 engine covers plain conv stacks)".into(),
                     })
                 }
             }
@@ -573,15 +568,7 @@ impl QuantizedModel {
         Ok(logits
             .data()
             .chunks_exact(classes)
-            .map(|row| {
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
+            .map(alf_tensor::argmax)
             .collect())
     }
 

@@ -10,7 +10,7 @@
 //!
 //! Only [`Mode::Train`] owns a column matrix. The forward-only modes run
 //! the convolution through
-//! [`conv_gemm_into`](alf_tensor::ops::conv_gemm_into), which unfolds
+//! [`alf_tensor::ops::conv_gemm_into`], which unfolds
 //! nothing: a stride-1 k×k kernel runs on the pack-free AVX2 tile, anything
 //! else has its `B` panels packed straight from the `NCHW` input — either
 //! way bit for bit the product of the unfold-then-pack route.

@@ -76,6 +76,18 @@ impl Param {
 /// scratch arena and the optional profiler — see [`crate::ctx`] for the
 /// ownership rules.
 ///
+/// # Leaves and composites
+///
+/// A *leaf* owns its parameters and overrides [`Layer::visit_params`] /
+/// [`Layer::visit_params_ref`] (and the two state visitors when it has
+/// non-trained buffers). A *composite* owns none: it lists its children
+/// once per borrow kind in [`Layer::children`] / [`Layer::children_mut`]
+/// and overrides no visitor — the five defaults recurse through that
+/// listing, so the flat parameter order, the state vector and every
+/// checkpoint are the children's orders concatenated. A layer that has
+/// both (the ALF block: its own `W` plus an expansion conv) lists nothing
+/// and overrides all five.
+///
 /// # Example
 ///
 /// ```
@@ -109,11 +121,28 @@ pub trait Layer: std::fmt::Debug {
     /// Returns an error when no forward pass was cached or shapes mismatch.
     fn backward(&mut self, grad_output: &Tensor, ctx: &mut RunCtx) -> Result<Tensor>;
 
+    /// Lists the direct children that own parameters or persistent state,
+    /// in the order their state is laid out (shared borrow).
+    ///
+    /// This is the whole traversal contract of a composite: list the
+    /// children here and in [`Layer::children_mut`], override no visitor.
+    /// The default lists nothing (a leaf).
+    fn children(&self, visit: &mut dyn FnMut(&dyn Layer)) {
+        let _ = visit;
+    }
+
+    /// Mutable counterpart of [`Layer::children`]: the same children in
+    /// the same order.
+    fn children_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Layer)) {
+        let _ = visit;
+    }
+
     /// Visits every trainable parameter in a stable order.
     ///
-    /// The default implementation visits nothing (stateless layers).
+    /// The default recurses through [`Layer::children_mut`], so it visits
+    /// nothing for a stateless leaf; a leaf with parameters overrides it.
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        let _ = visitor;
+        self.children_mut(&mut |child| child.visit_params(visitor));
     }
 
     /// Read-only counterpart of [`Layer::visit_params`]: visits the same
@@ -124,27 +153,56 @@ pub trait Layer: std::fmt::Debug {
     /// override this too — the two orders are contractually identical,
     /// which `tests` assert model-wide.
     fn visit_params_ref(&self, visitor: &mut dyn FnMut(&Param)) {
-        let _ = visitor;
+        self.children(&mut |child| child.visit_params_ref(visitor));
     }
 
     /// Zeroes all parameter gradients.
+    ///
+    /// A composite reaches each child's `zero_grads`, never its
+    /// `visit_params`: a mutable parameter visit may move a weight, so an
+    /// ALF block answers one by rebuilding its code, which zeroing
+    /// gradients must not cost. Only a leaf (no children listed) zeroes
+    /// through its own `visit_params`.
     fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
+        let mut leaf = true;
+        self.children_mut(&mut |child| {
+            leaf = false;
+            child.zero_grads();
+        });
+        if leaf {
+            self.visit_params(&mut |p| p.zero_grad());
+        }
     }
 
     /// Visits every tensor that constitutes the layer's persistent state —
     /// trainable parameters plus non-trained buffers (e.g. batch-norm
     /// running statistics) — in a stable order. This is the hook model
-    /// checkpointing uses; layers with extra buffers must override it.
+    /// checkpointing uses. A composite's state is its children's, in
+    /// order; a leaf's is its parameter values, and a leaf with extra
+    /// buffers must override this.
     fn visit_state(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
-        self.visit_params(&mut |p| visitor(&mut p.value));
+        let mut leaf = true;
+        self.children_mut(&mut |child| {
+            leaf = false;
+            child.visit_state(visitor);
+        });
+        if leaf {
+            self.visit_params(&mut |p| visitor(&mut p.value));
+        }
     }
 
     /// Read-only counterpart of [`Layer::visit_state`]: the same tensors in
     /// the same order through `&self`. Layers that override `visit_state`
     /// (extra non-parameter buffers) must override this too.
     fn visit_state_ref(&self, visitor: &mut dyn FnMut(&Tensor)) {
-        self.visit_params_ref(&mut |p| visitor(&p.value));
+        let mut leaf = true;
+        self.children(&mut |child| {
+            leaf = false;
+            child.visit_state_ref(visitor);
+        });
+        if leaf {
+            self.visit_params_ref(&mut |p| visitor(&p.value));
+        }
     }
 
     /// Number of trainable scalars in this layer.
@@ -186,7 +244,7 @@ mod tests {
     #[test]
     fn stats_forward_between_train_forward_and_backward_is_invisible() {
         use crate::{
-            pool::{AvgPool2d, Flatten, GlobalAvgPool, MaxPool2d},
+            pool::{GlobalAvgPool, MaxPool2d},
             Activation, ActivationKind, BatchNorm2d, Conv2d, Linear,
         };
         use alf_tensor::init::Init;
@@ -207,9 +265,7 @@ mod tests {
             ),
             (Box::new(|| Box::new(BatchNorm2d::new(2))), image.clone()),
             (Box::new(|| Box::new(MaxPool2d::new(2))), image.clone()),
-            (Box::new(|| Box::new(AvgPool2d::new(2))), image.clone()),
-            (Box::new(|| Box::new(GlobalAvgPool::new())), image.clone()),
-            (Box::new(|| Box::new(Flatten::new())), image),
+            (Box::new(|| Box::new(GlobalAvgPool::new())), image),
         ];
         let mut rng = Rng::new(3);
         for (make, sample) in table {
@@ -235,6 +291,120 @@ mod tests {
                 i += 1;
             });
         }
+    }
+
+    /// The composite contract on a two-level tree — `Pair(counting,
+    /// Pair(linear, bn))` — whose leaves have distinct tensor sizes:
+    /// the defaults visit children in declaration order, `visit_state`
+    /// reaches batch-norm's running statistics, and `zero_grads` reaches a
+    /// child's own `zero_grads` without a mutable parameter visit.
+    #[test]
+    fn composite_defaults_follow_the_child_listing() {
+        use crate::{BatchNorm2d, Linear};
+        use alf_tensor::init::Init;
+        use alf_tensor::rng::Rng;
+
+        fn stub() -> Result<Tensor> {
+            unreachable!("the visitor contract runs no pass")
+        }
+
+        /// A params-only leaf that tells `zero_grads` from `visit_params`.
+        #[derive(Debug)]
+        struct Counting {
+            p: Param,
+            mutable_visits: usize,
+            zero_calls: usize,
+        }
+        impl Layer for Counting {
+            fn forward(&mut self, _: &Tensor, _: &mut RunCtx) -> Result<Tensor> {
+                stub()
+            }
+            fn backward(&mut self, _: &Tensor, _: &mut RunCtx) -> Result<Tensor> {
+                stub()
+            }
+            fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
+                self.mutable_visits += 1;
+                v(&mut self.p);
+            }
+            fn visit_params_ref(&self, v: &mut dyn FnMut(&Param)) {
+                v(&self.p);
+            }
+            fn zero_grads(&mut self) {
+                self.zero_calls += 1;
+                self.p.zero_grad();
+            }
+        }
+
+        /// The composite under test: two children, no visitor override.
+        #[derive(Debug)]
+        struct Pair<A, B>(A, B);
+        impl<A: Layer, B: Layer> Layer for Pair<A, B> {
+            fn forward(&mut self, _: &Tensor, _: &mut RunCtx) -> Result<Tensor> {
+                stub()
+            }
+            fn backward(&mut self, _: &Tensor, _: &mut RunCtx) -> Result<Tensor> {
+                stub()
+            }
+            fn children(&self, visit: &mut dyn FnMut(&dyn Layer)) {
+                visit(&self.0);
+                visit(&self.1);
+            }
+            fn children_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Layer)) {
+                visit(&mut self.0);
+                visit(&mut self.1);
+            }
+        }
+        type Outer = Pair<Counting, Pair<Linear, BatchNorm2d>>;
+
+        let counting = Counting {
+            p: Param::new(Tensor::ones(&[1]), false),
+            mutable_visits: 0,
+            zero_calls: 0,
+        };
+        let linear = Linear::new(2, 3, Init::Rand, &mut Rng::new(1));
+        let mut outer: Outer = Pair(counting, Pair(linear, BatchNorm2d::new(4)));
+        // counting p | linear W, b | bn γ, β | bn running mean, var.
+        let params: &[usize] = &[1, 6, 3, 4, 4];
+        let state: &[usize] = &[1, 6, 3, 4, 4, 4, 4];
+        type Walk = fn(&mut Outer, &mut Vec<usize>);
+        let table: [(&str, Walk, &[usize]); 4] = [
+            (
+                "visit_params",
+                |o, seen| o.visit_params(&mut |p| seen.push(p.value.len())),
+                params,
+            ),
+            (
+                "visit_params_ref",
+                |o, seen| o.visit_params_ref(&mut |p| seen.push(p.value.len())),
+                params,
+            ),
+            (
+                "visit_state",
+                |o, seen| o.visit_state(&mut |t| seen.push(t.len())),
+                state,
+            ),
+            (
+                "visit_state_ref",
+                |o, seen| o.visit_state_ref(&mut |t| seen.push(t.len())),
+                state,
+            ),
+        ];
+        for (name, walk, want) in table {
+            let mut seen = Vec::new();
+            walk(&mut outer, &mut seen);
+            assert_eq!(seen, want, "{name}");
+        }
+        assert_eq!(outer.param_count(), params.iter().sum::<usize>());
+
+        outer.visit_params(&mut |p| p.grad = Tensor::ones(p.value.dims()));
+        outer.0.mutable_visits = 0;
+        outer.zero_grads();
+        outer.visit_params_ref(&mut |p| assert_eq!(p.grad.sum(), 0.0));
+        assert_eq!(
+            (outer.0.zero_calls, outer.0.mutable_visits),
+            (1, 0),
+            "zero_grads must call the child's override, not visit_params"
+        );
     }
 
     #[test]

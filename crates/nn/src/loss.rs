@@ -81,7 +81,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, 
 ///
 /// Returns an error on shape/label mismatches (same contract as
 /// [`softmax_cross_entropy`]).
-#[allow(clippy::needless_range_loop)] // index `i` addresses two parallel buffers
 pub fn correct_count(logits: &Tensor, labels: &[usize]) -> Result<usize> {
     let (n, c) = match logits.dims() {
         &[n, c] => (n, c),
@@ -98,25 +97,9 @@ pub fn correct_count(logits: &Tensor, labels: &[usize]) -> Result<usize> {
             format!("{} labels for batch of {n}", labels.len()),
         ));
     }
-    let mut correct = 0;
-    for i in 0..n {
-        let row = &logits.data()[i * c..(i + 1) * c];
-        let pred = row
-            .iter()
-            .enumerate()
-            .fold((0, f32::NEG_INFINITY), |(bi, bv), (j, &v)| {
-                if v > bv {
-                    (j, v)
-                } else {
-                    (bi, bv)
-                }
-            })
-            .0;
-        if pred == labels[i] {
-            correct += 1;
-        }
-    }
-    Ok(correct)
+    Ok((0..n)
+        .filter(|&i| alf_tensor::argmax(&logits.data()[i * c..(i + 1) * c]) == labels[i])
+        .count())
 }
 
 /// Classification accuracy of a batch of logits: fraction of rows whose

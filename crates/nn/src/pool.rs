@@ -195,137 +195,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Average pooling with square window and equal stride.
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    window: usize,
-    input_dims: Option<[usize; 4]>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer with the given square window/stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        Self {
-            window,
-            input_dims: None,
-        }
-    }
-
-    /// Window (and stride) size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, ctx: &mut RunCtx) -> Result<Tensor> {
-        let [n, c, h, w] = rank4("avg_pool2d", input)?;
-        let k = self.window;
-        if h < k || w < k {
-            return Err(ShapeError::new(
-                "avg_pool2d",
-                format!("input {h}x{w} smaller than window {k}"),
-            ));
-        }
-        let (ho, wo) = (h / k, w / k);
-        let inv = 1.0 / (k * k) as f32;
-        let mut out = Tensor::zeros(&[n, c, ho, wo]);
-        for b in 0..n {
-            for ch in 0..c {
-                let plane = &input.data()[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                for oy in 0..ho {
-                    for ox in 0..wo {
-                        let mut acc = 0.0;
-                        for dy in 0..k {
-                            for dx in 0..k {
-                                acc += plane[(oy * k + dy) * w + ox * k + dx];
-                            }
-                        }
-                        *out.at_mut(&[b, ch, oy, ox]) = acc * inv;
-                    }
-                }
-            }
-        }
-        ctx.count_flops(input.len() as u64);
-        ctx.count_bytes(4 * (input.len() + n * c * ho * wo) as u64);
-        ctx.mode().cache(&mut self.input_dims, || [n, c, h, w]);
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor, ctx: &mut RunCtx) -> Result<Tensor> {
-        let [n, c, h, w] = self.input_dims.ok_or_else(|| missing_cache("avg_pool2d"))?;
-        ctx.count_flops((n * c * h * w) as u64);
-        ctx.count_bytes(4 * (n * c * h * w) as u64);
-        let k = self.window;
-        let (ho, wo) = (h / k, w / k);
-        if grad_output.dims() != [n, c, ho, wo] {
-            return Err(ShapeError::new(
-                "avg_pool2d backward",
-                format!("grad {}", grad_output.shape()),
-            ));
-        }
-        let inv = 1.0 / (k * k) as f32;
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        for b in 0..n {
-            for ch in 0..c {
-                for oy in 0..ho {
-                    for ox in 0..wo {
-                        let g = grad_output.at(&[b, ch, oy, ox]) * inv;
-                        for dy in 0..k {
-                            for dx in 0..k {
-                                *grad_in.at_mut(&[b, ch, oy * k + dy, ox * k + dx]) += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(grad_in)
-    }
-}
-
-/// Flattens `[n, c, h, w]` (or any rank ≥ 2) into `[n, rest]`.
-#[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    input_dims: Option<Vec<usize>>,
-}
-
-impl Flatten {
-    /// Creates a flatten layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, ctx: &mut RunCtx) -> Result<Tensor> {
-        if input.shape().rank() < 2 {
-            return Err(ShapeError::new(
-                "flatten",
-                format!("expected rank ≥ 2, got {}", input.shape()),
-            ));
-        }
-        let n = input.dims()[0];
-        let rest = input.len() / n;
-        ctx.mode()
-            .cache(&mut self.input_dims, || input.dims().to_vec());
-        input.reshape(&[n, rest])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor, _ctx: &mut RunCtx) -> Result<Tensor> {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .ok_or_else(|| missing_cache("flatten"))?;
-        grad_output.reshape(dims)
-    }
-}
-
 fn rank4(op: &str, t: &Tensor) -> Result<[usize; 4]> {
     match t.dims() {
         &[a, b, c, d] => Ok([a, b, c, d]),
@@ -425,67 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn avgpool_averages_windows() {
-        let mut ctx = RunCtx::train();
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let mut ap = AvgPool2d::new(2);
-        let y = ap.forward(&x, &mut ctx).unwrap();
-        assert_eq!(y.data(), &[2.5]);
-        let g = ap
-            .backward(
-                &Tensor::from_vec(vec![4.0], &[1, 1, 1, 1]).unwrap(),
-                &mut ctx,
-            )
-            .unwrap();
-        assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn avgpool_gradcheck() {
-        let mut rng = Rng::new(4);
-        let x = Tensor::randn(&[1, 2, 4, 4], Init::Rand, &mut rng);
-        let (a, n) = gradcheck::input_gradients(
-            &x,
-            |x| {
-                let mut ctx = RunCtx::train();
-                let mut l = AvgPool2d::new(2);
-                let y = l.forward(x, &mut ctx)?;
-                Ok(0.5 * y.sq_norm())
-            },
-            |x| {
-                let mut ctx = RunCtx::train();
-                let mut l = AvgPool2d::new(2);
-                let y = l.forward(x, &mut ctx)?;
-                l.backward(&y, &mut ctx)
-            },
-        )
-        .unwrap();
-        gradcheck::assert_close(&a, &n, 1e-2);
-    }
-
-    #[test]
-    fn avgpool_rejects_small_input() {
-        let mut ctx = RunCtx::eval();
-        let mut ap = AvgPool2d::new(3);
-        assert!(ap.forward(&Tensor::zeros(&[1, 1, 2, 2]), &mut ctx).is_err());
-        assert!(ap
-            .backward(&Tensor::zeros(&[1, 1, 1, 1]), &mut ctx)
-            .is_err());
-    }
-
-    #[test]
-    fn flatten_round_trips() {
-        let mut ctx = RunCtx::train();
-        let x = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32);
-        let mut fl = Flatten::new();
-        let y = fl.forward(&x, &mut ctx).unwrap();
-        assert_eq!(y.dims(), &[2, 12]);
-        let g = fl.backward(&y, &mut ctx).unwrap();
-        assert_eq!(g.dims(), x.dims());
-        assert_eq!(g.data(), x.data());
-    }
-
-    #[test]
     fn backward_requires_forward() {
         let mut ctx = RunCtx::train();
         assert!(GlobalAvgPool::new()
@@ -493,9 +301,6 @@ mod tests {
             .is_err());
         assert!(MaxPool2d::new(2)
             .backward(&Tensor::zeros(&[1, 1, 1, 1]), &mut ctx)
-            .is_err());
-        assert!(Flatten::new()
-            .backward(&Tensor::zeros(&[1, 1]), &mut ctx)
             .is_err());
     }
 }

@@ -5,10 +5,10 @@
 //! the batch's samples) is bitwise equal to normalisation over the whole
 //! batch on one participant when every statistic is accumulated the same
 //! way: one partial sum **per sample**, folded left to right in **global
-//! slot order**. [`fold_slots`] is that fold; [`StatExchange`] is the
-//! rendezvous that collects every participant's per-sample partials so the
-//! fold sees all of them, and [`StatLink`] is what a participant's
-//! [`RunCtx`](crate::RunCtx) carries to find its slots.
+//! slot order**. The crate-private `fold_slots` is that fold;
+//! [`StatExchange`] is the rendezvous that collects every participant's
+//! per-sample partials so the fold sees all of them, and [`StatLink`] is
+//! what a participant's [`RunCtx`](crate::RunCtx) carries to find its slots.
 //!
 //! A participant that fails before a rendezvous would leave its peers
 //! waiting forever; [`StatExchange::participate`] poisons the exchange on
@@ -100,7 +100,7 @@ impl StatExchange {
     /// Publishes this participant's partials — `width` values for each of
     /// its consecutive samples, the first of which is global slot
     /// `first_slot` — then blocks until every slot of the round is in and
-    /// returns the [`fold_slots`] result over all of them.
+    /// returns the `fold_slots` result over all of them.
     ///
     /// # Errors
     ///

@@ -238,19 +238,8 @@ impl Replica {
         let predictions = (0..images.len())
             .map(|i| {
                 let row = &data[i * k..(i + 1) * k];
-                let class = row
-                    .iter()
-                    .enumerate()
-                    .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (j, &v)| {
-                        if v > bv {
-                            (j, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    })
-                    .0;
                 Prediction {
-                    class,
+                    class: alf_tensor::argmax(row),
                     logits: Tensor::from_vec(row.to_vec(), &[k]).expect("row matches [k]"),
                 }
             })
@@ -316,6 +305,49 @@ mod tests {
         assert_eq!(batched[0], solo_a);
         assert_eq!(batched[1], solo_b);
         assert_eq!(batched[0].logits.dims(), &[4]);
+    }
+
+    /// One top-1 rule: with the classifier forced to emit `[NaN, 1, 3, 0]`
+    /// for every input, the f32 replica, the int8 replica, the int8
+    /// engine's own `predict`, `Tensor::argmax` and the training accuracy
+    /// count all answer class 2 — a leading NaN is skipped, not chosen.
+    #[test]
+    fn a_leading_nan_logit_is_skipped_by_every_top1() {
+        let mut model = plain20(4, 4).unwrap();
+        let Some(alf_core::model::Unit::Classifier(fc)) = model.units_mut().last_mut() else {
+            panic!("plain20 ends in its classifier");
+        };
+        // Weight (visited first) zeroed, bias = the forced logits.
+        fc.visit_params(&mut |p| match p.value.dims() {
+            [4] => p.value = Tensor::from_vec(vec![f32::NAN, 1.0, 3.0, 0.0], &[4]).unwrap(),
+            _ => p.value.fill_zero(),
+        });
+
+        let imgs: Vec<Tensor> = (0..2)
+            .map(|n| Tensor::from_fn(&[3, 12, 12], |i| ((i + n) % 7) as f32 * 0.1))
+            .collect();
+        let refs: Vec<&Tensor> = imgs.iter().collect();
+        let calib = Tensor::from_fn(&[2, 3, 12, 12], |i| (i % 5) as f32 * 0.1);
+        let mut f32_replica = Replica::new(model.clone(), [3, 12, 12]).unwrap();
+        let mut int8_replica =
+            Replica::with_precision(model.clone(), [3, 12, 12], &Precision::Int8(calib.clone()))
+                .unwrap();
+        for replica in [&mut f32_replica, &mut int8_replica] {
+            for p in replica.run_batch(&refs).unwrap() {
+                assert!(p.logits.data()[0].is_nan());
+                assert_eq!((p.class, p.logits.argmax()), (2, 2));
+            }
+        }
+        let mut engine = Pipeline::new()
+            .fold_bn(true)
+            .quantize(QuantSpec::int8(calib.clone()))
+            .run(&model)
+            .unwrap()
+            .quantized
+            .unwrap();
+        assert_eq!(engine.predict(&calib).unwrap(), vec![2, 2]);
+        let logits = engine.forward(&calib).unwrap();
+        assert_eq!(alf_nn::loss::correct_count(&logits, &[2, 2]).unwrap(), 2);
     }
 
     #[test]

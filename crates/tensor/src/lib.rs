@@ -42,7 +42,7 @@ mod tensor;
 
 pub use error::ShapeError;
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{argmax, Tensor};
 
 /// Convenience result alias for fallible tensor operations.
 pub type Result<T, E = ShapeError> = std::result::Result<T, E>;

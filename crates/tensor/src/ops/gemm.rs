@@ -107,8 +107,7 @@ pub const MAX_THREADS: usize = 8;
 /// work, where scoped-thread spawn/join overhead would dominate. On a
 /// 1-core host the floor is irrelevant — [`auto_threads`] never engages
 /// workers there at any size, because extra threads can only time-slice
-/// the one core and pay spawn/join on top (the scaling regression the
-/// gemm benchmark records as `engaged_threads`).
+/// the one core and pay spawn/join on top.
 const PAR_FLOP_THRESHOLD: f64 = 8.0e6;
 
 /// The set of surviving (unpruned) rows of a masked operand.

@@ -1,6 +1,6 @@
 use crate::{ShapeError, Tensor};
 
-use super::gemm::{auto_threads, gemm_active_rows_into, gemm_into, ActiveRows};
+use super::gemm::{auto_threads, gemm_into};
 use super::workspace::{with_thread_workspace, Workspace};
 
 /// `op(A) · op(B)` as a fresh tensor — the one body behind the whole
@@ -39,7 +39,8 @@ fn product(
 /// shared [`Workspace`](super::Workspace). The seed's naive loop survives
 /// as [`super::reference::matmul`] for differential testing; unlike the
 /// seed, this path has **no** per-element zero test — masked weights with
-/// pruned rows should declare them through [`matmul_active_rows`].
+/// pruned rows should declare them through
+/// [`gemm_active_rows_into`](super::gemm_active_rows_into).
 ///
 /// # Errors
 ///
@@ -83,48 +84,6 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
 /// Returns an error unless `A` is `[m, k]` and `B` is `[n, k]`.
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
     with_thread_workspace(|ws| matmul_bt_ws(a, b, ws))
-}
-
-/// `C = A · B` computing only the rows named by an [`ActiveRows`]
-/// descriptor; every other row of `C` is exact `0.0`.
-///
-/// No scan of `A` happens, and the skipped rows of `A` need not hold
-/// zeros — the descriptor, typically derived from an ALF block's clipped
-/// mask, is the sole authority on which rows matter. Surviving rows are
-/// bitwise identical to [`matmul`]'s.
-///
-/// # Errors
-///
-/// Returns an error unless `A` is `[m, k]`, `B` is `[k, n]`, and the
-/// descriptor covers exactly `m` rows — a mask/operand length mismatch is
-/// a typed error, never a panic.
-pub fn matmul_active_rows(a: &Tensor, b: &Tensor, rows: &ActiveRows) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul_active_rows", a, b, false, false)?;
-    if rows.total() != m {
-        return Err(ShapeError::new(
-            "matmul_active_rows",
-            format!(
-                "active-row descriptor covers {} rows but A has {m}",
-                rows.total()
-            ),
-        ));
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    with_thread_workspace(|ws| {
-        gemm_active_rows_into(
-            out.data_mut(),
-            a.data(),
-            b.data(),
-            false,
-            m,
-            k,
-            n,
-            rows,
-            ws,
-            auto_threads(rows.len(), k, n),
-        );
-    });
-    Ok(out)
 }
 
 /// [`matmul`] drawing packing scratch from a caller-supplied arena
@@ -289,40 +248,5 @@ mod tests {
         let a = Tensor::from_vec(vec![0.0, 1.0, 0.0, 0.0], &[2, 2]).unwrap();
         let b = Tensor::from_vec(vec![3.0, 4.0, 5.0, 6.0], &[2, 2]).unwrap();
         assert_eq!(matmul(&a, &b).unwrap().data(), &[5.0, 6.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn active_rows_descriptor_mismatch_is_typed_error() {
-        // A descriptor sized for the wrong operand must surface as a
-        // ShapeError, not a panic.
-        let a = Tensor::zeros(&[4, 3]);
-        let b = Tensor::zeros(&[3, 2]);
-        let rows = ActiveRows::from_mask(&[1.0, 0.0, 1.0]); // covers 3 rows, A has 4
-        let err = matmul_active_rows(&a, &b, &rows).unwrap_err();
-        assert_eq!(err.op(), "matmul_active_rows");
-        // Shape errors of the operands themselves are still typed too.
-        let rows4 = ActiveRows::from_mask(&[1.0; 4]);
-        assert!(matmul_active_rows(&a, &Tensor::zeros(&[5, 2]), &rows4).is_err());
-    }
-
-    #[test]
-    fn active_rows_edge_occupancies() {
-        let mut rng = Rng::new(46);
-        let a = Tensor::randn(&[6, 4], Init::Rand, &mut rng);
-        let b = Tensor::randn(&[4, 5], Init::Rand, &mut rng);
-        let dense = matmul(&a, &b).unwrap();
-        // All rows active: bitwise-dense.
-        let all = matmul_active_rows(&a, &b, &ActiveRows::full(6)).unwrap();
-        assert_eq!(all.data(), dense.data());
-        // No rows active: exact zeros.
-        let none = matmul_active_rows(&a, &b, &ActiveRows::from_mask(&[0.0; 6])).unwrap();
-        assert!(none.data().iter().all(|&v| v == 0.0));
-        // Single surviving row.
-        let mut mask = [0.0f32; 6];
-        mask[2] = 1.0;
-        let one = matmul_active_rows(&a, &b, &ActiveRows::from_mask(&mask)).unwrap();
-        assert_eq!(&one.data()[2 * 5..3 * 5], &dense.data()[2 * 5..3 * 5]);
-        assert!(one.data()[..2 * 5].iter().all(|&v| v == 0.0));
-        assert!(one.data()[3 * 5..].iter().all(|&v| v == 0.0));
     }
 }

@@ -17,13 +17,13 @@
 //!   loops call with their own [`Workspace`]. [`ActiveRows`] is the
 //!   shared descriptor of which rows of a masked operand survive pruning;
 //!   declared row/depth elision at pack time is the only sparse mechanism.
-//! * [`matmul`] / [`matmul_at`] / [`matmul_bt`] / [`matmul_active_rows`]
-//!   are the tensor-level conveniences, drawing scratch from a
-//!   thread-local workspace (the `_ws` variants take the caller's).
+//! * [`matmul`] / [`matmul_at`] / [`matmul_bt`] are the tensor-level
+//!   conveniences, drawing scratch from a thread-local workspace (the
+//!   `_ws` variants take the caller's).
 //! * [`qgemm`] holds the int8 entry points: [`gemm_i8_into`] runs
 //!   `i8×i8→i32` products through the same driver for the quantized
 //!   deployment path, and [`im2col_i8_into`] feeds it.
-//! * [`reference`] preserves the seed's naive kernels for differential
+//! * [`mod@reference`] preserves the seed's naive kernels for differential
 //!   tests and as the benchmark baseline.
 //! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop and, like
 //!   [`col2im_into`], write into caller-owned buffers so layer code can
@@ -36,7 +36,6 @@
 //! * [`Workspace`] is the scratch arena: one pool of named slots, generic
 //!   over the element type.
 
-mod channels;
 mod conv;
 #[cfg(target_arch = "x86_64")]
 mod conv_direct;
@@ -46,14 +45,11 @@ pub mod qgemm;
 pub mod reference;
 mod workspace;
 
-pub use channels::{concat_channels, split_channels};
 pub use conv::{col2im, col2im_into, conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
 pub use gemm::{
     auto_threads, conv_gemm_into, gemm_active_k_into, gemm_active_rows_into, gemm_into,
     host_parallelism, ActiveRows,
 };
-pub use matmul::{
-    matmul, matmul_active_rows, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws,
-};
+pub use matmul::{matmul, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws};
 pub use qgemm::{gemm_i8_into, im2col_i8_into};
 pub use workspace::{with_thread_workspace, Workspace};

@@ -20,7 +20,7 @@ use super::matmul::dims_for;
 /// The zero-skip made every dense matmul pay a branch per `A` element to
 /// speed up the rare masked-weight case; the production path now splits
 /// that into [`super::matmul`] (dense, branch-free) and
-/// [`super::matmul_active_rows`] (declared row elision).
+/// [`super::gemm_active_rows_into`] (declared row elision).
 ///
 /// # Errors
 ///

@@ -318,19 +318,9 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Index of the maximum element (first on ties; 0 for empty).
+    /// Index of the maximum element — [`argmax`] over the flat data.
     pub fn argmax(&self) -> usize {
-        self.data
-            .iter()
-            .enumerate()
-            .fold((0, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                if v > bv {
-                    (i, v)
-                } else {
-                    (bi, bv)
-                }
-            })
-            .0
+        argmax(&self.data)
     }
 
     /// Sum of squares of all elements.
@@ -392,6 +382,29 @@ impl fmt::Display for Tensor {
         }
         Ok(())
     }
+}
+
+/// Index of the maximum of `values`: the one top-1 rule of the workspace
+/// (training accuracy, both serving engines, [`Tensor::argmax`]). The fold
+/// starts from `−∞` and moves only on a strict `>`, so the first of equal
+/// maxima wins, a NaN is never chosen, and an empty or all-NaN slice gives
+/// 0.
+///
+/// ```
+/// assert_eq!(alf_tensor::argmax(&[f32::NAN, 1.0, 3.0]), 2);
+/// ```
+pub fn argmax(values: &[f32]) -> usize {
+    values
+        .iter()
+        .enumerate()
+        .fold((0, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
+            if v > bv {
+                (i, v)
+            } else {
+                (bi, bv)
+            }
+        })
+        .0
 }
 
 #[cfg(test)]
