@@ -16,12 +16,12 @@
 //!   token-bucket quotas ([`QuotaConfig`]) shedding with `429` before the
 //!   queue and typed `503/504` mappings of
 //!   [`ServeError`](alf_serve::ServeError) behind it.
-//! * [`NetServer`] — a nonblocking TCP listener and one poll thread
-//!   driving every connection's state machine; inference itself stays on
-//!   the serving workers. The poll thread parks when idle: a finished
-//!   prediction unparks it at once (it is the thread that submitted the
-//!   request), new bytes on a socket wait for its next timed poll
-//!   (≤ 300 µs).
+//! * [`NetServer`] — a blocking TCP listener on one accept thread and one
+//!   blocking thread per open connection (at most
+//!   [`NetConfig::max_connections`]), which reads a request as it
+//!   arrives, waits for its prediction and writes the answer; inference
+//!   itself stays on the serving workers. Nothing polls, so an idle
+//!   server does not wake.
 //! * [`client::HttpClient`] — the blocking keep-alive client used by the
 //!   socket benchmarks and smoke tests.
 //!
@@ -62,7 +62,7 @@ use std::fmt;
 
 pub use http::{HttpError, HttpLimits, Request, RequestParser};
 pub use quota::QuotaConfig;
-pub use router::{ModelSpec, Outcome, Response, Router};
+pub use router::{ModelSpec, Response, Router};
 pub use server::{NetConfig, NetServer};
 
 /// Front-end failures surfaced to the embedder (wire-level failures are

@@ -97,7 +97,7 @@ impl Bucket {
     }
 }
 
-/// Live bucket table; owned by the poll loop (single-threaded access).
+/// Live bucket table.
 #[derive(Debug)]
 pub(crate) struct QuotaState {
     cfg: QuotaConfig,

@@ -14,12 +14,13 @@
 //! * `GET /metrics` — plain-text exposition of the shared registry.
 //! * `GET /healthz` — liveness probe.
 
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use alf_obs::json::JsonWriter;
-use alf_obs::metrics::{Counter, MetricsRegistry};
+use alf_obs::metrics::{Counter, Histogram, HistogramSpec, MetricsRegistry};
 use alf_obs::runtime::resolve_threads;
-use alf_serve::{Pending, ServeConfig, ServeError, Server};
+use alf_serve::{ServeConfig, ServeError, Server};
 use alf_tensor::Tensor;
 
 use crate::http::Request;
@@ -88,26 +89,6 @@ impl Response {
     }
 }
 
-/// What routing one request produced: an answer ready to serialise, or an
-/// in-flight prediction the connection must poll to completion.
-#[derive(Debug)]
-pub enum Outcome {
-    /// The request was answered without touching a serving queue (or was
-    /// rejected before admission).
-    Immediate(Response),
-    /// The request was admitted to a model's queue; poll
-    /// [`Pending::try_wait`] and finish with [`Router::render_prediction`]
-    /// / [`Router::render_serve_error`].
-    InFlight {
-        /// The admitted request's completion handle.
-        pending: Pending,
-        /// Index into the router's model table (for the response body).
-        model: usize,
-        /// Admission time, for the end-to-end `net.request_ns` histogram.
-        started: Instant,
-    },
-}
-
 struct Entry {
     name: String,
     server: Server,
@@ -121,6 +102,8 @@ pub struct Router {
     requests: Counter,
     shed_quota: Counter,
     not_found: Counter,
+    /// End-to-end admitted-predict latency (submit → response ready), ns.
+    request_ns: Arc<Histogram>,
 }
 
 impl Router {
@@ -172,6 +155,7 @@ impl Router {
             requests: registry.counter("net.requests"),
             shed_quota: registry.counter("net.shed_quota"),
             not_found: registry.counter("net.not_found"),
+            request_ns: registry.histogram("net.request_ns", HistogramSpec::latency_ns()),
             registry,
             models,
         })
@@ -202,16 +186,15 @@ impl Router {
         }
     }
 
-    /// Dispatches one decoded request. Quota admission (for predict
-    /// requests) charges `quota`, which the single poll thread owns.
-    pub(crate) fn route(&self, req: &Request, quota: &mut QuotaState) -> Outcome {
+    /// Answers one decoded request, blocking until the model server has
+    /// served it for a predict. Quota admission (for predict requests)
+    /// charges `quota`.
+    pub(crate) fn route(&self, req: &Request, quota: &Mutex<QuotaState>) -> Response {
         self.requests.inc();
         match (req.method.as_str(), req.path()) {
-            ("GET", "/healthz") => Outcome::Immediate(Response::text(200, "OK", "ok\n".into())),
-            ("GET", "/metrics") => {
-                Outcome::Immediate(Response::text(200, "OK", self.metrics_text()))
-            }
-            ("GET", "/v1/models") => Outcome::Immediate(self.list_models()),
+            ("GET", "/healthz") => Response::text(200, "OK", "ok\n".into()),
+            ("GET", "/metrics") => Response::text(200, "OK", self.metrics_text()),
+            ("GET", "/v1/models") => self.list_models(),
             (method, path) => {
                 let Some(rest) = path.strip_prefix("/v1/models/") else {
                     return self.unrouted();
@@ -225,44 +208,42 @@ impl Router {
         }
     }
 
-    fn unrouted(&self) -> Outcome {
+    fn unrouted(&self) -> Response {
         self.not_found.inc();
-        Outcome::Immediate(Response::error(
-            404,
-            "Not Found",
-            "not_found",
-            "no such endpoint",
-        ))
+        Response::error(404, "Not Found", "not_found", "no such endpoint")
     }
 
     fn model_index(&self, name: &str) -> Option<usize> {
         self.models.iter().position(|e| e.name == name)
     }
 
-    fn predict(&self, name: &str, req: &Request, quota: &mut QuotaState) -> Outcome {
+    fn predict(&self, name: &str, req: &Request, quota: &Mutex<QuotaState>) -> Response {
         let Some(index) = self.model_index(name) else {
             self.not_found.inc();
-            return Outcome::Immediate(Response::error(
+            return Response::error(
                 404,
                 "Not Found",
                 "unknown_model",
                 &format!("no model named '{name}'"),
-            ));
+            );
         };
         let tenant = req.header("x-tenant").unwrap_or("anon");
-        let (charged, admitted) = quota.admit(tenant, Instant::now());
-        let label = sanitize_tenant(charged);
+        let (label, admitted) = {
+            let mut quota = quota.lock().expect("quota table poisoned");
+            let (charged, admitted) = quota.admit(tenant, Instant::now());
+            (sanitize_tenant(charged), admitted)
+        };
         if !admitted {
             self.shed_quota.inc();
             self.registry
                 .counter(&format!("net.tenant.{label}.shed"))
                 .inc();
-            return Outcome::Immediate(Response::error(
+            return Response::error(
                 429,
                 "Too Many Requests",
                 "quota_exceeded",
                 &format!("tenant '{tenant}' is over its request quota"),
-            ));
+            );
         }
         self.registry
             .counter(&format!("net.tenant.{label}.admitted"))
@@ -272,12 +253,12 @@ impl Router {
             Some(ms) => match ms.parse::<u64>() {
                 Ok(ms) => Some(Instant::now() + Duration::from_millis(ms)),
                 Err(_) => {
-                    return Outcome::Immediate(Response::error(
+                    return Response::error(
                         400,
                         "Bad Request",
                         "bad_deadline",
                         &format!("x-deadline-ms {ms:?} is not a non-negative integer"),
-                    ))
+                    )
                 }
             },
         };
@@ -286,7 +267,7 @@ impl Router {
         let dims = [cfg.channels, cfg.height, cfg.width];
         let want = dims[0] * dims[1] * dims[2] * 4;
         if req.body.len() != want {
-            return Outcome::Immediate(Response::error(
+            return Response::error(
                 400,
                 "Bad Request",
                 "bad_body",
@@ -297,7 +278,7 @@ impl Router {
                     dims[2],
                     req.body.len()
                 ),
-            ));
+            );
         }
         let data: Vec<f32> = req
             .body
@@ -306,28 +287,32 @@ impl Router {
             .collect();
         let image = Tensor::from_vec(data, &dims).expect("length checked above");
         let started = Instant::now();
-        match entry.server.submit_with_deadline(image, deadline) {
-            Ok(pending) => Outcome::InFlight {
-                pending,
-                model: index,
-                started,
-            },
-            Err(e) => Outcome::Immediate(self.render_serve_error(&e)),
-        }
+        let pending = match entry.server.submit_with_deadline(image, deadline) {
+            Ok(pending) => pending,
+            Err(e) => return self.render_serve_error(&e),
+        };
+        let response = match pending.wait() {
+            Ok(prediction) => self.render_prediction(index, &prediction),
+            Err(e) => self.render_serve_error(&e),
+        };
+        let elapsed = started.elapsed().as_nanos();
+        self.request_ns
+            .record(elapsed.min(u128::from(u64::MAX)) as u64);
+        response
     }
 
-    fn swap(&self, name: &str, req: &Request) -> Outcome {
+    fn swap(&self, name: &str, req: &Request) -> Response {
         let Some(index) = self.model_index(name) else {
             self.not_found.inc();
-            return Outcome::Immediate(Response::error(
+            return Response::error(
                 404,
                 "Not Found",
                 "unknown_model",
                 &format!("no model named '{name}'"),
-            ));
+            );
         };
         let entry = &self.models[index];
-        Outcome::Immediate(match entry.server.swap_checkpoint(&req.body) {
+        match entry.server.swap_checkpoint(&req.body) {
             Ok(()) => {
                 let mut w = JsonWriter::new();
                 w.begin_object();
@@ -337,7 +322,7 @@ impl Router {
                 Response::json(200, "OK", w.finish())
             }
             Err(e) => self.render_serve_error(&e),
-        })
+        }
     }
 
     fn list_models(&self) -> Response {
@@ -362,9 +347,8 @@ impl Router {
         Response::json(200, "OK", w.finish())
     }
 
-    /// Renders a completed prediction for the model at `model` (an
-    /// [`Outcome::InFlight`] index).
-    pub fn render_prediction(&self, model: usize, prediction: &alf_serve::Prediction) -> Response {
+    /// Renders a completed prediction for the model at index `model`.
+    fn render_prediction(&self, model: usize, prediction: &alf_serve::Prediction) -> Response {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("model", &self.models[model].name);
@@ -513,27 +497,16 @@ mod tests {
     fn routes_predict_to_the_named_model_and_404s_unknowns() {
         let registry = MetricsRegistry::new();
         let router = Router::start(vec![spec("a"), spec("b")], registry, Some(2)).unwrap();
-        let mut quota = QuotaState::new(QuotaConfig::unlimited(), Instant::now());
+        let quota = Mutex::new(QuotaState::new(QuotaConfig::unlimited(), Instant::now()));
 
-        let req = parse(&predict_wire("b", "", &image_body()));
-        match router.route(&req, &mut quota) {
-            Outcome::InFlight { pending, model, .. } => {
-                assert_eq!(model, 1);
-                let prediction = pending.wait().unwrap();
-                let resp = router.render_prediction(model, &prediction);
-                assert_eq!(resp.status, 200);
-                let text = String::from_utf8(resp.body).unwrap();
-                assert!(text.contains("\"model\":\"b\""), "{text}");
-                assert!(text.contains("\"logits\":["), "{text}");
-            }
-            other => panic!("expected InFlight, got {other:?}"),
-        }
+        let resp = router.route(&parse(&predict_wire("b", "", &image_body())), &quota);
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8(resp.body).unwrap();
+        assert!(text.contains("\"model\":\"b\""), "{text}");
+        assert!(text.contains("\"logits\":["), "{text}");
 
-        let req = parse(&predict_wire("zzz", "", &image_body()));
-        match router.route(&req, &mut quota) {
-            Outcome::Immediate(resp) => assert_eq!(resp.status, 404),
-            other => panic!("expected 404, got {other:?}"),
-        }
+        let resp = router.route(&parse(&predict_wire("zzz", "", &image_body())), &quota);
+        assert_eq!(resp.status, 404);
         router.shutdown();
     }
 
@@ -541,15 +514,10 @@ mod tests {
     fn wrong_body_length_is_400_without_submission() {
         let registry = MetricsRegistry::new();
         let router = Router::start(vec![spec("m")], registry.clone(), Some(1)).unwrap();
-        let mut quota = QuotaState::new(QuotaConfig::unlimited(), Instant::now());
-        let req = parse(&predict_wire("m", "", b"abc"));
-        match router.route(&req, &mut quota) {
-            Outcome::Immediate(resp) => {
-                assert_eq!(resp.status, 400);
-                assert!(String::from_utf8(resp.body).unwrap().contains("bad_body"));
-            }
-            other => panic!("expected 400, got {other:?}"),
-        }
+        let quota = Mutex::new(QuotaState::new(QuotaConfig::unlimited(), Instant::now()));
+        let resp = router.route(&parse(&predict_wire("m", "", b"abc")), &quota);
+        assert_eq!(resp.status, 400);
+        assert!(String::from_utf8(resp.body).unwrap().contains("bad_body"));
         assert_eq!(registry.snapshot().counter("serve.m.submitted"), Some(0));
         router.shutdown();
     }
@@ -559,23 +527,17 @@ mod tests {
         let registry = MetricsRegistry::new();
         let router = Router::start(vec![spec("m")], registry.clone(), Some(1)).unwrap();
         // 1-token burst, no refill to speak of: second request sheds.
-        let mut quota = QuotaState::new(QuotaConfig::per_tenant(1e-9, 1.0), Instant::now());
-        let wire = predict_wire("m", "x-tenant: t0\r\n", &image_body());
-        let req = parse(&wire);
-        let first = router.route(&req, &mut quota);
-        assert!(matches!(first, Outcome::InFlight { .. }));
-        match router.route(&req, &mut quota) {
-            Outcome::Immediate(resp) => {
-                assert_eq!(resp.status, 429);
-                assert!(String::from_utf8(resp.body)
-                    .unwrap()
-                    .contains("quota_exceeded"));
-            }
-            other => panic!("expected 429, got {other:?}"),
-        }
-        if let Outcome::InFlight { pending, .. } = first {
-            pending.wait().unwrap();
-        }
+        let quota = Mutex::new(QuotaState::new(
+            QuotaConfig::per_tenant(1e-9, 1.0),
+            Instant::now(),
+        ));
+        let req = parse(&predict_wire("m", "x-tenant: t0\r\n", &image_body()));
+        assert_eq!(router.route(&req, &quota).status, 200);
+        let resp = router.route(&req, &quota);
+        assert_eq!(resp.status, 429);
+        assert!(String::from_utf8(resp.body)
+            .unwrap()
+            .contains("quota_exceeded"));
         router.shutdown();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("net.tenant.t0.admitted"), Some(1));
@@ -587,21 +549,16 @@ mod tests {
     fn metrics_endpoint_exposes_registry_lines() {
         let registry = MetricsRegistry::new();
         let router = Router::start(vec![spec("m")], registry, Some(1)).unwrap();
-        let mut quota = QuotaState::new(QuotaConfig::unlimited(), Instant::now());
-        let req = parse(b"GET /metrics HTTP/1.1\r\n\r\n");
-        match router.route(&req, &mut quota) {
-            Outcome::Immediate(resp) => {
-                assert_eq!(resp.status, 200);
-                let text = String::from_utf8(resp.body).unwrap();
-                assert!(text.contains("counter serve.m.submitted 0"), "{text}");
-                assert!(text.contains("counter net.requests 1"), "{text}");
-                assert!(
-                    text.contains("histogram serve.m.latency_ns total 0"),
-                    "{text}"
-                );
-            }
-            other => panic!("expected 200, got {other:?}"),
-        }
+        let quota = Mutex::new(QuotaState::new(QuotaConfig::unlimited(), Instant::now()));
+        let resp = router.route(&parse(b"GET /metrics HTTP/1.1\r\n\r\n"), &quota);
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8(resp.body).unwrap();
+        assert!(text.contains("counter serve.m.submitted 0"), "{text}");
+        assert!(text.contains("counter net.requests 1"), "{text}");
+        assert!(
+            text.contains("histogram serve.m.latency_ns total 0"),
+            "{text}"
+        );
         router.shutdown();
     }
 
@@ -609,7 +566,7 @@ mod tests {
     fn checkpoint_swap_over_the_router_applies_and_rejects() {
         let registry = MetricsRegistry::new();
         let router = Router::start(vec![spec("m")], registry, Some(1)).unwrap();
-        let mut quota = QuotaState::new(QuotaConfig::unlimited(), Instant::now());
+        let quota = Mutex::new(QuotaState::new(QuotaConfig::unlimited(), Instant::now()));
 
         let blob = alf_core::checkpoint::save(&plain20(4, 4).unwrap());
         let mut wire = format!(
@@ -618,26 +575,18 @@ mod tests {
         )
         .into_bytes();
         wire.extend_from_slice(&blob);
-        match router.route(&parse(&wire), &mut quota) {
-            Outcome::Immediate(resp) => {
-                assert_eq!(resp.status, 200);
-                assert!(String::from_utf8(resp.body)
-                    .unwrap()
-                    .contains("\"swaps\":1"));
-            }
-            other => panic!("expected 200, got {other:?}"),
-        }
+        let resp = router.route(&parse(&wire), &quota);
+        assert_eq!(resp.status, 200);
+        assert!(String::from_utf8(resp.body)
+            .unwrap()
+            .contains("\"swaps\":1"));
 
         let garbage = b"POST /v1/models/m/checkpoint HTTP/1.1\r\ncontent-length: 3\r\n\r\nnop";
-        match router.route(&parse(garbage), &mut quota) {
-            Outcome::Immediate(resp) => {
-                assert_eq!(resp.status, 422);
-                assert!(String::from_utf8(resp.body)
-                    .unwrap()
-                    .contains("bad_checkpoint"));
-            }
-            other => panic!("expected 422, got {other:?}"),
-        }
+        let resp = router.route(&parse(garbage), &quota);
+        assert_eq!(resp.status, 422);
+        assert!(String::from_utf8(resp.body)
+            .unwrap()
+            .contains("bad_checkpoint"));
         router.shutdown();
     }
 

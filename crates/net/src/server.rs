@@ -1,31 +1,30 @@
-//! The network front end: a nonblocking TCP listener plus one poll
-//! thread driving every connection.
+//! The network front end: a blocking TCP listener on one `alf-net-accept`
+//! thread, and one blocking `alf-net-conn` thread per open connection.
 //!
-//! No epoll, no `unsafe`, no dependencies: the listener and every
-//! accepted stream are `set_nonblocking(true)`, and the single
-//! `alf-net-poll` thread loops accept → tick-every-connection → (idle)
-//! park ≤ 300 µs. Each [`Connection`](crate::conn::Connection) tick makes
-//! whatever progress its socket allows; ticks never block, so a stalled
-//! peer cannot wedge the loop, and the replica workers inside each
-//! [`alf_serve::Server`] do the actual inference on their own threads —
-//! the poll thread only shuttles bytes and polls
-//! [`Pending::try_wait`](alf_serve::Pending::try_wait). The two kinds of
-//! event it waits for wake it differently: a finished prediction unparks
-//! it (the poll thread is the one that submitted the request, and
-//! `alf_serve` unparks the submitter), so the response is written at once;
-//! bytes arriving on a socket are only seen at the next timed poll,
-//! because readiness notification needs epoll.
+//! No epoll, no `unsafe`, no dependencies, no timed polling: each thread
+//! sleeps in the kernel until its own event arrives. The accept thread
+//! blocks in `accept`; a connection thread blocks in `read` until request
+//! bytes arrive, then in [`Pending::wait`](alf_serve::Pending::wait)
+//! until the replica workers inside the [`alf_serve::Server`] have
+//! answered. A request is therefore read when it arrives, and an idle
+//! server does not wake. [`NetConfig::max_connections`] bounds the
+//! connection threads; a stalled peer pins one of them.
+//!
+//! Shutdown sets the stop flag and wakes the blocking `accept` with a
+//! loopback connect. The accept thread then shuts down every live socket,
+//! which ends each connection thread's blocking `read` or `write`, and
+//! joins the connection threads before the model servers drain.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{ErrorKind, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use alf_obs::metrics::{Counter, HistogramSpec, MetricsRegistry};
+use alf_obs::metrics::MetricsRegistry;
 
-use crate::conn::{Connection, NetCounters, Tick};
+use crate::conn::{self, Shared};
 use crate::http::HttpLimits;
 use crate::quota::{QuotaConfig, QuotaState};
 use crate::router::{ModelSpec, Router};
@@ -41,8 +40,8 @@ pub struct NetConfig {
     pub limits: HttpLimits,
     /// Per-tenant admission quotas.
     pub quota: QuotaConfig,
-    /// Most concurrently open connections; accepts beyond this are
-    /// answered `503` and closed immediately.
+    /// Most concurrently open connections, each held by one thread;
+    /// accepts beyond this are answered `503` and closed immediately.
     pub max_connections: usize,
     /// Worker budget shared by all models: `Some(n)` forces `n`,
     /// otherwise `ALF_NET_THREADS`, otherwise the host parallelism
@@ -64,22 +63,19 @@ impl NetConfig {
     }
 }
 
-/// Longest the poll loop parks when no connection made progress.
-const IDLE_SLEEP: Duration = Duration::from_micros(300);
-
-/// A running front end: listener, poll thread, and the model servers
-/// behind [`Router`]. Dropping the server shuts it down.
+/// A running front end: listener, accept thread, connection threads, and
+/// the model servers behind [`Router`]. Dropping the server shuts it down.
 #[derive(Debug)]
 pub struct NetServer {
     addr: SocketAddr,
     router: Arc<Router>,
     stop: Arc<AtomicBool>,
-    poll: Mutex<Option<JoinHandle<()>>>,
+    accept: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl NetServer {
     /// Binds `cfg.addr`, starts the per-model servers, and spawns the
-    /// poll thread. Serving begins before this returns.
+    /// accept thread. Serving begins before this returns.
     ///
     /// # Errors
     ///
@@ -95,48 +91,33 @@ impl NetServer {
             addr: cfg.addr.clone(),
             detail: e.to_string(),
         })?;
-        listener.set_nonblocking(true).map_err(|e| NetError::Bind {
-            addr: cfg.addr.clone(),
-            detail: format!("set_nonblocking: {e}"),
-        })?;
         let addr = listener.local_addr().map_err(|e| NetError::Bind {
             addr: cfg.addr.clone(),
             detail: format!("local_addr: {e}"),
         })?;
         let router = Arc::new(Router::start(specs, registry.clone(), cfg.threads)?);
-        let counters = NetCounters {
+        let shared = Arc::new(Shared {
+            router: Arc::clone(&router),
+            quota: Mutex::new(QuotaState::new(cfg.quota, Instant::now())),
+            limits: cfg.limits,
             responses: registry.counter("net.responses"),
             parse_errors: registry.counter("net.parse_errors"),
-            request_ns: registry.histogram("net.request_ns", HistogramSpec::latency_ns()),
-        };
-        let accepted = registry.counter("net.accepted");
-        let closed = registry.counter("net.closed");
-        let conn_limit_rejected = registry.counter("net.conn_limit_rejected");
+            closed: registry.counter("net.closed"),
+        });
         let stop = Arc::new(AtomicBool::new(false));
-        let poll = {
-            let router = Arc::clone(&router);
+        let accept = {
             let stop = Arc::clone(&stop);
+            let max_connections = cfg.max_connections;
             std::thread::Builder::new()
-                .name("alf-net-poll".to_string())
-                .spawn(move || {
-                    poll_loop(
-                        listener,
-                        router,
-                        cfg,
-                        stop,
-                        counters,
-                        accepted,
-                        closed,
-                        conn_limit_rejected,
-                    )
-                })
-                .map_err(|e| NetError::BadConfig(format!("spawn poll thread: {e}")))?
+                .name("alf-net-accept".to_string())
+                .spawn(move || accept_loop(&listener, &shared, &stop, max_connections, &registry))
+                .map_err(|e| NetError::BadConfig(format!("spawn accept thread: {e}")))?
         };
         Ok(Self {
             addr,
             router,
             stop,
-            poll: Mutex::new(Some(poll)),
+            accept: Mutex::new(Some(accept)),
         })
     }
 
@@ -153,9 +134,18 @@ impl NetServer {
     /// Stops accepting, closes every connection, then drains the model
     /// servers. Idempotent.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.poll.lock().expect("poll handle poisoned").take() {
-            let _ = handle.join();
+        if let Some(accept) = self.accept.lock().expect("accept handle poisoned").take() {
+            self.stop.store(true, Ordering::Release);
+            // Wake the blocking accept; it sees the flag and exits.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
+            let _ = accept.join();
         }
         self.router.shutdown();
     }
@@ -167,75 +157,75 @@ impl Drop for NetServer {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn poll_loop(
-    listener: TcpListener,
-    router: Arc<Router>,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    counters: NetCounters,
-    accepted: Counter,
-    closed: Counter,
-    conn_limit_rejected: Counter,
+/// Admits connections until `stop`, one thread each, then shuts down
+/// every live socket and joins every connection thread.
+fn accept_loop(
+    listener: &TcpListener,
+    shared: &Arc<Shared>,
+    stop: &AtomicBool,
+    max_connections: usize,
+    registry: &MetricsRegistry,
 ) {
-    let mut quota = QuotaState::new(cfg.quota.clone(), Instant::now());
-    let mut conns: Vec<Connection> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        let mut progressed = false;
-
-        // Accept everything currently pending.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    progressed = true;
-                    if conns.len() >= cfg.max_connections {
-                        conn_limit_rejected.inc();
-                        // Best effort: tell the peer why before dropping.
-                        let mut stream = stream;
-                        let _ = stream.write_all(
-                            b"HTTP/1.1 503 Service Unavailable\r\ncontent-length: 21\r\nconnection: close\r\n\r\nconnection limit hit\n",
-                        );
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    accepted.inc();
-                    conns.push(Connection::new(stream, cfg.limits));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // Transient accept failures (e.g. the peer reset before we
-                // got to it) should not kill the loop.
-                Err(_) => break,
-            }
+    let accepted = registry.counter("net.accepted");
+    let conn_limit_rejected = registry.counter("net.conn_limit_rejected");
+    // Each connection thread and a clone of its socket, kept so shutdown
+    // can unblock the thread.
+    let mut live: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    loop {
+        let result = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            break;
         }
-
-        // Drive every connection one tick.
-        let mut i = 0;
-        while i < conns.len() {
-            match conns[i].tick(&router, &mut quota, &counters) {
-                Tick::Open { progressed: p } => {
-                    progressed |= p;
-                    i += 1;
-                }
-                Tick::Closed => {
-                    closed.inc();
-                    conns.swap_remove(i);
-                }
+        let mut stream = match result {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            // Transient failures (a peer that reset before we got to it)
+            // must not kill the front end; a short back-off keeps a
+            // persistent one (no file descriptors left) from spinning.
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
             }
+        };
+        for (_, done) in live.extract_if(.., |(_, thread)| thread.is_finished()) {
+            let _ = done.join();
         }
-
-        if !progressed {
-            // A finished prediction unparks this thread (it submitted the
-            // request), so the response goes out at once; bytes arriving
-            // on a socket do not, hence the timeout.
-            std::thread::park_timeout(IDLE_SLEEP);
+        if live.len() >= max_connections {
+            conn_limit_rejected.inc();
+            // Best effort: tell the peer why before dropping.
+            let _ = stream.write_all(
+                b"HTTP/1.1 503 Service Unavailable\r\ncontent-length: 21\r\nconnection: close\r\n\r\nconnection limit hit\n",
+            );
+            continue;
+        }
+        let _ = stream.set_nodelay(true);
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        accepted.inc();
+        let conn_shared = Arc::clone(shared);
+        let spawned = std::thread::Builder::new()
+            .name("alf-net-conn".to_string())
+            .spawn(move || {
+                conn::serve(&stream, &conn_shared);
+                conn_shared.closed.inc();
+                // The accept thread's clone keeps the socket open; tell the
+                // peer it is done now.
+                let _ = stream.shutdown(Shutdown::Both);
+            });
+        match spawned {
+            Ok(thread) => live.push((clone, thread)),
+            Err(_) => shared.closed.inc(),
         }
     }
-    // Poll thread exit closes the listener and every connection.
-    closed.add(conns.len() as u64);
+    // Unblock every connection thread's read or write; one waiting on a
+    // prediction finishes it first (the model servers are still up).
+    for (stream, _) in &live {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    for (_, thread) in live {
+        let _ = thread.join();
+    }
 }
 
 #[cfg(test)]

@@ -4,13 +4,21 @@
 //! and exact accounting at the end — every request is answered or
 //! typed-rejected, and the `/metrics` totals reconcile with the
 //! client-side tallies and the per-model `ServerStats`.
+//!
+//! Beside it, raw-`TcpStream` checks of the connection contract
+//! (pipelining, byte-at-a-time arrival, `connection: close`) and of
+//! shutdown with live peers, where a blocking read or wait that nothing
+//! unblocks would hang.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use alf_core::models::plain20;
 use alf_net::client::HttpClient;
+use alf_net::http::write_response;
 use alf_net::{ModelSpec, NetConfig, NetServer, QuotaConfig};
 use alf_obs::metrics::MetricsRegistry;
 use alf_serve::ServeConfig;
@@ -198,4 +206,141 @@ fn socket_smoke() {
     assert_eq!(stats.completed + stats.expired, stats.submitted);
 
     server.shutdown();
+}
+
+/// One model behind one worker on an ephemeral port.
+fn start_small(registry: MetricsRegistry) -> NetServer {
+    let spec = ModelSpec {
+        name: "m".to_string(),
+        model: plain20(4, 4).unwrap(),
+        serve: ServeConfig::new(3, 12, 12),
+    };
+    let cfg = NetConfig {
+        threads: Some(1),
+        ..NetConfig::new("127.0.0.1:0")
+    };
+    NetServer::start(vec![spec], cfg, registry).unwrap()
+}
+
+fn raw(server: &NetServer) -> TcpStream {
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    stream
+}
+
+fn predict_wire(body: &[u8], extra_headers: &str) -> Vec<u8> {
+    let mut wire = format!(
+        "POST /v1/models/m/predict HTTP/1.1\r\n{extra_headers}content-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    wire.extend_from_slice(body);
+    wire
+}
+
+#[test]
+fn pipelined_requests_answer_in_order_then_close() {
+    let server = start_small(MetricsRegistry::new());
+    // What each image gets on its own (one replica, batches of one), framed
+    // as the three pipelined answers must come back: in order, then EOF.
+    let mut client = HttpClient::connect(server.addr(), TIMEOUT).unwrap();
+    let mut expected = Vec::new();
+    for seed in 0..2 {
+        let resp = client.post("/v1/models/m/predict", &[], &image_body(seed));
+        let body = resp.unwrap().body;
+        write_response(&mut expected, 200, "OK", "application/json", &body, true);
+    }
+    write_response(
+        &mut expected,
+        200,
+        "OK",
+        "text/plain; charset=utf-8",
+        b"ok\n",
+        false,
+    );
+
+    let mut wire = predict_wire(&image_body(0), "");
+    wire.extend(predict_wire(&image_body(1), ""));
+    wire.extend_from_slice(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
+    let mut stream = raw(&server);
+    stream.write_all(&wire).unwrap();
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&answer),
+        String::from_utf8_lossy(&expected)
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_request_dribbled_one_byte_per_write_is_answered() {
+    let server = start_small(MetricsRegistry::new());
+    let mut stream = raw(&server);
+    stream.set_nodelay(true).unwrap();
+    for byte in predict_wire(&image_body(3), "connection: close\r\n") {
+        stream.write_all(&[byte]).unwrap();
+    }
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+    server.shutdown();
+}
+
+/// Three live peers — idle keep-alive, half a header block, a predict in
+/// flight — and `stop` must still return promptly and close them all.
+fn stops_with_live_peers(stop: fn(NetServer)) {
+    let registry = MetricsRegistry::new();
+    let server = start_small(registry.clone());
+    let addr = server.addr();
+    let mut idle = HttpClient::connect(addr, TIMEOUT).unwrap();
+    assert_eq!(idle.get("/healthz").unwrap().status, 200);
+    let mut half = raw(&server);
+    half.write_all(b"GET /healthz HTTP/1.1\r\nhost: x\r\n")
+        .unwrap();
+    let mut inflight = raw(&server);
+    inflight
+        .write_all(&predict_wire(&image_body(5), ""))
+        .unwrap();
+    // All three connections are admitted, and the predict was read whole
+    // (unread bytes would turn the close into a reset).
+    let deadline = Instant::now() + TIMEOUT;
+    let ready = || {
+        let snap = registry.snapshot();
+        snap.counter("net.accepted") == Some(3) && snap.counter("serve.m.submitted") == Some(1)
+    };
+    while !ready() {
+        assert!(Instant::now() < deadline, "peers never got admitted");
+        std::thread::yield_now();
+    }
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        stop(server);
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("shutdown hung on a live peer");
+    stopper.join().unwrap();
+
+    let mut answer = Vec::new();
+    inflight.read_to_end(&mut answer).unwrap();
+    assert!(
+        answer.is_empty() || answer.starts_with(b"HTTP/1.1 200 "),
+        "{}",
+        String::from_utf8_lossy(&answer)
+    );
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("net.accepted"), snap.counter("net.closed"));
+    assert!(TcpStream::connect(addr).is_err(), "still accepting");
+}
+
+#[test]
+fn shutdown_returns_with_live_peers() {
+    stops_with_live_peers(|server| server.shutdown());
+}
+
+#[test]
+fn drop_returns_with_live_peers() {
+    stops_with_live_peers(drop);
 }

@@ -20,15 +20,15 @@
 //!   requests always run on a consistent model.
 //! * Per-request responses travel through a oneshot `ResponseSlot`
 //!   (`Mutex<Option<..>>` + `Condvar`) handed back to the caller as a
-//!   [`Pending`]. The slot remembers the submitting thread and unparks it
-//!   when the answer lands, so a caller that polls many `Pending`s
-//!   ([`Pending::try_wait`]) can `park_timeout` between rounds instead of
-//!   sleeping through completions.
+//!   [`Pending`]. A queued request is answered at most once, and one
+//!   dropped unanswered (a replica that panics mid-batch unwinds its
+//!   batch) answers [`ServeError::Internal`], so no [`Pending::wait`]
+//!   blocks forever.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{JoinHandle, Thread};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use alf_core::checkpoint;
@@ -147,19 +147,16 @@ impl ServeConfig {
 struct ResponseSlot {
     result: Mutex<Option<Result<Prediction>>>,
     cv: Condvar,
-    /// The thread that submitted the request: a poll-driven caller parks
-    /// there between [`Pending::try_wait`] rounds.
-    submitter: Thread,
 }
 
 impl ResponseSlot {
-    /// Stores the answer, then wakes both kinds of waiter: whoever blocks
-    /// in [`Pending::wait`] (any thread) and the submitting thread, should
-    /// it be parked.
+    /// Stores the answer and wakes the [`Pending::wait`]er. Runs from
+    /// `QueuedRequest`'s `Drop` too, so it must not panic: the slot holds
+    /// one whole value at every step, which makes a poisoned guard safe
+    /// to reuse.
     fn fill(&self, r: Result<Prediction>) {
-        *self.result.lock().expect("response slot poisoned") = Some(r);
+        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
         self.cv.notify_all();
-        self.submitter.unpark();
     }
 }
 
@@ -171,21 +168,6 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Non-blocking poll: takes the answer if the request has been served
-    /// (or rejected) and `None` while it is still queued or in flight.
-    /// The thread that submitted the request is unparked when the answer
-    /// arrives, so it may `std::thread::park_timeout` between polls.
-    /// Once this returns `Some`, the slot is empty — the caller owns the
-    /// taken value and later polls (or [`Pending::wait`]) would block
-    /// forever, so poll-driven callers must keep it.
-    pub fn try_wait(&self) -> Option<Result<Prediction>> {
-        self.slot
-            .result
-            .lock()
-            .expect("response slot poisoned")
-            .take()
-    }
-
     /// Blocks until the request is answered.
     ///
     /// # Errors
@@ -207,7 +189,41 @@ struct QueuedRequest {
     image: Tensor,
     enqueued: Instant,
     deadline: Option<Instant>,
-    slot: Arc<ResponseSlot>,
+    /// `None` once answered.
+    slot: Option<Arc<ResponseSlot>>,
+}
+
+impl QueuedRequest {
+    /// A request and the caller's handle on its answer.
+    fn new(image: Tensor, deadline: Option<Instant>) -> (Self, Pending) {
+        let slot = Arc::new(ResponseSlot {
+            result: Mutex::new(None),
+            cv: Condvar::new(),
+        });
+        let request = Self {
+            image,
+            enqueued: Instant::now(),
+            deadline,
+            slot: Some(Arc::clone(&slot)),
+        };
+        (request, Pending { slot })
+    }
+
+    fn answer(mut self, r: Result<Prediction>) {
+        if let Some(slot) = self.slot.take() {
+            slot.fill(r);
+        }
+    }
+}
+
+impl Drop for QueuedRequest {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            slot.fill(Err(ServeError::Internal(
+                "request dropped unanswered".to_string(),
+            )));
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -411,34 +427,24 @@ impl Server {
                 image.dims()
             )));
         }
-        let slot = Arc::new(ResponseSlot {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-            submitter: std::thread::current(),
-        });
-        {
-            let mut queue = self.shared.queue.lock().expect("queue poisoned");
-            if queue.draining {
-                self.shared.rejected_shutdown.inc();
-                return Err(ServeError::ShuttingDown);
-            }
-            if queue.items.len() >= cfg.queue_depth {
-                self.shared.rejected_overloaded.inc();
-                return Err(ServeError::Overloaded {
-                    queue_depth: cfg.queue_depth,
-                });
-            }
-            queue.items.push_back(QueuedRequest {
-                image,
-                enqueued: Instant::now(),
-                deadline,
-                slot: Arc::clone(&slot),
-            });
-            self.shared.queue_len.set(queue.items.len() as f64);
+        let mut queue = self.shared.queue.lock().expect("queue poisoned");
+        if queue.draining {
+            self.shared.rejected_shutdown.inc();
+            return Err(ServeError::ShuttingDown);
         }
+        if queue.items.len() >= cfg.queue_depth {
+            self.shared.rejected_overloaded.inc();
+            return Err(ServeError::Overloaded {
+                queue_depth: cfg.queue_depth,
+            });
+        }
+        let (request, pending) = QueuedRequest::new(image, deadline);
+        queue.items.push_back(request);
+        self.shared.queue_len.set(queue.items.len() as f64);
+        drop(queue);
         self.shared.queue_cv.notify_one();
         self.shared.submitted.inc();
-        Ok(Pending { slot })
+        Ok(pending)
     }
 
     /// Validates `blob` against the staging replica and, on success,
@@ -569,7 +575,7 @@ fn expire_if_late(request: QueuedRequest, shared: &Shared, batch: &mut Vec<Queue
         .is_some_and(|deadline| Instant::now() >= deadline);
     if late {
         shared.expired.inc();
-        request.slot.fill(Err(ServeError::Expired));
+        request.answer(Err(ServeError::Expired));
         return;
     }
     batch.push(request);
@@ -656,7 +662,7 @@ fn worker_loop(index: usize, mut replica: Replica, shared: Arc<Shared>) {
                     hists.occupancy_sum += n as u64;
                 }
                 for (request, prediction) in batch.into_iter().zip(predictions) {
-                    request.slot.fill(Ok(prediction));
+                    request.answer(Ok(prediction));
                 }
             }
             Err(e) => {
@@ -664,7 +670,7 @@ fn worker_loop(index: usize, mut replica: Replica, shared: Arc<Shared>) {
                 // error — "answered or explicitly rejected", never lost.
                 shared.completed.add(batch.len() as u64);
                 for request in batch {
-                    request.slot.fill(Err(e.clone()));
+                    request.answer(Err(e.clone()));
                 }
             }
         }
@@ -948,42 +954,20 @@ mod tests {
     }
 
     #[test]
-    fn fill_unparks_the_submitting_thread() {
-        let model = plain20(4, 4).unwrap();
-        let server = Server::start(&model, tiny_config()).unwrap();
-        let pending = server.submit(image(0)).unwrap();
-        let submitted = Instant::now();
-        let answer = loop {
-            if let Some(result) = pending.try_wait() {
-                break result;
-            }
-            // Far longer than the forward: only an unpark ends this early.
-            std::thread::park_timeout(Duration::from_secs(5));
-        };
-        assert!(answer.is_ok());
-        assert!(
-            submitted.elapsed() < Duration::from_secs(1),
-            "the poller slept through the completion: {:?}",
-            submitted.elapsed()
+    fn a_request_dropped_unanswered_resolves_internal() {
+        // What a replica panicking inside `run_batch` does to its batch.
+        let (request, pending) = QueuedRequest::new(image(0), None);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || tx.send(pending.wait()).unwrap());
+        drop(request);
+        let answer = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the waiter is still blocked on a request nobody will answer");
+        assert_eq!(
+            answer.unwrap_err(),
+            ServeError::Internal("request dropped unanswered".to_string())
         );
-        server.shutdown();
-    }
-
-    #[test]
-    fn try_wait_polls_without_blocking() {
-        let model = plain20(4, 4).unwrap();
-        let server = Server::start(&model, tiny_config()).unwrap();
-        let pending = server.submit(image(0)).unwrap();
-        let answer = loop {
-            if let Some(result) = pending.try_wait() {
-                break result;
-            }
-            std::thread::yield_now();
-        };
-        assert!(answer.unwrap().class < 4);
-        // The slot was emptied by the successful poll.
-        assert!(pending.try_wait().is_none());
-        server.shutdown();
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -15,6 +15,14 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 timeout 900 cargo test --workspace -q
 
+# A shutdown or join race in the front end's blocking threads hangs rather
+# than fails, and may strike once in many runs: the socket tests run ten
+# times under one timeout, so such a race fails here instead of flaking
+# later.
+echo "==> socket_smoke x10"
+timeout 300 bash -c \
+  'for i in $(seq 10); do cargo test -q -p alf-net --test socket_smoke || exit 1; done'
+
 # The repo benchmark is a package of its own that calls a frozen set of
 # the workspace's public names (benchmark/src/surface.rs). Building and
 # testing it here, then running its quick mode (every workload, every
