@@ -5,15 +5,15 @@
 //! and biases by `deploy::Pipeline` — plus a small calibration batch.
 //! Weights are symmetric per-tensor int8 (via [`Quantizer`]), activations
 //! are symmetric int8 with scales fitted to the calibration activations,
-//! and every convolution runs as an `i8×i8→i32` blocked GEMM with exact
-//! i32 accumulation (`alf_tensor::ops::gemm_i8_into` per image for the
-//! 1×1 expansions, `alf_tensor::ops::conv_gemm_into` — which builds no
-//! column matrix and, for stride-1 kernels on AVX2 hosts, packs no `B`
-//! panel either — for every other kernel).
+//! and every convolution — k×k code conv and 1×1 expansion alike — runs as
+//! one whole-batch `i8×i8→i32` product with exact i32 accumulation,
+//! `alf_tensor::ops::conv_gemm_into`, which builds no column matrix and,
+//! for stride-1 kernels on AVX2 hosts, packs no `B` panel either.
 //!
-//! Requantization happens on store: the i32 accumulator is mapped back to
-//! real units with `acc · s_in · s_w`, the (f32) bias is added, the ReLU
-//! applied, and the result is rounded into the next layer's i8 grid at
+//! Requantization happens on store (`alf_tensor::ops::requantize_into`,
+//! one call per output channel and image): the i32 accumulator is mapped
+//! back to real units with `acc · s_in · s_w`, the (f32) bias is added, the
+//! ReLU applied, and the result is rounded into the next layer's i8 grid at
 //! `s_out`. Max-pooling commutes with any monotonic quantizer, so it runs
 //! directly on the i8 feature maps. The network tail (global average pool
 //! and classifier) stays in f32 — it is a vanishing fraction of the MACs
@@ -24,7 +24,7 @@ use alf_nn::conv::Conv2d;
 use alf_nn::linear::Linear;
 use alf_nn::pool::GlobalAvgPool;
 use alf_nn::{Layer, Pass, RunCtx};
-use alf_tensor::ops::{conv_gemm_into, gemm_i8_into, Conv2dSpec};
+use alf_tensor::ops::{conv_gemm_into, requantize_into, Conv2dSpec};
 use alf_tensor::{ShapeError, Tensor};
 
 use crate::model::{CnnModel, ConvKind, Unit};
@@ -107,28 +107,6 @@ pub struct QuantizedModel {
 
 fn fit_scale(t: &Tensor) -> Result<f32, QuantError> {
     Ok(Quantizer::fit(t, 8)?.scale)
-}
-
-/// Maps one i32 accumulator back to the next layer's i8 grid: dequantize
-/// (`acc · s_in · s_w`), add bias, optional ReLU, then round into `s_out`
-/// steps. The rounding is the branch-predictable `+±0.5`-then-truncate
-/// form of round-half-away-from-zero, vectorizable where `f32::round` is a
-/// libm call in the hot store loop. It is **not** `f32::round` on every
-/// input: the `+ 0.5` is itself rounded, so the one f32 just below a half
-/// (`0.5 − 2⁻²⁵`, and its mirror) sums to exactly `1.0` and lands on 1
-/// where `round` gives 0. This function is the engine's definition of the
-/// store — calibration, the serving oracle and the benchmark compare the
-/// engine with itself — so the arithmetic stays and a unit test pins the
-/// edge.
-#[inline(always)]
-fn requantize(acc: i32, deq: f32, bias: f32, relu: bool, inv_out: f32) -> i8 {
-    let mut v = acc as f32 * deq + bias;
-    if relu {
-        v = v.max(0.0);
-    }
-    let r = v * inv_out;
-    let half = if r >= 0.0 { 0.5 } else { -0.5 };
-    (r + half).clamp(-127.0, 127.0) as i8
 }
 
 fn relu_inplace(t: &mut Tensor) {
@@ -434,72 +412,31 @@ impl QuantizedModel {
                     let plane = ho * wo;
                     let scope = self.ctx.scope_start();
                     nxt.resize(n * conv.c_out * plane, 0);
-                    if conv.spec.kernel == 1 && conv.spec.stride == 1 && conv.spec.pad == 0 {
-                        // 1×1 fast path (every deployed expansion conv):
-                        // each image's NCHW slab already *is* the `[ci,
-                        // h·w]` B matrix, so the per-image GEMM needs no
-                        // im2col, and its `[co, h·w]` product is the
-                        // image's NCHW output — requantize writes
-                        // straight through.
-                        let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc1", conv.c_out * plane);
+                    // One implicit GEMM over the whole batch, read straight
+                    // from the i8 activations (no column matrix).
+                    let cols = n * plane;
+                    let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc", conv.c_out * cols);
+                    conv_gemm_into(
+                        &mut acc,
+                        &conv.weight,
+                        &cur,
+                        conv.c_out,
+                        [n, c, h, w],
+                        conv.spec,
+                        None,
+                        &mut self.ctx.ws,
+                        1,
+                    );
+                    // Requantize on store, rearranging [co, n·ho·wo] into
+                    // NCHW as we go.
+                    for (co, &bias) in conv.bias.iter().enumerate() {
                         for b in 0..n {
-                            let src = &cur[b * c * plane..(b + 1) * c * plane];
-                            gemm_i8_into(
-                                &mut acc,
-                                &conv.weight,
-                                src,
-                                conv.c_out,
-                                c,
-                                plane,
-                                &mut self.ctx.ws,
-                            );
-                            let dst =
-                                &mut nxt[b * conv.c_out * plane..(b + 1) * conv.c_out * plane];
-                            for (co, (arow, drow)) in acc
-                                .chunks_exact(plane)
-                                .zip(dst.chunks_exact_mut(plane))
-                                .enumerate()
-                            {
-                                let bias = conv.bias[co];
-                                for (o, &a) in drow.iter_mut().zip(arow) {
-                                    *o = requantize(a, deq, bias, conv.relu, inv_out);
-                                }
-                            }
+                            let src = &acc[co * cols + b * plane..][..plane];
+                            let dst = &mut nxt[(b * conv.c_out + co) * plane..][..plane];
+                            requantize_into(dst, src, deq, bias, conv.relu, inv_out);
                         }
-                        self.ctx.ws.give("qm_acc1", acc);
-                    } else {
-                        // Everything else: one implicit GEMM over the
-                        // whole batch, read straight from the i8
-                        // activations (no column matrix).
-                        let cols = n * plane;
-                        let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc", conv.c_out * cols);
-                        conv_gemm_into(
-                            &mut acc,
-                            &conv.weight,
-                            &cur,
-                            conv.c_out,
-                            [n, c, h, w],
-                            conv.spec,
-                            None,
-                            &mut self.ctx.ws,
-                            1,
-                        );
-                        // Requantize on store, rearranging [co, n·ho·wo]
-                        // into NCHW as we go.
-                        for co in 0..conv.c_out {
-                            let row = &acc[co * cols..(co + 1) * cols];
-                            let bias = conv.bias[co];
-                            for b in 0..n {
-                                let src = &row[b * plane..(b + 1) * plane];
-                                let dst = &mut nxt[(b * conv.c_out + co) * plane
-                                    ..(b * conv.c_out + co + 1) * plane];
-                                for (o, &a) in dst.iter_mut().zip(src) {
-                                    *o = requantize(a, deq, bias, conv.relu, inv_out);
-                                }
-                            }
-                        }
-                        self.ctx.ws.give("qm_acc", acc);
                     }
+                    self.ctx.ws.give("qm_acc", acc);
                     std::mem::swap(&mut cur, &mut nxt);
                     (c, h, w) = (conv.c_out, ho, wo);
                     self.ctx.scope_end(scope, &conv.unit, Pass::Forward);
@@ -581,52 +518,5 @@ impl QuantizedModel {
                 QStage::MaxPool { .. } => 0,
             })
             .sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::requantize;
-
-    /// `requantize` of the real value `r` on a unit output grid.
-    fn store(r: f32) -> i8 {
-        requantize(0, 1.0, r, false, 1.0)
-    }
-
-    #[test]
-    fn requantize_rounds_half_away_from_zero_and_saturates() {
-        for (r, want) in [
-            (0.0, 0),
-            (0.49, 0),
-            (0.5, 1),
-            (-0.5, -1),
-            (2.5, 3),
-            (-2.5, -3),
-            (126.4, 126),
-            (1e6, 127),
-            (-1e6, -127),
-        ] {
-            assert_eq!(store(r), want, "{r}");
-        }
-        assert_eq!(
-            requantize(-7, 0.5, 1.0, true, 2.0),
-            0,
-            "ReLU before rounding"
-        );
-        assert_eq!(requantize(7, 0.5, 1.0, false, 2.0), 9);
-    }
-
-    #[test]
-    fn requantize_differs_from_f32_round_just_below_a_half() {
-        // 0.5 − 2⁻²⁵ is the largest f32 below a half; adding 0.5 lands
-        // midway between 1 − 2⁻²⁴ and 1.0 and ties to even, 1.0.
-        let below_half = 0.5 - 2.0f32.powi(-25);
-        assert!(below_half < 0.5);
-        assert_eq!(below_half.round(), 0.0);
-        assert_eq!(store(below_half), 1);
-        assert_eq!(store(-below_half), -1);
-        // One step further from the half the two agree again.
-        let next = f32::from_bits(below_half.to_bits() - 1);
-        assert_eq!(store(next), 0);
     }
 }

@@ -1,5 +1,6 @@
-//! The pack-free stride-1 convolution tile, in explicit AVX2 — the one
-//! module of the workspace that contains `unsafe`.
+//! The pack-free stride-1 convolution tile and the int8 requantizing store,
+//! in explicit AVX2 — the one module of the workspace that contains
+//! `unsafe`.
 //!
 //! The packed tiles in the crate root consume a `B` panel somebody gathered
 //! out of the image first. For a convolution with few filters that gather
@@ -29,18 +30,31 @@
 //!
 //! # Unsafe policy
 //!
-//! Every `unsafe` block is a pointer load or store, or the one call from a
-//! safe wrapper into a `#[target_feature]` function; each sits behind a
-//! length assert in [`ConvTile::f32_into`] / [`ConvTile::i8_into`] and a
-//! proof-of-detection token ([`ConvTile`] cannot be built without AVX2), so
-//! no argument safe code can pass reads or writes out of bounds. The value
-//! intrinsics are safe inside `#[target_feature(enable = "avx2")]`.
+//! Every `unsafe` block is a pointer load or store, or a call from a safe
+//! wrapper into a `#[target_feature]` function; each sits behind a length
+//! assert in [`ConvTile::f32_into`] / [`ConvTile::i8_into`] /
+//! [`ConvTile::requantize_into`] and a proof-of-detection token
+//! ([`ConvTile`] cannot be built without AVX2), so no argument safe code
+//! can pass reads or writes out of bounds. The value intrinsics are safe
+//! inside `#[target_feature(enable = "avx2")]`.
+//!
+//! # The store
+//!
+//! [`ConvTile::requantize_into`] maps the int8 engine's i32 accumulators
+//! to the next layer's i8 grid, 32 at a time, with the op
+//! sequence of `alf-tensor`'s scalar `requantize` — the definition of the
+//! store, and the tail and non-AVX2 fallback — so the two agree bit for
+//! bit on every input, NaN and ∞ scales included (`tests/proptests.rs`
+//! checks it element for element).
 
 use core::arch::x86_64::{
-    __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_cvttps_epi32,
-    _mm256_loadu_ps, _mm256_maskload_epi32, _mm256_maskload_ps, _mm256_maskstore_epi32,
-    _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-    _mm256_setzero_ps,
+    __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256, _mm256_blendv_ps,
+    _mm256_castps_si256, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps,
+    _mm256_cvttps_epi32, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_epi32,
+    _mm256_maskload_ps, _mm256_maskstore_epi32, _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps,
+    _mm256_mul_ps, _mm256_packs_epi16, _mm256_packs_epi32, _mm256_permutevar8x32_epi32,
+    _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_si256,
+    _CMP_GE_OQ, _CMP_ORD_Q,
 };
 use core::ops::Range;
 
@@ -51,6 +65,10 @@ pub const CONV_MR: usize = 6;
 
 /// Pixels per vector of the tile; a tile covers two vectors.
 pub const CONV_LANES: usize = 8;
+
+/// Elements one step of [`ConvTile::requantize_into`] stores: four i32
+/// vectors narrowed into one 32-byte store.
+const STORE_LANES: usize = 4 * CONV_LANES;
 
 /// A tap-offset table whose reach has been measured: `offsets[p]` is the
 /// distance, in the padded image, from a tile vector's first pixel to the
@@ -172,6 +190,41 @@ impl ConvTile {
             "i8 slab too deep for exact f32 accumulation"
         );
         self.run(taps, weights, image, c, rows, at);
+    }
+
+    /// The int8 engine's requantizing store, 32 elements per step: `out[i]`
+    /// becomes `alf-tensor`'s scalar `requantize(acc[i], deq, bias, relu,
+    /// inv_out)` — the definition of the store, which these lanes
+    /// reproduce bit for bit, NaN and ∞ scales included — for every `i`
+    /// below the largest multiple of 32 in `acc.len()`. Returns that count;
+    /// the caller stores the tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` and `acc` differ in length.
+    pub fn requantize_into(
+        self,
+        out: &mut [i8],
+        acc: &[i32],
+        deq: f32,
+        bias: f32,
+        relu: bool,
+        inv_out: f32,
+    ) -> usize {
+        assert_eq!(
+            out.len(),
+            acc.len(),
+            "requantize: {} outputs for {} accumulators",
+            out.len(),
+            acc.len()
+        );
+        let body = acc.len() - acc.len() % STORE_LANES;
+        // SAFETY: `self` proves AVX2 was detected, and both slices hold
+        // `body` elements, a multiple of STORE_LANES.
+        unsafe {
+            requantize_blocks(&mut out[..body], &acc[..body], deq, bias, relu, inv_out);
+        }
+        body
     }
 
     /// Checks every bound a tile's pointer accesses rely on, then runs the
@@ -343,6 +396,82 @@ unsafe fn tile<const R: usize, C: Acc>(
             unsafe { C::add_masked(c.add(row + at.col[v]), lane_mask(at.lanes[v]), acc_rv) };
         }
     }
+}
+
+/// [`ConvTile::requantize_into`] over whole [`STORE_LANES`]-element blocks.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `out` and `acc` must have the same length,
+/// a multiple of [`STORE_LANES`].
+#[target_feature(enable = "avx2")]
+unsafe fn requantize_blocks(
+    out: &mut [i8],
+    acc: &[i32],
+    deq: f32,
+    bias: f32,
+    relu: bool,
+    inv_out: f32,
+) {
+    let scales = [deq, bias, inv_out].map(|s| _mm256_set1_ps(s));
+    // `packs` narrows within 128-bit halves; this puts the four vectors'
+    // 4-byte groups back in order.
+    let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    for (dst, src) in out
+        .chunks_exact_mut(STORE_LANES)
+        .zip(acc.chunks_exact(STORE_LANES))
+    {
+        let src = src.as_ptr();
+        // SAFETY: `src` holds STORE_LANES = 4·8 readable i32.
+        let q = unsafe {
+            [0, 1, 2, 3].map(|v| {
+                requantize_vector(
+                    _mm256_loadu_si256(src.add(v * CONV_LANES).cast()),
+                    scales,
+                    relu,
+                )
+            })
+        };
+        let bytes = _mm256_packs_epi16(
+            _mm256_packs_epi32(q[0], q[1]),
+            _mm256_packs_epi32(q[2], q[3]),
+        );
+        // SAFETY: `dst` holds STORE_LANES = 32 writable bytes.
+        unsafe {
+            _mm256_storeu_si256(
+                dst.as_mut_ptr().cast(),
+                _mm256_permutevar8x32_epi32(bytes, order),
+            );
+        }
+    }
+}
+
+/// Eight lanes of the scalar store, op for op: `acc as f32 · deq + bias`
+/// (no FMA), `max(v, 0)` for the ReLU (`maxps` returns its second operand
+/// for a NaN, as `f32::max` returns the non-NaN one), `· inv_out`, `± 0.5`
+/// by `r ≥ 0` (a NaN takes −0.5), the clamp as `min(127, max(−127, t))`
+/// (each returns its NaN second operand, so a NaN passes as `clamp` lets
+/// it), then truncation with NaN lanes masked to the `as i8` cast's 0.
+/// Lanes leave in [−127, 127], so the narrowing `packs` never saturate.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn requantize_vector(acc: __m256i, [deq, bias, inv_out]: [__m256; 3], relu: bool) -> __m256i {
+    let mut v = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc), deq), bias);
+    if relu {
+        v = _mm256_max_ps(v, _mm256_setzero_ps());
+    }
+    let r = _mm256_mul_ps(v, inv_out);
+    let half = _mm256_blendv_ps(
+        _mm256_set1_ps(-0.5),
+        _mm256_set1_ps(0.5),
+        _mm256_cmp_ps::<_CMP_GE_OQ>(r, _mm256_setzero_ps()),
+    );
+    let t = _mm256_min_ps(
+        _mm256_set1_ps(127.0),
+        _mm256_max_ps(_mm256_set1_ps(-127.0), _mm256_add_ps(r, half)),
+    );
+    let ordered = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_ORD_Q>(t, t));
+    _mm256_and_si256(_mm256_cvttps_epi32(t), ordered)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Register-tiled GEMM micro-kernels for the blocked matrix multiply in
-//! `alf-tensor`, and the pack-free convolution tile beside them.
+//! `alf-tensor`, and the pack-free convolution tile and the int8 store
+//! beside them.
 //!
 //! # Which tile is written how
 //!
@@ -8,12 +9,17 @@
 //!   runs on — are safe Rust that **leans on the auto-vectorizer**, and
 //!   through it on this crate's isolation and the root `lto = false` (next
 //!   section). They are also the portable route: they run on any target.
-//! * [`ConvTile`] — the [`CONV_MR`]-row, two-vector tile stride-1 k×k
-//!   convolutions run on — is **explicit AVX2** (`core::arch` intrinsics in
-//!   the `conv_tile` module, compiled on x86-64 only and handed out only
-//!   after `is_x86_feature_detected!("avx2")`). Its codegen does not depend
-//!   on the vectorizer's mood; the auto-vectorised form of the same tile
-//!   spills its accumulators and ran 3–5 GF/s.
+//! * [`ConvTile`] — the [`CONV_MR`]-row, two-vector tile stride-1
+//!   convolutions (k×k and 1×1) run on — is **explicit AVX2** (`core::arch`
+//!   intrinsics in the `conv_tile` module, compiled on x86-64 only and
+//!   handed out only after `is_x86_feature_detected!("avx2")`). Its
+//!   codegen does not depend on the vectorizer's mood; the auto-vectorised
+//!   form of the same tile spills its accumulators and ran 3–5 GF/s.
+//! * [`ConvTile::requantize_into`] — the int8 engine's store, 32
+//!   accumulators per step — is explicit AVX2 in the same module, for the
+//!   same reason: LLVM left the scalar form (`alf-tensor`'s `requantize`,
+//!   which stays the definition and stores the tail) unvectorized at
+//!   ≈ 2.2 ns per element.
 //!
 //! The two kinds of tile produce the same bits for the same convolution:
 //! per element both run `acc = acc + a·b` from `+0.0` in ascending depth
@@ -23,8 +29,10 @@
 //!
 //! The crate denies `unsafe_code`; `conv_tile` alone carries a scoped
 //! `allow`, and every other crate of the workspace keeps
-//! `#![forbid(unsafe_code)]` (`scripts/verify.sh` greps for it). Inside that
-//! module `unsafe` is pointer loads/stores and the dispatch into
+//! `#![forbid(unsafe_code)]` (`scripts/verify.sh` greps for it). That one
+//! module holds both explicit kernels — the convolution tile and the int8
+//! store — behind one proof of AVX2, the [`ConvTile`] token. Inside it
+//! `unsafe` is pointer loads/stores and the dispatch into
 //! `#[target_feature]` functions, each behind a slice-length assert in a
 //! safe wrapper — see the module docs.
 //!

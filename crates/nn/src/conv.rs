@@ -11,9 +11,10 @@
 //! Only [`Mode::Train`] owns a column matrix. The forward-only modes run
 //! the convolution through
 //! [`alf_tensor::ops::conv_gemm_into`], which unfolds
-//! nothing: a stride-1 k×k kernel runs on the pack-free AVX2 tile, anything
-//! else has its `B` panels packed straight from the `NCHW` input — either
-//! way bit for bit the product of the unfold-then-pack route.
+//! nothing: a stride-1 kernel (1×1 included) runs on the pack-free AVX2
+//! tile, anything else has its `B` panels packed straight from the `NCHW`
+//! input — either way bit for bit the product of the unfold-then-pack
+//! route.
 //! [`Mode::Eval`] releases the buffer a training run left behind,
 //! [`Mode::Stats`] neither reads nor writes it.
 

@@ -1,6 +1,7 @@
 //! The pack-free route of [`conv_gemm_into`](super::conv_gemm_into):
-//! stride-1 k×k convolutions on the explicit AVX2 tile of
-//! `alf-gemm-kernels`, bit for bit the packed route.
+//! stride-1 convolutions — k×k code convolutions and 1×1 expansions alike
+//! — on the explicit AVX2 tile of `alf-gemm-kernels`, bit for bit the
+//! packed route.
 //!
 //! A code convolution has a handful of filters, so on the packed route
 //! every value `pack_b_image` gathers, widens, stores and re-loads feeds
@@ -9,8 +10,10 @@
 //! — once the image has its zero border — so this route copies each image
 //! once into a `[ci, h+2p, w+2p]` f32 scratch and lets the tile load its
 //! operands from there (`ConvTile` describes the tile and why the bits
-//! cannot differ). What is left to do here is bookkeeping, all of it on
-//! named [`Workspace`] slots:
+//! cannot differ). A 1×1 expansion with no padding has no border: the copy
+//! is the widening the packed route's `B` panels would make anyway, and its
+//! `ci` taps are whole channel planes. What is left to do here is
+//! bookkeeping, all of it on named [`Workspace`] slots:
 //!
 //! * `conv_taps` — for tap `p = (c, ky, kx)` the offset `(c·hp + ky)·wp +
 //!   kx` from an output pixel's top-left tap to that tap,

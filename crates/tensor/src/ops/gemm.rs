@@ -57,7 +57,7 @@
 //! is this driver with a second `B` packer that reads each panel out of
 //! the `NCHW` input instead of an unfolded column matrix — same panels,
 //! same bits, one `ci·k²`-fold copy of the input fewer. The *direct* route
-//! (`conv_direct`, stride-1 k×k convolutions on AVX2 hosts) packs no `B`
+//! (`conv_direct`, stride-1 convolutions on AVX2 hosts) packs no `B`
 //! at all: the explicit tile of `alf-gemm-kernels` loads its operands from
 //! a zero-bordered copy of the image, in the packed route's per-element
 //! operation order, so the two routes agree bit for bit and the packed one
@@ -494,22 +494,21 @@ pub fn gemm_active_k_into(
 /// of `im2col_into` + [`gemm_into`] (or `im2col_i8_into` + `gemm_i8_into`
 /// for `i8`):
 ///
-/// * **Direct** — when `spec.stride == 1`, `spec.kernel ≥ 2`, the host has
-///   AVX2, and the packed route would run the call on one thread (the live
-///   rows fit one [`MC`] block, or `threads` is 1). No `B` is packed: each
-///   image is copied once into a zero-bordered scratch and the explicit
-///   tile of `alf-gemm-kernels` reads it in place (see `conv_direct`).
-///   `threads` only takes part in that routing test; the direct route
-///   itself is single-threaded.
-/// * **Packed** — everything else (stride 2, 1×1, wide-`m` calls that
-///   engage workers, hosts without AVX2, other architectures). The blocked
+/// * **Direct** — when `spec.stride == 1` (any kernel, 1×1 included), the
+///   host has AVX2, and the packed route would run the call on one thread
+///   (the live rows fit one [`MC`] block, or `threads` is 1). No `B` is
+///   packed: each image is copied once into a zero-bordered scratch — for
+///   a 1×1 kernel with no padding just the widening copy packing would
+///   make — and the explicit tile of `alf-gemm-kernels` reads it in place
+///   (see `conv_direct`). `threads` only takes part in that routing test;
+///   the direct route itself is single-threaded.
+/// * **Packed** — everything else (stride 2, wide-`m` calls that engage
+///   workers, hosts without AVX2, other architectures). The blocked
 ///   driver runs unchanged; only its `B` packer differs — it reads each
 ///   [`NR`]-column panel straight out of the image (see `pack_b_image`),
 ///   writing exactly the lanes `pack_b` would copy out of
 ///   [`im2col_into`](super::im2col_into)'s matrix, without the `ci·k²`-fold
-///   copy of the input whose cost no amount of filter pruning shrinks. A
-///   1×1 kernel stays here because it has no tap reuse to pay for the
-///   bordered copy.
+///   copy of the input whose cost no amount of filter pruning shrinks.
 ///
 /// Forward-only callers use it (eval, the statistics pass, int8); a
 /// training forward still unfolds, because its backward pass multiplies by
@@ -552,10 +551,7 @@ pub fn conv_gemm_into<T: Element>(
         );
     }
     #[cfg(target_arch = "x86_64")]
-    if spec.stride == 1
-        && spec.kernel >= 2
-        && workers(threads, rows.map_or(m, ActiveRows::len)) == 1
-    {
+    if spec.stride == 1 && workers(threads, rows.map_or(m, ActiveRows::len)) == 1 {
         if let Some(tile) = ConvTile::detect() {
             return super::conv_direct::conv_direct_into(tile, c, a, x, m, dims, spec, rows, ws);
         }

@@ -31,8 +31,10 @@
 //!   needs them: [`conv_gemm_into`] is the forward-only convolution (f32
 //!   and i8), bitwise equal to unfold + GEMM without the unfold — the same
 //!   driver packing its `B` panels straight from the `NCHW` input, or, for
-//!   stride-1 k×k kernels on AVX2 hosts, the pack-free tile of
+//!   stride-1 kernels (1×1 included) on AVX2 hosts, the pack-free tile of
 //!   `alf-gemm-kernels` reading a zero-bordered copy of the image.
+//!   [`requantize_into`] is the int8 engine's store, on the explicit AVX2
+//!   store of that crate where the host has it.
 //! * [`Workspace`] is the scratch arena: one pool of named slots, generic
 //!   over the element type.
 
@@ -51,5 +53,5 @@ pub use gemm::{
     host_parallelism, ActiveRows,
 };
 pub use matmul::{matmul, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws};
-pub use qgemm::{gemm_i8_into, im2col_i8_into};
+pub use qgemm::{gemm_i8_into, im2col_i8_into, requantize, requantize_into};
 pub use workspace::{with_thread_workspace, Workspace};

@@ -2,16 +2,21 @@
 //!
 //! The quantized deployment path runs convolutions as `i8×i8→i32` matrix
 //! products: weights and activations are symmetric int8, accumulation is
-//! exact in i32, and requantization back to i8 happens on store (in
-//! `alf-core::qmodel`, where the scales live). Nothing here re-implements
+//! exact in i32, and requantization back to i8 happens on store
+//! ([`requantize_into`], called by `alf-core::qmodel`, where the scales
+//! live). Nothing here re-implements
 //! blocking or unfolding: [`gemm_i8_into`] enters the one blocked driver
 //! in [`gemm`](super::gemm) with `i8` operands, and [`im2col_i8_into`]
 //! enters the one unfold loop in `conv.rs` with an `i8` buffer. (The
-//! engine itself no longer unfolds: its k×k convolutions are the `i8`
+//! engine itself no longer unfolds: its convolutions are the `i8`
 //! instantiation of [`conv_gemm_into`](super::conv_gemm_into) — the
-//! stride-1 ones on the pack-free AVX2 tile, the rest on the driver's
-//! image packer; the pair here is the packed route on an unfolded matrix,
-//! which is what that entry is property-tested against, bit for bit.)
+//! stride-1 ones, 1×1 expansions included, on the pack-free AVX2 tile, the
+//! two stride-2 code convs on the driver's image packer; the pair here is
+//! the packed route on an unfolded matrix, which is what that entry is
+//! property-tested against, bit for bit.) The store that maps the i32
+//! accumulators back to i8 is defined here too: [`requantize`] is the
+//! scalar definition, [`requantize_into`] the run-of-a-channel store the
+//! engine calls.
 //!
 //! What the driver's element trait does for `i8`: the packers widen each
 //! value into an f32 panel lane, the register tile
@@ -97,10 +102,105 @@ pub fn im2col_i8_into(
     unfold(dst, src, n, ci, h, w, spec);
 }
 
+/// Maps one i32 accumulator back to the next layer's i8 grid: dequantize
+/// (`acc · s_in · s_w`), add bias, optional ReLU, then round into `s_out`
+/// steps. The rounding is the branch-free `+±0.5`-then-truncate form of
+/// round-half-away-from-zero, which the vector store reproduces lane for
+/// lane where `f32::round` would be a libm call. It is **not**
+/// `f32::round` on every input: the `+ 0.5` is itself rounded, so the one
+/// f32 just below a half (`0.5 − 2⁻²⁵`, and its mirror) sums to exactly
+/// `1.0` and lands on 1 where `round` gives 0. This function is the int8 engine's definition of
+/// the store — calibration, the serving oracle and the benchmark compare
+/// the engine with itself, and [`requantize_into`]'s vector body is tested
+/// against it element for element — so the arithmetic stays and a unit
+/// test pins the edge.
+#[inline(always)]
+pub fn requantize(acc: i32, deq: f32, bias: f32, relu: bool, inv_out: f32) -> i8 {
+    let mut v = acc as f32 * deq + bias;
+    if relu {
+        v = v.max(0.0);
+    }
+    let r = v * inv_out;
+    let half = if r >= 0.0 { 0.5 } else { -0.5 };
+    (r + half).clamp(-127.0, 127.0) as i8
+}
+
+/// `out[i] = requantize(acc[i], deq, bias, relu, inv_out)` for every `i`:
+/// the int8 engine's store of one output channel's run of accumulators.
+///
+/// On an AVX2 host the explicit vector store of `alf-gemm-kernels`
+/// (`ConvTile::requantize_into`, bit for bit [`requantize`]) takes every
+/// whole 32-element block, and [`requantize`] stores the tail; elsewhere
+/// [`requantize`] stores everything.
+///
+/// # Panics
+///
+/// Panics when `out` and `acc` differ in length.
+pub fn requantize_into(out: &mut [i8], acc: &[i32], deq: f32, bias: f32, relu: bool, inv_out: f32) {
+    assert_eq!(
+        out.len(),
+        acc.len(),
+        "requantize: {} outputs for {} accumulators",
+        out.len(),
+        acc.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    let done = alf_gemm_kernels::ConvTile::detect().map_or(0, |tile| {
+        tile.requantize_into(out, acc, deq, bias, relu, inv_out)
+    });
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for (o, &a) in out[done..].iter_mut().zip(&acc[done..]) {
+        *o = requantize(a, deq, bias, relu, inv_out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::gemm::{KC, MC, NC};
+
+    /// `requantize` of the real value `r` on a unit output grid.
+    fn store(r: f32) -> i8 {
+        requantize(0, 1.0, r, false, 1.0)
+    }
+
+    #[test]
+    fn requantize_rounds_half_away_from_zero_and_saturates() {
+        for (r, want) in [
+            (0.0, 0),
+            (0.49, 0),
+            (0.5, 1),
+            (-0.5, -1),
+            (2.5, 3),
+            (-2.5, -3),
+            (126.4, 126),
+            (1e6, 127),
+            (-1e6, -127),
+        ] {
+            assert_eq!(store(r), want, "{r}");
+        }
+        assert_eq!(
+            requantize(-7, 0.5, 1.0, true, 2.0),
+            0,
+            "ReLU before rounding"
+        );
+        assert_eq!(requantize(7, 0.5, 1.0, false, 2.0), 9);
+    }
+
+    #[test]
+    fn requantize_differs_from_f32_round_just_below_a_half() {
+        // 0.5 − 2⁻²⁵ is the largest f32 below a half; adding 0.5 lands
+        // midway between 1 − 2⁻²⁴ and 1.0 and ties to even, 1.0.
+        let below_half = 0.5 - 2.0f32.powi(-25);
+        assert!(below_half < 0.5);
+        assert_eq!(below_half.round(), 0.0);
+        assert_eq!(store(below_half), 1);
+        assert_eq!(store(-below_half), -1);
+        // One step further from the half the two agree again.
+        let next = f32::from_bits(below_half.to_bits() - 1);
+        assert_eq!(store(next), 0);
+    }
 
     fn reference_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
         let mut c = vec![0i32; m * n];

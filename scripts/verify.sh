@@ -175,8 +175,9 @@ if [ "$step_emitters" -ne 1 ]; then
   exit 1
 fi
 
-# `unsafe` lives in one module of one crate (the explicit AVX2 convolution
-# tile, alf_gemm_kernels::conv_tile); every other crate root carries
+# `unsafe` lives in one module of one crate, alf_gemm_kernels::conv_tile,
+# which holds both explicit AVX2 kernels: the pack-free convolution tile and
+# the int8 requantizing store; every other crate root carries
 # `#![forbid(unsafe_code)]`, and this grep also covers what that attribute
 # does not: tests, examples, the vendored stand-ins and the benchmark.
 echo "==> unsafe only under crates/gemm-kernels/src/"

@@ -11,8 +11,8 @@ use alf::tensor::init::Init;
 use alf::tensor::ops::gemm::{KC, NC};
 use alf::tensor::ops::{
     col2im, conv2d, conv_gemm_into, gemm_active_rows_into, gemm_i8_into, gemm_into, im2col,
-    im2col_i8_into, im2col_into, matmul, matmul_at, matmul_bt, reference, ActiveRows, Conv2dSpec,
-    Workspace,
+    im2col_i8_into, im2col_into, matmul, matmul_at, matmul_bt, reference, requantize,
+    requantize_into, ActiveRows, Conv2dSpec, Workspace,
 };
 use alf::tensor::rng::Rng;
 use alf::tensor::Tensor;
@@ -187,6 +187,39 @@ proptest! {
         for &v in t.data() {
             let err = (q.round_trip(v) - v).abs();
             prop_assert!(err <= q.scale / 2.0 + 1e-5, "err {} step {}", err, q.scale);
+        }
+    }
+
+    /// The int8 engine's store: `requantize_into` (the explicit AVX2 body
+    /// over whole 32-element blocks, then the scalar tail) must equal the
+    /// scalar `requantize` element for element. Lengths 0–100 run the tail
+    /// alone, the body alone and both; the draws reach the i32 extremes,
+    /// saturation at ±127, the `0.5 − 2⁻²⁵` rounding edge, and an infinite
+    /// `inv_out` (an output scale that underflowed to 0), where a zero
+    /// pre-activation — ReLU'd or not — gives `0·∞ = NaN`.
+    #[test]
+    fn vector_requantize_store_is_bitwise_the_scalar_store(
+        len in 0usize..101, relu in 0usize..2, deq_pick in 0usize..3, bias_pick in 0usize..4,
+        inv_pick in 0usize..3, seed in 0u64..10_000) {
+        let mut rng = Rng::new(seed);
+        let below_half = 0.5 - 2.0f32.powi(-25);
+        let deq = [0.0, 1.0, rng.uniform(1e-4, 0.05)][deq_pick];
+        let bias = [0.0, below_half, -below_half, rng.uniform(-200.0, 200.0)][bias_pick];
+        let inv_out = [f32::INFINITY, 1.0, rng.uniform(0.05, 20.0)][inv_pick];
+        let relu = relu == 1;
+        let acc: Vec<i32> = (0..len)
+            .map(|_| match rng.below(5) {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                2 => rng.next_u64() as i32,
+                3 => 0,
+                _ => rng.below(4001) as i32 - 2000,
+            })
+            .collect();
+        let mut got = vec![i8::MIN; len];
+        requantize_into(&mut got, &acc, deq, bias, relu, inv_out);
+        for (i, (&g, &a)) in got.iter().zip(&acc).enumerate() {
+            prop_assert_eq!(g, requantize(a, deq, bias, relu, inv_out), "element {} of {}, acc {}", i, len, a);
         }
     }
 
@@ -443,9 +476,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The forward-only convolution never unfolds: it packs its `B` panels
-    /// straight from the `NCHW` input, or — stride 1, k ≥ 2, AVX2 — packs
-    /// none and runs the explicit tile on a zero-bordered copy. Either way
-    /// the product must be *bitwise* the im2col + GEMM one.
+    /// straight from the `NCHW` input, or — stride 1 on an AVX2 host, 1×1
+    /// included — packs none and runs the explicit tile on a zero-bordered
+    /// copy. Either way the product must be *bitwise* the im2col + GEMM one.
     ///
     /// Every case runs one free draw over all strides, kernels and pads
     /// (the `deep` / `wide` flags force the depth past one `KC` slab and
@@ -494,6 +527,15 @@ proptest! {
         let full_scale = FusedConv { extreme: true, ..base(KC / 9 + ci_extra, 4, 9 + side_extra, 3, 1) };
         prop_assert!(full_scale.ci * 9 >= KC);
         fused_conv_agrees(&full_scale, &mut ws)?;
+
+        // 1×1 (every deployed expansion): more than 2·KC input channels, so
+        // one tap column flushes twice, at odd ragged widths from 9 to 31;
+        // a single live row; int8 at full scale over a whole slab.
+        let wide_1x1 = base(2 * KC + ci_extra, 1 + side_extra % 3, 9 + 2 * side_extra, 1, 0);
+        fused_conv_agrees(&wide_1x1, &mut ws)?;
+        let narrow_1x1 = base(ci_extra, 2 + side_extra % 4, 1 + side_extra % 8, 1, 0);
+        fused_conv_agrees(&FusedConv { live: vec![seed as usize % m], ..narrow_1x1 }, &mut ws)?;
+        fused_conv_agrees(&FusedConv { extreme: true, ..base(KC + ci_extra, 3, 9 + side_extra, 1, 0) }, &mut ws)?;
     }
 }
 

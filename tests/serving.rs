@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use alf::core::block::AlfBlockConfig;
+use alf::core::deploy::QuantSpec;
 use alf::core::model::CnnModel;
 use alf::core::models::plain20_alf;
 use alf::core::{checkpoint, deploy};
@@ -268,4 +269,42 @@ fn int8_precision_serves_and_tracks_the_f32_deployment() {
         agree * 10 >= total * 9,
         "int8 agreed with f32 on only {agree}/{total} predictions"
     );
+}
+
+/// A request's answer must not depend on its batch-mates: work-conserving
+/// batch formation puts an image in whatever batch is forming. Both
+/// inference engines run every convolution over the whole batch at once,
+/// so an 8-image forward must give, bit for bit, the logits of the eight
+/// single-image forwards — int8 (`QuantizedModel::forward`) and f32 eval.
+#[test]
+fn batched_logits_are_bitwise_the_single_image_logits() {
+    let mut rng = Rng::new(29);
+    let calib = Tensor::randn(&[8, 3, IMAGE, IMAGE], Init::Rand, &mut rng);
+    let out = deploy::Pipeline::new()
+        .fold_bn(true)
+        .quantize(QuantSpec::int8(calib))
+        .run(&pruned_model(31))
+        .expect("deploy");
+    let (mut f32_model, mut int8) = (out.model, out.quantized.expect("int8 engine"));
+    let mut ctx = RunCtx::eval();
+    let batch = Tensor::randn(&[8, 3, IMAGE, IMAGE], Init::Rand, &mut rng);
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+
+    let int8_batched = bits(&int8.forward(&batch).expect("int8 batch"));
+    let f32_batched = bits(&f32_model.forward(&batch, &mut ctx).expect("f32 batch"));
+    let per_image = 3 * IMAGE * IMAGE;
+    for (i, img) in batch.data().chunks_exact(per_image).enumerate() {
+        let one = Tensor::from_vec(img.to_vec(), &[1, 3, IMAGE, IMAGE]).unwrap();
+        let row = i * CLASSES..(i + 1) * CLASSES;
+        assert_eq!(
+            bits(&int8.forward(&one).expect("int8 single")),
+            int8_batched[row.clone()],
+            "int8 image {i}"
+        );
+        assert_eq!(
+            bits(&f32_model.forward(&one, &mut ctx).expect("f32 single")),
+            f32_batched[row],
+            "f32 image {i}"
+        );
+    }
 }
