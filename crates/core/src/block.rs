@@ -219,11 +219,6 @@ impl AlfBlock {
         self.active_dirty = true;
     }
 
-    /// Whether the occupancy-aware execution paths are enabled.
-    pub fn sparse_execution(&self) -> bool {
-        self.sparse_exec
-    }
-
     /// Current code `Wcode` in convolution layout.
     ///
     /// # Errors

@@ -328,11 +328,6 @@ impl QuantizedModel {
         self.num_classes
     }
 
-    /// Network input activation scale.
-    pub fn input_scale(&self) -> f32 {
-        self.in_scale
-    }
-
     /// Per-conv scales and geometry, in execution order.
     pub fn conv_info(&self) -> Vec<QConvInfo> {
         self.stages

@@ -284,17 +284,6 @@ impl AlfTrainer {
         self.telemetry = EventLog::new(sink);
     }
 
-    /// Disables telemetry (the default), restoring the one-branch-per-step
-    /// off path.
-    pub fn clear_telemetry(&mut self) {
-        self.telemetry = EventLog::disabled();
-    }
-
-    /// The trainer's event log (e.g. to flush the sink mid-run).
-    pub fn telemetry_mut(&mut self) -> &mut EventLog {
-        &mut self.telemetry
-    }
-
     /// Turns per-layer profiling on or off. While on, every training step
     /// records per-layer wall time, FLOPs and bytes into the trainer's
     /// [`RunCtx`]; read the result with [`AlfTrainer::profile_report`].

@@ -7,36 +7,57 @@
 //! *is* the layer: at `m = 5` every value packed, stored and re-loaded feeds
 //! five multiply-adds of an eight-row tile. This tile reads the image in
 //! place instead. The caller copies one image into a zero-bordered
-//! `[ci, h+2p, w+2p]` f32 scratch; at stride 1 the eight pixels right of an
-//! output pixel's tap are the taps of its eight right-hand neighbours, so
-//! one unaligned 256-bit load at `origin + offset[tap]` *is* the panel row
-//! `pack_b_image` would have built, and nothing is packed.
+//! scratch; at stride 1 the eight pixels right of an output pixel's tap are
+//! the taps of its eight right-hand neighbours, so one unaligned 256-bit
+//! load at `origin + offset[tap]` *is* the panel row `pack_b_image` would
+//! have built, and nothing is packed.
 //!
-//! The register tile is [`CONV_MR`] filters × two `__m256` (twelve
+//! The tile comes in two element types, one register shape:
+//!
+//! * **f32** ([`ConvTile::f32_into`]): the scratch is `[ci, h+2p, w+2p]`
+//!   f32, a tap is one `(channel, ky, kx)`, a vector is eight pixels of one
+//!   channel and each step is a separate `vmulps` and `vaddps`.
+//! * **int8** ([`ConvTile::i16_into`]): the scratch is `[⌈ci/2⌉, h+2p,
+//!   w+2p, 2]` i16 — each pixel holds channels `c` and `c+1` side by side,
+//!   an odd last channel beside a zero — a tap is one `(channel pair, ky,
+//!   kx)`, and a weight is the matching pair packed into one i32 (`w[c]` in
+//!   the low half, `w[c+1]` in the high half: the pair's two i16 in memory
+//!   order). A vector is eight pixels of one pair, and `vpmaddwd` multiplies
+//!   both channels and adds them into one i32 lane, so each step does
+//!   sixteen MACs per vector where the f32 tile does eight.
+//!
+//! The register tile is [`CONV_MR`] filters × two vectors (twelve
 //! accumulators, two image vectors and one broadcast weight: fifteen of the
 //! sixteen AVX2 registers). The two vectors sit at independent positions
 //! ([`Placement`]): side by side they are sixteen pixels of one output row,
 //! one image row apart they are eight pixels of two output rows, which is
 //! how feature maps no wider than a vector keep both busy.
 //!
-//! **Bit for bit the packed tiles.** Per element the operation sequence is
-//! the one `microkernel_into` / `microkernel_i8_into` run on packed panels:
-//! an accumulator that starts at `+0.0`, `acc = acc + a·x` per tap in
+//! **Bit for bit the packed tiles.** For f32 the per-element operation
+//! sequence is the one `microkernel_into` runs on packed panels: an
+//! accumulator that starts at `+0.0`, `acc = acc + a·x` per tap in
 //! ascending tap order with a separate multiply and add (the intrinsics are
-//! never contracted into an FMA), then `C += acc` (`C += acc as i32` for
-//! int8, `vcvttps2dq` of an exact integer). The caller flushes every `KC`
-//! taps by calling once per slab, as the blocked driver does. Border taps
-//! multiply a stored `0.0` exactly as the packed panel's padding lanes do.
+//! never contracted into an FMA), then `C += acc`. The caller flushes every
+//! `KC` taps by calling once per slab, as the blocked driver does. Border
+//! taps multiply a stored `0.0` exactly as the packed panel's padding lanes
+//! do. For int8 no order needs keeping: every product of two i8 values and
+//! every partial sum is an exact integer — a `vpmaddwd` lane is at most
+//! `2·128² = 2¹⁵`, an accumulator after `t` taps at most `t·2¹⁵` — so
+//! while the whole dot product fits an i32 (fewer than 2¹⁶ taps, far past
+//! any layer) any grouping and order of the adds yields the same i32 as
+//! `microkernel_i8_into` or a scalar triple loop.
 //!
 //! # Unsafe policy
 //!
 //! Every `unsafe` block is a pointer load or store, or a call from a safe
 //! wrapper into a `#[target_feature]` function; each sits behind a length
-//! assert in [`ConvTile::f32_into`] / [`ConvTile::i8_into`] /
+//! assert in [`ConvTile::f32_into`] / [`ConvTile::i16_into`] /
 //! [`ConvTile::requantize_into`] and a proof-of-detection token
 //! ([`ConvTile`] cannot be built without AVX2), so no argument safe code
 //! can pass reads or writes out of bounds. The value intrinsics are safe
-//! inside `#[target_feature(enable = "avx2")]`.
+//! inside `#[target_feature(enable = "avx2")]`; the [`Lane`] methods that
+//! wrap them are `unsafe` only because a trait method cannot carry a
+//! target feature otherwise.
 //!
 //! # The store
 //!
@@ -50,15 +71,13 @@
 use core::arch::x86_64::{
     __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256, _mm256_blendv_ps,
     _mm256_castps_si256, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps,
-    _mm256_cvttps_epi32, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_epi32,
-    _mm256_maskload_ps, _mm256_maskstore_epi32, _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps,
-    _mm256_mul_ps, _mm256_packs_epi16, _mm256_packs_epi32, _mm256_permutevar8x32_epi32,
-    _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_si256,
-    _CMP_GE_OQ, _CMP_ORD_Q,
+    _mm256_cvttps_epi32, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16,
+    _mm256_maskload_epi32, _mm256_maskload_ps, _mm256_maskstore_epi32, _mm256_maskstore_ps,
+    _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_packs_epi16, _mm256_packs_epi32,
+    _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+    _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_si256, _CMP_GE_OQ, _CMP_ORD_Q,
 };
 use core::ops::Range;
-
-use crate::I8_EXACT_DEPTH;
 
 /// Filters (rows of `C`) one tile accumulates.
 pub const CONV_MR: usize = 6;
@@ -71,9 +90,10 @@ pub const CONV_LANES: usize = 8;
 const STORE_LANES: usize = 4 * CONV_LANES;
 
 /// A tap-offset table whose reach has been measured: `offsets[p]` is the
-/// distance, in the padded image, from a tile vector's first pixel to the
-/// pixel tap `p` multiplies. Built once per convolution so the per-tile
-/// bounds check is one comparison instead of a scan.
+/// distance, in elements of the padded image, from a tile vector's first
+/// element to the first element tap `p` multiplies. Built once per
+/// convolution so the per-tile bounds check is one comparison instead of a
+/// scan.
 #[derive(Debug, Clone, Copy)]
 pub struct TapOffsets<'a> {
     offsets: &'a [usize],
@@ -116,11 +136,11 @@ impl<'a> TapOffsets<'a> {
 
 /// Where a tile's two vectors sit: vector `v` covers the `lanes[v]` output
 /// pixels (`≤` [`CONV_LANES`]; lanes past it are computed and discarded)
-/// whose tap-0 pixels start at `image[v]` in the padded image and whose
-/// products land at column `col[v]` of each filter's row of `C`.
+/// whose tap-0 pixels start at element `image[v]` of the padded image and
+/// whose products land at column `col[v]` of each filter's row of `C`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
-    /// Padded-image index of each vector's first tap-0 pixel.
+    /// Padded-image index of each vector's first tap-0 element.
     pub image: [usize; 2],
     /// Column, relative to each row start, of each vector's first lane.
     pub col: [usize; 2],
@@ -167,28 +187,30 @@ impl ConvTile {
         self.run(taps, weights, image, c, rows, at);
     }
 
-    /// [`ConvTile::f32_into`] for int8 operands widened into f32 lanes:
-    /// the same accumulation, exact because a slab of at most 1040 taps
-    /// keeps every partial sum an f32-representable integer, converted and
+    /// [`ConvTile::f32_into`] for int8 operands held as i16 channel pairs,
     /// added into the i32 `c`.
+    ///
+    /// `image` is the pair-interleaved scratch and `weights[p·CONV_MR + r]`
+    /// filter `r`'s packed weight pair for tap `p` (see the module docs);
+    /// offsets and placements count i16 elements, two per pixel. Row `r`,
+    /// lane `l < at.lanes[v]` of vector `v` receives `Σ_p Σ_{j<2}
+    /// w_j(weights[p·CONV_MR + r]) · image[at.image[v] + offsets[p] + 2l +
+    /// j]`, where `w_0` / `w_1` are the low / high i16 of the weight. Every
+    /// value must lie in the i8 range (−128 ..= 127), which keeps each sum
+    /// exact; nothing else in `c` is touched.
     ///
     /// # Panics
     ///
-    /// As [`ConvTile::f32_into`]; debug builds also reject a slab too deep
-    /// for exact accumulation.
-    pub fn i8_into(
+    /// As [`ConvTile::f32_into`].
+    pub fn i16_into(
         self,
         taps: TapOffsets<'_>,
-        weights: &[f32],
-        image: &[f32],
+        weights: &[i32],
+        image: &[i16],
         c: &mut [i32],
         rows: &[usize],
         at: Placement,
     ) {
-        debug_assert!(
-            taps.len() <= I8_EXACT_DEPTH,
-            "i8 slab too deep for exact f32 accumulation"
-        );
         self.run(taps, weights, image, c, rows, at);
     }
 
@@ -230,12 +252,12 @@ impl ConvTile {
     /// Checks every bound a tile's pointer accesses rely on, then runs the
     /// tile instantiated for the row count — a compile-time constant there,
     /// so the accumulators live in registers.
-    fn run<C: Acc>(
+    fn run<L: Lane>(
         self,
         taps: TapOffsets<'_>,
-        weights: &[f32],
-        image: &[f32],
-        c: &mut [C],
+        weights: &[L::Weight],
+        image: &[L],
+        c: &mut [L::Out],
         rows: &[usize],
         at: Placement,
     ) {
@@ -252,7 +274,10 @@ impl ConvTile {
             );
             // Every load is a whole vector, live lanes or not.
             assert!(
-                fits([at.image[v], taps.reach, CONV_LANES], image.len()),
+                fits(
+                    [at.image[v], taps.reach, L::GROUP * CONV_LANES],
+                    image.len()
+                ),
                 "conv tile: vector {v} reads past the padded image"
             );
             for &row in rows {
@@ -268,12 +293,12 @@ impl ConvTile {
         // documents.
         unsafe {
             match rows.len() {
-                1 => tile::<1, C>(offsets, weights, image, c, rows, at),
-                2 => tile::<2, C>(offsets, weights, image, c, rows, at),
-                3 => tile::<3, C>(offsets, weights, image, c, rows, at),
-                4 => tile::<4, C>(offsets, weights, image, c, rows, at),
-                5 => tile::<5, C>(offsets, weights, image, c, rows, at),
-                6 => tile::<6, C>(offsets, weights, image, c, rows, at),
+                1 => tile::<1, L>(offsets, weights, image, c, rows, at),
+                2 => tile::<2, L>(offsets, weights, image, c, rows, at),
+                3 => tile::<3, L>(offsets, weights, image, c, rows, at),
+                4 => tile::<4, L>(offsets, weights, image, c, rows, at),
+                5 => tile::<5, L>(offsets, weights, image, c, rows, at),
+                6 => tile::<6, L>(offsets, weights, image, c, rows, at),
                 n => panic!("conv tile: {n} rows"),
             }
         }
@@ -289,31 +314,161 @@ fn fits(parts: [usize; 3], len: usize) -> bool {
         .is_some_and(|end| end <= len)
 }
 
-/// `acc[r][v] = Σ_p weights[p·CONV_MR + r] · x[v][offsets[p] ..][.. 8]`,
-/// each lane accumulated from `+0.0` in ascending `p` with a separate
-/// multiply and add.
+/// An element type of the padded image, and the tile's arithmetic on it.
+///
+/// Every method needs AVX2, which is why each is `unsafe`: the caller
+/// vouches for the feature (and, for the pointer methods, for the memory).
+trait Lane: Copy {
+    /// Channels one pixel interleaves; a vector spans `GROUP · CONV_LANES`
+    /// elements.
+    const GROUP: usize;
+    /// One filter's weight for one tap.
+    type Weight: Copy;
+    /// Element type of `C`.
+    type Out: Copy;
+    /// Eight lanes of image, broadcast weight or accumulator.
+    type Vector: Copy;
+
+    /// The accumulator a tile starts from.
+    unsafe fn zero() -> Self::Vector;
+    /// One vector of eight pixels from `src`.
+    ///
+    /// # Safety
+    ///
+    /// `src` must be valid for reading `GROUP · CONV_LANES` elements.
+    unsafe fn load(src: *const Self) -> Self::Vector;
+    /// `w` in every lane.
+    unsafe fn broadcast(w: Self::Weight) -> Self::Vector;
+    /// `acc + a·x` per lane — for a channel group, summed over the group.
+    unsafe fn mul_add(acc: Self::Vector, a: Self::Vector, x: Self::Vector) -> Self::Vector;
+    /// `dst[l] += acc[l]` for the lanes `mask` selects, touching no other.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must be valid for reading and writing every lane `mask`
+    /// selects.
+    unsafe fn add_masked(dst: *mut Self::Out, mask: __m256i, acc: Self::Vector);
+}
+
+impl Lane for f32 {
+    const GROUP: usize = 1;
+    type Weight = f32;
+    type Out = f32;
+    type Vector = __m256;
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn zero() -> __m256 {
+        _mm256_setzero_ps()
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(src: *const f32) -> __m256 {
+        // SAFETY: the caller vouches for eight readable floats.
+        unsafe { _mm256_loadu_ps(src) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn broadcast(w: f32) -> __m256 {
+        _mm256_set1_ps(w)
+    }
+
+    /// A separate multiply and add: never contracted into an FMA.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn mul_add(acc: __m256, a: __m256, x: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_mul_ps(a, x))
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn add_masked(dst: *mut f32, mask: __m256i, acc: __m256) {
+        // SAFETY: masked-off lanes are not accessed; the caller vouches for
+        // the rest.
+        unsafe {
+            let sum = _mm256_add_ps(_mm256_maskload_ps(dst, mask), acc);
+            _mm256_maskstore_ps(dst, mask, sum);
+        }
+    }
+}
+
+impl Lane for i16 {
+    const GROUP: usize = 2;
+    type Weight = i32;
+    type Out = i32;
+    type Vector = __m256i;
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn zero() -> __m256i {
+        _mm256_setzero_si256()
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(src: *const i16) -> __m256i {
+        // SAFETY: the caller vouches for sixteen readable i16.
+        unsafe { _mm256_loadu_si256(src.cast()) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn broadcast(w: i32) -> __m256i {
+        _mm256_set1_epi32(w)
+    }
+
+    /// `vpmaddwd`: both channels of a pair multiplied and added into one
+    /// i32 lane, exactly (see the module docs for the range).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn mul_add(acc: __m256i, a: __m256i, x: __m256i) -> __m256i {
+        _mm256_add_epi32(acc, _mm256_madd_epi16(a, x))
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn add_masked(dst: *mut i32, mask: __m256i, acc: __m256i) {
+        // SAFETY: masked-off lanes are not accessed; the caller vouches for
+        // the rest.
+        unsafe {
+            let sum = _mm256_add_epi32(_mm256_maskload_epi32(dst, mask), acc);
+            _mm256_maskstore_epi32(dst, mask, sum);
+        }
+    }
+}
+
+/// `acc[r][v] = Σ_p weights[p·CONV_MR + r] · x[v][offsets[p] ..]`, one
+/// vector per tap, each lane accumulated from zero in ascending `p` with
+/// [`Lane::mul_add`].
 ///
 /// # Safety
 ///
 /// AVX2 must be available, and for every `o` in `offsets` both `x[v].add(o)`
-/// must be valid for reading eight `f32`.
+/// must be valid for reading one vector ([`Lane::load`]).
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn accumulate<const R: usize>(
+unsafe fn accumulate<const R: usize, L: Lane>(
     offsets: &[usize],
-    weights: &[f32],
-    x: [*const f32; 2],
-) -> [[__m256; 2]; R] {
-    let mut acc = [[_mm256_setzero_ps(); 2]; R];
+    weights: &[L::Weight],
+    x: [*const L; 2],
+) -> [[L::Vector; 2]; R] {
+    // SAFETY: AVX2 is enabled in this function.
+    let zero = unsafe { L::zero() };
+    let mut acc = [[zero; 2]; R];
     for (w, &o) in weights.chunks_exact(CONV_MR).zip(offsets) {
-        let w: &[f32; CONV_MR] = w.try_into().expect("chunks_exact yields CONV_MR lanes");
-        // SAFETY: the caller guarantees eight readable floats at offset
-        // `o` from both vector origins.
-        let (x0, x1) = unsafe { (_mm256_loadu_ps(x[0].add(o)), _mm256_loadu_ps(x[1].add(o))) };
+        let w: &[L::Weight; CONV_MR] = w.try_into().expect("chunks_exact yields CONV_MR lanes");
+        // SAFETY: the caller guarantees one readable vector at offset `o`
+        // from both vector origins.
+        let (x0, x1) = unsafe { (L::load(x[0].add(o)), L::load(x[1].add(o))) };
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let a = _mm256_set1_ps(w[r]);
-            acc_r[0] = _mm256_add_ps(acc_r[0], _mm256_mul_ps(a, x0));
-            acc_r[1] = _mm256_add_ps(acc_r[1], _mm256_mul_ps(a, x1));
+            // SAFETY: value intrinsics only, and AVX2 is enabled here.
+            unsafe {
+                let a = L::broadcast(w[r]);
+                acc_r[0] = L::mul_add(acc_r[0], a, x0);
+                acc_r[1] = L::mul_add(acc_r[1], a, x1);
+            }
         }
     }
     acc
@@ -329,71 +484,33 @@ fn lane_mask(lanes: usize) -> __m256i {
     )
 }
 
-/// An element type of `C`: how a finished accumulator is added into it.
-trait Acc: Copy {
-    /// `dst[l] += acc[l]` for the lanes `mask` selects, touching no other.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available, and `dst` must be valid for reading and
-    /// writing every lane `mask` selects.
-    unsafe fn add_masked(dst: *mut Self, mask: __m256i, acc: __m256);
-}
-
-impl Acc for f32 {
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn add_masked(dst: *mut f32, mask: __m256i, acc: __m256) {
-        // SAFETY: masked-off lanes are not accessed; the caller vouches for
-        // the rest.
-        unsafe {
-            let sum = _mm256_add_ps(_mm256_maskload_ps(dst, mask), acc);
-            _mm256_maskstore_ps(dst, mask, sum);
-        }
-    }
-}
-
-impl Acc for i32 {
-    /// The accumulator holds an integer below 2²⁴, so the truncating
-    /// conversion is exact — the packed tile's `v as i32`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn add_masked(dst: *mut i32, mask: __m256i, acc: __m256) {
-        // SAFETY: masked-off lanes are not accessed; the caller vouches for
-        // the rest.
-        unsafe {
-            let sum = _mm256_add_epi32(_mm256_maskload_epi32(dst, mask), _mm256_cvttps_epi32(acc));
-            _mm256_maskstore_epi32(dst, mask, sum);
-        }
-    }
-}
-
 /// One tile of `R` rows: accumulate over `offsets`, then add into `c`.
 ///
 /// # Safety
 ///
 /// AVX2 must be available; `rows.len() == R`; `image[at.image[v] + o ..]`
-/// must hold eight floats for every `o` in `offsets` (and for `o = 0`) and
-/// both `v`; and `c[row + at.col[v] ..]` must hold `at.lanes[v] ≤ 8`
-/// elements for every `row` in `rows` and both `v`.
+/// must hold one vector (`L::GROUP · 8` elements) for every `o` in
+/// `offsets` (and for `o = 0`) and both `v`; and `c[row + at.col[v] ..]`
+/// must hold `at.lanes[v] ≤ 8` elements for every `row` in `rows` and both
+/// `v`.
 #[target_feature(enable = "avx2")]
-unsafe fn tile<const R: usize, C: Acc>(
+unsafe fn tile<const R: usize, L: Lane>(
     offsets: &[usize],
-    weights: &[f32],
-    image: &[f32],
-    c: &mut [C],
+    weights: &[L::Weight],
+    image: &[L],
+    c: &mut [L::Out],
     rows: &[usize],
     at: Placement,
 ) {
     let (image, c) = (image.as_ptr(), c.as_mut_ptr());
-    // SAFETY: both origins are inside `image`, and eight floats are
-    // readable at every tap offset from them (the caller's bound).
-    let acc = unsafe { accumulate::<R>(offsets, weights, at.image.map(|i| image.add(i))) };
+    // SAFETY: both origins are inside `image`, and one vector is readable
+    // at every tap offset from them (the caller's bound).
+    let acc = unsafe { accumulate::<R, L>(offsets, weights, at.image.map(|i| image.add(i))) };
     for (acc_r, &row) in acc.iter().zip(rows) {
         for (v, &acc_rv) in acc_r.iter().enumerate() {
             // SAFETY: the mask selects the first `at.lanes[v]` elements at
             // `row + at.col[v]`, which the caller guarantees lie inside `c`.
-            unsafe { C::add_masked(c.add(row + at.col[v]), lane_mask(at.lanes[v]), acc_rv) };
+            unsafe { L::add_masked(c.add(row + at.col[v]), lane_mask(at.lanes[v]), acc_rv) };
         }
     }
 }
@@ -478,7 +595,47 @@ fn requantize_vector(acc: __m256i, [deq, bias, inv_out]: [__m256; 3], relu: bool
 mod tests {
     use super::*;
 
-    /// A `[ci, hp, wp]` padded image plus slack, its tap table for a `kk`×`kk`
+    /// Both vector placements, in pixels: sixteen pixels of one row
+    /// (ragged: 8 + 5 live), and eight pixels of two rows (7 live each).
+    fn placements(wp: usize) -> [Placement; 2] {
+        [
+            Placement {
+                image: [wp + 1, wp + 1 + CONV_LANES],
+                col: [3, 3 + CONV_LANES],
+                lanes: [8, 5],
+            },
+            Placement {
+                image: [2 * wp, 3 * wp],
+                col: [0, 7],
+                lanes: [7, 7],
+            },
+        ]
+    }
+
+    /// `rows` row starts of a `C` with rows `stride` apart, out of order
+    /// and unevenly spaced, as a row gather scatters them.
+    fn row_starts(nrows: usize, stride: usize) -> Vec<usize> {
+        (0..nrows).map(|r| ((r * 5) % 7) * stride).collect()
+    }
+
+    /// `want[row + at.col[v] + l] += value(r, at.image[v], l)` for every
+    /// live lane of `at`.
+    fn expected<T: Copy + core::ops::AddAssign>(
+        want: &mut [T],
+        rows: &[usize],
+        at: Placement,
+        value: impl Fn(usize, usize, usize) -> T,
+    ) {
+        for (r, &row) in rows.iter().enumerate() {
+            for v in 0..2 {
+                for l in 0..at.lanes[v] {
+                    want[row + at.col[v] + l] += value(r, at.image[v], l);
+                }
+            }
+        }
+    }
+
+    /// A `[ci, hp, wp]` f32 image plus slack, its tap table for a `kk`×`kk`
     /// kernel, and a `taps × CONV_MR` weight panel.
     struct Case {
         image: Vec<f32>,
@@ -487,14 +644,8 @@ mod tests {
         wp: usize,
     }
 
-    fn make_case(ci: usize, hp: usize, wp: usize, kk: usize, int: bool) -> Case {
-        let value = |i: usize, mul: usize| {
-            if int {
-                f32::from(((i * mul + 11) % 255) as u8 as i8)
-            } else {
-                ((i * mul) % 29) as f32 * 0.173 - 2.4
-            }
-        };
+    fn make_case(ci: usize, hp: usize, wp: usize, kk: usize) -> Case {
+        let value = |i: usize, mul: usize| ((i * mul) % 29) as f32 * 0.173 - 2.4;
         let offsets: Vec<usize> = (0..ci * kk * kk)
             .map(|p| (p / (kk * kk) * hp + p / kk % kk) * wp + p % kk)
             .collect();
@@ -517,116 +668,171 @@ mod tests {
         acc
     }
 
-    /// Both vector placements: sixteen pixels of one row (ragged: 8 + 5
-    /// live), and eight pixels of two rows (7 live each).
-    fn placements(wp: usize) -> [Placement; 2] {
-        [
-            Placement {
-                image: [wp + 1, wp + 1 + CONV_LANES],
-                col: [3, 3 + CONV_LANES],
-                lanes: [8, 5],
-            },
-            Placement {
-                image: [2 * wp, 3 * wp],
-                col: [0, 7],
-                lanes: [7, 7],
-            },
-        ]
-    }
-
     #[test]
     fn f32_tile_is_bitwise_the_scalar_sequence_for_every_row_count() {
         let Some(tile) = ConvTile::detect() else {
             eprintln!("skipped: host has no AVX2");
             return;
         };
-        let case = make_case(3, 9, 20, 3, false);
+        let case = make_case(3, 9, 20, 3);
         let taps = TapOffsets::new(&case.offsets);
         let stride = 40;
         for nrows in 1..=CONV_MR {
             for at in placements(case.wp) {
-                // Rows out of order and unevenly spaced, as a row gather
-                // scatters them.
-                let rows: Vec<usize> = (0..nrows).map(|r| ((r * 5) % 7) * stride).collect();
+                let rows = row_starts(nrows, stride);
                 let mut c = vec![0.75f32; 7 * stride];
                 tile.f32_into(taps, &case.weights, &case.image, &mut c, &rows, at);
                 let mut want = vec![0.75f32; 7 * stride];
-                for (r, &row) in rows.iter().enumerate() {
-                    for v in 0..2 {
-                        for l in 0..at.lanes[v] {
-                            want[row + at.col[v] + l] += reference(&case, r, at.image[v], l);
-                        }
-                    }
-                }
+                expected(&mut want, &rows, at, |r, origin, l| {
+                    reference(&case, r, origin, l)
+                });
                 let same = c.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
                 assert!(same, "{nrows} rows at {at:?}");
             }
         }
     }
 
+    /// An int8 convolution in two layouts: `[ci, hp, wp]` values and
+    /// `[ci·kk², CONV_MR]` weights for the triple loop, and the tile's
+    /// pair-interleaved `[⌈ci/2⌉, hp, wp, 2]` i16 image (plus one row and
+    /// two vectors of slack), pair tap table and packed weight panel.
+    struct PairCase {
+        ci: usize,
+        kk: usize,
+        plane: usize,
+        wp: usize,
+        values: Vec<i32>,
+        weights: Vec<i32>,
+        image: Vec<i16>,
+        offsets: Vec<usize>,
+        packed: Vec<i32>,
+    }
+
+    /// `w[c]` in the low half, `w[c+1]` in the high half.
+    fn pair(lo: i32, hi: i32) -> i32 {
+        let [a, b] = (lo as i16).to_ne_bytes();
+        let [c, d] = (hi as i16).to_ne_bytes();
+        i32::from_ne_bytes([a, b, c, d])
+    }
+
+    /// Values walk the whole i8 range, −128 and 127 included. An odd
+    /// `ci`'s missing channel holds −128 in the image: its zero weight, not
+    /// the image, must keep it out of the sum.
+    fn make_pair_case(ci: usize, hp: usize, wp: usize, kk: usize) -> PairCase {
+        let (plane, groups, k2) = (hp * wp, ci.div_ceil(2), kk * kk);
+        let i8_at = |i: usize, mul: usize| i32::from(((i * mul + 11) % 256) as u8 as i8);
+        let values: Vec<i32> = (0..ci * plane).map(|i| i8_at(i, 37)).collect();
+        let weights: Vec<i32> = (0..ci * k2 * CONV_MR).map(|i| i8_at(i, 91)).collect();
+        let slack = wp + 2 * CONV_LANES;
+        let mut image = vec![-128i16; (groups * plane + slack) * 2];
+        for (c, chan) in values.chunks_exact(plane).enumerate() {
+            for (q, &v) in chan.iter().enumerate() {
+                image[(c / 2 * plane + q) * 2 + c % 2] = v as i16;
+            }
+        }
+        let offsets: Vec<usize> = (0..groups * k2)
+            .map(|p| ((p / k2 * hp + p / kk % kk) * wp + p % kk) * 2)
+            .collect();
+        let weight = |c: usize, s: usize, r: usize| {
+            if c < ci {
+                weights[(c * k2 + s) * CONV_MR + r]
+            } else {
+                0
+            }
+        };
+        let packed = (0..groups * k2 * CONV_MR)
+            .map(|i| {
+                let (p, r) = (i / CONV_MR, i % CONV_MR);
+                let (g, s) = (p / k2, p % k2);
+                pair(weight(2 * g, s, r), weight(2 * g + 1, s, r))
+            })
+            .collect();
+        PairCase {
+            ci,
+            kk,
+            plane,
+            wp,
+            values,
+            weights,
+            image,
+            offsets,
+            packed,
+        }
+    }
+
+    /// Filter `r`'s output at pixel `origin + lane`: the i32 triple loop
+    /// over channels and taps, on the planar layout.
+    fn pair_reference(case: &PairCase, r: usize, origin: usize, lane: usize) -> i32 {
+        let mut acc = 0;
+        for c in 0..case.ci {
+            for s in 0..case.kk * case.kk {
+                let q = origin + lane + s / case.kk * case.wp + s % case.kk;
+                assert!(q < case.plane, "reference reads inside its plane");
+                acc += case.weights[(c * case.kk * case.kk + s) * CONV_MR + r]
+                    * case.values[c * case.plane + q];
+            }
+        }
+        acc
+    }
+
     #[test]
-    fn i8_tile_is_exact_for_every_row_count() {
+    fn i16_tile_is_the_i32_triple_loop_for_every_row_count_and_odd_channels() {
         let Some(tile) = ConvTile::detect() else {
             eprintln!("skipped: host has no AVX2");
             return;
         };
-        let case = make_case(2, 8, 19, 3, true);
-        let taps = TapOffsets::new(&case.offsets);
-        let stride = 32;
-        for nrows in 1..=CONV_MR {
-            for at in placements(case.wp) {
-                let rows: Vec<usize> = (0..nrows).map(|r| (CONV_MR - 1 - r) * stride).collect();
-                let mut c = vec![-3i32; CONV_MR * stride];
-                tile.i8_into(taps, &case.weights, &case.image, &mut c, &rows, at);
-                let mut want = vec![-3i32; CONV_MR * stride];
-                for (r, &row) in rows.iter().enumerate() {
-                    for v in 0..2 {
-                        for l in 0..at.lanes[v] {
-                            let sum: i32 = case
-                                .offsets
-                                .iter()
-                                .enumerate()
-                                .map(|(p, &o)| {
-                                    case.weights[p * CONV_MR + r] as i32
-                                        * case.image[at.image[v] + o + l] as i32
-                                })
-                                .sum();
-                            want[row + at.col[v] + l] += sum;
-                        }
-                    }
+        let stride = 40;
+        for (ci, kk) in [(3, 3), (4, 3), (1, 1), (5, 1), (2, 5)] {
+            let case = make_pair_case(ci, 9, 20, kk);
+            let taps = TapOffsets::new(&case.offsets);
+            for nrows in 1..=CONV_MR {
+                for at in placements(case.wp) {
+                    let rows = row_starts(nrows, stride);
+                    let mut c = vec![-3i32; 7 * stride];
+                    let elems = Placement {
+                        image: at.image.map(|q| 2 * q),
+                        ..at
+                    };
+                    tile.i16_into(taps, &case.packed, &case.image, &mut c, &rows, elems);
+                    let mut want = vec![-3i32; 7 * stride];
+                    expected(&mut want, &rows, at, |r, origin, l| {
+                        pair_reference(&case, r, origin, l)
+                    });
+                    assert_eq!(c, want, "ci {ci}, {kk}×{kk}, {nrows} rows at {at:?}");
                 }
-                assert_eq!(c, want, "{nrows} rows at {at:?}");
             }
         }
     }
 
     #[test]
-    fn i8_extreme_values_stay_exact_over_a_full_slab() {
+    fn i16_extreme_values_stay_exact_over_a_deep_slab() {
         let Some(tile) = ConvTile::detect() else {
             eprintln!("skipped: host has no AVX2");
             return;
         };
-        // ±127 · ∓127 over a KC-deep slab: the worst partial sums.
-        let kc = 256;
-        let offsets: Vec<usize> = (0..kc).collect();
-        let image = vec![-127.0f32; kc + 2 * CONV_LANES];
-        let weights = vec![127.0f32; kc * CONV_MR];
+        // −128 · −128 in both halves of every pair: each `vpmaddwd` lane
+        // is 2¹⁵, the one sum an i16 `madd` can form that no i8 quantizer
+        // step (±127) reaches. 2¹⁶ − 1 such taps end 2¹⁵ short of 2³¹, the
+        // deepest dot product the module docs call exact.
+        let depth = (1 << 16) - 1;
+        let offsets: Vec<usize> = vec![0; depth];
+        let image = vec![-128i16; 2 * CONV_LANES];
+        let weights = vec![pair(-128, -128); depth * CONV_MR];
         let rows: Vec<usize> = (0..CONV_MR).map(|r| r * 16).collect();
         let at = Placement {
-            image: [0, CONV_LANES],
+            image: [0, 0],
             col: [0, CONV_LANES],
             lanes: [8, 8],
         };
         let mut c = vec![0i32; CONV_MR * 16];
-        tile.i8_into(
-            TapOffsets::new(&offsets),
-            &weights,
-            &image,
-            &mut c,
-            &rows,
-            at,
-        );
-        assert!(c.iter().all(|&v| v == -16129 * kc as i32));
+        let taps = TapOffsets::new(&offsets);
+        tile.i16_into(taps, &weights, &image, &mut c, &rows, at);
+        assert!(c.iter().all(|&v| v == i32::MAX - ((1 << 15) - 1)));
+        // 127 against −128: the most negative product pair.
+        let weights = vec![pair(127, 127); depth * CONV_MR];
+        c.fill(0);
+        tile.i16_into(taps, &weights, &image, &mut c, &rows, at);
+        assert!(c.iter().all(|&v| v == -2 * 127 * 128 * depth as i32));
     }
 
     #[test]
@@ -635,7 +841,7 @@ mod tests {
             eprintln!("skipped: host has no AVX2");
             return;
         };
-        let case = make_case(1, 4, 12, 2, false);
+        let case = make_case(1, 4, 12, 2);
         let mut c = vec![2.0f32; 24];
         let at = Placement {
             image: [0, case.wp],
@@ -669,6 +875,32 @@ mod tests {
         tile.f32_into(
             TapOffsets::new(&offsets),
             &[0.0; 2 * CONV_MR],
+            &image,
+            &mut c,
+            &[0],
+            at,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "vector 1 reads past the padded image")]
+    fn an_i16_vector_reads_two_elements_per_pixel() {
+        let Some(tile) = ConvTile::detect() else {
+            panic!("vector 1 reads past the padded image (skipped: host has no AVX2)");
+        };
+        // Vector 1 starts at element 10 and the taps reach 2 further: eight
+        // f32 pixels would end at 20, eight i16 pairs end at 28.
+        let offsets = [0usize, 2];
+        let image = vec![0i16; 27];
+        let at = Placement {
+            image: [0, 10],
+            col: [0, 8],
+            lanes: [8, 8],
+        };
+        let mut c = vec![0i32; 16];
+        tile.i16_into(
+            TapOffsets::new(&offsets),
+            &[0; 2 * CONV_MR],
             &image,
             &mut c,
             &[0],

@@ -12,7 +12,9 @@
 //! * [`ConvTile`] — the [`CONV_MR`]-row, two-vector tile stride-1
 //!   convolutions (k×k and 1×1) run on — is **explicit AVX2** (`core::arch`
 //!   intrinsics in the `conv_tile` module, compiled on x86-64 only and
-//!   handed out only after `is_x86_feature_detected!("avx2")`). Its
+//!   handed out only after `is_x86_feature_detected!("avx2")`), in f32
+//!   lanes ([`ConvTile::f32_into`]) or, for int8, in i16 channel pairs
+//!   multiplied into i32 lanes by `vpmaddwd` ([`ConvTile::i16_into`]). Its
 //!   codegen does not depend on the vectorizer's mood; the auto-vectorised
 //!   form of the same tile spills its accumulators and ran 3–5 GF/s.
 //! * [`ConvTile::requantize_into`] — the int8 engine's store, 32
@@ -21,9 +23,11 @@
 //!   which stays the definition and stores the tail) unvectorized at
 //!   ≈ 2.2 ns per element.
 //!
-//! The two kinds of tile produce the same bits for the same convolution:
-//! per element both run `acc = acc + a·b` from `+0.0` in ascending depth
-//! order and add the accumulator into `C` once per `KC` slab.
+//! The two kinds of tile produce the same bits for the same convolution.
+//! In f32, per element both run `acc = acc + a·b` from `+0.0` in ascending
+//! depth order and add the accumulator into `C` once per `KC` slab. In
+//! int8 every partial sum is an exact integer, so any order gives the same
+//! i32.
 //!
 //! # Unsafe policy
 //!
@@ -92,9 +96,10 @@ pub const MR: usize = 8;
 pub const NR: usize = 8;
 
 /// Deepest panel whose int8 partial sums stay exact in f32 lanes:
-/// `2²⁴ / 127² = 1040.6`, so at `kc ≤ 1040` every partial sum is an exactly
-/// representable f32 integer (see [`microkernel_i8_into`]).
-const I8_EXACT_DEPTH: usize = 1040;
+/// `2²⁴ / 128² = 1024`, so at `kc ≤ 1024` every partial sum is an exactly
+/// representable f32 integer, −128 operands included (see
+/// [`microkernel_i8_into`]).
+const I8_EXACT_DEPTH: usize = (1 << 24) / (128 * 128);
 
 /// Multiplies one packed `A` panel by one packed `B` panel and adds the
 /// `MR`×`NR` product tile into `c`, whose rows are `n` apart.
@@ -184,8 +189,8 @@ pub fn microkernel_into_clipped(
 /// half the f32 kernel's throughput. Holding the i8 values in f32 lanes
 /// instead reproduces the f32 kernel's broadcast outer-product lowering
 /// exactly — and loses nothing: every product of two i8 values has
-/// magnitude ≤ 127² = 16129, so a panel of up to `kc = 1040` steps keeps
-/// every partial sum below 2²⁴, where f32 represents every integer
+/// magnitude ≤ 128² = 2¹⁴, so a panel of up to `kc = 1024` steps keeps
+/// every partial sum within 2²⁴, where f32 represents every integer
 /// exactly. No rounding can occur, and the i32 write-back (`v as i32`) is
 /// an exact conversion. The blocked driver's `KC = 256` is far inside
 /// that bound; the kernel debug-asserts the panel depth so a future

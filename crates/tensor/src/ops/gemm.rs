@@ -47,9 +47,11 @@
 //! that hides exactly three things: the accumulator type of `C` (`f32`
 //! for `f32` operands, `i32` for `i8`), how an operand value is widened
 //! into the f32 lane of a packed panel, and which `alf-gemm-kernels` tile
-//! consumes a panel pair. The int8 product ([`super::gemm_i8_into`]) is
-//! therefore the same code as the f32 one, entered with one thread and
-//! identity gathers; see [`super::qgemm`] for why it stays exact.
+//! consumes a panel pair. (The trait also tells the direct convolution
+//! route its own image layout, below.) The int8 product
+//! ([`super::gemm_i8_into`]) is therefore the same code as the f32 one,
+//! entered with one thread and identity gathers; see [`super::qgemm`] for
+//! why it stays exact.
 //!
 //! **Convolutions never unfold.** [`conv_gemm_into`] is the forward-only
 //! convolution (eval, the statistics pass, int8), and it has two routes,
@@ -59,9 +61,10 @@
 //! same bits, one `ci·k²`-fold copy of the input fewer. The *direct* route
 //! (`conv_direct`, stride-1 convolutions on AVX2 hosts) packs no `B`
 //! at all: the explicit tile of `alf-gemm-kernels` loads its operands from
-//! a zero-bordered copy of the image, in the packed route's per-element
-//! operation order, so the two routes agree bit for bit and the packed one
-//! is the checked portable fallback.
+//! a zero-bordered copy of the image — f32 in the packed route's
+//! per-element operation order, int8 as i16 channel pairs in exact integer
+//! arithmetic — so the two routes agree bit for bit and the packed one is
+//! the checked portable fallback.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
@@ -497,10 +500,10 @@ pub fn gemm_active_k_into(
 /// * **Direct** — when `spec.stride == 1` (any kernel, 1×1 included), the
 ///   host has AVX2, and the packed route would run the call on one thread
 ///   (the live rows fit one [`MC`] block, or `threads` is 1). No `B` is
-///   packed: each image is copied once into a zero-bordered scratch — for
-///   a 1×1 kernel with no padding just the widening copy packing would
-///   make — and the explicit tile of `alf-gemm-kernels` reads it in place
-///   (see `conv_direct`). `threads` only takes part in that routing test;
+///   packed: each image is copied once into a zero-bordered scratch (f32,
+///   or i16 channel pairs for `i8`) — for a 1×1 kernel with no padding just
+///   the widening or pairing copy — and the explicit tile of
+///   `alf-gemm-kernels` reads it in place (see `conv_direct`). `threads` only takes part in that routing test;
 ///   the direct route itself is single-threaded.
 /// * **Packed** — everything else (stride 2, wide-`m` calls that engage
 ///   workers, hosts without AVX2, other architectures). The blocked
@@ -578,15 +581,39 @@ fn workers(threads: usize, m: usize) -> usize {
 ///
 /// Packed panels always hold f32 lanes (that is what the register tiles
 /// in `alf-gemm-kernels` consume), so an element only has to say how it
-/// widens into a lane, what `C` accumulates in, and which tile to run.
-/// Implemented for `f32` and `i8`; public only so that
+/// widens into a lane, what `C` accumulates in, and which tile to run. The
+/// direct convolution route (`conv_direct`) reads a bordered image of its
+/// own lane type instead, [`GROUP`](Element::GROUP) channels interleaved
+/// per pixel, against weights packed one [`Weight`](Element::Weight) per
+/// channel group. Implemented for `f32` and `i8`; public only so that
 /// [`conv_gemm_into`] can name it.
 pub trait Element: Copy + Sync {
     /// Element type of `C`.
     type Acc: Copy + Default + Send + Sync + 'static;
 
+    /// Channels one pixel of the direct route's bordered image holds side
+    /// by side: 1 for `f32`, 2 for `i8` (one `vpmaddwd` pair).
+    const GROUP: usize;
+
+    /// Element type of the direct route's bordered image.
+    type Lane: Copy + Default + Send + Sync + 'static;
+
+    /// One filter's [`GROUP`](Element::GROUP) weights of one tap, packed
+    /// as the direct route's tile reads them.
+    type Weight: Copy + Default + Send + Sync + 'static;
+
     /// The value as a packed-panel lane.
     fn widen(self) -> f32;
+
+    /// Packs the weights of channels `0..channels` of a group, channel `j`
+    /// at `src[j·stride]`; channels up to [`GROUP`](Element::GROUP) past
+    /// `channels` (an odd last channel's partner) count as zero.
+    fn pack_weight(src: &[Self], stride: usize, channels: usize) -> Self::Weight;
+
+    /// Writes one image row of a channel group into the bordered image:
+    /// `dst[x·GROUP + j] = src[j·stride + x]` for `j < channels`, zero for
+    /// the group's other channels.
+    fn interleave(dst: &mut [Self::Lane], src: &[Self], stride: usize, channels: usize);
 
     /// Adds one `apanel · bpanel` product tile into `c` (row stride `n`),
     /// writing only the live `rlim`×`clim` region.
@@ -600,13 +627,13 @@ pub trait Element: Copy + Sync {
     );
 
     /// Adds one direct-convolution product tile into `c`: the arguments of
-    /// `ConvTile::f32_into` / `ConvTile::i8_into`.
+    /// `ConvTile::f32_into` / `ConvTile::i16_into`.
     #[cfg(target_arch = "x86_64")]
     fn conv_tile(
         tile: ConvTile,
         taps: TapOffsets<'_>,
-        weights: &[f32],
-        image: &[f32],
+        weights: &[Self::Weight],
+        image: &[Self::Lane],
         c: &mut [Self::Acc],
         rows: &[usize],
         at: Placement,
@@ -615,9 +642,22 @@ pub trait Element: Copy + Sync {
 
 impl Element for f32 {
     type Acc = f32;
+    const GROUP: usize = 1;
+    type Lane = f32;
+    type Weight = f32;
 
     fn widen(self) -> f32 {
         self
+    }
+
+    #[inline]
+    fn pack_weight(src: &[f32], _stride: usize, _channels: usize) -> f32 {
+        src[0]
+    }
+
+    #[inline]
+    fn interleave(dst: &mut [f32], src: &[f32], _stride: usize, _channels: usize) {
+        dst.copy_from_slice(&src[..dst.len()]);
     }
 
     fn tile(apanel: &[f32], bpanel: &[f32], c: &mut [f32], n: usize, rlim: usize, clim: usize) {
@@ -644,9 +684,37 @@ impl Element for f32 {
 
 impl Element for i8 {
     type Acc = i32;
+    const GROUP: usize = 2;
+    type Lane = i16;
+    /// The channel pair's two i16 in memory order: `w[c]` in the low half,
+    /// `w[c+1]` in the high half, as `vpmaddwd` pairs them with the image.
+    type Weight = i32;
 
     fn widen(self) -> f32 {
         f32::from(self)
+    }
+
+    #[inline]
+    fn pack_weight(src: &[i8], stride: usize, channels: usize) -> i32 {
+        let hi = if channels > 1 { src[stride] } else { 0 };
+        let [a, b] = i16::from(src[0]).to_ne_bytes();
+        let [c, d] = i16::from(hi).to_ne_bytes();
+        i32::from_ne_bytes([a, b, c, d])
+    }
+
+    #[inline]
+    fn interleave(dst: &mut [i16], src: &[i8], stride: usize, channels: usize) {
+        let (pairs, _) = dst.as_chunks_mut::<2>();
+        let lo = &src[..pairs.len()];
+        if channels > 1 {
+            for ((p, &a), &b) in pairs.iter_mut().zip(lo).zip(&src[stride..]) {
+                *p = [a.into(), b.into()];
+            }
+        } else {
+            for (p, &a) in pairs.iter_mut().zip(lo) {
+                *p = [a.into(), 0];
+            }
+        }
     }
 
     fn tile(apanel: &[f32], bpanel: &[f32], c: &mut [i32], n: usize, rlim: usize, clim: usize) {
@@ -657,13 +725,13 @@ impl Element for i8 {
     fn conv_tile(
         tile: ConvTile,
         taps: TapOffsets<'_>,
-        weights: &[f32],
-        image: &[f32],
+        weights: &[i32],
+        image: &[i16],
         c: &mut [i32],
         rows: &[usize],
         at: Placement,
     ) {
-        tile.i8_into(taps, weights, image, c, rows, at);
+        tile.i16_into(taps, weights, image, c, rows, at);
     }
 }
 

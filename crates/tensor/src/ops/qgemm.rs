@@ -18,20 +18,21 @@
 //! scalar definition, [`requantize_into`] the run-of-a-channel store the
 //! engine calls.
 //!
-//! What the driver's element trait does for `i8`: the packers widen each
-//! value into an f32 panel lane, the register tile
+//! What the element trait does for `i8` on the packed route: the packers
+//! widen each value into an f32 panel lane, the register tile
 //! (`alf_gemm_kernels::microkernel_i8_into`, isolated in its own crate for
-//! the same codegen reason as the f32 tile; `ConvTile::i8_into` on the
-//! direct convolution route, where the widening happens once, as the image
-//! is copied) accumulates those lanes in
+//! the same codegen reason as the f32 tile) accumulates those lanes in
 //! f32, and the write-back converts to the i32 `C`. That is *exact*, not
-//! approximate: every product of two i8 values has magnitude ≤ 127², and
+//! approximate: every product of two i8 values has magnitude ≤ 128², and
 //! a packed panel is at most [`KC`](super::gemm::KC) deep, so every
-//! partial sum inside a tile stays below `KC · 127² < 2²⁴`, where f32
+//! partial sum inside a tile stays below `KC · 128² < 2²⁴`, where f32
 //! represents every integer. Sums across `KC` slabs are added in i32. The
 //! result is therefore bit-identical to a naive i32 triple loop by
 //! construction; there is no evaluation-order subtlety to defend, only
-//! cache behaviour.
+//! cache behaviour. The direct route (stride 1 on AVX2, most of the
+//! engine's MACs) widens nothing to f32: its bordered copy holds i16
+//! channel pairs and `ConvTile::i16_into` multiplies them with `vpmaddwd`
+//! into i32 lanes, exact in any order for the same reason.
 //!
 //! The int8 product runs on one thread with identity gathers on purpose:
 //! the conv shapes the int8 path runs (`m = c_out ≤ 64` for Plain-20)

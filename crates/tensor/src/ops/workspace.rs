@@ -174,11 +174,6 @@ impl Workspace {
         self.frozen = false;
     }
 
-    /// Whether the workspace is currently frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     fn note_alloc(&mut self, name: &'static str, len: usize) {
         self.alloc_events += 1;
         debug_assert!(

@@ -282,11 +282,6 @@ impl Tensor {
         self.map(|x| alpha * x)
     }
 
-    /// Scales every element in place.
-    pub fn scale_inplace(&mut self, alpha: f32) {
-        self.map_inplace(|x| alpha * x);
-    }
-
     /// Sets all elements to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);

@@ -176,8 +176,9 @@ if [ "$step_emitters" -ne 1 ]; then
 fi
 
 # `unsafe` lives in one module of one crate, alf_gemm_kernels::conv_tile,
-# which holds both explicit AVX2 kernels: the pack-free convolution tile and
-# the int8 requantizing store; every other crate root carries
+# which holds the explicit AVX2 kernels: the pack-free convolution tile (f32
+# lanes, and i16 channel pairs for int8) and the int8 requantizing store;
+# every other crate root carries
 # `#![forbid(unsafe_code)]`, and this grep also covers what that attribute
 # does not: tests, examples, the vendored stand-ins and the benchmark.
 echo "==> unsafe only under crates/gemm-kernels/src/"

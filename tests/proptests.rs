@@ -376,15 +376,61 @@ struct FusedConv {
     /// The surviving filters of the row-gathered comparison.
     live: Vec<usize>,
     seed: u64,
-    /// Int8 operands at ±127 instead of a spread of small values.
+    /// Int8 operands at −128 and 127 instead of a spread of small values:
+    /// beyond the quantizer's ±127, the largest products an i8 holds.
     extreme: bool,
+}
+
+/// `C = A · unfold(X)` for int8 operands, one i32 element at a time: the
+/// definition both int8 routes must equal. Rows outside `live` stay zero.
+fn conv_i32(
+    a: &[i8],
+    x: &[i8],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    live: &[usize],
+) -> Vec<i32> {
+    let [n, ci, h, w] = dims;
+    let (ho, wo) = spec.output_hw(h, w);
+    let kk = spec.kernel;
+    let mut c = vec![0i32; m * n * ho * wo];
+    for &row in live {
+        for b in 0..n {
+            for oy in 0..ho {
+                for ox in 0..wo {
+                    let mut acc = 0i32;
+                    for ch in 0..ci {
+                        for ky in 0..kk {
+                            for kx in 0..kk {
+                                let y = (oy * spec.stride + ky)
+                                    .checked_sub(spec.pad)
+                                    .filter(|&y| y < h);
+                                let xx = (ox * spec.stride + kx)
+                                    .checked_sub(spec.pad)
+                                    .filter(|&xx| xx < w);
+                                if let (Some(y), Some(xx)) = (y, xx) {
+                                    acc += i32::from(a[((row * ci + ch) * kk + ky) * kk + kx])
+                                        * i32::from(x[((b * ci + ch) * h + y) * w + xx]);
+                                }
+                            }
+                        }
+                    }
+                    c[row * n * ho * wo + (b * ho + oy) * wo + ox] = acc;
+                }
+            }
+        }
+    }
+    c
 }
 
 /// `conv_gemm_into` against the route it replaces — `im2col*_into` +
 /// `gemm*_into`, i.e. the packed driver on an unfolded matrix — bit for
-/// bit: f32 dense, f32 under the live-row subset, and int8. `ws` is the
-/// caller's, carried from one geometry to the next as a layer stack carries
-/// it, so scratch arrives holding another convolution's data.
+/// bit: f32 dense, f32 under the live-row subset, and int8 — dense, equal
+/// to the packed route and to the i32 triple loop [`conv_i32`], and under
+/// the live-row subset, equal to the triple loop. `ws` is the caller's,
+/// carried from one geometry to the next as a layer stack carries it, so
+/// scratch arrives holding another convolution's data.
 fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCaseError> {
     let &FusedConv {
         n,
@@ -454,7 +500,11 @@ fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCas
     let quantize = |t: &Tensor| -> Vec<i8> {
         let q = |v: &f32| {
             if extreme {
-                127 * v.signum() as i8
+                if *v < 0.0 {
+                    i8::MIN
+                } else {
+                    i8::MAX
+                }
             } else {
                 (v * 60.0) as i8
             }
@@ -469,6 +519,20 @@ fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCas
     gemm_i8_into(&mut want8, &a8, &unfolded8, m, rows, cols, ws);
     conv_gemm_into(&mut got8, &a8, &x8, m, dims, spec, None, ws, 1);
     prop_assert!(want8 == got8, "i8: {:?}", case);
+    let all: Vec<usize> = (0..m).collect();
+    prop_assert!(
+        conv_i32(&a8, &x8, m, dims, spec, &all) == got8,
+        "i8 vs i32 loop: {:?}",
+        case
+    );
+
+    got8.fill(i32::MIN);
+    conv_gemm_into(&mut got8, &a8, &x8, m, dims, spec, Some(&live), ws, 1);
+    prop_assert!(
+        conv_i32(&a8, &x8, m, dims, spec, &case.live) == got8,
+        "i8 rows: {:?}",
+        case
+    );
     Ok(())
 }
 
@@ -488,6 +552,8 @@ proptest! {
     /// images), then one draw from each family the direct route's tile
     /// placement and flush logic branch on. `m` runs 1–19 throughout, so
     /// row blocks of the six-row tile come out full, ragged and single.
+    /// Every convolution is also run in int8 and held to the packed route
+    /// and to an i32 triple loop; the first one leaves the workspace dirty.
     #[test]
     fn fused_conv_gemm_is_bitwise_the_im2col_route(
         n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
@@ -498,6 +564,11 @@ proptest! {
         let base = |ci: usize, h: usize, w: usize, k: usize, pad: usize| FusedConv {
             n, ci, h, w, spec: Conv2dSpec::new(k, 1, pad), m, live: kept.clone(), seed, extreme: false,
         };
+
+        // A dirty workspace: the first convolution leaves every scratch
+        // slot, the int8 route's i16 image included, holding a larger
+        // geometry's extreme values where the next ones have border.
+        fused_conv_agrees(&FusedConv { extreme: true, ..base(5, 13, 21, 5, 2) }, &mut ws)?;
 
         let k = [1usize, 3, 5][kidx];
         let ci = if deep == 1 { KC / (k * k) + ci_extra } else { ci_extra };
@@ -522,20 +593,26 @@ proptest! {
         fused_conv_agrees(&base(2 * KC / 9 + ci_extra, 3 + side_extra % 4, 4, 3, 1), &mut ws)?;
         // 5×5 under every pad the model zoo uses.
         fused_conv_agrees(&base(ci_extra, 5 + side_extra % 5, 5 + side_extra, 5, pad), &mut ws)?;
-        // Int8 at full scale over at least one whole slab: the f32-lane
-        // accumulation must still be exact.
-        let full_scale = FusedConv { extreme: true, ..base(KC / 9 + ci_extra, 4, 9 + side_extra, 3, 1) };
+        // Odd channel counts: the int8 image's last pair holds one channel
+        // beside a zero. 3×3 and 1×1, the 1×1 at the i8 extremes.
+        for ci in [1, 3, 5] {
+            fused_conv_agrees(&base(ci, 3 + side_extra % 5, 9 + side_extra, 3, 1), &mut ws)?;
+            fused_conv_agrees(&FusedConv { extreme: true, ..base(ci, 2 + side_extra % 4, 1 + side_extra, 1, 0) }, &mut ws)?;
+        }
+        // Int8 at the extremes over at least one whole slab, odd `ci`.
+        let full_scale = FusedConv { extreme: true, ..base((KC / 9 + ci_extra) | 1, 4, 9 + side_extra, 3, 1) };
         prop_assert!(full_scale.ci * 9 >= KC);
         fused_conv_agrees(&full_scale, &mut ws)?;
 
         // 1×1 (every deployed expansion): more than 2·KC input channels, so
         // one tap column flushes twice, at odd ragged widths from 9 to 31;
-        // a single live row; int8 at full scale over a whole slab.
+        // a single live row; int8 at the extremes over a whole slab, odd
+        // `ci`.
         let wide_1x1 = base(2 * KC + ci_extra, 1 + side_extra % 3, 9 + 2 * side_extra, 1, 0);
         fused_conv_agrees(&wide_1x1, &mut ws)?;
         let narrow_1x1 = base(ci_extra, 2 + side_extra % 4, 1 + side_extra % 8, 1, 0);
         fused_conv_agrees(&FusedConv { live: vec![seed as usize % m], ..narrow_1x1 }, &mut ws)?;
-        fused_conv_agrees(&FusedConv { extreme: true, ..base(KC + ci_extra, 3, 9 + side_extra, 1, 0) }, &mut ws)?;
+        fused_conv_agrees(&FusedConv { extreme: true, ..base((KC + ci_extra) | 1, 3, 9 + side_extra, 1, 0) }, &mut ws)?;
     }
 }
 
