@@ -66,18 +66,28 @@ fn put_tensor(buf: &mut BytesMut, t: &Tensor) {
 }
 
 fn get_tensors(bytes: &mut Bytes, count: usize, what: &str) -> Result<Vec<Tensor>> {
+    // Every tensor takes at least its 4-byte rank, so a count the rest of
+    // the blob cannot hold is rejected before it sizes an allocation.
+    if count > bytes.remaining() / 4 {
+        return Err(fail(format!(
+            "{what} tensor count {count} exceeds the {} bytes left",
+            bytes.remaining()
+        )));
+    }
     let mut tensors = Vec::with_capacity(count);
     for i in 0..count {
         if bytes.remaining() < 4 {
             return Err(fail(format!("truncated rank of {what} tensor {i}")));
         }
         let rank = bytes.get_u32_le() as usize;
-        if bytes.remaining() < 4 * rank {
+        if bytes.remaining() / 4 < rank {
             return Err(fail(format!("truncated dims of {what} tensor {i}")));
         }
         let dims: Vec<usize> = (0..rank).map(|_| bytes.get_u32_le() as usize).collect();
-        let len: usize = dims.iter().product();
-        if bytes.remaining() < 4 * len {
+        let Some(len) = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) else {
+            return Err(fail(format!("dims {dims:?} of {what} tensor {i} overflow")));
+        };
+        if bytes.remaining() / 4 < len {
             return Err(fail(format!("truncated data of {what} tensor {i}")));
         }
         let data: Vec<f32> = (0..len).map(|_| bytes.get_f32_le()).collect();
@@ -372,6 +382,17 @@ mod tests {
         let mut bad_magic = blob.to_vec();
         bad_magic[0] = b'X';
         assert!(load(&mut model, &bad_magic).is_err());
+        // A count of u32::MAX tensors with no bytes behind it: rejected
+        // before it sizes an allocation.
+        let err = load(&mut model, b"ALFCKPT1\xff\xff\xff\xff").unwrap_err();
+        assert!(err.to_string().contains("tensor count"), "{err}");
+        // One rank-4 tensor whose element count overflows usize.
+        let mut huge = b"ALFCKPT1".to_vec();
+        for word in [1u32, 4, u32::MAX, u32::MAX, u32::MAX, u32::MAX] {
+            huge.extend_from_slice(&word.to_le_bytes());
+        }
+        let err = load(&mut model, &huge).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]

@@ -639,7 +639,7 @@ impl CnnModel {
     /// code rows mapped through its kept-channel table — against the raw
     /// bank's full row count. Every other parameter (and every block
     /// without that guarantee) is `None`. This is the descriptor table
-    /// the `alf-dist` sparse gradient codec keys its row elision off;
+    /// `alf-dp`'s sparse gradient codec keys its row elision off;
     /// losslessness relies precisely on the exact-zero guarantee pinned
     /// by `block::tests::gated_ste_discards_pruned_rows_in_both_modes`.
     pub fn param_active_rows(&self) -> Vec<Option<alf_tensor::ops::ActiveRows>> {

@@ -9,25 +9,6 @@
 //! batch size — and nothing else. Any shard layout over the same batch
 //! feeds identical leaves into an identical tree and yields a bitwise
 //! identical reduced gradient.
-//!
-//! # Partitioning the tree across ranks
-//!
-//! `alf-dist` runs the *same* tree split across processes: each rank owns
-//! a contiguous leaf range ([`alf_data::plan::shard_range`]) and executes
-//! exactly the subset of the tree's adds whose operand span fits inside
-//! its range ([`local_adds`]); what survives locally — the roots of the
-//! maximal locally-complete subtrees ([`local_roots`]) — is shipped to
-//! rank 0, which executes the remaining shard-boundary-crossing adds in
-//! the global stride order ([`cross_adds`]). Every add of
-//! [`tree_reduce_into_first`] is performed exactly once, on identical
-//! operand bits, in a dependency-respecting order — so the distributed
-//! result is bitwise identical to the single-process reduction, at any
-//! rank count. The partition-invariance proptests in
-//! `tests/allreduce_edge.rs` pin this.
-
-use std::ops::Range;
-
-use alf_data::plan::shard_range;
 
 /// Sums `leaves` into `leaves[0]` in a fixed stride-doubling binary-tree
 /// order.
@@ -68,76 +49,6 @@ pub fn tree_reduce_into_first(leaves: &mut [Vec<f32>]) {
         }
         stride *= 2;
     }
-}
-
-/// Visits every add of the `n`-leaf tree as `(dst, src, stride)` in
-/// execution order — the exact order [`tree_reduce_into_first`] uses.
-fn for_each_add(n: usize, mut visit: impl FnMut(usize, usize, usize)) {
-    let mut stride = 1usize;
-    while stride < n {
-        let mut i = 0usize;
-        while i + stride < n {
-            visit(i, i + stride, stride);
-            i += 2 * stride;
-        }
-        stride *= 2;
-    }
-}
-
-/// The operand span of the add `(dst, stride)`: the leaf indices whose
-/// contributions the destination holds after the add.
-fn add_span_end(dst: usize, stride: usize, n: usize) -> usize {
-    (dst + 2 * stride).min(n)
-}
-
-/// The adds of the `n`-leaf tree whose operand span lies entirely inside
-/// the contiguous leaf range `shard`, as `(dst, src)` pairs in global
-/// execution order. A rank holding the leaves of `shard` can execute
-/// exactly these adds without seeing any other rank's data.
-pub fn local_adds(n: usize, shard: &Range<usize>) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for_each_add(n, |dst, src, stride| {
-        if dst >= shard.start && add_span_end(dst, stride, n) <= shard.end {
-            out.push((dst, src));
-        }
-    });
-    out
-}
-
-/// The leaf indices still live in `shard` after [`local_adds`] — the
-/// roots of the maximal locally-complete subtrees. These are the partial
-/// sums a rank ships to the master; every other index in the shard has
-/// been folded into one of them.
-pub fn local_roots(n: usize, shard: &Range<usize>) -> Vec<usize> {
-    let mut consumed = vec![false; shard.len()];
-    for (_, src) in local_adds(n, shard) {
-        consumed[src - shard.start] = true;
-    }
-    shard
-        .clone()
-        .filter(|i| !consumed[i - shard.start])
-        .collect()
-}
-
-/// The adds of the `n`-leaf tree that cross a shard boundary under the
-/// contiguous `world`-way partition of [`shard_range`], as `(dst, src)`
-/// pairs in global execution order. Together with each rank's
-/// [`local_adds`], this is a disjoint cover of the full tree; the master
-/// executes these over the shipped [`local_roots`] to finish the
-/// reduction bitwise-identically to [`tree_reduce_into_first`].
-pub fn cross_adds(n: usize, world: usize) -> Vec<(usize, usize)> {
-    let shards: Vec<Range<usize>> = (0..world.max(1))
-        .map(|r| shard_range(n, r, world.max(1)))
-        .collect();
-    let mut out = Vec::new();
-    for_each_add(n, |dst, src, stride| {
-        let end = add_span_end(dst, stride, n);
-        let contained = shards.iter().any(|s| dst >= s.start && end <= s.end);
-        if !contained {
-            out.push((dst, src));
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -207,93 +118,5 @@ mod tests {
     fn mismatched_lengths_panic() {
         let mut bad = leaves_of(&[&[1.0, 2.0], &[3.0]]);
         tree_reduce_into_first(&mut bad);
-    }
-
-    /// Runs the partitioned plan exactly as `alf-dist` does — per-rank
-    /// local adds, ship the roots, master cross adds — and returns the
-    /// final slot-0 value.
-    fn simulate_partitioned(leaves: &[Vec<f32>], world: usize) -> Vec<f32> {
-        let n = leaves.len();
-        let mut slots: Vec<Option<Vec<f32>>> = vec![None; n];
-        for r in 0..world {
-            let shard = shard_range(n, r, world);
-            let mut local: Vec<Vec<f32>> = shard.clone().map(|i| leaves[i].clone()).collect();
-            for (dst, src) in local_adds(n, &shard) {
-                let (d, s) = (dst - shard.start, src - shard.start);
-                let (head, tail) = local.split_at_mut(s);
-                for (a, b) in head[d].iter_mut().zip(tail[0].iter()) {
-                    *a += *b;
-                }
-            }
-            for root in local_roots(n, &shard) {
-                slots[root] = Some(local[root - shard.start].clone());
-            }
-        }
-        for (dst, src) in cross_adds(n, world) {
-            let s = slots[src].take().expect("cross add src must be live");
-            let d = slots[dst].as_mut().expect("cross add dst must be live");
-            for (a, b) in d.iter_mut().zip(s.iter()) {
-                *a += *b;
-            }
-        }
-        slots[0].take().expect("slot 0 holds the total")
-    }
-
-    #[test]
-    fn partitioned_plan_is_bitwise_identical_to_tree() {
-        for n in [1usize, 2, 3, 5, 6, 8, 12, 13, 16, 21] {
-            // Magnitudes spread enough that any reordering of the float
-            // adds would change bits.
-            let base: Vec<Vec<f32>> = (0..n)
-                .map(|i| {
-                    vec![
-                        (i as f32 * 0.731).sin() * 10f32.powi((i % 7) as i32 - 3),
-                        (i as f32 * 1.37).cos(),
-                    ]
-                })
-                .collect();
-            let mut reference = base.clone();
-            tree_reduce_into_first(&mut reference);
-            for world in 1..=n.min(7) {
-                let got = simulate_partitioned(&base, world);
-                let same = got
-                    .iter()
-                    .zip(reference[0].iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "n={n} world={world} diverged from the tree");
-            }
-        }
-    }
-
-    #[test]
-    fn local_and_cross_adds_disjointly_cover_the_tree() {
-        for n in [1usize, 4, 7, 12, 16, 19] {
-            let mut all = Vec::new();
-            for_each_add(n, |dst, src, _| all.push((dst, src)));
-            for world in 1..=5 {
-                let mut covered = Vec::new();
-                for r in 0..world {
-                    covered.extend(local_adds(n, &shard_range(n, r, world)));
-                }
-                covered.extend(cross_adds(n, world));
-                covered.sort_unstable();
-                let mut expected = all.clone();
-                expected.sort_unstable();
-                assert_eq!(covered, expected, "n={n} world={world}");
-            }
-        }
-    }
-
-    #[test]
-    fn roots_are_unconsumed_shard_indices() {
-        // Aligned shards collapse to a single root; ragged ones to few.
-        assert_eq!(local_roots(16, &(0..8)), vec![0]);
-        assert_eq!(local_roots(16, &(8..16)), vec![8]);
-        assert_eq!(local_roots(16, &(4..8)), vec![4]);
-        // A shard of one leaf ships that leaf verbatim.
-        assert_eq!(local_roots(9, &(8..9)), vec![8]);
-        // Empty shard (world > batch): nothing local, nothing shipped.
-        assert!(local_adds(4, &(3..3)).is_empty());
-        assert!(local_roots(4, &(3..3)).is_empty());
     }
 }

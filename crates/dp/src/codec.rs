@@ -1,6 +1,6 @@
-//! Dense and sparse gradient encodings for the wire.
+//! Dense and sparse encodings of a flat task gradient.
 //!
-//! A gradient travels as one tensor-segment sequence in the model's
+//! A gradient encodes as one tensor-segment sequence in the model's
 //! flat `visit_params` order. Each segment is self-describing:
 //!
 //! ```text
@@ -21,22 +21,27 @@
 //! Per tensor, the encoder takes whichever form is smaller
 //! (`density cutover`): a fully-live tensor always goes dense, and as
 //! mask occupancy falls the weight segments — the bulk of the gradient
-//! — shrink proportionally, which is what makes bytes-on-wire strictly
+//! — shrink proportionally, which is what makes the encoded size strictly
 //! decrease across an occupancy sweep.
+//!
+//! Nothing in the workspace sends a gradient anywhere: the facade
+//! re-exports this module as `alf::dist` only for the repo benchmark's
+//! `dist.*` probes, which time it and count its bytes.
 
 use alf_core::CnnModel;
 use alf_nn::layer::Layer;
 use alf_tensor::ops::ActiveRows;
+use alf_tensor::ShapeError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::error::{DistError, Result};
+use crate::Result;
 
 const MODE_DENSE: u8 = 0;
 const MODE_SPARSE: u8 = 1;
 
 /// The flat gradient's tensor-segment geometry: `(rows, row_len)` per
 /// parameter in `visit_params` order. Both ends derive it from their
-/// (identical) model, so it never travels on the wire.
+/// (identical) model, so it is never encoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GradLayout {
     tensors: Vec<(usize, usize)>,
@@ -93,7 +98,7 @@ pub struct EncodeStats {
 /// # Panics
 ///
 /// Panics when `grad` or `sparse` disagree with `layout` — those are
-/// same-process programming errors, not wire conditions.
+/// programming errors, not properties of the encoded bytes.
 pub fn encode_grad(
     grad: &[f32],
     layout: &GradLayout,
@@ -123,7 +128,7 @@ pub fn encode_grad(
                     .is_some_and(|d| d.total() == *rows && !d.is_all())
                 {
                     // A descriptor applied but a "pruned" row carried
-                    // nonzero bits — dense keeps the wire lossless.
+                    // nonzero bits — dense keeps the encoding lossless.
                     stats.fallbacks += 1;
                 }
                 out.put_u8(MODE_DENSE);
@@ -186,7 +191,7 @@ fn try_encode_sparse(
 ///
 /// # Errors
 ///
-/// [`DistError::FrameCorrupt`] when the byte stream is truncated or the
+/// A `decode_grad` [`ShapeError`] when the byte stream is truncated or the
 /// sparse row structure is invalid for the layout.
 pub fn decode_grad(bytes: &[u8], layout: &GradLayout) -> Result<Vec<f32>> {
     let mut buf = Bytes::copy_from_slice(bytes);
@@ -216,11 +221,9 @@ pub fn decode_grad(bytes: &[u8], layout: &GradLayout) -> Result<Vec<f32>> {
                     let start = buf.get_u32_le() as usize;
                     let len = buf.get_u32_le() as usize;
                     if len == 0 || (i > 0 && start <= prev_end) || start + len > rows {
-                        return Err(DistError::FrameCorrupt {
-                            detail: format!(
-                                "sparse run {i} ({start},{len}) invalid for {rows} rows"
-                            ),
-                        });
+                        return Err(corrupt(format!(
+                            "sparse run {i} ({start},{len}) invalid for {rows} rows"
+                        )));
                     }
                     // Runs must be maximal-disjoint and increasing; a
                     // run touching the previous one would be the same
@@ -230,11 +233,9 @@ pub fn decode_grad(bytes: &[u8], layout: &GradLayout) -> Result<Vec<f32>> {
                     run_list.push((start, len));
                 }
                 if expanded != live {
-                    return Err(DistError::FrameCorrupt {
-                        detail: format!(
-                            "sparse run table covers {expanded} rows, header says {live}"
-                        ),
-                    });
+                    return Err(corrupt(format!(
+                        "sparse run table covers {expanded} rows, header says {live}"
+                    )));
                 }
                 need(&buf, 4 * live * row_len, "sparse row payload")?;
                 for (start, len) in run_list {
@@ -245,19 +246,20 @@ pub fn decode_grad(bytes: &[u8], layout: &GradLayout) -> Result<Vec<f32>> {
                     }
                 }
             }
-            other => {
-                return Err(DistError::FrameCorrupt {
-                    detail: format!("unknown gradient segment mode {other}"),
-                })
-            }
+            other => return Err(corrupt(format!("unknown gradient segment mode {other}"))),
         }
     }
     if buf.remaining() != 0 {
-        return Err(DistError::FrameCorrupt {
-            detail: format!("{} trailing bytes after gradient", buf.remaining()),
-        });
+        return Err(corrupt(format!(
+            "{} trailing bytes after gradient",
+            buf.remaining()
+        )));
     }
     Ok(out)
+}
+
+fn corrupt(detail: String) -> ShapeError {
+    ShapeError::new("decode_grad", detail)
 }
 
 fn take_u8(buf: &mut Bytes) -> Result<u8> {
@@ -267,12 +269,10 @@ fn take_u8(buf: &mut Bytes) -> Result<u8> {
 
 fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
     if buf.remaining() < n {
-        return Err(DistError::FrameCorrupt {
-            detail: format!(
-                "gradient truncated: need {n} bytes for {what}, have {}",
-                buf.remaining()
-            ),
-        });
+        return Err(corrupt(format!(
+            "gradient truncated: need {n} bytes for {what}, have {}",
+            buf.remaining()
+        )));
     }
     Ok(())
 }
@@ -380,10 +380,10 @@ mod tests {
         let layout = layout_of(&[(2, 2)]);
         // Truncated dense payload.
         let err = decode_grad(&[MODE_DENSE, 0, 0], &layout).unwrap_err();
-        assert!(matches!(err, DistError::FrameCorrupt { .. }), "{err}");
+        assert!(err.op() == "decode_grad", "{err}");
         // Unknown mode.
         let err = decode_grad(&[7], &layout).unwrap_err();
-        assert!(matches!(err, DistError::FrameCorrupt { .. }), "{err}");
+        assert!(err.op() == "decode_grad", "{err}");
         // Sparse run past the row count.
         let mut wire = BytesMut::new();
         wire.put_u8(MODE_SPARSE);
@@ -393,7 +393,7 @@ mod tests {
         wire.put_u32_le(1);
         wire.put_slice(&[0; 8]);
         let err = decode_grad(&wire.freeze().to_vec(), &layout).unwrap_err();
-        assert!(matches!(err, DistError::FrameCorrupt { .. }), "{err}");
+        assert!(err.op() == "decode_grad", "{err}");
     }
 
     #[test]

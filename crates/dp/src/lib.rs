@@ -44,10 +44,9 @@
 #![warn(missing_docs)]
 
 pub mod allreduce;
-pub mod reduce;
+pub mod codec;
 pub mod trainer;
 
-pub use reduce::{LocalReducer, ReduceError, ReducedStep, Reducer, StepContext};
 pub use trainer::{DpConfig, DpTrainer};
 
 /// Crate-wide result alias.

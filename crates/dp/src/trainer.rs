@@ -13,10 +13,9 @@ use alf_obs::runtime::resolve_threads;
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
 use bytes::Bytes;
-use std::ops::Range;
 use std::sync::Arc;
 
-use crate::reduce::{LocalReducer, ReduceError, Reducer, StepContext};
+use crate::allreduce::tree_reduce_into_first;
 use crate::Result;
 
 /// Configuration of a [`DpTrainer`].
@@ -89,14 +88,12 @@ fn split_shards<T>(mut slice: &mut [T], shards: usize) -> Vec<&mut [T]> {
     out
 }
 
-/// The sharded half of one step: where the batch comes from and which of
-/// its slots this participant owes gradients for.
+/// The sharded half of one step: where the batch comes from and how its
+/// samples are drawn.
 struct ShardJob<'a> {
     data: &'a Dataset,
     /// Dataset indices of the whole batch, in slot order.
     batch: &'a [usize],
-    /// This participant's slots ([`Reducer::partition`]).
-    part: Range<usize>,
     augment: Option<Augment>,
     data_seed: u64,
     epoch: u64,
@@ -106,13 +103,12 @@ struct ShardJob<'a> {
 impl ShardJob<'_> {
     /// Runs one scoped worker per replica. Each first takes its shard of
     /// the **statistics pass** — a forward-only [`Mode::Stats`] pass over
-    /// the *whole* clean batch (whatever `part` is: every participant needs
-    /// the whole batch's statistics), sharded over the workers and joined
-    /// by a [`StatExchange`], so every replica ends up with the running
+    /// the clean batch, sharded over the workers and joined by a
+    /// [`StatExchange`], so every replica ends up with the running
     /// statistics one whole-batch train-mode forward would have left — and
     /// goes straight on to its per-sample frozen-norm forward/backward
-    /// loop over its shard of `part`, filling one leaf, loss and
-    /// correctness flag per sample (indexed from `part.start`).
+    /// loop over the same shard, filling one leaf, loss and correctness
+    /// flag per sample (indexed by batch slot).
     fn run(
         &self,
         replicas: &mut [(CnnModel, RunCtx)],
@@ -122,7 +118,6 @@ impl ShardJob<'_> {
     ) -> Result<()> {
         let threads = replicas.len();
         let b = self.batch.len();
-        let plen = self.part.len();
         let exchange = Arc::new(StatExchange::new(b));
         let leaf_chunks = split_shards(leaves, threads);
         let loss_chunks = split_shards(losses, threads);
@@ -154,12 +149,9 @@ impl ShardJob<'_> {
                         ctx.set_mode(Mode::Train);
                         out.map(drop)
                     })?;
-                    for (local, p) in shard_range(plen, s, threads).enumerate() {
-                        // Global batch slot: augmentation draws and leaf
-                        // positions are keyed by it, never by the shard or
-                        // partition layout.
-                        let j = self.part.start + p;
-                        // Per-sample granularity: no float accumulation
+                    for (local, j) in stat_shard.enumerate() {
+                        // Per-sample granularity, with augmentation draws
+                        // keyed by the batch slot `j`: no float accumulation
                         // crosses a shard boundary, so the leaves are
                         // independent of the shard layout.
                         let (mut images, labels) =
@@ -200,14 +192,8 @@ impl ShardJob<'_> {
     }
 }
 
-fn total_param_len(model: &CnnModel) -> usize {
-    let mut n = 0usize;
-    model.visit_params_ref(&mut |p| n += p.value.len());
-    n
-}
-
-fn shape_err(detail: impl Into<String>) -> ReduceError {
-    ReduceError::Shape(ShapeError::new("dp_train", detail))
+fn shape_err(detail: impl Into<String>) -> ShapeError {
+    ShapeError::new("dp_train", detail)
 }
 
 /// Data-parallel counterpart of `alf_core::AlfTrainer`.
@@ -348,7 +334,7 @@ impl DpTrainer {
     }
 
     /// The worker count the next step will use, before clamping to the
-    /// number of samples this participant computes.
+    /// batch size.
     pub fn resolved_threads(&self) -> usize {
         resolve_threads(self.threads, "ALF_DP_THREADS")
     }
@@ -412,30 +398,6 @@ impl DpTrainer {
     /// end of the epoch (resume against mismatched data), and any shape
     /// error from the model or data pipeline.
     pub fn advance_step(&mut self, data: &Dataset) -> Result<Option<EpochStats>> {
-        self.advance_step_with(data, &mut LocalReducer)
-            .map_err(ReduceError::into_shape)
-    }
-
-    /// [`DpTrainer::advance_step`] with an explicit reduction backend.
-    ///
-    /// The reducer decides which contiguous batch slice this participant
-    /// computes ([`Reducer::partition`]) and performs the all-reduce
-    /// ([`Reducer::reduce`]); everything downstream — batch-mean
-    /// scaling, gradient clip, optimizer step, the autoencoder player,
-    /// epoch statistics — replays identically on every participant from
-    /// the reduced result, which is what keeps distributed ranks in
-    /// bitwise lockstep (see `alf-dist`).
-    ///
-    /// # Errors
-    ///
-    /// [`ReduceError::Shape`] for model/data failures (the
-    /// [`DpTrainer::advance_step`] contract), [`ReduceError::Transport`]
-    /// when a distributed backend fails.
-    pub fn advance_step_with(
-        &mut self,
-        data: &Dataset,
-        reducer: &mut dyn Reducer,
-    ) -> std::result::Result<Option<EpochStats>, ReduceError> {
         let n = data.len_of(Split::Train);
         if n == 0 {
             return Err(shape_err("empty training split"));
@@ -455,17 +417,7 @@ impl DpTrainer {
         }
         let batch = plan.batch(self.round.step() as usize);
         let b = batch.len();
-        // This participant's contiguous slice of the batch. The local
-        // backend owns all of it; a distributed rank owns its shard and
-        // leaves the rest to its peers.
-        let part = reducer.partition(b);
-        if part.start > part.end || part.end > b {
-            return Err(shape_err(format!(
-                "reducer partition {part:?} outside batch 0..{b}"
-            )));
-        }
-        let plen = part.len();
-        let threads = self.resolved_threads().min(plen.max(1)).max(1);
+        let threads = self.resolved_threads().min(b).max(1);
         let augment = self.round.hyper().augment;
         let Self {
             round,
@@ -481,7 +433,6 @@ impl DpTrainer {
         let job = ShardJob {
             data,
             batch,
-            part: part.clone(),
             augment,
             data_seed: *data_seed,
             epoch: round.epoch(),
@@ -495,9 +446,9 @@ impl DpTrainer {
                 ctx.set_freeze_norm(true);
                 ctx
             });
-            leaves.resize_with(plen, Vec::new);
-            sample_loss.resize(plen, 0.0);
-            sample_correct.resize(plen, 0);
+            leaves.resize_with(b, Vec::new);
+            sample_loss.resize(b, 0.0);
+            sample_correct.resize(b, 0);
             job.run(replicas, leaves, sample_loss, sample_correct)?;
             // The pass moved nothing but the running statistics, to the
             // same values on every replica: the master takes replica 0's
@@ -507,30 +458,13 @@ impl DpTrainer {
                 return Err(shape_err("replica state does not fit the master model"));
             }
 
-            // Reduce the per-sample leaves in the fixed tree order, then scale
-            // to the batch mean. Both are pure functions of the batch size.
-            // The reducer also folds all b losses in slot order: the local
-            // backend as one left fold, a distributed backend each rank's
-            // slice in rank order, which is slot order.
-            let expected = total_param_len(model);
-            let reduced = reducer.reduce(
-                &mut leaves[..plen],
-                &sample_loss[..plen],
-                &sample_correct[..plen],
-                &StepContext {
-                    model,
-                    epoch: job.epoch,
-                    step: job.step,
-                    batch: b,
-                },
-            )?;
-            let mut grad = reduced.grad;
-            if grad.len() != expected {
-                return Err(shape_err(format!(
-                    "reduced gradient has {} values, model has {expected}",
-                    grad.len()
-                )));
-            }
+            // Reduce the per-sample leaves into `leaves[0]` in the fixed
+            // tree order, then scale it in place to the batch mean. Both are
+            // pure functions of the batch size, as is the slot-order loss fold.
+            tree_reduce_into_first(leaves);
+            let loss_sum = sample_loss.iter().fold(0.0f64, |s, &l| s + f64::from(l));
+            let correct = sample_correct.iter().map(|&c| usize::from(c)).sum();
+            let grad = &mut leaves[0];
             let inv_b = 1.0 / b as f32;
             for g in grad.iter_mut() {
                 *g *= inv_b;
@@ -548,10 +482,10 @@ impl DpTrainer {
                     post_clip_norm = max_norm;
                 }
             }
-            opt.step_layer_from_flat(model, &grad);
+            opt.step_layer_from_flat(model, grad);
             Ok(TaskOutcome {
-                loss: reduced.loss_sum / b as f64,
-                correct: reduced.correct,
+                loss: loss_sum / b as f64,
+                correct,
                 seen: b,
                 workers: threads,
                 grad_norm: Some((grad_norm, post_clip_norm)),
@@ -711,7 +645,6 @@ mod tests {
             let job = ShardJob {
                 data: &data,
                 batch: &[0, 1, 2, usize::MAX],
-                part: 0..4,
                 augment: None,
                 data_seed: 0,
                 epoch: 0,

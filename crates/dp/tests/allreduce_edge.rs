@@ -1,11 +1,8 @@
-//! Edge-case and property coverage for the fixed-order stride-doubling
-//! tree ([`alf_dp::allreduce`]): the reduction the whole determinism
-//! story — single-process workers, checkpoint/resume, and the
-//! `alf-dist` socket collective — hangs off.
+//! Edge-case coverage for the fixed-order stride-doubling tree
+//! ([`alf_dp::allreduce`]): the reduction the whole determinism story —
+//! worker-count invariance and checkpoint/resume — hangs off.
 
-use alf_data::plan::shard_range;
-use alf_dp::allreduce::{cross_adds, local_adds, local_roots, tree_reduce_into_first};
-use proptest::prelude::*;
+use alf_dp::allreduce::tree_reduce_into_first;
 
 /// Deterministic pseudo-random leaves: `n` vectors of `len` f32s with
 /// varied signs and magnitudes (so float addition is genuinely
@@ -25,39 +22,6 @@ fn leaves(n: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..n).map(|_| (0..len).map(|_| next()).collect()).collect()
 }
 
-/// Executes the reduction via a partition plan: each shard runs its
-/// local adds, ships its subtree roots, and a simulated master finishes
-/// with the boundary-crossing adds — the exact dataflow of the socket
-/// collective.
-fn reduce_via_partition(mut leaves: Vec<Vec<f32>>, world: usize) -> Vec<f32> {
-    let n = leaves.len();
-    let len = leaves[0].len();
-    let mut slots: Vec<Option<Vec<f32>>> = vec![None; n];
-    for rank in 0..world {
-        let shard = shard_range(n, rank, world);
-        for (dst, src) in local_adds(n, &shard) {
-            let (head, tail) = leaves.split_at_mut(src);
-            for (a, v) in head[dst].iter_mut().zip(tail[0].iter()) {
-                *a += *v;
-            }
-        }
-        for root in local_roots(n, &shard) {
-            slots[root] = Some(std::mem::take(&mut leaves[root]));
-        }
-    }
-    for (dst, src) in cross_adds(n, world) {
-        let s = slots[src].take().unwrap();
-        let mut d = slots[dst].take().unwrap();
-        for (a, v) in d.iter_mut().zip(s.iter()) {
-            *a += *v;
-        }
-        slots[dst] = Some(d);
-    }
-    let out = slots[0].take().unwrap();
-    assert_eq!(out.len(), len);
-    out
-}
-
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -68,15 +32,6 @@ fn single_leaf_is_identity() {
     let want = l[0].clone();
     tree_reduce_into_first(&mut l);
     assert_eq!(bits(&l[0]), bits(&want));
-    // The partition plan agrees, for every world size.
-    for world in 1..=3 {
-        assert_eq!(
-            bits(&reduce_via_partition(leaves(1, 7, 42), world)),
-            bits(&want)
-        );
-        assert!(local_adds(1, &shard_range(1, 0, world)).is_empty());
-        assert!(cross_adds(1, world).is_empty());
-    }
 }
 
 #[test]
@@ -110,49 +65,5 @@ fn non_power_of_two_counts_match_the_tree_order_reference() {
         let mut l = leaves(n, 5, n as u64);
         tree_reduce_into_first(&mut l);
         assert_eq!(bits(&l[0]), bits(&reference), "n = {n}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Any partitioning of the same leaves — any leaf count, any world
-    /// size, including worlds larger than the leaf count (empty shards)
-    /// — reduces bitwise-identically to the single-slice tree.
-    #[test]
-    fn every_partitioning_reduces_bitwise_identically(
-        n in 1usize..24,
-        world in 1usize..9,
-        len in 1usize..12,
-        seed in 0u64..10_000,
-    ) {
-        let mut whole = leaves(n, len, seed);
-        tree_reduce_into_first(&mut whole);
-        let via_parts = reduce_via_partition(leaves(n, len, seed), world);
-        prop_assert_eq!(bits(&via_parts), bits(&whole.remove(0)));
-    }
-
-    /// The plan covers the tree exactly: every (dst, src) add appears in
-    /// exactly one shard's local adds or in the cross adds.
-    #[test]
-    fn plans_partition_the_add_set(n in 1usize..24, world in 1usize..9) {
-        let mut planned: Vec<(usize, usize)> = Vec::new();
-        for rank in 0..world {
-            planned.extend(local_adds(n, &shard_range(n, rank, world)));
-        }
-        planned.extend(cross_adds(n, world));
-        planned.sort_unstable();
-        let mut all: Vec<(usize, usize)> = Vec::new();
-        let mut stride = 1;
-        while stride < n {
-            let mut dst = 0;
-            while dst + stride < n {
-                all.push((dst, dst + stride));
-                dst += 2 * stride;
-            }
-            stride *= 2;
-        }
-        all.sort_unstable();
-        prop_assert_eq!(planned, all);
     }
 }

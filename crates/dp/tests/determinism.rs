@@ -9,7 +9,7 @@ use alf_core::block::AlfBlockConfig;
 use alf_core::models::{plain20, plain20_alf};
 use alf_core::AlfHyper;
 use alf_data::{Dataset, SynthVision};
-use alf_dp::{DpConfig, DpTrainer, LocalReducer, ReduceError, ReducedStep, Reducer, StepContext};
+use alf_dp::{DpConfig, DpTrainer};
 use alf_nn::LrSchedule;
 use proptest::prelude::*;
 
@@ -96,88 +96,5 @@ fn plain_model_epoch_is_worker_count_invariant() {
                 assert_eq!(stats.test_accuracy, ref_stats.test_accuracy);
             }
         }
-    }
-}
-
-/// One step's leaves, losses and correctness flags for the whole batch.
-type StepLeaves = (Vec<Vec<f32>>, Vec<f32>, Vec<u8>);
-
-/// Owns the whole batch and records every step's leaves before reducing.
-#[derive(Default)]
-struct Recording(Vec<StepLeaves>);
-
-impl Reducer for Recording {
-    fn partition(&self, batch: usize) -> std::ops::Range<usize> {
-        0..batch
-    }
-
-    fn reduce(
-        &mut self,
-        leaves: &mut [Vec<f32>],
-        losses: &[f32],
-        corrects: &[u8],
-        ctx: &StepContext<'_>,
-    ) -> Result<ReducedStep, ReduceError> {
-        self.0
-            .push((leaves.to_vec(), losses.to_vec(), corrects.to_vec()));
-        LocalReducer.reduce(leaves, losses, corrects, ctx)
-    }
-}
-
-/// Stand-in for one rank of a collective: owns only `part` of each batch
-/// and is handed the other slots' leaves by its peers (here: a recording).
-struct Rank<'a> {
-    part: std::ops::Range<usize>,
-    peers: std::slice::Iter<'a, StepLeaves>,
-}
-
-impl Reducer for Rank<'_> {
-    fn partition(&self, _batch: usize) -> std::ops::Range<usize> {
-        self.part.clone()
-    }
-
-    fn reduce(
-        &mut self,
-        leaves: &mut [Vec<f32>],
-        losses: &[f32],
-        corrects: &[u8],
-        ctx: &StepContext<'_>,
-    ) -> Result<ReducedStep, ReduceError> {
-        let (mut all, mut all_losses, mut all_corrects) =
-            self.peers.next().expect("a recorded step").clone();
-        all[self.part.clone()].clone_from_slice(leaves);
-        all_losses[self.part.clone()].copy_from_slice(losses);
-        all_corrects[self.part.clone()].copy_from_slice(corrects);
-        LocalReducer.reduce(&mut all, &all_losses, &all_corrects, ctx)
-    }
-}
-
-/// A rank computes gradients for its `partition` only, but its statistics
-/// pass covers the whole batch: with a partition shorter than its worker
-/// count (the worker count clamps to it) and with an empty one (the rank
-/// contributes no leaf at all), it stays in bitwise lockstep with a
-/// participant that owns everything.
-#[test]
-fn partial_and_empty_partitions_stay_in_lockstep() {
-    let data = small_data(21);
-    let model = plain20_alf(4, 4, AlfBlockConfig::paper_default(), 22).unwrap();
-    let mut reference = DpTrainer::new(model.clone(), config(3, 21)).unwrap();
-    let mut recording = Recording::default();
-    for _ in 0..3 {
-        reference.advance_step_with(&data, &mut recording).unwrap();
-    }
-    for part in [0..2, 4..4] {
-        let mut rank = DpTrainer::new(model.clone(), config(3, 21)).unwrap();
-        let mut reducer = Rank {
-            part: part.clone(),
-            peers: recording.0.iter(),
-        };
-        for _ in 0..3 {
-            rank.advance_step_with(&data, &mut reducer).unwrap();
-        }
-        assert!(
-            rank.state_vector() == reference.state_vector(),
-            "rank owning {part:?} of each 6-sample batch diverged"
-        );
     }
 }

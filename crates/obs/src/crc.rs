@@ -1,13 +1,12 @@
 //! The workspace's one CRC-32 implementation (IEEE 802.3, reflected,
 //! polynomial `0xEDB8_8320`).
 //!
-//! Both durable byte formats that frame payloads with a checksum — the
-//! `alf-lab` campaign manifest (`ALFLAB01`) and the `alf-dist` gradient
-//! wire protocol (`ALFDIST1`) — call [`crc32`]. Keeping a single
-//! table here (rather than a hand-rolled copy per crate) is a
-//! compatibility guarantee: the two formats can never drift onto
-//! different polynomials, and `scripts/verify.sh` grep-gates that this
-//! stays the only definition in the workspace.
+//! The `alf-lab` campaign manifest (`ALFLAB01`) checksums its frames
+//! with [`crc32`] through [`crate::frame`]. Keeping a single table here
+//! (rather than a hand-rolled copy per crate) means a second checksummed
+//! format cannot drift onto a different polynomial, and
+//! `scripts/verify.sh` grep-gates that this stays the only definition in
+//! the workspace.
 //!
 //! The check value pins the exact variant: `crc32(b"123456789") ==
 //! 0xCBF4_3926`.

@@ -13,10 +13,10 @@
 //!   buffered file for runs, null sink compiled to near-nothing).
 //! * [`runtime`] — the shared `ALF_*_THREADS` worker-count parser
 //!   ([`resolve_threads`]).
-//! * [`crc`] — the workspace's single CRC-32 ([`crc32`]) shared by every
-//!   checksummed byte format (campaign manifest, dist wire frames).
+//! * [`crc`] — the workspace's single CRC-32 ([`crc32`]) for every
+//!   checksummed byte format (today the campaign manifest).
 //! * [`frame`] — the single `u32 len | payload | u32 crc32` frame codec
-//!   those two formats are built from.
+//!   the campaign manifest is built from.
 //!
 //! It deliberately has **no dependencies** (std only) so that every crate
 //! in the workspace — including `alf-tensor` at the bottom of the stack —

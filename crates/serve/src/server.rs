@@ -1004,18 +1004,23 @@ mod tests {
     fn swap_rejects_garbage_and_mismatched_architectures() {
         let model = plain20(4, 4).unwrap();
         let server = Server::start(&model, tiny_config()).unwrap();
-        assert!(matches!(
-            server.swap_checkpoint(b"not a checkpoint"),
-            Err(ServeError::BadCheckpoint(_))
-        ));
+        let before = server.submit(image(3)).unwrap().wait().unwrap();
+        // The second blob declares u32::MAX tensors in 12 bytes.
+        for blob in [&b"not a checkpoint"[..], b"ALFCKPT1\xff\xff\xff\xff"] {
+            assert!(matches!(
+                server.swap_checkpoint(blob),
+                Err(ServeError::BadCheckpoint(_))
+            ));
+        }
         let wide = plain20(4, 8).unwrap();
         assert!(matches!(
             server.swap_model(&wide),
             Err(ServeError::BadCheckpoint(_))
         ));
         assert_eq!(server.stats().swaps, 0);
-        // Serving still works on the original weights.
-        assert!(server.submit(image(3)).unwrap().wait().is_ok());
+        // Serving still answers on the original weights.
+        let after = server.submit(image(3)).unwrap().wait().unwrap();
+        assert_eq!(after.logits, before.logits);
         server.shutdown();
     }
 

@@ -214,8 +214,8 @@ impl ActiveRows {
     }
 
     /// The surviving rows as maximal `(start, len)` runs of consecutive
-    /// indices, in increasing order — the run-length form the `alf-dist`
-    /// sparse gradient encoding puts on the wire. Concatenating the runs
+    /// indices, in increasing order — the run-length form of `alf-dp`'s
+    /// sparse gradient encoding. Concatenating the runs
     /// reproduces [`ActiveRows::indices`] exactly.
     pub fn runs(&self) -> Vec<(usize, usize)> {
         let mut out: Vec<(usize, usize)> = Vec::new();

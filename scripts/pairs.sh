@@ -19,7 +19,9 @@
 #
 # Prints, for each end-to-end metric of BENCHMARK.json, both sides' median
 # [q1,q3], the median of the paired differences (change − parent) and how
-# many pairs the change won. Appends one JSON line per run to
+# many pairs the change won, then names every run whose spin calibration
+# (before or after) exceeds 1.25x the median spin of this invocation's
+# runs; such runs are flagged, never dropped. Appends one JSON line per run to
 # BENCH_history.jsonl at the repo root: revisions, side, pair, workload,
 # seed, the five metrics, and the host fingerprint the harness recorded
 # (CPU model, nproc, ISA flags, spin calibration before and after). A run
@@ -178,6 +180,16 @@ spins = [(r["side"], r["pair"], r["host"].get("spin_ms_before"), r["host"].get("
          for r in records]
 print("spin ms before/after: " + ", ".join(
     f"{s[0]}{p} {b:.2f}/{a:.2f}" for s, p, b, a in spins if b is not None and a is not None))
+# 1.25x matches the benchmark's 25 % timing bound. Drifted runs stay in
+# the table above and in the history; they are only named here.
+spin_values = [v for _, _, b, a in spins for v in (b, a) if v is not None]
+if spin_values:
+    limit = 1.25 * statistics.median(spin_values)
+    drifted = [f"{s}{p} " + "/".join("-" if v is None else f"{v:.2f}" for v in (b, a))
+               for s, p, b, a in spins
+               if any(v is not None and v > limit for v in (b, a))]
+    print(f"spin drift (> {limit:.2f} ms, 1.25x the median spin): "
+          + (", ".join(drifted) if drifted else "none"))
 failed = [r for r in records if r["exit"] != 0 or not r["metrics"]]
 if failed:
     print(f"{len(failed)} run(s) failed; recorded in {history}")

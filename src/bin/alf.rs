@@ -8,14 +8,8 @@
 //! * `hwmap`  — map a model geometry onto the Eyeriss-like accelerator.
 //! * `serve`  — serve a model over HTTP (`alf-net` front end): predict,
 //!   hot checkpoint swap, per-tenant quotas, `/metrics`.
-//! * `dist`   — multi-process data-parallel training over TCP sockets
-//!   (`alf-dist`): spawns `--ranks` local rank processes whose result is
-//!   bitwise-identical to single-process training.
 //! * `lab`    — run the paper's full results grid as one resumable
 //!   campaign (delegates to `alf-lab`; see `alf lab help`).
-//!
-//! `dist-rank` is the hidden per-rank entry point `dist` spawns; it is
-//! not part of the user-facing surface.
 //!
 //! Run `alf <subcommand> --help` (or no arguments) for the option list.
 
@@ -70,7 +64,7 @@ impl Args {
 }
 
 fn usage() -> &'static str {
-    "usage: alf <train|eval|deploy|summary|hwmap|serve|dist|lab> [options]\n\
+    "usage: alf <train|eval|deploy|summary|hwmap|serve|lab> [options]\n\
      \n\
      common data options: --data-seed N --classes N --image-size N\n\
      \u{20}                    --train-size N --test-size N\n\
@@ -86,10 +80,6 @@ fn usage() -> &'static str {
      alf serve  [--addr HOST:PORT] [--model M] [--ckpt FILE] [--width N]\n\
      \u{20}          [--name NAME] [--rate REQ_PER_S] [--burst N] [--threads N]\n\
      \u{20}          [--max-conns N] [data options]\n\
-     alf dist   [--ranks N] [--epochs N] [--model M] [--width N] [--seed N]\n\
-     \u{20}          [--addr HOST:PORT] [--out FILE] [--ckpt FILE] [--ckpt-every N]\n\
-     \u{20}          [--resume FILE] [--die-after RANK:STEPS] [--threads N]\n\
-     \u{20}          [data options]    socket collective, bitwise = 1 process\n\
      alf lab    <run|list|help> [lab options]   resumable results campaign"
 }
 
@@ -361,194 +351,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Option keys forwarded verbatim from `alf dist` to each spawned
-/// `dist-rank` child. Every rank rebuilds the model, dataset and
-/// hyper-parameters from these (identical defaults apply on both sides),
-/// so only coordinates and deadlines differ between ranks.
-const DIST_FORWARDED: &[&str] = &[
-    "data-seed",
-    "classes",
-    "image-size",
-    "train-size",
-    "test-size",
-    "model",
-    "width",
-    "threshold",
-    "seed",
-    "task-lr",
-    "batch",
-    "ae-lr",
-    "ae-steps",
-    "epochs",
-    "threads",
-    "read-timeout-s",
-    "connect-timeout-s",
-    "resume",
-];
-
-/// Builds the `DpConfig` every rank of a collective shares.
-fn dist_dp_config(args: &Args) -> Result<alf::dp::DpConfig, String> {
-    let hyper = AlfHyper {
-        task_lr: args.num("task-lr", 0.05f32)?,
-        batch_size: args.num("batch", 16usize)?,
-        ae_lr: args.num("ae-lr", 5e-2f32)?,
-        ae_steps_per_batch: args.num("ae-steps", 8usize)?,
-        ..AlfHyper::default()
-    };
-    let mut dp = alf::dp::DpConfig::new(hyper, args.num("data-seed", 7u64)?);
-    if args.get("threads").is_some() {
-        dp = dp.with_threads(args.num("threads", 1usize)?);
-    }
-    Ok(dp)
-}
-
-/// Runs one rank of a collective in this process (the body of both
-/// `dist-rank` and the in-process rank 0 of `alf dist`).
-fn run_dist_rank(
-    args: &Args,
-    world: usize,
-    rank: usize,
-    addr: std::net::SocketAddr,
-    die_after: Option<u64>,
-) -> Result<(), String> {
-    use alf::dist::{run_rank, DistConfig, RunOptions};
-    use std::time::Duration;
-
-    let data = build_data(args)?;
-    let model = build_model(
-        &args.get_or("model", "plain20-alf"),
-        data.num_classes(),
-        args.num("width", 8usize)?,
-        args.num("threshold", 2e-2f32)?,
-        args.num("seed", 1u64)?,
-    )?;
-    let dp = dist_dp_config(args)?;
-    let mut dist = DistConfig::new(world, rank, addr);
-    dist.read_timeout = Duration::from_secs(args.num("read-timeout-s", 60u64)?);
-    dist.connect_timeout = Duration::from_secs(args.num("connect-timeout-s", 30u64)?);
-    let resume = match args.get("resume") {
-        Some(path) => Some(std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?),
-        None => None,
-    };
-    let opts = RunOptions {
-        epochs: args.num("epochs", 4usize)?,
-        ckpt_every: args
-            .get("ckpt-every")
-            .map(|_| args.num("ckpt-every", 0u64))
-            .transpose()?,
-        ckpt_path: args.get("ckpt").map(std::path::PathBuf::from),
-        out: args.get("out").map(std::path::PathBuf::from),
-        die_after_steps: die_after,
-        resume,
-    };
-    let outcome = run_rank(&dist, model, dp, &data, &opts, None).map_err(|e| e.to_string())?;
-    if rank == 0 {
-        for s in &outcome.epochs {
-            println!(
-                "epoch {:>3}: loss {:.3}  train {:.1}%  test {:.1}%  filters {:.0}%",
-                s.epoch,
-                s.train_loss,
-                100.0 * s.train_accuracy,
-                100.0 * s.test_accuracy,
-                100.0 * s.remaining_filters
-            );
-        }
-        if let Some(out) = args.get("out") {
-            println!("rank 0 wrote final checkpoint to {out}");
-        }
-    }
-    Ok(())
-}
-
-/// `alf dist`: resolve one address, spawn ranks `1..N` as `dist-rank`
-/// child processes of this executable, run rank 0 in-process, join.
-fn cmd_dist(args: &Args) -> Result<(), String> {
-    use alf::dist::{check_exits, ephemeral_addr, Launcher};
-
-    let world = args.num("ranks", 2usize)?.max(1);
-    let addr = match args.get("addr") {
-        Some(spec) => spec.parse().map_err(|e| format!("--addr '{spec}': {e}"))?,
-        None => ephemeral_addr().map_err(|e| e.to_string())?,
-    };
-    // --die-after RANK:STEPS — fault injection for the kill/resume smoke.
-    let die_after: Option<(usize, u64)> = match args.get("die-after") {
-        None => None,
-        Some(spec) => {
-            let (r, k) = spec
-                .split_once(':')
-                .ok_or_else(|| format!("--die-after '{spec}': expected RANK:STEPS"))?;
-            Some((
-                r.parse()
-                    .map_err(|_| format!("--die-after: bad rank '{r}'"))?,
-                k.parse()
-                    .map_err(|_| format!("--die-after: bad steps '{k}'"))?,
-            ))
-        }
-    };
-    if world == 1 {
-        // Single rank: the LocalReducer reference path, no sockets.
-        return run_dist_rank(args, 1, 0, addr, die_after.map(|(_, k)| k));
-    }
-    let exe = std::env::current_exe().map_err(|e| format!("resolving alf binary: {e}"))?;
-    let mut launcher = Launcher::new();
-    for rank in 1..world {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("dist-rank")
-            .arg("--world")
-            .arg(world.to_string())
-            .arg("--rank")
-            .arg(rank.to_string())
-            .arg("--addr")
-            .arg(addr.to_string());
-        for key in DIST_FORWARDED {
-            if let Some(value) = args.get(key) {
-                cmd.arg(format!("--{key}")).arg(value);
-            }
-        }
-        if let Some((r, k)) = die_after {
-            if r == rank {
-                cmd.arg("--die-after-steps").arg(k.to_string());
-            }
-        }
-        launcher
-            .spawn_rank(rank, &mut cmd)
-            .map_err(|e| e.to_string())?;
-    }
-    println!("dist: {world} ranks on {addr} (rank 0 in-process)");
-    let master = run_dist_rank(
-        args,
-        world,
-        0,
-        addr,
-        die_after.and_then(|(r, k)| (r == 0).then_some(k)),
-    );
-    // Join the children regardless of the master's fate so failures
-    // report the whole collective (workers unblock via their deadlines).
-    let exits = launcher.join().map_err(|e| e.to_string())?;
-    master?;
-    check_exits(&exits).map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-/// Hidden per-rank entry point spawned by [`cmd_dist`].
-fn cmd_dist_rank(args: &Args) -> Result<(), String> {
-    let world = args.num("world", 0usize)?;
-    let rank = args.num("rank", usize::MAX)?;
-    if world < 2 || rank == usize::MAX || rank >= world {
-        return Err("dist-rank needs --world N (>=2) and --rank R (<N)".to_string());
-    }
-    let addr = args
-        .get("addr")
-        .ok_or("dist-rank needs --addr HOST:PORT")?
-        .parse()
-        .map_err(|e| format!("--addr: {e}"))?;
-    let die_after = args
-        .get("die-after-steps")
-        .map(|_| args.num("die-after-steps", 0u64))
-        .transpose()?;
-    run_dist_rank(args, world, rank, addr, die_after)
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
@@ -574,8 +376,6 @@ fn main() -> ExitCode {
         "summary" => cmd_summary(&args),
         "hwmap" => cmd_hwmap(&args),
         "serve" => cmd_serve(&args),
-        "dist" => cmd_dist(&args),
-        "dist-rank" => cmd_dist_rank(&args),
         "--help" | "help" => {
             println!("{}", usage());
             Ok(())

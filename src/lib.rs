@@ -14,8 +14,7 @@
 //! * [`net`] — network front end over `serve`: HTTP/1.1, multi-model
 //!   routing, per-tenant quotas, `/metrics` exposition.
 //! * [`dp`] — deterministic data-parallel training with checkpoint/resume.
-//! * [`dist`] — multi-process data-parallel training over TCP sockets,
-//!   bitwise-identical to single-process `dp` at any rank count.
+//! * [`dist`] — `dp`'s dense/sparse gradient codec under its old path.
 //! * [`obs`] — zero-dependency observability: metrics registry, JSONL
 //!   event tracing, shared JSON writer.
 //!
@@ -47,8 +46,10 @@ pub mod error;
 pub use alf_baselines as baselines;
 pub use alf_core as core;
 pub use alf_data as data;
-pub use alf_dist as dist;
 pub use alf_dp as dp;
+/// The gradient codec ([`alf_dp::codec`]) under the path the repo
+/// benchmark's `dist.*` probes import it from; they are its only caller.
+pub use alf_dp::codec as dist;
 pub use alf_hwmodel as hwmodel;
 pub use alf_lab as lab;
 pub use alf_net as net;
