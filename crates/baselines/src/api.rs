@@ -33,30 +33,6 @@ impl std::fmt::Display for Policy {
     }
 }
 
-/// Outcome of applying a compression method to a network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressionResult {
-    /// Method name (`magnitude`, `fpgm`, `amc`, `lcnn`, `alf`).
-    pub method: String,
-    /// Policy class.
-    pub policy: Policy,
-    /// Per-layer `(name, kept, total)` filter counts.
-    pub layer_keep: Vec<(String, usize, usize)>,
-    /// Compressed cost (chained accounting).
-    pub cost: NetworkCost,
-    /// Uncompressed baseline cost.
-    pub baseline_cost: NetworkCost,
-    /// Post-compression accuracy, when measured.
-    pub accuracy: Option<f32>,
-}
-
-impl CompressionResult {
-    /// `(params-reduction %, ops-reduction %)` versus the baseline.
-    pub fn reduction(&self) -> (f64, f64) {
-        self.cost.reduction_vs(&self.baseline_cost)
-    }
-}
-
 /// Chained Params/MACs accounting for structured filter pruning: layer
 /// `i`'s kept filters become layer `i+1`'s input channels (the coupling the
 /// paper calls out as the difficulty of removing filters).
@@ -155,21 +131,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn rejects_length_mismatch() {
         chained_cost(&shapes(), &[8]);
-    }
-
-    #[test]
-    fn reduction_helper() {
-        let s = shapes();
-        let r = CompressionResult {
-            method: "x".into(),
-            policy: Policy::Handcrafted,
-            layer_keep: vec![],
-            cost: chained_cost(&s, &[4, 4]),
-            baseline_cost: NetworkCost::of_layers(&s),
-            accuracy: None,
-        };
-        let (dp, dm) = r.reduction();
-        assert!(dp > 0.0 && dm > 0.0);
     }
 
     #[test]

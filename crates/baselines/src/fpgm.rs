@@ -75,7 +75,7 @@ pub fn geometric_median(points: &[Vec<f32>], iterations: usize, tol: f32) -> Vec
 /// Ranks the filters of a conv weight `[Co, Ci, K, K]` by ascending
 /// distance to the geometric median of the filter set — the head of the
 /// list (closest to the median, most redundant) is pruned first.
-pub fn fpgm_ranking(w: &Tensor) -> Vec<usize> {
+pub(crate) fn fpgm_ranking(w: &Tensor) -> Vec<usize> {
     let co = w.dims()[0];
     let fan = w.len() / co.max(1);
     let points: Vec<Vec<f32>> = (0..co)

@@ -18,7 +18,7 @@ use crate::Result;
 
 /// A layer compressed into dictionary + lookup form.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LcnnLayer {
+pub(crate) struct LcnnLayer {
     /// Dictionary filters `[d, Ci, K, K]` (flattened rows internally).
     pub dictionary: Vec<Vec<f32>>,
     /// For each original filter: the dictionary index it looks up.
@@ -36,7 +36,7 @@ impl LcnnLayer {
     ///
     /// Returns an error when `dict_size` is zero or exceeds the filter
     /// count, or the weight is not rank 4.
-    pub fn learn(w: &Tensor, dict_size: usize, rng: &mut Rng) -> Result<Self> {
+    pub(crate) fn learn(w: &Tensor, dict_size: usize, rng: &mut Rng) -> Result<Self> {
         if w.shape().rank() != 4 {
             return Err(ShapeError::new(
                 "lcnn",
@@ -134,7 +134,8 @@ impl LcnnLayer {
     /// # Errors
     ///
     /// Returns an error on shape mismatch.
-    pub fn reconstruction_error(&self, w: &Tensor) -> Result<f32> {
+    #[cfg(test)]
+    fn reconstruction_error(&self, w: &Tensor) -> Result<f32> {
         let rec = self.reconstruct(w.dims())?;
         Ok(alf_nn::loss::mse_loss(&rec, w)?.0)
     }

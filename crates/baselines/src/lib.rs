@@ -31,10 +31,9 @@ pub mod magnitude;
 pub mod sensitivity;
 
 pub use amc::{AmcAgent, AmcConfig};
-pub use api::{chained_cost, CompressionResult, Policy};
+pub use api::{chained_cost, Policy};
 pub use fpgm::geometric_median;
-pub use lcnn::LcnnLayer;
-pub use sensitivity::{layer_sensitivity, LayerSensitivity};
+pub use sensitivity::layer_sensitivity;
 
 /// Crate-wide result alias.
 pub type Result<T> = alf_tensor::Result<T>;

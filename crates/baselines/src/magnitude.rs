@@ -1,51 +1,14 @@
-//! Magnitude-based pruning (Han et al., NeurIPS 2015).
-//!
-//! Two variants:
-//!
-//! * **Irregular** ([`prune_weights`]): zero individual weights below a
-//!   magnitude threshold chosen to hit a target sparsity. Fast to apply
-//!   but produces the irregular sparsity the paper criticises for
-//!   embedded deployment.
-//! * **Structured** ([`filter_ranking`] + [`prune_filters`]): rank whole
-//!   filters by L1 norm and silence the weakest, keeping a fraction per
-//!   layer.
+//! Magnitude-based structured pruning (Han et al., NeurIPS 2015):
+//! `filter_ranking` + [`prune_filters`] rank whole filters by L1 norm
+//! and silence the weakest, keeping a fraction per layer.
 
 use alf_core::model::ConvKind;
 use alf_core::CnnModel;
 use alf_tensor::Tensor;
 
-/// Zeroes the smallest-magnitude fraction `sparsity ∈ [0, 1]` of the
-/// entries of `w`, returning the number of zeroed weights.
-///
-/// # Panics
-///
-/// Panics if `sparsity` is outside `[0, 1]`.
-pub fn prune_weights(w: &mut Tensor, sparsity: f32) -> usize {
-    assert!(
-        (0.0..=1.0).contains(&sparsity),
-        "sparsity {sparsity} ∉ [0,1]"
-    );
-    let n = w.len();
-    let k = ((n as f32) * sparsity).round() as usize;
-    if k == 0 {
-        return 0;
-    }
-    let mut magnitudes: Vec<f32> = w.data().iter().map(|x| x.abs()).collect();
-    magnitudes.sort_by(f32::total_cmp);
-    let threshold = magnitudes[(k - 1).min(n - 1)];
-    let mut zeroed = 0;
-    for v in w.data_mut() {
-        if v.abs() <= threshold && zeroed < k {
-            *v = 0.0;
-            zeroed += 1;
-        }
-    }
-    zeroed
-}
-
 /// Ranks the filters of a conv weight `[Co, Ci, K, K]` by ascending L1
 /// norm; the head of the list is pruned first.
-pub fn filter_ranking(w: &Tensor) -> Vec<usize> {
+pub(crate) fn filter_ranking(w: &Tensor) -> Vec<usize> {
     let co = w.dims()[0];
     let fan = w.len() / co.max(1);
     let mut norms: Vec<(usize, f32)> = (0..co)
@@ -96,31 +59,6 @@ mod tests {
     use super::*;
     use alf_core::models::plain20;
     use alf_nn::{Layer, RunCtx};
-    use alf_tensor::init::Init;
-    use alf_tensor::rng::Rng;
-
-    #[test]
-    fn prune_weights_hits_target_sparsity() {
-        let mut rng = Rng::new(0);
-        let mut w = Tensor::randn(&[1000], Init::He, &mut rng);
-        let zeroed = prune_weights(&mut w, 0.5);
-        assert_eq!(zeroed, 500);
-        assert_eq!(w.count_near_zero(0.0), 500);
-    }
-
-    #[test]
-    fn prune_weights_removes_smallest_first() {
-        let mut w = Tensor::from_vec(vec![0.1, -0.5, 0.01, 2.0], &[4]).unwrap();
-        prune_weights(&mut w, 0.5);
-        assert_eq!(w.data(), &[0.0, -0.5, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn prune_weights_zero_sparsity_is_noop() {
-        let mut w = Tensor::ones(&[4]);
-        assert_eq!(prune_weights(&mut w, 0.0), 0);
-        assert_eq!(w.sum(), 4.0);
-    }
 
     #[test]
     fn filter_ranking_orders_by_l1() {

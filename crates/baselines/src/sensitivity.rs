@@ -23,24 +23,6 @@ pub struct LayerSensitivity {
     pub points: Vec<(f32, f32)>,
 }
 
-impl LayerSensitivity {
-    /// The smallest probed keep-ratio whose accuracy stays within
-    /// `tolerance` of the dense accuracy (`points` with ratio 1.0 must be
-    /// present) — the layer's prunability under this tolerance.
-    pub fn max_safe_pruning(&self, tolerance: f32) -> Option<f32> {
-        let dense = self
-            .points
-            .iter()
-            .find(|(r, _)| *r >= 1.0)
-            .map(|(_, a)| *a)?;
-        self.points
-            .iter()
-            .filter(|(_, a)| *a >= dense - tolerance)
-            .map(|(r, _)| *r)
-            .fold(None, |m: Option<f32>, r| Some(m.map_or(r, |mv| mv.min(r))))
-    }
-}
-
 /// Probes each conv layer of `model` in isolation: prunes it (magnitude
 /// ranking, channel silencing) to every ratio in `keep_ratios` while all
 /// other layers stay dense, and measures test accuracy.
@@ -131,22 +113,6 @@ mod tests {
         let a = layer_sensitivity(&model, &data, &[0.5, 1.0], 12).unwrap();
         let b = layer_sensitivity(&model, &data, &[0.5, 1.0], 12).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn max_safe_pruning_finds_smallest_tolerated_ratio() {
-        let s = LayerSensitivity {
-            name: "l".into(),
-            points: vec![(0.25, 0.4), (0.5, 0.68), (0.75, 0.7), (1.0, 0.7)],
-        };
-        assert_eq!(s.max_safe_pruning(0.05), Some(0.5));
-        assert_eq!(s.max_safe_pruning(0.5), Some(0.25));
-        assert_eq!(s.max_safe_pruning(0.0), Some(0.75));
-        let empty = LayerSensitivity {
-            name: "e".into(),
-            points: vec![(0.5, 0.5)],
-        };
-        assert_eq!(empty.max_safe_pruning(0.1), None); // no dense point
     }
 
     #[test]

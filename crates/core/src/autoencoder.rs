@@ -18,14 +18,14 @@
 //! zero code filters are stripped (see [`crate::deploy`]), or mid-training
 //! through [`WeightAutoencoder::compact`], which physically drops code
 //! channels whose mask entries are clipped so `Ccode < Co` for the rest of
-//! the run. [`WeightAutoencoder::kept_channels`] records which of the
+//! the run. `WeightAutoencoder::kept_channels` records which of the
 //! original `Co` code channels each current row corresponds to.
 //!
 //! # Sparsity-aware step
 //!
 //! Once the mask prunes channels, the corresponding rows of `Wcode` are
 //! exactly zero whenever `σae(0) == 0` (tanh / ReLU / identity — not
-//! sigmoid). [`WeightAutoencoder::step_in`] then skips those rows in the
+//! sigmoid). `WeightAutoencoder::step_in` then skips those rows in the
 //! two reconstruction GEMMs: the decode `Wdecᵀ·Wcode` elides the dead `k`
 //! slices and the decoder gradient `Wcode·gYᵀ` elides the dead rows. Both
 //! elisions are bitwise-invisible (see `alf_tensor::ops::gemm`), so the
@@ -138,7 +138,7 @@ impl WeightAutoencoder {
 
     /// Disables the pruning mask (the paper's Setup 2, Fig. 2b): the code
     /// is `σae(Wencᵀ·W)` with no gating, so no filters are ever pruned.
-    pub fn without_mask(mut self) -> Self {
+    pub(crate) fn without_mask(mut self) -> Self {
         self.mask_enabled = false;
         self
     }
@@ -154,7 +154,7 @@ impl WeightAutoencoder {
     }
 
     /// Whether the pruning mask is active.
-    pub fn mask_enabled(&self) -> bool {
+    pub(crate) fn mask_enabled(&self) -> bool {
         self.mask_enabled
     }
 
@@ -171,14 +171,14 @@ impl WeightAutoencoder {
 
     /// For each current code row, the index of the original code channel it
     /// corresponds to (identity before any compaction).
-    pub fn kept_channels(&self) -> &[usize] {
+    pub(crate) fn kept_channels(&self) -> &[usize] {
         &self.kept
     }
 
     /// Enables or disables the zero-row elision in [`Self::step_in`].
     /// Purely a performance switch — results are bitwise identical either
     /// way.
-    pub fn set_sparse_exec(&mut self, on: bool) {
+    pub(crate) fn set_sparse_exec(&mut self, on: bool) {
         self.sparse_exec = on;
     }
 
@@ -187,7 +187,7 @@ impl WeightAutoencoder {
     /// a pruned channel's code row is `σae(z·0)` elementwise — exactly zero
     /// for tanh/ReLU/identity but `0.5` for sigmoid, where eliding it would
     /// change results.
-    pub fn sparse_eligible(&self) -> bool {
+    pub(crate) fn sparse_eligible(&self) -> bool {
         self.sparse_exec && self.mask_enabled && self.sigma.apply(0.0) == 0.0
     }
 
@@ -224,7 +224,7 @@ impl WeightAutoencoder {
 
     /// Clipped mask `Mprune = 1{|m| > t}·m` (all-ones when the mask is
     /// disabled). Length `Ccode`.
-    pub fn pruned_mask(&self) -> Tensor {
+    pub(crate) fn pruned_mask(&self) -> Tensor {
         if self.mask_enabled {
             ste::clip_tensor(&self.mask, self.threshold)
         } else {
@@ -254,7 +254,7 @@ impl WeightAutoencoder {
 
     /// Indices of code filters that survive the clip (the channels kept at
     /// deployment), relative to the *current* `Ccode` rows.
-    pub fn active_channels(&self) -> Vec<usize> {
+    pub(crate) fn active_channels(&self) -> Vec<usize> {
         let pm = self.pruned_mask();
         pm.data()
             .iter()
@@ -356,7 +356,7 @@ impl WeightAutoencoder {
     /// # Errors
     ///
     /// Returns an error when shapes mismatch the configured geometry.
-    pub fn backproject_task_grad(&self, w: &Tensor, g_code: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backproject_task_grad(&self, w: &Tensor, g_code: &Tensor) -> Result<Tensor> {
         self.check_weight(w)?;
         self.check_code(g_code)?;
         let cc = self.c_code;
@@ -404,7 +404,7 @@ impl WeightAutoencoder {
     ///
     /// Returns an error when `w` does not match the configured geometry.
     #[allow(clippy::needless_range_loop)] // `j` addresses several row-parallel buffers
-    pub fn step_in(
+    pub(crate) fn step_in(
         &mut self,
         w: &Tensor,
         lr: f32,
@@ -541,7 +541,7 @@ impl WeightAutoencoder {
     /// Physically removes code channels, keeping exactly the rows of
     /// `keep`: gathers the encoder's columns, the decoder's rows and the
     /// mask entries, shrinking `Ccode` to `keep.len()` and composing
-    /// [`Self::kept_channels`]. Surviving channels' parameters are moved,
+    /// `Self::kept_channels`. Surviving channels' parameters are moved,
     /// not recomputed, so the code rows they produce — and the
     /// reconstruction, whose dropped `k` terms were exact-zero products —
     /// stay bitwise identical to before the compaction.

@@ -183,7 +183,7 @@ impl AlfBlock {
     }
 
     /// The raw trainable filters `W`.
-    pub fn raw_weight(&self) -> &Tensor {
+    pub(crate) fn raw_weight(&self) -> &Tensor {
         &self.w.value
     }
 
@@ -254,7 +254,7 @@ impl AlfBlock {
     }
 
     /// Geometry of the code convolution.
-    pub fn conv_spec(&self) -> alf_tensor::ops::Conv2dSpec {
+    pub(crate) fn conv_spec(&self) -> alf_tensor::ops::Conv2dSpec {
         self.code_conv.spec()
     }
 
@@ -264,7 +264,7 @@ impl AlfBlock {
     }
 
     /// Expansion weights `Wexp` (`[Co, Ccode, 1, 1]`).
-    pub fn expansion_weight(&self) -> &Tensor {
+    pub(crate) fn expansion_weight(&self) -> &Tensor {
         self.expansion.weight()
     }
 
@@ -317,7 +317,7 @@ impl AlfBlock {
     ///
     /// Propagates gather shape errors (cannot happen for a block
     /// constructed through [`AlfBlock::new`]).
-    pub fn compact_if_below(&mut self, occupancy: f32) -> Result<bool> {
+    pub(crate) fn compact_if_below(&mut self, occupancy: f32) -> Result<bool> {
         if !self.ae.mask_enabled() {
             return Ok(false);
         }

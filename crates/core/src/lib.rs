@@ -10,7 +10,7 @@
 //!   `BNinter` + 1×1 expansion layer (paper Eq. 1/2), with the
 //!   straight-through estimator routing the task gradient onto `W`
 //!   (paper Eq. 5).
-//! * [`schedule`] — the pruning-pressure schedule
+//! * [`PruneSchedule`] — the pruning-pressure schedule
 //!   `νprune = max(0, 1 − exp(m·(θ − prmax)))`.
 //! * [`model`] — CNN models whose convolutions are either standard layers
 //!   or ALF blocks (Plain-20, ResNet-20, ResNet-18 in [`models`]).
@@ -18,8 +18,9 @@
 //!   autoencoder optimizers.
 //! * [`deploy`] — post-training stripping of zero filters and the matching
 //!   expansion-layer channels, producing a dense compressed model.
-//! * [`metrics`] — Params/OPs accounting (the quantities in Tables II/III)
-//!   plus the exact layer geometries of the comparison architectures.
+//! * [`ConvShape`] / [`NetworkCost`] — Params/OPs accounting (the
+//!   quantities in Tables II/III); the exact layer geometries of the
+//!   comparison architectures live in [`models::geometry`].
 //! * [`explore`] — the configuration-space exploration harness behind
 //!   Fig. 2a/2b.
 
@@ -31,21 +32,21 @@ pub mod block;
 pub mod checkpoint;
 pub mod deploy;
 pub mod explore;
-pub mod metrics;
+mod metrics;
 pub mod model;
 pub mod models;
 pub mod qmodel;
 pub mod quant;
-pub mod schedule;
+mod schedule;
 pub mod summary;
 pub mod train;
 
-pub use autoencoder::{AeStats, WeightAutoencoder};
+pub use autoencoder::WeightAutoencoder;
 pub use block::{AlfBlock, AlfBlockConfig};
 pub use metrics::{ConvShape, NetworkCost};
 pub use model::{CnnModel, ConvKind};
 pub use qmodel::QuantizedModel;
-pub use quant::{QuantError, QuantReport};
+pub use quant::QuantError;
 pub use schedule::PruneSchedule;
 pub use train::{AlfHyper, AlfTrainer, EpochStats, Evaluator, StateSnapshot, TrainReport};
 

@@ -104,12 +104,12 @@ impl ConvShape {
 
     /// Params of the ALF-block replacement with `c_code` retained filters:
     /// code conv `Ci·K²·Ccode` plus expansion `Ccode·Co`.
-    pub fn alf_params(&self, c_code: usize) -> u64 {
+    pub(crate) fn alf_params(&self, c_code: usize) -> u64 {
         (self.c_in * self.kernel * self.kernel * c_code + c_code * self.c_out) as u64
     }
 
     /// MACs of the ALF-block replacement with `c_code` retained filters.
-    pub fn alf_macs(&self, c_code: usize) -> u64 {
+    pub(crate) fn alf_macs(&self, c_code: usize) -> u64 {
         let hw = (self.h_out * self.w_out) as u64;
         (self.c_in * self.kernel * self.kernel * c_code) as u64 * hw
             + (c_code * self.c_out) as u64 * hw

@@ -178,7 +178,7 @@ impl ConvUnit {
     /// Removes and returns the batch-norm layer. The unit then runs
     /// conv(→act) only; the caller (BN folding in `deploy`) is
     /// responsible for having absorbed γ/β/μ/σ² into the conv first.
-    pub fn take_bn(&mut self) -> Option<BatchNorm2d> {
+    pub(crate) fn take_bn(&mut self) -> Option<BatchNorm2d> {
         self.bn.take()
     }
 
@@ -586,19 +586,13 @@ impl CnnModel {
         &mut self.units
     }
 
-    /// All convolutions in [`CnnModel::conv_units`] order.
-    pub fn conv_kinds(&self) -> Vec<&ConvKind> {
-        self.conv_units().into_iter().map(ConvUnit::conv).collect()
-    }
-
     /// Renames the model (deployment marks compressed models).
-    pub fn set_name(&mut self, name: impl Into<String>) {
+    pub(crate) fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
     }
 
     /// All conv units in execution order (residual blocks contribute
     /// `a`, `b`). Every per-convolution listing of the model —
-    /// [`conv_kinds`](CnnModel::conv_kinds),
     /// [`alf_blocks`](CnnModel::alf_blocks),
     /// [`filter_stats`](CnnModel::filter_stats),
     /// [`conv_shapes`](CnnModel::conv_shapes) — is this walk, filtered or
@@ -698,7 +692,7 @@ impl CnnModel {
         }
     }
 
-    /// Runs [`AlfBlock::compact_if_below`] on every ALF block, physically
+    /// Runs `AlfBlock::compact_if_below` on every ALF block, physically
     /// shrinking blocks whose live occupancy fell strictly below
     /// `occupancy`. Returns how many blocks compacted.
     ///

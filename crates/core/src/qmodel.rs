@@ -65,7 +65,7 @@ enum QStage {
 
 /// Public per-conv summary (scales and geometry) for provenance reports.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QConvInfo {
+pub(crate) struct QConvInfo {
     /// Stage name (unit name, with `/code` / `/expand` for ALF pairs).
     pub name: String,
     /// Owning `ConvUnit` name.
@@ -82,7 +82,7 @@ pub struct QConvInfo {
 
 /// A deployed model lowered to fused int8 execution.
 ///
-/// Construct via [`QuantizedModel::from_folded`] (normally through
+/// Construct via `QuantizedModel::from_folded` (normally through
 /// `deploy::Pipeline::quantize`). `forward` takes ordinary f32 `NCHW`
 /// input, quantizes it once at the calibrated input scale, runs the conv
 /// stack entirely in int8, and returns f32 logits from the f32 tail.
@@ -197,7 +197,7 @@ impl QuantizedModel {
     /// or calibration activation holds a NaN or infinity.
     ///
     /// Returns the model together with the weight-quantization report.
-    pub fn from_folded(
+    pub(crate) fn from_folded(
         model: &CnnModel,
         calib: &Tensor,
     ) -> Result<(Self, QuantReport), QuantError> {
@@ -329,7 +329,7 @@ impl QuantizedModel {
     }
 
     /// Per-conv scales and geometry, in execution order.
-    pub fn conv_info(&self) -> Vec<QConvInfo> {
+    pub(crate) fn conv_info(&self) -> Vec<QConvInfo> {
         self.stages
             .iter()
             .filter_map(|s| match s {

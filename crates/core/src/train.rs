@@ -253,8 +253,7 @@ impl AlfTrainer {
     }
 
     /// Pins the trainer's internal per-epoch evaluator to `threads`
-    /// workers (clamped to at least 1), overriding `ALF_EVAL_THREADS` and
-    /// the host default. Campaign schedulers use this to keep a job's
+    /// workers (clamped to at least 1), overriding the host default. Campaign schedulers use this to keep a job's
     /// total worker fan-out inside its thread lease when several trainings
     /// run concurrently; a thread count never changes results (all
     /// threaded paths are bitwise deterministic).
@@ -265,7 +264,7 @@ impl AlfTrainer {
     /// Enables (or disables, with `None`) mid-training physical compaction:
     /// after each autoencoder step, any ALF block whose live occupancy
     /// fell strictly below `occupancy` is shrunk in place
-    /// ([`AlfBlock::compact_if_below`](crate::AlfBlock::compact_if_below)),
+    /// (`AlfBlock::compact_if_below`),
     /// so downstream GEMMs lose the dead dimensions for real. Momentum is
     /// realigned automatically: slots whose parameter shapes changed
     /// restart, all others keep their velocity. Off by default — it is a
@@ -670,8 +669,8 @@ impl StateSnapshot {
 /// the per-thread arenas also stay warm across evaluations.
 ///
 /// The worker count follows [`resolve_threads`]: an explicit
-/// [`Evaluator::with_threads`] value, else `ALF_EVAL_THREADS`, else the
-/// host's available parallelism. Accuracy never depends on the choice.
+/// [`Evaluator::with_threads`] value, else the host's available
+/// parallelism. Accuracy never depends on the choice.
 #[derive(Debug, Default)]
 pub struct Evaluator {
     slots: Vec<(CnnModel, RunCtx)>,
@@ -687,7 +686,7 @@ impl Evaluator {
     }
 
     /// Creates an evaluator pinned to `threads` workers (clamped to at
-    /// least 1), overriding both `ALF_EVAL_THREADS` and the host default.
+    /// least 1), overriding the host default.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: Some(threads.max(1)),
@@ -721,7 +720,7 @@ impl Evaluator {
         if n == 0 {
             return Ok(0.0);
         }
-        let threads = resolve_threads(self.threads, "ALF_EVAL_THREADS")
+        let threads = resolve_threads(self.threads)
             .min(n.div_ceil(batch_size.max(1)))
             .max(1);
         self.snapshot
@@ -786,7 +785,7 @@ pub fn evaluate(model: &CnnModel, data: &Dataset, split: Split, batch_size: usiz
 /// given triple — two calls produce bitwise-identical weights — which is
 /// what makes the artifact cacheable in the first place. `threads` caps
 /// the trainer's evaluator fan-out ([`AlfTrainer::set_eval_threads`]);
-/// `None` keeps the `ALF_EVAL_THREADS`/host default.
+/// `None` keeps the host default.
 ///
 /// # Errors
 ///

@@ -19,7 +19,8 @@ use crate::Result;
 /// use alf_tensor::{rng::Rng, Tensor};
 ///
 /// # fn main() -> alf_data::Result<()> {
-/// let policy = Augment::cifar_standard();
+/// // The standard CIFAR policy: flip with probability 0.5, shift ±2 px.
+/// let policy = Augment { hflip_prob: 0.5, max_shift: 2, noise: 0.0 };
 /// let mut batch = Tensor::ones(&[2, 3, 16, 16]);
 /// policy.apply(&mut batch, &mut Rng::new(0))?;
 /// assert_eq!(batch.dims(), &[2, 3, 16, 16]);
@@ -37,15 +38,6 @@ pub struct Augment {
 }
 
 impl Augment {
-    /// The standard CIFAR policy: flip with probability 0.5, shift ±2 px.
-    pub fn cifar_standard() -> Self {
-        Self {
-            hflip_prob: 0.5,
-            max_shift: 2,
-            noise: 0.0,
-        }
-    }
-
     /// No-op policy.
     pub fn none() -> Self {
         Self {
@@ -124,6 +116,12 @@ impl Augment {
 mod tests {
     use super::*;
 
+    const CIFAR: Augment = Augment {
+        hflip_prob: 0.5,
+        max_shift: 2,
+        noise: 0.0,
+    };
+
     fn batch() -> Tensor {
         Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32)
     }
@@ -194,7 +192,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        let policy = Augment::cifar_standard();
+        let policy = CIFAR;
         let mut wrong_rank = Tensor::zeros(&[4, 4]);
         assert!(policy.apply(&mut wrong_rank, &mut Rng::new(0)).is_err());
         let mut too_small = Tensor::zeros(&[1, 1, 4, 4]);
@@ -203,7 +201,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let policy = Augment::cifar_standard();
+        let policy = CIFAR;
         let run = |seed| {
             let mut b = Tensor::from_fn(&[2, 3, 8, 8], |i| (i % 17) as f32);
             policy.apply(&mut b, &mut Rng::new(seed)).unwrap();

@@ -54,11 +54,6 @@ impl<'a> Batches<'a> {
             cursor: 0,
         }
     }
-
-    /// Number of batches this iterator will yield in total.
-    pub fn batch_count(&self) -> usize {
-        self.order.len().div_ceil(self.batch_size)
-    }
 }
 
 impl Iterator for Batches<'_> {
@@ -124,19 +119,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_count_and_size_hint() {
+    fn len_is_the_batch_count() {
         let d = data();
         let it = d.batches(Split::Train, 4, None);
-        assert_eq!(it.batch_count(), 4); // ceil(13/4)
-        assert_eq!(it.len(), 4);
+        assert_eq!(it.len(), 4); // ceil(13/4)
         let it = d.batches(Split::Test, 10, None);
-        assert_eq!(it.batch_count(), 1);
+        assert_eq!(it.len(), 1);
     }
 
     #[test]
     fn zero_batch_size_is_clamped_to_one() {
         let d = data();
-        assert_eq!(d.batches(Split::Test, 0, None).batch_count(), 5);
+        assert_eq!(d.batches(Split::Test, 0, None).len(), 5);
     }
 
     mod properties {
@@ -147,7 +141,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// `size_hint` stays exact at every step of consumption and
-            /// agrees with `batch_count`, including a short final batch and
+            /// agrees with `len`, including a short final batch and
             /// `batch_size > len` (single short batch).
             #[test]
             fn size_hint_and_batch_count_agree(
@@ -164,7 +158,6 @@ mod tests {
                     .unwrap();
                 let mut it = d.batches(Split::Train, batch_size, None);
                 let expected_total = len.div_ceil(batch_size);
-                prop_assert_eq!(it.batch_count(), expected_total);
                 prop_assert_eq!(it.len(), expected_total);
 
                 let mut yielded = 0usize;

@@ -16,7 +16,7 @@ pub enum Split {
 
 /// A labelled image dataset held fully in memory (`NCHW`, `f32`).
 ///
-/// Construction goes through [`Dataset::from_parts`], which validates that
+/// Construction goes through `Dataset::from_parts`, which validates that
 /// image count, label count and geometry are mutually consistent; the
 /// invariants therefore hold for the dataset's whole lifetime.
 ///
@@ -55,7 +55,7 @@ impl Dataset {
     /// Returns an error when buffer lengths disagree with the geometry or
     /// any label is out of range.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         train_images: Vec<f32>,
         train_labels: Vec<usize>,
         test_images: Vec<f32>,

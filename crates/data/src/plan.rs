@@ -26,7 +26,7 @@ use alf_tensor::rng::Rng;
 /// so structured seeds (0, 1, 2, …) and consecutive epochs still yield
 /// uncorrelated permutations; the rotate keeps `seed == epoch` from
 /// cancelling to a zero state.
-pub fn epoch_rng(seed: u64, epoch: u64) -> Rng {
+pub(crate) fn epoch_rng(seed: u64, epoch: u64) -> Rng {
     let s = Rng::new(seed).next_u64();
     let e = Rng::new(epoch).next_u64();
     Rng::new(s ^ e.rotate_left(1))

@@ -65,16 +65,6 @@ impl GradLayout {
         });
         Self { tensors, total_len }
     }
-
-    /// Total flat gradient length.
-    pub fn total_len(&self) -> usize {
-        self.total_len
-    }
-
-    /// Number of tensor segments.
-    pub fn num_tensors(&self) -> usize {
-        self.tensors.len()
-    }
 }
 
 /// What one [`encode_grad`] call did, for the `dist.*` counters.
@@ -407,9 +397,9 @@ mod tests {
         .unwrap();
         let layout = GradLayout::of_model(&model);
         let descs = model.param_active_rows();
-        assert_eq!(layout.num_tensors(), descs.len());
+        assert_eq!(layout.tensors.len(), descs.len());
         let mut expected = 0usize;
         model.visit_params_ref(&mut |p| expected += p.value.len());
-        assert_eq!(layout.total_len(), expected);
+        assert_eq!(layout.total_len, expected);
     }
 }

@@ -45,7 +45,7 @@
 
 pub mod allreduce;
 pub mod codec;
-pub mod trainer;
+mod trainer;
 
 pub use trainer::{DpConfig, DpTrainer};
 

@@ -23,8 +23,8 @@ use crate::Result;
 pub struct DpConfig {
     /// The two-player hyper-parameters (shared with `AlfTrainer`).
     pub hyper: AlfHyper,
-    /// Worker count. `None` defers to `ALF_DP_THREADS`, then to the
-    /// host's available parallelism ([`resolve_threads`]); the choice
+    /// Worker count. `None` defers to the host's available parallelism
+    /// ([`resolve_threads`]); the choice
     /// never changes training results, only wall-clock.
     pub threads: Option<usize>,
     /// Seed of the deterministic data-order stream: epoch shuffles and
@@ -51,8 +51,8 @@ impl DpConfig {
         }
     }
 
-    /// Pins the worker count (clamped to at least 1), overriding both
-    /// `ALF_DP_THREADS` and the host default.
+    /// Pins the worker count (clamped to at least 1), overriding the
+    /// host default.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -336,7 +336,7 @@ impl DpTrainer {
     /// The worker count the next step will use, before clamping to the
     /// batch size.
     pub fn resolved_threads(&self) -> usize {
-        resolve_threads(self.threads, "ALF_DP_THREADS")
+        resolve_threads(self.threads)
     }
 
     /// Runs `epochs` additional epochs, returning the statistics for the

@@ -36,7 +36,7 @@ impl Dataflow {
 
     /// Register-file accesses per MAC charged at the innermost level
     /// (operand reads plus the partial-sum update that stays local).
-    pub fn rf_accesses_per_mac(self) -> f64 {
+    pub(crate) fn rf_accesses_per_mac(self) -> f64 {
         match self {
             // weight read + input read + psum read/write folded into one
             // local update.

@@ -37,9 +37,8 @@ pub mod mapping;
 pub mod report;
 pub mod workload;
 
-pub use arch::{Accelerator, EnergyTable};
+pub use arch::Accelerator;
 pub use dataflow::Dataflow;
 pub use mapper::{Mapper, MapperError};
-pub use mapping::Mapping;
-pub use report::{LayerReport, NetworkReport};
+pub use report::NetworkReport;
 pub use workload::{alf_network, alf_pair, ConvWorkload};

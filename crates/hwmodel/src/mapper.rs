@@ -79,12 +79,6 @@ impl Mapper {
         }
     }
 
-    /// Overrides the iteration budget.
-    pub fn with_iteration_budget(mut self, budget: usize) -> Self {
-        self.iteration_budget = budget.max(1);
-        self
-    }
-
     /// The accelerator being mapped to.
     pub fn accelerator(&self) -> &Accelerator {
         &self.accelerator
@@ -268,13 +262,6 @@ mod tests {
         let m = mapper();
         let r = m.search(&layer(14, 16, 1, 1, 32)).unwrap();
         assert!(r.cost.utilization > 0.0);
-    }
-
-    #[test]
-    fn budget_limits_iterations() {
-        let m = mapper().with_iteration_budget(500);
-        let r = m.search(&layer(16, 16, 3, 1, 32)).unwrap();
-        assert!(r.iterations <= 500);
     }
 
     #[test]

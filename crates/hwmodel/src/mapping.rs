@@ -57,7 +57,12 @@ impl MappingCost {
 
 impl Mapping {
     /// Number of PEs this mapping occupies under `dataflow`.
-    pub fn active_pes(&self, acc: &Accelerator, dataflow: Dataflow, w: &ConvWorkload) -> usize {
+    pub(crate) fn active_pes(
+        &self,
+        acc: &Accelerator,
+        dataflow: Dataflow,
+        w: &ConvWorkload,
+    ) -> usize {
         match dataflow {
             Dataflow::RowStationary => {
                 let rows = w.kernel * self.m_spatial;
@@ -76,7 +81,7 @@ impl Mapping {
     }
 
     /// Checks spatial and capacity legality of the mapping.
-    pub fn is_legal(&self, acc: &Accelerator, dataflow: Dataflow, w: &ConvWorkload) -> bool {
+    pub(crate) fn is_legal(&self, acc: &Accelerator, dataflow: Dataflow, w: &ConvWorkload) -> bool {
         if self.e_rows == 0
             || self.m_tile == 0
             || self.c_tile == 0

@@ -24,13 +24,13 @@ use alf_data::Dataset;
 use crate::{CifarConfig, ImagenetConfig, Scale};
 
 /// Seed of the canonical synth-CIFAR dataset every CIFAR-track job shares.
-pub const CIFAR_DATA_SEED: u64 = 42;
+pub(crate) const CIFAR_DATA_SEED: u64 = 42;
 /// Seed of the canonical synth-ImageNet dataset.
-pub const IMAGENET_DATA_SEED: u64 = 77;
+pub(crate) const IMAGENET_DATA_SEED: u64 = 77;
 
 /// The shared trained references of the results grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BaselineKind {
+pub(crate) enum BaselineKind {
     /// Vanilla Plain-20 on synth-CIFAR.
     Plain20,
     /// Vanilla ResNet-20 on synth-CIFAR.
@@ -47,7 +47,7 @@ pub enum BaselineKind {
 
 impl BaselineKind {
     /// Every baseline, in canonical (job-declaration) order.
-    pub const ALL: [BaselineKind; 6] = [
+    pub(crate) const ALL: [BaselineKind; 6] = [
         BaselineKind::Plain20,
         BaselineKind::Resnet20,
         BaselineKind::AlfPlain20,
@@ -57,7 +57,7 @@ impl BaselineKind {
     ];
 
     /// Stable id, doubling as the DAG job id.
-    pub fn id(self) -> &'static str {
+    pub(crate) fn id(self) -> &'static str {
         match self {
             BaselineKind::Plain20 => "baseline:plain20",
             BaselineKind::Resnet20 => "baseline:resnet20",
@@ -69,7 +69,7 @@ impl BaselineKind {
     }
 
     /// Human label for report rows.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             BaselineKind::Plain20 => "Plain-20",
             BaselineKind::Resnet20 => "ResNet-20",
@@ -94,7 +94,7 @@ impl BaselineKind {
     }
 
     /// Whether the baseline trains on the ImageNet track.
-    pub fn is_imagenet(self) -> bool {
+    pub(crate) fn is_imagenet(self) -> bool {
         matches!(
             self,
             BaselineKind::ImagenetResnet18 | BaselineKind::ImagenetAlfResnet18
@@ -104,7 +104,7 @@ impl BaselineKind {
 
 /// One trained shared reference.
 #[derive(Debug)]
-pub struct Baseline {
+pub(crate) struct Baseline {
     /// Which reference this is.
     pub kind: BaselineKind,
     /// The trained model.
@@ -116,7 +116,7 @@ pub struct Baseline {
 }
 
 /// Scale-pinned cache of datasets and trained baselines.
-pub struct ArtifactStore {
+pub(crate) struct ArtifactStore {
     scale: Scale,
     /// Evaluator fan-out cap passed to every baseline training (the
     /// baseline jobs' thread lease); `None` keeps the host default.
@@ -143,16 +143,10 @@ impl std::fmt::Debug for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// Empty store for a scale, training with the host-default thread
-    /// budget.
-    pub fn new(scale: Scale) -> Self {
-        Self::with_threads(scale, None)
-    }
-
     /// Empty store whose baseline trainings are capped at `threads`
     /// evaluator workers (the lease a campaign scheduler grants its
     /// `baseline:*` jobs).
-    pub fn with_threads(scale: Scale, threads: Option<usize>) -> Self {
+    pub(crate) fn with_threads(scale: Scale, threads: Option<usize>) -> Self {
         Self {
             scale,
             threads,
@@ -164,7 +158,7 @@ impl ArtifactStore {
     }
 
     /// The store's scale.
-    pub fn scale(&self) -> Scale {
+    pub(crate) fn scale(&self) -> Scale {
         self.scale
     }
 
@@ -173,7 +167,7 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Propagates dataset construction errors.
-    pub fn cifar(&self) -> Result<Arc<Dataset>> {
+    pub(crate) fn cifar(&self) -> Result<Arc<Dataset>> {
         let mut slot = self.cifar.lock().expect("artifact store poisoned");
         if let Some(d) = slot.as_ref() {
             return Ok(Arc::clone(d));
@@ -188,7 +182,7 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Propagates dataset construction errors.
-    pub fn imagenet(&self) -> Result<Arc<Dataset>> {
+    pub(crate) fn imagenet(&self) -> Result<Arc<Dataset>> {
         let mut slot = self.imagenet.lock().expect("artifact store poisoned");
         if let Some(d) = slot.as_ref() {
             return Ok(Arc::clone(d));
@@ -208,7 +202,7 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Propagates model construction and training errors.
-    pub fn baseline(&self, kind: BaselineKind) -> Result<Arc<Baseline>> {
+    pub(crate) fn baseline(&self, kind: BaselineKind) -> Result<Arc<Baseline>> {
         let idx = BaselineKind::ALL
             .iter()
             .position(|k| *k == kind)
@@ -229,7 +223,7 @@ impl ArtifactStore {
     }
 
     /// Completed trainings per baseline id (empty entries absent).
-    pub fn train_counts(&self) -> BTreeMap<String, u64> {
+    pub(crate) fn train_counts(&self) -> BTreeMap<String, u64> {
         self.trainings
             .lock()
             .expect("artifact store poisoned")
@@ -296,7 +290,7 @@ mod tests {
 
     #[test]
     fn store_caches_datasets() {
-        let store = ArtifactStore::new(Scale::Smoke);
+        let store = ArtifactStore::with_threads(Scale::Smoke, None);
         let a = store.cifar().unwrap();
         let b = store.cifar().unwrap();
         assert!(Arc::ptr_eq(&a, &b));

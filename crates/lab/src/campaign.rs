@@ -30,7 +30,7 @@ use std::fs::OpenOptions;
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
-use alf_bench::report::ParetoPoint;
+use crate::report::ParetoPoint;
 use alf_obs::frame;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -278,7 +278,7 @@ fn decode_record(mut payload: Bytes) -> Result<JobRecord, String> {
 }
 
 /// A cached job's persisted measurements: `(secs, metrics, pareto)`.
-pub type CompletedPayload = (f64, BTreeMap<String, f64>, Vec<ParetoPoint>);
+pub(crate) type CompletedPayload = (f64, BTreeMap<String, f64>, Vec<ParetoPoint>);
 
 /// The loaded state of a campaign manifest plus its append handle.
 #[derive(Debug)]
@@ -391,7 +391,7 @@ impl ManifestFile {
 
     /// Ids with a `Completed` record (last record per id wins) — the
     /// cache set a resumed campaign skips.
-    pub fn completed_ids(&self) -> BTreeSet<String> {
+    pub(crate) fn completed_ids(&self) -> BTreeSet<String> {
         let mut last: BTreeMap<&str, bool> = BTreeMap::new();
         for r in &self.records {
             last.insert(&r.id, matches!(r.status, RecordStatus::Completed { .. }));
@@ -404,7 +404,7 @@ impl ManifestFile {
 
     /// The latest `Completed` payload per id — metrics and Pareto points
     /// a resumed campaign feeds into its consolidated report.
-    pub fn completed_payloads(&self) -> BTreeMap<String, CompletedPayload> {
+    pub(crate) fn completed_payloads(&self) -> BTreeMap<String, CompletedPayload> {
         let mut out = BTreeMap::new();
         for r in &self.records {
             match &r.status {

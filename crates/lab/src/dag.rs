@@ -121,7 +121,7 @@ impl Dag {
     }
 
     /// Declaration index of `id`, if declared.
-    pub fn index_of(&self, id: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, id: &str) -> Option<usize> {
         self.index.get(id).copied()
     }
 
@@ -135,7 +135,7 @@ impl Dag {
     /// Stable fingerprint of the declared grid — job ids joined by `,`.
     /// The campaign manifest stores it so a resume against a *different*
     /// grid is a typed mismatch instead of silent corruption.
-    pub fn fingerprint(&self) -> String {
+    pub(crate) fn fingerprint(&self) -> String {
         self.jobs
             .iter()
             .map(|j| j.id.as_str())
@@ -150,7 +150,7 @@ impl Dag {
     /// # Errors
     ///
     /// [`DagError::UnknownJob`] when a selector names no declared job.
-    pub fn restrict(&self, wanted: &[String]) -> Result<Dag, DagError> {
+    pub(crate) fn restrict(&self, wanted: &[String]) -> Result<Dag, DagError> {
         let mut keep = vec![false; self.jobs.len()];
         let mut stack = Vec::new();
         for id in wanted {

@@ -16,7 +16,7 @@ const BATCH: usize = 16;
 /// A1 — is the straight-through estimator necessary? The STE-on arm *is*
 /// the shared ALF Plain-20 baseline (identical seed/hyper); only the
 /// chained-gradient arm trains here.
-pub fn ste(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn ste(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let cfg = crate::CifarConfig::at(ctx.scale());
     let data = ctx.store.cifar()?;
     let on = ctx.store.baseline(BaselineKind::AlfPlain20)?;
@@ -69,7 +69,7 @@ pub fn ste(ctx: &JobCtx<'_>) -> Result<JobResult> {
 /// A2 — the νprune schedule vs constant pruning pressure. The paper
 /// schedule's arm is the shared ALF Plain-20 baseline; the near-constant
 /// and early-cut-off variants train here under the same canonical seed.
-pub fn nuprune(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn nuprune(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let cfg = crate::CifarConfig::at(ctx.scale());
     let data = ctx.store.cifar()?;
     let paper = ctx.store.baseline(BaselineKind::AlfPlain20)?;
@@ -136,7 +136,7 @@ pub fn nuprune(ctx: &JobCtx<'_>) -> Result<JobResult> {
 /// A3 — how much of Fig. 3's result depends on the row-stationary
 /// dataflow? Geometry-only: re-maps vanilla Plain-20 under all three
 /// dataflows.
-pub fn dataflow(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn dataflow(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let workloads: Vec<ConvWorkload> = geometry::plain20_layers(32, 3)
         .iter()
         .map(|s| ConvWorkload::from_shape(s, BATCH))
@@ -186,7 +186,7 @@ pub fn dataflow(ctx: &JobCtx<'_>) -> Result<JobResult> {
 
 /// A4 — fused-layer scheduling of the ALF block's codependent
 /// `code → expansion` pair (geometry-only, ≈40% remaining filters).
-pub fn fusion(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn fusion(ctx: &JobCtx<'_>) -> Result<JobResult> {
     const REMAINING: f32 = 0.4;
     let layers = geometry::plain20_layers(32, 3);
     let mapper = Mapper::new(Accelerator::eyeriss(), Dataflow::RowStationary);
@@ -267,7 +267,7 @@ pub fn fusion(ctx: &JobCtx<'_>) -> Result<JobResult> {
 /// A5 — post-training quantization composes with ALF: deploys the shared
 /// ALF Plain-20 and fake-quantizes the deployed weights at 16/8/6/4/3
 /// bits.
-pub fn quant(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn quant(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let data = ctx.store.cifar()?;
     let baseline = ctx.store.baseline(BaselineKind::AlfPlain20)?;
     let deployed = deploy::Pipeline::new().run(&baseline.model)?.model;

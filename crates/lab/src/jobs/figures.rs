@@ -43,7 +43,7 @@ fn winner(results: &[ConfigResult]) -> &ConfigResult {
 
 /// Fig. 2a — expansion-layer design-space exploration:
 /// `[Wexp,init | σinter | BNinter]` accuracy for Plain-20 ALF blocks.
-pub fn fig2a(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn fig2a(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let setup = match ctx.scale() {
         Scale::Smoke => ExploreSetup::smoke(),
         Scale::Paper => ExploreSetup::paper(),
@@ -66,7 +66,7 @@ pub fn fig2a(ctx: &JobCtx<'_>) -> Result<JobResult> {
 
 /// Fig. 2b — autoencoder design-space exploration: `[Wae,init | σae]`
 /// accuracy for both `σinter = none` and `σinter = ReLU` series.
-pub fn fig2b(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn fig2b(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let setup = match ctx.scale() {
         Scale::Smoke => ExploreSetup::smoke(),
         Scale::Paper => ExploreSetup::paper(),
@@ -95,7 +95,7 @@ pub fn fig2b(ctx: &JobCtx<'_>) -> Result<JobResult> {
 /// Fig. 2c — pruning dynamics over training epochs for five ALF variants
 /// differing in `lrae` and clip threshold `t`, against the uncompressed
 /// Plain-20 (the shared `baseline:plain20` artifact).
-pub fn fig2c(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn fig2c(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let cfg = crate::CifarConfig::at(ctx.scale());
     let data = ctx.store.cifar()?;
     let vanilla = ctx.store.baseline(BaselineKind::Plain20)?;
@@ -178,7 +178,7 @@ pub fn fig2c(ctx: &JobCtx<'_>) -> Result<JobResult> {
 /// normalised latency of vanilla vs ALF-compressed Plain-20/ResNet-20 on
 /// the Eyeriss model, batch 16. Consumes the two shared ALF baselines
 /// instead of retraining them.
-pub fn fig3(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn fig3(ctx: &JobCtx<'_>) -> Result<JobResult> {
     use crate::eng;
     let plain_ratios = ctx.store.baseline(BaselineKind::AlfPlain20)?.ratios.clone();
     let resnet_ratios = ctx

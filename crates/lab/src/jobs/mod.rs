@@ -15,14 +15,14 @@ use crate::artifacts::{ArtifactStore, Baseline, BaselineKind};
 use crate::report::{JobResult, Table};
 use crate::Scale;
 
-pub mod ablations;
-pub mod figures;
-pub mod tables;
+pub(crate) mod ablations;
+pub(crate) mod figures;
+pub(crate) mod tables;
 
 /// Everything a job function may touch: the scale-pinned artifact store
 /// and the thread lease the scheduler granted.
 #[derive(Debug)]
-pub struct JobCtx<'a> {
+pub(crate) struct JobCtx<'a> {
     /// Shared datasets and trained baselines.
     pub store: &'a ArtifactStore,
     /// Worker cap for this job's internal fan-out (`None`: host default).
@@ -30,16 +30,8 @@ pub struct JobCtx<'a> {
 }
 
 impl<'a> JobCtx<'a> {
-    /// Context over a store with no thread lease.
-    pub fn new(store: &'a ArtifactStore) -> Self {
-        Self {
-            store,
-            threads: None,
-        }
-    }
-
     /// The experiment scale.
-    pub fn scale(&self) -> Scale {
+    pub(crate) fn scale(&self) -> Scale {
         self.store.scale()
     }
 
@@ -48,7 +40,7 @@ impl<'a> JobCtx<'a> {
     /// # Errors
     ///
     /// Propagates shape errors from the model or data pipeline.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         model: &alf_core::CnnModel,
         data: &Dataset,
@@ -65,7 +57,7 @@ impl<'a> JobCtx<'a> {
 
 /// Every job of the declared results grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
+pub(crate) enum JobKind {
     /// Shared reference training (feeds the consumer jobs below).
     Baseline(BaselineKind),
     /// Fig. 2a — expansion-layer design-space exploration.
@@ -100,7 +92,7 @@ impl JobKind {
     /// The full grid in declaration order: baselines first, then every
     /// figure/table/ablation. Declaration order is the scheduler's
     /// deterministic tie-break, so this list *is* the campaign.
-    pub fn grid() -> Vec<JobKind> {
+    pub(crate) fn grid() -> Vec<JobKind> {
         let mut jobs: Vec<JobKind> = BaselineKind::ALL
             .iter()
             .map(|&k| JobKind::Baseline(k))
@@ -124,7 +116,7 @@ impl JobKind {
     }
 
     /// Stable job id (manifest key, artifact file stem, CLI selector).
-    pub fn id(self) -> &'static str {
+    pub(crate) fn id(self) -> &'static str {
         match self {
             JobKind::Baseline(k) => k.id(),
             JobKind::Fig2a => "fig2a",
@@ -144,14 +136,14 @@ impl JobKind {
     }
 
     /// Looks a job up by its [`JobKind::id`].
-    pub fn from_id(id: &str) -> Option<JobKind> {
+    pub(crate) fn from_id(id: &str) -> Option<JobKind> {
         Self::grid().into_iter().find(|j| j.id() == id)
     }
 
     /// Explicit dependencies: the `baseline:*` jobs whose trained models
     /// this job consumes. The DAG edges are what make "each reference
     /// trains exactly once" structural rather than accidental.
-    pub fn deps(self) -> Vec<JobKind> {
+    pub(crate) fn deps(self) -> Vec<JobKind> {
         use BaselineKind as B;
         let b = JobKind::Baseline;
         match self {
@@ -174,7 +166,7 @@ impl JobKind {
 
     /// Thread lease: how many workers the job's internal fan-out may use
     /// concurrently. Training-heavy jobs lease 2; geometry-only jobs 1.
-    pub fn threads(self) -> usize {
+    pub(crate) fn threads(self) -> usize {
         match self {
             JobKind::AblationDataflow | JobKind::AblationFusion => 1,
             _ => 2,
@@ -186,7 +178,7 @@ impl JobKind {
     /// # Errors
     ///
     /// Propagates model, training and mapping errors.
-    pub fn run(self, ctx: &JobCtx<'_>) -> Result<JobResult> {
+    pub(crate) fn run(self, ctx: &JobCtx<'_>) -> Result<JobResult> {
         match self {
             JobKind::Baseline(kind) => baseline_job(ctx, kind),
             JobKind::Fig2a => figures::fig2a(ctx),

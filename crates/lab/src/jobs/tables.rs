@@ -21,7 +21,7 @@ use crate::{eng, Scale};
 /// The vanilla Plain-20/ResNet-20 and the ALF-ResNet-20 come from the
 /// shared baseline artifacts; AMC and FPGM run their searches/fine-tunes
 /// here on top of the shared vanilla ResNet-20.
-pub fn table2(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn table2(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let cfg = crate::CifarConfig::at(ctx.scale());
     let data = ctx.store.cifar()?;
     let paper_geometry = geometry::plain20_layers(32, 3);
@@ -164,7 +164,7 @@ fn lcnn_geometry_cost(convs: &[ConvShape], ratio: f32) -> NetworkCost {
 /// comparison architectures, pruned-ResNet-18 rows measured on
 /// synth-ImageNet. The vanilla and ALF ResNet-18-small come from the
 /// shared ImageNet-track baselines.
-pub fn table3(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn table3(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let cfg = crate::ImagenetConfig::at(ctx.scale());
     let data = ctx.store.imagenet()?;
 
@@ -356,7 +356,7 @@ pub fn table3(ctx: &JobCtx<'_>) -> Result<JobResult> {
 /// accuracy drop, measured against the paper's numbers. Reuses the shared
 /// vanilla and ALF ResNet-20 trainings; the per-layer wall-time profile
 /// runs one fwd+bwd batch on a clone of the shared ALF model.
-pub fn headline(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn headline(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let cfg = crate::CifarConfig::at(ctx.scale());
     let data = ctx.store.cifar()?;
     let vanilla = ctx.store.baseline(BaselineKind::Resnet20)?;
@@ -542,7 +542,7 @@ pub fn headline(ctx: &JobCtx<'_>) -> Result<JobResult> {
 
 /// Supplementary analysis — per-layer magnitude-pruning sensitivity (Han
 /// et al.) next to where the shared ALF Plain-20 actually pruned.
-pub fn sensitivity(ctx: &JobCtx<'_>) -> Result<JobResult> {
+pub(crate) fn sensitivity(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let data = ctx.store.cifar()?;
     let vanilla = ctx.store.baseline(BaselineKind::Plain20)?;
     let alf = ctx.store.baseline(BaselineKind::AlfPlain20)?;

@@ -11,14 +11,14 @@
 
 use std::collections::BTreeMap;
 
-use alf_bench::report::{ParetoPoint, Table};
+use crate::report::{ParetoPoint, Table};
 use alf_obs::JsonWriter;
 
 use crate::scheduler::{JobOutcome, JobStatus};
 
 /// One point with its frontier flags.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FrontierPoint {
+pub(crate) struct FrontierPoint {
     /// The contributed point.
     pub point: ParetoPoint,
     /// On the (params, accuracy) frontier: no method has fewer-or-equal
@@ -30,7 +30,7 @@ pub struct FrontierPoint {
 
 /// All points of one track, sorted by ascending params.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrackFrontier {
+pub(crate) struct TrackFrontier {
     /// Track name (`cifar`, `imagenet`).
     pub track: String,
     /// Flagged points.
@@ -39,7 +39,7 @@ pub struct TrackFrontier {
 
 /// The campaign-level Pareto view.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ParetoReport {
+pub(crate) struct ParetoReport {
     /// One frontier per track, track-name order.
     pub tracks: Vec<TrackFrontier>,
 }
@@ -55,7 +55,7 @@ fn dominated(points: &[ParetoPoint], i: usize, cost: impl Fn(&ParetoPoint) -> f6
 }
 
 /// Groups `points` per track and flags both frontiers.
-pub fn consolidate(points: &[ParetoPoint]) -> ParetoReport {
+pub(crate) fn consolidate(points: &[ParetoPoint]) -> ParetoReport {
     let mut by_track: BTreeMap<&str, Vec<ParetoPoint>> = BTreeMap::new();
     for p in points {
         by_track.entry(&p.track).or_default().push(p.clone());
@@ -95,7 +95,7 @@ fn status_cell(status: &JobStatus) -> String {
 
 /// Renders the consolidated text report: the per-job coverage table, then
 /// one frontier table per track.
-pub fn report_text(
+pub(crate) fn report_text(
     scale: &str,
     outcomes: &[JobOutcome],
     train_counts: &BTreeMap<String, u64>,
@@ -157,7 +157,7 @@ pub fn report_text(
 /// Renders the consolidated JSON report. `all_terminal` states whether
 /// every declared job reached a terminal state this run — the bit
 /// `scripts/verify.sh` asserts on.
-pub fn report_json(
+pub(crate) fn report_json(
     scale: &str,
     outcomes: &[JobOutcome],
     all_terminal: bool,

@@ -17,7 +17,7 @@ use crate::Scale;
 
 /// One fixed-width table artifact.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Table {
+pub(crate) struct Table {
     /// Table caption.
     pub title: String,
     /// Column headers.
@@ -28,7 +28,7 @@ pub struct Table {
 
 impl Table {
     /// Builds a table from string-ish parts.
-    pub fn new(title: &str, headers: &[&str], rows: Vec<Vec<String>>) -> Self {
+    pub(crate) fn new(title: &str, headers: &[&str], rows: Vec<Vec<String>>) -> Self {
         Self {
             title: title.to_string(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
@@ -37,7 +37,7 @@ impl Table {
     }
 
     /// Renders the fixed-width form (the old `print_table` body).
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -83,7 +83,7 @@ pub struct ParetoPoint {
 
 /// Structured output of one results job.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JobResult {
+pub(crate) struct JobResult {
     /// Job id (`table2`, `fig2a`, `baseline:plain20`, …).
     pub job: String,
     /// Scale the job ran at.
@@ -100,7 +100,7 @@ pub struct JobResult {
 
 impl JobResult {
     /// Empty result for a job at a scale.
-    pub fn new(job: &str, scale: Scale) -> Self {
+    pub(crate) fn new(job: &str, scale: Scale) -> Self {
         Self {
             job: job.to_string(),
             scale: scale.label(),
@@ -112,22 +112,29 @@ impl JobResult {
     }
 
     /// Appends a table.
-    pub fn push_table(&mut self, table: Table) {
+    pub(crate) fn push_table(&mut self, table: Table) {
         self.tables.push(table);
     }
 
     /// Records a metric (overwrites on key collision).
-    pub fn metric(&mut self, key: &str, value: f64) {
+    pub(crate) fn metric(&mut self, key: &str, value: f64) {
         self.metrics.insert(key.to_string(), value);
     }
 
     /// Appends a note line.
-    pub fn note(&mut self, line: impl Into<String>) {
+    pub(crate) fn note(&mut self, line: impl Into<String>) {
         self.notes.push(line.into());
     }
 
     /// Appends a Pareto contribution, stamping this job as its source.
-    pub fn pareto_point(&mut self, track: &str, method: &str, params: f64, ops: f64, acc: f64) {
+    pub(crate) fn pareto_point(
+        &mut self,
+        track: &str,
+        method: &str,
+        params: f64,
+        ops: f64,
+        acc: f64,
+    ) {
         self.pareto.push(ParetoPoint {
             track: track.to_string(),
             method: method.to_string(),
@@ -139,7 +146,7 @@ impl JobResult {
     }
 
     /// Full human-readable rendering: header, tables, then notes.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = format!("{} ({} scale)\n", self.job, self.scale);
         for t in &self.tables {
             out.push_str(&t.to_text());
@@ -155,7 +162,7 @@ impl JobResult {
     }
 
     /// Machine-readable rendering (one JSON object).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("job", &self.job);
@@ -220,7 +227,7 @@ impl JobResult {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn write_artifacts(&self, dir: &Path) -> std::io::Result<(PathBuf, PathBuf)> {
+    pub(crate) fn write_artifacts(&self, dir: &Path) -> std::io::Result<(PathBuf, PathBuf)> {
         std::fs::create_dir_all(dir)?;
         let stem = self.job.replace(':', "_");
         let txt = dir.join(format!("{stem}.txt"));
@@ -228,6 +235,25 @@ impl JobResult {
         std::fs::write(&txt, self.to_text())?;
         std::fs::write(&json, self.to_json())?;
         Ok((txt, json))
+    }
+}
+
+/// Renders `frac ∈ [0, 1]` as a unicode bar of `width` cells.
+pub(crate) fn hbar(frac: f64, width: usize) -> String {
+    let filled = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
+    format!("{}{}", "█".repeat(filled), "░".repeat(width - filled))
+}
+
+/// Formats a count in engineering notation: `1.23M`, `456.7k`, `12`.
+pub(crate) fn eng(v: f64) -> String {
+    if v >= 1e9 {
+        format!("{:.2}G", v / 1e9)
+    } else if v >= 1e6 {
+        format!("{:.2}M", v / 1e6)
+    } else if v >= 1e3 {
+        format!("{:.1}k", v / 1e3)
+    } else {
+        format!("{v:.0}")
     }
 }
 
@@ -271,7 +297,7 @@ mod tests {
 
     #[test]
     fn artifacts_write_side_by_side() {
-        let dir = std::env::temp_dir().join(format!("alf_bench_report_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("alf_lab_report_{}", std::process::id()));
         let mut r = sample();
         r.job = "baseline:plain20".into();
         let (txt, json) = r.write_artifacts(&dir).unwrap();
@@ -279,5 +305,21 @@ mod tests {
         assert!(json.ends_with("baseline_plain20.json"));
         assert!(txt.exists() && json.exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eng_notation() {
+        assert_eq!(eng(1_230_000.0), "1.23M");
+        assert_eq!(eng(4_567.0), "4.6k");
+        assert_eq!(eng(12.0), "12");
+        assert_eq!(eng(2.5e9), "2.50G");
+    }
+
+    #[test]
+    fn hbar_clamps() {
+        assert_eq!(hbar(0.0, 4), "░░░░");
+        assert_eq!(hbar(1.0, 4), "████");
+        assert_eq!(hbar(2.0, 4), "████");
+        assert_eq!(hbar(0.5, 4), "██░░");
     }
 }

@@ -1,38 +1,18 @@
 //! Campaign execution: grid → DAG → scheduler → manifest/events/report.
-//!
-//! [`run_campaign`] is the whole story of an `alf-lab run`:
-//!
-//! 1. build the declared grid as a [`Dag`] (optionally restricted to
-//!    `--only` selections plus their transitive dependencies);
-//! 2. open (or resume) the campaign manifest and pre-mark completed jobs
-//!    as cached;
-//! 3. dispatch under the [`resolve_threads`] budget, streaming `job.*`
-//!    lifecycle events into the campaign JSONL and appending a manifest
-//!    record the moment each job is terminal (artifacts first, record
-//!    second — a record implies its artifacts exist);
-//! 4. assert the exactly-once training invariant from the artifact-store
-//!    telemetry;
-//! 5. consolidate every completed job's metrics and Pareto points —
-//!    cached ones included, straight from the manifest — into the
-//!    `pareto-<scale>.{txt,json}` report pair.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use alf_bench::artifacts::ArtifactStore;
-use alf_bench::jobs::{JobCtx, JobKind};
-use alf_bench::report::ParetoPoint;
-use alf_bench::Scale;
 use alf_obs::{resolve_threads, EventLog, FileSink};
 
+use crate::artifacts::ArtifactStore;
 use crate::campaign::{CampaignError, JobRecord, ManifestFile, RecordStatus};
 use crate::dag::{Dag, DagError, JobSpec};
+use crate::jobs::{JobCtx, JobKind};
 use crate::pareto;
+use crate::report::ParetoPoint;
 use crate::scheduler::{run_dag, JobOutcome, JobStatus, Progress};
-
-/// Environment variable consulted for the worker budget when `--jobs` is
-/// absent.
-pub const THREADS_ENV: &str = "ALF_LAB_THREADS";
+use crate::Scale;
 
 /// Anything a campaign can fail with.
 #[derive(Debug)]
@@ -80,8 +60,8 @@ impl From<std::io::Error> for LabError {
 pub struct CampaignOpts {
     /// Experiment scale.
     pub scale: Scale,
-    /// Explicit worker budget (`--jobs`); falls back to [`THREADS_ENV`],
-    /// then host parallelism.
+    /// Explicit worker budget (`--jobs`); falls back to the host
+    /// parallelism.
     pub jobs: Option<usize>,
     /// Artifact directory.
     pub out: PathBuf,
@@ -142,7 +122,7 @@ impl CampaignSummary {
 ///
 /// Panics if the declared grid is not a DAG — a compile-time-adjacent
 /// invariant guarded by tests, never an input condition.
-pub fn grid_dag() -> Dag {
+pub(crate) fn grid_dag() -> Dag {
     let specs: Vec<JobSpec> = JobKind::grid()
         .into_iter()
         .map(|j| JobSpec {
@@ -162,7 +142,22 @@ fn events_path(out: &std::path::Path, scale: Scale) -> PathBuf {
     out.join(format!("campaign-{}.events.jsonl", scale.label()))
 }
 
-/// Runs (or resumes) a campaign. See the module docs for the lifecycle.
+/// Runs (or resumes) a campaign — the whole story of an `alf-lab run`:
+///
+/// 1. build the declared grid as a [`Dag`] (optionally restricted to
+///    `--only` selections plus their transitive dependencies);
+/// 2. open (or resume) the campaign manifest and pre-mark completed jobs
+///    as cached;
+/// 3. dispatch under the worker budget (`--jobs`, else host cores),
+///    streaming `job.*` lifecycle events into the campaign JSONL and
+///    appending a manifest record the moment each job is terminal
+///    (artifacts first, record second — a record implies its artifacts
+///    exist);
+/// 4. assert the exactly-once training invariant from the artifact-store
+///    telemetry;
+/// 5. consolidate every completed job's metrics and Pareto points —
+///    cached ones included, straight from the manifest — into the
+///    `pareto-<scale>.{txt,json}` report pair.
 ///
 /// # Errors
 ///
@@ -175,7 +170,7 @@ pub fn run_campaign(opts: &CampaignOpts) -> Result<CampaignSummary, LabError> {
         Some(ids) => full.restrict(ids)?,
         None => full,
     };
-    let budget = resolve_threads(opts.jobs, THREADS_ENV);
+    let budget = resolve_threads(opts.jobs);
     std::fs::create_dir_all(&opts.out)?;
 
     let mut manifest = ManifestFile::load_or_create(

@@ -1,48 +1,31 @@
-//! The paper's experiments as a library of jobs, run by the `alf-lab`
-//! campaign runner.
-//!
-//! Every table and figure of the paper is a job (`alf-lab list` prints
-//! the grid; `alf-lab run --only <job>` runs one with its dependencies):
-//!
-//! | artefact  | job id              |
-//! |-----------|---------------------|
-//! | Fig. 2a   | `fig2a`             |
-//! | Fig. 2b   | `fig2b`             |
-//! | Fig. 2c   | `fig2c`             |
-//! | Table II  | `table2`            |
-//! | Fig. 3    | `fig3`              |
-//! | Table III | `table3`            |
-//! | headline  | `headline`          |
-//! | ablations | `ablation_ste`, `ablation_nuprune`, `ablation_dataflow`, `ablation_fusion`, `ablation_quant`, `sensitivity` |
-//!
-//! The experiment bodies live in [`jobs`] as functions from a typed
-//! context to a structured [`report::JobResult`], written as
-//! `<out>/<job>.{txt,json}`. `alf-lab` runs them as one
-//! dependency-scheduled campaign in which the shared baseline trainings
-//! of [`artifacts`] happen exactly once.
-//!
-//! Every job runs at `--scale smoke` (default; seconds) or
-//! `--scale paper` (the full sweep; minutes to hours on a laptop).
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use alf_core::block::AlfBlockConfig;
 use alf_core::train::AlfHyper;
 use alf_core::PruneSchedule;
 use alf_data::{Dataset, SynthVision};
 use alf_nn::LrSchedule;
 
-pub mod artifacts;
-pub mod cli;
-pub mod jobs;
-pub mod report;
+/// Experiment scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Seconds-per-experiment configuration for CI and smoke testing.
+    Smoke,
+    /// The full configuration (hours on a CPU).
+    Paper,
+}
 
-pub use cli::{BenchArgs, Scale};
+impl Scale {
+    /// Label for report headers, manifest and report file names.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Scale::Smoke => "smoke",
+            Scale::Paper => "paper",
+        }
+    }
+}
 
 /// The CIFAR-track experiment configuration at a given scale.
 #[derive(Debug, Clone)]
-pub struct CifarConfig {
+pub(crate) struct CifarConfig {
     /// Square image side.
     pub image_size: usize,
     /// Number of classes.
@@ -69,7 +52,7 @@ impl CifarConfig {
     /// autoencoder learning rate / clip threshold so that pruning reaches a
     /// steady state within a few hundred optimisation steps; `paper` uses
     /// the paper's `t = 1e-4`, `lrae = 1e-3` with commensurate step counts.
-    pub fn at(scale: Scale) -> Self {
+    pub(crate) fn at(scale: Scale) -> Self {
         match scale {
             Scale::Smoke => Self {
                 image_size: 16,
@@ -128,7 +111,7 @@ impl CifarConfig {
     /// # Errors
     ///
     /// Propagates dataset construction errors.
-    pub fn dataset(&self, seed: u64) -> alf_core::Result<Dataset> {
+    pub(crate) fn dataset(&self, seed: u64) -> alf_core::Result<Dataset> {
         SynthVision::cifar_like(seed)
             .with_image_size(self.image_size)
             .with_max_shift(if self.image_size >= 32 { 3 } else { 1 })
@@ -143,7 +126,7 @@ impl CifarConfig {
 /// `DESIGN.md`: synth-ImageNet substitutes the real dataset; Params/OPs of
 /// Table III come from the exact 224×224 geometries).
 #[derive(Debug, Clone)]
-pub struct ImagenetConfig {
+pub(crate) struct ImagenetConfig {
     /// Square image side.
     pub image_size: usize,
     /// Number of classes.
@@ -164,7 +147,7 @@ pub struct ImagenetConfig {
 
 impl ImagenetConfig {
     /// Configuration for a scale.
-    pub fn at(scale: Scale) -> Self {
+    pub(crate) fn at(scale: Scale) -> Self {
         let cifar = CifarConfig::at(scale);
         match scale {
             Scale::Smoke => Self {
@@ -195,7 +178,7 @@ impl ImagenetConfig {
     /// # Errors
     ///
     /// Propagates dataset construction errors.
-    pub fn dataset(&self, seed: u64) -> alf_core::Result<Dataset> {
+    pub(crate) fn dataset(&self, seed: u64) -> alf_core::Result<Dataset> {
         SynthVision::imagenet_like(seed)
             .with_image_size(self.image_size)
             .with_max_shift(if self.image_size >= 32 { 3 } else { 1 })
@@ -203,25 +186,6 @@ impl ImagenetConfig {
             .with_train_size(self.train_size)
             .with_test_size(self.test_size)
             .build()
-    }
-}
-
-/// Renders `frac ∈ [0, 1]` as a unicode bar of `width` cells.
-pub fn hbar(frac: f64, width: usize) -> String {
-    let filled = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
-    format!("{}{}", "█".repeat(filled), "░".repeat(width - filled))
-}
-
-/// Formats a count in engineering notation: `1.23M`, `456.7k`, `12`.
-pub fn eng(v: f64) -> String {
-    if v >= 1e9 {
-        format!("{:.2}G", v / 1e9)
-    } else if v >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else {
-        format!("{v:.0}")
     }
 }
 
@@ -249,21 +213,5 @@ mod tests {
         let cfg = CifarConfig::at(Scale::Smoke);
         let data = cfg.dataset(0).unwrap();
         assert_eq!(data.num_classes(), cfg.classes);
-    }
-
-    #[test]
-    fn eng_notation() {
-        assert_eq!(eng(1_230_000.0), "1.23M");
-        assert_eq!(eng(4_567.0), "4.6k");
-        assert_eq!(eng(12.0), "12");
-        assert_eq!(eng(2.5e9), "2.50G");
-    }
-
-    #[test]
-    fn hbar_clamps() {
-        assert_eq!(hbar(0.0, 4), "░░░░");
-        assert_eq!(hbar(1.0, 4), "████");
-        assert_eq!(hbar(2.0, 4), "████");
-        assert_eq!(hbar(0.5, 4), "██░░");
     }
 }

@@ -34,7 +34,7 @@ pub enum JobStatus {
 
 impl JobStatus {
     /// Whether dependents may run on top of this state.
-    pub fn is_success(&self) -> bool {
+    pub(crate) fn is_success(&self) -> bool {
         matches!(self, JobStatus::Completed | JobStatus::Cached)
     }
 

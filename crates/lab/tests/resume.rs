@@ -5,8 +5,8 @@
 
 use std::path::{Path, PathBuf};
 
-use alf_bench::Scale;
 use alf_lab::scheduler::JobStatus;
+use alf_lab::Scale;
 use alf_lab::{run_campaign, CampaignOpts, LabError};
 
 /// Geometry-only jobs: no training, so the whole file runs in

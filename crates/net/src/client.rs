@@ -62,11 +62,6 @@ impl std::error::Error for ClientError {
 }
 
 impl ClientError {
-    /// Whether this failure was a deadline expiry.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, Self::Timeout { .. })
-    }
-
     /// Classifies a raw socket error: deadline expiries (`WouldBlock` on
     /// Unix, `TimedOut` elsewhere) become [`ClientError::Timeout`].
     fn from_io(e: io::Error, during: &'static str, deadline: Duration) -> Self {
@@ -80,7 +75,7 @@ impl ClientError {
 }
 
 /// Client result alias.
-pub type ClientResult<T> = std::result::Result<T, ClientError>;
+pub(crate) type ClientResult<T> = std::result::Result<T, ClientError>;
 
 /// One parsed response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,7 +271,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut client = HttpClient::connect(addr, Duration::from_millis(60)).unwrap();
         let err = client.get("/stalled").unwrap_err();
-        assert!(err.is_timeout(), "{err}");
+        assert!(matches!(err, ClientError::Timeout { .. }), "{err}");
         assert!(err.to_string().contains("reading response"), "{err}");
         drop(listener);
     }

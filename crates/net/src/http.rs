@@ -169,7 +169,7 @@ impl Request {
     /// Whether the connection persists after this exchange: HTTP/1.1
     /// unless `connection: close`, HTTP/1.0 only with
     /// `connection: keep-alive`.
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         let conn = self.header("connection").unwrap_or("");
         match self.version {
             HttpVersion::Http11 => !conn.eq_ignore_ascii_case("close"),

@@ -10,7 +10,7 @@
 //!   keep-alive + pipelining, every size bound enforced as bytes arrive,
 //!   typed errors with HTTP statuses) and a response serialiser.
 //! * [`Router`] — multi-model dispatch: one [`alf_serve::Server`] per
-//!   checkpoint, sharing one worker budget (`ALF_NET_THREADS`) and one
+//!   checkpoint, sharing one worker budget (`NetConfig::threads`) and one
 //!   [`MetricsRegistry`](alf_obs::metrics::MetricsRegistry)
 //!   (`serve.<model>.*` instruments per model), plus per-tenant
 //!   token-bucket quotas ([`QuotaConfig`]) shedding with `429` before the
@@ -62,7 +62,7 @@ use std::fmt;
 
 pub use http::{HttpError, HttpLimits, Request, RequestParser};
 pub use quota::QuotaConfig;
-pub use router::{ModelSpec, Response, Router};
+pub use router::{ModelSpec, Router};
 pub use server::{NetConfig, NetServer};
 
 /// Front-end failures surfaced to the embedder (wire-level failures are

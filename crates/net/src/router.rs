@@ -49,7 +49,7 @@ pub struct ModelSpec {
 ///
 /// [`write_response`]: crate::http::write_response
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
     pub status: u16,
     /// Reason phrase.
@@ -108,7 +108,7 @@ pub struct Router {
 
 impl Router {
     /// Starts one [`Server`] per spec, splitting one worker budget evenly:
-    /// `budget = resolve_threads(threads, "ALF_NET_THREADS")`, each model
+    /// `budget = resolve_threads(threads)`, each model
     /// getting `max(1, budget / specs.len())` workers. Every server
     /// registers its instruments in `registry` under `serve.<name>.*`.
     ///
@@ -136,7 +136,7 @@ impl Router {
                 )));
             }
         }
-        let budget = resolve_threads(threads, "ALF_NET_THREADS");
+        let budget = resolve_threads(threads);
         let workers = (budget / specs.len()).max(1);
         let mut models = Vec::with_capacity(specs.len());
         for spec in specs {
@@ -167,7 +167,7 @@ impl Router {
     }
 
     /// Names of the served models, in table order.
-    pub fn model_names(&self) -> Vec<&str> {
+    pub(crate) fn model_names(&self) -> Vec<&str> {
         self.models.iter().map(|e| e.name.as_str()).collect()
     }
 
@@ -362,7 +362,7 @@ impl Router {
     /// `ShuttingDown` are `503` load-shed responses (distinct typed
     /// reasons), `Expired` is `504`, `BadRequest` `400`, `BadCheckpoint`
     /// `422`.
-    pub fn render_serve_error(&self, e: &ServeError) -> Response {
+    pub(crate) fn render_serve_error(&self, e: &ServeError) -> Response {
         match e {
             ServeError::Overloaded { queue_depth } => Response::error(
                 503,
@@ -396,7 +396,7 @@ impl Router {
     /// (name-sorted) order —
     /// `counter <name> <value>`, `gauge <name> <value>`,
     /// `histogram <name> total <n> p50 <x> p95 <y> p99 <z>`.
-    pub fn metrics_text(&self) -> String {
+    pub(crate) fn metrics_text(&self) -> String {
         use std::fmt::Write;
         let snap = self.registry.snapshot();
         let mut out = String::new();

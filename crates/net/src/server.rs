@@ -44,8 +44,8 @@ pub struct NetConfig {
     /// accepts beyond this are answered `503` and closed immediately.
     pub max_connections: usize,
     /// Worker budget shared by all models: `Some(n)` forces `n`,
-    /// otherwise `ALF_NET_THREADS`, otherwise the host parallelism
-    /// (see `alf_obs::runtime::resolve_threads`).
+    /// otherwise the host parallelism (see
+    /// `alf_obs::runtime::resolve_threads`).
     pub threads: Option<usize>,
 }
 

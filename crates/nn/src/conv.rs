@@ -180,13 +180,6 @@ impl Conv2d {
         Ok(())
     }
 
-    /// Disables weight decay on the conv weight (the paper's ALF blocks
-    /// train `W` without regularisation).
-    pub fn without_weight_decay(mut self) -> Self {
-        self.weight.decay = false;
-        self
-    }
-
     /// Installs (or clears) the set of live output channels.
     ///
     /// With a descriptor installed the layer takes the occupancy-aware
@@ -625,14 +618,6 @@ mod tests {
     fn param_count_includes_bias() {
         assert_eq!(mk(11, false).param_count(), 3 * 2 * 9);
         assert_eq!(mk(12, true).param_count(), 3 * 2 * 9 + 3);
-    }
-
-    #[test]
-    fn without_weight_decay_clears_flag() {
-        let mut conv = mk(13, false).without_weight_decay();
-        let mut decays = Vec::new();
-        conv.visit_params(&mut |p| decays.push(p.decay));
-        assert_eq!(decays, vec![false]);
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl RunCtx {
         self.mode = mode;
     }
 
-    /// Whether the context is in training mode.
-    pub fn is_train(&self) -> bool {
-        self.mode == Mode::Train
-    }
-
     /// Whether normalisation layers should *freeze* their statistics in
     /// training mode: normalise with the tracked running statistics
     /// (exactly as evaluation does) instead of batch statistics, and
@@ -126,12 +121,12 @@ impl RunCtx {
     /// statistics are a pure function of the synced weights. Off by
     /// default; ignored in [`Mode::Eval`] (eval always uses running
     /// statistics) and [`Mode::Stats`] (whose purpose is to refresh them).
-    pub fn freeze_norm(&self) -> bool {
+    pub(crate) fn freeze_norm(&self) -> bool {
         self.freeze_norm
     }
 
     /// Turns frozen-statistics normalisation on or off (see
-    /// [`RunCtx::freeze_norm`]).
+    /// `RunCtx::freeze_norm`).
     pub fn set_freeze_norm(&mut self, on: bool) {
         self.freeze_norm = on;
     }
@@ -139,7 +134,7 @@ impl RunCtx {
     /// The batch this context's [`Mode::Stats`] forwards are a shard of,
     /// if any: normalisation layers then take their batch statistics over
     /// every participant's samples instead of the local input alone.
-    pub fn stat_link(&self) -> Option<&StatLink> {
+    pub(crate) fn stat_link(&self) -> Option<&StatLink> {
         self.stat_link.as_ref()
     }
 
@@ -172,7 +167,7 @@ impl RunCtx {
     /// Records `n` floating-point operations against the innermost open
     /// profiled scope. A single branch when profiling is disabled.
     #[inline]
-    pub fn count_flops(&mut self, n: u64) {
+    pub(crate) fn count_flops(&mut self, n: u64) {
         if let Some(p) = self.profiler.as_mut() {
             p.pending_flops += n;
         }
@@ -239,16 +234,6 @@ impl RunCtx {
         self.profiler.as_ref().map(|p| ProfileReport {
             layers: p.entries.clone(),
             ws_high_water_bytes: self.ws.high_water_bytes(),
-        })
-    }
-
-    /// Like [`RunCtx::report`], but also clears the accumulated entries so
-    /// the next epoch starts fresh (the profiler stays attached).
-    pub fn take_report(&mut self) -> Option<ProfileReport> {
-        let hw = self.ws.high_water_bytes();
-        self.profiler.as_mut().map(|p| ProfileReport {
-            layers: std::mem::take(&mut p.entries),
-            ws_high_water_bytes: hw,
         })
     }
 }
@@ -493,18 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn take_report_resets_entries_but_keeps_profiler() {
-        let mut ctx = RunCtx::train().with_profiler();
-        let t = ctx.scope_start();
-        ctx.scope_end(t, "a", Pass::Forward);
-        let first = ctx.take_report().unwrap();
-        assert_eq!(first.layers.len(), 1);
-        assert!(ctx.profiling());
-        let second = ctx.report().unwrap();
-        assert!(second.layers.is_empty());
-    }
-
-    #[test]
     fn report_includes_arena_high_water() {
         let mut ctx = RunCtx::train().with_profiler();
         let b: Vec<f32> = ctx.ws.take("scratch", 256);
@@ -545,9 +518,8 @@ mod tests {
     #[test]
     fn mode_flips_in_place() {
         let mut ctx = RunCtx::eval();
-        assert!(!ctx.is_train());
+        assert_eq!(ctx.mode(), Mode::Eval);
         ctx.set_mode(Mode::Train);
-        assert!(ctx.is_train());
         assert_eq!(ctx.mode(), Mode::Train);
     }
 }

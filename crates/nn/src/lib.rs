@@ -10,7 +10,7 @@
 //!   arena all layers draw from, and an optional per-layer profiler.
 //! * [`conv::Conv2d`], [`linear::Linear`], [`norm::BatchNorm2d`],
 //!   [`activation`] layers and [`pool`] layers.
-//! * [`stats`] — the slot-ordered exchange that lets batch norm take
+//! * [`StatExchange`] — the slot-ordered exchange that lets batch norm take
 //!   whole-batch statistics over a batch sharded across workers.
 //! * [`loss`] — softmax cross-entropy (`Ltask`'s data term) and MSE
 //!   (`Lrec`, the autoencoder reconstruction loss).
@@ -39,12 +39,12 @@ pub mod loss;
 pub mod norm;
 pub mod optim;
 pub mod pool;
-pub mod stats;
+mod stats;
 pub mod ste;
 
 pub use activation::{Activation, ActivationKind};
 pub use conv::Conv2d;
-pub use ctx::{LayerProfile, Pass, ProfileReport, Profiler, RunCtx};
+pub use ctx::{Pass, ProfileReport, RunCtx};
 pub use layer::{Layer, Mode, Param};
 pub use linear::Linear;
 pub use loss::{correct_count, mse_loss, softmax_cross_entropy};

@@ -48,12 +48,12 @@ impl Linear {
     }
 
     /// Input feature count.
-    pub fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.weight.value.dims()[1]
     }
 
     /// Output feature count.
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.weight.value.dims()[0]
     }
 

@@ -62,7 +62,6 @@ impl LrSchedule {
 /// let mut p = Param::new(Tensor::ones(&[2]), false);
 /// p.grad = Tensor::full(&[2], 0.5);
 /// let mut sgd = Sgd::new(0.1, 0.0, 0.0);
-/// sgd.begin_step();
 /// sgd.update(&mut p);
 /// assert_eq!(p.value.data(), &[0.95, 0.95]);
 /// ```
@@ -106,7 +105,7 @@ impl Sgd {
     /// Starts a new optimizer step: resets the parameter cursor so the
     /// subsequent [`Sgd::update`] calls re-associate with their velocity
     /// slots.
-    pub fn begin_step(&mut self) {
+    pub(crate) fn begin_step(&mut self) {
         self.cursor = 0;
     }
 
@@ -171,7 +170,7 @@ impl Sgd {
     ///
     /// Panics if `grad` does not match the parameter's length, or if the
     /// parameter shape changed between steps.
-    pub fn update_from(&mut self, param: &mut Param, grad: &[f32]) {
+    pub(crate) fn update_from(&mut self, param: &mut Param, grad: &[f32]) {
         let slot = self.cursor;
         self.cursor += 1;
         if self.velocities.len() <= slot {

@@ -34,7 +34,7 @@ fn crc32_table() -> &'static [u32; 256] {
 /// CRC-32 (IEEE 802.3) of `data`: init `!0`, reflected table updates,
 /// final complement.
 #[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let table = crc32_table();
     let mut crc = !0u32;
     for &b in data {

@@ -6,7 +6,7 @@
 //! delta since the log was opened, and whatever typed key/value fields the
 //! emitter adds. Lines travel through a [`TelemetrySink`]:
 //!
-//! * [`NullSink`] — drops everything. A disabled log short-circuits
+//! * `NullSink` — drops everything. A disabled log short-circuits
 //!   *before* any formatting happens, so telemetry-off costs one branch
 //!   per potential event (the same discipline as the profiler-off path in
 //!   `alf-nn`).
@@ -54,7 +54,7 @@ pub trait TelemetrySink: Send {
 
 /// Sink that drops every line.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
+pub(crate) struct NullSink;
 
 impl TelemetrySink for NullSink {
     fn write_line(&mut self, _line: &str) {}
@@ -237,7 +237,7 @@ impl EventLog {
         }
     }
 
-    /// Disabled log ([`NullSink`], `enabled = false`): every
+    /// Disabled log (`NullSink`, `enabled = false`): every
     /// [`EventLog::event`] call returns `None` after one branch.
     pub fn disabled() -> Self {
         Self {
@@ -252,8 +252,8 @@ impl EventLog {
 
     /// Sets (or replaces) a scope field: every subsequent record carries
     /// `"key":"value"` right after its `t_ms` field. Scope keys persist
-    /// until [`EventLog::clear_scope`]; re-setting a key updates it in
-    /// place, preserving insertion order.
+    /// for the log's lifetime; re-setting a key updates it in place,
+    /// preserving insertion order.
     pub fn set_scope(&mut self, key: &str, value: &str) {
         match self.scope.iter_mut().find(|(k, _)| k == key) {
             Some((_, v)) => {
@@ -262,22 +262,6 @@ impl EventLog {
             }
             None => self.scope.push((key.to_string(), value.to_string())),
         }
-    }
-
-    /// Removes one scope field (no-op when the key is not set).
-    pub fn clear_scope(&mut self, key: &str) {
-        self.scope.retain(|(k, _)| k != key);
-    }
-
-    /// Whether events are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Events emitted so far.
-    pub fn events_written(&self) -> u64 {
-        self.seq
     }
 
     /// Opens an event of the given kind, or `None` when the log is
@@ -373,9 +357,7 @@ mod tests {
     #[test]
     fn disabled_log_emits_nothing() {
         let mut log = EventLog::disabled();
-        assert!(!log.is_enabled());
         assert!(log.event("x").is_none());
-        assert_eq!(log.events_written(), 0);
     }
 
     #[test]
@@ -394,7 +376,6 @@ mod tests {
             assert!(line.ends_with(&format!("\"i\":{i}}}")));
             assert!(!line.contains('\n'));
         }
-        assert_eq!(log.events_written(), 3);
     }
 
     #[test]
@@ -406,13 +387,9 @@ mod tests {
         log.event("job.start").expect("enabled").field_u64("n", 1);
         log.set_scope("job", "fig3"); // re-set updates in place
         log.event("job.start").expect("enabled").field_u64("n", 2);
-        log.clear_scope("job");
-        log.event("campaign.end").expect("enabled");
         let lines = handle.lines();
         assert!(lines[0].contains("\"campaign\":\"smoke\",\"job\":\"table2\",\"n\":1"));
         assert!(lines[1].contains("\"campaign\":\"smoke\",\"job\":\"fig3\",\"n\":2"));
-        assert!(lines[2].contains("\"campaign\":\"smoke\"}"));
-        assert!(!lines[2].contains("\"job\""));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! frame := u32 len | payload (len bytes) | u32 crc32(payload)
 //! ```
 //!
-//! all little-endian, CRC from [`crc32`]. The `alf-lab` campaign
+//! all little-endian, CRC from `crc32`. The `alf-lab` campaign
 //! manifest (`ALFLAB01`) encodes and validates its frames through this
 //! module, so the layout lives in one place; its magic, its size cap and
 //! what a bad frame *means* (a torn tail to truncate) stay with it.
@@ -12,7 +12,7 @@
 use crate::crc32;
 
 /// Bytes a frame adds around its payload (length prefix + CRC).
-pub const OVERHEAD: usize = 8;
+pub(crate) const OVERHEAD: usize = 8;
 
 /// One frame around `payload`.
 ///

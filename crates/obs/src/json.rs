@@ -4,7 +4,7 @@
 //! statistics, the experiment jobs' reports and the JSONL
 //! event log — routes through [`JsonWriter`], so escaping and number
 //! formatting are defined in exactly one place (`scripts/verify.sh`
-//! grep-gates that [`json_escape`] stays the only escape implementation).
+//! grep-gates that `json_escape` stays the only escape implementation).
 //!
 //! Formatting policy:
 //!
@@ -49,7 +49,7 @@
 /// Escapes `s` into `out` as the *interior* of a JSON string literal
 /// (no surrounding quotes). This is the workspace's only escape
 /// implementation; see the module docs for the exact policy.
-pub fn json_escape(out: &mut String, s: &str) {
+pub(crate) fn json_escape(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -98,7 +98,7 @@ impl JsonWriter {
     /// Writer reusing `buf`'s allocation (cleared first). The event log
     /// uses this to serialise one record per step without per-step heap
     /// traffic.
-    pub fn reusing(mut buf: String) -> Self {
+    pub(crate) fn reusing(mut buf: String) -> Self {
         buf.clear();
         Self {
             out: buf,
@@ -221,7 +221,7 @@ impl JsonWriter {
     /// Writes an `f32` value under the same policy as
     /// [`JsonWriter::value_f64`] (formatted at `f32` precision, so the
     /// text round-trips through `f32` exactly).
-    pub fn value_f32(&mut self, v: f32) {
+    pub(crate) fn value_f32(&mut self, v: f32) {
         self.before_value();
         if v.is_finite() {
             let mut buf = String::new();
@@ -258,19 +258,13 @@ impl JsonWriter {
         self.value_u64(v);
     }
 
-    /// `key` + [`JsonWriter::value_i64`].
-    pub fn field_i64(&mut self, key: &str, v: i64) {
-        self.key(key);
-        self.value_i64(v);
-    }
-
     /// `key` + [`JsonWriter::value_f64`].
     pub fn field_f64(&mut self, key: &str, v: f64) {
         self.key(key);
         self.value_f64(v);
     }
 
-    /// `key` + [`JsonWriter::value_f32`].
+    /// `key` + `JsonWriter::value_f32`.
     pub fn field_f32(&mut self, key: &str, v: f32) {
         self.key(key);
         self.value_f32(v);
@@ -361,7 +355,8 @@ mod tests {
         w.begin_object();
         w.field_str("s", "a\"b\\c\nd");
         w.field_u64("u", u64::MAX);
-        w.field_i64("i", -42);
+        w.key("i");
+        w.value_i64(-42);
         w.field_f64("f", 0.25);
         w.field_bool("b", true);
         w.key("n");

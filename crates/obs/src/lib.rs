@@ -3,7 +3,7 @@
 //! This crate is the telemetry trunk the rest of the workspace hangs off:
 //!
 //! * [`json`] — the single JSON writer ([`json::JsonWriter`]) and string
-//!   escaper ([`json::json_escape`]) for every emitter in the workspace
+//!   escaper (`json::json_escape`) for every emitter in the workspace
 //!   (profiler reports, server stats, bench reports, event records).
 //! * [`metrics`] — a [`MetricsRegistry`] of named atomic [`Counter`]s,
 //!   [`Gauge`]s, and fixed-bucket log2 [`Histogram`]s, shareable across
@@ -11,16 +11,15 @@
 //! * [`events`] — a structured [`EventLog`] producing JSON-lines records
 //!   through a pluggable [`TelemetrySink`] (in-memory ring for tests,
 //!   buffered file for runs, null sink compiled to near-nothing).
-//! * [`runtime`] — the shared `ALF_*_THREADS` worker-count parser
+//! * [`runtime`] — the shared explicit-or-host worker-count rule
 //!   ([`resolve_threads`]).
-//! * [`crc`] — the workspace's single CRC-32 ([`crc32`]) for every
+//! * `crc` — the workspace's single CRC-32 (`crc32`) for every
 //!   checksummed byte format (today the campaign manifest).
 //! * [`frame`] — the single `u32 len | payload | u32 crc32` frame codec
 //!   the campaign manifest is built from.
 //!
 //! It deliberately has **no dependencies** (std only) so that every crate
-//! in the workspace — including `alf-tensor` at the bottom of the stack —
-//! can depend on it without cycles.
+//! in the workspace can depend on it without cycles.
 //!
 //! # Overhead discipline
 //!
@@ -37,15 +36,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crc;
+mod crc;
 pub mod events;
 pub mod frame;
 pub mod json;
 pub mod metrics;
 pub mod runtime;
 
-pub use crc::crc32;
-pub use events::{Event, EventLog, FileSink, MemoryHandle, MemorySink, NullSink, TelemetrySink};
-pub use json::{json_escape, JsonWriter};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSpec, MetricsRegistry, MetricsSnapshot};
-pub use runtime::{env_threads, resolve_threads};
+use crc::crc32;
+pub use events::{EventLog, FileSink, MemorySink, TelemetrySink};
+pub use json::JsonWriter;
+pub use metrics::{Counter, Gauge, Histogram, HistogramSpec, MetricsRegistry};
+pub use runtime::resolve_threads;

@@ -1,74 +1,34 @@
-//! Runtime environment knobs shared across the workspace.
+//! Worker-count resolution shared across the workspace.
 //!
-//! Every threaded subsystem in this workspace exposes the same
-//! three-level worker-count knob — explicit constructor argument, then a
-//! positive integer in an environment variable, then host parallelism —
-//! and every one of them (`ALF_GEMM_THREADS` in `alf-tensor`,
-//! `ALF_EVAL_THREADS` in `alf-core`, `ALF_DP_THREADS` in `alf-dp`) is
-//! purely a resource knob: all threaded paths are bitwise deterministic,
-//! so a thread count never changes results. This module is the single
-//! parser for that convention.
+//! Every threaded subsystem takes an explicit worker count (the
+//! `Evaluator::with_threads`/`DpConfig::with_threads` constructors,
+//! `NetConfig::threads`, `alf-lab --jobs`) and falls back to the host's
+//! available parallelism when it is absent. Thread counts are purely a
+//! resource knob: all threaded paths are bitwise deterministic, so a
+//! thread count never changes results. The one environment override left
+//! is `ALF_GEMM_THREADS`, read by the GEMM pool in `alf-tensor`.
 
-/// Parses a positive worker count from `env_var`.
-///
-/// Returns `None` when the variable is unset, empty, non-numeric, or
-/// zero; surrounding whitespace is tolerated. This is the shared parsing
-/// half of [`resolve_threads`], exposed separately for call sites (like
-/// the GEMM pool in `alf-tensor`) that cache the result and apply their
-/// own fallback.
-pub fn env_threads(env_var: &str) -> Option<usize> {
-    std::env::var(env_var)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-}
-
-/// Resolves a worker-thread count from the standard three-level knob:
-/// an explicit constructor argument wins (clamped to at least 1), then a
-/// positive integer in the `env_var` environment variable, then the
-/// host's available parallelism.
-///
-/// Used by `alf-core`'s `Evaluator` (`ALF_EVAL_THREADS`), the `alf-dp`
-/// training engine (`ALF_DP_THREADS`), and — through [`env_threads`] —
-/// the GEMM thread pool in `alf-tensor` (`ALF_GEMM_THREADS`).
-pub fn resolve_threads(explicit: Option<usize>, env_var: &str) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
+/// Resolves a worker-thread count: an explicit value wins (clamped to at
+/// least 1), otherwise the host's available parallelism.
+pub fn resolve_threads(explicit: Option<usize>) -> usize {
+    match explicit {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map_or(1, |p| p.get()),
     }
-    if let Some(n) = env_threads(env_var) {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Each test uses a distinct variable name so the unsafe-free
-    // read-only std::env::var path needs no set_var coordination.
-
     #[test]
     fn explicit_wins_and_is_clamped() {
-        assert_eq!(resolve_threads(Some(3), "ALF_OBS_TEST_UNSET_A"), 3);
-        assert_eq!(resolve_threads(Some(0), "ALF_OBS_TEST_UNSET_A"), 1);
+        assert_eq!(resolve_threads(Some(3)), 3);
+        assert_eq!(resolve_threads(Some(0)), 1);
     }
 
     #[test]
-    fn unset_env_falls_back_to_host_parallelism() {
-        assert!(resolve_threads(None, "ALF_OBS_TEST_UNSET_B") >= 1);
-    }
-
-    #[test]
-    fn env_threads_rejects_garbage() {
-        assert_eq!(env_threads("ALF_OBS_TEST_UNSET_C"), None);
-        // Exercise the parse/filter pipeline directly on representative
-        // raw values, mirroring the env path.
-        let parse = |v: &str| v.trim().parse::<usize>().ok().filter(|&n| n >= 1);
-        assert_eq!(parse(" 4 "), Some(4));
-        assert_eq!(parse("0"), None);
-        assert_eq!(parse(""), None);
-        assert_eq!(parse("four"), None);
-        assert_eq!(parse("-2"), None);
+    fn absent_falls_back_to_host_parallelism() {
+        assert!(resolve_threads(None) >= 1);
     }
 }

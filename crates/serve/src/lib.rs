@@ -80,7 +80,7 @@ mod stats;
 
 pub use replica::{Prediction, Replica};
 pub use server::{Pending, Precision, ServeConfig, Server};
-pub use stats::{LatencyHistogram, ServerStats};
+pub use stats::ServerStats;
 
 use std::fmt;
 

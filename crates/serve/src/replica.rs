@@ -156,11 +156,6 @@ impl Replica {
         &self.model
     }
 
-    /// Whether batches run on the fused int8 engine.
-    pub fn is_int8(&self) -> bool {
-        self.quant.is_some()
-    }
-
     /// The execution context (arena + profiler) of the engine that runs
     /// this replica's batches: the int8 engine's own for an int8 replica.
     pub fn ctx(&self) -> &RunCtx {
@@ -256,7 +251,7 @@ impl Replica {
     /// [`ServeError::BadCheckpoint`] when the blob is malformed or its
     /// state structure mismatches the model (the model is left untouched),
     /// or when the swapped weights cannot be re-lowered to int8.
-    pub fn load_checkpoint(&mut self, blob: &[u8]) -> Result<()> {
+    pub(crate) fn load_checkpoint(&mut self, blob: &[u8]) -> Result<()> {
         checkpoint::load(&mut self.model, blob)
             .map_err(|e| ServeError::BadCheckpoint(e.to_string()))?;
         if let (Some(calib), Some(old)) = (&self.calib, &mut self.quant) {
@@ -388,7 +383,7 @@ mod tests {
     #[test]
     fn int8_replica_serves_and_mostly_agrees_with_f32() {
         let mut q = int8_replica();
-        assert!(q.is_int8());
+        assert!(q.quant.is_some());
         assert_eq!(q.classes(), 4);
         let mut f = replica();
         let mut rng = alf_tensor::rng::Rng::new(4);
@@ -419,7 +414,7 @@ mod tests {
         });
         let blob = alf_core::checkpoint::save(&other);
         r.load_checkpoint(&blob).unwrap();
-        assert!(r.is_int8());
+        assert!(r.quant.is_some());
         let after = r.run_batch(&[&img]).unwrap().remove(0);
         assert_ne!(before.logits, after.logits);
     }

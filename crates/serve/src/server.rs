@@ -105,7 +105,7 @@ impl ServeConfig {
 
     /// The prefix serving instruments are registered under: `serve.` for
     /// an unnamed server, `serve.<name>.` otherwise.
-    pub fn metric_prefix(&self) -> String {
+    pub(crate) fn metric_prefix(&self) -> String {
         if self.name.is_empty() {
             "serve.".to_string()
         } else {
@@ -547,16 +547,6 @@ impl Server {
             .map(|a| a.load(Ordering::Acquire))
             .sum()
     }
-
-    /// Requests currently waiting in the submission queue.
-    pub fn queue_len(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .expect("queue poisoned")
-            .items
-            .len()
-    }
 }
 
 impl Drop for Server {
@@ -744,7 +734,7 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.submitted, 10);
         assert_eq!(stats.completed, 10);
-        assert_eq!(stats.rejected(), 0);
+        assert_eq!(stats.rejected_overloaded + stats.rejected_shutdown, 0);
         assert!(stats.batches >= 1);
         let histogrammed: u64 = stats.batch_histogram.iter().sum();
         assert_eq!(histogrammed, stats.batches);
@@ -830,7 +820,8 @@ mod tests {
         server.shutdown();
         let stats = server.stats();
         assert_eq!(stats.rejected_overloaded, overloaded as u64);
-        assert_eq!(stats.submitted + stats.rejected(), 64);
+        let rejected = stats.rejected_overloaded + stats.rejected_shutdown;
+        assert_eq!(stats.submitted + rejected, 64);
         assert_eq!(stats.completed, stats.submitted);
     }
 

@@ -26,23 +26,8 @@ use alf_obs::metrics::{Histogram, HistogramSpec};
 /// `Instant`.
 ///
 /// [`record`]: LatencyHistogram::record
-///
-/// # Example
-///
-/// ```
-/// use alf_serve::LatencyHistogram;
-/// use std::time::Duration;
-///
-/// let h = LatencyHistogram::new();
-/// for ms in [1u64, 2, 3, 100] {
-///     h.record(Duration::from_millis(ms));
-/// }
-/// assert_eq!(h.total(), 4);
-/// assert!(h.quantile_ms(0.5) >= 2.0);
-/// assert!(h.quantile_ms(1.0) >= 100.0);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     inner: Arc<Histogram>,
 }
 
@@ -64,7 +49,7 @@ impl LatencyHistogram {
     /// Panics when `inner` does not use the [`HistogramSpec::latency_ns`]
     /// layout — the millisecond quantile math depends on nanosecond
     /// samples.
-    pub fn from_shared(inner: Arc<Histogram>) -> Self {
+    pub(crate) fn from_shared(inner: Arc<Histogram>) -> Self {
         assert_eq!(
             inner.spec(),
             HistogramSpec::latency_ns(),
@@ -79,15 +64,10 @@ impl LatencyHistogram {
         self.inner.record(ns);
     }
 
-    /// Number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.inner.total()
-    }
-
     /// Upper bound of the bucket containing the `q`-quantile sample, in
     /// milliseconds (0.0 for an empty histogram). `q` is clamped to
     /// `[0, 1]`.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
         self.inner.quantile(q) / 1e6
     }
 }
@@ -133,11 +113,6 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Total typed rejections (overload + shutdown).
-    pub fn rejected(&self) -> u64 {
-        self.rejected_overloaded + self.rejected_shutdown
-    }
-
     /// Writes the snapshot as one JSON object into `w`.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
@@ -172,7 +147,7 @@ mod tests {
     #[test]
     fn empty_histogram_reports_zero() {
         let h = LatencyHistogram::new();
-        assert_eq!(h.total(), 0);
+        assert_eq!(h.inner.total(), 0);
         assert_eq!(h.quantile_ms(0.5), 0.0);
         assert_eq!(h.quantile_ms(0.99), 0.0);
     }
@@ -199,7 +174,7 @@ mod tests {
         let h = LatencyHistogram::new();
         h.record(Duration::from_nanos(1));
         h.record(Duration::from_secs(100_000));
-        assert_eq!(h.total(), 2);
+        assert_eq!(h.inner.total(), 2);
         assert!(h.quantile_ms(0.0) > 0.0);
         assert!(h.quantile_ms(1.0).is_finite());
     }
@@ -210,7 +185,7 @@ mod tests {
         let view = LatencyHistogram::from_shared(Arc::clone(&shared));
         view.record(Duration::from_millis(2));
         shared.record(3_000_000);
-        assert_eq!(view.total(), 2);
+        assert_eq!(view.inner.total(), 2);
         assert_eq!(shared.total(), 2);
     }
 
@@ -230,7 +205,6 @@ mod tests {
             p95_ms: 3.0,
             p99_ms: 4.0,
         };
-        assert_eq!(stats.rejected(), 2);
         let json = stats.to_json();
         assert!(json.contains("\"submitted\":10"));
         assert!(json.contains("\"expired\":1"));

@@ -260,9 +260,19 @@ pub fn host_parallelism() -> usize {
 
 fn thread_override() -> Option<usize> {
     static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    // One shared parser for every ALF_*_THREADS knob (rejects 0 and
-    // garbage); cached because this sits on the GEMM dispatch path.
-    *OVERRIDE.get_or_init(|| alf_obs::runtime::env_threads("ALF_GEMM_THREADS"))
+    // Cached because this sits on the GEMM dispatch path.
+    *OVERRIDE.get_or_init(|| env_threads("ALF_GEMM_THREADS"))
+}
+
+/// Parses a positive worker count from `env_var`. Returns `None` when the
+/// variable is unset, empty, non-numeric, or zero; surrounding whitespace
+/// is tolerated.
+fn env_threads(env_var: &str) -> Option<usize> {
+    std::env::var(env_var).ok().and_then(|v| parse_threads(&v))
+}
+
+fn parse_threads(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// Gather maps threaded through the packing stage.
@@ -1108,6 +1118,16 @@ mod tests {
     use crate::ops::reference;
     use crate::rng::Rng;
     use crate::Tensor;
+
+    #[test]
+    fn env_threads_rejects_garbage() {
+        assert_eq!(env_threads("ALF_GEMM_TEST_UNSET"), None);
+        assert_eq!(parse_threads(" 4 "), Some(4));
+        assert_eq!(parse_threads("0"), None);
+        assert_eq!(parse_threads(""), None);
+        assert_eq!(parse_threads("four"), None);
+        assert_eq!(parse_threads("-2"), None);
+    }
 
     fn run(a: &Tensor, ta: bool, b: &Tensor, tb: bool, threads: usize) -> Tensor {
         let (m, k) = if ta {

@@ -152,12 +152,10 @@ if [ -n "$unsafe_sites" ]; then
   exit 1
 fi
 
-# The docs of the telemetry API and of the three crates every other one
-# builds on must build clean: a dangling intra-doc link to a deleted or
-# private name fails here instead of rotting.
-echo "==> cargo doc -p alf-obs -p alf-tensor -p alf-nn -p alf-core (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
-  -p alf-obs -p alf-tensor -p alf-nn -p alf-core
+# Every crate's docs must build clean: a dangling intra-doc link to a
+# deleted or private name fails here instead of rotting.
+echo "==> cargo doc --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
