@@ -14,12 +14,11 @@
 //! and `Lprune = 1/Co·Σ|m|`; the clip is bypassed with the straight-through
 //! estimator when differentiating w.r.t. `M` (Eq. 6).
 //!
-//! `Ccode` starts at `Co`; compression materialises at deployment when the
-//! zero code filters are stripped (see [`crate::deploy`]), or mid-training
-//! through [`WeightAutoencoder::compact`], which physically drops code
-//! channels whose mask entries are clipped so `Ccode < Co` for the rest of
-//! the run. `WeightAutoencoder::kept_channels` records which of the
-//! original `Co` code channels each current row corresponds to.
+//! `Ccode = Co` throughout training: a clipped channel keeps its code row
+//! (exactly zero) so Eq. 6's mask gradient can bring it back. Compression
+//! materialises only at deployment, when the zero code filters are
+//! stripped together with the matching expansion inputs (see
+//! [`crate::deploy`]).
 //!
 //! # Sparsity-aware step
 //!
@@ -38,7 +37,7 @@ use alf_nn::ste;
 use alf_tensor::init::Init;
 use alf_tensor::ops::{
     auto_threads, gemm_active_k_into, gemm_active_rows_into, matmul, matmul_at, matmul_at_ws,
-    matmul_bt_ws, matmul_ws, with_thread_workspace, ActiveRows, Workspace,
+    matmul_bt_ws, matmul_ws, ActiveRows, Workspace,
 };
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
@@ -84,13 +83,7 @@ pub struct WeightAutoencoder {
     threshold: f32,
     sigma: ActivationKind,
     mask_enabled: bool,
-    c_out: usize,
-    c_code: usize,
-    // kept[i] = index in the ORIGINAL Co-channel code space of current code
-    // row i. Identity until `compact` removes channels; the block's STE uses
-    // it to keep routing each code row's gradient onto the same raw filter
-    // it mapped to before compaction.
-    kept: Vec<usize>,
+    c_out: usize, // Co, which is also Ccode
     // Opt-out for the sparse GEMM paths in `step_in` (A/B comparisons and
     // the dense reference in benches). Never affects results — only whether
     // zero rows are elided or multiplied.
@@ -129,8 +122,6 @@ impl WeightAutoencoder {
             sigma,
             mask_enabled: true,
             c_out,
-            c_code: c_out,
-            kept: (0..c_out).collect(),
             sparse_exec: true,
             fan: c_in * kernel * kernel,
         }
@@ -158,21 +149,10 @@ impl WeightAutoencoder {
         self.mask_enabled
     }
 
-    /// Current code channel count `Ccode` (equals `Co` until
-    /// [`WeightAutoencoder::compact`] removes channels).
-    pub fn c_code(&self) -> usize {
-        self.c_code
-    }
-
-    /// Output channel count `Co` of the wrapped convolution.
+    /// Output channel count `Co` of the wrapped convolution, which is also
+    /// the code channel count `Ccode`.
     pub fn c_out(&self) -> usize {
         self.c_out
-    }
-
-    /// For each current code row, the index of the original code channel it
-    /// corresponds to (identity before any compaction).
-    pub(crate) fn kept_channels(&self) -> &[usize] {
-        &self.kept
     }
 
     /// Enables or disables the zero-row elision in [`Self::step_in`].
@@ -228,32 +208,28 @@ impl WeightAutoencoder {
         if self.mask_enabled {
             ste::clip_tensor(&self.mask, self.threshold)
         } else {
-            Tensor::ones(&[self.c_code])
+            Tensor::ones(&[self.c_out])
         }
     }
 
-    /// Zero fraction `θ = Ccode,zero / Co` of the clipped mask, counted
-    /// against the *original* channel budget: channels physically removed
-    /// by [`Self::compact`] stay in the numerator, so θ is continuous
-    /// across a compaction and the prune schedule sees the same pressure
-    /// signal either way.
+    /// Zero fraction `θ = Ccode,zero / Co` of the clipped mask: the share
+    /// of code channels deployment would strip. Zero when the mask is
+    /// disabled.
     pub fn zero_fraction(&self) -> f32 {
-        let removed = self.c_out - self.c_code;
-        if self.mask_enabled {
-            let clipped = self
-                .mask
-                .data()
-                .iter()
-                .filter(|m| m.abs() <= self.threshold)
-                .count();
-            (removed + clipped) as f32 / self.c_out as f32
-        } else {
-            removed as f32 / self.c_out as f32
+        if !self.mask_enabled {
+            return 0.0;
         }
+        let clipped = self
+            .mask
+            .data()
+            .iter()
+            .filter(|m| m.abs() <= self.threshold)
+            .count();
+        clipped as f32 / self.c_out as f32
     }
 
     /// Indices of code filters that survive the clip (the channels kept at
-    /// deployment), relative to the *current* `Ccode` rows.
+    /// deployment).
     pub(crate) fn active_channels(&self) -> Vec<usize> {
         let pm = self.pruned_mask();
         pm.data()
@@ -263,43 +239,26 @@ impl WeightAutoencoder {
             .collect()
     }
 
-    /// [`ActiveRows`] descriptor over the current `Ccode` code rows — the
+    /// [`ActiveRows`] descriptor over the `Ccode` code rows — the
     /// object the block caches and the GEMM entry points consume. All-rows
     /// when the mask is disabled.
     pub fn active_rows(&self) -> ActiveRows {
         if self.mask_enabled {
             ActiveRows::from_clipped_mask(self.mask.data(), self.threshold)
         } else {
-            ActiveRows::full(self.c_code)
+            ActiveRows::full(self.c_out)
         }
     }
 
-    fn check_weight(&self, w: &Tensor) -> Result<()> {
-        if w.shape().rank() != 4 || w.dims()[0] != self.c_out || w.len() != self.c_out * self.fan {
+    /// Checks a `[Co, Ci, K, K]` tensor: a weight, or a code (`Ccode = Co`).
+    fn check_shape(&self, what: &str, t: &Tensor) -> Result<()> {
+        if t.shape().rank() != 4 || t.dims()[0] != self.c_out || t.len() != self.c_out * self.fan {
             return Err(ShapeError::new(
                 "weight autoencoder",
                 format!(
-                    "weight {} incompatible with Co={} F={}",
-                    w.shape(),
+                    "{what} {} incompatible with Co={} F={}",
+                    t.shape(),
                     self.c_out,
-                    self.fan
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn check_code(&self, code: &Tensor) -> Result<()> {
-        if code.shape().rank() != 4
-            || code.dims()[0] != self.c_code
-            || code.len() != self.c_code * self.fan
-        {
-            return Err(ShapeError::new(
-                "weight autoencoder",
-                format!(
-                    "code {} incompatible with Ccode={} F={}",
-                    code.shape(),
-                    self.c_code,
                     self.fan
                 ),
             ));
@@ -314,17 +273,17 @@ impl WeightAutoencoder {
     ///
     /// Returns an error when `w` does not match the configured geometry.
     pub fn code(&self, w: &Tensor) -> Result<Tensor> {
-        self.check_weight(w)?;
+        self.check_shape("weight", w)?;
         let wmat = w.reshape(&[self.c_out, self.fan])?;
         let mut z = matmul_at(&self.enc, &wmat)?; // [Ccode, F]
         let pm = self.pruned_mask();
-        for j in 0..self.c_code {
+        for j in 0..self.c_out {
             let m = pm.data()[j];
             for v in &mut z.data_mut()[j * self.fan..(j + 1) * self.fan] {
                 *v = self.sigma.apply(*v * m);
             }
         }
-        z.reshape(&[self.c_code, w.dims()[1], w.dims()[2], w.dims()[3]])
+        z.reshape(&[self.c_out, w.dims()[1], w.dims()[2], w.dims()[3]])
     }
 
     /// Reconstructs `Wrec = σae(Wdecᵀ·Wcode)` in convolution layout
@@ -334,8 +293,8 @@ impl WeightAutoencoder {
     ///
     /// Returns an error when `code` does not match the configured geometry.
     pub fn reconstruct(&self, code: &Tensor) -> Result<Tensor> {
-        self.check_code(code)?;
-        let cmat = code.reshape(&[self.c_code, self.fan])?;
+        self.check_shape("code", code)?;
+        let cmat = code.reshape(&[self.c_out, self.fan])?;
         let y = matmul_at(&self.dec, &cmat)?; // [Co, F]
         self.sigma.apply_tensor(&y).reshape(&[
             self.c_out,
@@ -357,11 +316,11 @@ impl WeightAutoencoder {
     ///
     /// Returns an error when shapes mismatch the configured geometry.
     pub(crate) fn backproject_task_grad(&self, w: &Tensor, g_code: &Tensor) -> Result<Tensor> {
-        self.check_weight(w)?;
-        self.check_code(g_code)?;
-        let cc = self.c_code;
+        self.check_shape("weight", w)?;
+        self.check_shape("code", g_code)?;
+        let cc = self.c_out;
         let fan = self.fan;
-        let wmat = w.reshape(&[self.c_out, fan])?;
+        let wmat = w.reshape(&[cc, fan])?;
         let z = matmul_at(&self.enc, &wmat)?;
         let pm = self.pruned_mask();
         // g_z = g_code ⊙ σ′(σ(z·m)) ⊙ m, row-wise.
@@ -387,18 +346,9 @@ impl WeightAutoencoder {
     /// (the clip handled by the straight-through estimator, Eq. 6).
     ///
     /// `w` — the *current* raw filters of the convolution (not updated
-    /// here; that is the task player's job). Returns the step statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `w` does not match the configured geometry.
-    pub fn step(&mut self, w: &Tensor, lr: f32, nu_prune: f32) -> Result<AeStats> {
-        with_thread_workspace(|ws| self.step_in(w, lr, nu_prune, ws))
-    }
-
-    /// [`Self::step`] with GEMM packing scratch drawn from a caller-supplied
-    /// arena — the path [`crate::AlfBlock`] uses so the autoencoder player
-    /// shares the training run's single [`Workspace`].
+    /// here; that is the task player's job). GEMM packing scratch comes
+    /// from `ws`, so the autoencoder player shares the training run's
+    /// single [`Workspace`]. Returns the step statistics.
     ///
     /// # Errors
     ///
@@ -411,9 +361,9 @@ impl WeightAutoencoder {
         nu_prune: f32,
         ws: &mut Workspace,
     ) -> Result<AeStats> {
-        self.check_weight(w)?;
+        self.check_shape("weight", w)?;
         let co = self.c_out;
-        let cc = self.c_code;
+        let cc = co; // Ccode
         let fan = self.fan;
         let wmat = w.reshape(&[co, fan])?;
 
@@ -458,13 +408,7 @@ impl WeightAutoencoder {
         let rec = self.sigma.apply_tensor(&y);
 
         let (l_rec, g_rec) = alf_nn::loss::mse_loss(&rec, &wmat)?;
-        let l_prune = if cc == co {
-            self.mask.mean_abs()
-        } else {
-            // Channels removed by compaction sit at exactly zero in the
-            // conceptual length-Co mask, so Lprune keeps its 1/Co scale.
-            self.mask.data().iter().map(|v| v.abs()).sum::<f32>() / co as f32
-        };
+        let l_prune = self.mask.mean_abs();
 
         // ---- backward -------------------------------------------------
         // dL/dY = g_rec ⊙ σae'(rec)
@@ -518,14 +462,9 @@ impl WeightAutoencoder {
         self.dec.axpy(-lr, &g_dec)?;
         if self.mask_enabled {
             // STE through the clip (Eq. 6) + L1 pressure (νprune·sign/Co).
-            // `l1_subgradient` divides by the current mask length Ccode;
-            // rescale to the paper's 1/Co so compaction does not change the
-            // per-entry pressure (the factor is exactly 1.0 before any
-            // compaction, which multiplies bitwise-invisibly).
             let l1 = ste::l1_subgradient(&self.mask);
-            let rescale = cc as f32 / co as f32;
             for j in 0..cc {
-                let g = g_mask[j] + nu_prune * rescale * l1.data()[j];
+                let g = g_mask[j] + nu_prune * l1.data()[j];
                 self.mask.data_mut()[j] -= lr * g;
             }
         }
@@ -536,60 +475,6 @@ impl WeightAutoencoder {
             nu_prune,
             zero_fraction: self.zero_fraction(),
         })
-    }
-
-    /// Physically removes code channels, keeping exactly the rows of
-    /// `keep`: gathers the encoder's columns, the decoder's rows and the
-    /// mask entries, shrinking `Ccode` to `keep.len()` and composing
-    /// `Self::kept_channels`. Surviving channels' parameters are moved,
-    /// not recomputed, so the code rows they produce — and the
-    /// reconstruction, whose dropped `k` terms were exact-zero products —
-    /// stay bitwise identical to before the compaction.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `keep` does not span the current `Ccode` rows
-    /// or is empty (a block must keep at least one filter).
-    pub fn compact(&mut self, keep: &ActiveRows) -> Result<()> {
-        if keep.total() != self.c_code {
-            return Err(ShapeError::new(
-                "autoencoder compact",
-                format!(
-                    "descriptor covers {} rows but Ccode={}",
-                    keep.total(),
-                    self.c_code
-                ),
-            ));
-        }
-        if keep.is_empty() {
-            return Err(ShapeError::new(
-                "autoencoder compact",
-                "refusing to compact to zero code channels".to_string(),
-            ));
-        }
-        let idx = keep.indices();
-        let live = idx.len();
-        let co = self.c_out;
-        let cc = self.c_code;
-        // Encoder columns: enc'[r, i] = enc[r, idx[i]].
-        let mut enc = vec![0.0f32; co * live];
-        for r in 0..co {
-            for (i, &s) in idx.iter().enumerate() {
-                enc[r * live + i] = self.enc.data()[r * cc + s];
-            }
-        }
-        // Decoder rows: dec'[i, ·] = dec[idx[i], ·].
-        let mut dec = vec![0.0f32; live * co];
-        for (i, &s) in idx.iter().enumerate() {
-            dec[i * co..(i + 1) * co].copy_from_slice(&self.dec.data()[s * co..(s + 1) * co]);
-        }
-        let mask: Vec<f32> = idx.iter().map(|&s| self.mask.data()[s]).collect();
-        self.enc = Tensor::from_vec(enc, &[co, live])?;
-        self.dec = Tensor::from_vec(dec, &[live, co])?;
-        self.mask = Tensor::from_vec(mask, &[live])?;
-        self.kept = idx.iter().map(|&s| self.kept[s]).collect();
-        self.c_code = live;
-        Ok(())
     }
 }
 
@@ -658,10 +543,11 @@ mod tests {
         // Lrec must drop substantially.
         let mut a = ae(8, ActivationKind::Tanh);
         let w = weight(9).scale(0.5); // keep inside tanh's invertible range
-        let first = a.step(&w, 0.0, 0.0).unwrap().l_rec;
+        let mut ws = Workspace::new();
+        let first = a.step_in(&w, 0.0, 0.0, &mut ws).unwrap().l_rec;
         let mut last = first;
         for _ in 0..1500 {
-            last = a.step(&w, 0.05, 0.0).unwrap().l_rec;
+            last = a.step_in(&w, 0.05, 0.0, &mut ws).unwrap().l_rec;
         }
         assert!(
             last < 0.35 * first,
@@ -685,8 +571,9 @@ mod tests {
             &mut Rng::new(10),
         );
         let w = weight(11);
+        let mut ws = Workspace::new();
         for _ in 0..3000 {
-            a.step(&w, 3e-3, 1.0).unwrap();
+            a.step_in(&w, 3e-3, 1.0, &mut ws).unwrap();
         }
         assert!(
             a.zero_fraction() > 0.0,
@@ -699,8 +586,9 @@ mod tests {
     fn no_pressure_keeps_all_channels() {
         let mut a = ae(12, ActivationKind::Tanh);
         let w = weight(13);
+        let mut ws = Workspace::new();
         for _ in 0..200 {
-            a.step(&w, 0.01, 0.0).unwrap();
+            a.step_in(&w, 0.01, 0.0, &mut ws).unwrap();
         }
         // Reconstruction alone has no reason to kill channels outright.
         assert_eq!(a.zero_fraction(), 0.0);
@@ -743,7 +631,7 @@ mod tests {
                 let mut a = unpack(p);
                 // Recover the gradient from the SGD update at lr = 1.
                 let before = pack(&a);
-                a.step(&w, 1.0, nu)?;
+                a.step_in(&w, 1.0, nu, &mut Workspace::new())?;
                 let after = pack(&a);
                 before.sub(&after)
             },
@@ -770,7 +658,8 @@ mod tests {
         let mut a = ae(16, ActivationKind::Tanh);
         a.mask.data_mut()[2] = 1e-5; // clipped (t = 1e-4)
         let before = a.mask.data()[2];
-        a.step(&weight(17), 0.1, 0.0).unwrap();
+        a.step_in(&weight(17), 0.1, 0.0, &mut Workspace::new())
+            .unwrap();
         assert_ne!(a.mask.data()[2], before, "STE must update clipped entries");
     }
 
@@ -794,7 +683,7 @@ mod tests {
 
     #[test]
     fn sparse_step_is_bitwise_identical_to_dense() {
-        // The ISSUE's core guarantee: eliding pruned code rows from the
+        // The sparse step's core guarantee: eliding pruned code rows from the
         // reconstruction GEMMs must not change a single bit of the updated
         // parameters.
         let mut sparse = ae(30, ActivationKind::Tanh);
@@ -805,9 +694,10 @@ mod tests {
         assert!(sparse.sparse_eligible());
         assert!(!dense.sparse_eligible());
         let w = weight(31);
+        let mut ws = Workspace::new();
         for _ in 0..5 {
-            sparse.step(&w, 0.05, 0.5).unwrap();
-            dense.step(&w, 0.05, 0.5).unwrap();
+            sparse.step_in(&w, 0.05, 0.5, &mut ws).unwrap();
+            dense.step_in(&w, 0.05, 0.5, &mut ws).unwrap();
         }
         assert_eq!(sparse.enc.data(), dense.enc.data());
         assert_eq!(sparse.dec.data(), dense.dec.data());
@@ -824,83 +714,6 @@ mod tests {
         assert!(!ae(34, ActivationKind::Tanh)
             .without_mask()
             .sparse_eligible());
-    }
-
-    #[test]
-    fn compact_preserves_surviving_code_and_reconstruction() {
-        let mut a = ae(35, ActivationKind::Tanh);
-        a.set_mask_value(0, 0.0);
-        a.set_mask_value(2, -3e-5);
-        let w = weight(36);
-        let code_full = a.code(&w).unwrap();
-        let rec_full = a.reconstruct(&code_full).unwrap();
-
-        let keep = a.active_rows();
-        assert_eq!(keep.indices(), &[1, 3]);
-        a.compact(&keep).unwrap();
-        assert_eq!(a.c_code(), 2);
-        assert_eq!(a.kept_channels(), &[1, 3]);
-
-        let code = a.code(&w).unwrap();
-        assert_eq!(code.dims(), &[2, 2, 3, 3]);
-        let fan = 18;
-        for (i, &s) in [1usize, 3].iter().enumerate() {
-            assert_eq!(
-                &code.data()[i * fan..(i + 1) * fan],
-                &code_full.data()[s * fan..(s + 1) * fan],
-                "compacted code row {i} must be original row {s} bitwise"
-            );
-        }
-        // The dropped reconstruction terms were exact-zero products, so the
-        // reconstruction is bitwise unchanged too.
-        let rec = a.reconstruct(&code).unwrap();
-        assert_eq!(rec.data(), rec_full.data());
-        // Removed channels stay in the zero-fraction numerator.
-        assert_eq!(a.zero_fraction(), 0.5);
-        assert_eq!(a.active_channels(), vec![0, 1]);
-    }
-
-    #[test]
-    fn compact_composes_kept_map_across_rounds() {
-        let mut a = ae(37, ActivationKind::Tanh);
-        a.set_mask_value(0, 0.0);
-        a.compact(&a.active_rows()).unwrap();
-        assert_eq!(a.kept_channels(), &[1, 2, 3]);
-        a.set_mask_value(1, 0.0); // current row 1 = original channel 2
-        a.compact(&a.active_rows()).unwrap();
-        assert_eq!(a.kept_channels(), &[1, 3]);
-        assert_eq!(a.zero_fraction(), 0.5);
-    }
-
-    #[test]
-    fn compact_rejects_empty_or_mismatched_descriptor() {
-        let mut a = ae(38, ActivationKind::Tanh);
-        let empty = ActiveRows::from_mask(&[0.0; 4]);
-        assert!(a.compact(&empty).is_err());
-        let wrong = ActiveRows::full(3);
-        assert!(a.compact(&wrong).is_err());
-        // Still intact after the rejected calls.
-        assert_eq!(a.c_code(), 4);
-        assert!(a.code(&weight(39)).is_ok());
-    }
-
-    #[test]
-    fn compacted_autoencoder_still_trains() {
-        let mut a = ae(40, ActivationKind::Tanh);
-        a.set_mask_value(2, 0.0);
-        a.compact(&a.active_rows()).unwrap();
-        let w = weight(41).scale(0.5);
-        let first = a.step(&w, 0.0, 0.0).unwrap().l_rec;
-        let mut last = first;
-        for _ in 0..1500 {
-            last = a.step(&w, 0.05, 0.0).unwrap().l_rec;
-        }
-        // A 3-channel code reconstructing 4 filters is rank-limited, so the
-        // loss has a floor — but training must still make clear progress.
-        assert!(
-            last < 0.75 * first,
-            "compacted Lrec should shrink: first {first}, last {last}"
-        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ use alf_nn::layer::{Layer, Param};
 use alf_nn::norm::BatchNorm2d;
 use alf_nn::RunCtx;
 use alf_tensor::init::Init;
+use alf_tensor::ops::with_thread_workspace;
 use alf_tensor::rng::Rng;
 use alf_tensor::Tensor;
 
@@ -110,7 +111,7 @@ pub struct AlfBlock {
     sparse_exec: bool,
     // The descriptor is recomputed only when the mask may have moved since
     // the last forward (autoencoder step, direct mutation, checkpoint
-    // load, compaction) — the task player's step never touches the mask.
+    // load) — the task player's step never touches the mask.
     active_dirty: bool,
     // `Wcode` is a function of `W`, `Wenc` and `M` only: the code conv's
     // weight is rebuilt on the first forward after any of them may have
@@ -234,18 +235,10 @@ impl AlfBlock {
         self.ae.active_channels().len()
     }
 
-    /// Total code filters of the *original* geometry (`Co`). Physical
-    /// compaction does not change this, so `active/total` occupancy stays
-    /// continuous across a compaction (removed channels keep counting as
-    /// pruned).
+    /// Total code filters, `Co`: the block keeps every code channel,
+    /// pruned or not, until deployment strips the pruned ones.
     pub fn total_filters(&self) -> usize {
         self.ae.c_out()
-    }
-
-    /// Current physical code channels (`Ccode`; equal to
-    /// [`AlfBlock::total_filters`] until a compaction shrinks the block).
-    pub fn code_channels(&self) -> usize {
-        self.code_conv.c_out()
     }
 
     /// Output channels of the block (after the expansion).
@@ -270,21 +263,8 @@ impl AlfBlock {
 
     /// One optimisation step of the block's autoencoder player: computes
     /// `νprune` from the schedule at the current zero fraction and updates
-    /// `Wenc`, `Wdec`, `M`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates autoencoder shape errors (cannot happen for a block
-    /// constructed through [`AlfBlock::new`]).
-    pub fn autoencoder_step(&mut self, lr: f32, schedule: &PruneSchedule) -> Result<AeStats> {
-        let nu = schedule.nu(self.ae.zero_fraction());
-        self.invalidate_derived();
-        self.ae.step(&self.w.value, lr, nu)
-    }
-
-    /// [`Self::autoencoder_step`] with GEMM scratch drawn from the run's
-    /// shared arena — the path the trainer uses so both players reuse one
-    /// set of packing buffers.
+    /// `Wenc`, `Wdec`, `M`. GEMM scratch comes from the run's shared arena,
+    /// so both players reuse one set of packing buffers.
     ///
     /// # Errors
     ///
@@ -301,67 +281,17 @@ impl AlfBlock {
         self.ae.step_in(&self.w.value, lr, nu, &mut ctx.ws)
     }
 
-    /// Physically compacts the block when live occupancy falls strictly
-    /// below `occupancy` (a fraction of the *current* code channels):
-    /// gathers the autoencoder's encoder columns / decoder rows / mask into
-    /// a dense prefix, rebuilds the code convolution with `Ccode = live`
-    /// output channels, and gathers the expansion's input channels and the
-    /// inter-BN state consistently. Downstream GEMMs then shrink their
-    /// dimensions for real instead of skipping zero rows. Returns whether a
-    /// compaction happened.
-    ///
-    /// Never compacts away the last filter: an all-pruned block keeps its
-    /// current geometry (the sparse paths already skip all its work).
+    /// [`Self::autoencoder_step_in`] for a caller without a [`RunCtx`]:
+    /// the scratch is the calling thread's arena. The benchmark's
+    /// per-layer autoencoder probe (`benchmark/src/surface.rs`) calls it.
     ///
     /// # Errors
     ///
-    /// Propagates gather shape errors (cannot happen for a block
-    /// constructed through [`AlfBlock::new`]).
-    pub(crate) fn compact_if_below(&mut self, occupancy: f32) -> Result<bool> {
-        if !self.ae.mask_enabled() {
-            return Ok(false);
-        }
-        let rows = self.ae.active_rows();
-        if rows.is_all()
-            || rows.is_empty()
-            || (rows.len() as f32) >= occupancy * rows.total() as f32
-        {
-            return Ok(false);
-        }
-        let live = rows.len();
-        let cc = rows.total();
-        let c_in = self.code_conv.c_in();
-        let spec = self.code_conv.spec();
-        self.ae.compact(&rows)?;
-        // The code conv's weight is derived — rebuilt from the compacted
-        // autoencoder on the next forward; only the geometry changes here.
-        self.code_conv = Conv2d::new(
-            c_in,
-            live,
-            spec.kernel,
-            spec.stride,
-            spec.pad,
-            false,
-            Init::Zeros,
-            &mut Rng::new(0),
-        );
-        // Expansion input channels: exp'[o, i] = exp[o, idx[i]].
-        let co = self.expansion.c_out();
-        let old = self.expansion.weight().clone();
-        let mut gathered = vec![0.0f32; co * live];
-        for o in 0..co {
-            for (i, &s) in rows.indices().iter().enumerate() {
-                gathered[o * live + i] = old.data()[o * cc + s];
-            }
-        }
-        let mut expansion = Conv2d::new(live, co, 1, 1, 0, false, Init::Zeros, &mut Rng::new(0));
-        expansion.set_weight(Tensor::from_vec(gathered, &[co, live, 1, 1])?)?;
-        self.expansion = expansion;
-        if let Some(bn) = &mut self.inter_bn {
-            bn.select_channels(rows.indices())?;
-        }
+    /// As [`Self::autoencoder_step_in`].
+    pub fn autoencoder_step(&mut self, lr: f32, schedule: &PruneSchedule) -> Result<AeStats> {
+        let nu = schedule.nu(self.ae.zero_fraction());
         self.invalidate_derived();
-        Ok(true)
+        with_thread_workspace(|ws| self.ae.step_in(&self.w.value, lr, nu, ws))
     }
 }
 
@@ -417,20 +347,17 @@ impl Layer for AlfBlock {
             // the autoencoder step keeps flowing.
             if self.ae.mask_enabled() {
                 let rows = self.ae.active_rows();
-                let kept = self.ae.kept_channels();
-                let fan = self.w.value.len() / self.w.value.dims()[0];
-                if rows.is_all() && self.ae.c_code() == self.w.value.dims()[0] {
-                    // Nothing pruned, nothing compacted: plain accumulate.
+                if rows.is_all() {
+                    // Nothing pruned: plain accumulate.
                     self.w.grad.axpy(1.0, self.code_conv.weight_grad())?;
                 } else {
-                    // Row-wise scatter: code row i belongs to raw filter
-                    // kept[i] (identity until a compaction reorders rows).
+                    // Row-wise: code row i lands on raw filter i.
+                    let fan = self.w.value.len() / self.w.value.dims()[0];
                     let g = self.code_conv.weight_grad().data();
                     let wg = self.w.grad.data_mut();
                     for &i in rows.indices() {
-                        let (src, dst) = (i * fan, kept[i] * fan);
-                        for f in 0..fan {
-                            wg[dst + f] += g[src + f];
+                        for f in i * fan..(i + 1) * fan {
+                            wg[f] += g[f];
                         }
                     }
                 }
@@ -635,8 +562,9 @@ mod tests {
         let y_full = b.forward(&x, &mut ctx).unwrap();
         // Zero a channel via the public path: run the autoencoder with
         // sustained pressure until something clips.
+        let mut tctx = RunCtx::train();
         for _ in 0..5000 {
-            b.autoencoder_step(3e-3, &PruneSchedule::new(8.0, 0.95))
+            b.autoencoder_step_in(3e-3, &PruneSchedule::new(8.0, 0.95), &mut tctx)
                 .unwrap();
             if b.active_filters() < b.total_filters() {
                 break;
@@ -662,7 +590,7 @@ mod tests {
     fn autoencoder_step_reports_schedule_pressure() {
         let mut b = block(10);
         let stats = b
-            .autoencoder_step(1e-3, &PruneSchedule::paper_default())
+            .autoencoder_step_in(1e-3, &PruneSchedule::paper_default(), &mut RunCtx::train())
             .unwrap();
         assert!(stats.nu_prune > 0.99); // dense mask ⇒ full pressure
         assert!(stats.l_rec >= 0.0);
@@ -740,85 +668,6 @@ mod tests {
         assert!(b.w.grad.data()[fan..].iter().any(|&v| v != 0.0));
     }
 
-    #[test]
-    fn compaction_preserves_forward_and_shrinks_geometry() {
-        let mut cfg = AlfBlockConfig::paper_default();
-        cfg.threshold = 0.05;
-        cfg.inter_bn = true;
-        let mut b = AlfBlock::new(2, 4, 3, 1, 1, cfg, &mut Rng::new(24));
-        b.autoencoder_mut().set_mask_value(0, 0.0);
-        b.autoencoder_mut().set_mask_value(2, 0.02);
-        let mut rng = Rng::new(25);
-        let x = Tensor::randn(&[2, 2, 6, 6], Init::Rand, &mut rng);
-        let mut ctx = RunCtx::eval();
-        let y_before = b.forward(&x, &mut ctx).unwrap();
-
-        // Occupancy is 2/4 = 0.5: not below 0.5, then below 0.75.
-        assert!(!b.compact_if_below(0.5).unwrap());
-        assert!(b.compact_if_below(0.75).unwrap());
-        assert_eq!(b.code_channels(), 2);
-        assert_eq!(b.total_filters(), 4); // original budget, for occupancy
-        assert_eq!(b.active_filters(), 2);
-        assert_eq!(b.c_out(), 4);
-        assert_eq!(b.expansion_weight().dims(), &[4, 2, 1, 1]);
-        assert_eq!(b.autoencoder().kept_channels(), &[1, 3]);
-
-        // Surviving channels' parameters were moved, not recomputed, and
-        // the dropped channels contributed exact zeros — the block output
-        // is bitwise unchanged.
-        let y_after = b.forward(&x, &mut ctx).unwrap();
-        assert_eq!(y_before.data(), y_after.data());
-
-        // Training still works end to end on the shrunken geometry.
-        let mut tctx = RunCtx::train();
-        let y = b.forward(&x, &mut tctx).unwrap();
-        assert!(b.backward(&y, &mut tctx).is_ok());
-        assert_eq!(b.w.grad.dims(), &[4, 2, 3, 3]);
-    }
-
-    #[test]
-    fn compaction_never_drops_the_last_filter() {
-        let mut cfg = AlfBlockConfig::paper_default();
-        cfg.threshold = 0.05;
-        let mut b = AlfBlock::new(2, 4, 3, 1, 1, cfg, &mut Rng::new(26));
-        for j in 0..4 {
-            b.autoencoder_mut().set_mask_value(j, 0.0);
-        }
-        assert!(!b.compact_if_below(0.9).unwrap());
-        assert_eq!(b.code_channels(), 4);
-        // And the block still runs with everything pruned.
-        let mut ctx = RunCtx::train();
-        let y = b.forward(&Tensor::zeros(&[1, 2, 5, 5]), &mut ctx).unwrap();
-        assert_eq!(y.dims(), &[1, 4, 5, 5]);
-    }
-
-    #[test]
-    fn compacted_ste_routes_gradients_to_original_filters() {
-        // After compaction, code row i corresponds to raw filter kept[i];
-        // the STE must land gradients on those rows of W and leave the
-        // removed channels' rows untouched — matching what the gated STE
-        // did before the compaction.
-        let mut cfg = AlfBlockConfig::paper_default();
-        cfg.threshold = 0.05;
-        let mut before = AlfBlock::new(2, 4, 3, 1, 1, cfg, &mut Rng::new(27));
-        before.autoencoder_mut().set_mask_value(1, 0.0);
-        before.autoencoder_mut().set_mask_value(3, 0.0);
-        let mut after = before.clone();
-        assert!(after.compact_if_below(0.9).unwrap());
-
-        let mut rng = Rng::new(28);
-        let x = Tensor::randn(&[1, 2, 5, 5], Init::Rand, &mut rng);
-        for b in [&mut before, &mut after] {
-            let mut ctx = RunCtx::train();
-            let y = b.forward(&x, &mut ctx).unwrap();
-            b.backward(&y, &mut ctx).unwrap();
-        }
-        assert_eq!(before.w.grad.data(), after.w.grad.data());
-        let fan = 18;
-        assert!(before.w.grad.data()[fan..2 * fan].iter().all(|&v| v == 0.0));
-        assert!(before.w.grad.data()[..fan].iter().any(|&v| v != 0.0));
-    }
-
     /// Twin blocks, one with a cached code (it has run a forward) and one
     /// fresh (never forwarded, so it can only build its code from scratch),
     /// go through the same mutation: their next forwards must agree
@@ -827,7 +676,7 @@ mod tests {
     #[test]
     fn every_weight_mutation_invalidates_the_cached_code() {
         type Mutation = fn(&mut AlfBlock);
-        let mutations: [(&str, Mutation); 6] = [
+        let mutations: [(&str, Mutation); 5] = [
             ("optimizer step through visit_params", |b| {
                 b.visit_params(&mut |p| p.grad = Tensor::full(p.value.dims(), 0.25));
                 alf_nn::Sgd::new(0.1, 0.9, 0.0).step_layer(b);
@@ -846,11 +695,6 @@ mod tests {
             // What `StateSnapshot::restore` and a checkpoint load do.
             ("state write through visit_state", |b| {
                 b.visit_state(&mut |t| t.data_mut().iter_mut().for_each(|v| *v *= 0.5));
-            }),
-            ("compact_if_below", |b| {
-                b.autoencoder_mut().set_mask_value(0, 0.0);
-                b.autoencoder_mut().set_mask_value(3, 0.0);
-                assert!(b.compact_if_below(0.9).unwrap());
             }),
             ("clone", |b| *b = b.clone()),
         ];
@@ -936,7 +780,7 @@ mod tests {
         let w1 = b.code_conv.weight().clone();
         // Mutate the autoencoder, forward again: conv weight must change.
         for _ in 0..50 {
-            b.autoencoder_step(0.05, &PruneSchedule::paper_default())
+            b.autoencoder_step_in(0.05, &PruneSchedule::paper_default(), &mut ctx)
                 .unwrap();
         }
         b.forward(&x, &mut ctx).unwrap();

@@ -208,7 +208,7 @@ mod tests {
     fn paper_plain20_totals() {
         // Table II: Plain-20 / ResNet-20 → 0.27 M params, 81.1 M OPs
         // (conv layers only).
-        let layers = geometry::plain20_layers(32, 3);
+        let layers = geometry::plain20_layers(32);
         let cost = NetworkCost::of_layers(&layers);
         assert_eq!(layers.len(), 19);
         assert!(

@@ -628,14 +628,14 @@ impl CnnModel {
     /// Entry `i` is `Some(rows)` when flat parameter `i` is an ALF
     /// block's raw filter bank whose gated STE guarantees pruned rows of
     /// the gradient are **exactly zero** (`config.ste` with the mask
-    /// enabled): `rows` then lists the surviving original-filter indices
-    /// — the block's [`ActiveRows`](alf_tensor::ops::ActiveRows) over
-    /// code rows mapped through its kept-channel table — against the raw
-    /// bank's full row count. Every other parameter (and every block
-    /// without that guarantee) is `None`. This is the descriptor table
-    /// `alf-dp`'s sparse gradient codec keys its row elision off;
-    /// losslessness relies precisely on the exact-zero guarantee pinned
-    /// by `block::tests::gated_ste_discards_pruned_rows_in_both_modes`.
+    /// enabled): `rows` is then the block's
+    /// [`ActiveRows`](alf_tensor::ops::ActiveRows) over its `Co` code
+    /// rows, which are the raw bank's rows one for one. Every other
+    /// parameter (and every block without that guarantee) is `None`.
+    /// This is the descriptor table `alf-dp`'s sparse gradient codec keys
+    /// its row elision off; losslessness relies precisely on the
+    /// exact-zero guarantee pinned by
+    /// `block::tests::gated_ste_discards_pruned_rows_in_both_modes`.
     pub fn param_active_rows(&self) -> Vec<Option<alf_tensor::ops::ActiveRows>> {
         // Map each ALF block's raw weight tensor to its descriptor by
         // data-pointer identity, then walk the flat parameter order.
@@ -646,16 +646,7 @@ impl CnnModel {
             if !(config.ste && ae.mask_enabled()) {
                 continue;
             }
-            let rows = ae.active_rows();
-            let kept = ae.kept_channels();
-            let total = block.raw_weight().dims()[0];
-            let mapped: Vec<usize> = rows.indices().iter().map(|&i| kept[i]).collect();
-            // kept_channels is strictly increasing, so the mapped list
-            // is a valid descriptor over the raw bank's rows.
-            let Ok(desc) = alf_tensor::ops::ActiveRows::from_indices(mapped, total) else {
-                continue;
-            };
-            by_ptr.push((block.raw_weight().data().as_ptr(), desc));
+            by_ptr.push((block.raw_weight().data().as_ptr(), ae.active_rows()));
         }
         let mut out = Vec::new();
         self.visit_params_ref(&mut |p| {
@@ -690,24 +681,6 @@ impl CnnModel {
         for b in self.alf_blocks_mut() {
             b.set_sparse_execution(on);
         }
-    }
-
-    /// Runs `AlfBlock::compact_if_below` on every ALF block, physically
-    /// shrinking blocks whose live occupancy fell strictly below
-    /// `occupancy`. Returns how many blocks compacted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates gather shape errors from the blocks (cannot happen for
-    /// models built by the zoo constructors).
-    pub fn compact_blocks_below(&mut self, occupancy: f32) -> Result<usize> {
-        let mut n = 0;
-        for b in self.alf_blocks_mut() {
-            if b.compact_if_below(occupancy)? {
-                n += 1;
-            }
-        }
-        Ok(n)
     }
 
     /// `(name, active, total)` filter statistics for every ALF block.

@@ -36,10 +36,10 @@ impl ArchGeometry {
     }
 }
 
-/// Plain-20 conv layers at `side × side` input with stem width `width`
-/// (paper: 32×32, width 16). ResNet-20 has identical conv geometry
+/// Plain-20 conv layers at `side × side` input with the paper's stem
+/// width 16 (paper: 32×32). ResNet-20 has identical conv geometry
 /// (option-A shortcuts are parameter-free), so this serves both.
-pub fn plain20_layers(side: usize, _channels: usize) -> Vec<ConvShape> {
+pub fn plain20_layers(side: usize) -> Vec<ConvShape> {
     plain20_layers_width(side, 16)
 }
 

@@ -174,7 +174,7 @@ struct EpochSums {
 /// Drives the two-player training of a [`CnnModel`].
 ///
 /// This type owns the round — learning-rate schedule, task player,
-/// autoencoder player, optional compaction, statistics, telemetry,
+/// autoencoder player, statistics, telemetry,
 /// held-out evaluation and epoch roll-over — and is itself the paper's
 /// whole-batch task-gradient source ([`AlfTrainer::run_epoch`]). `alf-dp`'s
 /// `DpTrainer` embeds it and supplies the sharded source through
@@ -221,9 +221,6 @@ pub struct AlfTrainer {
     telemetry: EventLog,
     // Every block's last autoencoder stats of the step, in block order.
     ae_stats: Vec<AeStats>,
-    // Occupancy threshold below which blocks physically compact after the
-    // autoencoder step (None = never; see `set_compact_below`).
-    compact_below: Option<f32>,
 }
 
 impl AlfTrainer {
@@ -248,7 +245,6 @@ impl AlfTrainer {
             eval: Evaluator::new(),
             telemetry: EventLog::disabled(),
             ae_stats: Vec::new(),
-            compact_below: None,
         })
     }
 
@@ -259,19 +255,6 @@ impl AlfTrainer {
     /// threaded paths are bitwise deterministic).
     pub fn set_eval_threads(&mut self, threads: usize) {
         self.eval = Evaluator::with_threads(threads);
-    }
-
-    /// Enables (or disables, with `None`) mid-training physical compaction:
-    /// after each autoencoder step, any ALF block whose live occupancy
-    /// fell strictly below `occupancy` is shrunk in place
-    /// (`AlfBlock::compact_if_below`),
-    /// so downstream GEMMs lose the dead dimensions for real. Momentum is
-    /// realigned automatically: slots whose parameter shapes changed
-    /// restart, all others keep their velocity. Off by default — it is a
-    /// performance feature, deliberately *not* an [`AlfHyper`] field, since
-    /// it never changes which channels are live.
-    pub fn set_compact_below(&mut self, occupancy: Option<f32>) {
-        self.compact_below = occupancy;
     }
 
     /// Streams per-step and per-epoch telemetry (`train.step` /
@@ -422,13 +405,12 @@ impl AlfTrainer {
     /// epoch's learning rate, lets `task` make the task player's move —
     /// compute the batch gradient however the source does, then step the
     /// optimizer on the model, with the round's train-mode context at hand
-    /// — then moves every block's autoencoder player, compacts if asked
-    /// to, and records the step.
+    /// — then moves every block's autoencoder player and records the step.
     ///
     /// # Errors
     ///
     /// Whatever `task` fails with, and shape errors from the autoencoder
-    /// step or compaction.
+    /// step.
     pub fn play_round<E: From<ShapeError>>(
         &mut self,
         task: impl FnOnce(&mut CnnModel, &mut Sgd, &mut RunCtx) -> std::result::Result<TaskOutcome, E>,
@@ -440,21 +422,6 @@ impl AlfTrainer {
         self.task_opt.set_lr(lr);
         let out = task(&mut self.model, &mut self.task_opt, &mut self.ctx)?;
         self.autoencoder_player(out.workers)?;
-        if let Some(occ) = self.compact_below {
-            let compacted = self.model.compact_blocks_below(occ)?;
-            if compacted > 0 {
-                // Expansion / inter-BN parameter shapes changed:
-                // momentum restarts for exactly those slots.
-                let reset = self.task_opt.realign(&mut self.model);
-                if let Some(mut ev) = self.telemetry.event("train.compact") {
-                    ev.field_u64("epoch", self.epoch);
-                    ev.field_u64("step", self.step);
-                    ev.field_u64("blocks_compacted", compacted as u64);
-                    ev.field_u64("momentum_slots_reset", reset as u64);
-                    ev.field_f32("remaining_filters", self.model.remaining_filter_fraction());
-                }
-            }
-        }
         if let Some(mut ev) = self.telemetry.event("train.step") {
             ev.field_u64("epoch", self.epoch);
             ev.field_u64("step", self.step);
@@ -636,7 +603,7 @@ impl StateSnapshot {
 
     /// Brings exactly `n` long-lived `(replica, context)` pairs up to date
     /// with `model`: in-place state copy where the structure matches, full
-    /// re-clone otherwise (e.g. after deployment surgery or compaction).
+    /// re-clone otherwise (e.g. after deployment surgery).
     /// Missing replicas are cloned with a context minted by `ctx`.
     pub fn sync_replicas(
         &mut self,

@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn all_fig3_layer_shapes_are_mappable() {
         let m = mapper();
-        for shape in alf_core::models::geometry::plain20_layers(32, 3) {
+        for shape in alf_core::models::geometry::plain20_layers(32) {
             let w = ConvWorkload::from_shape(&shape, 16);
             let r = m.search(&w).unwrap_or_else(|e| panic!("{e}"));
             assert!(r.cost.total_energy() > 0.0, "{}", shape.name);

@@ -137,7 +137,7 @@ pub(crate) fn nuprune(ctx: &JobCtx<'_>) -> Result<JobResult> {
 /// dataflow? Geometry-only: re-maps vanilla Plain-20 under all three
 /// dataflows.
 pub(crate) fn dataflow(ctx: &JobCtx<'_>) -> Result<JobResult> {
-    let workloads: Vec<ConvWorkload> = geometry::plain20_layers(32, 3)
+    let workloads: Vec<ConvWorkload> = geometry::plain20_layers(32)
         .iter()
         .map(|s| ConvWorkload::from_shape(s, BATCH))
         .collect();
@@ -188,7 +188,7 @@ pub(crate) fn dataflow(ctx: &JobCtx<'_>) -> Result<JobResult> {
 /// `code → expansion` pair (geometry-only, ≈40% remaining filters).
 pub(crate) fn fusion(ctx: &JobCtx<'_>) -> Result<JobResult> {
     const REMAINING: f32 = 0.4;
-    let layers = geometry::plain20_layers(32, 3);
+    let layers = geometry::plain20_layers(32);
     let mapper = Mapper::new(Accelerator::eyeriss(), Dataflow::RowStationary);
 
     let pairs: Vec<(ConvWorkload, ConvWorkload)> = layers

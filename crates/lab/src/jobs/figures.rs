@@ -188,7 +188,7 @@ pub(crate) fn fig3(ctx: &JobCtx<'_>) -> Result<JobResult> {
         .clone();
 
     // Map the measured ratios onto the paper's width-16 / 32×32 geometry.
-    let paper_geometry = geometry::plain20_layers(32, 3);
+    let paper_geometry = geometry::plain20_layers(32);
     let mapper = Mapper::new(Accelerator::eyeriss(), Dataflow::RowStationary);
 
     let vanilla_workloads: Vec<ConvWorkload> = paper_geometry

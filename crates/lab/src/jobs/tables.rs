@@ -24,7 +24,7 @@ use crate::{eng, Scale};
 pub(crate) fn table2(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let cfg = crate::CifarConfig::at(ctx.scale());
     let data = ctx.store.cifar()?;
-    let paper_geometry = geometry::plain20_layers(32, 3);
+    let paper_geometry = geometry::plain20_layers(32);
     let baseline_cost = NetworkCost::of_layers(&paper_geometry);
 
     let plain = ctx.store.baseline(BaselineKind::Plain20)?;
@@ -374,7 +374,7 @@ pub(crate) fn headline(ctx: &JobCtx<'_>) -> Result<JobResult> {
     let profile = run_ctx.report().expect("profiler was attached");
 
     // Theoretical metrics on the paper geometry.
-    let paper_geometry = geometry::plain20_layers(32, 3);
+    let paper_geometry = geometry::plain20_layers(32);
     let baseline = NetworkCost::of_layers(&paper_geometry);
     let alf_cost = NetworkCost::of_alf_layers(
         paper_geometry

@@ -107,47 +107,6 @@ impl BatchNorm2d {
         self.eps
     }
 
-    /// Shrinks the layer to the listed channels, gathering γ/β (values
-    /// *and* accumulated gradients) and the running statistics in index
-    /// order. Used by ALF block compaction, which reorders surviving code
-    /// channels into a dense prefix; the forward/backward cache is
-    /// dropped because its per-channel buffers no longer line up.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed error when an index is out of range or the list is
-    /// not strictly increasing (compaction preserves channel order).
-    pub fn select_channels(&mut self, keep: &[usize]) -> Result<()> {
-        let c = self.channels();
-        for w in keep.windows(2) {
-            if w[0] >= w[1] {
-                return Err(ShapeError::new(
-                    "batchnorm2d select_channels",
-                    format!("indices not strictly increasing at {} >= {}", w[0], w[1]),
-                ));
-            }
-        }
-        if keep.last().is_some_and(|&last| last >= c) {
-            return Err(ShapeError::new(
-                "batchnorm2d select_channels",
-                format!("index out of range for {c} channels"),
-            ));
-        }
-        let gather = |t: &Tensor| {
-            let src = t.data();
-            Tensor::from_vec(keep.iter().map(|&i| src[i]).collect(), &[keep.len()])
-                .expect("gathered channel vector")
-        };
-        self.gamma.value = gather(&self.gamma.value);
-        self.gamma.grad = gather(&self.gamma.grad);
-        self.beta.value = gather(&self.beta.value);
-        self.beta.grad = gather(&self.beta.grad);
-        self.running_mean = gather(&self.running_mean);
-        self.running_var = gather(&self.running_var);
-        self.cache = None;
-        Ok(())
-    }
-
     fn check_input(&self, input: &Tensor) -> Result<(usize, usize, usize, usize)> {
         match input.dims() {
             &[n, c, h, w] if c == self.channels() => Ok((n, c, h, w)),
@@ -634,53 +593,6 @@ mod tests {
         assert!(bn
             .backward(&Tensor::zeros(&[1, 1, 2, 2]), &mut ctx)
             .is_err());
-    }
-
-    #[test]
-    fn select_channels_gathers_state_and_matches_small_layer() {
-        let mut ctx = RunCtx::train();
-        let mut rng = Rng::new(9);
-        let x = Tensor::randn(&[2, 4, 3, 3], Init::He, &mut rng);
-        let mut bn = BatchNorm2d::new(4);
-        bn.gamma.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]).unwrap();
-        bn.beta.value = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4], &[4]).unwrap();
-        bn.forward(&x, &mut ctx).unwrap(); // gives the running stats values
-        bn.select_channels(&[1, 3]).unwrap();
-        assert_eq!(bn.channels(), 2);
-        assert_eq!(bn.scale().data(), &[2.0, 4.0]);
-        assert_eq!(bn.shift().data(), &[0.2, 0.4]);
-        // The compacted layer normalises the gathered channels exactly as
-        // the original normalised them.
-        let mut full = BatchNorm2d::new(4);
-        full.gamma.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]).unwrap();
-        full.beta.value = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4], &[4]).unwrap();
-        let y_full = full.forward(&x, &mut RunCtx::train()).unwrap();
-        // Gather channels 1 and 3 of the input.
-        let mut xs = Vec::new();
-        for b in 0..2 {
-            for ch in [1usize, 3] {
-                xs.extend_from_slice(&x.data()[(b * 4 + ch) * 9..(b * 4 + ch + 1) * 9]);
-            }
-        }
-        let xsel = Tensor::from_vec(xs, &[2, 2, 3, 3]).unwrap();
-        let y_sel = bn.forward(&xsel, &mut RunCtx::train()).unwrap();
-        for b in 0..2 {
-            for (ci, ch) in [1usize, 3].iter().enumerate() {
-                assert_eq!(
-                    &y_sel.data()[(b * 2 + ci) * 9..(b * 2 + ci + 1) * 9],
-                    &y_full.data()[(b * 4 + ch) * 9..(b * 4 + ch + 1) * 9],
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn select_channels_rejects_bad_indices() {
-        let mut bn = BatchNorm2d::new(3);
-        assert!(bn.select_channels(&[0, 4]).is_err());
-        assert!(bn.select_channels(&[2, 1]).is_err());
-        assert!(bn.select_channels(&[1, 1]).is_err());
-        assert!(bn.select_channels(&[0, 2]).is_ok());
     }
 
     #[test]

@@ -199,31 +199,6 @@ impl Sgd {
         layer.visit_params(&mut |p| self.update(p));
     }
 
-    /// Re-validates the velocity buffers against a layer whose parameter
-    /// *shapes* may have changed in place (ALF block compaction shrinks
-    /// the expansion weight and the inter-BN γ/β mid-training). Slots
-    /// whose shape still matches keep their momentum; mismatched slots are
-    /// zero-reset, restarting momentum for exactly the compacted
-    /// parameters instead of panicking on the next step. Returns the
-    /// number of slots reset.
-    pub fn realign(&mut self, layer: &mut dyn crate::Layer) -> usize {
-        let mut slot = 0usize;
-        let mut reset = 0usize;
-        layer.visit_params(&mut |p| {
-            if let Some(vel) = self.velocities.get_mut(slot) {
-                if vel.dims() != p.value.dims() {
-                    *vel = Tensor::zeros(p.value.dims());
-                    reset += 1;
-                }
-            }
-            slot += 1;
-        });
-        // A structural change that altered the slot *count* would corrupt
-        // every later association; drop the tail defensively.
-        self.velocities.truncate(slot);
-        reset
-    }
-
     /// Runs a full step over a layer with gradients taken from `flat` — the
     /// concatenation of every parameter's gradient in visit order (the
     /// layout produced by flattening `visit_params_ref` grads, and by the
@@ -426,37 +401,5 @@ mod tests {
     #[test]
     fn constant_schedule() {
         assert_eq!(LrSchedule::Constant.lr_at(0.3, 57), 0.3);
-    }
-
-    #[test]
-    fn realign_resets_only_shape_changed_velocities() {
-        use crate::linear::Linear;
-        use crate::Layer;
-        use alf_tensor::init::Init;
-        use alf_tensor::rng::Rng;
-        let mut fc = Linear::new(3, 2, Init::Rand, &mut Rng::new(7));
-        let mut sgd = Sgd::new(0.1, 0.9, 0.0);
-        fc.visit_params(&mut |p| p.grad = Tensor::full(p.value.dims(), 1.0));
-        sgd.step_layer(&mut fc);
-        let vel_before: Vec<Tensor> = sgd.velocities().to_vec();
-        assert!(vel_before.iter().any(|v| v.sq_norm() > 0.0));
-
-        // No shape change: realign is a no-op and momentum is preserved.
-        assert_eq!(sgd.realign(&mut fc), 0);
-        for (a, b) in sgd.velocities().iter().zip(vel_before.iter()) {
-            assert_eq!(a.data(), b.data());
-        }
-
-        // Shrink the layer in place (compaction analogue): the weight slot
-        // changes shape and must be zero-reset, the bias slot keeps its
-        // momentum.
-        let mut small = Linear::new(2, 2, Init::Rand, &mut Rng::new(8));
-        assert_eq!(sgd.realign(&mut small), 1);
-        assert_eq!(sgd.velocities()[0].dims(), &[2, 2]);
-        assert_eq!(sgd.velocities()[0].sq_norm(), 0.0);
-        assert_eq!(sgd.velocities()[1].data(), vel_before[1].data());
-        // And the next step must not panic on the new shapes.
-        small.visit_params(&mut |p| p.grad = Tensor::full(p.value.dims(), 1.0));
-        sgd.step_layer(&mut small);
     }
 }

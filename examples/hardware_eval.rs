@@ -21,7 +21,7 @@ fn main() -> alf::Result<()> {
     let mapper = Mapper::new(accelerator, Dataflow::RowStationary);
 
     // Vanilla Plain-20 at the paper geometry, batch 16.
-    let layers = geometry::plain20_layers(32, 3);
+    let layers = geometry::plain20_layers(32);
     let workloads: Vec<ConvWorkload> = layers
         .iter()
         .map(|s| ConvWorkload::from_shape(s, 16))

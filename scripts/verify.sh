@@ -137,6 +137,35 @@ if [ "$step_emitters" -ne 1 ]; then
   exit 1
 fi
 
+# BENCH_history.jsonl is appended to by scripts/pairs.sh and read back by
+# it and by every later claim: each line must keep the record shape
+# pairs.sh writes, so a hand edit or a drifted writer fails here.
+echo "==> BENCH_history.jsonl schema"
+python3 - BENCH_history.jsonl BENCHMARK.json <<'PY'
+import json, sys
+
+history, spec = sys.argv[1:]
+keys = {"time", "parent", "change", "side", "rev", "workload", "pair", "order",
+        "seed", "exit", "correct", "failed", "metrics", "host"}
+metrics = {m["name"] for m in json.load(open(spec))["end_to_end"]}
+host = {"cpu_model", "nproc", "isa", "spin_ms_before", "spin_ms_after"}
+bad = []
+for n, line in enumerate(open(history), 1):
+    try:
+        r = json.loads(line)
+        ok = (isinstance(r, dict) and set(r) == keys
+              and r["side"] in ("parent", "change") and r["rev"] == r[r["side"]]
+              and r["order"] in ("first", "second")
+              and (r["metrics"] is None or set(r["metrics"]) == metrics)
+              and (r["host"] == {} or set(r["host"]) == host))
+    except ValueError:
+        ok = False
+    if not ok:
+        bad.append(n)
+if bad:
+    sys.exit(f"FAIL: BENCH_history.jsonl lines off the pairs.sh schema: {bad[:20]}")
+PY
+
 # `unsafe` lives in one module of one crate, alf_gemm_kernels::conv_tile,
 # which holds the explicit AVX2 kernels: the pack-free convolution tile (f32
 # lanes, and i16 channel pairs for int8) and the int8 requantizing store;

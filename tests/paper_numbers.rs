@@ -12,14 +12,14 @@ use alf::hwmodel::Accelerator;
 fn table2_vanilla_row_exact_params() {
     // Conv-only parameter count of Plain-20/ResNet-20:
     // 432 + 6·2304 + 4608 + 5·9216 + 18432 + 5·36864 = 267,696.
-    let layers = geometry::plain20_layers(32, 3);
+    let layers = geometry::plain20_layers(32);
     let cost = NetworkCost::of_layers(&layers);
     assert_eq!(cost.params, 267_696);
 }
 
 #[test]
 fn table2_vanilla_row_matches_paper_tolerances() {
-    let layers = geometry::plain20_layers(32, 3);
+    let layers = geometry::plain20_layers(32);
     let cost = NetworkCost::of_layers(&layers);
     let params_m = cost.params as f64 / 1e6;
     let mops = cost.ops() as f64 / 1e6;
@@ -83,7 +83,7 @@ fn eyeriss_model_matches_section_4b() {
 fn alf_headline_is_reachable_at_paper_remaining_ratio() {
     // Fig. 2c: ~38.6% filters remain at (lr=1e-3, t=1e-4). At that ratio
     // the theoretical Params/OPs reductions bracket the paper's −70%/−61%.
-    let layers = geometry::plain20_layers(32, 3);
+    let layers = geometry::plain20_layers(32);
     let baseline = NetworkCost::of_layers(&layers);
     let ratio = 0.386f32;
     let alf = NetworkCost::of_alf_layers(

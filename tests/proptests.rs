@@ -99,8 +99,8 @@ proptest! {
     }
 
     #[test]
-    fn masked_code_channels_are_zero_under_any_mask(seed in 0u64..500,
-                                                    mask_bits in 1u32..15) {
+    fn masked_code_rows_are_zero_under_any_mask(seed in 0u64..500,
+                                                mask_bits in 1u32..15) {
         let mut rng = Rng::new(seed);
         let mut ae = WeightAutoencoder::new(2, 4, 3, Init::Xavier, ActivationKind::Tanh, 0.5, &mut rng);
         // Drive mask entries inside/outside the dead zone per the bit mask.
