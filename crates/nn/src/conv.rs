@@ -2,26 +2,27 @@
 //!
 //! The hot path is allocation-free after warm-up: the GEMM packing panels
 //! and every transient scratch matrix are drawn from the shared
-//! [`RunCtx`] workspace arena, while the im2col column matrix — which must
-//! survive from `forward` to `backward` — is a layer-owned buffer reused
-//! across steps. A steady-state training step therefore allocates nothing
-//! beyond the output / input-gradient tensors the `Layer` API returns by
-//! value.
+//! [`RunCtx`] workspace arena, while the copy of the input that backward
+//! multiplies by — which must survive from `forward` to `backward` — is a
+//! layer-owned buffer reused across steps. A steady-state training step
+//! therefore allocates nothing beyond the output / input-gradient tensors
+//! the `Layer` API returns by value.
 //!
-//! Only [`Mode::Train`] owns a column matrix. The forward-only modes run
-//! the convolution through
-//! [`alf_tensor::ops::conv_gemm_into`], which unfolds
-//! nothing: a stride-1 kernel (1×1 included) runs on the pack-free AVX2
-//! tile, anything else has its `B` panels packed straight from the `NCHW`
-//! input — either way bit for bit the product of the unfold-then-pack
-//! route.
-//! [`Mode::Eval`] releases the buffer a training run left behind,
+//! No pass unfolds the input. Every mode runs the forward through
+//! [`alf_tensor::ops::conv_gemm_into`]: a stride-1 kernel (1×1 included)
+//! runs on the pack-free AVX2 tile, anything else has its `B` panels
+//! packed straight from the `NCHW` input. Backward computes the weight
+//! gradient with [`alf_tensor::ops::conv_weight_grad_into`], which packs
+//! `unfold(X)ᵀ` from the cached input the same way; only the input
+//! gradient still forms a column matrix (`Wᵀ·gmat`, folded back by
+//! `col2im`). Every route is bit for bit the unfold-then-pack product.
+//! [`Mode::Train`] caches the input, [`Mode::Eval`] releases it and
 //! [`Mode::Stats`] neither reads nor writes it.
 
 use alf_tensor::init::Init;
 use alf_tensor::ops::{
-    auto_threads, col2im_into, conv_gemm_into, gemm_active_k_into, gemm_active_rows_into,
-    gemm_into, im2col_into, ActiveRows, Conv2dSpec,
+    auto_threads, col2im_into, conv_gemm_into, conv_weight_grad_into, gemm_active_k_into,
+    gemm_into, ActiveRows, Conv2dSpec,
 };
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
@@ -64,15 +65,17 @@ pub struct Conv2d {
     c_out: usize,
     active_rows: Option<ActiveRows>,
     cache: Option<Cache>,
-    /// Layer-owned im2col column matrix of the last training forward,
-    /// reused across steps. It must survive from `forward` to `backward`,
-    /// so it cannot live in the shared arena — every conv would fight over
-    /// one slot name there. Empty in a layer that only ever evaluates.
-    cols: Vec<f32>,
+    /// Layer-owned copy of the last training forward's `NCHW` input,
+    /// reused across steps: the weight gradient packs its operand from it.
+    /// It must survive from `forward` to `backward`, so it cannot live in
+    /// the shared arena — every conv would fight over one slot name there.
+    /// Empty in a layer that only ever evaluates.
+    input: Vec<f32>,
 }
 
-/// Forward-pass state the backward pass consumes (the column matrix itself
-/// lives in `Conv2d::cols` so that cloning the layer clones live data).
+/// Forward-pass state the backward pass consumes (the input itself lives
+/// in `Conv2d::input` so that cloning the layer clones live data, and its
+/// capacity outlives the cache).
 #[derive(Debug, Clone)]
 struct Cache {
     input_dims: [usize; 4],
@@ -108,7 +111,7 @@ impl Conv2d {
             c_out,
             active_rows: None,
             cache: None,
-            cols: Vec::new(),
+            input: Vec::new(),
         }
     }
 
@@ -244,62 +247,32 @@ impl Layer for Conv2d {
         // multiplied; pruned channels are written as exact zeros, which is
         // what their all-zero weight rows would produce.
         let mut prod = ctx.ws.take("prod", self.c_out * ncols);
-        let threads = auto_threads(self.c_out, rows, ncols);
-        let live = self.active_rows.as_ref();
-        if ctx.mode() == Mode::Train {
-            // Backward multiplies by the column matrix, so a training
-            // forward unfolds it into the layer-owned buffer, which reaches
-            // steady capacity after the first step (`resize` within
-            // capacity never reallocates).
-            self.cols.resize(rows * ncols, 0.0);
-            im2col_into(&mut self.cols, input, self.spec)?;
-            match live {
-                Some(live) => gemm_active_rows_into(
-                    &mut prod,
-                    self.weight.value.data(),
-                    &self.cols,
-                    false,
-                    self.c_out,
-                    rows,
-                    ncols,
-                    live,
-                    &mut ctx.ws,
-                    threads,
-                ),
-                None => gemm_into(
-                    &mut prod,
-                    self.weight.value.data(),
-                    false,
-                    &self.cols,
-                    false,
-                    self.c_out,
-                    rows,
-                    ncols,
-                    &mut ctx.ws,
-                    threads,
-                ),
+        conv_gemm_into(
+            &mut prod,
+            self.weight.value.data(),
+            input.data(),
+            self.c_out,
+            [n, ci, h, w],
+            self.spec,
+            self.active_rows.as_ref(),
+            &mut ctx.ws,
+            auto_threads(self.c_out, rows, ncols),
+        );
+        match ctx.mode() {
+            // Backward packs the weight gradient's operand from the input,
+            // so a training forward keeps a copy in the layer-owned buffer,
+            // which reaches steady capacity after the first step (`clear`
+            // keeps the capacity and the refill stays within it).
+            Mode::Train => {
+                self.input.clear();
+                self.input.extend_from_slice(input.data());
             }
-        } else {
-            // Nothing will read a column matrix, so none is built (the
-            // product is bit for bit the one above). An
-            // eval pass also gives the backward buffer back, as it drops
-            // `cache` below — a serving replica cloned from a trained model
-            // should not carry one batch-sized matrix per layer. A
-            // statistics pass leaves it for the training steps around it.
-            if ctx.mode() == Mode::Eval {
-                self.cols = Vec::new();
-            }
-            conv_gemm_into(
-                &mut prod,
-                self.weight.value.data(),
-                input.data(),
-                self.c_out,
-                [n, ci, h, w],
-                self.spec,
-                live,
-                &mut ctx.ws,
-                threads,
-            );
+            // An eval pass gives the buffer back, as it drops `cache` below
+            // — a serving replica cloned from a trained model should not
+            // carry one batch of activations per layer.
+            Mode::Eval => self.input = Vec::new(),
+            // A statistics pass leaves it for the training steps around it.
+            Mode::Stats => {}
         }
         ctx.count_flops(2 * (self.c_out * rows * ncols) as u64);
         ctx.count_bytes(4 * (input.len() + self.weight.value.len() + self.c_out * ncols) as u64);
@@ -360,40 +333,24 @@ impl Layer for Conv2d {
             }
         }
 
-        // grad_w = gmat · colsᵀ → [co, ci·k²], accumulated straight into the
-        // [co, ci, k, k] grad buffer (same row-major data).
+        // grad_w = gmat · unfold(X)ᵀ → [co, ci·k²], packed from the cached
+        // input and accumulated straight into the [co, ci, k, k] grad
+        // buffer (same row-major data). With a live-channel descriptor the
+        // pruned channels' rows are never computed: the mask-gated STE
+        // discards them anyway (dL/dW through a clipped channel is exactly
+        // zero), so they stay exact zeros and accumulate as no-ops below.
         let mut gw = ctx.ws.take("gw", self.c_out * rows);
-        if let Some(live) = &self.active_rows {
-            // Pruned channels' weight gradients are discarded by the
-            // mask-gated STE anyway (dL/dW through a clipped channel is
-            // exactly zero), so never compute them: their gw rows stay
-            // exact zeros and accumulate as no-ops below.
-            gemm_active_rows_into(
-                &mut gw,
-                &gmat,
-                &self.cols,
-                true,
-                self.c_out,
-                ncols,
-                rows,
-                live,
-                &mut ctx.ws,
-                auto_threads(self.c_out, ncols, rows),
-            );
-        } else {
-            gemm_into(
-                &mut gw,
-                &gmat,
-                false,
-                &self.cols,
-                true,
-                self.c_out,
-                ncols,
-                rows,
-                &mut ctx.ws,
-                auto_threads(self.c_out, ncols, rows),
-            );
-        }
+        conv_weight_grad_into(
+            &mut gw,
+            &gmat,
+            &self.input,
+            self.c_out,
+            cache.input_dims,
+            self.spec,
+            self.active_rows.as_ref(),
+            &mut ctx.ws,
+            auto_threads(self.c_out, ncols, rows),
+        );
         for (g, &v) in self.weight.grad.data_mut().iter_mut().zip(gw.iter()) {
             *g += v;
         }
@@ -725,19 +682,27 @@ mod tests {
     }
 
     #[test]
-    fn cloned_layer_keeps_cached_columns() {
+    fn cloned_layer_keeps_cached_input() {
         let mut ctx = RunCtx::train();
         let mut rng = Rng::new(19);
         let x = Tensor::randn(&[1, 2, 5, 5], Init::Rand, &mut rng);
         let mut conv = mk(20, false);
         let y = conv.forward(&x, &mut ctx).unwrap();
-        // Clone mid-step: the clone carries the layer-owned column matrix
-        // and must produce the same gradients, even through a fresh ctx.
+        // Clone mid-step: the clone carries the layer-owned input copy and
+        // must produce the same gradients, even through a fresh ctx.
         let mut clone = conv.clone();
         let mut ctx2 = RunCtx::train();
         let g_orig = conv.backward(&y, &mut ctx).unwrap();
         let g_clone = clone.backward(&y, &mut ctx2).unwrap();
         assert_eq!(g_orig.data(), g_clone.data());
+        assert_eq!(conv.weight_grad().data(), clone.weight_grad().data());
+        // Backward reads the cached input without consuming it: a second
+        // backward after the one forward repeats the input gradient and
+        // adds the same weight gradient again.
+        let dw = conv.weight_grad().clone();
+        let g_again = conv.backward(&y, &mut ctx).unwrap();
+        assert_eq!(g_orig.data(), g_again.data());
+        assert_eq!(conv.weight_grad().data(), dw.scale(2.0).data());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * the forward-pass [`Mode`] (train vs eval),
 //! * a shared [`Workspace`] arena that *all* layers draw transient scratch
-//!   from (column matrices, GEMM packing panels, gradient staging buffers),
+//!   from (the conv input gradient's column matrix, GEMM packing panels,
+//!   gradient staging buffers),
 //!   so one warm arena serves a whole model instead of one arena per conv,
 //! * an optional [`Profiler`] sink recording per-layer wall time, FLOPs,
 //!   bytes moved and the arena's high-water mark.
@@ -15,7 +16,7 @@
 //! reach a steady state where `take`/`give` never allocate. Layers only
 //! borrow it for the duration of one `forward`/`backward` call and must
 //! return every buffer they take before returning. Buffers that have to
-//! survive from `forward` to `backward` (conv's column matrix, BN's
+//! survive from `forward` to `backward` (conv's copy of its input, BN's
 //! normalised activations) are layer-owned caches, *not* arena slots —
 //! two layers sharing a slot name would otherwise evict each other.
 //!

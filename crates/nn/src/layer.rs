@@ -250,11 +250,45 @@ mod tests {
         use alf_tensor::init::Init;
         use alf_tensor::rng::Rng;
 
-        let conv = || Conv2d::new(2, 3, 3, 1, 1, true, Init::Rand, &mut Rng::new(1));
+        let conv = |kernel, stride, pad, bias, seed| {
+            Conv2d::new(
+                2,
+                3,
+                kernel,
+                stride,
+                pad,
+                bias,
+                Init::Rand,
+                &mut Rng::new(seed),
+            )
+        };
         let image = vec![2, 4, 4];
         type Make = Box<dyn Fn() -> Box<dyn Layer>>;
+        // Every conv route: stride 1 (the pack-free tile where the host has
+        // it), stride 2 (panels packed from the image), 1×1, and a live-row
+        // descriptor on the forward and the weight gradient.
         let table: Vec<(Make, Vec<usize>)> = vec![
-            (Box::new(move || Box::new(conv())), image.clone()),
+            (
+                Box::new(move || Box::new(conv(3, 1, 1, true, 1))),
+                image.clone(),
+            ),
+            (
+                Box::new(move || Box::new(conv(3, 2, 1, false, 4))),
+                vec![2, 5, 5],
+            ),
+            (
+                Box::new(move || Box::new(conv(1, 1, 0, true, 5))),
+                image.clone(),
+            ),
+            (
+                Box::new(move || {
+                    let mut c = conv(3, 1, 1, false, 6);
+                    let live = alf_tensor::ops::ActiveRows::from_mask(&[1.0, 0.0, 1.0]);
+                    c.set_active_rows(Some(live)).unwrap();
+                    Box::new(c)
+                }),
+                image.clone(),
+            ),
             (
                 Box::new(|| Box::new(Linear::new(32, 3, Init::Rand, &mut Rng::new(2)))),
                 vec![32],

@@ -84,9 +84,12 @@ pub fn im2col(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor, ShapeError> {
 }
 
 /// [`im2col`] into a caller-owned buffer of exactly
-/// `ci·k·k · n·h_out·w_out` elements — the allocation-free variant the
-/// `alf-nn` conv layer uses with its per-layer workspace. The buffer is
-/// fully overwritten (zeroed first, since padding taps are never stored).
+/// `ci·k·k · n·h_out·w_out` elements. The buffer is fully overwritten
+/// (zeroed first, since padding taps are never stored). No layer calls it:
+/// every convolution packs its GEMM operand from the image instead
+/// ([`conv_gemm_into`](super::conv_gemm_into),
+/// [`conv_weight_grad_into`](super::conv_weight_grad_into)), and this
+/// unfolded matrix is the reference those packers are tested against.
 ///
 /// # Errors
 ///
@@ -234,26 +237,40 @@ pub fn col2im_into(
         ));
     }
     dst.fill(0.0);
-    let src = cols;
+    let (s, pad) = (spec.stride, spec.pad as isize);
     for b in 0..n {
         for c in 0..ci {
-            let base = (b * ci + c) * h * w;
+            let plane = &mut dst[(b * ci + c) * h * w..(b * ci + c + 1) * h * w];
             for ky in 0..k {
                 for kx in 0..k {
                     let row = (c * k + ky) * k + kx;
+                    // The in-bounds `ox` span of every output row, once:
+                    // pixels `lo..hi` have their tap column in `0..w`.
+                    let ix0 = kx as isize - pad;
+                    let (lo, hi) = in_bounds(ix0, s, w, wo);
+                    if lo >= hi {
+                        continue;
+                    }
+                    let first = (ix0 + (lo * s) as isize) as usize;
                     for oy in 0..ho {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                        let iy = (oy * s + ky) as isize - pad;
                         if iy < 0 || iy >= h as isize {
                             continue;
                         }
-                        let iy = iy as usize;
-                        for ox in 0..wo {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+                        let col = row * ncols + (b * ho + oy) * wo;
+                        let src = &cols[col + lo..col + hi];
+                        // One output row of the plane receives each pixel
+                        // at most once, in `ox` order as before, so every
+                        // element sees the same additions in the same order.
+                        let out = &mut plane[iy as usize * w..(iy as usize + 1) * w];
+                        if s == 1 {
+                            for (d, &v) in out[first..first + src.len()].iter_mut().zip(src) {
+                                *d += v;
                             }
-                            let col = (b * ho + oy) * wo + ox;
-                            dst[base + iy * w + ix as usize] += src[row * ncols + col];
+                        } else {
+                            for (d, &v) in out[first..].iter_mut().step_by(s).zip(src) {
+                                *d += v;
+                            }
                         }
                     }
                 }
@@ -263,11 +280,31 @@ pub fn col2im_into(
     Ok(())
 }
 
+/// The output pixels `lo..hi` of a run of `len` consecutive ones whose tap
+/// column `ix + q·s` (`q` the pixel's place in the run) lies in `0..w`;
+/// `lo >= hi` when none does. `ix` is the first pixel's tap column,
+/// negative inside the left padding. Inlined: the packers call it once per
+/// depth line.
+#[inline]
+pub(super) fn in_bounds(ix: isize, s: usize, w: usize, len: usize) -> (usize, usize) {
+    if s == 1 {
+        let hi = (w as isize - ix).clamp(0, len as isize);
+        ((-ix).max(0) as usize, hi as usize)
+    } else if ix >= w as isize {
+        (0, 0)
+    } else {
+        let last = (w as isize - 1 - ix) as usize / s;
+        (ix.min(0).unsigned_abs().div_ceil(s), len.min(last + 1))
+    }
+}
+
 /// 2-D convolution forward pass: `NCHW` input, `[c_out, c_in, k, k]`
 /// weights, optional per-channel bias.
 ///
-/// Implemented as `im2col` followed by a single GEMM, which is also how the
-/// backward pass (in `alf-nn`) consumes the saved column matrix.
+/// Implemented as `im2col` followed by a single GEMM: the plain
+/// definition, for tests and one-off calls. The `alf-nn` layer runs the
+/// same product through [`conv_gemm_into`](super::conv_gemm_into)
+/// without materialising the column matrix.
 ///
 /// # Errors
 ///

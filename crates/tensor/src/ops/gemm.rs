@@ -53,8 +53,8 @@
 //! entered with one thread and identity gathers; see [`super::qgemm`] for
 //! why it stays exact.
 //!
-//! **Convolutions never unfold.** [`conv_gemm_into`] is the forward-only
-//! convolution (eval, the statistics pass, int8), and it has two routes,
+//! **Convolutions never unfold.** [`conv_gemm_into`] is the convolution
+//! forward of every mode (training, eval, statistics, int8), and it has two routes,
 //! chosen per call from the geometry — never by a flag. The *packed* route
 //! is this driver with a second `B` packer that reads each panel out of
 //! the `NCHW` input instead of an unfolded column matrix — same panels,
@@ -64,7 +64,9 @@
 //! a zero-bordered copy of the image — f32 in the packed route's
 //! per-element operation order, int8 as i16 channel pairs in exact integer
 //! arithmetic — so the two routes agree bit for bit and the packed one is
-//! the checked portable fallback.
+//! the checked portable fallback. The training weight gradient
+//! `G · unfold(X)ᵀ` ([`conv_weight_grad_into`]) is this driver with a
+//! third `B` packer, the transposed sibling of the image one.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
@@ -80,7 +82,7 @@
 //! product) comes from the caller's [`Workspace`], so steady-state calls
 //! are allocation-free.
 
-use super::conv::Conv2dSpec;
+use super::conv::{in_bounds, Conv2dSpec};
 use super::workspace::Workspace;
 use crate::ShapeError;
 use alf_gemm_kernels::{microkernel_i8_into, microkernel_into, microkernel_into_clipped};
@@ -523,9 +525,9 @@ pub fn gemm_active_k_into(
 ///   [`im2col_into`](super::im2col_into)'s matrix, without the `ci·k²`-fold
 ///   copy of the input whose cost no amount of filter pruning shrinks.
 ///
-/// Forward-only callers use it (eval, the statistics pass, int8); a
-/// training forward still unfolds, because its backward pass multiplies by
-/// the column matrix.
+/// Every convolution forward uses it: training, eval, the statistics pass
+/// and int8. A training step's weight gradient packs the same image
+/// through [`conv_weight_grad_into`].
 ///
 /// # Panics
 ///
@@ -544,11 +546,9 @@ pub fn conv_gemm_into<T: Element>(
     ws: &mut Workspace,
     threads: usize,
 ) {
-    let [n, ci, h, w] = dims;
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = ci * spec.kernel * spec.kernel;
-    let ncols = n * ho * wo;
-    assert_eq!(x.len(), n * ci * h * w, "conv_gemm: X is not {dims:?}");
+    let image = ConvImage::new(x, dims, spec, "conv_gemm");
+    let k = image.taps();
+    let ncols = dims[0] * image.ho * image.wo;
     assert_eq!(a.len(), m * k, "conv_gemm: A buffer is not [{m}x{k}]");
     assert_eq!(
         c.len(),
@@ -569,16 +569,73 @@ pub fn conv_gemm_into<T: Element>(
             return super::conv_direct::conv_direct_into(tile, c, a, x, m, dims, spec, rows, ws);
         }
     }
-    let b = BOperand::Image(ConvImage {
-        x,
-        ci,
-        h,
-        w,
-        ho,
-        wo,
-        spec,
-    });
-    gemm_rows(c, a, b, m, k, ncols, rows, ws, threads);
+    gemm_rows(c, a, BOperand::Image(image), m, k, ncols, rows, ws, threads);
+}
+
+/// The weight gradient of a convolution, with the im2col matrix never
+/// materialised: `C = G · unfold(X)ᵀ` where `G` is the `[m, n·h_out·w_out]`
+/// output gradient, `X` the `NCHW` input (`dims = [n, ci, h, w]`) and `C`
+/// the `[m, ci·k²]` gradient of the weight matrix. `rows` restricts the
+/// product to the surviving filters exactly as [`gemm_active_rows_into`]
+/// does; the others are written as zero.
+///
+/// Every bit of `C` is that of `im2col_into` followed by
+/// `gemm_into(c, g, false, cols, true, ..)` (or `gemm_active_rows_into(..,
+/// tb = true)` on `rows`): the same blocked driver runs, and only its `B`
+/// packer differs — it reads each [`NR`]-tap panel straight out of the
+/// image (see `pack_b_image_t`), writing exactly the lanes `pack_b` would
+/// copy out of the transposed column matrix, so every product is formed
+/// and summed in the same `k` order with the same [`KC`] flushes.
+///
+/// # Panics
+///
+/// Panics when a buffer length disagrees with the stated dimensions,
+/// `rows` does not cover `m` rows, or the padded input is smaller than the
+/// kernel.
+#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
+pub fn conv_weight_grad_into(
+    c: &mut [f32],
+    g: &[f32],
+    x: &[f32],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let image = ConvImage::new(x, dims, spec, "conv_weight_grad");
+    let taps = image.taps();
+    let ncols = dims[0] * image.ho * image.wo;
+    assert_eq!(
+        g.len(),
+        m * ncols,
+        "conv_weight_grad: G buffer is not [{m}x{ncols}]"
+    );
+    assert_eq!(
+        c.len(),
+        m * taps,
+        "conv_weight_grad: C buffer is not [{m}x{taps}]"
+    );
+    if let Some(rows) = rows {
+        assert_eq!(
+            rows.total(),
+            m,
+            "conv_weight_grad: descriptor covers {} rows, G has {m}",
+            rows.total()
+        );
+    }
+    gemm_rows(
+        c,
+        g,
+        BOperand::ImageT(image),
+        m,
+        ncols,
+        taps,
+        rows,
+        ws,
+        threads,
+    );
 }
 
 /// Workers the blocked driver engages for `m` logical rows when asked for
@@ -753,6 +810,8 @@ pub(super) enum BOperand<'b, T> {
     Matrix { data: &'b [T], tb: bool },
     /// The im2col matrix of an image, read in place.
     Image(ConvImage<'b, T>),
+    /// The transpose of that matrix, `[n·ho·wo, ci·k²]`, read in place.
+    ImageT(ConvImage<'b, T>),
 }
 
 /// An `NCHW` buffer seen as the `[ci·k², n·ho·wo]` matrix im2col would
@@ -766,6 +825,34 @@ pub(super) struct ConvImage<'b, T> {
     ho: usize,
     wo: usize,
     spec: Conv2dSpec,
+}
+
+impl<'b, T> ConvImage<'b, T> {
+    /// `x` as the `NCHW` image of `dims` under `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `op`, when `x` does not hold `dims`, or when the
+    /// padded input is smaller than the kernel.
+    fn new(x: &'b [T], dims: [usize; 4], spec: Conv2dSpec, op: &str) -> Self {
+        let [n, ci, h, w] = dims;
+        assert_eq!(x.len(), n * ci * h * w, "{op}: X is not {dims:?}");
+        let (ho, wo) = spec.output_hw(h, w);
+        Self {
+            x,
+            ci,
+            h,
+            w,
+            ho,
+            wo,
+            spec,
+        }
+    }
+
+    /// Rows of the unfolded matrix: `ci·k²` taps.
+    fn taps(&self) -> usize {
+        self.ci * self.spec.kernel * self.spec.kernel
+    }
 }
 
 /// The blocked driver behind every entry point. `m` and `k` are the
@@ -819,6 +906,7 @@ pub(super) fn gemm_driver<T: Element>(
                     pack_b(&mut bpack, data, tb, n, pc, kc, jc, nc, gather);
                 }
                 BOperand::Image(image) => pack_b_image(&mut bpack, image, pc, kc, jc, nc),
+                BOperand::ImageT(image) => pack_b_image_t(&mut bpack, image, pc, kc, jc, nc),
             }
             if threads == 1 {
                 process_rows(
@@ -1064,17 +1152,7 @@ fn pack_b_image<T: Element>(
                     continue;
                 }
                 let row = run.base + (c * h + iy as usize) * w;
-                // Pixels lo..hi of the run are the ones whose tap column
-                // `ix + r·s` lies in `0..w`.
-                let (lo, hi) = if s == 1 {
-                    let hi = (w as isize - ix).clamp(0, run.len as isize);
-                    ((-ix).max(0) as usize, hi as usize)
-                } else if ix >= w as isize {
-                    (0, 0)
-                } else {
-                    let last = (w as isize - 1 - ix) as usize / s;
-                    (ix.min(0).unsigned_abs().div_ceil(s), run.len.min(last + 1))
-                };
+                let (lo, hi) = in_bounds(ix, s, w, run.len);
                 if lo >= hi {
                     continue;
                 }
@@ -1105,6 +1183,73 @@ fn pack_b_image<T: Element>(
                 (kx, ky) = (0, ky + 1);
                 if ky == kk {
                     (ky, c) = (0, c + 1);
+                }
+            }
+        }
+    }
+}
+
+/// [`pack_b`] with `tb` for the transposed implicit im2col matrix of
+/// `image`: fills the same panel slots with the same values,
+/// `bpack[(jp·kc + p)·NR + r] = unfold(X)[j0 + jp·NR + r, p0 + p]`, but
+/// reads them from the `NCHW` buffer. Depth `p` is now output pixel
+/// `(b, oy, ox)` and column `j` tap `(c, ky, kx)`; the entry is
+/// `X[b, c, oy·s + ky − pad, ox·s + kx − pad]`, or zero outside the image.
+///
+/// For each tap lane the slab's pixels are walked as runs that share an
+/// output row; a run reads from a single input row — a contiguous slice at
+/// stride 1, an every-`s`-th gather otherwise — and writes down the lane
+/// at stride [`NR`]. Padding taps and the lanes past `nc` keep the zero the
+/// panel was filled with.
+fn pack_b_image_t<T: Element>(
+    bpack: &mut [f32],
+    image: ConvImage<'_, T>,
+    p0: usize,
+    kc: usize,
+    j0: usize,
+    nc: usize,
+) {
+    let ConvImage {
+        x,
+        ci,
+        h,
+        w,
+        ho,
+        wo,
+        spec,
+    } = image;
+    let (kk, s, pad) = (spec.kernel, spec.stride, spec.pad as isize);
+    let first_pixel = (p0 / (ho * wo), p0 / wo % ho, p0 % wo);
+    for jp in 0..nc.div_ceil(NR) {
+        let panel = &mut bpack[jp * kc * NR..(jp + 1) * kc * NR];
+        panel.fill(0.0);
+        let col0 = j0 + jp * NR;
+        for r in 0..NR.min(j0 + nc - col0) {
+            let tap = col0 + r;
+            let (c, ky, kx) = (tap / (kk * kk), tap / kk % kk, tap % kk);
+            let (mut b, mut oy, mut ox) = first_pixel;
+            let mut p = 0;
+            while p < kc {
+                let len = (wo - ox).min(kc - p);
+                let iy = (oy * s + ky) as isize - pad;
+                if (0..h as isize).contains(&iy) {
+                    let ix = (ox * s + kx) as isize - pad;
+                    let (lo, hi) = in_bounds(ix, s, w, len);
+                    if lo < hi {
+                        let row = ((b * ci + c) * h + iy as usize) * w;
+                        let first = (row as isize + ix + (lo * s) as isize) as usize;
+                        let src = x[first..row + w].iter().step_by(s);
+                        let dst = panel[(p + lo) * NR + r..].iter_mut().step_by(NR);
+                        for (slot, &v) in dst.zip(src).take(hi - lo) {
+                            *slot = v.widen();
+                        }
+                    }
+                }
+                p += len;
+                ox = 0;
+                oy += 1;
+                if oy == ho {
+                    (oy, b) = (0, b + 1);
                 }
             }
         }
@@ -1446,10 +1591,11 @@ mod tests {
     #[test]
     fn conv_gemm_is_allocation_free_after_warmup_on_both_routes() {
         // Stride 1 takes the direct route where the host has AVX2, stride 2
-        // the packed one; each runs f32 (dense and row-gathered) and i8.
-        // One warm-up per geometry sizes every slot — the padded image, the
-        // weight panels and the tap table included — and nothing grows
-        // after, whichever geometry the slots last served.
+        // the packed one; each runs f32 (dense and row-gathered) and i8,
+        // and the weight gradient packed from the image, dense and
+        // row-gathered. One warm-up per geometry sizes every slot — the
+        // padded image, the weight panels and the tap table included — and
+        // nothing grows after, whichever geometry the slots last served.
         let (n, ci, h, w, m) = (2, 5, 11, 19, 9);
         let dims = [n, ci, h, w];
         let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)];
@@ -1469,6 +1615,9 @@ mod tests {
                 conv_gemm_into(&mut c, &a, &x, m, dims, spec, None, ws, 1);
                 conv_gemm_into(&mut c, &a, &x, m, dims, spec, Some(&rows), ws, 1);
                 conv_gemm_into(&mut c8, &a8, &x8, m, dims, spec, None, ws, 1);
+                let mut dw = vec![0.0f32; a.len()];
+                conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, None, ws, 1);
+                conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, Some(&rows), ws, 1);
             }
         };
         pass(&mut ws);

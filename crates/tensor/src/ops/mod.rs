@@ -1,10 +1,12 @@
-//! Numerical kernels: matrix multiplication and im2col-based convolution.
+//! Numerical kernels: matrix multiplication and GEMM convolution.
 //!
 //! The convolution entry points operate on `NCHW` activations and
 //! `[c_out, c_in, k, k]` weights and are shared by the forward *and*
-//! backward passes of [`alf-nn`](https://example.invalid/alf): the backward
-//! pass is expressed as matmuls against the saved column matrix plus a
-//! [`col2im`] scatter.
+//! backward passes of [`alf-nn`](https://example.invalid/alf), none of which
+//! unfolds its input: the forward is [`conv_gemm_into`], the weight
+//! gradient [`conv_weight_grad_into`] (both packing straight from the
+//! image), and the input gradient a GEMM into a column matrix folded back
+//! by the [`col2im_into`] scatter.
 //!
 //! Performance architecture (see `DESIGN.md` for the full picture):
 //!
@@ -21,20 +23,25 @@
 //!   conveniences, drawing scratch from a thread-local workspace (the
 //!   `_ws` variants take the caller's).
 //! * [`qgemm`] holds the int8 entry points: [`gemm_i8_into`] runs
-//!   `i8×i8→i32` products through the same driver for the quantized
-//!   deployment path, and [`im2col_i8_into`] feeds it.
+//!   `i8×i8→i32` products through the same driver, and [`im2col_i8_into`]
+//!   feeds it. Together they are the reference route the int8
+//!   convolution is tested against; the deployed int8 engine runs
+//!   [`conv_gemm_into`]. [`requantize_into`] is that engine's store, on
+//!   the explicit AVX2 store of `alf-gemm-kernels` where the host has it.
 //! * [`mod@reference`] preserves the seed's naive kernels for differential
 //!   tests and as the benchmark baseline.
-//! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop and, like
-//!   [`col2im_into`], write into caller-owned buffers so layer code can
-//!   keep the whole conv step allocation-free. Only a training forward
-//!   needs them: [`conv_gemm_into`] is the forward-only convolution (f32
+//! * [`conv_gemm_into`] is the convolution forward of every mode (f32
 //!   and i8), bitwise equal to unfold + GEMM without the unfold — the same
 //!   driver packing its `B` panels straight from the `NCHW` input, or, for
 //!   stride-1 kernels (1×1 included) on AVX2 hosts, the pack-free tile of
 //!   `alf-gemm-kernels` reading a zero-bordered copy of the image.
-//!   [`requantize_into`] is the int8 engine's store, on the explicit AVX2
-//!   store of that crate where the host has it.
+//!   [`conv_weight_grad_into`] is the training weight gradient
+//!   `G · unfold(X)ᵀ`, the same driver packing the transposed panels from
+//!   the image. [`col2im_into`] folds the input gradient's column matrix
+//!   back into a caller-owned buffer, span by span.
+//! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop. No
+//!   training or inference path calls them; they are the reference route
+//!   the proptests hold the image packers to, bit for bit.
 //! * [`Workspace`] is the scratch arena: one pool of named slots, generic
 //!   over the element type.
 
@@ -49,8 +56,8 @@ mod workspace;
 
 pub use conv::{col2im, col2im_into, conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
 pub use gemm::{
-    auto_threads, conv_gemm_into, gemm_active_k_into, gemm_active_rows_into, gemm_into,
-    host_parallelism, ActiveRows,
+    auto_threads, conv_gemm_into, conv_weight_grad_into, gemm_active_k_into, gemm_active_rows_into,
+    gemm_into, host_parallelism, ActiveRows,
 };
 pub use matmul::{matmul, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws};
 pub use qgemm::{gemm_i8_into, im2col_i8_into, requantize, requantize_into};

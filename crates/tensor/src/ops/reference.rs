@@ -1,17 +1,20 @@
-//! Seed matmul kernels, preserved as the reference implementations.
+//! Seed kernels, preserved as the reference implementations.
 //!
-//! These are the exact loop nests the repo shipped with before the
+//! The matmuls are the exact loop nests the repo shipped with before the
 //! blocked GEMM landed ([`super::gemm`]): single-threaded, no packing, no
 //! tiling, and — in the non-transposed variants — an unconditional
 //! `av == 0.0` skip in the inner loop. They exist for differential
 //! testing: the blocked kernel is property-tested against these across
 //! randomized shapes; any divergence beyond accumulation-order rounding
-//! is a kernel bug.
+//! is a kernel bug. [`col2im_into`] is the scalar fold with a bounds
+//! branch per element; [`super::col2im_into`] must match it bit for bit.
 //!
 //! Do not "optimise" this module; route performance work through
-//! [`super::gemm`] instead.
+//! [`super::gemm`] and [`super::col2im_into`] instead.
 
 use crate::{ShapeError, Tensor};
+
+use super::Conv2dSpec;
 
 use super::matmul::dims_for;
 
@@ -96,6 +99,54 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
         }
     }
     Ok(out)
+}
+
+/// Seed `col2im`: folds the `[ci·k², n·h_out·w_out]` column matrix
+/// `cols` into the `n·ci·h·w` buffer `dst`, zeroing it first and adding
+/// overlapping contributions in `(b, c, ky, kx, oy, ox)` order, one bounds
+/// test per element.
+///
+/// # Panics
+///
+/// Panics when a buffer is shorter than the stated geometry.
+pub fn col2im_into(
+    dst: &mut [f32],
+    cols: &[f32],
+    n: usize,
+    ci: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+) {
+    let (ho, wo) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let ncols = n * ho * wo;
+    dst[..n * ci * h * w].fill(0.0);
+    for b in 0..n {
+        for c in 0..ci {
+            let base = (b * ci + c) * h * w;
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (c * k + ky) * k + kx;
+                    for oy in 0..ho {
+                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..wo {
+                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let col = (b * ho + oy) * wo + ox;
+                            dst[base + iy * w + ix as usize] += cols[row * ncols + col];
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,15 @@
 # seed, the five metrics, and the host fingerprint the harness recorded
 # (CPU model, nproc, ISA flags, spin calibration before and after). A run
 # that fails is recorded with its exit status and null metrics; no run is
-# ever dropped. Scratch directories go under $TMPDIR and are removed on exit.
+# ever dropped.
+#
+# After the pairs, one traced run per side (`--seed 1 --trace 1`, parent
+# first) measures the per-layer probes: the script prints each probe of
+# BENCHMARK.json as parent, change and change/parent, and appends one line
+# per side with the keys time, parent, change, side, rev, workload, seed,
+# exit and layers — the probe values by name, or null when the run failed.
+# The script exits nonzero if any run failed, traced ones included.
+# Scratch directories go under $TMPDIR and are removed on exit.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -139,7 +147,8 @@ for i in $(seq 1 "$pairs"); do
     fi
 done
 
-python3 - "$history" "$ROOT/BENCHMARK.json" "$parent_rev" "$change_rev" "$workload" "$pairs" <<'PY'
+status=0
+python3 - "$history" "$ROOT/BENCHMARK.json" "$parent_rev" "$change_rev" "$workload" "$pairs" <<'PY' || status=$?
 import json, statistics, sys
 
 history, spec, parent, change, workload, pairs = sys.argv[1:]
@@ -195,3 +204,62 @@ if failed:
     print(f"{len(failed)} run(s) failed; recorded in {history}")
     sys.exit(1)
 PY
+
+traced() { # side
+    local side="$1" code=0
+    echo "pairs.sh: traced run, $side" >&2
+    bash "$work/$side/benchmark/run.sh" --workload "$workload" --seed 1 --trace 1 \
+        > "$work/$side.traced.out" 2> "$work/$side.traced.err" || code=$?
+    python3 - "$work/$side.traced.out" "$ROOT/BENCHMARK.json" "$side" "$code" "$workload" \
+        "$parent_rev" "$change_rev" >> "$history" <<'PY'
+import datetime, json, sys
+
+out, spec, side, code, workload, parent, change = sys.argv[1:]
+names = [m["name"] for m in json.load(open(spec))["per_layer"]]
+layers = None
+try:
+    with open(out) as f:
+        metrics = json.loads(f.read().strip().splitlines()[-1])["metrics"]
+    if int(code) == 0:
+        layers = {n: metrics[n]["value"] for n in names}
+except (OSError, ValueError, IndexError, KeyError, TypeError):
+    pass
+print(json.dumps({
+    "time": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+    "parent": parent,
+    "change": change,
+    "side": side,
+    "rev": parent if side == "parent" else change,
+    "workload": workload,
+    "seed": 1,
+    "exit": int(code),
+    "layers": layers,
+}, separators=(",", ":")))
+PY
+    if [ "$code" != 0 ]; then
+        echo "pairs.sh: traced $side run exited $code (recorded)" >&2
+        tail -n 5 "$work/$side.traced.err" >&2
+        status=1
+    fi
+}
+traced parent
+traced change
+
+python3 - "$history" "$ROOT/BENCHMARK.json" <<'PY' || status=1
+import json, sys
+
+history, spec = sys.argv[1:]
+parent, change = [json.loads(l) for l in open(history) if l.strip()][-2:]
+print(f"\nper-layer probes, traced run on seed 1 ({parent['workload']})")
+print("| probe | parent | change | change/parent |")
+print("|---|---|---|---|")
+for m in json.load(open(spec))["per_layer"]:
+    name = m["name"]
+    p, c = (r["layers"][name] if r["layers"] else None for r in (parent, change))
+    cell = lambda v: "—" if v is None else f"{v:.4g}"
+    ratio = f"{c / p:.3f}" if p and c is not None else "—"
+    print(f"| {name} ({m['unit']}) | {cell(p)} | {cell(c)} | {ratio} |")
+if not (parent["layers"] and change["layers"]):
+    sys.exit(1)
+PY
+exit "$status"

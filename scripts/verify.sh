@@ -138,8 +138,9 @@ if [ "$step_emitters" -ne 1 ]; then
 fi
 
 # BENCH_history.jsonl is appended to by scripts/pairs.sh and read back by
-# it and by every later claim: each line must keep the record shape
-# pairs.sh writes, so a hand edit or a drifted writer fails here.
+# it and by every later claim: each line must keep one of the two record
+# shapes pairs.sh writes — a paired run's five metrics, or a traced run's
+# per-layer probes — so a hand edit or a drifted writer fails here.
 echo "==> BENCH_history.jsonl schema"
 python3 - BENCH_history.jsonl BENCHMARK.json <<'PY'
 import json, sys
@@ -147,17 +148,25 @@ import json, sys
 history, spec = sys.argv[1:]
 keys = {"time", "parent", "change", "side", "rev", "workload", "pair", "order",
         "seed", "exit", "correct", "failed", "metrics", "host"}
-metrics = {m["name"] for m in json.load(open(spec))["end_to_end"]}
+traced_keys = {"time", "parent", "change", "side", "rev", "workload", "seed", "exit",
+               "layers"}
+spec = json.load(open(spec))
+metrics = {m["name"] for m in spec["end_to_end"]}
+layers = {m["name"] for m in spec["per_layer"]}
 host = {"cpu_model", "nproc", "isa", "spin_ms_before", "spin_ms_after"}
 bad = []
 for n, line in enumerate(open(history), 1):
     try:
         r = json.loads(line)
-        ok = (isinstance(r, dict) and set(r) == keys
-              and r["side"] in ("parent", "change") and r["rev"] == r[r["side"]]
-              and r["order"] in ("first", "second")
-              and (r["metrics"] is None or set(r["metrics"]) == metrics)
-              and (r["host"] == {} or set(r["host"]) == host))
+        ok = (isinstance(r, dict)
+              and r.get("side") in ("parent", "change") and r["rev"] == r[r["side"]])
+        if ok and set(r) == keys:
+            ok = (r["order"] in ("first", "second")
+                  and (r["metrics"] is None or set(r["metrics"]) == metrics)
+                  and (r["host"] == {} or set(r["host"]) == host))
+        elif ok:
+            ok = (set(r) == traced_keys
+                  and (r["layers"] is None or set(r["layers"]) == layers))
     except ValueError:
         ok = False
     if not ok:

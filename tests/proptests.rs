@@ -8,11 +8,11 @@ use alf::hwmodel::{Accelerator, ConvWorkload, Dataflow, Mapper};
 use alf::nn::activation::ActivationKind;
 use alf::nn::ste;
 use alf::tensor::init::Init;
-use alf::tensor::ops::gemm::{KC, NC};
+use alf::tensor::ops::gemm::{KC, MC, NC, NR};
 use alf::tensor::ops::{
-    col2im, conv2d, conv_gemm_into, gemm_active_rows_into, gemm_i8_into, gemm_into, im2col,
-    im2col_i8_into, im2col_into, matmul, matmul_at, matmul_bt, reference, requantize,
-    requantize_into, ActiveRows, Conv2dSpec, Workspace,
+    col2im, col2im_into, conv2d, conv_gemm_into, conv_weight_grad_into, gemm_active_rows_into,
+    gemm_i8_into, gemm_into, im2col, im2col_i8_into, im2col_into, matmul, matmul_at, matmul_bt,
+    reference, requantize, requantize_into, ActiveRows, Conv2dSpec, Workspace,
 };
 use alf::tensor::rng::Rng;
 use alf::tensor::Tensor;
@@ -613,6 +613,222 @@ proptest! {
         let narrow_1x1 = base(ci_extra, 2 + side_extra % 4, 1 + side_extra % 8, 1, 0);
         fused_conv_agrees(&FusedConv { live: vec![seed as usize % m], ..narrow_1x1 }, &mut ws)?;
         fused_conv_agrees(&FusedConv { extreme: true, ..base((KC + ci_extra) | 1, 3, 9 + side_extra, 1, 0) }, &mut ws)?;
+    }
+}
+
+/// A training convolution's two products against the im2col route, bit
+/// for bit, on `threads` workers: the forward `conv_gemm_into` against
+/// `gemm_into(A, cols)`, and the weight gradient `conv_weight_grad_into`
+/// against `gemm_into(G, cols, tb = true)` — both dense and under the
+/// live-row subset, which `gemm_active_rows_into` computes on the
+/// unfolded matrix. Every output starts as NaN, so a slot the image route
+/// forgets shows; `ws` is the caller's, as in [`fused_conv_agrees`].
+fn train_conv_agrees(
+    case: &FusedConv,
+    threads: usize,
+    ws: &mut Workspace,
+) -> Result<(), TestCaseError> {
+    let &FusedConv {
+        n,
+        ci,
+        h,
+        w,
+        spec,
+        m,
+        seed,
+        ..
+    } = case;
+    let (ho, wo) = spec.output_hw(h, w);
+    let (rows, cols) = (ci * spec.kernel * spec.kernel, n * ho * wo);
+    let mut rng = Rng::new(seed);
+    let x = Tensor::randn(&[n, ci, h, w], Init::Rand, &mut rng);
+    let a = Tensor::randn(&[m, rows], Init::Rand, &mut rng);
+    let g = Tensor::randn(&[m, cols], Init::Rand, &mut rng);
+    let live = ActiveRows::from_indices(case.live.clone(), m).unwrap();
+    let dims = [n, ci, h, w];
+    let same_bits = |w: &[f32], g: &[f32]| w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits());
+    let mut unfolded = vec![0.0f32; rows * cols];
+    im2col_into(&mut unfolded, &x, spec).unwrap();
+
+    let mut want = vec![0.0f32; m * cols];
+    let mut got = vec![f32::NAN; m * cols];
+    gemm_into(
+        &mut want,
+        a.data(),
+        false,
+        &unfolded,
+        false,
+        m,
+        rows,
+        cols,
+        ws,
+        threads,
+    );
+    conv_gemm_into(
+        &mut got,
+        a.data(),
+        x.data(),
+        m,
+        dims,
+        spec,
+        None,
+        ws,
+        threads,
+    );
+    prop_assert!(same_bits(&want, &got), "forward: {:?}", case);
+    gemm_active_rows_into(
+        &mut want,
+        a.data(),
+        &unfolded,
+        false,
+        m,
+        rows,
+        cols,
+        &live,
+        ws,
+        threads,
+    );
+    got.fill(f32::NAN);
+    conv_gemm_into(
+        &mut got,
+        a.data(),
+        x.data(),
+        m,
+        dims,
+        spec,
+        Some(&live),
+        ws,
+        threads,
+    );
+    prop_assert!(same_bits(&want, &got), "forward rows: {:?}", case);
+
+    let mut want = vec![0.0f32; m * rows];
+    let mut got = vec![f32::NAN; m * rows];
+    gemm_into(
+        &mut want,
+        g.data(),
+        false,
+        &unfolded,
+        true,
+        m,
+        cols,
+        rows,
+        ws,
+        threads,
+    );
+    conv_weight_grad_into(
+        &mut got,
+        g.data(),
+        x.data(),
+        m,
+        dims,
+        spec,
+        None,
+        ws,
+        threads,
+    );
+    prop_assert!(same_bits(&want, &got), "dW: {:?}", case);
+    gemm_active_rows_into(
+        &mut want,
+        g.data(),
+        &unfolded,
+        true,
+        m,
+        cols,
+        rows,
+        &live,
+        ws,
+        threads,
+    );
+    got.fill(f32::NAN);
+    conv_weight_grad_into(
+        &mut got,
+        g.data(),
+        x.data(),
+        m,
+        dims,
+        spec,
+        Some(&live),
+        ws,
+        threads,
+    );
+    prop_assert!(same_bits(&want, &got), "dW rows: {:?}", case);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A training convolution unfolds nothing: the forward runs
+    /// `conv_gemm_into`, and the weight gradient `G · unfold(X)ᵀ` packs its
+    /// `B` panels straight from the `NCHW` input. Both must be *bitwise*
+    /// the im2col + GEMM products.
+    ///
+    /// Every case runs one free draw over strides 1–3, kernels 1/3/5 and
+    /// pads 0–2 with a drawn live-row set, then the same geometry with all,
+    /// one and no rows live; a pixel count spanning three `KC` slabs of
+    /// the gradient's depth; a tap count past one `NC` strip, no multiple
+    /// of `NR` so the last panel is ragged; and `c_out > MC` on two
+    /// workers. The first convolution leaves the workspace dirty.
+    #[test]
+    fn conv_weight_grad_is_bitwise_the_im2col_route(
+        n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
+        ci in 1usize..6, side_extra in 0usize..12, m in 1usize..20,
+        keep in proptest::collection::vec(0usize..2, 20), seed in 0u64..1000) {
+        let mut ws = Workspace::new();
+        let k = [1usize, 3, 5][kidx];
+        let spec = Conv2dSpec::new(k, stride, pad);
+        let case = |n: usize, ci: usize, h: usize, w: usize, m: usize, live: Vec<usize>| FusedConv {
+            n, ci, h, w, spec, m, live, seed, extreme: false,
+        };
+        train_conv_agrees(
+            &FusedConv { spec: Conv2dSpec::new(5, 2, 2), ..case(2, 7, 13, 21, 9, vec![0, 3, 4]) },
+            1,
+            &mut ws,
+        )?;
+
+        let kept: Vec<usize> = (0..m).filter(|&i| keep[i] == 1).collect();
+        let (h, w) = (k + side_extra, k + 2 * side_extra % 7);
+        train_conv_agrees(&case(n, ci, h, w, m, kept), 1, &mut ws)?;
+        for live in [(0..m).collect(), vec![seed as usize % m], vec![]] {
+            train_conv_agrees(&case(n, ci, h, w, m, live), 1, &mut ws)?;
+        }
+
+        // Output pixels past 2·KC: three slabs of the gradient's depth.
+        let side = (2 * KC / n).isqrt() + 1;
+        let long = case(n, ci, (side - 1) * stride + k, (side - 1) * stride + k, m, vec![0]);
+        prop_assert!(long.n * long.spec.output_hw(long.h, long.w).0.pow(2) > 2 * KC);
+        train_conv_agrees(&long, 1, &mut ws)?;
+
+        // Taps past one NC strip, ragged in the last NR panel.
+        let deep_ci = (NC / (k * k) + ci) | 1;
+        prop_assert!(deep_ci * k * k > NC && !(deep_ci * k * k).is_multiple_of(NR));
+        train_conv_agrees(&case(1, deep_ci, k + side_extra % 3, k + 2, m, vec![m - 1]), 1, &mut ws)?;
+
+        // More filters, and more live ones, than one MC block: two workers
+        // engage on every product.
+        let wide: Vec<usize> = (0..2 * MC + m).filter(|i| i % 3 != 1).collect();
+        prop_assert!(wide.len() > MC);
+        train_conv_agrees(&case(n, ci, h, w, 2 * MC + m, wide), 2, &mut ws)?;
+    }
+
+    /// `col2im_into` writes each output row's in-bounds span as one slice
+    /// (or an every-`s`-th gather) instead of testing every element, in
+    /// the same loop order: every sum must keep the reference's bits.
+    #[test]
+    fn col2im_is_bitwise_the_scalar_fold(
+        n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
+        ci in 1usize..5, h_extra in 0usize..9, w_extra in 0usize..9, seed in 0u64..1000) {
+        let k = [1usize, 3, 5][kidx];
+        let spec = Conv2dSpec::new(k, stride, pad);
+        let (h, w) = (k + h_extra, (k + w_extra) | 1);
+        let (ho, wo) = spec.output_hw(h, w);
+        let cols = Tensor::randn(&[ci * k * k, n * ho * wo], Init::Rand, &mut Rng::new(seed));
+        let mut want = vec![0.0f32; n * ci * h * w];
+        let mut got = vec![f32::NAN; n * ci * h * w];
+        reference::col2im_into(&mut want, cols.data(), n, ci, h, w, spec);
+        col2im_into(&mut got, cols.data(), n, ci, h, w, spec).unwrap();
+        prop_assert!(want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }
 
