@@ -52,6 +52,9 @@
 //! * **Observability.** [`Server::stats`] snapshots request counters, a
 //!   batch-size histogram and p50/p95/p99 latency from a fixed-bucket
 //!   log-scale histogram; the hot path touches only `Instant`.
+//! * **Network front end.** [`net`] answers HTTP/1.1 predict, hot-swap
+//!   and `/metrics` requests over TCP, one blocking thread per
+//!   connection, in front of one [`Server`] per model.
 //!
 //! # Example
 //!
@@ -74,6 +77,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod net;
 mod replica;
 mod server;
 mod stats;

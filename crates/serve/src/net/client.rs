@@ -103,7 +103,7 @@ impl ClientResponse {
     }
 }
 
-/// A blocking keep-alive connection to an [`NetServer`](crate::NetServer).
+/// A blocking keep-alive connection to an [`NetServer`](super::NetServer).
 #[derive(Debug)]
 pub struct HttpClient {
     stream: TcpStream,

@@ -11,18 +11,16 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use alf_obs::metrics::Counter;
 
-use crate::http::{write_response, HttpLimits, RequestParser};
-use crate::quota::QuotaState;
-use crate::router::Router;
+use super::http::{write_response, HttpLimits, RequestParser};
+use super::router::Router;
 
 /// What every connection thread shares.
 pub(crate) struct Shared {
     pub router: Arc<Router>,
-    pub quota: Mutex<QuotaState>,
     pub limits: HttpLimits,
     /// Responses serialised for a connection (counted before the write).
     pub responses: Counter,
@@ -73,7 +71,7 @@ pub(crate) fn serve(mut stream: &TcpStream, shared: &Shared) {
             continue;
         };
         let keep_alive = request.keep_alive();
-        let response = shared.router.route(&request, &shared.quota);
+        let response = shared.router.route(&request);
         shared.responses.inc();
         out.clear();
         write_response(

@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn byte_at_a_time_matches_whole_buffer() {
-        let wire = b"POST /v1/models/m/predict HTTP/1.1\r\nx-tenant: t0\r\ncontent-length: 4\r\n\r\n\x01\x02\x03\x04";
+        let wire = b"POST /v1/models/m/predict HTTP/1.1\r\nx-request-id: r0\r\ncontent-length: 4\r\n\r\n\x01\x02\x03\x04";
         let whole = parse_all(wire).unwrap().1.unwrap();
         let mut parser = RequestParser::new(HttpLimits::default());
         let mut bytewise = None;

@@ -1,21 +1,19 @@
-//! `alf-net`: the network-facing, multi-tenant serving front end over
-//! [`alf_serve`].
+//! The network front end over the serving engine: one or more deployed
+//! models answering HTTP/1.1 requests.
 //!
 //! The ALF pipeline compresses a CNN so it can be *deployed* cheaply;
-//! this crate is where deployment meets the network. It is built the way
-//! the rest of the workspace is built — no external dependencies, no
+//! this module is where deployment meets the network. It is built the
+//! way the rest of the workspace is built — no external dependencies, no
 //! `unsafe` — from four layers:
 //!
 //! * [`http`] — an incremental HTTP/1.1 parser (byte-at-a-time safe,
 //!   keep-alive + pipelining, every size bound enforced as bytes arrive,
 //!   typed errors with HTTP statuses) and a response serialiser.
-//! * [`Router`] — multi-model dispatch: one [`alf_serve::Server`] per
+//! * [`Router`] — multi-model dispatch: one [`Server`](crate::Server) per
 //!   checkpoint, sharing one worker budget (`NetConfig::threads`) and one
 //!   [`MetricsRegistry`](alf_obs::metrics::MetricsRegistry)
-//!   (`serve.<model>.*` instruments per model), plus per-tenant
-//!   token-bucket quotas ([`QuotaConfig`]) shedding with `429` before the
-//!   queue and typed `503/504` mappings of
-//!   [`ServeError`](alf_serve::ServeError) behind it.
+//!   (`serve.<model>.*` instruments per model), with typed `503/504`
+//!   mappings of [`ServeError`](crate::ServeError).
 //! * [`NetServer`] — a blocking TCP listener on one accept thread and one
 //!   blocking thread per open connection (at most
 //!   [`NetConfig::max_connections`]), which reads a request as it
@@ -26,8 +24,8 @@
 //!   socket benchmarks and smoke tests.
 //!
 //! ```no_run
-//! use alf_net::{ModelSpec, NetConfig, NetServer};
 //! use alf_obs::metrics::MetricsRegistry;
+//! use alf_serve::net::{ModelSpec, NetConfig, NetServer};
 //! use alf_serve::ServeConfig;
 //!
 //! let model = alf_core::models::plain20(10, 16).unwrap();
@@ -48,20 +46,15 @@
 //! # server.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod client;
 mod conn;
 pub mod http;
-mod quota;
 mod router;
 mod server;
 
 use std::fmt;
 
 pub use http::{HttpError, HttpLimits, Request, RequestParser};
-pub use quota::QuotaConfig;
 pub use router::{ModelSpec, Router};
 pub use server::{NetConfig, NetServer};
 
@@ -80,7 +73,7 @@ pub enum NetError {
     /// name, zero connection bound, …).
     BadConfig(String),
     /// A model server rejected its configuration at startup.
-    Serve(alf_serve::ServeError),
+    Serve(crate::ServeError),
 }
 
 impl fmt::Display for NetError {
@@ -102,11 +95,11 @@ impl std::error::Error for NetError {
     }
 }
 
-impl From<alf_serve::ServeError> for NetError {
-    fn from(e: alf_serve::ServeError) -> Self {
+impl From<crate::ServeError> for NetError {
+    fn from(e: crate::ServeError) -> Self {
         NetError::Serve(e)
     }
 }
 
-/// Crate-wide result type.
+/// The front end's result type.
 pub type Result<T> = std::result::Result<T, NetError>;

@@ -1,12 +1,12 @@
-//! Multi-model routing: one [`alf_serve::Server`] per checkpoint, all
+//! Multi-model routing: one [`Server`](crate::Server) per checkpoint, all
 //! sharing one worker budget and one [`MetricsRegistry`], with decoded
 //! HTTP requests dispatched by path.
 //!
 //! Endpoints:
 //!
 //! * `POST /v1/models/<name>/predict` — body is the raw little-endian
-//!   `f32` image (`C*H*W*4` bytes); optional `x-tenant` (quota identity,
-//!   default `anon`) and `x-deadline-ms` (request deadline) headers.
+//!   `f32` image (`C*H*W*4` bytes); optional `x-deadline-ms` (request
+//!   deadline) header.
 //!   Answers `200` with `{"model","class","logits"}`.
 //! * `POST /v1/models/<name>/checkpoint` — hot-swaps the model's weights
 //!   to the checkpoint blob in the body (`422` on a bad blob).
@@ -14,18 +14,17 @@
 //! * `GET /metrics` — plain-text exposition of the shared registry.
 //! * `GET /healthz` — liveness probe.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::{ServeConfig, ServeError, Server};
 use alf_obs::json::JsonWriter;
 use alf_obs::metrics::{Counter, Histogram, HistogramSpec, MetricsRegistry};
 use alf_obs::runtime::resolve_threads;
-use alf_serve::{ServeConfig, ServeError, Server};
 use alf_tensor::Tensor;
 
-use crate::http::Request;
-use crate::quota::QuotaState;
-use crate::{NetError, Result};
+use super::http::Request;
+use super::{NetError, Result};
 
 /// One model to serve: a name (its URL segment and metric prefix), the
 /// model itself, and its serving configuration. [`Router::start`]
@@ -47,7 +46,7 @@ pub struct ModelSpec {
 
 /// A finished HTTP answer, ready for [`write_response`].
 ///
-/// [`write_response`]: crate::http::write_response
+/// [`write_response`]: super::http::write_response
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Response {
     /// HTTP status code.
@@ -100,7 +99,6 @@ pub struct Router {
     models: Vec<Entry>,
     registry: MetricsRegistry,
     requests: Counter,
-    shed_quota: Counter,
     not_found: Counter,
     /// End-to-end admitted-predict latency (submit → response ready), ns.
     request_ns: Arc<Histogram>,
@@ -153,7 +151,6 @@ impl Router {
         }
         Ok(Self {
             requests: registry.counter("net.requests"),
-            shed_quota: registry.counter("net.shed_quota"),
             not_found: registry.counter("net.not_found"),
             request_ns: registry.histogram("net.request_ns", HistogramSpec::latency_ns()),
             registry,
@@ -187,9 +184,8 @@ impl Router {
     }
 
     /// Answers one decoded request, blocking until the model server has
-    /// served it for a predict. Quota admission (for predict requests)
-    /// charges `quota`.
-    pub(crate) fn route(&self, req: &Request, quota: &Mutex<QuotaState>) -> Response {
+    /// served it for a predict.
+    pub(crate) fn route(&self, req: &Request) -> Response {
         self.requests.inc();
         match (req.method.as_str(), req.path()) {
             ("GET", "/healthz") => Response::text(200, "OK", "ok\n".into()),
@@ -200,7 +196,7 @@ impl Router {
                     return self.unrouted();
                 };
                 match (method, rest.split_once('/')) {
-                    ("POST", Some((name, "predict"))) => self.predict(name, req, quota),
+                    ("POST", Some((name, "predict"))) => self.predict(name, req),
                     ("POST", Some((name, "checkpoint"))) => self.swap(name, req),
                     _ => self.unrouted(),
                 }
@@ -217,7 +213,7 @@ impl Router {
         self.models.iter().position(|e| e.name == name)
     }
 
-    fn predict(&self, name: &str, req: &Request, quota: &Mutex<QuotaState>) -> Response {
+    fn predict(&self, name: &str, req: &Request) -> Response {
         let Some(index) = self.model_index(name) else {
             self.not_found.inc();
             return Response::error(
@@ -227,27 +223,6 @@ impl Router {
                 &format!("no model named '{name}'"),
             );
         };
-        let tenant = req.header("x-tenant").unwrap_or("anon");
-        let (label, admitted) = {
-            let mut quota = quota.lock().expect("quota table poisoned");
-            let (charged, admitted) = quota.admit(tenant, Instant::now());
-            (sanitize_tenant(charged), admitted)
-        };
-        if !admitted {
-            self.shed_quota.inc();
-            self.registry
-                .counter(&format!("net.tenant.{label}.shed"))
-                .inc();
-            return Response::error(
-                429,
-                "Too Many Requests",
-                "quota_exceeded",
-                &format!("tenant '{tenant}' is over its request quota"),
-            );
-        }
-        self.registry
-            .counter(&format!("net.tenant.{label}.admitted"))
-            .inc();
         let deadline = match req.header("x-deadline-ms") {
             None => None,
             Some(ms) => match ms.parse::<u64>() {
@@ -348,7 +323,7 @@ impl Router {
     }
 
     /// Renders a completed prediction for the model at index `model`.
-    fn render_prediction(&self, model: usize, prediction: &alf_serve::Prediction) -> Response {
+    fn render_prediction(&self, model: usize, prediction: &crate::Prediction) -> Response {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("model", &self.models[model].name);
@@ -425,27 +400,10 @@ impl std::fmt::Debug for Router {
     }
 }
 
-/// Tenant labels become metric-name segments; anything outside the
-/// registry-safe charset collapses to `_` so a hostile tenant string
-/// cannot fabricate arbitrary metric names.
-fn sanitize_tenant(tenant: &str) -> String {
-    tenant
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{HttpLimits, RequestParser};
-    use crate::quota::QuotaConfig;
+    use crate::net::http::{HttpLimits, RequestParser};
     use alf_core::models::plain20;
 
     fn spec(name: &str) -> ModelSpec {
@@ -497,15 +455,14 @@ mod tests {
     fn routes_predict_to_the_named_model_and_404s_unknowns() {
         let registry = MetricsRegistry::new();
         let router = Router::start(vec![spec("a"), spec("b")], registry, Some(2)).unwrap();
-        let quota = Mutex::new(QuotaState::new(QuotaConfig::unlimited(), Instant::now()));
 
-        let resp = router.route(&parse(&predict_wire("b", "", &image_body())), &quota);
+        let resp = router.route(&parse(&predict_wire("b", "", &image_body())));
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("\"model\":\"b\""), "{text}");
         assert!(text.contains("\"logits\":["), "{text}");
 
-        let resp = router.route(&parse(&predict_wire("zzz", "", &image_body())), &quota);
+        let resp = router.route(&parse(&predict_wire("zzz", "", &image_body())));
         assert_eq!(resp.status, 404);
         router.shutdown();
     }
@@ -514,43 +471,27 @@ mod tests {
     fn wrong_body_length_is_400_without_submission() {
         let registry = MetricsRegistry::new();
         let router = Router::start(vec![spec("m")], registry.clone(), Some(1)).unwrap();
-        let quota = Mutex::new(QuotaState::new(QuotaConfig::unlimited(), Instant::now()));
-        let resp = router.route(&parse(&predict_wire("m", "", b"abc")), &quota);
+        let resp = router.route(&parse(&predict_wire("m", "", b"abc")));
         assert_eq!(resp.status, 400);
         assert!(String::from_utf8(resp.body).unwrap().contains("bad_body"));
         assert_eq!(registry.snapshot().counter("serve.m.submitted"), Some(0));
         router.shutdown();
     }
 
-    #[test]
-    fn over_quota_tenants_get_429_and_counters() {
-        let registry = MetricsRegistry::new();
-        let router = Router::start(vec![spec("m")], registry.clone(), Some(1)).unwrap();
-        // 1-token burst, no refill to speak of: second request sheds.
-        let quota = Mutex::new(QuotaState::new(
-            QuotaConfig::per_tenant(1e-9, 1.0),
-            Instant::now(),
-        ));
-        let req = parse(&predict_wire("m", "x-tenant: t0\r\n", &image_body()));
-        assert_eq!(router.route(&req, &quota).status, 200);
-        let resp = router.route(&req, &quota);
-        assert_eq!(resp.status, 429);
-        assert!(String::from_utf8(resp.body)
-            .unwrap()
-            .contains("quota_exceeded"));
-        router.shutdown();
+    /// Instrument names, whatever their values.
+    fn instrument_names(registry: &MetricsRegistry) -> Vec<String> {
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("net.tenant.t0.admitted"), Some(1));
-        assert_eq!(snap.counter("net.tenant.t0.shed"), Some(1));
-        assert_eq!(snap.counter("net.shed_quota"), Some(1));
+        let counters = snap.counters.into_iter().map(|(name, _)| name);
+        let gauges = snap.gauges.into_iter().map(|(name, _)| name);
+        let histograms = snap.histograms.into_iter().map(|(name, _)| name);
+        counters.chain(gauges).chain(histograms).collect()
     }
 
     #[test]
     fn metrics_endpoint_exposes_registry_lines() {
         let registry = MetricsRegistry::new();
-        let router = Router::start(vec![spec("m")], registry, Some(1)).unwrap();
-        let quota = Mutex::new(QuotaState::new(QuotaConfig::unlimited(), Instant::now()));
-        let resp = router.route(&parse(b"GET /metrics HTTP/1.1\r\n\r\n"), &quota);
+        let router = Router::start(vec![spec("m")], registry.clone(), Some(1)).unwrap();
+        let resp = router.route(&parse(b"GET /metrics HTTP/1.1\r\n\r\n"));
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("counter serve.m.submitted 0"), "{text}");
@@ -559,6 +500,20 @@ mod tests {
             text.contains("histogram serve.m.latency_ns total 0"),
             "{text}"
         );
+
+        // Cardinality is fixed at start: no request, whatever it carries,
+        // registers an instrument.
+        let names = instrument_names(&registry);
+        for headers in [
+            "",
+            "x-client: c0\r\n",
+            "x-client: a b.c\r\nx-request-id: 7\r\n",
+            "x-anything: \"quoted\"\r\nuser-agent: probe\r\n",
+        ] {
+            let resp = router.route(&parse(&predict_wire("m", headers, &image_body())));
+            assert_eq!(resp.status, 200);
+            assert_eq!(instrument_names(&registry), names, "after {headers:?}");
+        }
         router.shutdown();
     }
 
@@ -566,7 +521,6 @@ mod tests {
     fn checkpoint_swap_over_the_router_applies_and_rejects() {
         let registry = MetricsRegistry::new();
         let router = Router::start(vec![spec("m")], registry, Some(1)).unwrap();
-        let quota = Mutex::new(QuotaState::new(QuotaConfig::unlimited(), Instant::now()));
 
         let blob = alf_core::checkpoint::save(&plain20(4, 4).unwrap());
         let mut wire = format!(
@@ -575,24 +529,18 @@ mod tests {
         )
         .into_bytes();
         wire.extend_from_slice(&blob);
-        let resp = router.route(&parse(&wire), &quota);
+        let resp = router.route(&parse(&wire));
         assert_eq!(resp.status, 200);
         assert!(String::from_utf8(resp.body)
             .unwrap()
             .contains("\"swaps\":1"));
 
         let garbage = b"POST /v1/models/m/checkpoint HTTP/1.1\r\ncontent-length: 3\r\n\r\nnop";
-        let resp = router.route(&parse(garbage), &quota);
+        let resp = router.route(&parse(garbage));
         assert_eq!(resp.status, 422);
         assert!(String::from_utf8(resp.body)
             .unwrap()
             .contains("bad_checkpoint"));
         router.shutdown();
-    }
-
-    #[test]
-    fn tenant_labels_are_sanitised_for_metric_names() {
-        assert_eq!(sanitize_tenant("team-a_1"), "team-a_1");
-        assert_eq!(sanitize_tenant("a b.c\"d"), "a_b_c_d");
     }
 }

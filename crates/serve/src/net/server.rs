@@ -4,8 +4,8 @@
 //! No epoll, no `unsafe`, no dependencies, no timed polling: each thread
 //! sleeps in the kernel until its own event arrives. The accept thread
 //! blocks in `accept`; a connection thread blocks in `read` until request
-//! bytes arrive, then in [`Pending::wait`](alf_serve::Pending::wait)
-//! until the replica workers inside the [`alf_serve::Server`] have
+//! bytes arrive, then in [`Pending::wait`](crate::Pending::wait)
+//! until the replica workers inside the [`Server`](crate::Server) have
 //! answered. A request is therefore read when it arrives, and an idle
 //! server does not wake. [`NetConfig::max_connections`] bounds the
 //! connection threads; a stalled peer pins one of them.
@@ -20,15 +20,14 @@ use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream}
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use alf_obs::metrics::MetricsRegistry;
 
-use crate::conn::{self, Shared};
-use crate::http::HttpLimits;
-use crate::quota::{QuotaConfig, QuotaState};
-use crate::router::{ModelSpec, Router};
-use crate::{NetError, Result};
+use super::conn::{self, Shared};
+use super::http::HttpLimits;
+use super::router::{ModelSpec, Router};
+use super::{NetError, Result};
 
 /// Front-end configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,8 +37,6 @@ pub struct NetConfig {
     pub addr: String,
     /// HTTP parser size bounds.
     pub limits: HttpLimits,
-    /// Per-tenant admission quotas.
-    pub quota: QuotaConfig,
     /// Most concurrently open connections, each held by one thread;
     /// accepts beyond this are answered `503` and closed immediately.
     pub max_connections: usize,
@@ -50,13 +47,12 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// Defaults: the given address, default limits, unlimited quota,
-    /// 256 connections, auto worker budget.
+    /// Defaults: the given address, default limits, 256 connections,
+    /// auto worker budget.
     pub fn new(addr: &str) -> Self {
         Self {
             addr: addr.to_string(),
             limits: HttpLimits::default(),
-            quota: QuotaConfig::unlimited(),
             max_connections: 256,
             threads: None,
         }
@@ -98,7 +94,6 @@ impl NetServer {
         let router = Arc::new(Router::start(specs, registry.clone(), cfg.threads)?);
         let shared = Arc::new(Shared {
             router: Arc::clone(&router),
-            quota: Mutex::new(QuotaState::new(cfg.quota, Instant::now())),
             limits: cfg.limits,
             responses: registry.counter("net.responses"),
             parse_errors: registry.counter("net.parse_errors"),
@@ -231,9 +226,9 @@ fn accept_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::HttpClient;
+    use crate::net::client::HttpClient;
+    use crate::ServeConfig;
     use alf_core::models::plain20;
-    use alf_serve::ServeConfig;
 
     const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -287,7 +282,7 @@ mod tests {
         let server = start(1);
         let mut client = HttpClient::connect(server.addr(), TIMEOUT).unwrap();
         let resp = client
-            .post("/v1/models/m0/predict", &[("x-tenant", "t")], &image_body())
+            .post("/v1/models/m0/predict", &[], &image_body())
             .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.text());
         let text = resp.text();

@@ -4,7 +4,7 @@
 //! complete early, malformed and oversized inputs map to their typed
 //! statuses, and no input — valid, truncated, or random bytes — panics.
 
-use alf_net::http::{HttpError, HttpLimits, Request, RequestParser};
+use alf_serve::net::http::{HttpError, HttpLimits, Request, RequestParser};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -52,7 +52,7 @@ fn build_request(
     let expected = Request {
         method: method.to_string(),
         target: path,
-        version: alf_net::http::HttpVersion::Http11,
+        version: alf_serve::net::http::HttpVersion::Http11,
         headers,
         body: body.to_vec(),
     };

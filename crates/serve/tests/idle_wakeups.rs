@@ -7,9 +7,9 @@
 use std::time::Duration;
 
 use alf_core::models::plain20;
-use alf_net::client::HttpClient;
-use alf_net::{ModelSpec, NetConfig, NetServer};
 use alf_obs::metrics::MetricsRegistry;
+use alf_serve::net::client::HttpClient;
+use alf_serve::net::{ModelSpec, NetConfig, NetServer};
 use alf_serve::ServeConfig;
 
 /// Voluntary context switches summed over this process's `alf-net-*`

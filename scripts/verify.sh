@@ -21,7 +21,7 @@ timeout 900 cargo test --workspace -q
 # later.
 echo "==> socket_smoke x10"
 timeout 300 bash -c \
-  'for i in $(seq 10); do cargo test -q -p alf-net --test socket_smoke || exit 1; done'
+  'for i in $(seq 10); do cargo test -q -p alf-serve --test socket_smoke || exit 1; done'
 
 # The repo benchmark is a package of its own that calls a frozen set of
 # the workspace's public names (benchmark/src/surface.rs). Building and

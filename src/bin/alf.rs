@@ -6,12 +6,14 @@
 //! * `eval`   — evaluate a checkpoint's accuracy.
 //! * `deploy` — strip a trained ALF checkpoint and report compression.
 //! * `hwmap`  — map a model geometry onto the Eyeriss-like accelerator.
-//! * `serve`  — serve a model over HTTP (`alf-net` front end): predict,
-//!   hot checkpoint swap, per-tenant quotas, `/metrics`.
+//! * `serve`  — serve a model over HTTP (`alf::net` front end): predict,
+//!   hot checkpoint swap, `/metrics`.
 //! * `lab`    — run the paper's full results grid as one resumable
 //!   campaign (delegates to `alf-lab`; see `alf lab help`).
 //!
-//! Run `alf <subcommand> --help` (or no arguments) for the option list.
+//! Run `alf help` for the option list. An option the subcommand does not
+//! read, or one given twice, is an error: the usage text is printed and
+//! nothing runs.
 
 use std::process::ExitCode;
 
@@ -22,29 +24,90 @@ use alf::core::{checkpoint, deploy, CnnModel, NetworkCost};
 use alf::data::{Dataset, Split, SynthVision};
 use alf::hwmodel::{Accelerator, ConvWorkload, Dataflow, Mapper, NetworkReport};
 
-/// Minimal `--key value` argument parser.
+/// Options every subcommand that builds the synthetic dataset reads.
+const DATA_OPTIONS: &[&str] = &[
+    "data-seed",
+    "classes",
+    "image-size",
+    "train-size",
+    "test-size",
+];
+/// Options every subcommand that builds a model reads.
+const MODEL_OPTIONS: &[&str] = &["model", "width", "threshold", "seed"];
+
+/// One subcommand: its body and the option groups it reads.
+type Command = (
+    fn(&Args) -> Result<(), String>,
+    &'static [&'static [&'static str]],
+);
+
+fn command(name: &str) -> Option<Command> {
+    Some(match name {
+        "train" => (
+            cmd_train,
+            &[
+                DATA_OPTIONS,
+                MODEL_OPTIONS,
+                &["out", "epochs", "task-lr", "ae-lr", "ae-steps", "batch"],
+            ],
+        ),
+        "eval" => (cmd_eval, &[DATA_OPTIONS, MODEL_OPTIONS, &["ckpt"]]),
+        "deploy" => (cmd_deploy, &[DATA_OPTIONS, MODEL_OPTIONS, &["ckpt"]]),
+        "summary" => (cmd_summary, &[DATA_OPTIONS, MODEL_OPTIONS, &["ckpt"]]),
+        "hwmap" => (
+            cmd_hwmap,
+            &[&["width", "image-size", "batch", "remaining", "dataflow"]],
+        ),
+        "serve" => (
+            cmd_serve,
+            &[
+                DATA_OPTIONS,
+                MODEL_OPTIONS,
+                &["ckpt", "addr", "name", "threads", "max-conns"],
+            ],
+        ),
+        _ => return None,
+    })
+}
+
+/// Minimal `--key value` argument parser that accepts only the options
+/// its subcommand reads, each at most once.
 struct Args {
     items: Vec<(String, String)>,
+    accepted: &'static [&'static [&'static str]],
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    fn parse(
+        argv: &[String],
+        accepted: &'static [&'static [&'static str]],
+    ) -> Result<Self, String> {
         let mut items = Vec::new();
         let mut i = 0;
         while i < argv.len() {
             let key = argv[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --option, got '{}'", argv[i]))?;
+            if !accepted.iter().any(|group| group.contains(&key)) {
+                return Err(format!("unknown option --{key}"));
+            }
+            if items.iter().any(|(k, _)| k == key) {
+                return Err(format!("--{key} given twice"));
+            }
             let value = argv
                 .get(i + 1)
                 .ok_or_else(|| format!("--{key} needs a value"))?;
             items.push((key.to_string(), value.clone()));
             i += 2;
         }
-        Ok(Self { items })
+        Ok(Self { items, accepted })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(
+            self.accepted.iter().any(|group| group.contains(&key)),
+            "--{key} is read but not accepted"
+        );
         self.items
             .iter()
             .find(|(k, _)| k == key)
@@ -66,20 +129,21 @@ impl Args {
 fn usage() -> &'static str {
     "usage: alf <train|eval|deploy|summary|hwmap|serve|lab> [options]\n\
      \n\
-     common data options: --data-seed N --classes N --image-size N\n\
-     \u{20}                    --train-size N --test-size N\n\
+     data options:  --data-seed N --classes N --image-size N\n\
+     \u{20}               --train-size N --test-size N\n\
+     model options: --width N --threshold F --seed N\n\
      \n\
      alf train  --model plain20|resnet20|plain20-alf|resnet20-alf --out FILE\n\
-     \u{20}          [--width N] [--epochs N] [--seed N] [--task-lr F]\n\
-     \u{20}          [--ae-lr F] [--ae-steps N] [--threshold F] [--batch N]\n\
-     alf eval   --model M --ckpt FILE [data options]\n\
-     alf deploy --model plain20-alf|resnet20-alf --ckpt FILE [--width N]\n\
-     alf summary [--model M] [--ckpt FILE] [--width N]\n\
+     \u{20}          [--epochs N] [--task-lr F] [--ae-lr F] [--ae-steps N]\n\
+     \u{20}          [--batch N] [model options] [data options]\n\
+     alf eval   --model M --ckpt FILE [model options] [data options]\n\
+     alf deploy --model plain20-alf|resnet20-alf --ckpt FILE [model options]\n\
+     \u{20}          [data options]\n\
+     alf summary [--model M] [--ckpt FILE] [model options] [data options]\n\
      alf hwmap  [--width N] [--image-size N] [--batch N] [--dataflow rs|ws|os]\n\
      \u{20}          [--remaining F]\n\
-     alf serve  [--addr HOST:PORT] [--model M] [--ckpt FILE] [--width N]\n\
-     \u{20}          [--name NAME] [--rate REQ_PER_S] [--burst N] [--threads N]\n\
-     \u{20}          [--max-conns N] [data options]\n\
+     alf serve  [--addr HOST:PORT] [--model M] [--ckpt FILE] [model options]\n\
+     \u{20}          [--name NAME] [--threads N] [--max-conns N] [data options]\n\
      alf lab    <run|list|help> [lab options]   resumable results campaign"
 }
 
@@ -301,7 +365,7 @@ fn cmd_hwmap(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    use alf::net::{ModelSpec, NetConfig, NetServer, QuotaConfig};
+    use alf::net::{ModelSpec, NetConfig, NetServer};
     use alf::obs::metrics::MetricsRegistry;
     use alf::serve::ServeConfig;
 
@@ -319,19 +383,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     let [c, h, w] = data.image_dims();
     let name = args.get_or("name", &model_name);
-    let rate = args.num("rate", f64::INFINITY)?;
-    let burst = args.num("burst", 8.0f64)?;
     let spec = ModelSpec {
         name: name.clone(),
         model,
         serve: ServeConfig::new(c, h, w),
     };
     let cfg = NetConfig {
-        quota: if rate.is_finite() {
-            QuotaConfig::per_tenant(rate, burst)
-        } else {
-            QuotaConfig::unlimited()
-        },
         max_connections: args.num("max-conns", 256usize)?,
         threads: args
             .get("threads")
@@ -362,25 +419,13 @@ fn main() -> ExitCode {
         let code = alf::lab::cli_main(&argv[1..]);
         return ExitCode::from(u8::try_from(code).unwrap_or(1));
     }
-    let args = match Args::parse(&argv[1..]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "train" => cmd_train(&args),
-        "eval" => cmd_eval(&args),
-        "deploy" => cmd_deploy(&args),
-        "summary" => cmd_summary(&args),
-        "hwmap" => cmd_hwmap(&args),
-        "serve" => cmd_serve(&args),
-        "--help" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand '{other}'")),
+    if cmd == "help" || cmd == "--help" {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let result = match command(cmd) {
+        Some((run, accepted)) => Args::parse(&argv[1..], accepted).and_then(|args| run(&args)),
+        None => Err(format!("unknown subcommand '{cmd}'")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

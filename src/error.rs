@@ -45,7 +45,7 @@ pub enum Error {
     /// The serving engine rejected or failed a request.
     Serve(alf_serve::ServeError),
     /// The network front end failed to start or bind.
-    Net(alf_net::NetError),
+    Net(alf_serve::net::NetError),
     /// An encoded dataset blob failed to decode.
     DecodeDataset(alf_data::DecodeDatasetError),
     /// The accelerator mapper found no feasible mapping.
@@ -123,8 +123,8 @@ impl From<alf_serve::ServeError> for Error {
     }
 }
 
-impl From<alf_net::NetError> for Error {
-    fn from(e: alf_net::NetError) -> Self {
+impl From<alf_serve::net::NetError> for Error {
+    fn from(e: alf_serve::net::NetError) -> Self {
         Error::Net(e)
     }
 }
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn net_error_converts() {
-        let e: Error = alf_net::NetError::BadConfig("no models".to_string()).into();
+        let e: Error = alf_serve::net::NetError::BadConfig("no models".to_string()).into();
         assert!(matches!(e, Error::Net(_)));
         assert!(e.to_string().contains("no models"));
     }

@@ -11,8 +11,8 @@
 //! * [`baselines`] — magnitude / FPGM / AMC-style / LCNN compression baselines.
 //! * [`hwmodel`] — the Eyeriss-like accelerator model with mapping search.
 //! * [`serve`] — batched inference serving for deployed models.
-//! * [`net`] — network front end over `serve`: HTTP/1.1, multi-model
-//!   routing, per-tenant quotas, `/metrics` exposition.
+//! * [`net`] — network front end over `serve` (`serve::net`): HTTP/1.1,
+//!   multi-model routing, `/metrics` exposition.
 //! * [`dp`] — deterministic data-parallel training with checkpoint/resume.
 //! * [`dist`] — `dp`'s dense/sparse gradient codec under its old path.
 //! * [`obs`] — zero-dependency observability: metrics registry, JSONL
@@ -52,10 +52,11 @@ pub use alf_dp as dp;
 pub use alf_dp::codec as dist;
 pub use alf_hwmodel as hwmodel;
 pub use alf_lab as lab;
-pub use alf_net as net;
 pub use alf_nn as nn;
 pub use alf_obs as obs;
 pub use alf_serve as serve;
+/// The serving front end ([`alf_serve::net`]) under its own facade path.
+pub use alf_serve::net;
 pub use alf_tensor as tensor;
 
 pub use error::{Error, Result};
