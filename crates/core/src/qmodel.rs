@@ -8,7 +8,7 @@
 //! and every convolution — k×k code conv and 1×1 expansion alike — runs as
 //! one whole-batch `i8×i8→i32` product with exact i32 accumulation,
 //! `alf_tensor::ops::conv_gemm_into`, which builds no column matrix and,
-//! for stride-1 kernels on AVX2 hosts, packs no `B` panel either.
+//! on AVX2 hosts, packs no `B` panel either, whatever the stride.
 //!
 //! Requantization happens on store (`alf_tensor::ops::requantize_into`,
 //! one call per output channel and image): the i32 accumulator is mapped

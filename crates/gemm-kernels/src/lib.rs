@@ -9,8 +9,10 @@
 //!   runs on — are safe Rust that **leans on the auto-vectorizer**, and
 //!   through it on this crate's isolation and the root `lto = false` (next
 //!   section). They are also the portable route: they run on any target.
-//! * [`ConvTile`] — the [`CONV_MR`]-row, two-vector tile stride-1
-//!   convolutions (k×k and 1×1) run on — is **explicit AVX2** (`core::arch`
+//! * [`ConvTile`] — the [`CONV_MR`]-row, two-vector tile convolutions of
+//!   any stride (k×k and 1×1; a strided one reads its image split into
+//!   phase planes, which makes it stride 1 to the tile) run on — is
+//!   **explicit AVX2** (`core::arch`
 //!   intrinsics in the `conv_tile` module, compiled on x86-64 only and
 //!   handed out only after `is_x86_feature_detected!("avx2")`), in f32
 //!   lanes ([`ConvTile::f32_into`]) or, for int8, in i16 channel pairs

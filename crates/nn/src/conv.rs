@@ -9,9 +9,9 @@
 //! the `Layer` API returns by value.
 //!
 //! No pass unfolds the input. Every mode runs the forward through
-//! [`alf_tensor::ops::conv_gemm_into`]: a stride-1 kernel (1×1 included)
-//! runs on the pack-free AVX2 tile, anything else has its `B` panels
-//! packed straight from the `NCHW` input. Backward computes the weight
+//! [`alf_tensor::ops::conv_gemm_into`]: a kernel of any stride (1×1
+//! included) runs on the pack-free AVX2 tile when one thread computes it,
+//! anything else has its `B` panels packed straight from the `NCHW` input. Backward computes the weight
 //! gradient with [`alf_tensor::ops::conv_weight_grad_into`], which packs
 //! `unfold(X)ᵀ` from the cached input the same way; only the input
 //! gradient still forms a column matrix (`Wᵀ·gmat`, folded back by

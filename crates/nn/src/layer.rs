@@ -264,9 +264,10 @@ mod tests {
         };
         let image = vec![2, 4, 4];
         type Make = Box<dyn Fn() -> Box<dyn Layer>>;
-        // Every conv route: stride 1 (the pack-free tile where the host has
-        // it), stride 2 (panels packed from the image), 1×1, and a live-row
-        // descriptor on the forward and the weight gradient.
+        // Every conv geometry: stride 1 and stride 2 (the pack-free tile
+        // where the host has it, panels packed from the image otherwise),
+        // 1×1, and a live-row descriptor on the forward and the weight
+        // gradient.
         let table: Vec<(Make, Vec<usize>)> = vec![
             (
                 Box::new(move || Box::new(conv(3, 1, 1, true, 1))),

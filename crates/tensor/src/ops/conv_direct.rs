@@ -1,7 +1,7 @@
 //! The pack-free route of [`conv_gemm_into`](super::conv_gemm_into):
-//! stride-1 convolutions — k×k code convolutions and 1×1 expansions alike
-//! — on the explicit AVX2 tile of `alf-gemm-kernels`, bit for bit the
-//! packed route.
+//! convolutions of any stride — k×k code convolutions, strided ones and
+//! 1×1 expansions alike — on the explicit AVX2 tile of `alf-gemm-kernels`,
+//! bit for bit the packed route.
 //!
 //! A code convolution has a handful of filters, so on the packed route
 //! every value `pack_b_image` gathers, widens, stores and re-loads feeds
@@ -11,26 +11,40 @@
 //! once into a bordered scratch and lets the tile load its operands from
 //! there (`ConvTile` describes the tile and why the bits cannot differ).
 //!
-//! One loop serves both element types, written over the channel group
-//! `G = T::GROUP` the element declares: the scratch is `[⌈ci/G⌉, h+2p,
-//! w+2p, G]` of `T::Lane`, each pixel holding `G` channels side by side.
-//! For f32 (`G = 1`) that is the plain `[ci, h+2p, w+2p]` copy and a tap is
-//! one `(c, ky, kx)`. For int8 (`G = 2`) it is i16 channel pairs — an odd
-//! last channel beside a zero — a tap is one `(pair, ky, kx)`, and the
-//! tile's `vpmaddwd` consumes both channels of a tap at once, in i32, with
-//! no f32 lane anywhere. A 1×1 expansion with no padding has no border: its
-//! copy is the widening (f32) or pairing (int8) copy alone, and its taps
-//! are whole channel-group planes. What is left to do here is bookkeeping,
-//! all of it on named [`Workspace`] slots:
+//! A stride `s` is made stride 1 by the layout of that copy: each channel
+//! group's bordered plane (`hp × wp`, `hp = h+2p`, `wp = w+2p`) is stored
+//! as `s²` phase planes of `hq × wq`, `hq = ⌈hp/s⌉`, `wq = ⌈wp/s⌉`. Phase
+//! `(py, px)` holds the bordered pixels `(r·s + py, c·s + px)` at `(r, c)`,
+//! so a tap of the output pixels `(oy, ox), (oy, ox+1), …` reads
+//! consecutive pixels of one phase row, exactly as at stride 1. Tap `(grp,
+//! ky, kx)` lies
 //!
-//! * `conv_taps` — for tap `p = (g, ky, kx)` the offset `((g·hp + ky)·wp +
-//!   kx)·G` from an output pixel's top-left tap to that tap, over
+//! ```text
+//! (((grp·s² + (ky % s)·s + kx % s)·hq + ky/s)·wq + kx/s)·G
+//! ```
+//!
+//! elements past output pixel `(oy, ox)`'s origin `(oy·wq + ox)·G`.
+//! Stride 1 is the case `s = 1`, `hq = hp`, `wq = wp`: one phase, the
+//! plain bordered image. Neither the tile, nor the weight panels, nor the
+//! tap order changes with the stride.
+//!
+//! One loop serves both element types, written over the channel group
+//! `G = T::GROUP` the element declares: each pixel of the scratch holds
+//! `G` channels side by side, of `T::Lane`. For f32 (`G = 1`) a tap is one
+//! `(c, ky, kx)`. For int8 (`G = 2`) the pixel is an i16 channel pair — an
+//! odd last channel beside a zero — a tap is one `(pair, ky, kx)`, and the
+//! tile's `vpmaddwd` consumes both channels of a tap at once, in i32, with
+//! no f32 lane anywhere. What is left to do here is bookkeeping, all of it
+//! on named [`Workspace`] slots:
+//!
+//! * `conv_taps` — the offset above for each tap `p = (grp, ky, kx)`, over
 //!   `⌈ci/G⌉·k²` taps,
 //! * `conv_wpanels` — the live weight rows in [`CONV_MR`]-row panels,
 //!   `panel[p·CONV_MR + r]`, each lane one `T::Weight` (a group's `G`
 //!   weights, packed by `T::pack_weight`),
-//! * `conv_padded` — the bordered image, plus one row and two vectors of
-//!   slack for the lanes a ragged tile computes and discards.
+//! * `conv_padded` — the phase planes, plus one phase row and two vectors
+//!   of slack for the lanes a ragged tile computes and discards; zeroed
+//!   once per call, after which each image writes only its own pixels.
 //!
 //! The `KC` slab boundary of the blocked driver is kept: a tile is run
 //! once per `KC` taps and adds into `C` each time, so an f32 element's
@@ -43,8 +57,8 @@ use super::conv::Conv2dSpec;
 use super::gemm::{ActiveRows, Element, KC};
 use super::workspace::Workspace;
 
-/// `C = A · unfold(X)` for a stride-1 convolution, `rows` restricting it to
-/// the surviving filters; every other row of `C` is zero. The caller
+/// `C = A · unfold(X)` for a convolution, `rows` restricting it to the
+/// surviving filters; every other row of `C` is zero. The caller
 /// ([`conv_gemm_into`](super::conv_gemm_into)) has checked all lengths.
 #[allow(clippy::too_many_arguments)] // conv_gemm_into's, plus the tile
 pub(super) fn conv_direct_into<T: Element>(
@@ -58,10 +72,9 @@ pub(super) fn conv_direct_into<T: Element>(
     rows: Option<&ActiveRows>,
     ws: &mut Workspace,
 ) {
-    debug_assert_eq!(spec.stride, 1);
     let [n, ci, h, w] = dims;
-    let (kk, pad) = (spec.kernel, spec.pad);
-    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let (kk, s, pad) = (spec.kernel, spec.stride, spec.pad);
+    let (hq, wq) = ((h + 2 * pad).div_ceil(s), (w + 2 * pad).div_ceil(s));
     let (ho, wo) = spec.output_hw(h, w);
     let (g, k2) = (T::GROUP, kk * kk);
     let groups = ci.div_ceil(g);
@@ -81,7 +94,9 @@ pub(super) fn conv_direct_into<T: Element>(
 
     let mut offsets: Vec<usize> = ws.take("conv_taps", ntaps);
     for (p, o) in offsets.iter_mut().enumerate() {
-        *o = ((p / k2 * hp + p / kk % kk) * wp + p % kk) * g;
+        let (grp, ky, kx) = (p / k2, p / kk % kk, p % kk);
+        let phase = (grp * s + ky % s) * s + kx % s;
+        *o = ((phase * hq + ky / s) * wq + kx / s) * g;
     }
     let taps = TapOffsets::new(&offsets);
 
@@ -100,31 +115,36 @@ pub(super) fn conv_direct_into<T: Element>(
     }
 
     // `take` hands back what the last convolution on this workspace left,
-    // another geometry's pixels included. Interiors are overwritten image
-    // by image; the border and the slack are zeroed here, once.
-    let plane = hp * wp * g;
+    // another geometry's pixels included. The border, the ragged phase
+    // cells and the slack are zeroed here, once; each image then
+    // overwrites only the interior pixels, which are the same cells for
+    // every image.
+    let row_len = wq * g;
+    let plane = s * s * hq * row_len;
     let mut padded: Vec<T::Lane> =
-        ws.take("conv_padded", groups * plane + (wp + 2 * CONV_LANES) * g);
-    padded[groups * plane..].fill(T::Lane::default());
-    if pad > 0 {
-        for chan in padded[..groups * plane].chunks_exact_mut(plane) {
-            // Top rows and the first row's left edge; each row's right edge
-            // with the next row's left; the bottom rows.
-            chan[..(pad * wp + pad) * g].fill(T::Lane::default());
-            for y in 0..h {
-                chan[((pad + y) * wp + pad + w) * g..][..2 * pad * g].fill(T::Lane::default());
-            }
-            chan[((pad + h) * wp + pad) * g..].fill(T::Lane::default());
-        }
-    }
+        ws.take("conv_padded", groups * plane + row_len + 2 * CONV_LANES * g);
+    padded.fill(T::Lane::default());
 
+    // The phase coordinates `r` (or `c`) of phase `ph` whose bordered
+    // pixel `r·s + ph` lies inside an image side of `len` pixels.
+    let interior = |ph: usize, len: usize| {
+        (pad.saturating_sub(ph).div_ceil(s))..((pad + len).saturating_sub(ph).div_ceil(s))
+    };
     for b in 0..n {
         let image = &x[b * ci * h * w..][..ci * h * w];
         for (grp, chan) in padded[..groups * plane].chunks_exact_mut(plane).enumerate() {
             let src = &image[grp * g * h * w..];
-            for y in 0..h {
-                let dst_row = &mut chan[((pad + y) * wp + pad) * g..][..w * g];
-                T::interleave(dst_row, &src[y * w..], h * w, channels(grp));
+            for (phase, rows) in chan.chunks_exact_mut(hq * row_len).enumerate() {
+                let (py, px) = (phase / s, phase % s);
+                let cols = interior(px, w);
+                if cols.is_empty() {
+                    continue;
+                }
+                for r in interior(py, h) {
+                    let from = &src[(r * s + py - pad) * w + cols.start * s + px - pad..];
+                    let dst = &mut rows[r * row_len..][cols.start * g..cols.end * g];
+                    T::interleave(dst, from, s, h * w, channels(grp));
+                }
             }
         }
 
@@ -146,7 +166,7 @@ pub(super) fn conv_direct_into<T: Element>(
                 // with its partner's write-back off.
                 for oy in (0..ho).step_by(2) {
                     run(Placement {
-                        image: [oy * wp * g, (oy + 1) * wp * g],
+                        image: [oy * row_len, (oy + 1) * row_len],
                         col: [oy * wo, (oy + 1) * wo],
                         lanes: [wo, if oy + 1 < ho { wo } else { 0 }],
                     });
@@ -158,7 +178,7 @@ pub(super) fn conv_direct_into<T: Element>(
                         let first = CONV_LANES.min(wo - ox);
                         let second = CONV_LANES.min(wo - ox - first);
                         run(Placement {
-                            image: [(oy * wp + ox) * g, (oy * wp + ox + CONV_LANES) * g],
+                            image: [(oy * wq + ox) * g, (oy * wq + ox + CONV_LANES) * g],
                             // `+ first`, not `+ CONV_LANES`: a second vector
                             // with nothing to write still needs a column
                             // inside `C`.

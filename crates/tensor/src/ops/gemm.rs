@@ -59,9 +59,9 @@
 //! is this driver with a second `B` packer that reads each panel out of
 //! the `NCHW` input instead of an unfolded column matrix — same panels,
 //! same bits, one `ci·k²`-fold copy of the input fewer. The *direct* route
-//! (`conv_direct`, stride-1 convolutions on AVX2 hosts) packs no `B`
+//! (`conv_direct`, convolutions of any stride on AVX2 hosts) packs no `B`
 //! at all: the explicit tile of `alf-gemm-kernels` loads its operands from
-//! a zero-bordered copy of the image — f32 in the packed route's
+//! a zero-bordered, phase-split copy of the image — f32 in the packed route's
 //! per-element operation order, int8 as i16 channel pairs in exact integer
 //! arithmetic — so the two routes agree bit for bit and the packed one is
 //! the checked portable fallback. The training weight gradient
@@ -509,16 +509,17 @@ pub fn gemm_active_k_into(
 /// of `im2col_into` + [`gemm_into`] (or `im2col_i8_into` + `gemm_i8_into`
 /// for `i8`):
 ///
-/// * **Direct** — when `spec.stride == 1` (any kernel, 1×1 included), the
-///   host has AVX2, and the packed route would run the call on one thread
-///   (the live rows fit one [`MC`] block, or `threads` is 1). No `B` is
-///   packed: each image is copied once into a zero-bordered scratch (f32,
-///   or i16 channel pairs for `i8`) — for a 1×1 kernel with no padding just
-///   the widening or pairing copy — and the explicit tile of
-///   `alf-gemm-kernels` reads it in place (see `conv_direct`). `threads` only takes part in that routing test;
-///   the direct route itself is single-threaded.
-/// * **Packed** — everything else (stride 2, wide-`m` calls that engage
-///   workers, hosts without AVX2, other architectures). The blocked
+/// * **Direct** — any stride and kernel (1×1 included), when the host has
+///   AVX2 and the packed route would run the call on one thread (the live
+///   rows fit one [`MC`] block, or `threads` is 1). No `B` is packed: each
+///   image is copied once into a zero-bordered scratch (f32, or i16
+///   channel pairs for `i8`), split into phase planes at stride `s`
+///   so that every stride reads it as stride 1 does, and the explicit tile
+///   of `alf-gemm-kernels` reads it in place (see `conv_direct`).
+///   `threads` only takes part in that routing test; the direct route
+///   itself is single-threaded.
+/// * **Packed** — everything else (wide-`m` calls that engage workers,
+///   hosts without AVX2, other architectures). The blocked
 ///   driver runs unchanged; only its `B` packer differs — it reads each
 ///   [`NR`]-column panel straight out of the image (see `pack_b_image`),
 ///   writing exactly the lanes `pack_b` would copy out of
@@ -564,11 +565,13 @@ pub fn conv_gemm_into<T: Element>(
         );
     }
     #[cfg(target_arch = "x86_64")]
-    if spec.stride == 1 && workers(threads, rows.map_or(m, ActiveRows::len)) == 1 {
+    if workers(threads, rows.map_or(m, ActiveRows::len)) == 1 {
         if let Some(tile) = ConvTile::detect() {
             return super::conv_direct::conv_direct_into(tile, c, a, x, m, dims, spec, rows, ws);
         }
     }
+    #[cfg(test)]
+    PACKED_CONVS.with(|n| n.set(n.get() + 1));
     gemm_rows(c, a, BOperand::Image(image), m, k, ncols, rows, ws, threads);
 }
 
@@ -638,6 +641,13 @@ pub fn conv_weight_grad_into(
     );
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls [`conv_gemm_into`] sent to the packed route on this thread, so
+    /// a test can tell which route a call took.
+    static PACKED_CONVS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Workers the blocked driver engages for `m` logical rows when asked for
 /// `threads`: one per [`MC`] row block at most.
 fn workers(threads: usize, m: usize) -> usize {
@@ -677,10 +687,16 @@ pub trait Element: Copy + Sync {
     /// `channels` (an odd last channel's partner) count as zero.
     fn pack_weight(src: &[Self], stride: usize, channels: usize) -> Self::Weight;
 
-    /// Writes one image row of a channel group into the bordered image:
-    /// `dst[x·GROUP + j] = src[j·stride + x]` for `j < channels`, zero for
-    /// the group's other channels.
-    fn interleave(dst: &mut [Self::Lane], src: &[Self], stride: usize, channels: usize);
+    /// Writes every `step`-th pixel of one image row of a channel group
+    /// into the bordered image: `dst[x·GROUP + j] = src[j·stride + x·step]`
+    /// for `j < channels`, zero for the group's other channels.
+    fn interleave(
+        dst: &mut [Self::Lane],
+        src: &[Self],
+        step: usize,
+        stride: usize,
+        channels: usize,
+    );
 
     /// Adds one `apanel · bpanel` product tile into `c` (row stride `n`),
     /// writing only the live `rlim`×`clim` region.
@@ -723,8 +739,14 @@ impl Element for f32 {
     }
 
     #[inline]
-    fn interleave(dst: &mut [f32], src: &[f32], _stride: usize, _channels: usize) {
-        dst.copy_from_slice(&src[..dst.len()]);
+    fn interleave(dst: &mut [f32], src: &[f32], step: usize, _stride: usize, _channels: usize) {
+        if step == 1 {
+            dst.copy_from_slice(&src[..dst.len()]);
+        } else {
+            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(step)) {
+                *d = v;
+            }
+        }
     }
 
     fn tile(apanel: &[f32], bpanel: &[f32], c: &mut [f32], n: usize, rlim: usize, clim: usize) {
@@ -770,15 +792,26 @@ impl Element for i8 {
     }
 
     #[inline]
-    fn interleave(dst: &mut [i16], src: &[i8], stride: usize, channels: usize) {
+    fn interleave(dst: &mut [i16], src: &[i8], step: usize, stride: usize, channels: usize) {
         let (pairs, _) = dst.as_chunks_mut::<2>();
-        let lo = &src[..pairs.len()];
-        if channels > 1 {
-            for ((p, &a), &b) in pairs.iter_mut().zip(lo).zip(&src[stride..]) {
+        if step == 1 {
+            let lo = &src[..pairs.len()];
+            if channels > 1 {
+                for ((p, &a), &b) in pairs.iter_mut().zip(lo).zip(&src[stride..]) {
+                    *p = [a.into(), b.into()];
+                }
+            } else {
+                for (p, &a) in pairs.iter_mut().zip(lo) {
+                    *p = [a.into(), 0];
+                }
+            }
+        } else if channels > 1 {
+            let (lo, hi) = (src.iter().step_by(step), src[stride..].iter().step_by(step));
+            for ((p, &a), &b) in pairs.iter_mut().zip(lo).zip(hi) {
                 *p = [a.into(), b.into()];
             }
         } else {
-            for (p, &a) in pairs.iter_mut().zip(lo) {
+            for (p, &a) in pairs.iter_mut().zip(src.iter().step_by(step)) {
                 *p = [a.into(), 0];
             }
         }
@@ -1590,21 +1623,24 @@ mod tests {
 
     #[test]
     fn conv_gemm_is_allocation_free_after_warmup_on_both_routes() {
-        // Stride 1 takes the direct route where the host has AVX2, stride 2
-        // the packed one; each runs f32 (dense and row-gathered) and i8,
-        // and the weight gradient packed from the image, dense and
-        // row-gathered. One warm-up per geometry sizes every slot — the
-        // padded image, the weight panels and the tap table included — and
+        // Strides 1 and 2 take the direct route where the host has AVX2,
+        // each in f32 (dense and row-gathered) and i8, beside the weight
+        // gradient packed from the image, dense and row-gathered; a call
+        // wider than one `MC` block on two threads takes the packed route,
+        // f32 and i8. One warm-up per geometry sizes every slot — the phase
+        // planes, the weight panels and the tap table included — and
         // nothing grows after, whichever geometry the slots last served.
         let (n, ci, h, w, m) = (2, 5, 11, 19, 9);
         let dims = [n, ci, h, w];
         let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)];
         let x: Vec<f32> = (0..n * ci * h * w).map(|i| (i % 17) as f32 - 8.0).collect();
-        let a: Vec<f32> = (0..m * ci * 9).map(|i| (i % 13) as f32 - 6.0).collect();
-        let (x8, a8): (Vec<i8>, Vec<i8>) = (
+        let wide = MC + 1;
+        let a_wide: Vec<f32> = (0..wide * ci * 9).map(|i| (i % 13) as f32 - 6.0).collect();
+        let (x8, a8_wide): (Vec<i8>, Vec<i8>) = (
             x.iter().map(|&v| v as i8).collect(),
-            a.iter().map(|&v| v as i8).collect(),
+            a_wide.iter().map(|&v| v as i8).collect(),
         );
+        let (a, a8) = (&a_wide[..m * ci * 9], &a8_wide[..m * ci * 9]);
         let rows = ActiveRows::from_indices(vec![0, 2, 3, 8], m).unwrap();
         let mut ws = Workspace::new();
         let pass = |ws: &mut Workspace| {
@@ -1612,13 +1648,18 @@ mod tests {
                 let (ho, wo) = spec.output_hw(h, w);
                 let mut c = vec![0.0f32; m * n * ho * wo];
                 let mut c8 = vec![0i32; m * n * ho * wo];
-                conv_gemm_into(&mut c, &a, &x, m, dims, spec, None, ws, 1);
-                conv_gemm_into(&mut c, &a, &x, m, dims, spec, Some(&rows), ws, 1);
-                conv_gemm_into(&mut c8, &a8, &x8, m, dims, spec, None, ws, 1);
+                conv_gemm_into(&mut c, a, &x, m, dims, spec, None, ws, 1);
+                conv_gemm_into(&mut c, a, &x, m, dims, spec, Some(&rows), ws, 1);
+                conv_gemm_into(&mut c8, a8, &x8, m, dims, spec, None, ws, 1);
                 let mut dw = vec![0.0f32; a.len()];
                 conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, None, ws, 1);
                 conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, Some(&rows), ws, 1);
             }
+            let (ho, wo) = specs[1].output_hw(h, w);
+            let mut c = vec![0.0f32; wide * n * ho * wo];
+            let mut c8 = vec![0i32; wide * n * ho * wo];
+            conv_gemm_into(&mut c, &a_wide, &x, wide, dims, specs[1], None, ws, 2);
+            conv_gemm_into(&mut c8, &a8_wide, &x8, wide, dims, specs[1], None, ws, 2);
         };
         pass(&mut ws);
         let warm = ws.alloc_events();
@@ -1627,6 +1668,35 @@ mod tests {
             pass(&mut ws);
         }
         assert_eq!(ws.alloc_events(), warm);
+    }
+
+    #[test]
+    fn strided_conv_takes_the_direct_route_on_avx2() {
+        // Every bitwise test passes on either route, so only this one
+        // notices a dispatch that sends strided convolutions back to the
+        // packed driver.
+        let (dims, m, spec) = ([2, 3, 9, 10], 5, Conv2dSpec::new(3, 2, 1));
+        let (ho, wo) = spec.output_hw(9, 10);
+        let x = vec![1.0f32; 2 * 3 * 9 * 10];
+        let a = vec![1.0f32; (MC + 1) * 3 * 9];
+        let (x8, a8) = (vec![1i8; x.len()], vec![1i8; a.len()]);
+        let mut ws = Workspace::new();
+        let packed = || PACKED_CONVS.with(std::cell::Cell::get);
+        let before = packed();
+        let mut c = vec![0.0f32; m * 2 * ho * wo];
+        let mut c8 = vec![0i32; m * 2 * ho * wo];
+        conv_gemm_into(&mut c, &a[..m * 27], &x, m, dims, spec, None, &mut ws, 1);
+        conv_gemm_into(&mut c8, &a8[..m * 27], &x8, m, dims, spec, None, &mut ws, 1);
+        #[cfg(target_arch = "x86_64")]
+        let direct = ConvTile::detect().is_some();
+        #[cfg(not(target_arch = "x86_64"))]
+        let direct = false;
+        let want = if direct { before } else { before + 2 };
+        assert_eq!(packed(), want);
+        // A call that engages two workers is the packed route's, and counts.
+        let mut c = vec![0.0f32; (MC + 1) * 2 * ho * wo];
+        conv_gemm_into(&mut c, &a, &x, MC + 1, dims, spec, None, &mut ws, 2);
+        assert_eq!(packed(), want + 1);
     }
 
     #[test]

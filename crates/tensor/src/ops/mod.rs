@@ -33,8 +33,9 @@
 //! * [`conv_gemm_into`] is the convolution forward of every mode (f32
 //!   and i8), bitwise equal to unfold + GEMM without the unfold — the same
 //!   driver packing its `B` panels straight from the `NCHW` input, or, for
-//!   stride-1 kernels (1×1 included) on AVX2 hosts, the pack-free tile of
-//!   `alf-gemm-kernels` reading a zero-bordered copy of the image.
+//!   kernels of any stride (1×1 included) on AVX2 hosts, the pack-free
+//!   tile of `alf-gemm-kernels` reading a zero-bordered copy of the image,
+//!   split into phase planes at stride 2 and up.
 //!   [`conv_weight_grad_into`] is the training weight gradient
 //!   `G · unfold(X)ᵀ`, the same driver packing the transposed panels from
 //!   the image. [`col2im_into`] folds the input gradient's column matrix

@@ -9,11 +9,12 @@
 //! in [`gemm`](super::gemm) with `i8` operands, and [`im2col_i8_into`]
 //! enters the one unfold loop in `conv.rs` with an `i8` buffer. (The
 //! engine itself no longer unfolds: its convolutions are the `i8`
-//! instantiation of [`conv_gemm_into`](super::conv_gemm_into) — the
-//! stride-1 ones, 1×1 expansions included, on the pack-free AVX2 tile, the
-//! two stride-2 code convs on the driver's image packer; the pair here is
-//! the packed route on an unfolded matrix, which is what that entry is
-//! property-tested against, bit for bit.) The store that maps the i32
+//! instantiation of [`conv_gemm_into`](super::conv_gemm_into), every one
+//! of them — strided code convs and 1×1 expansions included — on the
+//! pack-free AVX2 tile, and on the driver's image packer only where the
+//! host lacks AVX2; the pair here is the packed route on an unfolded
+//! matrix, which is what that entry is property-tested against, bit for
+//! bit.) The store that maps the i32
 //! accumulators back to i8 is defined here too: [`requantize`] is the
 //! scalar definition, [`requantize_into`] the run-of-a-channel store the
 //! engine calls.
@@ -29,8 +30,8 @@
 //! represents every integer. Sums across `KC` slabs are added in i32. The
 //! result is therefore bit-identical to a naive i32 triple loop by
 //! construction; there is no evaluation-order subtlety to defend, only
-//! cache behaviour. The direct route (stride 1 on AVX2, most of the
-//! engine's MACs) widens nothing to f32: its bordered copy holds i16
+//! cache behaviour. The direct route (every stride on AVX2, all of the
+//! engine's convolutions) widens nothing to f32: its bordered copy holds i16
 //! channel pairs and `ConvTile::i16_into` multiplies them with `vpmaddwd`
 //! into i32 lanes, exact in any order for the same reason.
 //!

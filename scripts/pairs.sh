@@ -28,11 +28,14 @@
 # that fails is recorded with its exit status and null metrics; no run is
 # ever dropped.
 #
-# After the pairs, one traced run per side (`--seed 1 --trace 1`, parent
-# first) measures the per-layer probes: the script prints each probe of
-# BENCHMARK.json as parent, change and change/parent, and appends one line
-# per side with the keys time, parent, change, side, rev, workload, seed,
-# exit and layers — the probe values by name, or null when the run failed.
+# After the pairs, three traced runs per side (`--trace 1` on seeds 1–3,
+# alternated parent, change, change, parent, parent, change) measure the
+# per-layer probes: one traced run is one sample, and probes of code a change
+# never reaches move 0.6–1.7x between single runs on a 2-vCPU host. The
+# script prints each probe of BENCHMARK.json as its median per side and
+# the min–max over seeds of change/parent, and appends one line per run
+# with the keys time, parent, change, side, rev, workload, seed, exit and
+# layers — the probe values by name, or null when the run failed.
 # The script exits nonzero if any run failed, traced ones included.
 # Scratch directories go under $TMPDIR and are removed on exit.
 set -euo pipefail
@@ -205,16 +208,16 @@ if failed:
     sys.exit(1)
 PY
 
-traced() { # side
-    local side="$1" code=0
-    echo "pairs.sh: traced run, $side" >&2
-    bash "$work/$side/benchmark/run.sh" --workload "$workload" --seed 1 --trace 1 \
+traced() { # side seed
+    local side="$1" seed="$2" code=0
+    echo "pairs.sh: traced run, $side, seed $seed" >&2
+    bash "$work/$side/benchmark/run.sh" --workload "$workload" --seed "$seed" --trace 1 \
         > "$work/$side.traced.out" 2> "$work/$side.traced.err" || code=$?
     python3 - "$work/$side.traced.out" "$ROOT/BENCHMARK.json" "$side" "$code" "$workload" \
-        "$parent_rev" "$change_rev" >> "$history" <<'PY'
+        "$parent_rev" "$change_rev" "$seed" >> "$history" <<'PY'
 import datetime, json, sys
 
-out, spec, side, code, workload, parent, change = sys.argv[1:]
+out, spec, side, code, workload, parent, change, seed = sys.argv[1:]
 names = [m["name"] for m in json.load(open(spec))["per_layer"]]
 layers = None
 try:
@@ -231,7 +234,7 @@ print(json.dumps({
     "side": side,
     "rev": parent if side == "parent" else change,
     "workload": workload,
-    "seed": 1,
+    "seed": int(seed),
     "exit": int(code),
     "layers": layers,
 }, separators=(",", ":")))
@@ -242,24 +245,33 @@ PY
         status=1
     fi
 }
-traced parent
-traced change
+traced parent 1
+traced change 1
+traced change 2
+traced parent 2
+traced parent 3
+traced change 3
 
 python3 - "$history" "$ROOT/BENCHMARK.json" <<'PY' || status=1
-import json, sys
+import json, statistics, sys
 
 history, spec = sys.argv[1:]
-parent, change = [json.loads(l) for l in open(history) if l.strip()][-2:]
-print(f"\nper-layer probes, traced run on seed 1 ({parent['workload']})")
-print("| probe | parent | change | change/parent |")
+records = [json.loads(l) for l in open(history) if l.strip()][-6:]
+side = {s: {r["seed"]: r["layers"] for r in records if r["side"] == s} for s in ("parent", "change")}
+print(f"\nper-layer probes, traced runs on seeds 1-3 ({records[0]['workload']})")
+print("| probe | parent median | change median | change/parent min–max |")
 print("|---|---|---|---|")
 for m in json.load(open(spec))["per_layer"]:
     name = m["name"]
-    p, c = (r["layers"][name] if r["layers"] else None for r in (parent, change))
-    cell = lambda v: "—" if v is None else f"{v:.4g}"
-    ratio = f"{c / p:.3f}" if p and c is not None else "—"
-    print(f"| {name} ({m['unit']}) | {cell(p)} | {cell(c)} | {ratio} |")
-if not (parent["layers"] and change["layers"]):
+    runs = {s: {seed: l[name] for seed, l in side[s].items() if l and l[name] is not None}
+            for s in side}
+    cell = lambda vs: f"{statistics.median(vs):.4g}" if vs else "—"
+    ratios = [runs["change"][seed] / p for seed, p in runs["parent"].items()
+              if p and seed in runs["change"]]
+    spread = f"{min(ratios):.3f}–{max(ratios):.3f}" if ratios else "—"
+    print(f"| {name} ({m['unit']}) | {cell(list(runs['parent'].values()))} "
+          f"| {cell(list(runs['change'].values()))} | {spread} |")
+if not all(r["layers"] for r in records):
     sys.exit(1)
 PY
 exit "$status"

@@ -11,7 +11,8 @@
 //! * `lab`    — run the paper's full results grid as one resumable
 //!   campaign (delegates to `alf-lab`; see `alf lab help`).
 //!
-//! Run `alf help` for the option list. An option the subcommand does not
+//! Run `alf help` (or `alf <subcommand> --help`, `-h`) for the option
+//! list. An option the subcommand does not
 //! read, or one given twice, is an error: the usage text is printed and
 //! nothing runs.
 
@@ -71,20 +72,24 @@ fn command(name: &str) -> Option<Command> {
 }
 
 /// Minimal `--key value` argument parser that accepts only the options
-/// its subcommand reads, each at most once.
+/// its subcommand reads, each at most once, plus `--help` / `-h`.
 struct Args {
     items: Vec<(String, String)>,
     accepted: &'static [&'static [&'static str]],
 }
 
 impl Args {
+    /// The options in `argv`, or `None` when one of them asks for help.
     fn parse(
         argv: &[String],
         accepted: &'static [&'static [&'static str]],
-    ) -> Result<Self, String> {
+    ) -> Result<Option<Self>, String> {
         let mut items = Vec::new();
         let mut i = 0;
         while i < argv.len() {
+            if argv[i] == "--help" || argv[i] == "-h" {
+                return Ok(None);
+            }
             let key = argv[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --option, got '{}'", argv[i]))?;
@@ -100,7 +105,7 @@ impl Args {
             items.push((key.to_string(), value.clone()));
             i += 2;
         }
-        Ok(Self { items, accepted })
+        Ok(Some(Self { items, accepted }))
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -424,7 +429,14 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let result = match command(cmd) {
-        Some((run, accepted)) => Args::parse(&argv[1..], accepted).and_then(|args| run(&args)),
+        Some((run, accepted)) => match Args::parse(&argv[1..], accepted) {
+            Ok(Some(args)) => run(&args),
+            Ok(None) => {
+                println!("{}", usage());
+                return ExitCode::SUCCESS;
+            }
+            Err(e) => Err(e),
+        },
         None => Err(format!("unknown subcommand '{cmd}'")),
     };
     match result {

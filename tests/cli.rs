@@ -1,7 +1,8 @@
 //! The `alf` binary rejects an option its subcommand never reads, or one
 //! given twice, before doing any work: a typo, a retired flag or a
 //! shadowed value fails with the usage text instead of running with a
-//! value the user did not mean.
+//! value the user did not mean. `--help` / `-h` after a subcommand prints
+//! the usage text and runs nothing.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -46,6 +47,22 @@ fn unread_options_fail_fast_with_the_usage_text() {
         assert!(stderr.contains(error), "{stderr}");
         assert!(stderr.contains("usage: alf"), "{stderr}");
         assert!(out.stdout.is_empty(), "work started before the error");
+    }
+}
+
+#[test]
+fn help_after_the_subcommand_prints_the_usage_before_any_work() {
+    // `serve` would bind and block; `-h` must win before it starts.
+    for args in [&["train", "--help"][..], &["serve", "-h"][..]] {
+        let out = alf(args, Duration::from_secs(10));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "`alf {}` failed", args.join(" "));
+        assert!(stdout.contains("usage: alf"), "{stdout}");
+        assert!(
+            out.stderr.is_empty(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }
 

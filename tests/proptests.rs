@@ -540,7 +540,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The forward-only convolution never unfolds: it packs its `B` panels
-    /// straight from the `NCHW` input, or — stride 1 on an AVX2 host, 1×1
+    /// straight from the `NCHW` input, or — any stride on an AVX2 host, 1×1
     /// included — packs none and runs the explicit tile on a zero-bordered
     /// copy. Either way the product must be *bitwise* the im2col + GEMM one.
     ///
@@ -613,6 +613,82 @@ proptest! {
         let narrow_1x1 = base(ci_extra, 2 + side_extra % 4, 1 + side_extra % 8, 1, 0);
         fused_conv_agrees(&FusedConv { live: vec![seed as usize % m], ..narrow_1x1 }, &mut ws)?;
         fused_conv_agrees(&FusedConv { extreme: true, ..base((KC + ci_extra) | 1, 3, 9 + side_extra, 1, 0) }, &mut ws)?;
+    }
+}
+
+/// The input side that gives `out` output pixels along one axis, plus
+/// `extra` (< `stride`) ragged pixels the last window never reaches.
+fn side_for(out: usize, spec: Conv2dSpec, extra: usize) -> usize {
+    (out - 1) * spec.stride + spec.kernel + extra - 2 * spec.pad
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Strided convolutions run on the direct route too, reading the image
+    /// as phase planes: one plane per `(y mod s, x mod s)` residue, so a
+    /// ragged side leaves the last phases a row or column shorter than the
+    /// first. Each family below is drawn at stride 2 or 3 and held, like
+    /// every case of the stride-1 test above, to the im2col route in f32
+    /// and int8 and to the i32 triple loop.
+    #[test]
+    fn fused_strided_conv_is_bitwise_the_im2col_route(
+        n in 1usize..4, stride in 2usize..4, kidx in 0usize..3, pad in 0usize..3,
+        ci_extra in 1usize..5, out_extra in 0usize..12, ragged in 0usize..3,
+        m in 1usize..20, keep in proptest::collection::vec(0usize..2, 20), seed in 0u64..1000) {
+        let mut ws = Workspace::new();
+        let kept: Vec<usize> = (0..m).filter(|&i| keep[i] == 1).collect();
+        let case = |ci: usize, h: usize, w: usize, spec: Conv2dSpec| FusedConv {
+            n, ci, h, w, spec, m, live: kept.clone(), seed, extreme: false,
+        };
+        let extra = ragged % stride;
+
+        // A dirty workspace: stride 1, then stride 2, then stride 1 again,
+        // all at the i8 extremes, each one leaving its phase planes where
+        // the next has border.
+        let s1 = Conv2dSpec::new(3, 1, 1);
+        let s2 = Conv2dSpec::new(3, 2, 1);
+        fused_conv_agrees(&FusedConv { extreme: true, ..case(5, 13, 21, Conv2dSpec::new(5, 1, 2)) }, &mut ws)?;
+        fused_conv_agrees(&FusedConv { extreme: true, ..case(3, 15, 19, s2) }, &mut ws)?;
+        fused_conv_agrees(&FusedConv { extreme: true, ..case(3, 7, 9, s1) }, &mut ws)?;
+
+        // Odd sides, so the phase planes are ragged, under every kernel
+        // and pad 0–2.
+        let k = [1usize, 3, 5][kidx];
+        let spec = Conv2dSpec::new(k, stride, pad);
+        let (h, w) = ((k + out_extra) | 1, (k + 2 * out_extra + 3) | 1);
+        fused_conv_agrees(&case(ci_extra, h, w, spec), &mut ws)?;
+
+        // 3×3, 5×5 and 1×1 at stride 2, one-row tiles whose last vector
+        // is ragged: `wo` odd from 9 to 31.
+        for (k, pad) in [(3, 1), (5, 2), (1, 0)] {
+            let spec = Conv2dSpec::new(k, 2, pad);
+            let (h, w) = (side_for(2 + out_extra % 4, spec, extra % 2), side_for(9 + 2 * out_extra, spec, extra % 2));
+            prop_assert!(spec.output_hw(h, w).1 % 2 == 1);
+            fused_conv_agrees(&case(ci_extra, h, w, spec), &mut ws)?;
+        }
+
+        // Two-row tiles: `wo ≤ 8` and an odd row count, so the last tile's
+        // partner is off; once more with a single live row.
+        let spec = Conv2dSpec::new(3, stride, pad.min(1));
+        let two_row = case(ci_extra, side_for(1 + 2 * (out_extra % 4), spec, extra), side_for(1 + out_extra % 8, spec, extra), spec);
+        let (ho, wo) = spec.output_hw(two_row.h, two_row.w);
+        prop_assert!(wo <= 8 && ho % 2 == 1);
+        fused_conv_agrees(&two_row, &mut ws)?;
+        fused_conv_agrees(&FusedConv { live: vec![seed as usize % m], ..two_row }, &mut ws)?;
+
+        // Past one `KC` slab of taps, the slab boundary inside a channel.
+        let deep = case(KC / 9 + ci_extra, side_for(3, spec, extra), side_for(5, spec, extra), spec);
+        prop_assert!(deep.ci * 9 > KC);
+        fused_conv_agrees(&deep, &mut ws)?;
+
+        // Odd channel counts: the int8 image's last pair holds one channel
+        // beside a zero, at the i8 extremes.
+        for ci in [1, 3, 5] {
+            let spec = Conv2dSpec::new(3, stride, 1);
+            let (h, w) = (side_for(2 + out_extra % 5, spec, extra), side_for(3 + out_extra, spec, extra));
+            fused_conv_agrees(&FusedConv { extreme: true, ..case(ci, h, w, spec) }, &mut ws)?;
+        }
     }
 }
 
