@@ -31,14 +31,14 @@ pub struct DpConfig {
     /// per-sample augmentation draws are pure functions of this seed and
     /// the (epoch, step, slot) coordinates.
     pub data_seed: u64,
-    /// Global L2 clip applied to the reduced task gradient before the
-    /// optimizer step. Frozen-statistics normalisation (see
-    /// [`crate#`][crate]) lacks batch BN's implicit gradient contraction,
-    /// so deep plain networks need this guard; the clip is computed on
-    /// the already-reduced flat gradient, so it is as deterministic as
-    /// the reduction itself. `None` disables clipping.
-    pub max_grad_norm: Option<f32>,
 }
+
+/// Global L2 clip applied to the reduced task gradient before the
+/// optimizer step. Frozen-statistics normalisation (see [`crate#`][crate])
+/// lacks batch BN's implicit gradient contraction, so deep plain networks
+/// need this guard; the clip is computed on the already-reduced flat
+/// gradient, so it is as deterministic as the reduction itself.
+const MAX_GRAD_NORM: f32 = 1.0;
 
 impl DpConfig {
     /// Default configuration over `hyper` with the given data seed.
@@ -47,7 +47,6 @@ impl DpConfig {
             hyper,
             threads: None,
             data_seed,
-            max_grad_norm: Some(1.0),
         }
     }
 
@@ -234,7 +233,6 @@ pub struct DpTrainer {
     // The round: model, optimizer, trajectory position, hyper-parameters.
     round: AlfTrainer,
     threads: Option<usize>,
-    max_grad_norm: Option<f32>,
     // Checkpointed with the round's position.
     data_seed: u64,
     snapshot: StateSnapshot,
@@ -261,7 +259,6 @@ impl DpTrainer {
         Ok(Self {
             round,
             threads: config.threads,
-            max_grad_norm: config.max_grad_norm,
             data_seed: config.data_seed,
             snapshot: StateSnapshot::new(),
             replicas: Vec::new(),
@@ -421,7 +418,6 @@ impl DpTrainer {
         let augment = self.round.hyper().augment;
         let Self {
             round,
-            max_grad_norm,
             data_seed,
             snapshot,
             replicas,
@@ -473,14 +469,12 @@ impl DpTrainer {
             // depends only on the reduced values, never on shard layout.
             let grad_norm = grad.iter().fold(0.0f32, |sq, &g| sq + g * g).sqrt();
             let mut post_clip_norm = grad_norm;
-            if let Some(max_norm) = *max_grad_norm {
-                if grad_norm > max_norm {
-                    let scale = max_norm / grad_norm;
-                    for g in grad.iter_mut() {
-                        *g *= scale;
-                    }
-                    post_clip_norm = max_norm;
+            if grad_norm > MAX_GRAD_NORM {
+                let scale = MAX_GRAD_NORM / grad_norm;
+                for g in grad.iter_mut() {
+                    *g *= scale;
                 }
+                post_clip_norm = MAX_GRAD_NORM;
             }
             opt.step_layer_from_flat(model, grad);
             Ok(TaskOutcome {

@@ -446,15 +446,30 @@ mod tests {
     }
 
     #[test]
+    fn histograms_share_cells_across_handles() {
+        let registry = MetricsRegistry::new();
+        let a = registry.histogram("h", HistogramSpec::latency_ns());
+        registry
+            .histogram("h", HistogramSpec::latency_ns())
+            .record(2);
+        a.record(3);
+        assert_eq!(registry.snapshot().histogram("h").unwrap().total, 2);
+    }
+
+    #[test]
     fn histogram_quantiles_bracket_samples() {
         let h = Histogram::new(HistogramSpec::latency_ns());
+        assert_eq!(h.quantile(0.5), 0.0, "an empty histogram reports 0");
         for ms in 1..=100u64 {
             h.record(ms * 1_000_000);
         }
         let p50 = h.quantile(0.50) / 1e6;
+        let p95 = h.quantile(0.95) / 1e6;
         let p99 = h.quantile(0.99) / 1e6;
-        // Within one sixteenth-octave bucket (≤ 4.4%) above the sample.
+        // Within one sixteenth-octave bucket (≤ 4.4%) above the sample,
+        // never below it.
         assert!((50.0..=52.3).contains(&p50), "p50 {p50}");
+        assert!((95.0..=99.3).contains(&p95), "p95 {p95}");
         assert!((99.0..=103.5).contains(&p99), "p99 {p99}");
         assert_eq!(h.total(), 100);
     }

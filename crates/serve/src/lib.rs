@@ -12,17 +12,18 @@
 //! appear exactly when the replicas are saturated. (There is no batching
 //! window: on these models a batch of 8 takes ≈ 8× a batch of 1, so a
 //! window bought latency and no throughput; DESIGN.md has the numbers.)
-//! Each worker owns a long-lived `(model, RunCtx)` [`Replica`],
-//! so after warm-up the per-batch arena traffic is zero — the same
-//! steady-state contract the training hot loop enforces in
-//! `tests/profiling.rs`.
+//! Each worker owns a long-lived [`Replica`] of one lowered engine with
+//! its own `RunCtx`, so after warm-up the per-batch arena traffic is
+//! zero — the same steady-state contract the training hot loop enforces
+//! in `tests/profiling.rs`.
 //!
 //! [`ServeConfig::precision`] selects the numeric engine per model:
 //! [`Precision::F32`] serves the deployed model as-is, while
-//! [`Precision::Int8`] (with a calibration batch) has every replica fold
-//! batch-norm and lower the model to the fused `i8×i8→i32` engine at
-//! start-up — and again after every hot checkpoint swap, reusing the
-//! same calibration.
+//! [`Precision::Int8`] (with a calibration batch) folds batch-norm and
+//! lowers the model to the fused `i8×i8→i32` engine. Either way the model
+//! is lowered once per version, on the caller's thread — once in
+//! [`Server::start`] and once per accepted hot swap, reusing the same
+//! calibration — and the workers run copies of that one engine.
 //!
 //! ```text
 //! submit() ──► bounded queue ──► fair-share pull ──► worker replicas
@@ -45,10 +46,12 @@
 //!   every queued and in-flight request, and joins the workers; requests
 //!   arriving during the drain are rejected with
 //!   [`ServeError::ShuttingDown`] — nothing is silently dropped.
-//! * **Hot model swap.** [`Server::swap_checkpoint`] validates a new
-//!   checkpoint blob against a staging replica and then lets every worker
-//!   reload it *between* batches; requests in flight during the swap are
-//!   still answered.
+//! * **Hot model swap.** [`Server::swap_checkpoint`] decodes a new
+//!   checkpoint blob into a copy of the server's f32 source model, refuses
+//!   it with [`ServeError::BadCheckpoint`] when it does not decode, holds
+//!   a non-finite value or cannot be lowered, and otherwise lowers it once
+//!   and lets every worker install a copy *between* batches; requests in
+//!   flight during the swap are still answered.
 //! * **Observability.** [`Server::stats`] snapshots request counters, a
 //!   batch-size histogram and p50/p95/p99 latency from a fixed-bucket
 //!   log-scale histogram; the hot path touches only `Instant`.
@@ -77,14 +80,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod engine;
 pub mod net;
 mod replica;
 mod server;
-mod stats;
 
 pub use replica::{Prediction, Replica};
-pub use server::{Pending, Precision, ServeConfig, Server};
-pub use stats::ServerStats;
+pub use server::{Pending, Precision, ServeConfig, Server, ServerStats};
 
 use std::fmt;
 
@@ -107,7 +109,8 @@ pub enum ServeError {
     /// The request (or configuration) is malformed — e.g. wrong image
     /// dimensions.
     BadRequest(String),
-    /// A hot-swap blob failed validation; the serving model is unchanged.
+    /// A hot-swap blob did not decode, held a non-finite value or could not
+    /// be lowered; the serving model is unchanged.
     BadCheckpoint(String),
     /// A model forward failed while serving a batch.
     Internal(String),

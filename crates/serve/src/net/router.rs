@@ -404,7 +404,9 @@ impl std::fmt::Debug for Router {
 mod tests {
     use super::*;
     use crate::net::http::{HttpLimits, RequestParser};
+    use crate::Precision;
     use alf_core::models::plain20;
+    use alf_nn::layer::Layer;
 
     fn spec(name: &str) -> ModelSpec {
         ModelSpec {
@@ -517,30 +519,59 @@ mod tests {
         router.shutdown();
     }
 
-    #[test]
-    fn checkpoint_swap_over_the_router_applies_and_rejects() {
-        let registry = MetricsRegistry::new();
-        let router = Router::start(vec![spec("m")], registry, Some(1)).unwrap();
-
-        let blob = alf_core::checkpoint::save(&plain20(4, 4).unwrap());
+    fn checkpoint_wire(blob: &[u8]) -> Vec<u8> {
         let mut wire = format!(
             "POST /v1/models/m/checkpoint HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
             blob.len()
         )
         .into_bytes();
-        wire.extend_from_slice(&blob);
-        let resp = router.route(&parse(&wire));
-        assert_eq!(resp.status, 200);
-        assert!(String::from_utf8(resp.body)
-            .unwrap()
-            .contains("\"swaps\":1"));
+        wire.extend_from_slice(blob);
+        wire
+    }
 
-        let garbage = b"POST /v1/models/m/checkpoint HTTP/1.1\r\ncontent-length: 3\r\n\r\nnop";
-        let resp = router.route(&parse(garbage));
-        assert_eq!(resp.status, 422);
-        assert!(String::from_utf8(resp.body)
-            .unwrap()
-            .contains("bad_checkpoint"));
-        router.shutdown();
+    #[test]
+    fn checkpoint_swap_over_the_router_applies_and_rejects() {
+        let calib = Tensor::from_fn(&[4, 3, 12, 12], |i| (i % 17) as f32 * 0.1 - 0.8);
+        let mut nan = plain20(4, 4).unwrap();
+        let mut first = true;
+        nan.visit_params(&mut |p| {
+            if std::mem::take(&mut first) {
+                p.value.data_mut()[0] = f32::NAN;
+            }
+        });
+        for precision in [Precision::F32, Precision::Int8(calib)] {
+            let mut m = spec("m");
+            m.serve.precision = precision;
+            let router = Router::start(vec![m], MetricsRegistry::new(), Some(1)).unwrap();
+            let swaps = |want: u64| {
+                let resp = router.route(&parse(b"GET /metrics HTTP/1.1\r\n\r\n"));
+                let text = String::from_utf8(resp.body).unwrap();
+                assert!(
+                    text.contains(&format!("counter serve.m.swaps {want}\n")),
+                    "{text}"
+                );
+            };
+
+            let blob = alf_core::checkpoint::save(&plain20(4, 4).unwrap());
+            let resp = router.route(&parse(&checkpoint_wire(&blob)));
+            assert_eq!(resp.status, 200);
+            assert!(String::from_utf8(resp.body)
+                .unwrap()
+                .contains("\"swaps\":1"));
+
+            for bad in [&b"nop"[..], &alf_core::checkpoint::save(&nan)] {
+                let resp = router.route(&parse(&checkpoint_wire(bad)));
+                assert_eq!(resp.status, 422);
+                assert!(String::from_utf8(resp.body)
+                    .unwrap()
+                    .contains("bad_checkpoint"));
+                swaps(1);
+            }
+
+            let resp = router.route(&parse(&checkpoint_wire(&blob)));
+            assert_eq!(resp.status, 200);
+            swaps(2);
+            router.shutdown();
+        }
     }
 }

@@ -1,21 +1,21 @@
-//! A worker-owned `(model, execution context)` pair — the compute half of
-//! the serving engine, usable (and testable) without any threads.
+//! A worker-owned lowered engine with its execution context — the
+//! compute half of the serving engine, usable (and testable) without any
+//! threads.
 //!
-//! Mirrors the replica pattern of `alf_core::train::Evaluator`: each
-//! worker keeps a long-lived model clone plus its own [`RunCtx`], so the
-//! arena warms once and every later batch reuses the same scratch memory.
+//! A model is lowered into an `Engine` once per version, on the thread
+//! that asks for it: the server does it at start and on every accepted
+//! swap, then hands each worker a copy. A replica only runs what it is
+//! given; its arena warms once and every later batch — and every later
+//! engine, see `Replica::install` — reuses the same scratch memory.
 //! The batch staging buffer is recovered from the input tensor after each
 //! forward (`Tensor::into_vec`), so steady-state serving performs no
 //! per-batch staging allocation either.
 
-use alf_core::checkpoint;
-use alf_core::deploy::{Pipeline, QuantSpec};
 use alf_core::model::CnnModel;
-use alf_core::qmodel::QuantizedModel;
-use alf_nn::layer::Layer;
 use alf_nn::RunCtx;
 use alf_tensor::Tensor;
 
+use crate::engine::Engine;
 use crate::server::Precision;
 use crate::{Result, ServeError};
 
@@ -28,7 +28,8 @@ pub struct Prediction {
     pub logits: Tensor,
 }
 
-/// A long-lived model replica with its own eval-mode execution context.
+/// A long-lived replica of one lowered engine with its own eval-mode
+/// execution context.
 ///
 /// # Example
 ///
@@ -49,13 +50,7 @@ pub struct Prediction {
 /// ```
 #[derive(Debug)]
 pub struct Replica {
-    model: CnnModel,
-    /// The fused int8 engine, when this replica serves
-    /// [`Precision::Int8`]; rebuilt after every checkpoint swap.
-    quant: Option<QuantizedModel>,
-    /// Calibration batch retained for those rebuilds.
-    calib: Option<Tensor>,
-    ctx: RunCtx,
+    engine: Engine,
     staging: Vec<f32>,
     image_dims: [usize; 3],
     classes: usize,
@@ -74,42 +69,40 @@ impl Replica {
         Self::with_precision(model, image_dims, &Precision::F32)
     }
 
-    /// Like [`Replica::new`], but for an explicit numeric form. For
-    /// [`Precision::Int8`] the model is lowered through
-    /// `deploy::Pipeline` (BN folding + int8 quantization calibrated on
-    /// the carried batch) and batches run on the fused int8 engine; the
-    /// f32 model is kept for checkpoint swaps.
+    /// Like [`Replica::new`], but for an explicit numeric form: the model
+    /// is lowered once, here, to the engine [`Precision`] names, and every
+    /// batch runs on that engine.
     ///
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] additionally when the int8 lowering
-    /// rejects the model (unsupported form, bad calibration batch).
+    /// rejects the model.
     pub fn with_precision(
         model: CnnModel,
         image_dims: [usize; 3],
         precision: &Precision,
     ) -> Result<Self> {
+        let engine = Engine::lower(&model, precision).map_err(ServeError::BadRequest)?;
+        Self::from_engine(engine, image_dims)
+    }
+
+    /// A replica running `engine` on `[C, H, W]` images, validated by one
+    /// zero-image probe forward that also learns the class count.
+    pub(crate) fn from_engine(engine: Engine, image_dims: [usize; 3]) -> Result<Self> {
         let [c, h, w] = image_dims;
         if c == 0 || h == 0 || w == 0 {
             return Err(ServeError::BadRequest(format!(
                 "image dims must be non-zero, got {image_dims:?}"
             )));
         }
-        let (quant, calib) = match precision {
-            Precision::F32 => (None, None),
-            Precision::Int8(calib) => (Some(Self::lower_int8(&model, calib)?), Some(calib.clone())),
-        };
         let mut replica = Self {
-            model,
-            quant,
-            calib,
-            ctx: RunCtx::eval(),
+            engine,
             staging: Vec::new(),
             image_dims,
             classes: 0,
         };
         let probe = Tensor::zeros(&[1, c, h, w]);
-        let logits = replica.forward(&probe).map_err(|e| {
+        let logits = replica.engine.forward(&probe).map_err(|e| {
             ServeError::BadRequest(format!("model rejects [1, {c}, {h}, {w}] inputs: {e}"))
         })?;
         if logits.dims().len() != 2 || logits.dims()[0] != 1 || logits.dims()[1] == 0 {
@@ -122,23 +115,14 @@ impl Replica {
         Ok(replica)
     }
 
-    /// Runs the deploy pipeline that turns the f32 model into the fused
-    /// int8 engine.
-    fn lower_int8(model: &CnnModel, calib: &Tensor) -> Result<QuantizedModel> {
-        let deployed = Pipeline::new()
-            .fold_bn(true)
-            .quantize(QuantSpec::int8(calib.clone()))
-            .run(model)
-            .map_err(|e| ServeError::BadRequest(format!("int8 lowering failed: {e}")))?;
-        Ok(deployed.quantized.expect("quantize(..) produces an engine"))
-    }
-
-    /// One batched forward through whichever engine this replica runs.
-    fn forward(&mut self, batch: &Tensor) -> alf_core::Result<Tensor> {
-        match &mut self.quant {
-            Some(q) => q.forward(batch),
-            None => self.model.forward(batch, &mut self.ctx),
-        }
+    /// Runs a copy of `engine` from the next batch on. Called by the
+    /// server between batches, so in-flight requests never observe a
+    /// half-swapped model. The warm (possibly frozen) arena and its
+    /// allocation count move over to the new engine.
+    pub(crate) fn install(&mut self, engine: &Engine) {
+        let mut next = engine.clone();
+        std::mem::swap(next.ctx_mut(), self.engine.ctx_mut());
+        self.engine = next;
     }
 
     /// The `[C, H, W]` geometry this replica serves.
@@ -151,27 +135,16 @@ impl Replica {
         self.classes
     }
 
-    /// The served model (the f32 form, even for int8 replicas).
-    pub fn model(&self) -> &CnnModel {
-        &self.model
-    }
-
     /// The execution context (arena + profiler) of the engine that runs
     /// this replica's batches: the int8 engine's own for an int8 replica.
     pub fn ctx(&self) -> &RunCtx {
-        match &self.quant {
-            Some(q) => q.ctx(),
-            None => &self.ctx,
-        }
+        self.engine.ctx()
     }
 
     /// Mutable context access — used by the server's freeze/thaw hooks and
     /// by tests asserting the zero-allocation steady state.
     pub fn ctx_mut(&mut self) -> &mut RunCtx {
-        match &mut self.quant {
-            Some(q) => q.ctx_mut(),
-            None => &mut self.ctx,
-        }
+        self.engine.ctx_mut()
     }
 
     /// Grows the arena and layer caches to their steady state by running
@@ -186,7 +159,8 @@ impl Replica {
         let [c, h, w] = self.image_dims;
         for b in [max_batch.max(1), 1] {
             let x = Tensor::zeros(&[b, c, h, w]);
-            self.forward(&x)
+            self.engine
+                .forward(&x)
                 .map_err(|e| ServeError::Internal(format!("prewarm forward failed: {e}")))?;
         }
         Ok(())
@@ -220,7 +194,7 @@ impl Replica {
         }
         let batch = Tensor::from_vec(staged, &[images.len(), c, h, w])
             .map_err(|e| ServeError::Internal(e.to_string()))?;
-        let logits = match self.forward(&batch) {
+        let logits = match self.engine.forward(&batch) {
             Ok(l) => l,
             Err(e) => {
                 self.staging = batch.into_vec();
@@ -240,30 +214,6 @@ impl Replica {
             })
             .collect();
         Ok(predictions)
-    }
-
-    /// Replaces the replica's weights from a checkpoint blob. Called by
-    /// the server between batches, so in-flight requests never observe a
-    /// half-swapped model.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadCheckpoint`] when the blob is malformed or its
-    /// state structure mismatches the model (the model is left untouched),
-    /// or when the swapped weights cannot be re-lowered to int8.
-    pub(crate) fn load_checkpoint(&mut self, blob: &[u8]) -> Result<()> {
-        checkpoint::load(&mut self.model, blob)
-            .map_err(|e| ServeError::BadCheckpoint(e.to_string()))?;
-        if let (Some(calib), Some(old)) = (&self.calib, &mut self.quant) {
-            // Int8 replicas re-run the lowering so the served engine
-            // tracks the new weights; the warm (possibly frozen) arena and
-            // its allocation count move over to the new engine.
-            let mut new = Self::lower_int8(&self.model, calib)
-                .map_err(|e| ServeError::BadCheckpoint(e.to_string()))?;
-            std::mem::swap(new.ctx_mut(), old.ctx_mut());
-            *old = new;
-        }
-        Ok(())
     }
 }
 
@@ -302,49 +252,6 @@ mod tests {
         assert_eq!(batched[0].logits.dims(), &[4]);
     }
 
-    /// One top-1 rule: with the classifier forced to emit `[NaN, 1, 3, 0]`
-    /// for every input, the f32 replica, the int8 replica, the int8
-    /// engine's own `predict`, `Tensor::argmax` and the training accuracy
-    /// count all answer class 2 — a leading NaN is skipped, not chosen.
-    #[test]
-    fn a_leading_nan_logit_is_skipped_by_every_top1() {
-        let mut model = plain20(4, 4).unwrap();
-        let Some(alf_core::model::Unit::Classifier(fc)) = model.units_mut().last_mut() else {
-            panic!("plain20 ends in its classifier");
-        };
-        // Weight (visited first) zeroed, bias = the forced logits.
-        fc.visit_params(&mut |p| match p.value.dims() {
-            [4] => p.value = Tensor::from_vec(vec![f32::NAN, 1.0, 3.0, 0.0], &[4]).unwrap(),
-            _ => p.value.fill_zero(),
-        });
-
-        let imgs: Vec<Tensor> = (0..2)
-            .map(|n| Tensor::from_fn(&[3, 12, 12], |i| ((i + n) % 7) as f32 * 0.1))
-            .collect();
-        let refs: Vec<&Tensor> = imgs.iter().collect();
-        let calib = Tensor::from_fn(&[2, 3, 12, 12], |i| (i % 5) as f32 * 0.1);
-        let mut f32_replica = Replica::new(model.clone(), [3, 12, 12]).unwrap();
-        let mut int8_replica =
-            Replica::with_precision(model.clone(), [3, 12, 12], &Precision::Int8(calib.clone()))
-                .unwrap();
-        for replica in [&mut f32_replica, &mut int8_replica] {
-            for p in replica.run_batch(&refs).unwrap() {
-                assert!(p.logits.data()[0].is_nan());
-                assert_eq!((p.class, p.logits.argmax()), (2, 2));
-            }
-        }
-        let mut engine = Pipeline::new()
-            .fold_bn(true)
-            .quantize(QuantSpec::int8(calib.clone()))
-            .run(&model)
-            .unwrap()
-            .quantized
-            .unwrap();
-        assert_eq!(engine.predict(&calib).unwrap(), vec![2, 2]);
-        let logits = engine.forward(&calib).unwrap();
-        assert_eq!(alf_nn::loss::correct_count(&logits, &[2, 2]).unwrap(), 2);
-    }
-
     #[test]
     fn wrong_geometry_is_a_bad_request() {
         let mut r = replica();
@@ -371,79 +278,5 @@ mod tests {
         }
         r.ctx_mut().ws.thaw();
         assert_eq!(r.ctx().ws.alloc_events(), events);
-    }
-
-    fn int8_replica() -> Replica {
-        let mut rng = alf_tensor::rng::Rng::new(3);
-        let calib = Tensor::randn(&[4, 3, 12, 12], alf_tensor::init::Init::Rand, &mut rng);
-        Replica::with_precision(plain20(4, 4).unwrap(), [3, 12, 12], &Precision::Int8(calib))
-            .unwrap()
-    }
-
-    #[test]
-    fn int8_replica_serves_and_mostly_agrees_with_f32() {
-        let mut q = int8_replica();
-        assert!(q.quant.is_some());
-        assert_eq!(q.classes(), 4);
-        let mut f = replica();
-        let mut rng = alf_tensor::rng::Rng::new(4);
-        let imgs: Vec<Tensor> = (0..16)
-            .map(|_| Tensor::randn(&[3, 12, 12], alf_tensor::init::Init::Rand, &mut rng))
-            .collect();
-        let refs: Vec<&Tensor> = imgs.iter().collect();
-        let qp = q.run_batch(&refs).unwrap();
-        let fp = f.run_batch(&refs).unwrap();
-        let agree = qp
-            .iter()
-            .zip(&fp)
-            .filter(|(a, b)| a.class == b.class)
-            .count();
-        assert!(agree * 10 >= refs.len() * 9, "{agree}/{}", refs.len());
-    }
-
-    #[test]
-    fn int8_replica_rebuilds_engine_on_checkpoint_swap() {
-        let mut r = int8_replica();
-        let img = Tensor::from_fn(&[3, 12, 12], |i| (i % 11) as f32 * 0.05);
-        let before = r.run_batch(&[&img]).unwrap().remove(0);
-        let mut other = plain20(4, 4).unwrap();
-        other.visit_params(&mut |p| {
-            for v in p.value.data_mut() {
-                *v += 0.05;
-            }
-        });
-        let blob = alf_core::checkpoint::save(&other);
-        r.load_checkpoint(&blob).unwrap();
-        assert!(r.quant.is_some());
-        let after = r.run_batch(&[&img]).unwrap().remove(0);
-        assert_ne!(before.logits, after.logits);
-    }
-
-    #[test]
-    fn load_checkpoint_swaps_weights() {
-        let mut r = replica();
-        let img = Tensor::from_fn(&[3, 12, 12], |i| (i % 11) as f32 * 0.05);
-        let before = r.run_batch(&[&img]).unwrap().remove(0);
-        // `plain20` is deterministic, so nudge the weights to get a model
-        // with the same architecture but different function.
-        let mut other = plain20(4, 4).unwrap();
-        other.visit_params(&mut |p| {
-            for v in p.value.data_mut() {
-                *v += 0.05;
-            }
-        });
-        let blob = alf_core::checkpoint::save(&other);
-        r.load_checkpoint(&blob).unwrap();
-        let after = r.run_batch(&[&img]).unwrap().remove(0);
-        assert_ne!(before.logits, after.logits);
-        // A mismatched blob is rejected and leaves the weights alone.
-        let wide = plain20(4, 8).unwrap();
-        let bad = alf_core::checkpoint::save(&wide);
-        assert!(matches!(
-            r.load_checkpoint(&bad),
-            Err(ServeError::BadCheckpoint(_))
-        ));
-        let unchanged = r.run_batch(&[&img]).unwrap().remove(0);
-        assert_eq!(after.logits, unchanged.logits);
     }
 }

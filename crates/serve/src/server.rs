@@ -13,11 +13,14 @@
 //!   themselves whenever every replica is busy and the queue backs up —
 //!   the only time a batch buys anything (a batch of 8 costs ≈ 8 batches
 //!   of 1 on these models, see DESIGN.md "Queue → batcher").
-//! * Hot swap is a versioned blob behind its own mutex: `swap_checkpoint`
-//!   validates against a staging replica, then publishes the blob with a
-//!   bumped version (`AtomicU64`, release). Workers compare the version
-//!   before every batch (acquire) and reload between batches — in-flight
-//!   requests always run on a consistent model.
+//! * A model version is lowered once, on the caller's thread: at start,
+//!   and in `swap_checkpoint`, which decodes the blob into a copy of the
+//!   server's one f32 source model (its mutex serialises swaps), lowers
+//!   it and publishes the engine with a bumped version (`AtomicU64`,
+//!   release). Workers compare the version before every batch (acquire)
+//!   and install a copy of the published engine between batches — they
+//!   never decode or lower, and in-flight requests always run on a
+//!   consistent model.
 //! * Per-request responses travel through a oneshot `ResponseSlot`
 //!   (`Mutex<Option<..>>` + `Condvar`) handed back to the caller as a
 //!   [`Pending`]. A queued request is answered at most once, and one
@@ -33,11 +36,12 @@ use std::time::Instant;
 
 use alf_core::checkpoint;
 use alf_core::model::CnnModel;
-use alf_obs::metrics::{Counter, Gauge, HistogramSpec, MetricsRegistry};
+use alf_nn::layer::Layer;
+use alf_obs::metrics::{Counter, Gauge, Histogram, HistogramSpec, MetricsRegistry};
 use alf_tensor::Tensor;
 
+use crate::engine::Engine;
 use crate::replica::{Prediction, Replica};
-use crate::stats::{LatencyHistogram, ServerStats};
 use crate::{Result, ServeError};
 
 /// Numeric form the worker replicas execute.
@@ -46,8 +50,10 @@ use crate::{Result, ServeError};
 /// lowers it through `alf_core::deploy::Pipeline` first — batch-norm
 /// folding, then symmetric int8 quantization with activation scales
 /// calibrated on the carried `NCHW` batch — and serves the fused int8
-/// engine. The f32 model is kept alongside for checkpoint validation; a
-/// hot swap re-runs the lowering against the same calibration batch.
+/// engine. Either way the server lowers once per model version, on the
+/// caller's thread: once in [`Server::start`] and once per accepted
+/// [`Server::swap_checkpoint`], against the same calibration batch. The
+/// workers only run copies of the lowered engine.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum Precision {
     /// Full-precision f32 execution (the default).
@@ -73,9 +79,6 @@ pub struct ServeConfig {
     pub height: usize,
     /// Image width.
     pub width: usize,
-    /// Run each replica at `max_batch` and at 1 before serving, so the
-    /// arenas reach steady state ahead of the first real request.
-    pub prewarm: bool,
     /// Instance name for metric prefixes. Empty (the default) keeps the
     /// historical `serve.*` names; a non-empty name exports
     /// `serve.<name>.*` instead, so multiple servers can share one
@@ -88,7 +91,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults for a `[channels, height, width]` input geometry: 2
-    /// workers, batches of up to 8, 64-deep queue, prewarm on.
+    /// workers, batches of up to 8, 64-deep queue.
     pub fn new(channels: usize, height: usize, width: usize) -> Self {
         Self {
             workers: 2,
@@ -97,7 +100,6 @@ impl ServeConfig {
             channels,
             height,
             width,
-            prewarm: true,
             name: String::new(),
             precision: Precision::F32,
         }
@@ -133,11 +135,6 @@ impl ServeConfig {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
         {
             return bad("name must contain only [A-Za-z0-9_.-]");
-        }
-        if let Precision::Int8(calib) = &self.precision {
-            if calib.dims().len() != 4 || calib.dims()[0] == 0 {
-                return bad("int8 calibration batch must be a non-empty NCHW tensor");
-            }
         }
         Ok(())
     }
@@ -246,14 +243,6 @@ fn fair_share(queued: usize, idle: usize, max_batch: usize) -> usize {
     queued.div_ceil(idle).min(max_batch)
 }
 
-#[derive(Debug)]
-struct SwapState {
-    /// Architecture validator: a blob must load here before workers see it.
-    staging: CnnModel,
-    blob: Arc<Vec<u8>>,
-    version: u64,
-}
-
 /// The exact batch-size distribution (`batch[n]` = batches of exactly `n`
 /// requests) keeps linear buckets behind a short mutex; everything else in
 /// [`Shared`] is a lock-free registry instrument.
@@ -268,7 +257,14 @@ struct Shared {
     cfg: ServeConfig,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
-    swap: Mutex<SwapState>,
+    /// The server's one f32 source model, the state of the latest accepted
+    /// version: every swap blob decodes into a copy of it. Its lock
+    /// serialises swaps.
+    source: Mutex<CnnModel>,
+    /// The engine lowered from the latest accepted swap, published before
+    /// `swap_version` moves (`None` until a swap is accepted; the workers
+    /// start on copies of the start-up engine).
+    published: Mutex<Option<Arc<Engine>>>,
     swap_version: AtomicU64,
     freeze: AtomicBool,
     /// The registry all serving instruments live in (`serve.*` names);
@@ -282,12 +278,47 @@ struct Shared {
     swaps: Counter,
     batches: Counter,
     queue_len: Gauge,
-    latency: LatencyHistogram,
+    /// Queue-to-response latency, ns ([`HistogramSpec::latency_ns`]).
+    latency: Arc<Histogram>,
     hists: Mutex<Hists>,
     /// Per-worker cumulative arena allocation-event counters, published
     /// after every batch; tests sum them across a frozen window to assert
     /// the zero-allocation steady state.
     worker_alloc_events: Vec<AtomicU64>,
+}
+
+/// Point-in-time snapshot of a [`Server`](crate::Server)'s counters and
+/// distributions. Counters are monotone; a snapshot taken after
+/// [`shutdown`](crate::Server::shutdown) is final.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServerStats {
+    /// Requests admitted to the queue.
+    pub submitted: u64,
+    /// Requests answered with a prediction (or a per-batch error).
+    pub completed: u64,
+    /// Requests rejected because the queue was full.
+    pub rejected_overloaded: u64,
+    /// Requests rejected because the server was draining.
+    pub rejected_shutdown: u64,
+    /// Admitted requests answered with [`Expired`](crate::ServeError::Expired)
+    /// because their deadline passed in the queue. After a drain,
+    /// `completed + expired == submitted`.
+    pub expired: u64,
+    /// Hot swaps accepted so far.
+    pub swaps: u64,
+    /// Micro-batches executed.
+    pub batches: u64,
+    /// `batch_histogram[n]` = number of batches carrying exactly `n`
+    /// requests; index 0 is unused (batches are never empty).
+    pub batch_histogram: Vec<u64>,
+    /// Mean requests per executed batch (0.0 before the first batch).
+    pub mean_batch_occupancy: f64,
+    /// Median queue-to-response latency, milliseconds.
+    pub p50_ms: f64,
+    /// 95th-percentile latency, milliseconds.
+    pub p95_ms: f64,
+    /// 99th-percentile latency, milliseconds.
+    pub p99_ms: f64,
 }
 
 /// A running inference server. See the crate docs for the architecture.
@@ -298,13 +329,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Validates the configuration, builds one prewarmed replica per
-    /// worker from `model`, and starts the worker pool.
+    /// Validates the configuration, lowers `model` once to the configured
+    /// [`Precision`], gives each worker a prewarmed replica of that one
+    /// engine, and starts the worker pool.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for an invalid configuration or a model
-    /// that rejects the configured geometry.
+    /// [`ServeError::BadRequest`] for an invalid configuration, a model
+    /// that rejects the configured geometry, or one the int8 lowering
+    /// rejects.
     pub fn start(model: &CnnModel, cfg: ServeConfig) -> Result<Self> {
         Self::start_with_registry(model, cfg, MetricsRegistry::new())
     }
@@ -329,12 +362,11 @@ impl Server {
         cfg.validate()?;
         let prefix = cfg.metric_prefix();
         let dims = [cfg.channels, cfg.height, cfg.width];
+        let engine = Engine::lower(model, &cfg.precision).map_err(ServeError::BadRequest)?;
         let mut replicas = Vec::with_capacity(cfg.workers);
         for _ in 0..cfg.workers {
-            let mut replica = Replica::with_precision(model.clone(), dims, &cfg.precision)?;
-            if cfg.prewarm {
-                replica.prewarm(cfg.max_batch)?;
-            }
+            let mut replica = Replica::from_engine(engine.clone(), dims)?;
+            replica.prewarm(cfg.max_batch)?;
             replicas.push(replica);
         }
         let shared = Arc::new(Shared {
@@ -344,11 +376,8 @@ impl Server {
                 idle: cfg.workers,
             }),
             queue_cv: Condvar::new(),
-            swap: Mutex::new(SwapState {
-                staging: model.clone(),
-                blob: Arc::new(Vec::new()),
-                version: 0,
-            }),
+            source: Mutex::new(model.clone()),
+            published: Mutex::new(None),
             swap_version: AtomicU64::new(0),
             freeze: AtomicBool::new(false),
             submitted: registry.counter(&format!("{prefix}submitted")),
@@ -359,9 +388,8 @@ impl Server {
             swaps: registry.counter(&format!("{prefix}swaps")),
             batches: registry.counter(&format!("{prefix}batches")),
             queue_len: registry.gauge(&format!("{prefix}queue_len")),
-            latency: LatencyHistogram::from_shared(
-                registry.histogram(&format!("{prefix}latency_ns"), HistogramSpec::latency_ns()),
-            ),
+            latency: registry
+                .histogram(&format!("{prefix}latency_ns"), HistogramSpec::latency_ns()),
             registry,
             hists: Mutex::new(Hists {
                 batch: vec![0; cfg.max_batch + 1],
@@ -447,24 +475,37 @@ impl Server {
         Ok(pending)
     }
 
-    /// Validates `blob` against the staging replica and, on success,
-    /// publishes it; every worker reloads it before its next batch. No
-    /// queued or in-flight request is dropped by a swap.
+    /// Decodes `blob` into a copy of the source model, lowers it once to
+    /// the configured [`Precision`] on this thread and publishes the
+    /// engine; every worker installs a copy of it before its next batch.
+    /// No queued or in-flight request is dropped by a swap.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadCheckpoint`] when the blob is malformed or does
-    /// not match the serving architecture; the serving model is unchanged.
+    /// [`ServeError::BadCheckpoint`] when the blob is malformed, does not
+    /// match the serving architecture, holds a non-finite value, or cannot
+    /// be lowered. The serving model, the source model and
+    /// [`ServerStats::swaps`] are then unchanged.
     pub fn swap_checkpoint(&self, blob: &[u8]) -> Result<()> {
-        let mut swap = self.shared.swap.lock().expect("swap state poisoned");
-        checkpoint::load(&mut swap.staging, blob)
-            .map_err(|e| ServeError::BadCheckpoint(e.to_string()))?;
-        swap.blob = Arc::new(blob.to_vec());
-        swap.version += 1;
-        self.shared
-            .swap_version
-            .store(swap.version, Ordering::Release);
-        drop(swap);
+        let mut source = self.shared.source.lock().expect("source model poisoned");
+        let mut next = source.clone();
+        checkpoint::load(&mut next, blob).map_err(|e| ServeError::BadCheckpoint(e.to_string()))?;
+        let mut finite = true;
+        next.visit_state_ref(&mut |t| finite &= t.data().iter().all(|v| v.is_finite()));
+        if !finite {
+            return Err(ServeError::BadCheckpoint(
+                "the checkpoint holds a non-finite value".to_string(),
+            ));
+        }
+        let engine =
+            Engine::lower(&next, &self.shared.cfg.precision).map_err(ServeError::BadCheckpoint)?;
+        *self
+            .shared
+            .published
+            .lock()
+            .expect("published engine poisoned") = Some(Arc::new(engine));
+        self.shared.swap_version.fetch_add(1, Ordering::Release);
+        *source = next;
         self.shared.swaps.inc();
         Ok(())
     }
@@ -523,14 +564,14 @@ impl Server {
             } else {
                 0.0
             },
-            p50_ms: self.shared.latency.quantile_ms(0.50),
-            p95_ms: self.shared.latency.quantile_ms(0.95),
-            p99_ms: self.shared.latency.quantile_ms(0.99),
+            p50_ms: self.shared.latency.quantile(0.50) / 1e6,
+            p95_ms: self.shared.latency.quantile(0.95) / 1e6,
+            p99_ms: self.shared.latency.quantile(0.99) / 1e6,
         }
     }
 
     /// Asks every worker to freeze (or thaw) its arena before its next
-    /// batch. With prewarm on, a frozen steady state must not allocate —
+    /// batch. Replicas are prewarmed, so a frozen steady state must not allocate —
     /// growth trips the arena's debug assertion and bumps the counters
     /// read by [`Server::arena_alloc_events`].
     pub fn freeze_arenas(&self, on: bool) {
@@ -608,14 +649,17 @@ fn worker_loop(index: usize, mut replica: Replica, shared: Arc<Shared>) {
             shared.queue_len.set(queue.items.len() as f64);
         }
 
-        // ---- apply a pending hot swap between batches ----
-        if shared.swap_version.load(Ordering::Acquire) != seen_version {
-            let swap = shared.swap.lock().expect("swap state poisoned");
-            // The staging replica already validated this blob; a failure
-            // here would mean this replica diverged from staging, in which
-            // case we keep serving the old weights rather than die.
-            let _ = replica.load_checkpoint(&swap.blob);
-            seen_version = swap.version;
+        // ---- install a newly published engine between batches ----
+        // The engine read after the version is that version's or newer.
+        let version = shared.swap_version.load(Ordering::Acquire);
+        if version != seen_version {
+            let engine = shared
+                .published
+                .lock()
+                .expect("published engine poisoned")
+                .clone();
+            replica.install(&engine.expect("a bumped version has an engine"));
+            seen_version = version;
         }
 
         // ---- honour freeze/thaw requests outside the serving path ----
@@ -644,7 +688,8 @@ fn worker_loop(index: usize, mut replica: Replica, shared: Arc<Shared>) {
                 // The latency histogram is lock-free; only the exact
                 // batch-size buckets need the short mutex.
                 for request in &batch {
-                    shared.latency.record(request.enqueued.elapsed());
+                    let ns = request.enqueued.elapsed().as_nanos();
+                    shared.latency.record(u64::try_from(ns).unwrap_or(u64::MAX));
                 }
                 {
                     let mut hists = shared.hists.lock().expect("hists poisoned");
@@ -679,7 +724,6 @@ mod tests {
             workers: 2,
             max_batch: 4,
             queue_depth: 32,
-            prewarm: true,
             ..ServeConfig::new(3, 12, 12)
         }
     }
@@ -710,6 +754,10 @@ mod tests {
             },
             ServeConfig {
                 name: "has space".to_string(),
+                ..tiny_config()
+            },
+            ServeConfig {
+                precision: Precision::Int8(Tensor::zeros(&[0, 3, 12, 12])),
                 ..tiny_config()
             },
         ] {
@@ -912,15 +960,12 @@ mod tests {
         };
         let max_batch = cfg.max_batch;
         let server = Server::start(&model, cfg).unwrap();
-        // Gate: publish a same-weights swap and keep its lock, so a worker
-        // blocks between taking a batch and running it.
-        let mut gate = server.shared.swap.lock().unwrap();
-        gate.blob = Arc::new(checkpoint::save(&model).to_vec());
-        gate.version += 1;
-        server
-            .shared
-            .swap_version
-            .store(gate.version, Ordering::Release);
+        // Gate: publish a same-weights engine and keep its lock, so a
+        // worker blocks between taking a batch and running it.
+        let engine = Engine::lower(&model, &Precision::F32).unwrap();
+        let mut gate = server.shared.published.lock().unwrap();
+        *gate = Some(Arc::new(engine));
+        server.shared.swap_version.fetch_add(1, Ordering::Release);
         let idle = || server.shared.queue.lock().unwrap().idle;
         let mut pendings = Vec::new();
         for left in [1, 0] {
@@ -991,47 +1036,124 @@ mod tests {
         assert_eq!(snap.counter("serve.submitted"), None);
     }
 
-    #[test]
-    fn swap_rejects_garbage_and_mismatched_architectures() {
-        let model = plain20(4, 4).unwrap();
-        let server = Server::start(&model, tiny_config()).unwrap();
-        let before = server.submit(image(3)).unwrap().wait().unwrap();
-        // The second blob declares u32::MAX tensors in 12 bytes.
-        for blob in [&b"not a checkpoint"[..], b"ALFCKPT1\xff\xff\xff\xff"] {
-            assert!(matches!(
-                server.swap_checkpoint(blob),
-                Err(ServeError::BadCheckpoint(_))
-            ));
-        }
-        let wide = plain20(4, 8).unwrap();
-        assert!(matches!(
-            server.swap_model(&wide),
-            Err(ServeError::BadCheckpoint(_))
-        ));
-        assert_eq!(server.stats().swaps, 0);
-        // Serving still answers on the original weights.
-        let after = server.submit(image(3)).unwrap().wait().unwrap();
-        assert_eq!(after.logits, before.logits);
-        server.shutdown();
+    /// Both numeric forms, the int8 one calibrated on a fixed batch.
+    fn precisions() -> [Precision; 2] {
+        let calib = Tensor::from_fn(&[4, 3, 12, 12], |i| (i % 17) as f32 * 0.1 - 0.8);
+        [Precision::F32, Precision::Int8(calib)]
     }
 
-    #[test]
-    fn hot_swap_changes_answers_without_dropping_requests() {
-        let model = plain20(4, 4).unwrap();
-        let server = Server::start(&model, tiny_config()).unwrap();
-        let probe = image(5);
-        let before = server.submit(probe.clone()).unwrap().wait().unwrap();
-        let mut swapped = plain20(4, 4).unwrap();
-        swapped.visit_params(&mut |p| {
+    /// The logits' bits for four fixed probe images.
+    fn answers(server: &Server) -> Vec<Vec<u32>> {
+        (0..4)
+            .map(|i| {
+                let logits = server.submit(image(i)).unwrap().wait().unwrap().logits;
+                logits.data().iter().map(|v| v.to_bits()).collect()
+            })
+            .collect()
+    }
+
+    /// `plain20(4, 4)` with every parameter moved by `delta`: the same
+    /// architecture computing a different function.
+    fn nudged(delta: f32) -> CnnModel {
+        let mut model = plain20(4, 4).unwrap();
+        model.visit_params(&mut |p| {
             for v in p.value.data_mut() {
-                *v += 0.1;
+                *v += delta;
             }
         });
-        server.swap_model(&swapped).unwrap();
-        let after = server.submit(probe).unwrap().wait().unwrap();
-        assert_ne!(before.logits, after.logits);
-        assert_eq!(server.stats().swaps, 1);
+        model
+    }
+
+    /// `model` with `edit` applied to its first parameter (a conv weight).
+    fn edit_first_param(mut model: CnnModel, edit: impl Fn(&mut [f32])) -> CnnModel {
+        let mut first = true;
+        model.visit_params(&mut |p| {
+            if std::mem::take(&mut first) {
+                edit(p.value.data_mut());
+            }
+        });
+        model
+    }
+
+    /// Every swap either applies — the answers change, and swapping back
+    /// restores them bit for bit, since lowering is deterministic — or is
+    /// refused with `BadCheckpoint`, `swaps` unmoved and the fleet bitwise
+    /// on the old engine, in both precisions.
+    #[test]
+    fn a_swap_applies_or_is_refused_leaving_the_fleet_bitwise() {
+        let model = plain20(4, 4).unwrap();
+        let nan = edit_first_param(nudged(0.05), |w| w[0] = f32::NAN);
+        // Finite, but its activations overflow f32 during int8
+        // calibration: the f32 engine takes it, the int8 lowering cannot.
+        let huge = edit_first_param(nudged(0.0), |w| w.fill(1e38));
+        for precision in precisions() {
+            let int8 = matches!(precision, Precision::Int8(_));
+            let cfg = ServeConfig {
+                precision,
+                ..tiny_config()
+            };
+            let server = Server::start(&model, cfg).unwrap();
+            let before = answers(&server);
+            // The second blob declares u32::MAX tensors in 12 bytes.
+            let mut refused = vec![
+                b"not a checkpoint".to_vec(),
+                b"ALFCKPT1\xff\xff\xff\xff".to_vec(),
+                checkpoint::save(&plain20(4, 8).unwrap()).to_vec(),
+                checkpoint::save(&nan).to_vec(),
+            ];
+            if int8 {
+                refused.push(checkpoint::save(&huge).to_vec());
+            }
+            for blob in refused {
+                let err = server.swap_checkpoint(&blob).unwrap_err();
+                assert!(matches!(err, ServeError::BadCheckpoint(_)), "{err}");
+            }
+            assert_eq!(server.stats().swaps, 0);
+            assert_eq!(answers(&server), before);
+            server.swap_model(&nudged(0.1)).unwrap();
+            assert_ne!(answers(&server), before);
+            server.swap_model(&model).unwrap();
+            assert_eq!(answers(&server), before);
+            assert_eq!(server.stats().swaps, 2);
+            server.shutdown();
+        }
+    }
+
+    /// Lowering happens once per model version, on the thread that asks
+    /// for it; the workers only install copies.
+    #[test]
+    fn each_version_is_lowered_once_on_the_callers_thread() {
+        use crate::engine::lowerings_on;
+        let me = std::thread::current().id();
+        let [_, int8] = precisions();
+        let cfg = ServeConfig {
+            workers: 3,
+            precision: int8,
+            ..tiny_config()
+        };
+        let at_start = lowerings_on(me);
+        let server = Server::start(&plain20(4, 4).unwrap(), cfg).unwrap();
+        assert_eq!(lowerings_on(me), at_start + 1, "start lowers once");
+        let workers: Vec<std::thread::ThreadId> = {
+            let handles = server.handles.lock().unwrap();
+            handles.iter().flatten().map(|h| h.thread().id()).collect()
+        };
+        assert_eq!(workers.len(), 3);
+        for (n, delta) in [0.05f32, 0.1].into_iter().enumerate() {
+            server.swap_model(&nudged(delta)).unwrap();
+            assert_eq!(lowerings_on(me), at_start + 2 + n, "a swap lowers once");
+            // A burst of concurrent requests: workers install the new
+            // engine before they serve it.
+            let pendings: Vec<Pending> =
+                (0..24).map(|i| server.submit(image(i)).unwrap()).collect();
+            for p in pendings {
+                p.wait().unwrap();
+            }
+        }
         server.shutdown();
+        for worker in workers {
+            assert_eq!(lowerings_on(worker), 0, "a worker lowered");
+        }
     }
 
     #[test]
