@@ -1,16 +1,17 @@
-//! The pack-free stride-1 convolution tile and the int8 requantizing store,
-//! in explicit AVX2 — the one module of the workspace that contains
-//! `unsafe`.
+//! The pack-free convolution tiles of any stride — the forward's and the
+//! training weight gradient's — and the int8 requantizing store, in
+//! explicit AVX2: the one module of the workspace that contains `unsafe`.
 //!
 //! The packed tiles in the crate root consume a `B` panel somebody gathered
 //! out of the image first. For a convolution with few filters that gather
 //! *is* the layer: at `m = 5` every value packed, stored and re-loaded feeds
 //! five multiply-adds of an eight-row tile. This tile reads the image in
 //! place instead. The caller copies one image into a zero-bordered
-//! scratch; at stride 1 the eight pixels right of an output pixel's tap are
-//! the taps of its eight right-hand neighbours, so one unaligned 256-bit
-//! load at `origin + offset[tap]` *is* the panel row `pack_b_image` would
-//! have built, and nothing is packed.
+//! scratch (split into phase planes at stride 2 and up, which makes every
+//! stride read like stride 1); then the eight pixels right of an output
+//! pixel's tap are the taps of its eight right-hand neighbours, so one
+//! unaligned 256-bit load at `origin + offset[tap]` *is* the panel row
+//! `pack_b_image` would have built, and nothing is packed.
 //!
 //! The tile comes in two element types, one register shape:
 //!
@@ -47,12 +48,27 @@
 //! any layer) any grouping and order of the adds yields the same i32 as
 //! `microkernel_i8_into` or a scalar triple loop.
 //!
+//! # The weight-gradient tile
+//!
+//! [`ConvTile::weight_grad_into`] is the f32 tile with weights and image
+//! swapped: `dW[co, tap] = Σ_pixels G[co, pixel] · X[tap, pixel]`. Its
+//! lanes run over output channels, read from a pixel-major copy of the
+//! output gradient (one vector load per pixel and vector), and its
+//! accumulators over taps: each pixel step broadcasts one bordered-image
+//! value per tap, at the pixel's origin plus the tap's offset. One or two
+//! channel vectors by up to [`CONV_GRAD_TAPS`] / vectors taps: twelve
+//! accumulators either way. Each element is summed from `+0.0` over the
+//! pixels in the order given, with a separate multiply and add, then added
+//! into its output slot — the per-element sequence of the packed tile on
+//! the unfolded `[pixels, taps]` matrix when the caller passes one `KC`
+//! slab of pixels per call.
+//!
 //! # Unsafe policy
 //!
 //! Every `unsafe` block is a pointer load or store, or a call from a safe
 //! wrapper into a `#[target_feature]` function; each sits behind a length
 //! assert in [`ConvTile::f32_into`] / [`ConvTile::i16_into`] /
-//! [`ConvTile::requantize_into`] and a proof-of-detection token
+//! [`ConvTile::weight_grad_into`] / [`ConvTile::requantize_into`] and a proof-of-detection token
 //! ([`ConvTile`] cannot be built without AVX2), so no argument safe code
 //! can pass reads or writes out of bounds. The value intrinsics are safe
 //! inside `#[target_feature(enable = "avx2")]`; the [`Lane`] methods that
@@ -68,6 +84,7 @@
 //! bit on every input, NaN and ∞ scales included (`tests/proptests.rs`
 //! checks it element for element).
 
+use crate::{TapOffsets, CONV_GRAD_TAPS, CONV_LANES, CONV_MR};
 use core::arch::x86_64::{
     __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256, _mm256_blendv_ps,
     _mm256_castps_si256, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps,
@@ -75,64 +92,13 @@ use core::arch::x86_64::{
     _mm256_maskload_epi32, _mm256_maskload_ps, _mm256_maskstore_epi32, _mm256_maskstore_ps,
     _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_packs_epi16, _mm256_packs_epi32,
     _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-    _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_si256, _CMP_GE_OQ, _CMP_ORD_Q,
+    _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256, _CMP_GE_OQ,
+    _CMP_ORD_Q,
 };
-use core::ops::Range;
-
-/// Filters (rows of `C`) one tile accumulates.
-pub const CONV_MR: usize = 6;
-
-/// Pixels per vector of the tile; a tile covers two vectors.
-pub const CONV_LANES: usize = 8;
 
 /// Elements one step of [`ConvTile::requantize_into`] stores: four i32
 /// vectors narrowed into one 32-byte store.
 const STORE_LANES: usize = 4 * CONV_LANES;
-
-/// A tap-offset table whose reach has been measured: `offsets[p]` is the
-/// distance, in elements of the padded image, from a tile vector's first
-/// element to the first element tap `p` multiplies. Built once per
-/// convolution so the per-tile bounds check is one comparison instead of a
-/// scan.
-#[derive(Debug, Clone, Copy)]
-pub struct TapOffsets<'a> {
-    offsets: &'a [usize],
-    /// Largest offset of the table this view was cut from.
-    reach: usize,
-}
-
-impl<'a> TapOffsets<'a> {
-    /// Measures `offsets`.
-    pub fn new(offsets: &'a [usize]) -> Self {
-        Self {
-            offsets,
-            reach: offsets.iter().copied().max().unwrap_or(0),
-        }
-    }
-
-    /// The taps `range` of this table (one `KC` slab), keeping the whole
-    /// table's reach as a conservative bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` is out of bounds.
-    pub fn slab(&self, range: Range<usize>) -> Self {
-        Self {
-            offsets: &self.offsets[range],
-            reach: self.reach,
-        }
-    }
-
-    /// Number of taps.
-    pub fn len(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// Whether the table has no taps.
-    pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
-    }
-}
 
 /// Where a tile's two vectors sit: vector `v` covers the `lanes[v]` output
 /// pixels (`≤` [`CONV_LANES`]; lanes past it are computed and discarded)
@@ -212,6 +178,76 @@ impl ConvTile {
         at: Placement,
     ) {
         self.run(taps, weights, image, c, rows, at);
+    }
+
+    /// Adds one pixel slab's weight-gradient tile into the f32 `out`.
+    ///
+    /// `V` — one or two — is `out.len() / (taps.len() · CONV_LANES)`: the
+    /// channel vectors of the tile. `grad[(j·V + v)·CONV_LANES + l]` is
+    /// channel lane `v·CONV_LANES + l`'s output gradient at pixel `j` of the
+    /// slab, and `pixels` holds each pixel's origin in `image`, against
+    /// which `taps` are offsets as in [`ConvTile::f32_into`]. Lane `l` of
+    /// `out[(t·V + v)·CONV_LANES ..]` receives
+    /// `Σ_j grad[(j·V + v)·CONV_LANES + l] · image[pixels[j] + taps[t]]`,
+    /// accumulated as the module docs describe; nothing else is touched. An
+    /// empty `taps` does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` is not one or two vectors per tap, `taps` is
+    /// longer than [`CONV_GRAD_TAPS`] / `V`, `grad` is not `V` vectors per
+    /// pixel, or a read of `image` would fall outside the slice.
+    pub fn weight_grad_into(
+        self,
+        taps: TapOffsets<'_>,
+        pixels: TapOffsets<'_>,
+        image: &[f32],
+        grad: &[f32],
+        out: &mut [f32],
+    ) {
+        if taps.is_empty() {
+            return;
+        }
+        let v = out.len() / (taps.len() * CONV_LANES);
+        assert!(
+            (1..=2).contains(&v) && out.len() == v * taps.len() * CONV_LANES,
+            "weight-grad tile: {} outputs for {} taps",
+            out.len(),
+            taps.len()
+        );
+        assert!(
+            taps.len() <= CONV_GRAD_TAPS / v,
+            "weight-grad tile: {} taps of {v} vectors",
+            taps.len()
+        );
+        assert_eq!(
+            grad.len(),
+            pixels.len() * v * CONV_LANES,
+            "weight-grad tile: gradient does not match the pixels"
+        );
+        assert!(
+            pixels.is_empty() || fits([pixels.reach, taps.reach, 1], image.len()),
+            "weight-grad tile: a tap reads past the padded image"
+        );
+        let (taps, pixels) = (taps.offsets, pixels.offsets);
+        // SAFETY: `self` proves AVX2 was detected, each arm passes exactly
+        // its tap and vector count, and the asserts above are the bounds
+        // `grad_tile` documents.
+        unsafe {
+            macro_rules! by_taps {
+                ($v:literal: $($t:literal)*) => {
+                    match taps.len() {
+                        $($t => grad_tile::<$t, $v>(taps, pixels, image, grad, out),)*
+                        n => unreachable!("{n} taps"),
+                    }
+                };
+            }
+            if v == 1 {
+                by_taps!(1: 1 2 3 4 5 6 7 8 9 10 11 12)
+            } else {
+                by_taps!(2: 1 2 3 4 5 6)
+            }
+        }
     }
 
     /// The int8 engine's requantizing store, 32 elements per step: `out[i]`
@@ -515,6 +551,59 @@ unsafe fn tile<const R: usize, L: Lane>(
     }
 }
 
+/// One weight-gradient tile of `T` taps × `V` channel vectors: accumulate
+/// over the slab's pixels, then add into `out`.
+///
+/// Written with index loops and raw pointers on purpose: the same body over
+/// `zip`/`chunks_exact` adapters instantiated iterator code in the codegen
+/// unit of the crate's packed tiles, and `microkernel_into` came out in
+/// its slow shuffle form (29 → 86 µs on a stride-2 input gradient's
+/// `Wᵀ·G`; see the crate docs).
+///
+/// # Safety
+///
+/// AVX2 must be available; `taps.len() == T`; `grad` holds `V` vectors per
+/// entry of `pixels`; `out` holds `T·V` vectors; and `image[p + o]` must be
+/// readable for every `p` in `pixels` and `o` in `taps`.
+#[target_feature(enable = "avx2")]
+#[allow(clippy::needless_range_loop)] // the index loops above
+unsafe fn grad_tile<const T: usize, const V: usize>(
+    taps: &[usize],
+    pixels: &[usize],
+    image: &[f32],
+    grad: &[f32],
+    out: &mut [f32],
+) {
+    let (image, grad, out) = (image.as_ptr(), grad.as_ptr(), out.as_mut_ptr());
+    let mut acc = [[_mm256_setzero_ps(); V]; T];
+    let mut offsets = [0usize; T];
+    offsets.copy_from_slice(taps);
+    for j in 0..pixels.len() {
+        let origin = pixels[j];
+        let mut lanes = [_mm256_setzero_ps(); V];
+        for v in 0..V {
+            // SAFETY: `grad` holds V vectors per pixel.
+            lanes[v] = unsafe { _mm256_loadu_ps(grad.add((j * V + v) * CONV_LANES)) };
+        }
+        for t in 0..T {
+            // SAFETY: `origin + offsets[t]` is inside `image` (the caller's bound).
+            let x = _mm256_set1_ps(unsafe { *image.add(origin + offsets[t]) });
+            for v in 0..V {
+                acc[t][v] = _mm256_add_ps(acc[t][v], _mm256_mul_ps(lanes[v], x));
+            }
+        }
+    }
+    for t in 0..T {
+        for v in 0..V {
+            // SAFETY: `out` holds T·V vectors.
+            unsafe {
+                let dst = out.add((t * V + v) * CONV_LANES);
+                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc[t][v]));
+            }
+        }
+    }
+}
+
 /// [`ConvTile::requantize_into`] over whole [`STORE_LANES`]-element blocks.
 ///
 /// # Safety
@@ -690,6 +779,65 @@ mod tests {
                 assert!(same, "{nrows} rows at {at:?}");
             }
         }
+    }
+
+    #[test]
+    fn weight_grad_tile_is_bitwise_the_scalar_sequence_for_every_shape() {
+        let Some(tile) = ConvTile::detect() else {
+            eprintln!("skipped: host has no AVX2");
+            return;
+        };
+        let case = make_case(2, 9, 20, 3);
+        let value = |i: usize| ((i * 53) % 31) as f32 * 0.211 - 3.1;
+        // Origins out of order and one repeated, as a slab crossing an
+        // image boundary has them; the image's slack covers the taps.
+        let pixels: Vec<usize> = (0..37).map(|j| (j * 29) % 151).collect();
+        for v in 1..=2 {
+            for ntaps in 1..=CONV_GRAD_TAPS / v {
+                let taps = &case.offsets[3..3 + ntaps];
+                let grad: Vec<f32> = (0..pixels.len() * v * CONV_LANES).map(value).collect();
+                let mut out: Vec<f32> = (0..ntaps * v * CONV_LANES).map(|i| value(i + 7)).collect();
+                let mut want = out.clone();
+                tile.weight_grad_into(
+                    TapOffsets::new(taps),
+                    TapOffsets::new(&pixels),
+                    &case.image,
+                    &grad,
+                    &mut out,
+                );
+                for (i, w) in want.iter_mut().enumerate() {
+                    let (t, lane) = (i / (v * CONV_LANES), i % (v * CONV_LANES));
+                    let mut acc = 0.0f32;
+                    for (j, &p) in pixels.iter().enumerate() {
+                        acc += grad[j * v * CONV_LANES + lane] * case.image[p + taps[t]];
+                    }
+                    *w += acc;
+                }
+                let same = out
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits());
+                assert!(same, "{v} vectors × {ntaps} taps");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a tap reads past the padded image")]
+    fn a_weight_grad_tap_that_would_read_out_of_bounds_is_refused() {
+        let Some(tile) = ConvTile::detect() else {
+            panic!("a tap reads past the padded image (skipped: host has no AVX2)");
+        };
+        // Pixel 7 plus tap 3 reads element 10 of ten.
+        let image = vec![0.0f32; 10];
+        let mut out = vec![0.0f32; 2 * CONV_LANES];
+        tile.weight_grad_into(
+            TapOffsets::new(&[0, 3]),
+            TapOffsets::new(&[7, 1]),
+            &image,
+            &[0.0; 2 * CONV_LANES],
+            &mut out,
+        );
     }
 
     /// An int8 convolution in two layouts: `[ci, hp, wp]` values and

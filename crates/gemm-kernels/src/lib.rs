@@ -84,7 +84,71 @@
 #[allow(unsafe_code)]
 mod conv_tile;
 #[cfg(target_arch = "x86_64")]
-pub use conv_tile::{ConvTile, Placement, TapOffsets, CONV_LANES, CONV_MR};
+pub use conv_tile::{ConvTile, Placement};
+
+use core::ops::Range;
+
+/// A tap-offset table whose reach has been measured: `offsets[p]` is the
+/// distance, in elements of the padded image, from a tile vector's first
+/// element to the first element tap `p` multiplies. Built once per
+/// convolution so the per-tile bounds check is one comparison instead of a
+/// scan. The weight-gradient tile measures its pixel origins the same way.
+#[derive(Debug, Clone, Copy)]
+pub struct TapOffsets<'a> {
+    offsets: &'a [usize],
+    /// Largest offset of the table this view was cut from.
+    reach: usize,
+}
+
+impl<'a> TapOffsets<'a> {
+    /// Measures `offsets`.
+    pub fn new(offsets: &'a [usize]) -> Self {
+        Self {
+            offsets,
+            reach: offsets.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// The taps `range` of this table (one `KC` slab), keeping the whole
+    /// table's reach as a conservative bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` is out of bounds.
+    pub fn slab(&self, range: Range<usize>) -> Self {
+        Self {
+            offsets: &self.offsets[range],
+            reach: self.reach,
+        }
+    }
+
+    /// The offsets.
+    pub fn as_slice(&self) -> &'a [usize] {
+        self.offsets
+    }
+
+    /// Number of taps.
+    pub fn len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// Whether the table has no taps.
+    pub fn is_empty(&self) -> bool {
+        self.offsets.is_empty()
+    }
+}
+
+/// Filters (rows of `C`) one forward convolution tile accumulates.
+pub const CONV_MR: usize = 6;
+
+/// Lanes of one vector of the convolution tiles: pixels in the forward
+/// tile (which covers two vectors), output channels in the weight-gradient
+/// tile.
+pub const CONV_LANES: usize = 8;
+
+/// Taps one weight-gradient tile of one channel vector accumulates; a tile
+/// of two vectors takes half as many.
+pub const CONV_GRAD_TAPS: usize = 2 * CONV_MR;
 
 /// Rows of the register tile (and of packed `A` panels).
 ///

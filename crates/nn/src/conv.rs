@@ -11,18 +11,21 @@
 //! No pass unfolds the input. Every mode runs the forward through
 //! [`alf_tensor::ops::conv_gemm_into`]: a kernel of any stride (1×1
 //! included) runs on the pack-free AVX2 tile when one thread computes it,
-//! anything else has its `B` panels packed straight from the `NCHW` input. Backward computes the weight
-//! gradient with [`alf_tensor::ops::conv_weight_grad_into`], which packs
-//! `unfold(X)ᵀ` from the cached input the same way; only the input
-//! gradient still forms a column matrix (`Wᵀ·gmat`, folded back by
-//! `col2im`). Every route is bit for bit the unfold-then-pack product.
+//! anything else has its `B` panels packed straight from the `NCHW` input.
+//! Backward computes the weight gradient with
+//! [`alf_tensor::ops::conv_weight_grad_into`], on the weight-gradient tile
+//! over the cached input at every stride, and the input gradient with
+//! [`alf_tensor::ops::conv_input_grad_into`], on the forward tile at
+//! stride 1; only a strided input gradient still forms a column matrix
+//! (`Wᵀ·G`, folded back by `col2im`). Both follow the live output
+//! channels. Every route is bit for bit the unfold-then-pack product.
 //! [`Mode::Train`] caches the input, [`Mode::Eval`] releases it and
 //! [`Mode::Stats`] neither reads nor writes it.
 
 use alf_tensor::init::Init;
 use alf_tensor::ops::{
-    auto_threads, col2im_into, conv_gemm_into, conv_weight_grad_into, gemm_active_k_into,
-    gemm_into, ActiveRows, Conv2dSpec,
+    auto_threads, conv_gemm_into, conv_input_grad_into, conv_weight_grad_into, ActiveRows,
+    Conv2dSpec,
 };
 use alf_tensor::rng::Rng;
 use alf_tensor::{ShapeError, Tensor};
@@ -319,10 +322,13 @@ impl Layer for Conv2d {
         let hw = ho * wo;
         let ncols = n * hw;
 
-        // Rearrange grad [n, co, ho, wo] → [co, n·ho·wo] to match the GEMM
-        // layout.
-        let mut gmat = ctx.ws.take("gmat", self.c_out * ncols);
-        {
+        // Both products read the gradient as [co, n·ho·wo]. At batch 1
+        // that is the [1, co, ho, wo] tensor itself; a larger batch is
+        // rearranged into the `gmat` slot.
+        let mut gmat = ctx
+            .ws
+            .take("gmat", if n == 1 { 0 } else { self.c_out * ncols });
+        if n > 1 {
             let src = grad_output.data();
             for b in 0..n {
                 for c in 0..self.c_out {
@@ -332,17 +338,18 @@ impl Layer for Conv2d {
                 }
             }
         }
+        let g = if n == 1 { grad_output.data() } else { &gmat };
 
-        // grad_w = gmat · unfold(X)ᵀ → [co, ci·k²], packed from the cached
-        // input and accumulated straight into the [co, ci, k, k] grad
-        // buffer (same row-major data). With a live-channel descriptor the
-        // pruned channels' rows are never computed: the mask-gated STE
-        // discards them anyway (dL/dW through a clipped channel is exactly
-        // zero), so they stay exact zeros and accumulate as no-ops below.
+        // grad_w = G · unfold(X)ᵀ → [co, ci·k²], read from the cached input
+        // and accumulated straight into the [co, ci, k, k] grad buffer (same
+        // row-major data). With a live-channel descriptor the pruned
+        // channels' rows are never computed: the mask-gated STE discards
+        // them anyway (dL/dW through a clipped channel is exactly zero), so
+        // they stay exact zeros and accumulate as no-ops below.
         let mut gw = ctx.ws.take("gw", self.c_out * rows);
         conv_weight_grad_into(
             &mut gw,
-            &gmat,
+            g,
             &self.input,
             self.c_out,
             cache.input_dims,
@@ -356,57 +363,36 @@ impl Layer for Conv2d {
         }
         ctx.ws.give("gw", gw);
 
-        // grad_b = row sums of gmat.
+        // grad_b = row sums of G.
         if let Some(bias) = &mut self.bias {
             for c in 0..self.c_out {
-                let row_sum: f32 = gmat[c * n * hw..(c + 1) * n * hw].iter().sum();
+                let row_sum: f32 = g[c * n * hw..(c + 1) * n * hw].iter().sum();
                 bias.grad.data_mut()[c] += row_sum;
             }
         }
 
-        // grad_x = col2im(Wᵀ_mat · gmat); Wᵀ is absorbed by GEMM packing.
-        let mut gcols = ctx.ws.take("gcols", rows * ncols);
-        if let Some(live) = &self.active_rows {
-            // Pruned channels contribute Wᵀ rows that are exact zeros;
-            // skipping their k slices is bitwise invisible (every
-            // accumulator starts at +0.0 and ±0.0 products are identity).
-            gemm_active_k_into(
-                &mut gcols,
-                self.weight.value.data(),
-                true,
-                &gmat,
-                rows,
-                self.c_out,
-                ncols,
-                live,
-                &mut ctx.ws,
-                auto_threads(rows, self.c_out, ncols),
-            );
-        } else {
-            gemm_into(
-                &mut gcols,
-                self.weight.value.data(),
-                true,
-                &gmat,
-                false,
-                rows,
-                self.c_out,
-                ncols,
-                &mut ctx.ws,
-                auto_threads(rows, self.c_out, ncols),
-            );
-        }
+        // grad_x = col2im(Wᵀ·G), without the column matrix at stride 1.
+        // Pruned channels contribute Wᵀ rows that are exact zeros; skipping
+        // them is bitwise invisible (every accumulator starts at +0.0 and
+        // ±0.0 products are identity). The input gradient is the only
+        // allocation of the steady-state backward pass.
+        let mut gx = Tensor::zeros(&[n, ci, h, w]);
+        conv_input_grad_into(
+            gx.data_mut(),
+            self.weight.value.data(),
+            g,
+            self.c_out,
+            cache.input_dims,
+            self.spec,
+            self.active_rows.as_ref(),
+            &mut ctx.ws,
+            auto_threads(rows, self.c_out, ncols),
+        );
         ctx.ws.give("gmat", gmat);
         ctx.count_flops(4 * (self.c_out * rows * ncols) as u64);
         ctx.count_bytes(
             4 * (grad_output.len() + 2 * self.weight.value.len() + n * ci * h * w) as u64,
         );
-
-        // The input gradient is the only allocation of the steady-state
-        // backward pass.
-        let mut gx = Tensor::zeros(&[n, ci, h, w]);
-        col2im_into(gx.data_mut(), &gcols, n, ci, h, w, self.spec)?;
-        ctx.ws.give("gcols", gcols);
         Ok(gx)
     }
 
@@ -653,6 +639,36 @@ mod tests {
             conv.backward(&y, &mut ctx).unwrap();
         }
         assert_eq!(ctx.ws.alloc_events(), warm);
+    }
+
+    #[test]
+    fn stride_1_backward_runs_on_the_tile_without_a_column_matrix() {
+        // The stage-1 code convolution at batch 8. Its 16 channels fit one
+        // MC block, so one worker computes every product whatever
+        // `auto_threads` picks; on an AVX2 host none of them runs the
+        // packed driver, and the arena never holds the `ci·k² × n·ho·wo`
+        // column matrix the input gradient used to fold back.
+        let mut ctx = RunCtx::train();
+        let mut rng = Rng::new(41);
+        let x = Tensor::randn(&[8, 16, 32, 32], Init::Rand, &mut rng);
+        let mut conv = Conv2d::new(16, 16, 3, 1, 1, false, Init::He, &mut rng);
+        for _ in 0..2 {
+            let y = conv.forward(&x, &mut ctx).unwrap();
+            conv.backward(&y, &mut ctx).unwrap();
+        }
+        let before = ctx.ws.packed_products();
+        let y = conv.forward(&x, &mut ctx).unwrap();
+        conv.backward(&y, &mut ctx).unwrap();
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            assert_eq!(ctx.ws.packed_products(), before);
+        }
+        let gcols_bytes = 16 * 9 * 8 * 32 * 32 * 4;
+        assert!(
+            ctx.ws.high_water_bytes() < gcols_bytes,
+            "{} B of scratch",
+            ctx.ws.high_water_bytes()
+        );
     }
 
     #[test]

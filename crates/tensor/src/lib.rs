@@ -4,8 +4,8 @@
 //! built on: an owned, row-major, `f32` [`Tensor`] with shape checking, the
 //! linear-algebra kernels needed for CNN training (blocked [`ops::matmul`],
 //! convolution as a GEMM over the implicit im2col matrix —
-//! [`ops::conv_gemm_into`], [`ops::conv_weight_grad_into`], and
-//! [`ops::col2im_into`] for the input gradient), elementwise/reduction helpers,
+//! [`ops::conv_gemm_into`], [`ops::conv_weight_grad_into`] and
+//! [`ops::conv_input_grad_into`]), elementwise/reduction helpers,
 //! and the weight [`init`] schemes compared in the paper (He, Xavier,
 //! uniform-random).
 //!

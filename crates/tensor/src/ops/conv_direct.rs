@@ -1,23 +1,26 @@
-//! The pack-free route of [`conv_gemm_into`](super::conv_gemm_into):
-//! convolutions of any stride — k×k code convolutions, strided ones and
-//! 1×1 expansions alike — on the explicit AVX2 tile of `alf-gemm-kernels`,
-//! bit for bit the packed route.
+//! The pack-free routes of the convolution products: the forward
+//! [`conv_gemm_into`](super::conv_gemm_into) at any stride, the training
+//! weight gradient [`conv_weight_grad_into`](super::conv_weight_grad_into)
+//! at any stride, and the input gradient
+//! [`conv_input_grad_into`](super::conv_input_grad_into) at stride 1 — all
+//! on the explicit AVX2 tiles of `alf-gemm-kernels`, bit for bit the
+//! packed route each replaces.
 //!
 //! A code convolution has a handful of filters, so on the packed route
 //! every value `pack_b_image` gathers, widens, stores and re-loads feeds
 //! `m ≤ 8` multiply-adds and the layer is the packing. At stride 1 the
 //! panel row a tap would be packed into is already contiguous in the image
-//! — once the image has its zero border — so this route copies each image
-//! once into a bordered scratch and lets the tile load its operands from
-//! there (`ConvTile` describes the tile and why the bits cannot differ).
+//! — once the image has its zero border — so these routes copy each image
+//! once into a bordered scratch and let the tile load its operands from
+//! there (`ConvTile` describes the tiles and why the bits cannot differ).
 //!
-//! A stride `s` is made stride 1 by the layout of that copy: each channel
-//! group's bordered plane (`hp × wp`, `hp = h+2p`, `wp = w+2p`) is stored
-//! as `s²` phase planes of `hq × wq`, `hq = ⌈hp/s⌉`, `wq = ⌈wp/s⌉`. Phase
-//! `(py, px)` holds the bordered pixels `(r·s + py, c·s + px)` at `(r, c)`,
-//! so a tap of the output pixels `(oy, ox), (oy, ox+1), …` reads
-//! consecutive pixels of one phase row, exactly as at stride 1. Tap `(grp,
-//! ky, kx)` lies
+//! A stride `s` is made stride 1 by the layout of that copy ([`Border`]):
+//! each channel group's bordered plane (`hp × wp`, `hp = h+2p`, `wp =
+//! w+2p`) is stored as `s²` phase planes of `hq × wq`, `hq = ⌈hp/s⌉`, `wq
+//! = ⌈wp/s⌉`. Phase `(py, px)` holds the bordered pixels `(r·s + py, c·s +
+//! px)` at `(r, c)`, so a tap of the output pixels `(oy, ox), (oy, ox+1),
+//! …` reads consecutive pixels of one phase row, exactly as at stride 1.
+//! Tap `(grp, ky, kx)` lies
 //!
 //! ```text
 //! (((grp·s² + (ky % s)·s + kx % s)·hq + ky/s)·wq + kx/s)·G
@@ -28,17 +31,17 @@
 //! plain bordered image. Neither the tile, nor the weight panels, nor the
 //! tap order changes with the stride.
 //!
-//! One loop serves both element types, written over the channel group
-//! `G = T::GROUP` the element declares: each pixel of the scratch holds
-//! `G` channels side by side, of `T::Lane`. For f32 (`G = 1`) a tap is one
-//! `(c, ky, kx)`. For int8 (`G = 2`) the pixel is an i16 channel pair — an
-//! odd last channel beside a zero — a tap is one `(pair, ky, kx)`, and the
-//! tile's `vpmaddwd` consumes both channels of a tap at once, in i32, with
-//! no f32 lane anywhere. What is left to do here is bookkeeping, all of it
-//! on named [`Workspace`] slots:
+//! One copy loop serves both element types, written over the channel
+//! group `G = T::GROUP` the element declares: each pixel of the scratch
+//! holds `G` channels side by side, of `T::Lane`. For f32 (`G = 1`) a tap
+//! is one `(c, ky, kx)`. For int8 (`G = 2`) the pixel is an i16 channel
+//! pair — an odd last channel beside a zero — a tap is one `(pair, ky,
+//! kx)`, and the tile's `vpmaddwd` consumes both channels of a tap at once,
+//! in i32, with no f32 lane anywhere. What is left to do here is
+//! bookkeeping, all of it on named [`Workspace`] slots the three products
+//! share:
 //!
-//! * `conv_taps` — the offset above for each tap `p = (grp, ky, kx)`, over
-//!   `⌈ci/G⌉·k²` taps,
+//! * `conv_taps` — the offset above for each tap,
 //! * `conv_wpanels` — the live weight rows in [`CONV_MR`]-row panels,
 //!   `panel[p·CONV_MR + r]`, each lane one `T::Weight` (a group's `G`
 //!   weights, packed by `T::pack_weight`),
@@ -46,20 +49,142 @@
 //!   of slack for the lanes a ragged tile computes and discards; zeroed
 //!   once per call, after which each image writes only its own pixels.
 //!
-//! The `KC` slab boundary of the blocked driver is kept: a tile is run
-//! once per `KC` taps and adds into `C` each time, so an f32 element's
-//! partial sums are formed and added in exactly the packed order (an
-//! integer one is exact in any order).
+//! **Forward.** The `KC` slab boundary of the blocked driver is kept: a
+//! tile is run once per `KC` taps and adds into `C` each time, so an f32
+//! element's partial sums are formed and added in exactly the packed order
+//! (an integer one is exact in any order).
+//!
+//! **Input gradient, stride 1.** `dX = col2im(Wᵀ·G)` is a forward
+//! convolution in disguise: its filters are the input channels, its image
+//! the output gradient of the live output channels with a `k−1−p` border,
+//! and its weights `W` transposed and flipped, tap `((ky, kx), co)` reading
+//! the gradient at offset `(k−1−ky, k−1−kx)`. The taps run `(ky, kx)`
+//! ascending outer and live `co` inner, and the tile runs once per spatial
+//! tap, so each tap's `Σ_co` is formed from `+0.0` in ascending `co` and
+//! added into `dX` on its own in ascending `(ky, kx)`: the order in which
+//! `col2im` adds the rows of the packed `Wᵀ·G` (one `KC` slab while at
+//! most `KC` channels are live). The border taps `col2im` skips here add
+//! `Σ_co w·0 = +0.0`, which changes nothing: the sum starts at `+0.0`, so
+//! it is never `−0.0` (for finite weights).
+//!
+//! **Weight gradient, every stride** ([`weight_grad_into`]). The batch is
+//! bordered whole, one image after another, so that a `KC` slab of pixels
+//! may cross an image boundary as the packed route's does; `conv_pixels`
+//! holds each output pixel's origin, and `conv_grad_lanes` the output
+//! gradient pixel-major in blocks of [`CONV_LANES`] live channels. The
+//! weight-gradient tile then sums each `(co, tap)` element over one `KC`
+//! slab of pixels in `(b, oy, ox)` order per call and adds it into
+//! `conv_grad_acc` — the per-element sequence of the packed
+//! `G · unfold(X)ᵀ`. Hosts without AVX2 run a scalar loop in the same
+//! order on the same scratch.
 
-use alf_gemm_kernels::{ConvTile, Placement, TapOffsets, CONV_LANES, CONV_MR};
+#[cfg(target_arch = "x86_64")]
+use alf_gemm_kernels::{ConvTile, Placement, CONV_MR};
+use alf_gemm_kernels::{TapOffsets, CONV_GRAD_TAPS, CONV_LANES};
 
 use super::conv::Conv2dSpec;
-use super::gemm::{ActiveRows, Element, KC};
+use super::gemm::{workers, ActiveRows, Element, KC};
 use super::workspace::Workspace;
+
+/// The layout of a zero-bordered, phase-split copy of one image: `G`
+/// channels per pixel, `s²` phase planes per channel group (see the module
+/// docs).
+#[derive(Debug, Clone, Copy)]
+struct Border {
+    g: usize,
+    s: usize,
+    pad: usize,
+    h: usize,
+    w: usize,
+    hq: usize,
+    wq: usize,
+}
+
+impl Border {
+    /// The copy of an `h × w` image of `g`-channel pixels under a `pad`
+    /// border, split for stride `s`.
+    fn new(g: usize, h: usize, w: usize, s: usize, pad: usize) -> Self {
+        let (hq, wq) = ((h + 2 * pad).div_ceil(s), (w + 2 * pad).div_ceil(s));
+        Self {
+            g,
+            s,
+            pad,
+            h,
+            w,
+            hq,
+            wq,
+        }
+    }
+
+    /// Elements of one phase row.
+    fn row_len(&self) -> usize {
+        self.wq * self.g
+    }
+
+    /// Elements of one channel group: its `s²` phase planes.
+    fn plane(&self) -> usize {
+        self.s * self.s * self.hq * self.row_len()
+    }
+
+    /// Elements past the last plane that the lanes a ragged tile computes
+    /// and discards may read.
+    fn slack(&self) -> usize {
+        self.row_len() + 2 * CONV_LANES * self.g
+    }
+
+    /// Offset of tap `(grp, ky, kx)` from an output pixel's origin.
+    fn tap(&self, grp: usize, ky: usize, kx: usize) -> usize {
+        let s = self.s;
+        let phase = (grp * s + ky % s) * s + kx % s;
+        ((phase * self.hq + ky / s) * self.wq + kx / s) * self.g
+    }
+
+    /// Origin of output pixel `(oy, ox)` in an image's copy.
+    fn origin(&self, oy: usize, ox: usize) -> usize {
+        (oy * self.wq + ox) * self.g
+    }
+
+    /// Writes the interior pixels of one image's `groups` channel groups
+    /// into `dst` (which holds their planes and is zero elsewhere). Group
+    /// `grp`'s first channel plane starts at `src(grp)`, its other channels
+    /// `stride` apart, and it has `channels(grp)` real channels.
+    fn copy<'x, T: Element + 'x>(
+        &self,
+        dst: &mut [T::Lane],
+        groups: usize,
+        src: impl Fn(usize) -> &'x [T],
+        stride: usize,
+        channels: impl Fn(usize) -> usize,
+    ) {
+        let (s, pad, row_len) = (self.s, self.pad, self.row_len());
+        // The phase coordinates `r` (or `c`) of phase `ph` whose bordered
+        // pixel `r·s + ph` lies inside an image side of `len` pixels.
+        let interior = |ph: usize, len: usize| {
+            (pad.saturating_sub(ph).div_ceil(s))..((pad + len).saturating_sub(ph).div_ceil(s))
+        };
+        let plane = self.plane();
+        for (grp, chan) in dst[..groups * plane].chunks_exact_mut(plane).enumerate() {
+            let src = src(grp);
+            for (phase, rows) in chan.chunks_exact_mut(self.hq * row_len).enumerate() {
+                let (py, px) = (phase / s, phase % s);
+                let cols = interior(px, self.w);
+                if cols.is_empty() {
+                    continue;
+                }
+                for r in interior(py, self.h) {
+                    let from = &src[(r * s + py - pad) * self.w + cols.start * s + px - pad..];
+                    let to = &mut rows[r * row_len..][cols.start * self.g..cols.end * self.g];
+                    T::interleave(to, from, s, stride, channels(grp));
+                }
+            }
+        }
+    }
+}
 
 /// `C = A · unfold(X)` for a convolution, `rows` restricting it to the
 /// surviving filters; every other row of `C` is zero. The caller
 /// ([`conv_gemm_into`](super::conv_gemm_into)) has checked all lengths.
+#[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)] // conv_gemm_into's, plus the tile
 pub(super) fn conv_direct_into<T: Element>(
     tile: ConvTile,
@@ -73,8 +198,7 @@ pub(super) fn conv_direct_into<T: Element>(
     ws: &mut Workspace,
 ) {
     let [n, ci, h, w] = dims;
-    let (kk, s, pad) = (spec.kernel, spec.stride, spec.pad);
-    let (hq, wq) = ((h + 2 * pad).div_ceil(s), (w + 2 * pad).div_ceil(s));
+    let kk = spec.kernel;
     let (ho, wo) = spec.output_hw(h, w);
     let (g, k2) = (T::GROUP, kk * kk);
     let groups = ci.div_ceil(g);
@@ -91,12 +215,11 @@ pub(super) fn conv_direct_into<T: Element>(
     let row_of = |i: usize| gather.map_or(i, |ix| ix[i]);
     // Channels of group `grp` that exist: `G`, or fewer in an odd last one.
     let channels = |grp: usize| g.min(ci - grp * g);
+    let border = Border::new(g, h, w, spec.stride, spec.pad);
 
     let mut offsets: Vec<usize> = ws.take("conv_taps", ntaps);
     for (p, o) in offsets.iter_mut().enumerate() {
-        let (grp, ky, kx) = (p / k2, p / kk % kk, p % kk);
-        let phase = (grp * s + ky % s) * s + kx % s;
-        *o = ((phase * hq + ky / s) * wq + kx / s) * g;
+        *o = border.tap(p / k2, p / kk % kk, p % kk);
     }
     let taps = TapOffsets::new(&offsets);
 
@@ -119,79 +242,481 @@ pub(super) fn conv_direct_into<T: Element>(
     // cells and the slack are zeroed here, once; each image then
     // overwrites only the interior pixels, which are the same cells for
     // every image.
-    let row_len = wq * g;
-    let plane = s * s * hq * row_len;
-    let mut padded: Vec<T::Lane> =
-        ws.take("conv_padded", groups * plane + row_len + 2 * CONV_LANES * g);
+    let plane = border.plane();
+    let mut padded: Vec<T::Lane> = ws.take("conv_padded", groups * plane + border.slack());
     padded.fill(T::Lane::default());
 
-    // The phase coordinates `r` (or `c`) of phase `ph` whose bordered
-    // pixel `r·s + ph` lies inside an image side of `len` pixels.
-    let interior = |ph: usize, len: usize| {
-        (pad.saturating_sub(ph).div_ceil(s))..((pad + len).saturating_sub(ph).div_ceil(s))
-    };
     for b in 0..n {
         let image = &x[b * ci * h * w..][..ci * h * w];
-        for (grp, chan) in padded[..groups * plane].chunks_exact_mut(plane).enumerate() {
-            let src = &image[grp * g * h * w..];
-            for (phase, rows) in chan.chunks_exact_mut(hq * row_len).enumerate() {
-                let (py, px) = (phase / s, phase % s);
-                let cols = interior(px, w);
-                if cols.is_empty() {
-                    continue;
-                }
-                for r in interior(py, h) {
-                    let from = &src[(r * s + py - pad) * w + cols.start * s + px - pad..];
-                    let dst = &mut rows[r * row_len..][cols.start * g..cols.end * g];
-                    T::interleave(dst, from, s, h * w, channels(grp));
-                }
-            }
-        }
-
+        border.copy(
+            &mut padded,
+            groups,
+            |grp| &image[grp * g * h * w..],
+            h * w,
+            channels,
+        );
         for (blk, panel) in panels.chunks_exact(ntaps * CONV_MR).enumerate() {
             let r = CONV_MR.min(live - blk * CONV_MR);
             let mut crow = [0usize; CONV_MR];
             for (j, start) in crow[..r].iter_mut().enumerate() {
                 *start = row_of(blk * CONV_MR + j) * ncols + b * ho * wo;
             }
-            let mut run = |at: Placement| {
-                for p0 in (0..ntaps).step_by(KC) {
-                    let p1 = ntaps.min(p0 + KC);
-                    let slab = &panel[p0 * CONV_MR..p1 * CONV_MR];
-                    T::conv_tile(tile, taps.slab(p0..p1), slab, &padded, c, &crow[..r], at);
-                }
+            let walk = Walk {
+                border,
+                ho,
+                wo,
+                slab: KC,
             };
-            if wo <= CONV_LANES {
-                // Eight pixels of two output rows; an odd last row runs
-                // with its partner's write-back off.
-                for oy in (0..ho).step_by(2) {
-                    run(Placement {
-                        image: [oy * row_len, (oy + 1) * row_len],
-                        col: [oy * wo, (oy + 1) * wo],
-                        lanes: [wo, if oy + 1 < ho { wo } else { 0 }],
-                    });
-                }
-            } else {
-                // Sixteen pixels of one output row.
-                for oy in 0..ho {
-                    for ox in (0..wo).step_by(2 * CONV_LANES) {
-                        let first = CONV_LANES.min(wo - ox);
-                        let second = CONV_LANES.min(wo - ox - first);
-                        run(Placement {
-                            image: [(oy * wq + ox) * g, (oy * wq + ox + CONV_LANES) * g],
-                            // `+ first`, not `+ CONV_LANES`: a second vector
-                            // with nothing to write still needs a column
-                            // inside `C`.
-                            col: [oy * wo + ox, oy * wo + ox + first],
-                            lanes: [first, second],
-                        });
-                    }
-                }
-            }
+            walk.run::<T>(tile, taps, panel, &padded, c, &crow[..r]);
         }
     }
 
     ws.give("conv_taps", offsets);
     ws.give("conv_wpanels", panels);
     ws.give("conv_padded", padded);
+}
+
+/// The input gradient of a stride-1 convolution whose padding is at most
+/// `k−1`, at most [`KC`] output channels live: `dX = col2im(Wᵀ·G)` as the
+/// forward convolution the module docs describe. `a` is the `[m, ci·k²]`
+/// weight matrix, `g` the `[m, n·ho·wo]` output gradient, `dx` the `NCHW`
+/// input gradient, fully overwritten. The caller
+/// ([`conv_input_grad_into`](super::conv_input_grad_into)) has checked all
+/// lengths and the geometry.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)] // conv_input_grad_into's, plus the tile
+pub(super) fn input_grad_direct_into(
+    tile: ConvTile,
+    dx: &mut [f32],
+    a: &[f32],
+    g: &[f32],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+) {
+    let [n, ci, h, w] = dims;
+    let kk = spec.kernel;
+    let (ho, wo) = spec.output_hw(h, w);
+    let (k, k2, hw) = (ci * kk * kk, kk * kk, ho * wo);
+    debug_assert!(spec.stride == 1 && spec.pad < kk);
+
+    dx.fill(0.0);
+    let gather = rows.filter(|r| !r.is_all()).map(ActiveRows::indices);
+    let live = gather.map_or(m, <[usize]>::len);
+    if live == 0 || ci == 0 || n == 0 {
+        return;
+    }
+    debug_assert!(live <= KC);
+    let row_of = |i: usize| gather.map_or(i, |ix| ix[i]);
+    // The output gradient of each live channel, bordered so that every
+    // input pixel sees all its taps, in or out of the image.
+    let border = Border::new(1, ho, wo, 1, kk - 1 - spec.pad);
+    let ntaps = k2 * live;
+
+    // Tap `(sp, c)` — spatial tap `sp = (ky, kx)` ascending, live output
+    // channel `c` inner — reads the gradient at `(k−1−ky, k−1−kx)`.
+    let mut offsets: Vec<usize> = ws.take("conv_taps", ntaps);
+    for (p, o) in offsets.iter_mut().enumerate() {
+        let (sp, c) = (p / live, p % live);
+        *o = border.tap(c, kk - 1 - sp / kk, kk - 1 - sp % kk);
+    }
+    let taps = TapOffsets::new(&offsets);
+
+    // Filter `r` of this convolution is input channel `r`: its weight for
+    // tap `(sp, c)` is `W[row_of(c), r, sp]`.
+    let mut panels: Vec<f32> = ws.take("conv_wpanels", ci.div_ceil(CONV_MR) * ntaps * CONV_MR);
+    for r in 0..ci {
+        let panel = &mut panels[r / CONV_MR * ntaps * CONV_MR..][..ntaps * CONV_MR];
+        for (p, lanes) in panel.chunks_exact_mut(CONV_MR).enumerate() {
+            let (sp, c) = (p / live, p % live);
+            lanes[r % CONV_MR] = a[row_of(c) * k + r * k2 + sp];
+        }
+    }
+
+    let plane = border.plane();
+    let mut padded: Vec<f32> = ws.take("conv_padded", live * plane + border.slack());
+    padded.fill(0.0);
+    let ncols = n * hw;
+    for b in 0..n {
+        let image = |c: usize| &g[row_of(c) * ncols + b * hw..][..hw];
+        border.copy(&mut padded, live, image, hw, |_| 1);
+        for (blk, panel) in panels.chunks_exact(ntaps * CONV_MR).enumerate() {
+            let r = CONV_MR.min(ci - blk * CONV_MR);
+            let mut crow = [0usize; CONV_MR];
+            for (j, start) in crow[..r].iter_mut().enumerate() {
+                *start = (b * ci + blk * CONV_MR + j) * h * w;
+            }
+            let walk = Walk {
+                border,
+                ho: h,
+                wo: w,
+                slab: live,
+            };
+            walk.run::<f32>(tile, taps, panel, &padded, dx, &crow[..r]);
+        }
+    }
+
+    ws.give("conv_taps", offsets);
+    ws.give("conv_wpanels", panels);
+    ws.give("conv_padded", padded);
+}
+
+/// How a block of up to [`CONV_MR`] filters walks the `ho × wo` output
+/// pixels of one bordered image, running the tile once per `slab` taps at
+/// each placement.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Walk {
+    border: Border,
+    ho: usize,
+    wo: usize,
+    slab: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Walk {
+    /// Adds the block's products into `c`, filter `j`'s output row starting
+    /// at `crow[j]`.
+    fn run<T: Element>(
+        self,
+        tile: ConvTile,
+        taps: TapOffsets<'_>,
+        panel: &[T::Weight],
+        padded: &[T::Lane],
+        c: &mut [T::Acc],
+        crow: &[usize],
+    ) {
+        let Self {
+            border,
+            ho,
+            wo,
+            slab,
+        } = self;
+        let ntaps = taps.len();
+        let mut run = |at: Placement| {
+            for p0 in (0..ntaps).step_by(slab) {
+                let p1 = ntaps.min(p0 + slab);
+                let weights = &panel[p0 * CONV_MR..p1 * CONV_MR];
+                T::conv_tile(tile, taps.slab(p0..p1), weights, padded, c, crow, at);
+            }
+        };
+        if wo <= CONV_LANES {
+            // Eight pixels of two output rows; an odd last row runs with
+            // its partner's write-back off.
+            for oy in (0..ho).step_by(2) {
+                run(Placement {
+                    image: [border.origin(oy, 0), border.origin(oy + 1, 0)],
+                    col: [oy * wo, (oy + 1) * wo],
+                    lanes: [wo, if oy + 1 < ho { wo } else { 0 }],
+                });
+            }
+        } else {
+            // Sixteen pixels of one output row.
+            for oy in 0..ho {
+                for ox in (0..wo).step_by(2 * CONV_LANES) {
+                    let first = CONV_LANES.min(wo - ox);
+                    let second = CONV_LANES.min(wo - ox - first);
+                    run(Placement {
+                        image: [border.origin(oy, ox), border.origin(oy, ox + CONV_LANES)],
+                        // `+ first`, not `+ CONV_LANES`: a second vector
+                        // with nothing to write still needs a column inside
+                        // `C`.
+                        col: [oy * wo + ox, oy * wo + ox + first],
+                        lanes: [first, second],
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// What one weight-gradient block runs on: the AVX2 tile, or a scalar loop
+/// with the same per-element operation sequence.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum GradKernel {
+    #[cfg(target_arch = "x86_64")]
+    Tile(ConvTile),
+    Scalar,
+}
+
+impl GradKernel {
+    /// The tile when the host has AVX2, the scalar loop otherwise.
+    pub(super) fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(tile) = ConvTile::detect() {
+            return Self::Tile(tile);
+        }
+        Self::Scalar
+    }
+
+    /// `ConvTile::weight_grad_into`'s contract, on either kernel.
+    fn run(
+        self,
+        taps: TapOffsets<'_>,
+        pixels: TapOffsets<'_>,
+        image: &[f32],
+        grad: &[f32],
+        out: &mut [f32],
+    ) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Self::Tile(tile) => tile.weight_grad_into(taps, pixels, image, grad, out),
+            Self::Scalar => {
+                let (taps, pixels) = (taps.as_slice(), pixels.as_slice());
+                if taps.is_empty() {
+                    return;
+                }
+                let width = out.len() / taps.len();
+                for (t, out_t) in out.chunks_exact_mut(width).enumerate() {
+                    for (lane, o) in out_t.iter_mut().enumerate() {
+                        let mut acc = 0.0f32;
+                        for (g, &p) in grad.chunks_exact(width).zip(pixels) {
+                            acc += g[lane] * image[p + taps[t]];
+                        }
+                        *o += acc;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `C = G · unfold(X)ᵀ` on `kernel`, `rows` restricting it to the surviving
+/// filters; every other row of `C` is zero. The caller
+/// ([`conv_weight_grad_into`](super::conv_weight_grad_into)) has checked
+/// all lengths. `threads` splits the channel blocks across workers when
+/// the live rows span more than one `MC` block.
+#[allow(clippy::too_many_arguments)] // conv_weight_grad_into's, plus the kernel
+pub(super) fn weight_grad_into(
+    kernel: GradKernel,
+    c: &mut [f32],
+    g: &[f32],
+    x: &[f32],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let [n, ci, h, w] = dims;
+    let kk = spec.kernel;
+    let (ho, wo) = spec.output_hw(h, w);
+    let k2 = kk * kk;
+    let ntaps = ci * k2;
+    let npix = n * ho * wo;
+
+    c.fill(0.0);
+    let gather = rows.filter(|r| !r.is_all()).map(ActiveRows::indices);
+    let live = gather.map_or(m, <[usize]>::len);
+    if live == 0 || ntaps == 0 || npix == 0 {
+        return;
+    }
+    let row_of = |i: usize| gather.map_or(i, |ix| ix[i]);
+    let border = Border::new(1, h, w, spec.stride, spec.pad);
+
+    let mut offsets: Vec<usize> = ws.take("conv_taps", ntaps);
+    for (p, o) in offsets.iter_mut().enumerate() {
+        *o = border.tap(p / k2, p / kk % kk, p % kk);
+    }
+
+    // The whole batch, one bordered image after another: a slab of pixels
+    // runs on across an image boundary. Without border or phases that copy
+    // would be `x` itself (the tile reads single elements, so it needs no
+    // slack), and `x` is read in place.
+    let in_place = spec.pad == 0 && spec.stride == 1;
+    let image_len = ci * border.plane();
+    let len = if in_place {
+        0
+    } else {
+        n * image_len + border.slack()
+    };
+    let mut padded: Vec<f32> = ws.take("conv_padded", len);
+    padded.fill(0.0);
+    let mut pixels: Vec<usize> = ws.take("conv_pixels", npix);
+    for b in 0..n {
+        if !in_place {
+            let image = &x[b * ci * h * w..][..ci * h * w];
+            let dst = &mut padded[b * image_len..][..image_len];
+            border.copy(dst, ci, |c| &image[c * h * w..], h * w, |_| 1);
+        }
+        for (q, origin) in pixels[b * ho * wo..][..ho * wo].iter_mut().enumerate() {
+            *origin = b * image_len + border.origin(q / wo, q % wo);
+        }
+    }
+
+    // The live channels in blocks of CONV_LANES, paired into groups of two
+    // blocks (one for a lone last block): group `q`'s gradient is
+    // pixel-major, `width` lanes per pixel, and so is its accumulator per
+    // tap. Lanes past the last live channel hold zeros (whatever the slot
+    // held could be subnormal, and slow every multiply of its lane); their
+    // sums are computed and never read.
+    let blocks = live.div_ceil(CONV_LANES);
+    let group_lanes = 2 * CONV_LANES;
+    let width = |q: usize| CONV_LANES * 2.min(blocks - 2 * q);
+    let mut lanes: Vec<f32> = ws.take("conv_grad_lanes", blocks * CONV_LANES * npix);
+    for i in 0..blocks * CONV_LANES {
+        let (q, lane) = (i / group_lanes, i % group_lanes);
+        let dst = lanes[q * group_lanes * npix + lane..]
+            .iter_mut()
+            .step_by(width(q));
+        if i < live {
+            for (d, &v) in dst.zip(&g[row_of(i) * npix..][..npix]) {
+                *d = v;
+            }
+        } else {
+            dst.take(npix).for_each(|d| *d = 0.0);
+        }
+    }
+    let mut acc: Vec<f32> = ws.take("conv_grad_acc", blocks * CONV_LANES * ntaps);
+    acc.fill(0.0);
+
+    let (image, taps, pix) = (
+        if in_place { x } else { &padded },
+        TapOffsets::new(&offsets),
+        TapOffsets::new(&pixels),
+    );
+    let lanes_ref = lanes.as_slice();
+    let group = |q: usize, out: &mut [f32]| {
+        let width = width(q);
+        let grad = &lanes_ref[q * group_lanes * npix..][..width * npix];
+        let step = CONV_GRAD_TAPS * CONV_LANES / width;
+        for j0 in (0..npix).step_by(KC) {
+            let j1 = npix.min(j0 + KC);
+            for t0 in (0..ntaps).step_by(step) {
+                let t1 = ntaps.min(t0 + step);
+                kernel.run(
+                    taps.slab(t0..t1),
+                    pix.slab(j0..j1),
+                    image,
+                    &grad[j0 * width..j1 * width],
+                    &mut out[t0 * width..t1 * width],
+                );
+            }
+        }
+    };
+    // Worker `t` takes whole groups, so each element is one worker's.
+    let groups = blocks.div_ceil(2);
+    let per_worker = groups.div_ceil(workers(threads, live));
+    if per_worker >= groups {
+        for (q, out) in acc.chunks_mut(group_lanes * ntaps).enumerate() {
+            group(q, out);
+        }
+    } else {
+        std::thread::scope(|scope| {
+            for (t, chunk) in acc.chunks_mut(per_worker * group_lanes * ntaps).enumerate() {
+                let group = &group;
+                scope.spawn(move || {
+                    for (i, out) in chunk.chunks_mut(group_lanes * ntaps).enumerate() {
+                        group(t * per_worker + i, out);
+                    }
+                });
+            }
+        });
+    }
+
+    for i in 0..live {
+        let (q, lane) = (i / group_lanes, i % group_lanes);
+        let src = &acc[q * group_lanes * ntaps + lane..];
+        let dst = &mut c[row_of(i) * ntaps..][..ntaps];
+        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(width(q))) {
+            *d = v;
+        }
+    }
+
+    ws.give("conv_taps", offsets);
+    ws.give("conv_padded", padded);
+    ws.give("conv_pixels", pixels);
+    ws.give("conv_grad_lanes", lanes);
+    ws.give("conv_grad_acc", acc);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::init::Init;
+    use crate::ops::gemm::MC;
+    use crate::rng::Rng;
+    use crate::Tensor;
+
+    /// The weight gradient of one geometry on both kernels, each into a
+    /// NaN-filled `C`, through the caller's (dirty) workspace.
+    #[allow(clippy::too_many_arguments)]
+    fn kernels_agree(
+        tile: GradKernel,
+        dims: [usize; 4],
+        spec: Conv2dSpec,
+        m: usize,
+        live: Option<Vec<usize>>,
+        threads: usize,
+        seed: u64,
+        ws: &mut Workspace,
+    ) {
+        let [n, ci, h, w] = dims;
+        let (ho, wo) = spec.output_hw(h, w);
+        let mut rng = Rng::new(seed);
+        let x = Tensor::randn(&[n, ci, h, w], Init::Rand, &mut rng);
+        let g = Tensor::randn(&[m, n * ho * wo], Init::Rand, &mut rng);
+        let rows = live.map(|l| ActiveRows::from_indices(l, m).unwrap());
+        let len = m * ci * spec.kernel * spec.kernel;
+        let mut got = [vec![f32::NAN; len], vec![f32::NAN; len]];
+        for (kernel, c) in [GradKernel::Scalar, tile].into_iter().zip(&mut got) {
+            let (g, x) = (g.data(), x.data());
+            weight_grad_into(kernel, c, g, x, m, dims, spec, rows.as_ref(), ws, threads);
+        }
+        let same = got[0]
+            .iter()
+            .zip(&got[1])
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "{dims:?} {spec:?}, {m} rows, {threads} threads");
+    }
+
+    #[test]
+    fn scalar_weight_grad_is_bitwise_the_tile() {
+        let tile = GradKernel::detect();
+        if matches!(tile, GradKernel::Scalar) {
+            eprintln!("skipped: host has no AVX2");
+            return;
+        }
+        let mut ws = Workspace::new();
+        let mut seed = 0;
+        let mut next = || {
+            seed += 1;
+            seed
+        };
+        // Strides 1–3, kernels 1/3/5, pads 0–2, odd sides; `m` walks 1–19,
+        // so channel blocks come out single, paired and ragged, under a
+        // drawn live set, all, one and none.
+        for stride in 1..=3 {
+            for k in [1, 3, 5] {
+                for pad in 0..=2 {
+                    let n = 1 + (stride + k + pad) % 3;
+                    let m = 1 + (7 * stride + 5 * k + 3 * pad) % 19;
+                    let dims = [n, 1 + (k + pad) % 4, k + 4 + stride, k + 7 + pad];
+                    let spec = Conv2dSpec::new(k, stride, pad);
+                    let drawn = (0..m).filter(|i| (i + stride) % 3 != 0).collect();
+                    for live in [Some(drawn), None, Some(vec![m / 2]), Some(vec![])] {
+                        kernels_agree(tile, dims, spec, m, live, 1, next(), &mut ws);
+                    }
+                }
+            }
+        }
+        // More than 2·KC pixels, so three slabs, one crossing an image
+        // boundary; and more live rows than one MC block, on two workers.
+        let spec = Conv2dSpec::new(3, 1, 1);
+        kernels_agree(tile, [3, 2, 13, 15], spec, 9, None, 1, next(), &mut ws);
+        let wide: Vec<usize> = (0..2 * MC + 9).filter(|i| i % 3 != 1).collect();
+        kernels_agree(
+            tile,
+            [2, 2, 5, 6],
+            spec,
+            2 * MC + 9,
+            Some(wide),
+            2,
+            next(),
+            &mut ws,
+        );
+    }
 }

@@ -1,9 +1,9 @@
 //! Cache-blocked, register-tiled, optionally multithreaded GEMM.
 //!
-//! This is the single compute kernel behind every matrix product in the
+//! This is the single blocked driver behind every matrix product in the
 //! workspace ([`super::matmul`], [`super::matmul_at`],
-//! [`super::matmul_bt`], the conv forward/backward GEMMs in `alf-nn`, and
-//! the autoencoder player in `alf-core`). The structure is the classic
+//! [`super::matmul_bt`], the linear layers, the autoencoder player in
+//! `alf-core`, and the convolutions the pack-free tile does not take). The structure is the classic
 //! three-level blocking of Goto/BLIS:
 //!
 //! * the `n` dimension is split into [`NC`]-wide column strips,
@@ -64,9 +64,13 @@
 //! a zero-bordered, phase-split copy of the image — f32 in the packed route's
 //! per-element operation order, int8 as i16 channel pairs in exact integer
 //! arithmetic — so the two routes agree bit for bit and the packed one is
-//! the checked portable fallback. The training weight gradient
-//! `G · unfold(X)ᵀ` ([`conv_weight_grad_into`]) is this driver with a
-//! third `B` packer, the transposed sibling of the image one.
+//! the checked portable fallback. The training backward leaves this driver
+//! too: the weight gradient `G · unfold(X)ᵀ` ([`conv_weight_grad_into`])
+//! runs on the weight-gradient tile at every stride (a scalar loop in the
+//! same order without AVX2), and the input gradient
+//! ([`conv_input_grad_into`]) on the forward tile at stride 1. Only a
+//! strided input gradient (or one the tile cannot take) still runs this
+//! driver, `Wᵀ·G` into a column matrix folded back by `col2im`.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
@@ -82,7 +86,8 @@
 //! product) comes from the caller's [`Workspace`], so steady-state calls
 //! are allocation-free.
 
-use super::conv::{in_bounds, Conv2dSpec};
+use super::conv::{col2im_into, in_bounds, Conv2dSpec};
+use super::conv_direct::{self, GradKernel};
 use super::workspace::Workspace;
 use crate::ShapeError;
 use alf_gemm_kernels::{microkernel_i8_into, microkernel_into, microkernel_into_clipped};
@@ -527,8 +532,8 @@ pub fn gemm_active_k_into(
 ///   copy of the input whose cost no amount of filter pruning shrinks.
 ///
 /// Every convolution forward uses it: training, eval, the statistics pass
-/// and int8. A training step's weight gradient packs the same image
-/// through [`conv_weight_grad_into`].
+/// and int8. A training step's backward reads the same image through
+/// [`conv_weight_grad_into`] and [`conv_input_grad_into`].
 ///
 /// # Panics
 ///
@@ -567,11 +572,9 @@ pub fn conv_gemm_into<T: Element>(
     #[cfg(target_arch = "x86_64")]
     if workers(threads, rows.map_or(m, ActiveRows::len)) == 1 {
         if let Some(tile) = ConvTile::detect() {
-            return super::conv_direct::conv_direct_into(tile, c, a, x, m, dims, spec, rows, ws);
+            return conv_direct::conv_direct_into(tile, c, a, x, m, dims, spec, rows, ws);
         }
     }
-    #[cfg(test)]
-    PACKED_CONVS.with(|n| n.set(n.get() + 1));
     gemm_rows(c, a, BOperand::Image(image), m, k, ncols, rows, ws, threads);
 }
 
@@ -584,11 +587,16 @@ pub fn conv_gemm_into<T: Element>(
 ///
 /// Every bit of `C` is that of `im2col_into` followed by
 /// `gemm_into(c, g, false, cols, true, ..)` (or `gemm_active_rows_into(..,
-/// tb = true)` on `rows`): the same blocked driver runs, and only its `B`
-/// packer differs — it reads each [`NR`]-tap panel straight out of the
-/// image (see `pack_b_image_t`), writing exactly the lanes `pack_b` would
-/// copy out of the transposed column matrix, so every product is formed
-/// and summed in the same `k` order with the same [`KC`] flushes.
+/// tb = true)` on `rows`), at every stride, without that driver: the
+/// weight-gradient tile of `alf-gemm-kernels` (lanes over live output
+/// channels, accumulators over taps) reads a zero-bordered, phase-split
+/// copy of the batch and a pixel-major copy of `G`, and sums each element
+/// over the pixels in the packed route's order with the same [`KC`]
+/// flushes (see `conv_direct`). Hosts without AVX2 run a scalar loop in
+/// that order. The work follows the live rows: a block of up to eight
+/// costs one channel vector. When the live rows span more than one
+/// [`MC`] block, `threads` splits them across workers, each computing
+/// whole elements, so the bits do not depend on `threads`.
 ///
 /// # Panics
 ///
@@ -628,29 +636,91 @@ pub fn conv_weight_grad_into(
             rows.total()
         );
     }
-    gemm_rows(
-        c,
-        g,
-        BOperand::ImageT(image),
-        m,
-        ncols,
-        taps,
-        rows,
-        ws,
-        threads,
-    );
+    let kernel = GradKernel::detect();
+    conv_direct::weight_grad_into(kernel, c, g, x, m, dims, spec, rows, ws, threads);
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Calls [`conv_gemm_into`] sent to the packed route on this thread, so
-    /// a test can tell which route a call took.
-    static PACKED_CONVS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+/// The input gradient of a convolution: `dX = col2im(Aᵀ · G)`, where `A`
+/// is the `[m, ci·k²]` weight matrix, `G` the `[m, n·h_out·w_out]` output
+/// gradient and `dX` the `NCHW` gradient of the input (`dims = [n, ci, h,
+/// w]`), fully overwritten. `rows` lists the output channels that survive
+/// a clipped mask; the caller guarantees the other rows of `A` are zero,
+/// and their terms are skipped as [`gemm_active_k_into`] skips them.
+///
+/// For finite weights every bit of `dX` is that of `gemm_into(Aᵀ, G)` (or
+/// `gemm_active_k_into` on `rows`) followed by [`col2im_into`]. One of two
+/// routes runs, chosen from the geometry:
+///
+/// * **Direct** — stride 1 with `pad ≤ k − 1`, at most [`KC`] live output
+///   channels, on an AVX2 host, when the input channels fit one worker
+///   (one [`MC`] block, or `threads` 1). No column matrix is formed: the
+///   forward tile runs the convolution of the bordered output gradient
+///   with the flipped, transposed weights, once per spatial tap (see
+///   `conv_direct`).
+/// * **Column** — everything else: the product into a `[ci·k², n·ho·wo]`
+///   column matrix from the workspace, then the `col2im` fold.
+///
+/// # Panics
+///
+/// Panics when a buffer length disagrees with the stated dimensions,
+/// `rows` does not cover `m` rows, or the padded input is smaller than the
+/// kernel.
+#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
+pub fn conv_input_grad_into(
+    dx: &mut [f32],
+    a: &[f32],
+    g: &[f32],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let [n, ci, h, w] = dims;
+    let (ho, wo) = spec.output_hw(h, w);
+    let (k, ncols) = (ci * spec.kernel * spec.kernel, n * ho * wo);
+    assert_eq!(
+        dx.len(),
+        n * ci * h * w,
+        "conv_input_grad: dX is not {dims:?}"
+    );
+    assert_eq!(a.len(), m * k, "conv_input_grad: A buffer is not [{m}x{k}]");
+    assert_eq!(
+        g.len(),
+        m * ncols,
+        "conv_input_grad: G buffer is not [{m}x{ncols}]"
+    );
+    if let Some(rows) = rows {
+        assert_eq!(
+            rows.total(),
+            m,
+            "conv_input_grad: descriptor covers {} rows, A has {m}",
+            rows.total()
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if spec.stride == 1
+        && spec.pad < spec.kernel
+        && rows.map_or(m, ActiveRows::len) <= KC
+        && workers(threads, ci) == 1
+    {
+        if let Some(tile) = ConvTile::detect() {
+            return conv_direct::input_grad_direct_into(tile, dx, a, g, m, dims, spec, rows, ws);
+        }
+    }
+    let mut gcols = ws.take("gcols", k * ncols);
+    match rows {
+        Some(live) => gemm_active_k_into(&mut gcols, a, true, g, k, m, ncols, live, ws, threads),
+        None => gemm_into(&mut gcols, a, true, g, false, k, m, ncols, ws, threads),
+    }
+    col2im_into(dx, &gcols, n, ci, h, w, spec).expect("conv_input_grad: lengths checked above");
+    ws.give("gcols", gcols);
 }
 
 /// Workers the blocked driver engages for `m` logical rows when asked for
 /// `threads`: one per [`MC`] row block at most.
-fn workers(threads: usize, m: usize) -> usize {
+pub(super) fn workers(threads: usize, m: usize) -> usize {
     threads.clamp(1, m.div_ceil(MC).max(1)).min(MAX_THREADS)
 }
 
@@ -843,8 +913,6 @@ pub(super) enum BOperand<'b, T> {
     Matrix { data: &'b [T], tb: bool },
     /// The im2col matrix of an image, read in place.
     Image(ConvImage<'b, T>),
-    /// The transpose of that matrix, `[n·ho·wo, ci·k²]`, read in place.
-    ImageT(ConvImage<'b, T>),
 }
 
 /// An `NCHW` buffer seen as the `[ci·k², n·ho·wo]` matrix im2col would
@@ -911,6 +979,7 @@ pub(super) fn gemm_driver<T: Element>(
     }
     debug_assert_eq!(gather.rmap.map_or(gather.am, <[usize]>::len), m);
     debug_assert_eq!(gather.kmap.map_or(gather.ak, <[usize]>::len), k);
+    ws.count_packed_product();
     c.fill(T::Acc::default());
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -939,7 +1008,6 @@ pub(super) fn gemm_driver<T: Element>(
                     pack_b(&mut bpack, data, tb, n, pc, kc, jc, nc, gather);
                 }
                 BOperand::Image(image) => pack_b_image(&mut bpack, image, pc, kc, jc, nc),
-                BOperand::ImageT(image) => pack_b_image_t(&mut bpack, image, pc, kc, jc, nc),
             }
             if threads == 1 {
                 process_rows(
@@ -1216,73 +1284,6 @@ fn pack_b_image<T: Element>(
                 (kx, ky) = (0, ky + 1);
                 if ky == kk {
                     (ky, c) = (0, c + 1);
-                }
-            }
-        }
-    }
-}
-
-/// [`pack_b`] with `tb` for the transposed implicit im2col matrix of
-/// `image`: fills the same panel slots with the same values,
-/// `bpack[(jp·kc + p)·NR + r] = unfold(X)[j0 + jp·NR + r, p0 + p]`, but
-/// reads them from the `NCHW` buffer. Depth `p` is now output pixel
-/// `(b, oy, ox)` and column `j` tap `(c, ky, kx)`; the entry is
-/// `X[b, c, oy·s + ky − pad, ox·s + kx − pad]`, or zero outside the image.
-///
-/// For each tap lane the slab's pixels are walked as runs that share an
-/// output row; a run reads from a single input row — a contiguous slice at
-/// stride 1, an every-`s`-th gather otherwise — and writes down the lane
-/// at stride [`NR`]. Padding taps and the lanes past `nc` keep the zero the
-/// panel was filled with.
-fn pack_b_image_t<T: Element>(
-    bpack: &mut [f32],
-    image: ConvImage<'_, T>,
-    p0: usize,
-    kc: usize,
-    j0: usize,
-    nc: usize,
-) {
-    let ConvImage {
-        x,
-        ci,
-        h,
-        w,
-        ho,
-        wo,
-        spec,
-    } = image;
-    let (kk, s, pad) = (spec.kernel, spec.stride, spec.pad as isize);
-    let first_pixel = (p0 / (ho * wo), p0 / wo % ho, p0 % wo);
-    for jp in 0..nc.div_ceil(NR) {
-        let panel = &mut bpack[jp * kc * NR..(jp + 1) * kc * NR];
-        panel.fill(0.0);
-        let col0 = j0 + jp * NR;
-        for r in 0..NR.min(j0 + nc - col0) {
-            let tap = col0 + r;
-            let (c, ky, kx) = (tap / (kk * kk), tap / kk % kk, tap % kk);
-            let (mut b, mut oy, mut ox) = first_pixel;
-            let mut p = 0;
-            while p < kc {
-                let len = (wo - ox).min(kc - p);
-                let iy = (oy * s + ky) as isize - pad;
-                if (0..h as isize).contains(&iy) {
-                    let ix = (ox * s + kx) as isize - pad;
-                    let (lo, hi) = in_bounds(ix, s, w, len);
-                    if lo < hi {
-                        let row = ((b * ci + c) * h + iy as usize) * w;
-                        let first = (row as isize + ix + (lo * s) as isize) as usize;
-                        let src = x[first..row + w].iter().step_by(s);
-                        let dst = panel[(p + lo) * NR + r..].iter_mut().step_by(NR);
-                        for (slot, &v) in dst.zip(src).take(hi - lo) {
-                            *slot = v.widen();
-                        }
-                    }
-                }
-                p += len;
-                ox = 0;
-                oy += 1;
-                if oy == ho {
-                    (oy, b) = (0, b + 1);
                 }
             }
         }
@@ -1625,9 +1626,9 @@ mod tests {
     fn conv_gemm_is_allocation_free_after_warmup_on_both_routes() {
         // Strides 1 and 2 take the direct route where the host has AVX2,
         // each in f32 (dense and row-gathered) and i8, beside the weight
-        // gradient packed from the image, dense and row-gathered; a call
-        // wider than one `MC` block on two threads takes the packed route,
-        // f32 and i8. One warm-up per geometry sizes every slot — the phase
+        // and input gradients, dense and row-gathered (the stride-2 input
+        // gradient on the column route); a call wider than one `MC` block
+        // on two threads takes the packed route, f32 and i8. One warm-up per geometry sizes every slot — the phase
         // planes, the weight panels and the tap table included — and
         // nothing grows after, whichever geometry the slots last served.
         let (n, ci, h, w, m) = (2, 5, 11, 19, 9);
@@ -1654,6 +1655,9 @@ mod tests {
                 let mut dw = vec![0.0f32; a.len()];
                 conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, None, ws, 1);
                 conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, Some(&rows), ws, 1);
+                let mut dx = vec![0.0f32; x.len()];
+                conv_input_grad_into(&mut dx, a, &c, m, dims, spec, None, ws, 1);
+                conv_input_grad_into(&mut dx, a, &c, m, dims, spec, Some(&rows), ws, 1);
             }
             let (ho, wo) = specs[1].output_hw(h, w);
             let mut c = vec![0.0f32; wide * n * ho * wo];
@@ -1681,8 +1685,6 @@ mod tests {
         let a = vec![1.0f32; (MC + 1) * 3 * 9];
         let (x8, a8) = (vec![1i8; x.len()], vec![1i8; a.len()]);
         let mut ws = Workspace::new();
-        let packed = || PACKED_CONVS.with(std::cell::Cell::get);
-        let before = packed();
         let mut c = vec![0.0f32; m * 2 * ho * wo];
         let mut c8 = vec![0i32; m * 2 * ho * wo];
         conv_gemm_into(&mut c, &a[..m * 27], &x, m, dims, spec, None, &mut ws, 1);
@@ -1691,12 +1693,43 @@ mod tests {
         let direct = ConvTile::detect().is_some();
         #[cfg(not(target_arch = "x86_64"))]
         let direct = false;
-        let want = if direct { before } else { before + 2 };
-        assert_eq!(packed(), want);
+        let want = if direct { 0 } else { 2 };
+        assert_eq!(ws.packed_products(), want);
         // A call that engages two workers is the packed route's, and counts.
         let mut c = vec![0.0f32; (MC + 1) * 2 * ho * wo];
         conv_gemm_into(&mut c, &a, &x, MC + 1, dims, spec, None, &mut ws, 2);
-        assert_eq!(packed(), want + 1);
+        assert_eq!(ws.packed_products(), want + 1);
+    }
+
+    #[test]
+    fn input_grad_leaves_the_packed_driver_only_where_the_tile_cannot_go() {
+        // Stride 1 with `pad ≤ k−1` and at most KC live output channels
+        // runs on the tile; a stride-2 gradient, a pad past `k−1` and more
+        // than KC live channels run the column product, one driver call
+        // each. The weight gradient never runs the driver.
+        let (n, ci, h, w) = (1, 3, 7, 6);
+        let dims = [n, ci, h, w];
+        let mut ws = Workspace::new();
+        let mut run = |spec: Conv2dSpec, m: usize| {
+            let (ho, wo) = spec.output_hw(h, w);
+            let k = ci * spec.kernel * spec.kernel;
+            let (a, g) = (vec![0.5f32; m * k], vec![0.25f32; m * n * ho * wo]);
+            let x = vec![1.0f32; n * ci * h * w];
+            let (mut dx, mut dw) = (vec![0.0f32; x.len()], vec![0.0f32; a.len()]);
+            let before = ws.packed_products();
+            conv_input_grad_into(&mut dx, &a, &g, m, dims, spec, None, &mut ws, 1);
+            conv_weight_grad_into(&mut dw, &g, &x, m, dims, spec, None, &mut ws, 1);
+            ws.packed_products() - before
+        };
+        #[cfg(target_arch = "x86_64")]
+        let tile = u64::from(ConvTile::detect().is_some());
+        #[cfg(not(target_arch = "x86_64"))]
+        let tile = 0;
+        assert_eq!(run(Conv2dSpec::new(3, 1, 1), 4), 1 - tile);
+        assert_eq!(run(Conv2dSpec::new(1, 1, 0), 4), 1 - tile);
+        assert_eq!(run(Conv2dSpec::new(3, 1, 3), 4), 1);
+        assert_eq!(run(Conv2dSpec::new(3, 2, 1), 4), 1);
+        assert_eq!(run(Conv2dSpec::new(1, 1, 0), KC + 1), 1);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! `[c_out, c_in, k, k]` weights and are shared by the forward *and*
 //! backward passes of [`alf-nn`](https://example.invalid/alf), none of which
 //! unfolds its input: the forward is [`conv_gemm_into`], the weight
-//! gradient [`conv_weight_grad_into`] (both packing straight from the
-//! image), and the input gradient a GEMM into a column matrix folded back
-//! by the [`col2im_into`] scatter.
+//! gradient [`conv_weight_grad_into`] and the input gradient
+//! [`conv_input_grad_into`] (at stride 2 and up still a GEMM into a column
+//! matrix folded back by the [`col2im_into`] scatter).
 //!
 //! Performance architecture (see `DESIGN.md` for the full picture):
 //!
@@ -37,9 +37,12 @@
 //!   tile of `alf-gemm-kernels` reading a zero-bordered copy of the image,
 //!   split into phase planes at stride 2 and up.
 //!   [`conv_weight_grad_into`] is the training weight gradient
-//!   `G · unfold(X)ᵀ`, the same driver packing the transposed panels from
-//!   the image. [`col2im_into`] folds the input gradient's column matrix
-//!   back into a caller-owned buffer, span by span.
+//!   `G · unfold(X)ᵀ`, on the weight-gradient tile (lanes over output
+//!   channels, accumulators over taps) at every stride, or a scalar loop
+//!   in the same order without AVX2. [`conv_input_grad_into`] is the input
+//!   gradient, on the forward tile at stride 1; elsewhere
+//!   [`col2im_into`] folds its column matrix back into the caller's
+//!   buffer, span by span.
 //! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop. No
 //!   training or inference path calls them; they are the reference route
 //!   the proptests hold the image packers to, bit for bit.
@@ -47,7 +50,6 @@
 //!   over the element type.
 
 mod conv;
-#[cfg(target_arch = "x86_64")]
 mod conv_direct;
 pub mod gemm;
 mod matmul;
@@ -57,8 +59,8 @@ mod workspace;
 
 pub use conv::{col2im, col2im_into, conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
 pub use gemm::{
-    auto_threads, conv_gemm_into, conv_weight_grad_into, gemm_active_k_into, gemm_active_rows_into,
-    gemm_into, host_parallelism, ActiveRows,
+    auto_threads, conv_gemm_into, conv_input_grad_into, conv_weight_grad_into, gemm_active_k_into,
+    gemm_active_rows_into, gemm_into, host_parallelism, ActiveRows,
 };
 pub use matmul::{matmul, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws};
 pub use qgemm::{gemm_i8_into, im2col_i8_into, requantize, requantize_into};

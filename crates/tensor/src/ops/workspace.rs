@@ -51,6 +51,7 @@ use std::mem::size_of;
 pub struct Workspace {
     slots: Vec<Slot>,
     alloc_events: u64,
+    packed_products: u64,
     frozen: bool,
 }
 
@@ -151,6 +152,18 @@ impl Workspace {
     /// since construction.
     pub fn alloc_events(&self) -> u64 {
         self.alloc_events
+    }
+
+    /// Number of products the packed blocked driver has run on this
+    /// workspace. Every convolution product has a pack-free route, so a
+    /// test can tell from this which route a call took.
+    pub fn packed_products(&self) -> u64 {
+        self.packed_products
+    }
+
+    /// Counts one run of the packed blocked driver.
+    pub(super) fn count_packed_product(&mut self) {
+        self.packed_products += 1;
     }
 
     /// High-water mark of the arena in bytes: the sum over all slots of

@@ -10,9 +10,10 @@ use alf::nn::ste;
 use alf::tensor::init::Init;
 use alf::tensor::ops::gemm::{KC, MC, NC, NR};
 use alf::tensor::ops::{
-    col2im, col2im_into, conv2d, conv_gemm_into, conv_weight_grad_into, gemm_active_rows_into,
-    gemm_i8_into, gemm_into, im2col, im2col_i8_into, im2col_into, matmul, matmul_at, matmul_bt,
-    reference, requantize, requantize_into, ActiveRows, Conv2dSpec, Workspace,
+    col2im, col2im_into, conv2d, conv_gemm_into, conv_input_grad_into, conv_weight_grad_into,
+    gemm_active_k_into, gemm_active_rows_into, gemm_i8_into, gemm_into, im2col, im2col_i8_into,
+    im2col_into, matmul, matmul_at, matmul_bt, reference, requantize, requantize_into, ActiveRows,
+    Conv2dSpec, Workspace,
 };
 use alf::tensor::rng::Rng;
 use alf::tensor::Tensor;
@@ -905,6 +906,168 @@ proptest! {
         reference::col2im_into(&mut want, cols.data(), n, ci, h, w, spec);
         col2im_into(&mut got, cols.data(), n, ci, h, w, spec).unwrap();
         prop_assert!(want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+}
+
+/// A training convolution's input gradient against the column route, bit
+/// for bit, on `threads` workers: `conv_input_grad_into` against
+/// `gemm_into(Wᵀ, G)` + `col2im_into` densely, and against
+/// `gemm_active_k_into` + `col2im_into` under the live-row subset. With
+/// `signed_zeros` the weights are `−|w|`, every fourth one `−0.0`, and
+/// every other pixel of `G` is `±0.0`, so many taps sum nothing but `−0.0`
+/// products. Every output starts as NaN, so an element the direct route
+/// forgets shows; `ws` is the caller's, as in [`fused_conv_agrees`].
+fn input_grad_agrees(
+    case: &FusedConv,
+    signed_zeros: bool,
+    threads: usize,
+    ws: &mut Workspace,
+) -> Result<(), TestCaseError> {
+    let &FusedConv {
+        n,
+        ci,
+        h,
+        w,
+        spec,
+        m,
+        seed,
+        ..
+    } = case;
+    let (ho, wo) = spec.output_hw(h, w);
+    let (rows, cols) = (ci * spec.kernel * spec.kernel, n * ho * wo);
+    let mut rng = Rng::new(seed);
+    let mut a = Tensor::randn(&[m, rows], Init::Rand, &mut rng);
+    let mut g = Tensor::randn(&[m, cols], Init::Rand, &mut rng);
+    if signed_zeros {
+        for (i, v) in a.data_mut().iter_mut().enumerate() {
+            *v = if i % 4 == 0 { -0.0 } else { -v.abs() };
+        }
+        for (i, v) in g.data_mut().iter_mut().enumerate() {
+            if i % 2 == 0 {
+                *v = if i % 4 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+    }
+    let live = ActiveRows::from_indices(case.live.clone(), m).unwrap();
+    let dims = [n, ci, h, w];
+    let same_bits = |w: &[f32], g: &[f32]| w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits());
+
+    let mut gcols = vec![0.0f32; rows * cols];
+    let mut want = vec![0.0f32; n * ci * h * w];
+    let mut got = vec![f32::NAN; n * ci * h * w];
+    gemm_into(
+        &mut gcols,
+        a.data(),
+        true,
+        g.data(),
+        false,
+        rows,
+        m,
+        cols,
+        ws,
+        threads,
+    );
+    col2im_into(&mut want, &gcols, n, ci, h, w, spec).unwrap();
+    conv_input_grad_into(
+        &mut got,
+        a.data(),
+        g.data(),
+        m,
+        dims,
+        spec,
+        None,
+        ws,
+        threads,
+    );
+    prop_assert!(same_bits(&want, &got), "dX: {:?}", case);
+
+    gemm_active_k_into(
+        &mut gcols,
+        a.data(),
+        true,
+        g.data(),
+        rows,
+        m,
+        cols,
+        &live,
+        ws,
+        threads,
+    );
+    col2im_into(&mut want, &gcols, n, ci, h, w, spec).unwrap();
+    got.fill(f32::NAN);
+    conv_input_grad_into(
+        &mut got,
+        a.data(),
+        g.data(),
+        m,
+        dims,
+        spec,
+        Some(&live),
+        ws,
+        threads,
+    );
+    prop_assert!(same_bits(&want, &got), "dX rows: {:?}", case);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A training convolution's input gradient forms no column matrix at
+    /// stride 1: the forward tile convolves the bordered output gradient
+    /// with the flipped weights, once per spatial tap. It must be *bitwise*
+    /// the `Wᵀ·G` + `col2im` fold it replaces, which still runs at stride
+    /// 2 and 3, at a pad past `k − 1` and past `KC` live channels.
+    ///
+    /// Every case runs one free draw over strides 1–3, kernels 1/3/5 and
+    /// pads 0–2 with a drawn live-row set, then the same geometry with all,
+    /// one and no rows live, and once with signed zeros; one-row tiles with
+    /// ragged vectors; more live output channels than `KC`; and more input
+    /// channels than `MC` on two workers. The first convolution leaves the
+    /// workspace dirty.
+    #[test]
+    fn conv_input_grad_is_bitwise_the_col2im_route(
+        n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
+        ci in 1usize..9, side_extra in 0usize..12, m in 1usize..20,
+        keep in proptest::collection::vec(0usize..2, 20), seed in 0u64..1000) {
+        let mut ws = Workspace::new();
+        let k = [1usize, 3, 5][kidx];
+        let spec = Conv2dSpec::new(k, stride, pad);
+        let case = |n: usize, ci: usize, h: usize, w: usize, m: usize, live: Vec<usize>| FusedConv {
+            n, ci, h, w, spec, m, live, seed, extreme: false,
+        };
+        input_grad_agrees(
+            &FusedConv { spec: Conv2dSpec::new(5, 1, 2), ..case(2, 7, 13, 21, 9, vec![0, 3, 4]) },
+            false,
+            1,
+            &mut ws,
+        )?;
+
+        let kept: Vec<usize> = (0..m).filter(|&i| keep[i] == 1).collect();
+        let (h, w) = (k + side_extra, k + 2 * side_extra % 7);
+        input_grad_agrees(&case(n, ci, h, w, m, kept.clone()), false, 1, &mut ws)?;
+        for live in [(0..m).collect(), vec![seed as usize % m], vec![]] {
+            input_grad_agrees(&case(n, ci, h, w, m, live), false, 1, &mut ws)?;
+        }
+        input_grad_agrees(&case(n, ci, h, w, m, kept.clone()), true, 1, &mut ws)?;
+
+        // One-row tiles whose last vector, or last two, are ragged: odd
+        // widths from 9 to 31, at stride 1 and the drawn kernel and pad.
+        let s1 = Conv2dSpec::new(k, 1, pad.min(k - 1));
+        let ragged = FusedConv { spec: s1, ..case(n, ci, k + side_extra % 3, 9 + 2 * side_extra, m, kept) };
+        input_grad_agrees(&ragged, false, 1, &mut ws)?;
+
+        // More live output channels than KC: one tap's Σ_co flushes inside
+        // the tap, so the column route runs, and still agrees.
+        let deep: Vec<usize> = (0..2 * KC + m).filter(|i| i % 7 != 3).collect();
+        prop_assert!(deep.len() > KC);
+        let deep = FusedConv { spec: s1, ..case(1, ci, k + 1, k + 2, 2 * KC + m, deep) };
+        input_grad_agrees(&deep, false, 1, &mut ws)?;
+
+        // More input channels than one MC block: two workers engage on
+        // the column product.
+        let wide = case(1, MC + ci, k + side_extra % 3, k + 2, m, vec![m - 1]);
+        input_grad_agrees(&wide, false, 2, &mut ws)?;
     }
 }
 
