@@ -625,6 +625,34 @@ mod tests {
     }
 
     #[test]
+    fn int8_lowering_takes_all_zero_calibration_and_all_zero_weights() {
+        // Each edge lowers with every scale finite and positive, and the
+        // engine's logits stay finite.
+        let mut model = plain20(4, 4).unwrap();
+        roughen_batchnorm(&mut model, 21);
+        let mut dead = model.clone();
+        match dead.conv_units_mut()[1].conv_mut() {
+            ConvKind::Standard(conv) => conv.weight_mut().data_mut().fill(0.0),
+            _ => panic!("plain20's second unit is a standard conv"),
+        }
+        let mut rng = Rng::new(22);
+        let calib = Tensor::randn(&[2, 3, 16, 16], Init::Rand, &mut rng);
+        for (model, calib) in [(&model, Tensor::zeros(&[2, 3, 16, 16])), (&dead, calib)] {
+            let spec = QuantSpec::int8(calib);
+            let deployed = Pipeline::new().fold_bn(true).quantize(spec).run(model);
+            let mut qm = deployed.unwrap().quantized.unwrap();
+            for c in qm.conv_info() {
+                for scale in [c.w_scale, c.in_scale, c.out_scale] {
+                    assert!(scale.is_finite() && scale > 0.0, "{}: {scale}", c.name);
+                }
+            }
+            let x = Tensor::randn(&[2, 3, 16, 16], Init::Rand, &mut rng);
+            let logits = qm.forward(&x).unwrap();
+            assert!(logits.data().iter().all(|v| v.is_finite()), "{logits:?}");
+        }
+    }
+
+    #[test]
     fn int8_pipeline_tracks_the_f32_model() {
         let mut model = plain20(4, 4).unwrap();
         roughen_batchnorm(&mut model, 18);

@@ -10,8 +10,9 @@
 //! scratch (split into phase planes at stride 2 and up, which makes every
 //! stride read like stride 1); then the eight pixels right of an output
 //! pixel's tap are the taps of its eight right-hand neighbours, so one
-//! unaligned 256-bit load at `origin + offset[tap]` *is* the panel row
-//! `pack_b_image` would have built, and nothing is packed.
+//! unaligned 256-bit load at `origin + offset[tap]` *is* the panel row a
+//! packer would have built out of the unfolded image, and nothing is
+//! packed.
 //!
 //! The tile comes in two element types, one register shape:
 //!
@@ -84,7 +85,7 @@
 //! bit on every input, NaN and ∞ scales included (`tests/proptests.rs`
 //! checks it element for element).
 
-use crate::{TapOffsets, CONV_GRAD_TAPS, CONV_LANES, CONV_MR};
+use crate::{Placement, TapOffsets, CONV_GRAD_TAPS, CONV_LANES, CONV_MR};
 use core::arch::x86_64::{
     __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256, _mm256_blendv_ps,
     _mm256_castps_si256, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps,
@@ -99,20 +100,6 @@ use core::arch::x86_64::{
 /// Elements one step of [`ConvTile::requantize_into`] stores: four i32
 /// vectors narrowed into one 32-byte store.
 const STORE_LANES: usize = 4 * CONV_LANES;
-
-/// Where a tile's two vectors sit: vector `v` covers the `lanes[v]` output
-/// pixels (`≤` [`CONV_LANES`]; lanes past it are computed and discarded)
-/// whose tap-0 pixels start at element `image[v]` of the padded image and
-/// whose products land at column `col[v]` of each filter's row of `C`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// Padded-image index of each vector's first tap-0 element.
-    pub image: [usize; 2],
-    /// Column, relative to each row start, of each vector's first lane.
-    pub col: [usize; 2],
-    /// Live lanes of each vector; `0` switches a vector's write-back off.
-    pub lanes: [usize; 2],
-}
 
 /// Proof that this host executes AVX2 — the only handle on the tile.
 #[derive(Debug, Clone, Copy)]

@@ -84,7 +84,7 @@
 #[allow(unsafe_code)]
 mod conv_tile;
 #[cfg(target_arch = "x86_64")]
-pub use conv_tile::{ConvTile, Placement};
+pub use conv_tile::ConvTile;
 
 use core::ops::Range;
 
@@ -136,6 +136,20 @@ impl<'a> TapOffsets<'a> {
     pub fn is_empty(&self) -> bool {
         self.offsets.is_empty()
     }
+}
+
+/// Where a tile's two vectors sit: vector `v` covers the `lanes[v]` output
+/// pixels (`≤` [`CONV_LANES`]; lanes past it are computed and discarded)
+/// whose tap-0 pixels start at element `image[v]` of the padded image and
+/// whose products land at column `col[v]` of each filter's row of `C`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// Padded-image index of each vector's first tap-0 element.
+    pub image: [usize; 2],
+    /// Column, relative to each row start, of each vector's first lane.
+    pub col: [usize; 2],
+    /// Live lanes of each vector; `0` switches a vector's write-back off.
+    pub lanes: [usize; 2],
 }
 
 /// Filters (rows of `C`) one forward convolution tile accumulates.

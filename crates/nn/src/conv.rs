@@ -10,9 +10,7 @@
 //!
 //! No pass unfolds the input. Every mode runs the forward through
 //! [`alf_tensor::ops::conv_gemm_into`]: a kernel of any stride (1×1
-//! included) runs on the pack-free AVX2 tile when one thread computes it,
-//! anything else has its `B` panels packed straight from the `NCHW` input.
-//! Backward computes the weight gradient with
+//! included) runs on the pack-free tile, which packs nothing. Backward computes the weight gradient with
 //! [`alf_tensor::ops::conv_weight_grad_into`], on the weight-gradient tile
 //! over the cached input at every stride, and the input gradient with
 //! [`alf_tensor::ops::conv_input_grad_into`], on the forward tile at
@@ -643,11 +641,10 @@ mod tests {
 
     #[test]
     fn stride_1_backward_runs_on_the_tile_without_a_column_matrix() {
-        // The stage-1 code convolution at batch 8. Its 16 channels fit one
-        // MC block, so one worker computes every product whatever
-        // `auto_threads` picks; on an AVX2 host none of them runs the
-        // packed driver, and the arena never holds the `ci·k² × n·ho·wo`
-        // column matrix the input gradient used to fold back.
+        // The stage-1 code convolution at batch 8: on any host none of its
+        // products runs the packed driver, and the arena never holds the
+        // `ci·k² × n·ho·wo` column matrix the input gradient used to fold
+        // back.
         let mut ctx = RunCtx::train();
         let mut rng = Rng::new(41);
         let x = Tensor::randn(&[8, 16, 32, 32], Init::Rand, &mut rng);
@@ -659,10 +656,7 @@ mod tests {
         let before = ctx.ws.packed_products();
         let y = conv.forward(&x, &mut ctx).unwrap();
         conv.backward(&y, &mut ctx).unwrap();
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            assert_eq!(ctx.ws.packed_products(), before);
-        }
+        assert_eq!(ctx.ws.packed_products(), before);
         let gcols_bytes = 16 * 9 * 8 * 32 * 32 * 4;
         assert!(
             ctx.ws.high_water_bytes() < gcols_bytes,

@@ -286,7 +286,7 @@ pub fn col2im_into(
 /// negative inside the left padding. Inlined: the packers call it once per
 /// depth line.
 #[inline]
-pub(super) fn in_bounds(ix: isize, s: usize, w: usize, len: usize) -> (usize, usize) {
+fn in_bounds(ix: isize, s: usize, w: usize, len: usize) -> (usize, usize) {
     if s == 1 {
         let hi = (w as isize - ix).clamp(0, len as isize);
         ((-ix).max(0) as usize, hi as usize)

@@ -1,18 +1,19 @@
-//! The pack-free routes of the convolution products: the forward
-//! [`conv_gemm_into`](super::conv_gemm_into) at any stride, the training
-//! weight gradient [`conv_weight_grad_into`](super::conv_weight_grad_into)
-//! at any stride, and the input gradient
-//! [`conv_input_grad_into`](super::conv_input_grad_into) at stride 1 — all
-//! on the explicit AVX2 tiles of `alf-gemm-kernels`, bit for bit the
-//! packed route each replaces.
+//! The convolution products, each on one route: the forward
+//! [`conv_gemm_into`](super::conv_gemm_into) at any stride, f32 and int8,
+//! the training weight gradient
+//! [`conv_weight_grad_into`](super::conv_weight_grad_into) at any stride,
+//! and the input gradient
+//! [`conv_input_grad_into`](super::conv_input_grad_into) at stride 1 — bit
+//! for bit the unfolded product (`im2col` + the blocked driver) each
+//! replaces.
 //!
-//! A code convolution has a handful of filters, so on the packed route
-//! every value `pack_b_image` gathers, widens, stores and re-loads feeds
-//! `m ≤ 8` multiply-adds and the layer is the packing. At stride 1 the
-//! panel row a tap would be packed into is already contiguous in the image
-//! — once the image has its zero border — so these routes copy each image
-//! once into a bordered scratch and let the tile load its operands from
-//! there (`ConvTile` describes the tiles and why the bits cannot differ).
+//! A code convolution has a handful of filters, so packing its image into
+//! `B` panels would be the layer: every value gathered, widened, stored and
+//! re-loaded feeds `m ≤ 8` multiply-adds. At stride 1 the panel row a tap
+//! would be packed into is already contiguous in the image — once the
+//! image has its zero border — so these routes copy each image once into a
+//! bordered scratch and let the tile load its operands from there
+//! (`ConvTile` describes the tiles and why the bits cannot differ).
 //!
 //! A stride `s` is made stride 1 by the layout of that copy ([`Border`]):
 //! each channel group's bordered plane (`hp × wp`, `hp = h+2p`, `wp =
@@ -49,10 +50,26 @@
 //!   of slack for the lanes a ragged tile computes and discards; zeroed
 //!   once per call, after which each image writes only its own pixels.
 //!
+//! **Kernels.** Every block runs on a [`Kernel`]: the explicit AVX2 tiles
+//! of `alf-gemm-kernels`, or, on a host without AVX2, the scalar lane —
+//! the tiles' per-element operation sequence one element at a time (f32:
+//! an accumulator from `+0.0`, a separate multiply and add per tap, added
+//! into `C` once per call; int8: exact i32 sums). Both read the same
+//! scratch through the same bookkeeping, so nothing but the speed depends
+//! on the host.
+//!
+//! **Workers.** When the filters of a product — the forward's live rows,
+//! the stride-1 input gradient's input channels, the weight gradient's
+//! live rows — span more than one `MC` block, whole filter blocks are
+//! split across scoped workers ([`for_chunks`]), each owning its rows of
+//! `C`. A gathered forward row set is computed into a compact buffer
+//! (`conv_rows_c`) and scattered afterwards. Each element is summed by one
+//! worker in one order, so the bits do not depend on `threads`.
+//!
 //! **Forward.** The `KC` slab boundary of the blocked driver is kept: a
 //! tile is run once per `KC` taps and adds into `C` each time, so an f32
-//! element's partial sums are formed and added in exactly the packed order
-//! (an integer one is exact in any order).
+//! element's partial sums are formed and added in exactly the unfolded
+//! product's order (an integer one is exact in any order).
 //!
 //! **Input gradient, stride 1.** `dX = col2im(Wᵀ·G)` is a forward
 //! convolution in disguise: its filters are the input channels, its image
@@ -69,22 +86,22 @@
 //!
 //! **Weight gradient, every stride** ([`weight_grad_into`]). The batch is
 //! bordered whole, one image after another, so that a `KC` slab of pixels
-//! may cross an image boundary as the packed route's does; `conv_pixels`
+//! may cross an image boundary as the unfolded product's does; `conv_pixels`
 //! holds each output pixel's origin, and `conv_grad_lanes` the output
 //! gradient pixel-major in blocks of [`CONV_LANES`] live channels. The
 //! weight-gradient tile then sums each `(co, tap)` element over one `KC`
 //! slab of pixels in `(b, oy, ox)` order per call and adds it into
 //! `conv_grad_acc` — the per-element sequence of the packed
-//! `G · unfold(X)ᵀ`. Hosts without AVX2 run a scalar loop in the same
-//! order on the same scratch.
+//! `G · unfold(X)ᵀ`.
 
 #[cfg(target_arch = "x86_64")]
-use alf_gemm_kernels::{ConvTile, Placement, CONV_MR};
-use alf_gemm_kernels::{TapOffsets, CONV_GRAD_TAPS, CONV_LANES};
+use alf_gemm_kernels::ConvTile;
+use alf_gemm_kernels::{Placement, TapOffsets, CONV_GRAD_TAPS, CONV_LANES, CONV_MR};
 
 use super::conv::Conv2dSpec;
 use super::gemm::{workers, ActiveRows, Element, KC};
 use super::workspace::Workspace;
+use std::ops::Range;
 
 /// The layout of a zero-bordered, phase-split copy of one image: `G`
 /// channels per pixel, `s²` phase planes per channel group (see the module
@@ -181,13 +198,14 @@ impl Border {
     }
 }
 
-/// `C = A · unfold(X)` for a convolution, `rows` restricting it to the
-/// surviving filters; every other row of `C` is zero. The caller
+/// `C = A · unfold(X)` for a convolution on `kernel`, `rows` restricting
+/// it to the surviving filters; every other row of `C` is zero. The caller
 /// ([`conv_gemm_into`](super::conv_gemm_into)) has checked all lengths.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // conv_gemm_into's, plus the tile
+/// `threads` splits the filter blocks across workers when the live rows
+/// span more than one `MC` block.
+#[allow(clippy::too_many_arguments)] // conv_gemm_into's, plus the kernel
 pub(super) fn conv_direct_into<T: Element>(
-    tile: ConvTile,
+    kernel: Kernel,
     c: &mut [T::Acc],
     a: &[T],
     x: &[T],
@@ -196,6 +214,7 @@ pub(super) fn conv_direct_into<T: Element>(
     spec: Conv2dSpec,
     rows: Option<&ActiveRows>,
     ws: &mut Workspace,
+    threads: usize,
 ) {
     let [n, ci, h, w] = dims;
     let kk = spec.kernel;
@@ -245,6 +264,22 @@ pub(super) fn conv_direct_into<T: Element>(
     let plane = border.plane();
     let mut padded: Vec<T::Lane> = ws.take("conv_padded", groups * plane + border.slack());
     padded.fill(T::Lane::default());
+    let workers = workers(threads, live);
+    let compact = workers > 1 && gather.is_some();
+    // The compact buffer exists only when used: a workspace slot costs a
+    // lookup per call, which the smallest convolutions feel.
+    let mut cc: Vec<T::Acc> = Vec::new();
+    if compact {
+        cc = ws.take("conv_rows_c", live * ncols);
+        cc.fill(T::Acc::default());
+    }
+    let walk = Walk {
+        border,
+        ho,
+        wo,
+        slab: KC,
+    };
+    let nblocks = live.div_ceil(CONV_MR);
 
     for b in 0..n {
         let image = &x[b * ci * h * w..][..ci * h * w];
@@ -255,20 +290,34 @@ pub(super) fn conv_direct_into<T: Element>(
             h * w,
             channels,
         );
-        for (blk, panel) in panels.chunks_exact(ntaps * CONV_MR).enumerate() {
-            let r = CONV_MR.min(live - blk * CONV_MR);
-            let mut crow = [0usize; CONV_MR];
-            for (j, start) in crow[..r].iter_mut().enumerate() {
-                *start = row_of(blk * CONV_MR + j) * ncols + b * ho * wo;
+        // One worker takes all of `C` as one chunk and writes the live rows
+        // in place; several take a block each, of `C`, or of the compact
+        // buffer when the rows are gathered.
+        let (out, len, per) = match (workers, compact) {
+            (1, _) => (&mut *c, m * ncols, nblocks),
+            (_, true) => (&mut cc[..], CONV_MR * ncols, 1),
+            (_, false) => (&mut *c, CONV_MR * ncols, 1),
+        };
+        for_chunks(out, len, workers, |q, out| {
+            for blk in q * per..nblocks.min(q * per + per) {
+                let first = if workers == 1 { 0 } else { blk * CONV_MR };
+                let r = CONV_MR.min(live - blk * CONV_MR);
+                let mut crow = [0usize; CONV_MR];
+                for (j, start) in crow[..r].iter_mut().enumerate() {
+                    let i = blk * CONV_MR + j;
+                    let row = if compact { i } else { row_of(i) };
+                    *start = (row - first) * ncols + b * ho * wo;
+                }
+                let panel = &panels[blk * ntaps * CONV_MR..][..ntaps * CONV_MR];
+                walk.run::<T>(kernel, taps, panel, &padded, out, &crow[..r]);
             }
-            let walk = Walk {
-                border,
-                ho,
-                wo,
-                slab: KC,
-            };
-            walk.run::<T>(tile, taps, panel, &padded, c, &crow[..r]);
+        });
+    }
+    if let Some(ix) = gather.filter(|_| compact) {
+        for (ri, &i) in ix.iter().enumerate() {
+            c[i * ncols..][..ncols].copy_from_slice(&cc[ri * ncols..][..ncols]);
         }
+        ws.give("conv_rows_c", cc);
     }
 
     ws.give("conv_taps", offsets);
@@ -277,16 +326,16 @@ pub(super) fn conv_direct_into<T: Element>(
 }
 
 /// The input gradient of a stride-1 convolution whose padding is at most
-/// `k−1`, at most [`KC`] output channels live: `dX = col2im(Wᵀ·G)` as the
-/// forward convolution the module docs describe. `a` is the `[m, ci·k²]`
-/// weight matrix, `g` the `[m, n·ho·wo]` output gradient, `dx` the `NCHW`
-/// input gradient, fully overwritten. The caller
+/// `k−1`, at most [`KC`] output channels live, on `kernel`: `dX =
+/// col2im(Wᵀ·G)` as the forward convolution the module docs describe. `a`
+/// is the `[m, ci·k²]` weight matrix, `g` the `[m, n·ho·wo]` output
+/// gradient, `dx` the `NCHW` input gradient, fully overwritten. The caller
 /// ([`conv_input_grad_into`](super::conv_input_grad_into)) has checked all
-/// lengths and the geometry.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // conv_input_grad_into's, plus the tile
+/// lengths and the geometry. `threads` splits the input channels across
+/// workers when they span more than one `MC` block.
+#[allow(clippy::too_many_arguments)] // conv_input_grad_into's, plus the kernel
 pub(super) fn input_grad_direct_into(
-    tile: ConvTile,
+    kernel: Kernel,
     dx: &mut [f32],
     a: &[f32],
     g: &[f32],
@@ -295,6 +344,7 @@ pub(super) fn input_grad_direct_into(
     spec: Conv2dSpec,
     rows: Option<&ActiveRows>,
     ws: &mut Workspace,
+    threads: usize,
 ) {
     let [n, ci, h, w] = dims;
     let kk = spec.kernel;
@@ -338,24 +388,23 @@ pub(super) fn input_grad_direct_into(
     let plane = border.plane();
     let mut padded: Vec<f32> = ws.take("conv_padded", live * plane + border.slack());
     padded.fill(0.0);
-    let ncols = n * hw;
-    for b in 0..n {
+    let (ncols, workers) = (n * hw, workers(threads, ci));
+    let walk = Walk {
+        border,
+        ho: h,
+        wo: w,
+        slab: live,
+    };
+    for (b, planes) in dx.chunks_exact_mut(ci * h * w).enumerate() {
         let image = |c: usize| &g[row_of(c) * ncols + b * hw..][..hw];
         border.copy(&mut padded, live, image, hw, |_| 1);
-        for (blk, panel) in panels.chunks_exact(ntaps * CONV_MR).enumerate() {
+        // Input channels `blk·CONV_MR ..` of image `b` are consecutive planes.
+        for_chunks(planes, CONV_MR * h * w, workers, |blk, out| {
             let r = CONV_MR.min(ci - blk * CONV_MR);
-            let mut crow = [0usize; CONV_MR];
-            for (j, start) in crow[..r].iter_mut().enumerate() {
-                *start = (b * ci + blk * CONV_MR + j) * h * w;
-            }
-            let walk = Walk {
-                border,
-                ho: h,
-                wo: w,
-                slab: live,
-            };
-            walk.run::<f32>(tile, taps, panel, &padded, dx, &crow[..r]);
-        }
+            let crow: [usize; CONV_MR] = std::array::from_fn(|j| j * h * w);
+            let panel = &panels[blk * ntaps * CONV_MR..][..ntaps * CONV_MR];
+            walk.run::<f32>(kernel, taps, panel, &padded, out, &crow[..r]);
+        });
     }
 
     ws.give("conv_taps", offsets);
@@ -363,10 +412,44 @@ pub(super) fn input_grad_direct_into(
     ws.give("conv_padded", padded);
 }
 
+/// Runs `body(i, chunk)` on each `len`-element chunk of `out` (the last may
+/// be shorter): all of them on this thread for one worker, otherwise
+/// contiguous runs of chunks on `workers` scoped threads. Each chunk is one
+/// worker's, so what `body` writes cannot depend on `workers`.
+fn for_chunks<A: Send>(
+    out: &mut [A],
+    len: usize,
+    workers: usize,
+    body: impl Fn(usize, &mut [A]) + Sync,
+) {
+    if out.is_empty() {
+        return;
+    }
+    let per_worker = out.len().div_ceil(len).div_ceil(workers);
+    let run = |first: usize, run: &mut [A]| {
+        for (i, chunk) in run.chunks_mut(len).enumerate() {
+            body(first + i, chunk);
+        }
+    };
+    if per_worker * len >= out.len() {
+        return run(0, out);
+    }
+    std::thread::scope(|scope| {
+        let mut runs = out.chunks_mut(per_worker * len);
+        let mine = runs.next();
+        for (t, chunk) in runs.enumerate() {
+            let run = &run;
+            scope.spawn(move || run((t + 1) * per_worker, chunk));
+        }
+        if let Some(chunk) = mine {
+            run(0, chunk);
+        }
+    });
+}
+
 /// How a block of up to [`CONV_MR`] filters walks the `ho × wo` output
 /// pixels of one bordered image, running the tile once per `slab` taps at
 /// each placement.
-#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct Walk {
     border: Border,
@@ -375,31 +458,45 @@ struct Walk {
     slab: usize,
 }
 
-#[cfg(target_arch = "x86_64")]
 impl Walk {
-    /// Adds the block's products into `c`, filter `j`'s output row starting
-    /// at `crow[j]`.
+    /// Adds the block's products into `c` on `kernel`, filter `j`'s output
+    /// row starting at `crow[j]`. The kernel is matched once per block, not
+    /// once per tile call.
+    #[inline]
     fn run<T: Element>(
         self,
-        tile: ConvTile,
+        kernel: Kernel,
         taps: TapOffsets<'_>,
         panel: &[T::Weight],
         padded: &[T::Lane],
         c: &mut [T::Acc],
         crow: &[usize],
     ) {
+        let weights = |p: &Range<usize>| &panel[p.start * CONV_MR..p.end * CONV_MR];
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Tile(tile) => self.each(taps.len(), |p, at| {
+                T::conv_tile(tile, taps.slab(p.clone()), weights(&p), padded, c, crow, at);
+            }),
+            Kernel::Scalar => self.each(taps.len(), |p, at| {
+                scalar_conv::<T>(taps.slab(p.clone()), weights(&p), padded, c, crow, at);
+            }),
+        }
+    }
+
+    /// Calls `tile(taps, at)` for each slab of the `ntaps` taps at each
+    /// placement of the walk.
+    #[inline]
+    fn each(self, ntaps: usize, mut tile: impl FnMut(Range<usize>, Placement)) {
         let Self {
             border,
             ho,
             wo,
             slab,
         } = self;
-        let ntaps = taps.len();
         let mut run = |at: Placement| {
             for p0 in (0..ntaps).step_by(slab) {
-                let p1 = ntaps.min(p0 + slab);
-                let weights = &panel[p0 * CONV_MR..p1 * CONV_MR];
-                T::conv_tile(tile, taps.slab(p0..p1), weights, padded, c, crow, at);
+                tile(p0..ntaps.min(p0 + slab), at);
             }
         };
         if wo <= CONV_LANES {
@@ -432,17 +529,43 @@ impl Walk {
     }
 }
 
-/// What one weight-gradient block runs on: the AVX2 tile, or a scalar loop
-/// with the same per-element operation sequence.
+/// `ConvTile::f32_into`'s contract (`ConvTile::i16_into`'s for int8) on
+/// the scalar lane.
+fn scalar_conv<T: Element>(
+    taps: TapOffsets<'_>,
+    weights: &[T::Weight],
+    image: &[T::Lane],
+    c: &mut [T::Acc],
+    rows: &[usize],
+    at: Placement,
+) {
+    let taps = taps.as_slice();
+    for (r, &row) in rows.iter().enumerate() {
+        for v in 0..2 {
+            for l in 0..at.lanes[v] {
+                let x = &image[at.image[v] + l * T::GROUP..];
+                let mut acc = T::Acc::default();
+                for (p, &o) in taps.iter().enumerate() {
+                    acc = T::mul_add(acc, weights[p * CONV_MR + r], &x[o..]);
+                }
+                c[row + at.col[v] + l] += acc;
+            }
+        }
+    }
+}
+
+/// What every block of the three products runs on: the AVX2 tiles, or the
+/// scalar lane, which runs the tiles' per-element operation sequence one
+/// element at a time (see the module docs).
 #[derive(Debug, Clone, Copy)]
-pub(super) enum GradKernel {
+pub(super) enum Kernel {
     #[cfg(target_arch = "x86_64")]
     Tile(ConvTile),
     Scalar,
 }
 
-impl GradKernel {
-    /// The tile when the host has AVX2, the scalar loop otherwise.
+impl Kernel {
+    /// The tiles when the host has AVX2, the scalar lane otherwise.
     pub(super) fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         if let Some(tile) = ConvTile::detect() {
@@ -452,7 +575,7 @@ impl GradKernel {
     }
 
     /// `ConvTile::weight_grad_into`'s contract, on either kernel.
-    fn run(
+    fn weight_grad(
         self,
         taps: TapOffsets<'_>,
         pixels: TapOffsets<'_>,
@@ -490,7 +613,7 @@ impl GradKernel {
 /// the live rows span more than one `MC` block.
 #[allow(clippy::too_many_arguments)] // conv_weight_grad_into's, plus the kernel
 pub(super) fn weight_grad_into(
-    kernel: GradKernel,
+    kernel: Kernel,
     c: &mut [f32],
     g: &[f32],
     x: &[f32],
@@ -587,7 +710,7 @@ pub(super) fn weight_grad_into(
             let j1 = npix.min(j0 + KC);
             for t0 in (0..ntaps).step_by(step) {
                 let t1 = ntaps.min(t0 + step);
-                kernel.run(
+                kernel.weight_grad(
                     taps.slab(t0..t1),
                     pix.slab(j0..j1),
                     image,
@@ -597,25 +720,8 @@ pub(super) fn weight_grad_into(
             }
         }
     };
-    // Worker `t` takes whole groups, so each element is one worker's.
-    let groups = blocks.div_ceil(2);
-    let per_worker = groups.div_ceil(workers(threads, live));
-    if per_worker >= groups {
-        for (q, out) in acc.chunks_mut(group_lanes * ntaps).enumerate() {
-            group(q, out);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for (t, chunk) in acc.chunks_mut(per_worker * group_lanes * ntaps).enumerate() {
-                let group = &group;
-                scope.spawn(move || {
-                    for (i, out) in chunk.chunks_mut(group_lanes * ntaps).enumerate() {
-                        group(t * per_worker + i, out);
-                    }
-                });
-            }
-        });
-    }
+    // A worker takes whole groups, so each element is one worker's.
+    for_chunks(&mut acc, group_lanes * ntaps, workers(threads, live), group);
 
     for i in 0..live {
         let (q, lane) = (i / group_lanes, i % group_lanes);
@@ -641,11 +747,14 @@ mod tests {
     use crate::rng::Rng;
     use crate::Tensor;
 
-    /// The weight gradient of one geometry on both kernels, each into a
-    /// NaN-filled `C`, through the caller's (dirty) workspace.
+    /// Every product of one geometry on the scalar lane and on `tile`, each
+    /// into a NaN-filled (`i32::MIN`-filled) output, through the caller's
+    /// (dirty) workspace: the weight gradient, the forward in f32 and in
+    /// int8, and — at stride 1, `pad < k` — the input gradient. Every fifth
+    /// weight is `−0.0`, and every third int8 value sits at −128 or 127.
     #[allow(clippy::too_many_arguments)]
     fn kernels_agree(
-        tile: GradKernel,
+        tile: Kernel,
         dims: [usize; 4],
         spec: Conv2dSpec,
         m: usize,
@@ -656,27 +765,61 @@ mod tests {
     ) {
         let [n, ci, h, w] = dims;
         let (ho, wo) = spec.output_hw(h, w);
+        let (taps, ncols) = (ci * spec.kernel * spec.kernel, n * ho * wo);
         let mut rng = Rng::new(seed);
         let x = Tensor::randn(&[n, ci, h, w], Init::Rand, &mut rng);
-        let g = Tensor::randn(&[m, n * ho * wo], Init::Rand, &mut rng);
+        let g = Tensor::randn(&[m, ncols], Init::Rand, &mut rng);
+        let mut a = Tensor::randn(&[m, taps], Init::Rand, &mut rng);
+        a.data_mut().iter_mut().step_by(5).for_each(|v| *v = -0.0);
+        let quantize = |t: &Tensor| -> Vec<i8> {
+            let q = |(i, &v): (usize, &f32)| match (i % 3, v < 0.0) {
+                (0, true) => i8::MIN,
+                (0, false) => i8::MAX,
+                _ => (v * 60.0) as i8,
+            };
+            t.data().iter().enumerate().map(q).collect()
+        };
+        let (x8, a8) = (quantize(&x), quantize(&a));
         let rows = live.map(|l| ActiveRows::from_indices(l, m).unwrap());
-        let len = m * ci * spec.kernel * spec.kernel;
-        let mut got = [vec![f32::NAN; len], vec![f32::NAN; len]];
-        for (kernel, c) in [GradKernel::Scalar, tile].into_iter().zip(&mut got) {
-            let (g, x) = (g.data(), x.data());
-            weight_grad_into(kernel, c, g, x, m, dims, spec, rows.as_ref(), ws, threads);
-        }
-        let same = got[0]
+        let rows = rows.as_ref();
+        let direct_dx =
+            spec.stride == 1 && spec.pad < spec.kernel && rows.map_or(m, ActiveRows::len) <= KC;
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut run = |kernel: Kernel| {
+            let (x, a, g) = (x.data(), a.data(), g.data());
+            let mut dw = vec![f32::NAN; m * taps];
+            weight_grad_into(kernel, &mut dw, g, x, m, dims, spec, rows, ws, threads);
+            let mut c = vec![f32::NAN; m * ncols];
+            conv_direct_into(kernel, &mut c, a, x, m, dims, spec, rows, ws, threads);
+            let mut c8 = vec![i32::MIN; m * ncols];
+            conv_direct_into(kernel, &mut c8, &a8, &x8, m, dims, spec, rows, ws, threads);
+            let mut dx = vec![f32::NAN; x.len()];
+            if direct_dx {
+                input_grad_direct_into(kernel, &mut dx, a, g, m, dims, spec, rows, ws, threads);
+            }
+            [
+                bits(&dw),
+                bits(&c),
+                c8.iter().map(|&v| v as u32).collect(),
+                bits(&dx),
+            ]
+        };
+        let (scalar, tiled) = (run(Kernel::Scalar), run(tile));
+        for (product, (s, t)) in ["dW", "f32 forward", "i8 forward", "dX"]
             .iter()
-            .zip(&got[1])
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "{dims:?} {spec:?}, {m} rows, {threads} threads");
+            .zip(scalar.iter().zip(&tiled))
+        {
+            assert!(
+                s == t,
+                "{product}: {dims:?} {spec:?}, {m} rows, {threads} threads"
+            );
+        }
     }
 
     #[test]
-    fn scalar_weight_grad_is_bitwise_the_tile() {
-        let tile = GradKernel::detect();
-        if matches!(tile, GradKernel::Scalar) {
+    fn scalar_lane_is_bitwise_the_tile() {
+        let tile = Kernel::detect();
+        if matches!(tile, Kernel::Scalar) {
             eprintln!("skipped: host has no AVX2");
             return;
         }
@@ -686,9 +829,10 @@ mod tests {
             seed += 1;
             seed
         };
-        // Strides 1–3, kernels 1/3/5, pads 0–2, odd sides; `m` walks 1–19,
-        // so channel blocks come out single, paired and ragged, under a
-        // drawn live set, all, one and none.
+        // Strides 1–3, kernels 1/3/5, pads 0–2, odd sides, so `wo` comes
+        // out below, at and above CONV_LANES and ragged; `m` walks 1–19,
+        // so channel and filter blocks come out single, paired and ragged,
+        // under a drawn live set, all, one and none.
         for stride in 1..=3 {
             for k in [1, 3, 5] {
                 for pad in 0..=2 {
@@ -703,20 +847,18 @@ mod tests {
                 }
             }
         }
-        // More than 2·KC pixels, so three slabs, one crossing an image
-        // boundary; and more live rows than one MC block, on two workers.
+        // More than 2·KC pixels, so three weight-gradient slabs, one
+        // crossing an image boundary; sixteen-pixel rows, the last vector
+        // ragged.
         let spec = Conv2dSpec::new(3, 1, 1);
-        kernels_agree(tile, [3, 2, 13, 15], spec, 9, None, 1, next(), &mut ws);
+        kernels_agree(tile, [3, 2, 13, 21], spec, 9, None, 1, next(), &mut ws);
+        // More live rows than one MC block on two workers, gathered (the
+        // forward's compact buffer) and dense; more input channels than one
+        // MC block on two workers (the input gradient's).
         let wide: Vec<usize> = (0..2 * MC + 9).filter(|i| i % 3 != 1).collect();
-        kernels_agree(
-            tile,
-            [2, 2, 5, 6],
-            spec,
-            2 * MC + 9,
-            Some(wide),
-            2,
-            next(),
-            &mut ws,
-        );
+        let (m_wide, dims) = (2 * MC + 9, [2, 2, 5, 6]);
+        kernels_agree(tile, dims, spec, m_wide, Some(wide), 2, next(), &mut ws);
+        kernels_agree(tile, dims, spec, MC + 1, None, 2, next(), &mut ws);
+        kernels_agree(tile, [1, MC + 3, 4, 5], spec, 3, None, 2, next(), &mut ws);
     }
 }

@@ -3,8 +3,9 @@
 //! This is the single blocked driver behind every matrix product in the
 //! workspace ([`super::matmul`], [`super::matmul_at`],
 //! [`super::matmul_bt`], the linear layers, the autoencoder player in
-//! `alf-core`, and the convolutions the pack-free tile does not take). The structure is the classic
-//! three-level blocking of Goto/BLIS:
+//! `alf-core`, and the column product of a strided input gradient). No
+//! convolution forward runs it. The structure is the classic three-level
+//! blocking of Goto/BLIS:
 //!
 //! * the `n` dimension is split into [`NC`]-wide column strips,
 //! * the `k` dimension into [`KC`]-deep slabs — for each `(NC, KC)` pair
@@ -47,30 +48,28 @@
 //! that hides exactly three things: the accumulator type of `C` (`f32`
 //! for `f32` operands, `i32` for `i8`), how an operand value is widened
 //! into the f32 lane of a packed panel, and which `alf-gemm-kernels` tile
-//! consumes a panel pair. (The trait also tells the direct convolution
-//! route its own image layout, below.) The int8 product
-//! ([`super::gemm_i8_into`]) is therefore the same code as the f32 one,
-//! entered with one thread and identity gathers; see [`super::qgemm`] for
-//! why it stays exact.
+//! consumes a panel pair. (The trait also tells the convolution route its
+//! own image layout, below.) The int8 product ([`super::gemm_i8_into`]) is
+//! therefore the same code as the f32 one, entered with one thread and
+//! identity gathers; see [`super::qgemm`] for why it stays exact.
 //!
-//! **Convolutions never unfold.** [`conv_gemm_into`] is the convolution
-//! forward of every mode (training, eval, statistics, int8), and it has two routes,
-//! chosen per call from the geometry — never by a flag. The *packed* route
-//! is this driver with a second `B` packer that reads each panel out of
-//! the `NCHW` input instead of an unfolded column matrix — same panels,
-//! same bits, one `ci·k²`-fold copy of the input fewer. The *direct* route
-//! (`conv_direct`, convolutions of any stride on AVX2 hosts) packs no `B`
-//! at all: the explicit tile of `alf-gemm-kernels` loads its operands from
-//! a zero-bordered, phase-split copy of the image — f32 in the packed route's
-//! per-element operation order, int8 as i16 channel pairs in exact integer
-//! arithmetic — so the two routes agree bit for bit and the packed one is
-//! the checked portable fallback. The training backward leaves this driver
-//! too: the weight gradient `G · unfold(X)ᵀ` ([`conv_weight_grad_into`])
-//! runs on the weight-gradient tile at every stride (a scalar loop in the
-//! same order without AVX2), and the input gradient
-//! ([`conv_input_grad_into`]) on the forward tile at stride 1. Only a
-//! strided input gradient (or one the tile cannot take) still runs this
-//! driver, `Wᵀ·G` into a column matrix folded back by `col2im`.
+//! **Convolutions never unfold, and never pack.** [`conv_gemm_into`] is the
+//! convolution forward of every mode (training, eval, statistics, int8),
+//! at every stride, and it has one route (`conv_direct`): each image is
+//! copied once into a zero-bordered, phase-split scratch, and the explicit
+//! tile of `alf-gemm-kernels` loads its operands from there — f32 in the
+//! unfolded product's per-element operation order, int8 as i16 channel
+//! pairs in exact integer arithmetic — so it is bit for bit `im2col` +
+//! this driver. A host without AVX2 runs the same bookkeeping on a scalar
+//! loop with the tile's per-element sequence, and filters past one [`MC`]
+//! block split across workers there as here. The training backward leaves
+//! this driver too: the weight gradient `G · unfold(X)ᵀ`
+//! ([`conv_weight_grad_into`]) runs on the weight-gradient tile at every
+//! stride, and the input gradient ([`conv_input_grad_into`]) on the
+//! forward tile at stride 1. Only the input gradient at stride 2 and up,
+//! with `pad ≥ k`, or with more than [`KC`] live channels — a choice made
+//! from the geometry alone — still runs this driver, `Wᵀ·G` into a column
+//! matrix folded back by `col2im`.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
@@ -86,8 +85,8 @@
 //! product) comes from the caller's [`Workspace`], so steady-state calls
 //! are allocation-free.
 
-use super::conv::{col2im_into, in_bounds, Conv2dSpec};
-use super::conv_direct::{self, GradKernel};
+use super::conv::{col2im_into, Conv2dSpec};
+use super::conv_direct::{self, Kernel};
 use super::workspace::Workspace;
 use crate::ShapeError;
 use alf_gemm_kernels::{microkernel_i8_into, microkernel_into, microkernel_into_clipped};
@@ -338,8 +337,7 @@ pub fn gemm_into(
     assert_eq!(c.len(), m * n, "gemm: C buffer is not [{m}x{n}]");
     assert_eq!(a.len(), m * k, "gemm: A buffer is not [{m}x{k}] (ta={ta})");
     assert_eq!(b.len(), k * n, "gemm: B buffer is not [{k}x{n}] (tb={tb})");
-    let b = BOperand::Matrix { data: b, tb };
-    gemm_driver(c, a, ta, b, m, k, n, ws, threads, Gather::dense(m, k));
+    gemm_driver(c, a, ta, b, tb, m, k, n, ws, threads, Gather::dense(m, k));
 }
 
 /// `C = A · op(B)` computing **only** the rows listed in `rows`; every
@@ -396,30 +394,22 @@ pub fn gemm_active_rows_into(
         k * n,
         "gemm_active_rows: B buffer is not [{k}x{n}] (tb={tb})"
     );
-    let b = BOperand::Matrix { data: b, tb };
-    gemm_rows(c, a, b, m, k, n, Some(rows), ws, threads);
-}
-
-/// `C = A · B` restricted to the `rows` of `A` that survive (all of them
-/// for `None` or a full descriptor): the one body behind
-/// [`gemm_active_rows_into`] and [`conv_gemm_into`]. Skipped rows of `C`
-/// are written as zero; callers have checked the buffer lengths.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows<T: Element>(
-    c: &mut [T::Acc],
-    a: &[T],
-    b: BOperand<'_, T>,
-    m: usize,
-    k: usize,
-    n: usize,
-    rows: Option<&ActiveRows>,
-    ws: &mut Workspace,
-    threads: usize,
-) {
-    let Some(rows) = rows.filter(|r| !r.is_all()) else {
-        return gemm_driver(c, a, false, b, m, k, n, ws, threads, Gather::dense(m, k));
-    };
-    c.fill(T::Acc::default());
+    if rows.is_all() {
+        return gemm_driver(
+            c,
+            a,
+            false,
+            b,
+            tb,
+            m,
+            k,
+            n,
+            ws,
+            threads,
+            Gather::dense(m, k),
+        );
+    }
+    c.fill(0.0);
     let live = rows.len();
     if live == 0 || k == 0 || n == 0 {
         return;
@@ -435,7 +425,7 @@ fn gemm_rows<T: Element>(
         am: m,
         ak: k,
     };
-    gemm_driver(&mut cc, a, false, b, live, k, n, ws, threads, gather);
+    gemm_driver(&mut cc, a, false, b, tb, live, k, n, ws, threads, gather);
     for (ri, &i) in rows.indices().iter().enumerate() {
         c[i * n..(i + 1) * n].copy_from_slice(&cc[ri * n..(ri + 1) * n]);
     }
@@ -500,8 +490,7 @@ pub fn gemm_active_k_into(
         am: m,
         ak: k,
     };
-    let b = BOperand::Matrix { data: b, tb: false };
-    gemm_driver(c, a, ta, b, m, ke, n, ws, threads, gather);
+    gemm_driver(c, a, ta, b, false, m, ke, n, ws, threads, gather);
 }
 
 /// Convolution as one GEMM, with the im2col matrix never materialised:
@@ -510,26 +499,16 @@ pub fn gemm_active_k_into(
 /// product the im2col route would give. `rows` restricts the product to
 /// the surviving filters exactly as [`gemm_active_rows_into`] does.
 ///
-/// One of two routes runs, and every bit of `C` is the same on both — that
-/// of `im2col_into` + [`gemm_into`] (or `im2col_i8_into` + `gemm_i8_into`
-/// for `i8`):
-///
-/// * **Direct** — any stride and kernel (1×1 included), when the host has
-///   AVX2 and the packed route would run the call on one thread (the live
-///   rows fit one [`MC`] block, or `threads` is 1). No `B` is packed: each
-///   image is copied once into a zero-bordered scratch (f32, or i16
-///   channel pairs for `i8`), split into phase planes at stride `s`
-///   so that every stride reads it as stride 1 does, and the explicit tile
-///   of `alf-gemm-kernels` reads it in place (see `conv_direct`).
-///   `threads` only takes part in that routing test; the direct route
-///   itself is single-threaded.
-/// * **Packed** — everything else (wide-`m` calls that engage workers,
-///   hosts without AVX2, other architectures). The blocked
-///   driver runs unchanged; only its `B` packer differs — it reads each
-///   [`NR`]-column panel straight out of the image (see `pack_b_image`),
-///   writing exactly the lanes `pack_b` would copy out of
-///   [`im2col_into`](super::im2col_into)'s matrix, without the `ci·k²`-fold
-///   copy of the input whose cost no amount of filter pruning shrinks.
+/// Every bit of `C` is that of `im2col_into` + [`gemm_into`] (or
+/// `im2col_i8_into` + `gemm_i8_into` for `i8`), at any stride and kernel
+/// (1×1 included), without that driver: no `B` is packed. Each image is
+/// copied once into a zero-bordered scratch (f32, or i16 channel pairs for
+/// `i8`), split into phase planes at stride `s` so that every stride reads
+/// it as stride 1 does, and the explicit tile of `alf-gemm-kernels` reads
+/// it in place — or, on a host without AVX2, a scalar loop in the tile's
+/// per-element order (see `conv_direct`). When the live rows span more
+/// than one [`MC`] block, `threads` splits them across workers in whole
+/// filter blocks, so the bits do not depend on `threads`.
 ///
 /// Every convolution forward uses it: training, eval, the statistics pass
 /// and int8. A training step's backward reads the same image through
@@ -552,9 +531,7 @@ pub fn conv_gemm_into<T: Element>(
     ws: &mut Workspace,
     threads: usize,
 ) {
-    let image = ConvImage::new(x, dims, spec, "conv_gemm");
-    let k = image.taps();
-    let ncols = dims[0] * image.ho * image.wo;
+    let (k, ncols) = unfolded(x.len(), dims, spec, "conv_gemm");
     assert_eq!(a.len(), m * k, "conv_gemm: A buffer is not [{m}x{k}]");
     assert_eq!(
         c.len(),
@@ -569,13 +546,8 @@ pub fn conv_gemm_into<T: Element>(
             rows.total()
         );
     }
-    #[cfg(target_arch = "x86_64")]
-    if workers(threads, rows.map_or(m, ActiveRows::len)) == 1 {
-        if let Some(tile) = ConvTile::detect() {
-            return conv_direct::conv_direct_into(tile, c, a, x, m, dims, spec, rows, ws);
-        }
-    }
-    gemm_rows(c, a, BOperand::Image(image), m, k, ncols, rows, ws, threads);
+    let kernel = Kernel::detect();
+    conv_direct::conv_direct_into(kernel, c, a, x, m, dims, spec, rows, ws, threads);
 }
 
 /// The weight gradient of a convolution, with the im2col matrix never
@@ -591,7 +563,7 @@ pub fn conv_gemm_into<T: Element>(
 /// weight-gradient tile of `alf-gemm-kernels` (lanes over live output
 /// channels, accumulators over taps) reads a zero-bordered, phase-split
 /// copy of the batch and a pixel-major copy of `G`, and sums each element
-/// over the pixels in the packed route's order with the same [`KC`]
+/// over the pixels in the unfolded product's order with the same [`KC`]
 /// flushes (see `conv_direct`). Hosts without AVX2 run a scalar loop in
 /// that order. The work follows the live rows: a block of up to eight
 /// costs one channel vector. When the live rows span more than one
@@ -615,9 +587,7 @@ pub fn conv_weight_grad_into(
     ws: &mut Workspace,
     threads: usize,
 ) {
-    let image = ConvImage::new(x, dims, spec, "conv_weight_grad");
-    let taps = image.taps();
-    let ncols = dims[0] * image.ho * image.wo;
+    let (taps, ncols) = unfolded(x.len(), dims, spec, "conv_weight_grad");
     assert_eq!(
         g.len(),
         m * ncols,
@@ -636,7 +606,7 @@ pub fn conv_weight_grad_into(
             rows.total()
         );
     }
-    let kernel = GradKernel::detect();
+    let kernel = Kernel::detect();
     conv_direct::weight_grad_into(kernel, c, g, x, m, dims, spec, rows, ws, threads);
 }
 
@@ -648,17 +618,18 @@ pub fn conv_weight_grad_into(
 /// and their terms are skipped as [`gemm_active_k_into`] skips them.
 ///
 /// For finite weights every bit of `dX` is that of `gemm_into(Aᵀ, G)` (or
-/// `gemm_active_k_into` on `rows`) followed by [`col2im_into`]. One of two
-/// routes runs, chosen from the geometry:
+/// `gemm_active_k_into` on `rows`) followed by [`col2im_into`]. The route
+/// follows from the geometry alone:
 ///
-/// * **Direct** — stride 1 with `pad ≤ k − 1`, at most [`KC`] live output
-///   channels, on an AVX2 host, when the input channels fit one worker
-///   (one [`MC`] block, or `threads` 1). No column matrix is formed: the
-///   forward tile runs the convolution of the bordered output gradient
-///   with the flipped, transposed weights, once per spatial tap (see
-///   `conv_direct`).
-/// * **Column** — everything else: the product into a `[ci·k², n·ho·wo]`
-///   column matrix from the workspace, then the `col2im` fold.
+/// * **Direct** — stride 1 with `pad ≤ k − 1` and at most [`KC`] live
+///   output channels. No column matrix is formed: the forward tile (or its
+///   scalar loop without AVX2) runs the convolution of the bordered output
+///   gradient with the flipped, transposed weights, once per spatial tap
+///   (see `conv_direct`). When the input channels span more than one
+///   [`MC`] block, `threads` splits them across workers.
+/// * **Column** — a stride of 2 or more, `pad ≥ k`, or more than [`KC`]
+///   live output channels: the product into a `[ci·k², n·ho·wo]` column
+///   matrix from the workspace, then the `col2im` fold.
 ///
 /// # Panics
 ///
@@ -699,15 +670,11 @@ pub fn conv_input_grad_into(
             rows.total()
         );
     }
-    #[cfg(target_arch = "x86_64")]
-    if spec.stride == 1
-        && spec.pad < spec.kernel
-        && rows.map_or(m, ActiveRows::len) <= KC
-        && workers(threads, ci) == 1
-    {
-        if let Some(tile) = ConvTile::detect() {
-            return conv_direct::input_grad_direct_into(tile, dx, a, g, m, dims, spec, rows, ws);
-        }
+    if spec.stride == 1 && spec.pad < spec.kernel && rows.map_or(m, ActiveRows::len) <= KC {
+        let kernel = Kernel::detect();
+        return conv_direct::input_grad_direct_into(
+            kernel, dx, a, g, m, dims, spec, rows, ws, threads,
+        );
     }
     let mut gcols = ws.take("gcols", k * ncols);
     match rows {
@@ -724,6 +691,20 @@ pub(super) fn workers(threads: usize, m: usize) -> usize {
     threads.clamp(1, m.div_ceil(MC).max(1)).min(MAX_THREADS)
 }
 
+/// The shape `(ci·k², n·ho·wo)` of the matrix im2col would unfold the
+/// `NCHW` input of `dims` into under `spec`.
+///
+/// # Panics
+///
+/// Panics, naming `op`, when the input's length `len` does not hold
+/// `dims`, or when the padded input is smaller than the kernel.
+fn unfolded(len: usize, dims: [usize; 4], spec: Conv2dSpec, op: &str) -> (usize, usize) {
+    let [n, ci, h, w] = dims;
+    assert_eq!(len, n * ci * h * w, "{op}: X is not {dims:?}");
+    let (ho, wo) = spec.output_hw(h, w);
+    (ci * spec.kernel * spec.kernel, n * ho * wo)
+}
+
 /// What the blocked driver is generic over: the operand element type.
 ///
 /// Packed panels always hold f32 lanes (that is what the register tiles
@@ -736,17 +717,17 @@ pub(super) fn workers(threads: usize, m: usize) -> usize {
 /// [`conv_gemm_into`] can name it.
 pub trait Element: Copy + Sync {
     /// Element type of `C`.
-    type Acc: Copy + Default + Send + Sync + 'static;
+    type Acc: Copy + Default + std::ops::AddAssign + Send + Sync + 'static;
 
-    /// Channels one pixel of the direct route's bordered image holds side
-    /// by side: 1 for `f32`, 2 for `i8` (one `vpmaddwd` pair).
+    /// Channels one pixel of the convolution route's bordered image holds
+    /// side by side: 1 for `f32`, 2 for `i8` (one `vpmaddwd` pair).
     const GROUP: usize;
 
-    /// Element type of the direct route's bordered image.
+    /// Element type of the convolution route's bordered image.
     type Lane: Copy + Default + Send + Sync + 'static;
 
     /// One filter's [`GROUP`](Element::GROUP) weights of one tap, packed
-    /// as the direct route's tile reads them.
+    /// as the convolution route's tile reads them.
     type Weight: Copy + Default + Send + Sync + 'static;
 
     /// The value as a packed-panel lane.
@@ -779,7 +760,13 @@ pub trait Element: Copy + Sync {
         clim: usize,
     );
 
-    /// Adds one direct-convolution product tile into `c`: the arguments of
+    /// `acc + w·x` over one tap of one output pixel, `x` the pixel's
+    /// [`GROUP`](Element::GROUP) lanes: the step of the convolution route's
+    /// scalar loop, with the tile's arithmetic (f32: a separate multiply and
+    /// add; int8: exact in i32).
+    fn mul_add(acc: Self::Acc, w: Self::Weight, x: &[Self::Lane]) -> Self::Acc;
+
+    /// Adds one convolution product tile into `c`: the arguments of
     /// `ConvTile::f32_into` / `ConvTile::i16_into`.
     #[cfg(target_arch = "x86_64")]
     fn conv_tile(
@@ -825,6 +812,11 @@ impl Element for f32 {
         } else {
             microkernel_into_clipped(apanel, bpanel, c, n, rlim, clim);
         }
+    }
+
+    #[inline]
+    fn mul_add(acc: f32, w: f32, x: &[f32]) -> f32 {
+        acc + w * x[0]
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -891,6 +883,13 @@ impl Element for i8 {
         microkernel_i8_into(apanel, bpanel, c, n, rlim, clim);
     }
 
+    #[inline]
+    fn mul_add(acc: i32, w: i32, x: &[i16]) -> i32 {
+        let [a, b, c, d] = w.to_ne_bytes();
+        let (lo, hi) = (i16::from_ne_bytes([a, b]), i16::from_ne_bytes([c, d]));
+        acc + i32::from(lo) * i32::from(x[0]) + i32::from(hi) * i32::from(x[1])
+    }
+
     #[cfg(target_arch = "x86_64")]
     fn conv_tile(
         tile: ConvTile,
@@ -905,57 +904,6 @@ impl Element for i8 {
     }
 }
 
-/// The right-hand operand of the blocked driver: where `pack_b` gets the
-/// `[k, n]` values it packs.
-#[derive(Clone, Copy)]
-pub(super) enum BOperand<'b, T> {
-    /// A stored matrix, `[k, n]` row-major (`[n, k]` when `tb`).
-    Matrix { data: &'b [T], tb: bool },
-    /// The im2col matrix of an image, read in place.
-    Image(ConvImage<'b, T>),
-}
-
-/// An `NCHW` buffer seen as the `[ci·k², n·ho·wo]` matrix im2col would
-/// unfold it into.
-#[derive(Clone, Copy)]
-pub(super) struct ConvImage<'b, T> {
-    x: &'b [T],
-    ci: usize,
-    h: usize,
-    w: usize,
-    ho: usize,
-    wo: usize,
-    spec: Conv2dSpec,
-}
-
-impl<'b, T> ConvImage<'b, T> {
-    /// `x` as the `NCHW` image of `dims` under `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming `op`, when `x` does not hold `dims`, or when the
-    /// padded input is smaller than the kernel.
-    fn new(x: &'b [T], dims: [usize; 4], spec: Conv2dSpec, op: &str) -> Self {
-        let [n, ci, h, w] = dims;
-        assert_eq!(x.len(), n * ci * h * w, "{op}: X is not {dims:?}");
-        let (ho, wo) = spec.output_hw(h, w);
-        Self {
-            x,
-            ci,
-            h,
-            w,
-            ho,
-            wo,
-            spec,
-        }
-    }
-
-    /// Rows of the unfolded matrix: `ci·k²` taps.
-    fn taps(&self) -> usize {
-        self.ci * self.spec.kernel * self.spec.kernel
-    }
-}
-
 /// The blocked driver behind every entry point. `m` and `k` are the
 /// *logical* (post-gather) dimensions the blocking runs over; `gather`
 /// carries the physical strides and optional index maps (see [`Gather`]).
@@ -964,7 +912,8 @@ pub(super) fn gemm_driver<T: Element>(
     c: &mut [T::Acc],
     a: &[T],
     ta: bool,
-    b: BOperand<'_, T>,
+    b: &[T],
+    tb: bool,
     m: usize,
     k: usize,
     n: usize,
@@ -974,9 +923,7 @@ pub(super) fn gemm_driver<T: Element>(
 ) {
     debug_assert_eq!(c.len(), m * n);
     debug_assert_eq!(a.len(), gather.am * gather.ak);
-    if let BOperand::Matrix { data, .. } = b {
-        debug_assert_eq!(data.len(), gather.ak * n);
-    }
+    debug_assert_eq!(b.len(), gather.ak * n);
     debug_assert_eq!(gather.rmap.map_or(gather.am, <[usize]>::len), m);
     debug_assert_eq!(gather.kmap.map_or(gather.ak, <[usize]>::len), k);
     ws.count_packed_product();
@@ -1003,12 +950,7 @@ pub(super) fn gemm_driver<T: Element>(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            match b {
-                BOperand::Matrix { data, tb } => {
-                    pack_b(&mut bpack, data, tb, n, pc, kc, jc, nc, gather);
-                }
-                BOperand::Image(image) => pack_b_image(&mut bpack, image, pc, kc, jc, nc),
-            }
+            pack_b(&mut bpack, b, tb, n, pc, kc, jc, nc, gather);
             if threads == 1 {
                 process_rows(
                     c,
@@ -1167,125 +1109,6 @@ fn pack_b<T: Element>(
                 }
             }
             pad.fill(0.0);
-        }
-    }
-}
-
-/// [`pack_b`] for the implicit im2col matrix of `image`: fills the same
-/// panel slots with the same values, `bpack[(jp·kc + p)·NR + r] =
-/// unfold(X)[p0 + p, j0 + jp·NR + r]`, but reads them from the `NCHW`
-/// buffer. Column `j` of that matrix is output pixel `(b, oy, ox)`, depth
-/// `p` is tap `(c, ky, kx)`; the entry is `X[b, c, oy·s + ky − pad,
-/// ox·s + kx − pad]`, or zero outside the image.
-///
-/// A panel's `NR` consecutive columns are decoded once into runs of pixels
-/// that share an output row (one run, or two where the panel straddles a
-/// row or image boundary; more only when `wo < NR`). For every depth a
-/// run then reads from a single input row: the in-bounds part is a
-/// contiguous slice at stride 1 and an every-`s`-th gather otherwise, and
-/// everything else in the lane group — padding taps and the columns past
-/// `nc` — stays at the zero it was filled with.
-fn pack_b_image<T: Element>(
-    bpack: &mut [f32],
-    image: ConvImage<'_, T>,
-    p0: usize,
-    kc: usize,
-    j0: usize,
-    nc: usize,
-) {
-    /// Columns `r0 .. r0 + len` of a panel: pixels `ox ..` of one output row.
-    #[derive(Clone, Copy, Default)]
-    struct Run {
-        r0: usize,
-        len: usize,
-        /// Offset of image `b`'s first plane in `x`.
-        base: usize,
-        /// Input row / column of tap `(ky, kx) = (0, 0)` for the run's
-        /// first pixel; negative inside the top / left padding.
-        iy0: isize,
-        ix0: isize,
-    }
-
-    let ConvImage {
-        x,
-        ci,
-        h,
-        w,
-        ho,
-        wo,
-        spec,
-    } = image;
-    let (kk, s, pad) = (spec.kernel, spec.stride, spec.pad as isize);
-    for jp in 0..nc.div_ceil(NR) {
-        let panel = &mut bpack[jp * kc * NR..(jp + 1) * kc * NR];
-        let col0 = j0 + jp * NR;
-        let live = NR.min(j0 + nc - col0);
-
-        let mut runs = [Run::default(); NR];
-        let mut n_runs = 0;
-        let (mut b, mut oy, mut ox) = (col0 / (ho * wo), col0 / wo % ho, col0 % wo);
-        let mut r0 = 0;
-        while r0 < live {
-            let len = (wo - ox).min(live - r0);
-            runs[n_runs] = Run {
-                r0,
-                len,
-                base: b * ci * h * w,
-                iy0: (oy * s) as isize - pad,
-                ix0: (ox * s) as isize - pad,
-            };
-            n_runs += 1;
-            r0 += len;
-            ox = 0;
-            oy += 1;
-            if oy == ho {
-                (oy, b) = (0, b + 1);
-            }
-        }
-
-        let (mut c, mut ky, mut kx) = (p0 / (kk * kk), p0 / kk % kk, p0 % kk);
-        for out in panel.chunks_exact_mut(NR).take(kc) {
-            out.fill(0.0);
-            for run in &runs[..n_runs] {
-                let iy = run.iy0 + ky as isize;
-                let ix = run.ix0 + kx as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let row = run.base + (c * h + iy as usize) * w;
-                let (lo, hi) = in_bounds(ix, s, w, run.len);
-                if lo >= hi {
-                    continue;
-                }
-                let first = (row as isize + ix + (lo * s) as isize) as usize;
-                if s != 1 {
-                    let dst = &mut out[run.r0 + lo..run.r0 + hi];
-                    for (slot, &v) in dst.iter_mut().zip(x[first..row + w].iter().step_by(s)) {
-                        *slot = v.widen();
-                    }
-                    continue;
-                }
-                let src = &x[first..first + (hi - lo)];
-                if src.len() == NR {
-                    // A whole panel row out of one image row, the common
-                    // case: a fixed trip count compiles to one vector move
-                    // (plus the widening for i8).
-                    for r in 0..NR {
-                        out[r] = src[r].widen();
-                    }
-                } else {
-                    for (slot, &v) in out[run.r0 + lo..].iter_mut().zip(src) {
-                        *slot = v.widen();
-                    }
-                }
-            }
-            kx += 1;
-            if kx == kk {
-                (kx, ky) = (0, ky + 1);
-                if ky == kk {
-                    (ky, c) = (0, c + 1);
-                }
-            }
         }
     }
 }
@@ -1623,14 +1446,15 @@ mod tests {
     }
 
     #[test]
-    fn conv_gemm_is_allocation_free_after_warmup_on_both_routes() {
-        // Strides 1 and 2 take the direct route where the host has AVX2,
-        // each in f32 (dense and row-gathered) and i8, beside the weight
-        // and input gradients, dense and row-gathered (the stride-2 input
-        // gradient on the column route); a call wider than one `MC` block
-        // on two threads takes the packed route, f32 and i8. One warm-up per geometry sizes every slot — the phase
-        // planes, the weight panels and the tap table included — and
-        // nothing grows after, whichever geometry the slots last served.
+    fn conv_products_are_allocation_free_after_warmup() {
+        // Strides 1 and 2, each in f32 (dense and row-gathered) and i8,
+        // beside the weight and input gradients, dense and row-gathered
+        // (the stride-2 input gradient on the column route); then calls
+        // wider than one `MC` block on two tile workers, f32 dense and
+        // gathered (the compact row buffer) and i8. One warm-up per
+        // geometry sizes every slot — the phase planes, the weight panels
+        // and the tap table included — and nothing grows after, whichever
+        // geometry the slots last served.
         let (n, ci, h, w, m) = (2, 5, 11, 19, 9);
         let dims = [n, ci, h, w];
         let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)];
@@ -1643,6 +1467,7 @@ mod tests {
         );
         let (a, a8) = (&a_wide[..m * ci * 9], &a8_wide[..m * ci * 9]);
         let rows = ActiveRows::from_indices(vec![0, 2, 3, 8], m).unwrap();
+        let wide_rows = ActiveRows::from_indices((1..wide).collect(), wide).unwrap();
         let mut ws = Workspace::new();
         let pass = |ws: &mut Workspace| {
             for spec in specs {
@@ -1663,6 +1488,8 @@ mod tests {
             let mut c = vec![0.0f32; wide * n * ho * wo];
             let mut c8 = vec![0i32; wide * n * ho * wo];
             conv_gemm_into(&mut c, &a_wide, &x, wide, dims, specs[1], None, ws, 2);
+            let gathered = Some(&wide_rows);
+            conv_gemm_into(&mut c, &a_wide, &x, wide, dims, specs[1], gathered, ws, 2);
             conv_gemm_into(&mut c8, &a8_wide, &x8, wide, dims, specs[1], None, ws, 2);
         };
         pass(&mut ws);
@@ -1675,38 +1502,47 @@ mod tests {
     }
 
     #[test]
-    fn strided_conv_takes_the_direct_route_on_avx2() {
-        // Every bitwise test passes on either route, so only this one
-        // notices a dispatch that sends strided convolutions back to the
-        // packed driver.
-        let (dims, m, spec) = ([2, 3, 9, 10], 5, Conv2dSpec::new(3, 2, 1));
-        let (ho, wo) = spec.output_hw(9, 10);
+    fn no_conv_forward_runs_the_packed_driver() {
+        // The forward has one route. f32 and i8, strides 1 and 2, one
+        // worker and `MC + 1` rows on two, dense and row-gathered, on the
+        // host's kernel and on the scalar lane: not one driver run.
+        let dims = [2, 3, 9, 10];
         let x = vec![1.0f32; 2 * 3 * 9 * 10];
         let a = vec![1.0f32; (MC + 1) * 3 * 9];
         let (x8, a8) = (vec![1i8; x.len()], vec![1i8; a.len()]);
         let mut ws = Workspace::new();
-        let mut c = vec![0.0f32; m * 2 * ho * wo];
-        let mut c8 = vec![0i32; m * 2 * ho * wo];
-        conv_gemm_into(&mut c, &a[..m * 27], &x, m, dims, spec, None, &mut ws, 1);
-        conv_gemm_into(&mut c8, &a8[..m * 27], &x8, m, dims, spec, None, &mut ws, 1);
-        #[cfg(target_arch = "x86_64")]
-        let direct = ConvTile::detect().is_some();
-        #[cfg(not(target_arch = "x86_64"))]
-        let direct = false;
-        let want = if direct { 0 } else { 2 };
-        assert_eq!(ws.packed_products(), want);
-        // A call that engages two workers is the packed route's, and counts.
-        let mut c = vec![0.0f32; (MC + 1) * 2 * ho * wo];
-        conv_gemm_into(&mut c, &a, &x, MC + 1, dims, spec, None, &mut ws, 2);
-        assert_eq!(ws.packed_products(), want + 1);
+        for spec in [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)] {
+            let (ho, wo) = spec.output_hw(9, 10);
+            for (m, threads) in [(5, 1), (MC + 1, 2)] {
+                let (a, a8) = (&a[..m * 27], &a8[..m * 27]);
+                let drawn = ActiveRows::from_indices((0..m).step_by(2).collect(), m).unwrap();
+                let mut c = vec![0.0f32; m * 2 * ho * wo];
+                let mut c8 = vec![0i32; m * 2 * ho * wo];
+                let ws = &mut ws;
+                conv_gemm_into(&mut c, a, &x, m, dims, spec, None, ws, threads);
+                conv_gemm_into(&mut c8, a8, &x8, m, dims, spec, None, ws, threads);
+                for kernel in [Kernel::detect(), Kernel::Scalar] {
+                    for rows in [None, Some(&drawn)] {
+                        conv_direct::conv_direct_into(
+                            kernel, &mut c, a, &x, m, dims, spec, rows, ws, threads,
+                        );
+                        conv_direct::conv_direct_into(
+                            kernel, &mut c8, a8, &x8, m, dims, spec, rows, ws, threads,
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(ws.packed_products(), 0);
     }
 
     #[test]
     fn input_grad_leaves_the_packed_driver_only_where_the_tile_cannot_go() {
-        // Stride 1 with `pad ≤ k−1` and at most KC live output channels
-        // runs on the tile; a stride-2 gradient, a pad past `k−1` and more
-        // than KC live channels run the column product, one driver call
-        // each. The weight gradient never runs the driver.
+        // The geometry alone picks the route: stride 1 with `pad ≤ k−1`
+        // and at most KC live output channels runs on the tile (its scalar
+        // loop without AVX2); a stride-2 gradient, a pad past `k−1` and
+        // more than KC live channels run the column product, one driver
+        // call each. The weight gradient never runs the driver.
         let (n, ci, h, w) = (1, 3, 7, 6);
         let dims = [n, ci, h, w];
         let mut ws = Workspace::new();
@@ -1721,12 +1557,8 @@ mod tests {
             conv_weight_grad_into(&mut dw, &g, &x, m, dims, spec, None, &mut ws, 1);
             ws.packed_products() - before
         };
-        #[cfg(target_arch = "x86_64")]
-        let tile = u64::from(ConvTile::detect().is_some());
-        #[cfg(not(target_arch = "x86_64"))]
-        let tile = 0;
-        assert_eq!(run(Conv2dSpec::new(3, 1, 1), 4), 1 - tile);
-        assert_eq!(run(Conv2dSpec::new(1, 1, 0), 4), 1 - tile);
+        assert_eq!(run(Conv2dSpec::new(3, 1, 1), 4), 0);
+        assert_eq!(run(Conv2dSpec::new(1, 1, 0), 4), 0);
         assert_eq!(run(Conv2dSpec::new(3, 1, 3), 4), 1);
         assert_eq!(run(Conv2dSpec::new(3, 2, 1), 4), 1);
         assert_eq!(run(Conv2dSpec::new(1, 1, 0), KC + 1), 1);

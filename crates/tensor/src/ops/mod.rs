@@ -31,21 +31,20 @@
 //! * [`mod@reference`] preserves the seed's naive kernels for differential
 //!   tests and as the benchmark baseline.
 //! * [`conv_gemm_into`] is the convolution forward of every mode (f32
-//!   and i8), bitwise equal to unfold + GEMM without the unfold — the same
-//!   driver packing its `B` panels straight from the `NCHW` input, or, for
-//!   kernels of any stride (1×1 included) on AVX2 hosts, the pack-free
-//!   tile of `alf-gemm-kernels` reading a zero-bordered copy of the image,
-//!   split into phase planes at stride 2 and up.
-//!   [`conv_weight_grad_into`] is the training weight gradient
-//!   `G · unfold(X)ᵀ`, on the weight-gradient tile (lanes over output
-//!   channels, accumulators over taps) at every stride, or a scalar loop
-//!   in the same order without AVX2. [`conv_input_grad_into`] is the input
-//!   gradient, on the forward tile at stride 1; elsewhere
-//!   [`col2im_into`] folds its column matrix back into the caller's
-//!   buffer, span by span.
+//!   and i8) at every stride and kernel (1×1 included), bitwise equal to
+//!   unfold + GEMM with neither: the pack-free tile of `alf-gemm-kernels`
+//!   reads a zero-bordered copy of the image, split into phase planes at
+//!   stride 2 and up. [`conv_weight_grad_into`] is the training weight
+//!   gradient `G · unfold(X)ᵀ`, on the weight-gradient tile (lanes over
+//!   output channels, accumulators over taps) at every stride.
+//!   [`conv_input_grad_into`] is the input gradient, on the forward tile
+//!   at stride 1; elsewhere [`col2im_into`] folds its column matrix back
+//!   into the caller's buffer, span by span. Without AVX2 all three run
+//!   the same bookkeeping on a scalar loop in the tiles' per-element
+//!   order.
 //! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop. No
 //!   training or inference path calls them; they are the reference route
-//!   the proptests hold the image packers to, bit for bit.
+//!   the proptests hold the convolution products to, bit for bit.
 //! * [`Workspace`] is the scratch arena: one pool of named slots, generic
 //!   over the element type.
 

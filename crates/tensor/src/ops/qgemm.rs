@@ -8,18 +8,17 @@
 //! blocking or unfolding: [`gemm_i8_into`] enters the one blocked driver
 //! in [`gemm`](super::gemm) with `i8` operands, and [`im2col_i8_into`]
 //! enters the one unfold loop in `conv.rs` with an `i8` buffer. (The
-//! engine itself no longer unfolds: its convolutions are the `i8`
+//! engine itself neither unfolds nor packs: its convolutions are the `i8`
 //! instantiation of [`conv_gemm_into`](super::conv_gemm_into), every one
 //! of them — strided code convs and 1×1 expansions included — on the
-//! pack-free AVX2 tile, and on the driver's image packer only where the
-//! host lacks AVX2; the pair here is the packed route on an unfolded
-//! matrix, which is what that entry is property-tested against, bit for
-//! bit.) The store that maps the i32
-//! accumulators back to i8 is defined here too: [`requantize`] is the
-//! scalar definition, [`requantize_into`] the run-of-a-channel store the
-//! engine calls.
+//! pack-free tile, or its scalar loop where the host lacks AVX2; the pair
+//! here is the packed driver on an unfolded matrix, which is what that
+//! entry is property-tested against, bit for bit.) The store that maps
+//! the i32 accumulators back to i8 is defined here too: [`requantize`] is
+//! the scalar definition, [`requantize_into`] the run-of-a-channel store
+//! the engine calls.
 //!
-//! What the element trait does for `i8` on the packed route: the packers
+//! What the element trait does for `i8` in the packed driver: the packers
 //! widen each value into an f32 panel lane, the register tile
 //! (`alf_gemm_kernels::microkernel_i8_into`, isolated in its own crate for
 //! the same codegen reason as the f32 tile) accumulates those lanes in
@@ -30,10 +29,11 @@
 //! represents every integer. Sums across `KC` slabs are added in i32. The
 //! result is therefore bit-identical to a naive i32 triple loop by
 //! construction; there is no evaluation-order subtlety to defend, only
-//! cache behaviour. The direct route (every stride on AVX2, all of the
-//! engine's convolutions) widens nothing to f32: its bordered copy holds i16
-//! channel pairs and `ConvTile::i16_into` multiplies them with `vpmaddwd`
-//! into i32 lanes, exact in any order for the same reason.
+//! cache behaviour. The convolution route (every stride, all of the
+//! engine's convolutions) widens nothing to f32: its bordered copy holds
+//! i16 channel pairs and `ConvTile::i16_into` multiplies them with
+//! `vpmaddwd` into i32 lanes (the scalar loop without AVX2 in i32 too),
+//! exact in any order for the same reason.
 //!
 //! The int8 product runs on one thread with identity gathers on purpose:
 //! the conv shapes the int8 path runs (`m = c_out ≤ 64` for Plain-20)
@@ -43,7 +43,7 @@
 //! from replica workers instead.
 
 use super::conv::unfold;
-use super::gemm::{gemm_driver, BOperand, Gather};
+use super::gemm::{gemm_driver, Gather};
 use super::workspace::Workspace;
 use super::Conv2dSpec;
 
@@ -70,8 +70,7 @@ pub fn gemm_i8_into(
     assert_eq!(c.len(), m * n, "gemm_i8: C buffer is not [{m}x{n}]");
     assert_eq!(a.len(), m * k, "gemm_i8: A buffer is not [{m}x{k}]");
     assert_eq!(b.len(), k * n, "gemm_i8: B buffer is not [{k}x{n}]");
-    let b = BOperand::Matrix { data: b, tb: false };
-    gemm_driver(c, a, false, b, m, k, n, ws, 1, Gather::dense(m, k));
+    gemm_driver(c, a, false, b, false, m, k, n, ws, 1, Gather::dense(m, k));
 }
 
 /// [`im2col_into`](super::im2col_into) for int8 activations: unfolds an

@@ -7,6 +7,41 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# The kernels' speed and bits rest on codegen no test sees. The packed
+# micro-kernels flip into a ~3x slower `vpermt2ps` shuffle form when
+# unrelated code lands in their codegen unit, and every f32 tile's bits
+# rest on a separate multiply and add, never a fused one. The release
+# binary's disassembly is checked for both; a kernel symbol that is
+# missing fails too, so the check cannot pass vacuously.
+echo "==> kernel codegen: no vpermt2ps in the packed tiles, no FMA in any f32 tile"
+objdump -d -C --no-show-raw-insn target/release/alf | python3 -c '
+import re, sys
+
+packed = ["alf_gemm_kernels::microkernel_into", "alf_gemm_kernels::microkernel_into_clipped"]
+tiles = ["alf_gemm_kernels::conv_tile::ConvTile::f32_into",
+         "alf_gemm_kernels::conv_tile::ConvTile::weight_grad_into"]
+fma = re.compile(r"\bvf(n?)m(add|sub)")
+bodies, name = {}, None
+for line in sys.stdin:
+    head = re.match(r"^[0-9a-f]+ <(.*)>:$", line)
+    if head:
+        name = head.group(1)
+        bodies[name] = []
+    elif name is not None:
+        bodies[name].append(line)
+bad = []
+for sym in packed + tiles:
+    if not bodies.get(sym):
+        bad.append(f"{sym}: missing from the binary")
+        continue
+    if sym in packed and any("vpermt2ps" in l for l in bodies[sym]):
+        bad.append(f"{sym}: vpermt2ps (the slow shuffle form)")
+    if any(fma.search(l) for l in bodies[sym]):
+        bad.append(f"{sym}: a fused multiply-add")
+if bad:
+    sys.exit("FAIL: kernel codegen\n  " + "\n  ".join(bad))
+'
+
 # Every crate's unit and integration suites, not only the facade's: the
 # bitwise gates (worker count, kill/resume, sparse vs dense, telemetry
 # on/off), the socket smoke and the int8 serving check all

@@ -540,21 +540,20 @@ fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCas
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The forward-only convolution never unfolds: it packs its `B` panels
-    /// straight from the `NCHW` input, or — any stride on an AVX2 host, 1×1
-    /// included — packs none and runs the explicit tile on a zero-bordered
-    /// copy. Either way the product must be *bitwise* the im2col + GEMM one.
+    /// The convolution forward never unfolds and never packs: at any
+    /// stride, 1×1 included, it runs the tile on a zero-bordered copy of
+    /// the image. The product must be *bitwise* the im2col + GEMM one.
     ///
     /// Every case runs one free draw over all strides, kernels and pads
     /// (the `deep` / `wide` flags force the depth past one `KC` slab and
     /// the column count past one `NC` strip; the narrow shapes have output
     /// rows shorter than a panel, down to 1, and column counts that are no
     /// multiple of `NR`, so single panels straddle several output rows and
-    /// images), then one draw from each family the direct route's tile
-    /// placement and flush logic branch on. `m` runs 1–19 throughout, so
+    /// images), then one draw from each family the tile's placement and
+    /// flush logic branch on. `m` runs 1–19 throughout, so
     /// row blocks of the six-row tile come out full, ragged and single.
-    /// Every convolution is also run in int8 and held to the packed route
-    /// and to an i32 triple loop; the first one leaves the workspace dirty.
+    /// Every convolution is also run in int8 and held to the packed driver
+    /// on the unfolded matrix and to an i32 triple loop; the first one leaves the workspace dirty.
     #[test]
     fn fused_conv_gemm_is_bitwise_the_im2col_route(
         n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
@@ -626,7 +625,7 @@ fn side_for(out: usize, spec: Conv2dSpec, extra: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Strided convolutions run on the direct route too, reading the image
+    /// Strided convolutions run on the same tile, reading the image
     /// as phase planes: one plane per `(y mod s, x mod s)` residue, so a
     /// ragged side leaves the last phases a row or column shorter than the
     /// first. Each family below is drawn at stride 2 or 3 and held, like
