@@ -7,11 +7,11 @@
 //! are symmetric int8 with scales fitted to the calibration activations,
 //! and every convolution — k×k code conv and 1×1 expansion alike — runs as
 //! one whole-batch `i8×i8→i32` product with exact i32 accumulation,
-//! `alf_tensor::ops::conv_gemm_into`, which builds no column matrix and,
-//! on AVX2 hosts, packs no `B` panel either, whatever the stride.
+//! `alf_tensor::ops::conv_gemm_into`, which builds no column matrix, packs
+//! no `B` panel, whatever the stride, and accumulates straight into `NCHW`.
 //!
 //! Requantization happens on store (`alf_tensor::ops::requantize_into`,
-//! one call per output channel and image): the i32 accumulator is mapped
+//! one call per output plane, `(image, channel)`): the i32 accumulator is mapped
 //! back to real units with `acc · s_in · s_w`, the (f32) bias is added, the
 //! ReLU applied, and the result is rounded into the next layer's i8 grid at
 //! `s_out`. Max-pooling commutes with any monotonic quantizer, so it runs
@@ -408,9 +408,9 @@ impl QuantizedModel {
                     let scope = self.ctx.scope_start();
                     nxt.resize(n * conv.c_out * plane, 0);
                     // One implicit GEMM over the whole batch, read straight
-                    // from the i8 activations (no column matrix).
-                    let cols = n * plane;
-                    let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc", conv.c_out * cols);
+                    // from the i8 activations (no column matrix), into an
+                    // NCHW accumulator.
+                    let mut acc: Vec<i32> = self.ctx.ws.take("qm_acc", n * conv.c_out * plane);
                     conv_gemm_into(
                         &mut acc,
                         &conv.weight,
@@ -422,14 +422,11 @@ impl QuantizedModel {
                         &mut self.ctx.ws,
                         1,
                     );
-                    // Requantize on store, rearranging [co, n·ho·wo] into
-                    // NCHW as we go.
-                    for (co, &bias) in conv.bias.iter().enumerate() {
-                        for b in 0..n {
-                            let src = &acc[co * cols + b * plane..][..plane];
-                            let dst = &mut nxt[(b * conv.c_out + co) * plane..][..plane];
-                            requantize_into(dst, src, deq, bias, conv.relu, inv_out);
-                        }
+                    // Requantize on store, one (image, channel) plane at a
+                    // time.
+                    let planes = nxt.chunks_exact_mut(plane).zip(acc.chunks_exact(plane));
+                    for ((dst, src), &bias) in planes.zip(conv.bias.iter().cycle()) {
+                        requantize_into(dst, src, deq, bias, conv.relu, inv_out);
                     }
                     self.ctx.ws.give("qm_acc", acc);
                     std::mem::swap(&mut cur, &mut nxt);

@@ -8,15 +8,18 @@
 //! therefore allocates nothing beyond the output / input-gradient tensors
 //! the `Layer` API returns by value.
 //!
-//! No pass unfolds the input. Every mode runs the forward through
-//! [`alf_tensor::ops::conv_gemm_into`]: a kernel of any stride (1×1
-//! included) runs on the pack-free tile, which packs nothing. Backward computes the weight gradient with
-//! [`alf_tensor::ops::conv_weight_grad_into`], on the weight-gradient tile
-//! over the cached input at every stride, and the input gradient with
-//! [`alf_tensor::ops::conv_input_grad_into`], on the forward tile at
-//! stride 1; only a strided input gradient still forms a column matrix
-//! (`Wᵀ·G`, folded back by `col2im`). Both follow the live output
-//! channels. Every route is bit for bit the unfold-then-pack product.
+//! No pass unfolds the input, and none copies a layout: every product
+//! reads and writes `NCHW`. Every mode runs the forward through
+//! [`alf_tensor::ops::conv_gemm_into`], straight into the output tensor: a
+//! kernel of any stride (1×1 included) runs on the pack-free tile, which
+//! packs nothing. Backward reads `grad_output` as it is, computing the
+//! weight gradient with [`alf_tensor::ops::conv_weight_grad_into`], on the
+//! weight-gradient tile over the cached input, and the input gradient with
+//! [`alf_tensor::ops::conv_input_grad_into`], on the forward tile, one
+//! stride-1 convolution per input phase, at every stride. All three
+//! products follow the live output channels, and so does the FLOP count
+//! the profiler records. Every route is bit for bit the unfold-then-pack
+//! product (and `col2im` for the input gradient).
 //! [`Mode::Train`] caches the input, [`Mode::Eval`] releases it and
 //! [`Mode::Stats`] neither reads nor writes it.
 
@@ -221,6 +224,13 @@ impl Conv2d {
     pub fn active_rows(&self) -> Option<&ActiveRows> {
         self.active_rows.as_ref()
     }
+
+    /// The output channels the products compute.
+    fn live(&self) -> usize {
+        self.active_rows
+            .as_ref()
+            .map_or(self.c_out, ActiveRows::len)
+    }
 }
 
 impl Layer for Conv2d {
@@ -242,14 +252,15 @@ impl Layer for Conv2d {
         let rows = ci * k * k;
         let ncols = n * ho * wo;
 
-        // [co, ci·k²] × [ci·k², n·ho·wo] → [co, n·ho·wo]; the stored
-        // [co, ci, k, k] weight is already row-major [co, ci·k²]. With a
-        // live-channel descriptor only those channels' rows are packed and
-        // multiplied; pruned channels are written as exact zeros, which is
-        // what their all-zero weight rows would produce.
-        let mut prod = ctx.ws.take("prod", self.c_out * ncols);
+        // The [co, ci, k, k] weight is already row-major [co, ci·k²], and
+        // the product is written straight into the NCHW output. With a
+        // live-channel descriptor only those channels are computed; pruned
+        // channels are written as exact zeros, which is what their all-zero
+        // weight rows would produce. The output is the only allocation of
+        // the steady-state forward pass.
+        let mut out = Tensor::zeros(&[n, self.c_out, ho, wo]);
         conv_gemm_into(
-            &mut prod,
+            out.data_mut(),
             self.weight.value.data(),
             input.data(),
             self.c_out,
@@ -259,6 +270,12 @@ impl Layer for Conv2d {
             &mut ctx.ws,
             auto_threads(self.c_out, rows, ncols),
         );
+        if let Some(bias) = &self.bias {
+            let channels = bias.value.data().iter().cycle();
+            for (plane, &b) in out.data_mut().chunks_exact_mut(ho * wo).zip(channels) {
+                plane.iter_mut().for_each(|v| *v += b);
+            }
+        }
         match ctx.mode() {
             // Backward packs the weight gradient's operand from the input,
             // so a training forward keeps a copy in the layer-owned buffer,
@@ -275,25 +292,8 @@ impl Layer for Conv2d {
             // A statistics pass leaves it for the training steps around it.
             Mode::Stats => {}
         }
-        ctx.count_flops(2 * (self.c_out * rows * ncols) as u64);
+        ctx.count_flops(2 * (self.live() * rows * ncols) as u64);
         ctx.count_bytes(4 * (input.len() + self.weight.value.len() + self.c_out * ncols) as u64);
-
-        // Rearrange [co, n·ho·wo] → [n, co, ho, wo], adding bias. This is
-        // the only allocation of the steady-state forward pass.
-        let mut out = Tensor::zeros(&[n, self.c_out, ho, wo]);
-        let od = out.data_mut();
-        let hw = ho * wo;
-        for c in 0..self.c_out {
-            let bias_v = self.bias.as_ref().map_or(0.0, |b| b.value.data()[c]);
-            for b in 0..n {
-                let src = &prod[c * n * hw + b * hw..c * n * hw + (b + 1) * hw];
-                let dst = &mut od[(b * self.c_out + c) * hw..(b * self.c_out + c + 1) * hw];
-                for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                    *d = s + bias_v;
-                }
-            }
-        }
-        ctx.ws.give("prod", prod);
 
         ctx.mode().cache(&mut self.cache, || Cache {
             input_dims: [n, ci, h, w],
@@ -319,24 +319,8 @@ impl Layer for Conv2d {
         let rows = ci * k * k;
         let hw = ho * wo;
         let ncols = n * hw;
-
-        // Both products read the gradient as [co, n·ho·wo]. At batch 1
-        // that is the [1, co, ho, wo] tensor itself; a larger batch is
-        // rearranged into the `gmat` slot.
-        let mut gmat = ctx
-            .ws
-            .take("gmat", if n == 1 { 0 } else { self.c_out * ncols });
-        if n > 1 {
-            let src = grad_output.data();
-            for b in 0..n {
-                for c in 0..self.c_out {
-                    let s = &src[(b * self.c_out + c) * hw..(b * self.c_out + c + 1) * hw];
-                    let d = &mut gmat[c * n * hw + b * hw..c * n * hw + (b + 1) * hw];
-                    d.copy_from_slice(s);
-                }
-            }
-        }
-        let g = if n == 1 { grad_output.data() } else { &gmat };
+        // Both products read the NCHW gradient as it is.
+        let g = grad_output.data();
 
         // grad_w = G · unfold(X)ᵀ → [co, ci·k²], read from the cached input
         // and accumulated straight into the [co, ci, k, k] grad buffer (same
@@ -361,18 +345,19 @@ impl Layer for Conv2d {
         }
         ctx.ws.give("gw", gw);
 
-        // grad_b = row sums of G.
+        // grad_b = one running sum per channel over its planes, image
+        // after image.
         if let Some(bias) = &mut self.bias {
-            for c in 0..self.c_out {
-                let row_sum: f32 = g[c * n * hw..(c + 1) * n * hw].iter().sum();
-                bias.grad.data_mut()[c] += row_sum;
+            for (c, grad) in bias.grad.data_mut().iter_mut().enumerate() {
+                let planes = g.chunks_exact(hw).skip(c).step_by(self.c_out);
+                *grad += planes.flatten().sum::<f32>();
             }
         }
 
-        // grad_x = col2im(Wᵀ·G), without the column matrix at stride 1.
-        // Pruned channels contribute Wᵀ rows that are exact zeros; skipping
-        // them is bitwise invisible (every accumulator starts at +0.0 and
-        // ±0.0 products are identity). The input gradient is the only
+        // grad_x = col2im(Wᵀ·G), formed without the column matrix. Pruned
+        // channels contribute Wᵀ rows that are exact zeros; skipping them
+        // is bitwise invisible (every accumulator starts at +0.0 and ±0.0
+        // products are identity). The input gradient is the only
         // allocation of the steady-state backward pass.
         let mut gx = Tensor::zeros(&[n, ci, h, w]);
         conv_input_grad_into(
@@ -386,8 +371,7 @@ impl Layer for Conv2d {
             &mut ctx.ws,
             auto_threads(rows, self.c_out, ncols),
         );
-        ctx.ws.give("gmat", gmat);
-        ctx.count_flops(4 * (self.c_out * rows * ncols) as u64);
+        ctx.count_flops(4 * (self.live() * rows * ncols) as u64);
         ctx.count_bytes(
             4 * (grad_output.len() + 2 * self.weight.value.len() + n * ci * h * w) as u64,
         );
@@ -640,29 +624,56 @@ mod tests {
     }
 
     #[test]
-    fn stride_1_backward_runs_on_the_tile_without_a_column_matrix() {
-        // The stage-1 code convolution at batch 8: on any host none of its
-        // products runs the packed driver, and the arena never holds the
-        // `ci·k² × n·ho·wo` column matrix the input gradient used to fold
-        // back.
-        let mut ctx = RunCtx::train();
+    fn every_product_runs_on_the_tile_without_staging() {
+        // Three layers at batch 8: the stage-1 code convolution (16→16,
+        // 3×3/1/1 at 32×32), a `conv311`-shaped 16→32 3×3/2/1, and a 16→16
+        // 1×1. Across a steady-state forward and backward of each, on any
+        // host: no product runs the packed driver, the arena stays below
+        // the bytes the column route's `Wᵀ·G` matrix, the `[co, n·ho·wo]`
+        // forward product and the batched gradient copy took, and nothing
+        // grows once it is frozen.
         let mut rng = Rng::new(41);
         let x = Tensor::randn(&[8, 16, 32, 32], Init::Rand, &mut rng);
-        let mut conv = Conv2d::new(16, 16, 3, 1, 1, false, Init::He, &mut rng);
-        for _ in 0..2 {
-            let y = conv.forward(&x, &mut ctx).unwrap();
-            conv.backward(&y, &mut ctx).unwrap();
+        for (c_out, k, stride, pad) in [(16, 3, 1, 1), (32, 3, 2, 1), (16, 1, 1, 0)] {
+            let mut ctx = RunCtx::train();
+            let mut conv = Conv2d::new(16, c_out, k, stride, pad, false, Init::He, &mut rng);
+            let step = |conv: &mut Conv2d, ctx: &mut RunCtx| {
+                let y = conv.forward(&x, ctx).unwrap();
+                conv.backward(&y, ctx).unwrap();
+            };
+            step(&mut conv, &mut ctx);
+            let (warm, before) = (ctx.ws.alloc_events(), ctx.ws.packed_products());
+            ctx.ws.freeze();
+            step(&mut conv, &mut ctx);
+            assert_eq!(ctx.ws.packed_products(), before, "{k}x{k}/{stride}");
+            assert_eq!(ctx.ws.alloc_events(), warm, "{k}x{k}/{stride}");
+            let (ho, wo) = conv.spec().output_hw(32, 32);
+            let out = 8 * ho * wo * 4;
+            let staged = 16 * k * k * out + 2 * c_out * out;
+            let held = ctx.ws.high_water_bytes();
+            assert!(held < staged, "{k}x{k}/{stride}: {held} B of scratch");
         }
-        let before = ctx.ws.packed_products();
-        let y = conv.forward(&x, &mut ctx).unwrap();
-        conv.backward(&y, &mut ctx).unwrap();
-        assert_eq!(ctx.ws.packed_products(), before);
-        let gcols_bytes = 16 * 9 * 8 * 32 * 32 * 4;
-        assert!(
-            ctx.ws.high_water_bytes() < gcols_bytes,
-            "{} B of scratch",
-            ctx.ws.high_water_bytes()
-        );
+    }
+
+    #[test]
+    fn bias_gradient_is_one_sequential_sum_over_the_batch() {
+        let mut ctx = RunCtx::train();
+        let mut rng = Rng::new(43);
+        let x = Tensor::randn(&[3, 2, 5, 6], Init::Rand, &mut rng);
+        let g = Tensor::randn(&[3, 4, 5, 6], Init::Rand, &mut rng);
+        let mut conv = Conv2d::new(2, 4, 3, 1, 1, true, Init::Rand, &mut rng);
+        conv.forward(&x, &mut ctx).unwrap();
+        conv.backward(&g, &mut ctx).unwrap();
+        for c in 0..4 {
+            let mut sum = 0.0f32;
+            for b in 0..3 {
+                for &v in &g.data()[(b * 4 + c) * 30..][..30] {
+                    sum += v;
+                }
+            }
+            let got = conv.bias.as_ref().unwrap().grad.data()[c];
+            assert_eq!(got.to_bits(), (0.0 + sum).to_bits(), "channel {c}");
+        }
     }
 
     #[test]
@@ -717,18 +728,29 @@ mod tests {
 
     #[test]
     fn profiler_counts_conv_flops() {
-        let mut ctx = RunCtx::train().with_profiler();
-        let mut conv = mk(22, false);
-        let x = Tensor::zeros(&[1, 2, 4, 4]);
-        let t = ctx.scope_start();
-        let y = conv.forward(&x, &mut ctx).unwrap();
-        ctx.scope_end(t, "conv", crate::ctx::Pass::Forward);
-        let t = ctx.scope_start();
-        conv.backward(&y, &mut ctx).unwrap();
-        ctx.scope_end(t, "conv", crate::ctx::Pass::Backward);
-        let report = ctx.report().unwrap();
-        let l = report.layer("conv").unwrap();
-        assert!(l.flops > 0);
-        assert!(l.bytes > 0);
+        // The products run on the live output channels only, and so does
+        // the count: two of four live halve it.
+        let flops = |live: Option<ActiveRows>| {
+            let mut ctx = RunCtx::train().with_profiler();
+            let mut conv = Conv2d::new(2, 4, 3, 1, 1, false, Init::Rand, &mut Rng::new(22));
+            conv.set_active_rows(live).unwrap();
+            let x = Tensor::zeros(&[1, 2, 4, 4]);
+            let t = ctx.scope_start();
+            let y = conv.forward(&x, &mut ctx).unwrap();
+            ctx.scope_end(t, "conv", crate::ctx::Pass::Forward);
+            let t = ctx.scope_start();
+            conv.backward(&y, &mut ctx).unwrap();
+            ctx.scope_end(t, "conv", crate::ctx::Pass::Backward);
+            let report = ctx.report().unwrap();
+            let l = report.layer("conv").unwrap();
+            assert!(l.bytes > 0);
+            l.flops
+        };
+        let full = flops(None);
+        assert_eq!(full, 6 * 4 * 2 * 9 * 16);
+        assert_eq!(
+            flops(Some(ActiveRows::from_mask(&[1.0, 0.0, 0.0, 1.0]))),
+            full / 2
+        );
     }
 }

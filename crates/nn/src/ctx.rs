@@ -5,8 +5,8 @@
 //!
 //! * the forward-pass [`Mode`] (train vs eval),
 //! * a shared [`Workspace`] arena that *all* layers draw transient scratch
-//!   from (the conv input gradient's column matrix, GEMM packing panels,
-//!   gradient staging buffers),
+//!   from (a convolution's bordered images and weight panels, GEMM packing
+//!   panels, gradient staging buffers),
 //!   so one warm arena serves a whole model instead of one arena per conv,
 //! * an optional [`Profiler`] sink recording per-layer wall time, FLOPs,
 //!   bytes moved and the arena's high-water mark.

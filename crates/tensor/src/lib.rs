@@ -3,8 +3,8 @@
 //! This crate provides the numerical substrate the rest of the workspace is
 //! built on: an owned, row-major, `f32` [`Tensor`] with shape checking, the
 //! linear-algebra kernels needed for CNN training (blocked [`ops::matmul`],
-//! convolution as a GEMM over the implicit im2col matrix —
-//! [`ops::conv_gemm_into`], [`ops::conv_weight_grad_into`] and
+//! convolution as a GEMM over the implicit im2col matrix, `NCHW` in and
+//! out — [`ops::conv_gemm_into`], [`ops::conv_weight_grad_into`] and
 //! [`ops::conv_input_grad_into`]), elementwise/reduction helpers,
 //! and the weight [`init`] schemes compared in the paper (He, Xavier,
 //! uniform-random).

@@ -161,143 +161,6 @@ pub(super) fn unfold<T: Copy + Default>(
     }
 }
 
-/// Folds a column matrix back into an `NCHW` tensor, *accumulating*
-/// overlapping contributions — the adjoint of [`im2col`], used for the
-/// input-gradient of convolution.
-///
-/// # Errors
-///
-/// Returns an error when `cols` does not have the shape `im2col` would have
-/// produced for the given geometry.
-pub fn col2im(
-    cols: &Tensor,
-    n: usize,
-    ci: usize,
-    h: usize,
-    w: usize,
-    spec: Conv2dSpec,
-) -> Result<Tensor, ShapeError> {
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let expected = [ci * k * k, n * ho * wo];
-    if cols.dims() != expected {
-        return Err(ShapeError::new(
-            "col2im",
-            format!(
-                "got {}, expected [{}x{}]",
-                cols.shape(),
-                expected[0],
-                expected[1]
-            ),
-        ));
-    }
-    let mut out = Tensor::zeros(&[n, ci, h, w]);
-    col2im_into(out.data_mut(), cols.data(), n, ci, h, w, spec)?;
-    Ok(out)
-}
-
-/// [`col2im`] into a caller-owned buffer of exactly `n·ci·h·w` elements —
-/// the allocation-free variant used by the `alf-nn` conv backward pass.
-/// The buffer is zeroed, then overlapping contributions accumulate.
-///
-/// # Errors
-///
-/// Returns an error when either buffer length disagrees with the stated
-/// geometry.
-pub fn col2im_into(
-    dst: &mut [f32],
-    cols: &[f32],
-    n: usize,
-    ci: usize,
-    h: usize,
-    w: usize,
-    spec: Conv2dSpec,
-) -> Result<(), ShapeError> {
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let ncols = n * ho * wo;
-    if cols.len() != ci * k * k * ncols {
-        return Err(ShapeError::new(
-            "col2im_into",
-            format!(
-                "cols has {} elements, expected {}x{}",
-                cols.len(),
-                ci * k * k,
-                ncols
-            ),
-        ));
-    }
-    if dst.len() != n * ci * h * w {
-        return Err(ShapeError::new(
-            "col2im_into",
-            format!(
-                "buffer has {} elements, expected {n}x{ci}x{h}x{w}",
-                dst.len()
-            ),
-        ));
-    }
-    dst.fill(0.0);
-    let (s, pad) = (spec.stride, spec.pad as isize);
-    for b in 0..n {
-        for c in 0..ci {
-            let plane = &mut dst[(b * ci + c) * h * w..(b * ci + c + 1) * h * w];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (c * k + ky) * k + kx;
-                    // The in-bounds `ox` span of every output row, once:
-                    // pixels `lo..hi` have their tap column in `0..w`.
-                    let ix0 = kx as isize - pad;
-                    let (lo, hi) = in_bounds(ix0, s, w, wo);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let first = (ix0 + (lo * s) as isize) as usize;
-                    for oy in 0..ho {
-                        let iy = (oy * s + ky) as isize - pad;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let col = row * ncols + (b * ho + oy) * wo;
-                        let src = &cols[col + lo..col + hi];
-                        // One output row of the plane receives each pixel
-                        // at most once, in `ox` order as before, so every
-                        // element sees the same additions in the same order.
-                        let out = &mut plane[iy as usize * w..(iy as usize + 1) * w];
-                        if s == 1 {
-                            for (d, &v) in out[first..first + src.len()].iter_mut().zip(src) {
-                                *d += v;
-                            }
-                        } else {
-                            for (d, &v) in out[first..].iter_mut().step_by(s).zip(src) {
-                                *d += v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The output pixels `lo..hi` of a run of `len` consecutive ones whose tap
-/// column `ix + q·s` (`q` the pixel's place in the run) lies in `0..w`;
-/// `lo >= hi` when none does. `ix` is the first pixel's tap column,
-/// negative inside the left padding. Inlined: the packers call it once per
-/// depth line.
-#[inline]
-fn in_bounds(ix: isize, s: usize, w: usize, len: usize) -> (usize, usize) {
-    if s == 1 {
-        let hi = (w as isize - ix).clamp(0, len as isize);
-        ((-ix).max(0) as usize, hi as usize)
-    } else if ix >= w as isize {
-        (0, 0)
-    } else {
-        let last = (w as isize - 1 - ix) as usize / s;
-        (ix.min(0).unsigned_abs().div_ceil(s), len.min(last + 1))
-    }
-}
-
 /// 2-D convolution forward pass: `NCHW` input, `[c_out, c_in, k, k]`
 /// weights, optional per-channel bias.
 ///
@@ -375,6 +238,7 @@ fn rank4(op: &str, t: &Tensor) -> Result<[usize; 4], ShapeError> {
 mod tests {
     use super::*;
     use crate::init::Init;
+    use crate::ops::reference;
     use crate::rng::Rng;
 
     /// Direct (slow) convolution used as a reference implementation.
@@ -476,7 +340,7 @@ mod tests {
     #[test]
     fn col2im_is_adjoint_of_im2col() {
         // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-        // property the conv backward pass relies on.
+        // property of the input gradient's fold.
         let mut rng = Rng::new(11);
         let spec = Conv2dSpec::new(3, 2, 1);
         let (n, ci, h, w) = (2, 3, 7, 7);
@@ -484,7 +348,8 @@ mod tests {
         let cols = im2col(&x, spec).unwrap();
         let y = Tensor::randn(cols.dims(), Init::Rand, &mut rng);
         let lhs = cols.dot(&y).unwrap();
-        let back = col2im(&y, n, ci, h, w, spec).unwrap();
+        let mut back = Tensor::zeros(&[n, ci, h, w]);
+        reference::col2im_into(back.data_mut(), y.data(), n, ci, h, w, spec);
         let rhs = x.dot(&back).unwrap();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
@@ -493,18 +358,11 @@ mod tests {
     fn into_variants_match_allocating_variants() {
         let mut rng = Rng::new(19);
         let spec = Conv2dSpec::new(3, 2, 1);
-        let (n, ci, h, w) = (2, 3, 7, 7);
-        let x = Tensor::randn(&[n, ci, h, w], Init::Rand, &mut rng);
+        let x = Tensor::randn(&[2, 3, 7, 7], Init::Rand, &mut rng);
         let cols = im2col(&x, spec).unwrap();
         let mut cols_buf = vec![f32::NAN; cols.data().len()];
         im2col_into(&mut cols_buf, &x, spec).unwrap();
         assert_eq!(cols.data(), &cols_buf[..]);
-
-        let y = Tensor::randn(cols.dims(), Init::Rand, &mut rng);
-        let folded = col2im(&y, n, ci, h, w, spec).unwrap();
-        let mut fold_buf = vec![f32::NAN; n * ci * h * w];
-        col2im_into(&mut fold_buf, y.data(), n, ci, h, w, spec).unwrap();
-        assert_eq!(folded.data(), &fold_buf[..]);
     }
 
     #[test]
@@ -512,15 +370,6 @@ mod tests {
         let spec = Conv2dSpec::new(3, 1, 1);
         let x = Tensor::zeros(&[1, 1, 4, 4]);
         assert!(im2col_into(&mut [0.0; 3], &x, spec).is_err());
-        assert!(col2im_into(&mut [0.0; 16], &[0.0; 3], 1, 1, 4, 4, spec).is_err());
-        assert!(col2im_into(&mut [0.0; 5], &[0.0; 144], 1, 1, 4, 4, spec).is_err());
-    }
-
-    #[test]
-    fn col2im_validates_shape() {
-        let spec = Conv2dSpec::new(3, 1, 1);
-        let bad = Tensor::zeros(&[5, 5]);
-        assert!(col2im(&bad, 1, 1, 4, 4, spec).is_err());
     }
 
     #[test]

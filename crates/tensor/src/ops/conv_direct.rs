@@ -1,11 +1,13 @@
-//! The convolution products, each on one route: the forward
-//! [`conv_gemm_into`](super::conv_gemm_into) at any stride, f32 and int8,
-//! the training weight gradient
-//! [`conv_weight_grad_into`](super::conv_weight_grad_into) at any stride,
-//! and the input gradient
-//! [`conv_input_grad_into`](super::conv_input_grad_into) at stride 1 — bit
-//! for bit the unfolded product (`im2col` + the blocked driver) each
-//! replaces.
+//! The convolution products, each on one route at every stride, pad and
+//! width: the forward [`conv_gemm_into`](super::conv_gemm_into), f32 and
+//! int8, the training weight gradient
+//! [`conv_weight_grad_into`](super::conv_weight_grad_into) and the input
+//! gradient [`conv_input_grad_into`](super::conv_input_grad_into) — bit for
+//! bit the unfolded product (`im2col` + the blocked driver, `col2im` for
+//! the input gradient) each replaces. All three speak the layer's `NCHW`
+//! layout: the input and its gradient are `[n, ci, h, w]`, the output and
+//! its gradient `[n, m, ho, wo]`, so a layer neither copies nor reorders
+//! what it hands in or gets back.
 //!
 //! A code convolution has a handful of filters, so packing its image into
 //! `B` panels would be the layer: every value gathered, widened, stored and
@@ -59,10 +61,10 @@
 //! on the host.
 //!
 //! **Workers.** When the filters of a product — the forward's live rows,
-//! the stride-1 input gradient's input channels, the weight gradient's
-//! live rows — span more than one `MC` block, whole filter blocks are
-//! split across scoped workers ([`for_chunks`]), each owning its rows of
-//! `C`. A gathered forward row set is computed into a compact buffer
+//! the input gradient's input channels, the weight gradient's live rows —
+//! span more than one `MC` block, whole filter blocks are split across
+//! scoped workers ([`for_chunks`]), each owning its rows of an image's
+//! output. A gathered forward row set is computed into a compact buffer
 //! (`conv_rows_c`) and scattered afterwards. Each element is summed by one
 //! worker in one order, so the bits do not depend on `threads`.
 //!
@@ -71,18 +73,28 @@
 //! element's partial sums are formed and added in exactly the unfolded
 //! product's order (an integer one is exact in any order).
 //!
-//! **Input gradient, stride 1.** `dX = col2im(Wᵀ·G)` is a forward
-//! convolution in disguise: its filters are the input channels, its image
-//! the output gradient of the live output channels with a `k−1−p` border,
-//! and its weights `W` transposed and flipped, tap `((ky, kx), co)` reading
-//! the gradient at offset `(k−1−ky, k−1−kx)`. The taps run `(ky, kx)`
-//! ascending outer and live `co` inner, and the tile runs once per spatial
-//! tap, so each tap's `Σ_co` is formed from `+0.0` in ascending `co` and
-//! added into `dX` on its own in ascending `(ky, kx)`: the order in which
-//! `col2im` adds the rows of the packed `Wᵀ·G` (one `KC` slab while at
-//! most `KC` channels are live). The border taps `col2im` skips here add
-//! `Σ_co w·0 = +0.0`, which changes nothing: the sum starts at `+0.0`, so
-//! it is never `−0.0` (for finite weights).
+//! **Input gradient, every stride** ([`input_grad_into`]). `dX =
+//! col2im(Wᵀ·G)` is a set of forward convolutions in disguise, one per
+//! input phase. An input pixel at bordered position `(Y, X) = (iy+p,
+//! ix+p)` has phase `(py, px) = (Y mod s, X mod s)` and phase coordinate
+//! `(qy, qx) = (Y div s, X div s)`; its taps are `ky = py + jy·s` for `jy <
+//! ⌈(k−py)/s⌉` (columns likewise), and tap `jy` reads the output gradient
+//! at row `qy − jy`. So each phase is a stride-1 convolution whose filters
+//! are the input channels, whose image is the output gradient of the live
+//! output channels under a zero border, and whose weights are the
+//! sub-kernel `W[.., py + jy·s, px + jx·s]` transposed and flipped; it is
+//! cropped to the phase pixels inside the image. A phase without taps (a
+//! 1×1 kernel's odd phases at stride 2) stays zero. The taps run `(jy,
+//! jx)` ascending outer — which is `(ky, kx)` ascending — and live `co`
+//! inner, and the tile runs once per spatial tap, so each tap's `Σ_co` is
+//! formed from `+0.0` in ascending `co` and added into `dX` on its own in
+//! ascending `(ky, kx)`: the order in which `col2im` adds the rows of
+//! `Wᵀ·G`. (The blocked driver flushes `Σ_co` per `KC` slab, so past `KC`
+//! live channels it differs from this one sum.) The border taps `col2im`
+//! skips here add `Σ_co w·0 = +0.0`, which changes nothing: the sum starts
+//! at `+0.0`, so it is never `−0.0` (for finite weights). At stride 1 the
+//! one phase is the image, written in place; at stride `s ≥ 2` each phase
+//! is written into `conv_phase` and copied to its pixels of `dX`.
 //!
 //! **Weight gradient, every stride** ([`weight_grad_into`]). The batch is
 //! bordered whole, one image after another, so that a `KC` slab of pixels
@@ -223,7 +235,7 @@ pub(super) fn conv_direct_into<T: Element>(
     let groups = ci.div_ceil(g);
     let k = ci * k2;
     let ntaps = groups * k2;
-    let ncols = n * ho * wo;
+    let hw = ho * wo;
 
     c.fill(T::Acc::default());
     let gather = rows.filter(|r| !r.is_all()).map(ActiveRows::indices);
@@ -270,8 +282,7 @@ pub(super) fn conv_direct_into<T: Element>(
     // lookup per call, which the smallest convolutions feel.
     let mut cc: Vec<T::Acc> = Vec::new();
     if compact {
-        cc = ws.take("conv_rows_c", live * ncols);
-        cc.fill(T::Acc::default());
+        cc = ws.take("conv_rows_c", live * hw);
     }
     let walk = Walk {
         border,
@@ -281,7 +292,7 @@ pub(super) fn conv_direct_into<T: Element>(
     };
     let nblocks = live.div_ceil(CONV_MR);
 
-    for b in 0..n {
+    for (b, slab) in c.chunks_exact_mut(m * hw).enumerate() {
         let image = &x[b * ci * h * w..][..ci * h * w];
         border.copy(
             &mut padded,
@@ -290,13 +301,17 @@ pub(super) fn conv_direct_into<T: Element>(
             h * w,
             channels,
         );
-        // One worker takes all of `C` as one chunk and writes the live rows
-        // in place; several take a block each, of `C`, or of the compact
-        // buffer when the rows are gathered.
+        // One worker takes the image's whole `[m, ho, wo]` slab of `C` as
+        // one chunk and writes the live rows in place; several take a block
+        // each, of the slab, or of the compact buffer when the rows are
+        // gathered.
+        if compact {
+            cc.fill(T::Acc::default());
+        }
         let (out, len, per) = match (workers, compact) {
-            (1, _) => (&mut *c, m * ncols, nblocks),
-            (_, true) => (&mut cc[..], CONV_MR * ncols, 1),
-            (_, false) => (&mut *c, CONV_MR * ncols, 1),
+            (1, _) => (&mut *slab, m * hw, nblocks),
+            (_, true) => (&mut cc[..], CONV_MR * hw, 1),
+            (_, false) => (&mut *slab, CONV_MR * hw, 1),
         };
         for_chunks(out, len, workers, |q, out| {
             for blk in q * per..nblocks.min(q * per + per) {
@@ -306,17 +321,19 @@ pub(super) fn conv_direct_into<T: Element>(
                 for (j, start) in crow[..r].iter_mut().enumerate() {
                     let i = blk * CONV_MR + j;
                     let row = if compact { i } else { row_of(i) };
-                    *start = (row - first) * ncols + b * ho * wo;
+                    *start = (row - first) * hw;
                 }
                 let panel = &panels[blk * ntaps * CONV_MR..][..ntaps * CONV_MR];
                 walk.run::<T>(kernel, taps, panel, &padded, out, &crow[..r]);
             }
         });
-    }
-    if let Some(ix) = gather.filter(|_| compact) {
-        for (ri, &i) in ix.iter().enumerate() {
-            c[i * ncols..][..ncols].copy_from_slice(&cc[ri * ncols..][..ncols]);
+        if let Some(ix) = gather.filter(|_| compact) {
+            for (&i, row) in ix.iter().zip(cc.chunks_exact(hw)) {
+                slab[i * hw..][..hw].copy_from_slice(row);
+            }
         }
+    }
+    if compact {
         ws.give("conv_rows_c", cc);
     }
 
@@ -325,16 +342,15 @@ pub(super) fn conv_direct_into<T: Element>(
     ws.give("conv_padded", padded);
 }
 
-/// The input gradient of a stride-1 convolution whose padding is at most
-/// `k−1`, at most [`KC`] output channels live, on `kernel`: `dX =
-/// col2im(Wᵀ·G)` as the forward convolution the module docs describe. `a`
-/// is the `[m, ci·k²]` weight matrix, `g` the `[m, n·ho·wo]` output
-/// gradient, `dx` the `NCHW` input gradient, fully overwritten. The caller
+/// The input gradient of a convolution on `kernel`: `dX = col2im(Wᵀ·G)` as
+/// one stride-1 convolution per phase, the module docs describe how. `a`
+/// is the `[m, ci·k²]` weight matrix, `g` the `NCHW` output gradient, `dx`
+/// the `NCHW` input gradient, fully overwritten. The caller
 /// ([`conv_input_grad_into`](super::conv_input_grad_into)) has checked all
-/// lengths and the geometry. `threads` splits the input channels across
-/// workers when they span more than one `MC` block.
+/// lengths. `threads` splits the input channels across workers when they
+/// span more than one `MC` block.
 #[allow(clippy::too_many_arguments)] // conv_input_grad_into's, plus the kernel
-pub(super) fn input_grad_direct_into(
+pub(super) fn input_grad_into(
     kernel: Kernel,
     dx: &mut [f32],
     a: &[f32],
@@ -347,10 +363,9 @@ pub(super) fn input_grad_direct_into(
     threads: usize,
 ) {
     let [n, ci, h, w] = dims;
-    let kk = spec.kernel;
+    let (kk, s) = (spec.kernel, spec.stride);
     let (ho, wo) = spec.output_hw(h, w);
     let (k, k2, hw) = (ci * kk * kk, kk * kk, ho * wo);
-    debug_assert!(spec.stride == 1 && spec.pad < kk);
 
     dx.fill(0.0);
     let gather = rows.filter(|r| !r.is_all()).map(ActiveRows::indices);
@@ -358,58 +373,178 @@ pub(super) fn input_grad_direct_into(
     if live == 0 || ci == 0 || n == 0 {
         return;
     }
-    debug_assert!(live <= KC);
     let row_of = |i: usize| gather.map_or(i, |ix| ix[i]);
+    // The phases with pixels and taps; the others stay zero.
+    let phases = || {
+        (0..s * s)
+            .map(|ph| Phase::new(ph / s, ph % s, [h, w], spec))
+            .filter(|ph| ph.out > 0 && ph.taps > 0)
+    };
     // The output gradient of each live channel, bordered so that every
-    // input pixel sees all its taps, in or out of the image.
-    let border = Border::new(1, ho, wo, 1, kk - 1 - spec.pad);
+    // phase pixel sees all its taps, in or out of the gradient.
+    let pad = phases().map(|ph| ph.border([ho, wo])).max().unwrap_or(0);
+    let border = Border::new(1, ho, wo, 1, pad);
+
+    // Phase by phase, tap `(j, c)` — spatial tap `j = (jy, jx)` ascending,
+    // live output channel `c` inner — reads the gradient at `(q0y − jy,
+    // q0x − jx)` from the phase pixel's origin; filter `r` of the phase's
+    // convolution is input channel `r`, its weight `W[row_of(c), r, ky, kx]`.
     let ntaps = k2 * live;
-
-    // Tap `(sp, c)` — spatial tap `sp = (ky, kx)` ascending, live output
-    // channel `c` inner — reads the gradient at `(k−1−ky, k−1−kx)`.
+    let blocks = ci.div_ceil(CONV_MR);
     let mut offsets: Vec<usize> = ws.take("conv_taps", ntaps);
-    for (p, o) in offsets.iter_mut().enumerate() {
-        let (sp, c) = (p / live, p % live);
-        *o = border.tap(c, kk - 1 - sp / kk, kk - 1 - sp % kk);
-    }
-    let taps = TapOffsets::new(&offsets);
-
-    // Filter `r` of this convolution is input channel `r`: its weight for
-    // tap `(sp, c)` is `W[row_of(c), r, sp]`.
-    let mut panels: Vec<f32> = ws.take("conv_wpanels", ci.div_ceil(CONV_MR) * ntaps * CONV_MR);
-    for r in 0..ci {
-        let panel = &mut panels[r / CONV_MR * ntaps * CONV_MR..][..ntaps * CONV_MR];
-        for (p, lanes) in panel.chunks_exact_mut(CONV_MR).enumerate() {
-            let (sp, c) = (p / live, p % live);
-            lanes[r % CONV_MR] = a[row_of(c) * k + r * k2 + sp];
+    let mut panels: Vec<f32> = ws.take("conv_wpanels", blocks * ntaps * CONV_MR);
+    let mut first = 0;
+    for ph in phases() {
+        let taps = ph.taps * live;
+        let table = &mut offsets[first..][..taps];
+        let panel = &mut panels[first * blocks * CONV_MR..][..blocks * taps * CONV_MR];
+        for (t, o) in table.iter_mut().enumerate() {
+            let ([ky, kx], [oy, ox]) = ph.tap(t / live, pad);
+            *o = border.tap(t % live, oy, ox);
+            for r in 0..ci {
+                let lanes = &mut panel[(r / CONV_MR * taps + t) * CONV_MR..];
+                lanes[r % CONV_MR] = a[row_of(t % live) * k + r * k2 + ky * kk + kx];
+            }
         }
+        first += taps;
     }
 
     let plane = border.plane();
     let mut padded: Vec<f32> = ws.take("conv_padded", live * plane + border.slack());
     padded.fill(0.0);
-    let (ncols, workers) = (n * hw, workers(threads, ci));
-    let walk = Walk {
-        border,
-        ho: h,
-        wo: w,
-        slab: live,
-    };
+    // At stride 1 the one phase is the image itself and is written in place;
+    // a stride-`s` phase is written here, then scattered. (The slot exists
+    // only when used: a lookup per call is felt by the smallest layers.)
+    let mut staged: Vec<f32> = Vec::new();
+    if s > 1 {
+        let most = phases().map(|ph| ph.out).max().unwrap_or(0);
+        staged = ws.take("conv_phase", ci * most);
+    }
+    let workers = workers(threads, ci);
     for (b, planes) in dx.chunks_exact_mut(ci * h * w).enumerate() {
-        let image = |c: usize| &g[row_of(c) * ncols + b * hw..][..hw];
+        let image = |c: usize| &g[(b * m + row_of(c)) * hw..][..hw];
         border.copy(&mut padded, live, image, hw, |_| 1);
-        // Input channels `blk·CONV_MR ..` of image `b` are consecutive planes.
-        for_chunks(planes, CONV_MR * h * w, workers, |blk, out| {
-            let r = CONV_MR.min(ci - blk * CONV_MR);
-            let crow: [usize; CONV_MR] = std::array::from_fn(|j| j * h * w);
-            let panel = &panels[blk * ntaps * CONV_MR..][..ntaps * CONV_MR];
-            walk.run::<f32>(kernel, taps, panel, &padded, out, &crow[..r]);
-        });
+        let mut first = 0;
+        for ph in phases() {
+            let taps = ph.taps * live;
+            let table = TapOffsets::new(&offsets[first..][..taps]);
+            let panels = &panels[first * blocks * CONV_MR..][..blocks * taps * CONV_MR];
+            first += taps;
+            let walk = Walk {
+                border,
+                ho: ph.rows.len(),
+                wo: ph.cols.len(),
+                slab: live,
+            };
+            let out = if s == 1 {
+                &mut *planes
+            } else {
+                let out = &mut staged[..ci * ph.out];
+                out.fill(0.0);
+                out
+            };
+            // Input channels `blk·CONV_MR ..` are consecutive planes.
+            for_chunks(out, CONV_MR * ph.out, workers, |blk, out| {
+                let r = CONV_MR.min(ci - blk * CONV_MR);
+                let crow: [usize; CONV_MR] = std::array::from_fn(|j| j * ph.out);
+                let panel = &panels[blk * taps * CONV_MR..][..taps * CONV_MR];
+                walk.run::<f32>(kernel, table, panel, &padded, out, &crow[..r]);
+            });
+            if s > 1 {
+                ph.scatter(planes, &staged[..ci * ph.out], [h, w], spec.pad);
+            }
+        }
     }
 
     ws.give("conv_taps", offsets);
     ws.give("conv_wpanels", panels);
     ws.give("conv_padded", padded);
+    if s > 1 {
+        ws.give("conv_phase", staged);
+    }
+}
+
+/// One phase `(py, px)` of a stride-`s` input gradient: the input pixels
+/// whose bordered position `(Y, X) = (iy + p, ix + p)` has `Y mod s = py`,
+/// `X mod s = px`, at their phase coordinates `(Y div s, X div s)`.
+struct Phase {
+    /// The residues `(py, px)`.
+    at: [usize; 2],
+    s: usize,
+    /// The phase coordinates inside the image, per axis.
+    rows: Range<usize>,
+    cols: Range<usize>,
+    /// Taps per axis: `ky = py + jy·s < k`, and likewise `kx`.
+    per_axis: [usize; 2],
+    /// Spatial taps, `per_axis[0] · per_axis[1]`.
+    taps: usize,
+    /// Pixels, `rows.len() · cols.len()`.
+    out: usize,
+}
+
+impl Phase {
+    fn new(py: usize, px: usize, [h, w]: [usize; 2], spec: Conv2dSpec) -> Self {
+        let (s, p, kk) = (spec.stride, spec.pad, spec.kernel);
+        let inside = |ph: usize, len: usize| {
+            (p.saturating_sub(ph).div_ceil(s))..((p + len).saturating_sub(ph).div_ceil(s))
+        };
+        let (rows, cols) = (inside(py, h), inside(px, w));
+        let per_axis = [
+            kk.saturating_sub(py).div_ceil(s),
+            kk.saturating_sub(px).div_ceil(s),
+        ];
+        Self {
+            at: [py, px],
+            s,
+            taps: per_axis[0] * per_axis[1],
+            out: rows.len() * cols.len(),
+            rows,
+            cols,
+            per_axis,
+        }
+    }
+
+    /// The smallest border of the `ho × wo` output gradient inside which
+    /// every tap of every pixel of this phase reads: tap `jy` of phase row
+    /// `qy` reads gradient row `qy − jy`.
+    fn border(&self, [ho, wo]: [usize; 2]) -> usize {
+        let need = |q: &Range<usize>, taps: usize, len: usize| {
+            (taps - 1)
+                .saturating_sub(q.start)
+                .max(q.end.saturating_sub(len))
+        };
+        need(&self.rows, self.per_axis[0], ho).max(need(&self.cols, self.per_axis[1], wo))
+    }
+
+    /// Spatial tap `j` (ascending `(jy, jx)`, which is ascending `(ky,
+    /// kx)`): its kernel position, and the gradient pixel the phase's first
+    /// pixel reads through it under a `pad` border.
+    fn tap(&self, j: usize, pad: usize) -> ([usize; 2], [usize; 2]) {
+        let (jy, jx) = (j / self.per_axis[1], j % self.per_axis[1]);
+        let [py, px] = self.at;
+        (
+            [py + jy * self.s, px + jx * self.s],
+            [self.rows.start + pad - jy, self.cols.start + pad - jx],
+        )
+    }
+
+    /// Copies the phase's planes `src` to their pixels of one image's
+    /// `NCHW` input gradient `dst`, of `h × w` planes under a `pad` border.
+    fn scatter(&self, dst: &mut [f32], src: &[f32], [h, w]: [usize; 2], pad: usize) {
+        let s = self.s;
+        let [y0, x0] = [
+            self.rows.start * s + self.at[0] - pad,
+            self.cols.start * s + self.at[1] - pad,
+        ];
+        for (plane, phase) in dst.chunks_exact_mut(h * w).zip(src.chunks_exact(self.out)) {
+            for (r, row) in phase.chunks_exact(self.cols.len()).enumerate() {
+                let line = &mut plane[(y0 + r * s) * w + x0..];
+                for (d, &v) in line.iter_mut().step_by(s).zip(row) {
+                    *d = v;
+                }
+            }
+        }
+    }
 }
 
 /// Runs `body(i, chunk)` on each `len`-element chunk of `out` (the last may
@@ -686,7 +821,9 @@ pub(super) fn weight_grad_into(
             .iter_mut()
             .step_by(width(q));
         if i < live {
-            for (d, &v) in dst.zip(&g[row_of(i) * npix..][..npix]) {
+            // Channel `row_of(i)`'s planes, image after image.
+            let planes = g.chunks_exact(ho * wo).skip(row_of(i)).step_by(m);
+            for (d, &v) in dst.zip(planes.flatten()) {
                 *d = v;
             }
         } else {
@@ -750,8 +887,8 @@ mod tests {
     /// Every product of one geometry on the scalar lane and on `tile`, each
     /// into a NaN-filled (`i32::MIN`-filled) output, through the caller's
     /// (dirty) workspace: the weight gradient, the forward in f32 and in
-    /// int8, and — at stride 1, `pad < k` — the input gradient. Every fifth
-    /// weight is `−0.0`, and every third int8 value sits at −128 or 127.
+    /// int8, and the input gradient. Every fifth weight is `−0.0`, and every
+    /// third int8 value sits at −128 or 127.
     #[allow(clippy::too_many_arguments)]
     fn kernels_agree(
         tile: Kernel,
@@ -768,7 +905,7 @@ mod tests {
         let (taps, ncols) = (ci * spec.kernel * spec.kernel, n * ho * wo);
         let mut rng = Rng::new(seed);
         let x = Tensor::randn(&[n, ci, h, w], Init::Rand, &mut rng);
-        let g = Tensor::randn(&[m, ncols], Init::Rand, &mut rng);
+        let g = Tensor::randn(&[n, m, ho, wo], Init::Rand, &mut rng);
         let mut a = Tensor::randn(&[m, taps], Init::Rand, &mut rng);
         a.data_mut().iter_mut().step_by(5).for_each(|v| *v = -0.0);
         let quantize = |t: &Tensor| -> Vec<i8> {
@@ -782,8 +919,6 @@ mod tests {
         let (x8, a8) = (quantize(&x), quantize(&a));
         let rows = live.map(|l| ActiveRows::from_indices(l, m).unwrap());
         let rows = rows.as_ref();
-        let direct_dx =
-            spec.stride == 1 && spec.pad < spec.kernel && rows.map_or(m, ActiveRows::len) <= KC;
         let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         let mut run = |kernel: Kernel| {
             let (x, a, g) = (x.data(), a.data(), g.data());
@@ -794,9 +929,7 @@ mod tests {
             let mut c8 = vec![i32::MIN; m * ncols];
             conv_direct_into(kernel, &mut c8, &a8, &x8, m, dims, spec, rows, ws, threads);
             let mut dx = vec![f32::NAN; x.len()];
-            if direct_dx {
-                input_grad_direct_into(kernel, &mut dx, a, g, m, dims, spec, rows, ws, threads);
-            }
+            input_grad_into(kernel, &mut dx, a, g, m, dims, spec, rows, ws, threads);
             [
                 bits(&dw),
                 bits(&c),

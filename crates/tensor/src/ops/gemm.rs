@@ -2,10 +2,9 @@
 //!
 //! This is the single blocked driver behind every matrix product in the
 //! workspace ([`super::matmul`], [`super::matmul_at`],
-//! [`super::matmul_bt`], the linear layers, the autoencoder player in
-//! `alf-core`, and the column product of a strided input gradient). No
-//! convolution forward runs it. The structure is the classic three-level
-//! blocking of Goto/BLIS:
+//! [`super::matmul_bt`], the linear layers and the autoencoder player in
+//! `alf-core`). No convolution product runs it. The structure is the
+//! classic three-level blocking of Goto/BLIS:
 //!
 //! * the `n` dimension is split into [`NC`]-wide column strips,
 //! * the `k` dimension into [`KC`]-deep slabs — for each `(NC, KC)` pair
@@ -53,23 +52,21 @@
 //! therefore the same code as the f32 one, entered with one thread and
 //! identity gathers; see [`super::qgemm`] for why it stays exact.
 //!
-//! **Convolutions never unfold, and never pack.** [`conv_gemm_into`] is the
-//! convolution forward of every mode (training, eval, statistics, int8),
-//! at every stride, and it has one route (`conv_direct`): each image is
-//! copied once into a zero-bordered, phase-split scratch, and the explicit
-//! tile of `alf-gemm-kernels` loads its operands from there — f32 in the
-//! unfolded product's per-element operation order, int8 as i16 channel
-//! pairs in exact integer arithmetic — so it is bit for bit `im2col` +
-//! this driver. A host without AVX2 runs the same bookkeeping on a scalar
-//! loop with the tile's per-element sequence, and filters past one [`MC`]
-//! block split across workers there as here. The training backward leaves
-//! this driver too: the weight gradient `G · unfold(X)ᵀ`
-//! ([`conv_weight_grad_into`]) runs on the weight-gradient tile at every
-//! stride, and the input gradient ([`conv_input_grad_into`]) on the
-//! forward tile at stride 1. Only the input gradient at stride 2 and up,
-//! with `pad ≥ k`, or with more than [`KC`] live channels — a choice made
-//! from the geometry alone — still runs this driver, `Wᵀ·G` into a column
-//! matrix folded back by `col2im`.
+//! **Convolutions never unfold, and never pack.** Each of the three
+//! convolution products has one route (`conv_direct`), at every stride,
+//! pad and width, and each reads and writes its activations in the
+//! layer's own `NCHW` layout: [`conv_gemm_into`], the forward of every
+//! mode (training, eval, statistics, int8), copies each image once into a
+//! zero-bordered, phase-split scratch from which the explicit tile of
+//! `alf-gemm-kernels` loads its operands — f32 in the unfolded product's
+//! per-element operation order, int8 as i16 channel pairs in exact integer
+//! arithmetic — so it is bit for bit `im2col` + this driver. The weight
+//! gradient `G · unfold(X)ᵀ` ([`conv_weight_grad_into`]) runs on the
+//! weight-gradient tile, and the input gradient ([`conv_input_grad_into`])
+//! on the forward tile, one stride-1 convolution per input phase. A host
+//! without AVX2 runs the same bookkeeping on a scalar loop with the tiles'
+//! per-element sequence, and filters past one [`MC`] block split across
+//! workers there as here.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
@@ -85,7 +82,7 @@
 //! product) comes from the caller's [`Workspace`], so steady-state calls
 //! are allocation-free.
 
-use super::conv::{col2im_into, Conv2dSpec};
+use super::conv::Conv2dSpec;
 use super::conv_direct::{self, Kernel};
 use super::workspace::Workspace;
 use crate::ShapeError;
@@ -125,9 +122,10 @@ const PAR_FLOP_THRESHOLD: f64 = 8.0e6;
 /// an ALF block computes it once per step from its clipped autoencoder
 /// mask (`Mprune = 1{|m| > t}·m`, so "active" means `|m| > t`), caches it,
 /// and hands it to every kernel that can skip pruned work — the code-conv
-/// forward GEMM and backward weight-gradient GEMM skip inactive `m` rows
-/// ([`gemm_active_rows_into`]), the input-gradient and autoencoder decoder
-/// GEMMs skip inactive `k` slices ([`gemm_active_k_into`]).
+/// forward and both backward products compute only the live output
+/// channels ([`conv_gemm_into`], [`conv_weight_grad_into`],
+/// [`conv_input_grad_into`]), and the autoencoder decoder GEMM skips
+/// inactive `k` slices ([`gemm_active_k_into`]).
 ///
 /// Indices are strictly increasing and bounded by `total`, the full row
 /// count of the operand the descriptor covers; the constructors enforce
@@ -442,9 +440,8 @@ pub fn gemm_active_rows_into(
 /// zeros. Under that contract the result is bitwise identical to the
 /// dense product: every accumulator starts at `+0.0` and is only ever
 /// added to, so it can never become `-0.0`, and adding a `±0.0` product
-/// to it is the identity. The conv input-gradient GEMM (`Wᵀ·G`) and the
-/// autoencoder decoder GEMM use this to make backward cost track mask
-/// occupancy.
+/// to it is the identity. The autoencoder decoder GEMM uses this to make
+/// its cost track mask occupancy.
 ///
 /// # Panics
 ///
@@ -495,20 +492,22 @@ pub fn gemm_active_k_into(
 
 /// Convolution as one GEMM, with the im2col matrix never materialised:
 /// `C = A · unfold(X)` where `A` is the `[m, ci·k²]` weight matrix, `X` the
-/// `NCHW` input (`dims = [n, ci, h, w]`) and `C` the `[m, n·h_out·w_out]`
-/// product the im2col route would give. `rows` restricts the product to
-/// the surviving filters exactly as [`gemm_active_rows_into`] does.
+/// `NCHW` input (`dims = [n, ci, h, w]`) and `C` the `NCHW` output `[n, m,
+/// h_out, w_out]`: row `row` of image `b` starts at `(b·m + row)·h_out·w_out`.
+/// `rows` restricts the product to the surviving filters exactly as
+/// [`gemm_active_rows_into`] does; the others are written as zero.
 ///
 /// Every bit of `C` is that of `im2col_into` + [`gemm_into`] (or
-/// `im2col_i8_into` + `gemm_i8_into` for `i8`), at any stride and kernel
+/// `im2col_i8_into` + `gemm_i8_into` for `i8`), whose `[m, n·h_out·w_out]`
+/// product holds the same elements image by image, at any stride and kernel
 /// (1×1 included), without that driver: no `B` is packed. Each image is
 /// copied once into a zero-bordered scratch (f32, or i16 channel pairs for
 /// `i8`), split into phase planes at stride `s` so that every stride reads
 /// it as stride 1 does, and the explicit tile of `alf-gemm-kernels` reads
 /// it in place — or, on a host without AVX2, a scalar loop in the tile's
 /// per-element order (see `conv_direct`). When the live rows span more
-/// than one [`MC`] block, `threads` splits them across workers in whole
-/// filter blocks, so the bits do not depend on `threads`.
+/// than one [`MC`] block, `threads` splits each image's rows across
+/// workers in whole filter blocks, so the bits do not depend on `threads`.
 ///
 /// Every convolution forward uses it: training, eval, the statistics pass
 /// and int8. A training step's backward reads the same image through
@@ -536,7 +535,7 @@ pub fn conv_gemm_into<T: Element>(
     assert_eq!(
         c.len(),
         m * ncols,
-        "conv_gemm: C buffer is not [{m}x{ncols}]"
+        "conv_gemm: C buffer is not [n x {m} x ho x wo]"
     );
     if let Some(rows) = rows {
         assert_eq!(
@@ -551,15 +550,16 @@ pub fn conv_gemm_into<T: Element>(
 }
 
 /// The weight gradient of a convolution, with the im2col matrix never
-/// materialised: `C = G · unfold(X)ᵀ` where `G` is the `[m, n·h_out·w_out]`
-/// output gradient, `X` the `NCHW` input (`dims = [n, ci, h, w]`) and `C`
-/// the `[m, ci·k²]` gradient of the weight matrix. `rows` restricts the
+/// materialised: `C = G · unfold(X)ᵀ` where `G` is the `NCHW` output
+/// gradient `[n, m, h_out, w_out]`, `X` the `NCHW` input (`dims = [n, ci,
+/// h, w]`) and `C` the `[m, ci·k²]` gradient of the weight matrix. `rows` restricts the
 /// product to the surviving filters exactly as [`gemm_active_rows_into`]
 /// does; the others are written as zero.
 ///
 /// Every bit of `C` is that of `im2col_into` followed by
 /// `gemm_into(c, g, false, cols, true, ..)` (or `gemm_active_rows_into(..,
-/// tb = true)` on `rows`), at every stride, without that driver: the
+/// tb = true)` on `rows`) with `G` unfolded to `[m, n·h_out·w_out]`, at
+/// every stride, without that driver: the
 /// weight-gradient tile of `alf-gemm-kernels` (lanes over live output
 /// channels, accumulators over taps) reads a zero-bordered, phase-split
 /// copy of the batch and a pixel-major copy of `G`, and sums each element
@@ -591,7 +591,7 @@ pub fn conv_weight_grad_into(
     assert_eq!(
         g.len(),
         m * ncols,
-        "conv_weight_grad: G buffer is not [{m}x{ncols}]"
+        "conv_weight_grad: G buffer is not [n x {m} x ho x wo]"
     );
     assert_eq!(
         c.len(),
@@ -611,25 +611,24 @@ pub fn conv_weight_grad_into(
 }
 
 /// The input gradient of a convolution: `dX = col2im(Aᵀ · G)`, where `A`
-/// is the `[m, ci·k²]` weight matrix, `G` the `[m, n·h_out·w_out]` output
+/// is the `[m, ci·k²]` weight matrix, `G` the `[n, m, h_out, w_out]` output
 /// gradient and `dX` the `NCHW` gradient of the input (`dims = [n, ci, h,
 /// w]`), fully overwritten. `rows` lists the output channels that survive
 /// a clipped mask; the caller guarantees the other rows of `A` are zero,
-/// and their terms are skipped as [`gemm_active_k_into`] skips them.
+/// and their terms are skipped.
 ///
-/// For finite weights every bit of `dX` is that of `gemm_into(Aᵀ, G)` (or
-/// `gemm_active_k_into` on `rows`) followed by [`col2im_into`]. The route
-/// follows from the geometry alone:
-///
-/// * **Direct** — stride 1 with `pad ≤ k − 1` and at most [`KC`] live
-///   output channels. No column matrix is formed: the forward tile (or its
-///   scalar loop without AVX2) runs the convolution of the bordered output
-///   gradient with the flipped, transposed weights, once per spatial tap
-///   (see `conv_direct`). When the input channels span more than one
-///   [`MC`] block, `threads` splits them across workers.
-/// * **Column** — a stride of 2 or more, `pad ≥ k`, or more than [`KC`]
-///   live output channels: the product into a `[ci·k², n·ho·wo]` column
-///   matrix from the workspace, then the `col2im` fold.
+/// No column matrix is formed, at any stride, pad or width: each of the
+/// `s²` input phases is a stride-1 convolution of the bordered output
+/// gradient with the flipped, transposed sub-kernel of its taps, run on the
+/// forward tile (or its scalar loop without AVX2) once per spatial tap (see
+/// `conv_direct`). Each element of `dX` adds its taps in ascending `(ky,
+/// kx)`, each tap's `Σ_co` formed from `+0.0` over the live channels in
+/// ascending order: for finite weights and at most [`KC`] live channels
+/// every bit is that of `gemm_into(Aᵀ, G)` (or `gemm_active_k_into` on
+/// `rows`) followed by `col2im`. Past `KC` live channels a tap's `Σ_co` is
+/// one sum where the blocked driver would flush it per `KC` slab. When the
+/// input channels span more than one [`MC`] block, `threads` splits them
+/// across workers, so the bits do not depend on `threads`.
 ///
 /// # Panics
 ///
@@ -648,19 +647,12 @@ pub fn conv_input_grad_into(
     ws: &mut Workspace,
     threads: usize,
 ) {
-    let [n, ci, h, w] = dims;
-    let (ho, wo) = spec.output_hw(h, w);
-    let (k, ncols) = (ci * spec.kernel * spec.kernel, n * ho * wo);
-    assert_eq!(
-        dx.len(),
-        n * ci * h * w,
-        "conv_input_grad: dX is not {dims:?}"
-    );
+    let (k, ncols) = unfolded(dx.len(), dims, spec, "conv_input_grad");
     assert_eq!(a.len(), m * k, "conv_input_grad: A buffer is not [{m}x{k}]");
     assert_eq!(
         g.len(),
         m * ncols,
-        "conv_input_grad: G buffer is not [{m}x{ncols}]"
+        "conv_input_grad: G buffer is not [n x {m} x ho x wo]"
     );
     if let Some(rows) = rows {
         assert_eq!(
@@ -670,19 +662,8 @@ pub fn conv_input_grad_into(
             rows.total()
         );
     }
-    if spec.stride == 1 && spec.pad < spec.kernel && rows.map_or(m, ActiveRows::len) <= KC {
-        let kernel = Kernel::detect();
-        return conv_direct::input_grad_direct_into(
-            kernel, dx, a, g, m, dims, spec, rows, ws, threads,
-        );
-    }
-    let mut gcols = ws.take("gcols", k * ncols);
-    match rows {
-        Some(live) => gemm_active_k_into(&mut gcols, a, true, g, k, m, ncols, live, ws, threads),
-        None => gemm_into(&mut gcols, a, true, g, false, k, m, ncols, ws, threads),
-    }
-    col2im_into(dx, &gcols, n, ci, h, w, spec).expect("conv_input_grad: lengths checked above");
-    ws.give("gcols", gcols);
+    let kernel = Kernel::detect();
+    conv_direct::input_grad_into(kernel, dx, a, g, m, dims, spec, rows, ws, threads);
 }
 
 /// Workers the blocked driver engages for `m` logical rows when asked for
@@ -1449,7 +1430,7 @@ mod tests {
     fn conv_products_are_allocation_free_after_warmup() {
         // Strides 1 and 2, each in f32 (dense and row-gathered) and i8,
         // beside the weight and input gradients, dense and row-gathered
-        // (the stride-2 input gradient on the column route); then calls
+        // (the stride-2 input gradient through its phase slot); then calls
         // wider than one `MC` block on two tile workers, f32 dense and
         // gathered (the compact row buffer) and i8. One warm-up per
         // geometry sizes every slot — the phase planes, the weight panels
@@ -1502,13 +1483,15 @@ mod tests {
     }
 
     #[test]
-    fn no_conv_forward_runs_the_packed_driver() {
-        // The forward has one route. f32 and i8, strides 1 and 2, one
-        // worker and `MC + 1` rows on two, dense and row-gathered, on the
-        // host's kernel and on the scalar lane: not one driver run.
+    fn no_conv_product_runs_the_packed_driver() {
+        // Each product has one route. The forward in f32 and i8, strides 1
+        // and 2, one worker and `MC + 1` rows on two, dense and
+        // row-gathered, on the host's kernel and on the scalar lane; the
+        // weight and input gradients at strides 1–3, at a pad past `k − 1`
+        // and with more than KC live channels: not one driver run.
         let dims = [2, 3, 9, 10];
         let x = vec![1.0f32; 2 * 3 * 9 * 10];
-        let a = vec![1.0f32; (MC + 1) * 3 * 9];
+        let a = vec![1.0f32; (KC + 1) * 3 * 9];
         let (x8, a8) = (vec![1i8; x.len()], vec![1i8; a.len()]);
         let mut ws = Workspace::new();
         for spec in [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)] {
@@ -1533,35 +1516,29 @@ mod tests {
                 }
             }
         }
-        assert_eq!(ws.packed_products(), 0);
-    }
-
-    #[test]
-    fn input_grad_leaves_the_packed_driver_only_where_the_tile_cannot_go() {
-        // The geometry alone picks the route: stride 1 with `pad ≤ k−1`
-        // and at most KC live output channels runs on the tile (its scalar
-        // loop without AVX2); a stride-2 gradient, a pad past `k−1` and
-        // more than KC live channels run the column product, one driver
-        // call each. The weight gradient never runs the driver.
-        let (n, ci, h, w) = (1, 3, 7, 6);
-        let dims = [n, ci, h, w];
-        let mut ws = Workspace::new();
-        let mut run = |spec: Conv2dSpec, m: usize| {
-            let (ho, wo) = spec.output_hw(h, w);
-            let k = ci * spec.kernel * spec.kernel;
-            let (a, g) = (vec![0.5f32; m * k], vec![0.25f32; m * n * ho * wo]);
-            let x = vec![1.0f32; n * ci * h * w];
+        let specs = [
+            (3, 1, 1),
+            (1, 1, 0),
+            (3, 1, 3),
+            (3, 2, 1),
+            (3, 3, 0),
+            (5, 2, 2),
+        ];
+        for (spec, m) in specs
+            .map(|(k, s, p)| (Conv2dSpec::new(k, s, p), 4))
+            .into_iter()
+            .chain([(Conv2dSpec::new(1, 2, 0), KC + 1)])
+        {
+            let (ho, wo) = spec.output_hw(9, 10);
+            let (a, g) = (
+                &a[..m * 3 * spec.kernel * spec.kernel],
+                vec![0.25f32; m * 2 * ho * wo],
+            );
             let (mut dx, mut dw) = (vec![0.0f32; x.len()], vec![0.0f32; a.len()]);
-            let before = ws.packed_products();
-            conv_input_grad_into(&mut dx, &a, &g, m, dims, spec, None, &mut ws, 1);
+            conv_input_grad_into(&mut dx, a, &g, m, dims, spec, None, &mut ws, 1);
             conv_weight_grad_into(&mut dw, &g, &x, m, dims, spec, None, &mut ws, 1);
-            ws.packed_products() - before
-        };
-        assert_eq!(run(Conv2dSpec::new(3, 1, 1), 4), 0);
-        assert_eq!(run(Conv2dSpec::new(1, 1, 0), 4), 0);
-        assert_eq!(run(Conv2dSpec::new(3, 1, 3), 4), 1);
-        assert_eq!(run(Conv2dSpec::new(3, 2, 1), 4), 1);
-        assert_eq!(run(Conv2dSpec::new(1, 1, 0), KC + 1), 1);
+        }
+        assert_eq!(ws.packed_products(), 0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! backward passes of [`alf-nn`](https://example.invalid/alf), none of which
 //! unfolds its input: the forward is [`conv_gemm_into`], the weight
 //! gradient [`conv_weight_grad_into`] and the input gradient
-//! [`conv_input_grad_into`] (at stride 2 and up still a GEMM into a column
-//! matrix folded back by the [`col2im_into`] scatter).
+//! [`conv_input_grad_into`]. Each has one route at every stride, pad and
+//! width, and each takes and returns activations and their gradients in
+//! `NCHW` (`[n, c, h, w]`), the layout the layers hold them in.
 //!
 //! Performance architecture (see `DESIGN.md` for the full picture):
 //!
@@ -37,14 +38,14 @@
 //!   stride 2 and up. [`conv_weight_grad_into`] is the training weight
 //!   gradient `G · unfold(X)ᵀ`, on the weight-gradient tile (lanes over
 //!   output channels, accumulators over taps) at every stride.
-//!   [`conv_input_grad_into`] is the input gradient, on the forward tile
-//!   at stride 1; elsewhere [`col2im_into`] folds its column matrix back
-//!   into the caller's buffer, span by span. Without AVX2 all three run
-//!   the same bookkeeping on a scalar loop in the tiles' per-element
-//!   order.
+//!   [`conv_input_grad_into`] is the input gradient, on the forward tile,
+//!   one stride-1 convolution per input phase, with no column matrix and
+//!   no `col2im`. Without AVX2 all three run the same bookkeeping on a
+//!   scalar loop in the tiles' per-element order.
 //! * [`im2col_into`] / [`im2col_i8_into`] share one unfold loop. No
-//!   training or inference path calls them; they are the reference route
-//!   the proptests hold the convolution products to, bit for bit.
+//!   training or inference path calls them; with `reference::col2im_into`
+//!   they are the reference route the proptests hold the convolution
+//!   products to, bit for bit.
 //! * [`Workspace`] is the scratch arena: one pool of named slots, generic
 //!   over the element type.
 
@@ -56,7 +57,7 @@ pub mod qgemm;
 pub mod reference;
 mod workspace;
 
-pub use conv::{col2im, col2im_into, conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
+pub use conv::{conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
 pub use gemm::{
     auto_threads, conv_gemm_into, conv_input_grad_into, conv_weight_grad_into, gemm_active_k_into,
     gemm_active_rows_into, gemm_into, host_parallelism, ActiveRows,

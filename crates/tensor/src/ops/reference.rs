@@ -7,10 +7,11 @@
 //! testing: the blocked kernel is property-tested against these across
 //! randomized shapes; any divergence beyond accumulation-order rounding
 //! is a kernel bug. [`col2im_into`] is the scalar fold with a bounds
-//! branch per element; [`super::col2im_into`] must match it bit for bit.
+//! branch per element: with [`matmul_at`] it defines the bits of
+//! [`super::conv_input_grad_into`].
 //!
 //! Do not "optimise" this module; route performance work through
-//! [`super::gemm`] and [`super::col2im_into`] instead.
+//! [`super::gemm`] and the convolution products instead.
 
 use crate::{ShapeError, Tensor};
 

@@ -1,17 +1,17 @@
 //! Reusable scratch-buffer arena for the kernel layer.
 //!
 //! The training hot loop calls conv forward/backward thousands of times
-//! per epoch; allocating fresh im2col/col2im matrices and GEMM packing
-//! panels on every call dominated the allocator profile of the seed
-//! implementation. A [`Workspace`] owns those buffers and hands them out
+//! per epoch; allocating fresh scratch (the seed's im2col/col2im matrices,
+//! today's bordered images, weight panels and GEMM packing panels) on
+//! every call dominated the allocator profile of the seed implementation. A [`Workspace`] owns those buffers and hands them out
 //! by name: the first step of a layer grows each slot to its steady-state
 //! size, and every later step reuses the same memory.
 //!
 //! Buffers move **out** of the arena while in use (`take`) and back in
 //! when done (`give`), so several buffers can be live at once without
-//! fighting the borrow checker — including across nested calls (the conv
-//! path takes its column buffer, then the GEMM underneath takes its
-//! packing panels from the same workspace).
+//! fighting the borrow checker — including across nested calls (a
+//! row-gathered GEMM takes its compact output, then the driver underneath
+//! takes its packing panels from the same workspace).
 //!
 //! The arena counts every allocation event (slot creation or capacity
 //! growth). After warm-up a workspace can be [frozen](Workspace::freeze):
@@ -88,10 +88,10 @@ impl Workspace {
     }
 
     /// Takes the named buffer of element type `T` out of the arena,
-    /// resized to `len` elements. Contents are unspecified (previous
-    /// contents are preserved up to the common length — the conv backward
-    /// pass relies on re-taking the column buffer its forward pass
-    /// filled — and new elements are `T::default()`).
+    /// resized to `len` elements. Contents are unspecified: previous
+    /// contents survive up to the common length and new elements are
+    /// `T::default()`, but no caller relies on either — every slot is
+    /// written before it is read.
     ///
     /// Counts an allocation event when the slot is new or must grow; in a
     /// [frozen](Workspace::freeze) workspace growth additionally trips a

@@ -23,10 +23,16 @@
 # (before or after) exceeds 1.25x the median spin of this invocation's
 # runs; such runs are flagged, never dropped. Appends one JSON line per run to
 # BENCH_history.jsonl at the repo root: revisions, side, pair, workload,
-# seed, the five metrics, and the host fingerprint the harness recorded
-# (CPU model, nproc, ISA flags, spin calibration before and after). A run
-# that fails is recorded with its exit status and null metrics; no run is
-# ever dropped.
+# seed, the five metrics, the host fingerprint the harness recorded
+# (CPU model, nproc, ISA flags, spin calibration before and after), and two
+# host-accounting keys: `cpu_s`, the user + sys seconds of the run's whole
+# process tree (RUSAGE_CHILDREN of a fresh interpreter that runs only
+# `run.sh`), and `steal_share`, the /proc/stat steal jiffies over the run as
+# a share of all jiffies (null where unreadable). The summary prints each
+# side's median `cpu_s` with the paired difference, and names every pair
+# whose two steal shares differ by more than 0.02 (flagged, never dropped).
+# A run that fails is recorded with its exit status and null metrics; no
+# run is ever dropped.
 #
 # After the pairs, three traced runs per side (`--trace 1` on seeds 1–3,
 # alternated parent, change, change, parent, parent, change) measure the
@@ -85,17 +91,54 @@ for side in parent change; do
     (cd "$work/$side/benchmark" && cargo build --release --offline --quiet) >&2
 done
 
+accounted() { # acct-file command...
+    # Runs the command and writes "<cpu_s> <steal_share>" of it to acct-file.
+    python3 - "$@" <<'PY'
+import resource, subprocess, sys
+
+def jiffies():
+    # (all, steal) of the first /proc/stat line: user nice system idle
+    # iowait irq softirq steal; guest time is already inside user and nice.
+    try:
+        with open("/proc/stat") as f:
+            v = [int(x) for x in f.readline().split()[1:9]]
+        return sum(v), v[7]
+    except (OSError, ValueError, IndexError):
+        return None
+
+acct, cmd = sys.argv[1], sys.argv[2:]
+before = jiffies()
+code = subprocess.call(cmd)
+after = jiffies()
+use = resource.getrusage(resource.RUSAGE_CHILDREN)
+steal = "null"
+if before and after and after[0] > before[0]:
+    steal = repr((after[1] - before[1]) / (after[0] - before[0]))
+with open(acct, "w") as f:
+    f.write(f"{use.ru_utime + use.ru_stime!r} {steal}\n")
+sys.exit(code if code >= 0 else 128 - code)
+PY
+}
+
 run() { # side pair order
     local side="$1" pair="$2" order="$3" status=0
     echo "pairs.sh: pair $pair/$pairs, $side ($order)" >&2
-    rm -f "$work/$side/benchmark/out/result_$workload.json"
-    bash "$work/$side/benchmark/run.sh" --workload "$workload" --seed "$pair" --trace 0 \
+    rm -f "$work/$side/benchmark/out/result_$workload.json" "$work/$side.$pair.acct"
+    accounted "$work/$side.$pair.acct" \
+        bash "$work/$side/benchmark/run.sh" --workload "$workload" --seed "$pair" --trace 0 \
         > "$work/$side.$pair.out" 2> "$work/$side.$pair.err" || status=$?
     python3 - "$work" "$side" "$pair" "$order" "$status" "$workload" \
         "$parent_rev" "$change_rev" >> "$history" <<'PY'
 import datetime, json, sys
 
 work, side, pair, order, status, workload, parent, change = sys.argv[1:]
+cpu_s = steal_share = None
+try:
+    with open(f"{work}/{side}.{pair}.acct") as f:
+        cpu, steal = f.read().split()
+    cpu_s, steal_share = float(cpu), None if steal == "null" else float(steal)
+except (OSError, ValueError):
+    pass
 isa = ("sse", "avx", "fma", "f16c", "bmi", "amx")
 result = {}
 try:
@@ -132,6 +175,8 @@ print(json.dumps({
     "failed": result.get("failed"),
     "metrics": {k: v["value"] for k, v in metrics.items()} if metrics else None,
     "host": host,
+    "cpu_s": cpu_s,
+    "steal_share": steal_share,
 }, separators=(",", ":")))
 PY
     if [ "$status" != 0 ]; then
@@ -202,6 +247,23 @@ if spin_values:
                if any(v is not None and v > limit for v in (b, a))]
     print(f"spin drift (> {limit:.2f} ms, 1.25x the median spin): "
           + (", ".join(drifted) if drifted else "none"))
+# Host accounting: CPU seconds beside the wall-clock metrics, and pairs
+# whose sides saw different steal (flagged, never dropped).
+number = lambda v: isinstance(v, (int, float))
+common = [i for i in side["parent"] if i in side["change"]]
+cpu = [(side["parent"][i].get("cpu_s"), side["change"][i].get("cpu_s")) for i in common]
+cpu = [(p, c) for p, c in cpu if number(p) and number(c)]
+if cpu:
+    dmed = statistics.median([c - p for p, c in cpu])
+    pmed = statistics.median([p for p, _ in cpu])
+    print(f"cpu_s (user+sys of the run's process tree): parent median {pmed:.4g} s, "
+          f"change median {statistics.median([c for _, c in cpu]):.4g} s, "
+          f"paired diff {dmed:+.4g} s ({100 * dmed / pmed:+.1f} %)")
+steal = [(i, side["parent"][i].get("steal_share"), side["change"][i].get("steal_share"))
+         for i in common]
+uneven = [f"pair {i} parent {p:.3f} / change {c:.3f}" for i, p, c in steal
+          if number(p) and number(c) and abs(p - c) > 0.02]
+print("steal share differs by more than 0.02: " + (", ".join(uneven) if uneven else "none"))
 failed = [r for r in records if r["exit"] != 0 or not r["metrics"]]
 if failed:
     print(f"{len(failed)} run(s) failed; recorded in {history}")

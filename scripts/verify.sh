@@ -174,8 +174,10 @@ fi
 
 # BENCH_history.jsonl is appended to by scripts/pairs.sh and read back by
 # it and by every later claim: each line must keep one of the two record
-# shapes pairs.sh writes — a paired run's five metrics, or a traced run's
-# per-layer probes — so a hand edit or a drifted writer fails here.
+# shapes pairs.sh writes — a paired run's five metrics (with or without its
+# host accounting, `cpu_s` and `steal_share`, each a number or null; older
+# lines have neither), or a traced run's per-layer probes — so a hand edit
+# or a drifted writer fails here.
 echo "==> BENCH_history.jsonl schema"
 python3 - BENCH_history.jsonl BENCHMARK.json <<'PY'
 import json, sys
@@ -189,16 +191,18 @@ spec = json.load(open(spec))
 metrics = {m["name"] for m in spec["end_to_end"]}
 layers = {m["name"] for m in spec["per_layer"]}
 host = {"cpu_model", "nproc", "isa", "spin_ms_before", "spin_ms_after"}
+accounting = {"cpu_s", "steal_share"}
 bad = []
 for n, line in enumerate(open(history), 1):
     try:
         r = json.loads(line)
         ok = (isinstance(r, dict)
               and r.get("side") in ("parent", "change") and r["rev"] == r[r["side"]])
-        if ok and set(r) == keys:
+        if ok and set(r) in (keys, keys | accounting):
             ok = (r["order"] in ("first", "second")
                   and (r["metrics"] is None or set(r["metrics"]) == metrics)
-                  and (r["host"] == {} or set(r["host"]) == host))
+                  and (r["host"] == {} or set(r["host"]) == host)
+                  and all(r.get(k) is None or type(r[k]) in (int, float) for k in accounting))
         elif ok:
             ok = (set(r) == traced_keys
                   and (r["layers"] is None or set(r["layers"]) == layers))

@@ -10,10 +10,9 @@ use alf::nn::ste;
 use alf::tensor::init::Init;
 use alf::tensor::ops::gemm::{KC, MC, NC, NR};
 use alf::tensor::ops::{
-    col2im, col2im_into, conv2d, conv_gemm_into, conv_input_grad_into, conv_weight_grad_into,
-    gemm_active_k_into, gemm_active_rows_into, gemm_i8_into, gemm_into, im2col, im2col_i8_into,
-    im2col_into, matmul, matmul_at, matmul_bt, reference, requantize, requantize_into, ActiveRows,
-    Conv2dSpec, Workspace,
+    conv2d, conv_gemm_into, conv_input_grad_into, conv_weight_grad_into, gemm_active_rows_into,
+    gemm_i8_into, gemm_into, im2col, im2col_i8_into, im2col_into, matmul, matmul_at, matmul_bt,
+    reference, requantize, requantize_into, ActiveRows, Conv2dSpec, Workspace,
 };
 use alf::tensor::rng::Rng;
 use alf::tensor::Tensor;
@@ -75,7 +74,8 @@ proptest! {
         let cols = im2col(&x, spec).unwrap();
         let y = Tensor::randn(cols.dims(), Init::Rand, &mut rng);
         let lhs = cols.dot(&y).unwrap();
-        let back = col2im(&y, 1, ci, side, side, spec).unwrap();
+        let mut back = Tensor::zeros(&[1, ci, side, side]);
+        reference::col2im_into(back.data_mut(), y.data(), 1, ci, side, side, spec);
         let rhs = x.dot(&back).unwrap();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()));
     }
@@ -425,6 +425,17 @@ fn conv_i32(
     c
 }
 
+/// `v`, `[m, n·hw]` (the unfolded product's layout), as `[n, m, hw]`
+/// (`NCHW`, the convolution products' layout).
+fn to_nchw<T: Copy>(v: &[T], m: usize, n: usize) -> Vec<T> {
+    let hw = v.len() / (m * n).max(1);
+    let plane = |(b, r): (usize, usize)| &v[(r * n + b) * hw..][..hw];
+    (0..n * m)
+        .flat_map(|i| plane((i / m, i % m)))
+        .copied()
+        .collect()
+}
+
 /// `conv_gemm_into` against the route it replaces — `im2col*_into` +
 /// `gemm*_into`, i.e. the packed driver on an unfolded matrix — bit for
 /// bit: f32 dense, f32 under the live-row subset, and int8 — dense, equal
@@ -470,7 +481,7 @@ fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCas
         1,
     );
     conv_gemm_into(&mut got, a.data(), x.data(), m, dims, spec, None, ws, 1);
-    prop_assert!(same_bits(&want, &got), "dense: {:?}", case);
+    prop_assert!(same_bits(&to_nchw(&want, m, n), &got), "dense: {:?}", case);
 
     gemm_active_rows_into(
         &mut want,
@@ -496,7 +507,7 @@ fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCas
         ws,
         1,
     );
-    prop_assert!(same_bits(&want, &got), "rows: {:?}", case);
+    prop_assert!(same_bits(&to_nchw(&want, m, n), &got), "rows: {:?}", case);
 
     let quantize = |t: &Tensor| -> Vec<i8> {
         let q = |v: &f32| {
@@ -519,10 +530,10 @@ fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCas
     let mut got8 = vec![i32::MIN; m * cols];
     gemm_i8_into(&mut want8, &a8, &unfolded8, m, rows, cols, ws);
     conv_gemm_into(&mut got8, &a8, &x8, m, dims, spec, None, ws, 1);
-    prop_assert!(want8 == got8, "i8: {:?}", case);
+    prop_assert!(to_nchw(&want8, m, n) == got8, "i8: {:?}", case);
     let all: Vec<usize> = (0..m).collect();
     prop_assert!(
-        conv_i32(&a8, &x8, m, dims, spec, &all) == got8,
+        to_nchw(&conv_i32(&a8, &x8, m, dims, spec, &all), m, n) == got8,
         "i8 vs i32 loop: {:?}",
         case
     );
@@ -530,7 +541,7 @@ fn fused_conv_agrees(case: &FusedConv, ws: &mut Workspace) -> Result<(), TestCas
     got8.fill(i32::MIN);
     conv_gemm_into(&mut got8, &a8, &x8, m, dims, spec, Some(&live), ws, 1);
     prop_assert!(
-        conv_i32(&a8, &x8, m, dims, spec, &case.live) == got8,
+        to_nchw(&conv_i32(&a8, &x8, m, dims, spec, &case.live), m, n) == got8,
         "i8 rows: {:?}",
         case
     );
@@ -723,6 +734,7 @@ fn train_conv_agrees(
     let live = ActiveRows::from_indices(case.live.clone(), m).unwrap();
     let dims = [n, ci, h, w];
     let same_bits = |w: &[f32], g: &[f32]| w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits());
+    let g_nchw = to_nchw(g.data(), m, n);
     let mut unfolded = vec![0.0f32; rows * cols];
     im2col_into(&mut unfolded, &x, spec).unwrap();
 
@@ -751,7 +763,11 @@ fn train_conv_agrees(
         ws,
         threads,
     );
-    prop_assert!(same_bits(&want, &got), "forward: {:?}", case);
+    prop_assert!(
+        same_bits(&to_nchw(&want, m, n), &got),
+        "forward: {:?}",
+        case
+    );
     gemm_active_rows_into(
         &mut want,
         a.data(),
@@ -776,7 +792,11 @@ fn train_conv_agrees(
         ws,
         threads,
     );
-    prop_assert!(same_bits(&want, &got), "forward rows: {:?}", case);
+    prop_assert!(
+        same_bits(&to_nchw(&want, m, n), &got),
+        "forward rows: {:?}",
+        case
+    );
 
     let mut want = vec![0.0f32; m * rows];
     let mut got = vec![f32::NAN; m * rows];
@@ -794,7 +814,7 @@ fn train_conv_agrees(
     );
     conv_weight_grad_into(
         &mut got,
-        g.data(),
+        &g_nchw,
         x.data(),
         m,
         dims,
@@ -819,7 +839,7 @@ fn train_conv_agrees(
     got.fill(f32::NAN);
     conv_weight_grad_into(
         &mut got,
-        g.data(),
+        &g_nchw,
         x.data(),
         m,
         dims,
@@ -887,35 +907,19 @@ proptest! {
         prop_assert!(wide.len() > MC);
         train_conv_agrees(&case(n, ci, h, w, 2 * MC + m, wide), 2, &mut ws)?;
     }
-
-    /// `col2im_into` writes each output row's in-bounds span as one slice
-    /// (or an every-`s`-th gather) instead of testing every element, in
-    /// the same loop order: every sum must keep the reference's bits.
-    #[test]
-    fn col2im_is_bitwise_the_scalar_fold(
-        n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
-        ci in 1usize..5, h_extra in 0usize..9, w_extra in 0usize..9, seed in 0u64..1000) {
-        let k = [1usize, 3, 5][kidx];
-        let spec = Conv2dSpec::new(k, stride, pad);
-        let (h, w) = (k + h_extra, (k + w_extra) | 1);
-        let (ho, wo) = spec.output_hw(h, w);
-        let cols = Tensor::randn(&[ci * k * k, n * ho * wo], Init::Rand, &mut Rng::new(seed));
-        let mut want = vec![0.0f32; n * ci * h * w];
-        let mut got = vec![f32::NAN; n * ci * h * w];
-        reference::col2im_into(&mut want, cols.data(), n, ci, h, w, spec);
-        col2im_into(&mut got, cols.data(), n, ci, h, w, spec).unwrap();
-        prop_assert!(want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
 }
 
-/// A training convolution's input gradient against the column route, bit
-/// for bit, on `threads` workers: `conv_input_grad_into` against
-/// `gemm_into(Wᵀ, G)` + `col2im_into` densely, and against
-/// `gemm_active_k_into` + `col2im_into` under the live-row subset. With
-/// `signed_zeros` the weights are `−|w|`, every fourth one `−0.0`, and
-/// every other pixel of `G` is `±0.0`, so many taps sum nothing but `−0.0`
-/// products. Every output starts as NaN, so an element the direct route
-/// forgets shows; `ws` is the caller's, as in [`fused_conv_agrees`].
+/// A training convolution's input gradient against the column route's
+/// definition, bit for bit, on `threads` workers: `conv_input_grad_into`
+/// against the seed `Wᵀ·G` (`reference::matmul_at`, each element's `Σ_co`
+/// from `+0.0` in ascending `co`) folded by the seed `col2im` (each input
+/// element's taps in ascending `(ky, kx)`), densely and under the live-row
+/// subset, whose dead rows of `W` the reference zeroes as a clipped mask
+/// does. With `signed_zeros` the weights are `−|w|`, every fourth one
+/// `−0.0`, and every other pixel of `G` is `±0.0`, so many taps sum
+/// nothing but `−0.0` products. Every output starts as NaN, so an element
+/// the route forgets shows; `ws` is the caller's, as in
+/// [`fused_conv_agrees`].
 fn input_grad_agrees(
     case: &FusedConv,
     signed_zeros: bool,
@@ -949,28 +953,24 @@ fn input_grad_agrees(
     }
     let live = ActiveRows::from_indices(case.live.clone(), m).unwrap();
     let dims = [n, ci, h, w];
+    let g_nchw = to_nchw(g.data(), m, n);
     let same_bits = |w: &[f32], g: &[f32]| w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits());
+    let fold = |live: &[usize]| {
+        let mut a_live = Tensor::zeros(&[m, rows]);
+        for &r in live {
+            a_live.data_mut()[r * rows..][..rows].copy_from_slice(&a.data()[r * rows..][..rows]);
+        }
+        let gcols = reference::matmul_at(&a_live, &g).unwrap();
+        let mut want = vec![0.0f32; n * ci * h * w];
+        reference::col2im_into(&mut want, gcols.data(), n, ci, h, w, spec);
+        want
+    };
 
-    let mut gcols = vec![0.0f32; rows * cols];
-    let mut want = vec![0.0f32; n * ci * h * w];
     let mut got = vec![f32::NAN; n * ci * h * w];
-    gemm_into(
-        &mut gcols,
-        a.data(),
-        true,
-        g.data(),
-        false,
-        rows,
-        m,
-        cols,
-        ws,
-        threads,
-    );
-    col2im_into(&mut want, &gcols, n, ci, h, w, spec).unwrap();
     conv_input_grad_into(
         &mut got,
         a.data(),
-        g.data(),
+        &g_nchw,
         m,
         dims,
         spec,
@@ -978,52 +978,44 @@ fn input_grad_agrees(
         ws,
         threads,
     );
-    prop_assert!(same_bits(&want, &got), "dX: {:?}", case);
+    let all: Vec<usize> = (0..m).collect();
+    prop_assert!(same_bits(&fold(&all), &got), "dX: {:?}", case);
 
-    gemm_active_k_into(
-        &mut gcols,
-        a.data(),
-        true,
-        g.data(),
-        rows,
-        m,
-        cols,
-        &live,
-        ws,
-        threads,
-    );
-    col2im_into(&mut want, &gcols, n, ci, h, w, spec).unwrap();
     got.fill(f32::NAN);
+    let rows = Some(&live);
     conv_input_grad_into(
         &mut got,
         a.data(),
-        g.data(),
+        &g_nchw,
         m,
         dims,
         spec,
-        Some(&live),
+        rows,
         ws,
         threads,
     );
-    prop_assert!(same_bits(&want, &got), "dX rows: {:?}", case);
+    prop_assert!(same_bits(&fold(&case.live), &got), "dX rows: {:?}", case);
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A training convolution's input gradient forms no column matrix at
-    /// stride 1: the forward tile convolves the bordered output gradient
-    /// with the flipped weights, once per spatial tap. It must be *bitwise*
-    /// the `Wᵀ·G` + `col2im` fold it replaces, which still runs at stride
-    /// 2 and 3, at a pad past `k − 1` and past `KC` live channels.
+    /// A training convolution's input gradient forms no column matrix, at
+    /// any stride, pad or width: each input phase is a stride-1
+    /// convolution of the bordered output gradient with the flipped
+    /// sub-kernel of its taps, on the forward tile, once per spatial tap.
+    /// It must be *bitwise* the seed `Wᵀ·G` + `col2im` fold.
     ///
     /// Every case runs one free draw over strides 1–3, kernels 1/3/5 and
     /// pads 0–2 with a drawn live-row set, then the same geometry with all,
     /// one and no rows live, and once with signed zeros; one-row tiles with
-    /// ragged vectors; more live output channels than `KC`; and more input
-    /// channels than `MC` on two workers. The first convolution leaves the
-    /// workspace dirty.
+    /// ragged vectors at stride 1; more live output channels than `KC` and
+    /// more input channels than `MC` on two workers, both at the drawn
+    /// stride; and every phase of a ragged odd side, at 3×3/2/1 (13×13),
+    /// 5×5/3/2 (11×7) and 1×1/2/0 (whose odd phases have no tap), with one
+    /// live row and with all. The first convolution leaves the workspace
+    /// dirty.
     #[test]
     fn conv_input_grad_is_bitwise_the_col2im_route(
         n in 1usize..4, kidx in 0usize..3, stride in 1usize..4, pad in 0usize..3,
@@ -1056,17 +1048,23 @@ proptest! {
         let ragged = FusedConv { spec: s1, ..case(n, ci, k + side_extra % 3, 9 + 2 * side_extra, m, kept) };
         input_grad_agrees(&ragged, false, 1, &mut ws)?;
 
-        // More live output channels than KC: one tap's Σ_co flushes inside
-        // the tap, so the column route runs, and still agrees.
+        // More live output channels than KC: each tap's Σ_co is one sum,
+        // as the seed Wᵀ·G forms it.
         let deep: Vec<usize> = (0..2 * KC + m).filter(|i| i % 7 != 3).collect();
         prop_assert!(deep.len() > KC);
-        let deep = FusedConv { spec: s1, ..case(1, ci, k + 1, k + 2, 2 * KC + m, deep) };
-        input_grad_agrees(&deep, false, 1, &mut ws)?;
+        input_grad_agrees(&case(1, ci, k + 1, k + 2, 2 * KC + m, deep), false, 1, &mut ws)?;
 
-        // More input channels than one MC block: two workers engage on
-        // the column product.
+        // More input channels than one MC block: two workers engage.
         let wide = case(1, MC + ci, k + side_extra % 3, k + 2, m, vec![m - 1]);
         input_grad_agrees(&wide, false, 2, &mut ws)?;
+
+        // Every phase of a ragged odd side.
+        for (h, w, (k, s, p)) in [(13, 13, (3, 2, 1)), (11, 7, (5, 3, 2)), (9, 7, (1, 2, 0))] {
+            let spec = Conv2dSpec::new(k, s, p);
+            for live in [vec![seed as usize % m], (0..m).collect()] {
+                input_grad_agrees(&FusedConv { spec, ..case(n, ci, h, w, m, live) }, false, 1, &mut ws)?;
+            }
+        }
     }
 }
 
