@@ -817,14 +817,15 @@ pub(super) fn weight_grad_into(
     let mut lanes: Vec<f32> = ws.take("conv_grad_lanes", blocks * CONV_LANES * npix);
     for i in 0..blocks * CONV_LANES {
         let (q, lane) = (i / group_lanes, i % group_lanes);
-        let dst = lanes[q * group_lanes * npix + lane..]
+        let mut dst = lanes[q * group_lanes * npix + lane..]
             .iter_mut()
             .step_by(width(q));
         if i < live {
             // Channel `row_of(i)`'s planes, image after image.
-            let planes = g.chunks_exact(ho * wo).skip(row_of(i)).step_by(m);
-            for (d, &v) in dst.zip(planes.flatten()) {
-                *d = v;
+            for plane in g.chunks_exact(ho * wo).skip(row_of(i)).step_by(m) {
+                for (&v, d) in plane.iter().zip(&mut dst) {
+                    *d = v;
+                }
             }
         } else {
             dst.take(npix).for_each(|d| *d = 0.0);
