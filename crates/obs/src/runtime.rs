@@ -5,8 +5,8 @@
 //! `NetConfig::threads`, `alf-lab --jobs`) and falls back to the host's
 //! available parallelism when it is absent. Thread counts are purely a
 //! resource knob: all threaded paths are bitwise deterministic, so a
-//! thread count never changes results. The one environment override left
-//! is `ALF_GEMM_THREADS`, read by the GEMM pool in `alf-tensor`.
+//! thread count never changes results. The program reads no environment
+//! variable for a thread count.
 
 /// Resolves a worker-thread count: an explicit value wins (clamped to at
 /// least 1), otherwise the host's available parallelism.

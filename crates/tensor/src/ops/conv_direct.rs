@@ -1,17 +1,18 @@
 //! The convolution products, each on one route at every stride, pad and
-//! width: the forward [`conv_gemm_into`](super::conv_gemm_into), f32 and
-//! int8, the training weight gradient
-//! [`conv_weight_grad_into`](super::conv_weight_grad_into) and the input
-//! gradient [`conv_input_grad_into`](super::conv_input_grad_into) — bit for
-//! bit the unfolded product (`im2col` + the blocked driver, `col2im` for
-//! the input gradient) each replaces. All three speak the layer's `NCHW`
+//! width: the forward [`conv_gemm_into`], f32 and int8, the training weight
+//! gradient [`conv_weight_grad_into`] and the input gradient
+//! [`conv_input_grad_into`] — bit for bit the unfolded product (`im2col` +
+//! the blocked driver, `col2im` for the input gradient) each replaces. The
+//! [`Element`] trait describes what the route is generic over, and the
+//! int8 matrix product ([`gemm_i8_into`](super::gemm_i8_into)) is this
+//! route's 1×1 convolution. All three speak the layer's `NCHW`
 //! layout: the input and its gradient are `[n, ci, h, w]`, the output and
 //! its gradient `[n, m, ho, wo]`, so a layer neither copies nor reorders
 //! what it hands in or gets back.
 //!
 //! A code convolution has a handful of filters, so packing its image into
-//! `B` panels would be the layer: every value gathered, widened, stored and
-//! re-loaded feeds `m ≤ 8` multiply-adds. At stride 1 the panel row a tap
+//! `B` panels would be the layer: every value gathered, converted, stored
+//! and re-loaded feeds `m ≤ 8` multiply-adds. At stride 1 the panel row a tap
 //! would be packed into is already contiguous in the image — once the
 //! image has its zero border — so these routes copy each image once into a
 //! bordered scratch and let the tile load its operands from there
@@ -111,9 +112,363 @@ use alf_gemm_kernels::ConvTile;
 use alf_gemm_kernels::{Placement, TapOffsets, CONV_GRAD_TAPS, CONV_LANES, CONV_MR};
 
 use super::conv::Conv2dSpec;
-use super::gemm::{workers, ActiveRows, Element, KC};
+use super::gemm::{workers, ActiveRows, KC};
 use super::workspace::Workspace;
 use std::ops::Range;
+
+/// Convolution as one GEMM, with the im2col matrix never materialised:
+/// `C = A · unfold(X)` where `A` is the `[m, ci·k²]` weight matrix, `X` the
+/// `NCHW` input (`dims = [n, ci, h, w]`) and `C` the `NCHW` output `[n, m,
+/// h_out, w_out]`: row `row` of image `b` starts at `(b·m + row)·h_out·w_out`.
+/// `rows` restricts the product to the surviving filters exactly as
+/// [`gemm_active_rows_into`](super::gemm_active_rows_into) does; the
+/// others are written as zero.
+///
+/// Every bit of an f32 `C` is that of `im2col_into` +
+/// [`gemm_into`](super::gemm_into), whose `[m, n·h_out·w_out]` product
+/// holds the same elements image by image, at any stride and kernel (1×1
+/// included), without that driver: no `B` is packed. An `i8` `C` is the
+/// exact i32 product. Each image is copied once into a zero-bordered
+/// scratch (f32, or i16 channel pairs for `i8`), split into phase planes at
+/// stride `s` so that every stride reads it as stride 1 does, and the
+/// explicit tile of `alf-gemm-kernels` reads it in place — or, on a host
+/// without AVX2, a scalar loop in the tile's per-element order (see the
+/// module docs). When the live rows span more than one
+/// [`MC`](super::gemm::MC) block, `threads` splits each image's rows across
+/// workers in whole filter blocks, so the bits do not depend on `threads`.
+///
+/// Every convolution forward uses it: training, eval, the statistics pass
+/// and int8. A training step's backward reads the same image through
+/// [`conv_weight_grad_into`] and [`conv_input_grad_into`].
+///
+/// # Panics
+///
+/// Panics when a buffer length disagrees with the stated dimensions,
+/// `rows` does not cover `m` rows, or the padded input is smaller than the
+/// kernel.
+#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
+pub fn conv_gemm_into<T: Element>(
+    c: &mut [T::Acc],
+    a: &[T],
+    x: &[T],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let (k, ncols) = unfolded(x.len(), dims, spec, "conv_gemm");
+    assert_eq!(a.len(), m * k, "conv_gemm: A buffer is not [{m}x{k}]");
+    assert_eq!(
+        c.len(),
+        m * ncols,
+        "conv_gemm: C buffer is not [n x {m} x ho x wo]"
+    );
+    if let Some(rows) = rows {
+        assert_eq!(
+            rows.total(),
+            m,
+            "conv_gemm: descriptor covers {} rows, A has {m}",
+            rows.total()
+        );
+    }
+    conv_direct_into(Kernel::detect(), c, a, x, m, dims, spec, rows, ws, threads);
+}
+
+/// The weight gradient of a convolution, with the im2col matrix never
+/// materialised: `C = G · unfold(X)ᵀ` where `G` is the `NCHW` output
+/// gradient `[n, m, h_out, w_out]`, `X` the `NCHW` input (`dims = [n, ci,
+/// h, w]`) and `C` the `[m, ci·k²]` gradient of the weight matrix. `rows`
+/// restricts the product to the surviving filters exactly as
+/// [`gemm_active_rows_into`](super::gemm_active_rows_into) does; the
+/// others are written as zero.
+///
+/// Every bit of `C` is that of `im2col_into` followed by
+/// `gemm_into(c, g, false, cols, true, ..)` (or `gemm_active_rows_into(..,
+/// tb = true)` on `rows`) with `G` unfolded to `[m, n·h_out·w_out]`, at
+/// every stride, without that driver: the
+/// weight-gradient tile of `alf-gemm-kernels` (lanes over live output
+/// channels, accumulators over taps) reads a zero-bordered, phase-split
+/// copy of the batch and a pixel-major copy of `G`, and sums each element
+/// over the pixels in the unfolded product's order with the same [`KC`]
+/// flushes (see the module docs). Hosts without AVX2 run a scalar loop in
+/// that order. The work follows the live rows: a block of up to eight
+/// costs one channel vector. When the live rows span more than one
+/// [`MC`](super::gemm::MC) block, `threads` splits them across workers,
+/// each computing whole elements, so the bits do not depend on `threads`.
+///
+/// # Panics
+///
+/// Panics when a buffer length disagrees with the stated dimensions,
+/// `rows` does not cover `m` rows, or the padded input is smaller than the
+/// kernel.
+#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
+pub fn conv_weight_grad_into(
+    c: &mut [f32],
+    g: &[f32],
+    x: &[f32],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let (taps, ncols) = unfolded(x.len(), dims, spec, "conv_weight_grad");
+    assert_eq!(
+        g.len(),
+        m * ncols,
+        "conv_weight_grad: G buffer is not [n x {m} x ho x wo]"
+    );
+    assert_eq!(
+        c.len(),
+        m * taps,
+        "conv_weight_grad: C buffer is not [{m}x{taps}]"
+    );
+    if let Some(rows) = rows {
+        assert_eq!(
+            rows.total(),
+            m,
+            "conv_weight_grad: descriptor covers {} rows, G has {m}",
+            rows.total()
+        );
+    }
+    weight_grad_into(Kernel::detect(), c, g, x, m, dims, spec, rows, ws, threads);
+}
+
+/// The input gradient of a convolution: `dX = col2im(Aᵀ · G)`, where `A`
+/// is the `[m, ci·k²]` weight matrix, `G` the `[n, m, h_out, w_out]` output
+/// gradient and `dX` the `NCHW` gradient of the input (`dims = [n, ci, h,
+/// w]`), fully overwritten. `rows` lists the output channels that survive
+/// a clipped mask; the caller guarantees the other rows of `A` are zero,
+/// and their terms are skipped.
+///
+/// No column matrix is formed, at any stride, pad or width: each of the
+/// `s²` input phases is a stride-1 convolution of the bordered output
+/// gradient with the flipped, transposed sub-kernel of its taps, run on the
+/// forward tile (or its scalar loop without AVX2) once per spatial tap (see
+/// the module docs). Each element of `dX` adds its taps in ascending `(ky,
+/// kx)`, each tap's `Σ_co` formed from `+0.0` over the live channels in
+/// ascending order: for finite weights and at most [`KC`] live channels
+/// every bit is that of `gemm_into(Aᵀ, G)` (or `gemm_active_k_into` on
+/// `rows`) followed by `col2im`. Past `KC` live channels a tap's `Σ_co` is
+/// one sum where the blocked driver would flush it per `KC` slab. When the
+/// input channels span more than one [`MC`](super::gemm::MC) block,
+/// `threads` splits them across workers, so the bits do not depend on
+/// `threads`.
+///
+/// # Panics
+///
+/// Panics when a buffer length disagrees with the stated dimensions,
+/// `rows` does not cover `m` rows, or the padded input is smaller than the
+/// kernel.
+#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
+pub fn conv_input_grad_into(
+    dx: &mut [f32],
+    a: &[f32],
+    g: &[f32],
+    m: usize,
+    dims: [usize; 4],
+    spec: Conv2dSpec,
+    rows: Option<&ActiveRows>,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let (k, ncols) = unfolded(dx.len(), dims, spec, "conv_input_grad");
+    assert_eq!(a.len(), m * k, "conv_input_grad: A buffer is not [{m}x{k}]");
+    assert_eq!(
+        g.len(),
+        m * ncols,
+        "conv_input_grad: G buffer is not [n x {m} x ho x wo]"
+    );
+    if let Some(rows) = rows {
+        assert_eq!(
+            rows.total(),
+            m,
+            "conv_input_grad: descriptor covers {} rows, A has {m}",
+            rows.total()
+        );
+    }
+    input_grad_into(Kernel::detect(), dx, a, g, m, dims, spec, rows, ws, threads);
+}
+
+/// The shape `(ci·k², n·ho·wo)` of the matrix im2col would unfold the
+/// `NCHW` input of `dims` into under `spec`.
+///
+/// # Panics
+///
+/// Panics, naming `op`, when the input's length `len` does not hold
+/// `dims`, or when the padded input is smaller than the kernel.
+fn unfolded(len: usize, dims: [usize; 4], spec: Conv2dSpec, op: &str) -> (usize, usize) {
+    let [n, ci, h, w] = dims;
+    assert_eq!(len, n * ci * h * w, "{op}: X is not {dims:?}");
+    let (ho, wo) = spec.output_hw(h, w);
+    (ci * spec.kernel * spec.kernel, n * ho * wo)
+}
+
+/// What the convolution route is generic over: the operand element type.
+///
+/// An element says what `C` accumulates in, and how the route lays it
+/// out: a bordered image of its own lane type,
+/// [`GROUP`](Element::GROUP) channels interleaved per pixel, read against
+/// weights packed one [`Weight`](Element::Weight) per channel group, and
+/// which tile of `alf-gemm-kernels` multiplies them. Implemented for `f32`
+/// and `i8`; public only so that [`conv_gemm_into`] can name it.
+pub trait Element: Copy + Sync {
+    /// Element type of `C`.
+    type Acc: Copy + Default + std::ops::AddAssign + Send + Sync + 'static;
+
+    /// Channels one pixel of the convolution route's bordered image holds
+    /// side by side: 1 for `f32`, 2 for `i8` (one `vpmaddwd` pair).
+    const GROUP: usize;
+
+    /// Element type of the convolution route's bordered image.
+    type Lane: Copy + Default + Send + Sync + 'static;
+
+    /// One filter's [`GROUP`](Element::GROUP) weights of one tap, packed
+    /// as the convolution route's tile reads them.
+    type Weight: Copy + Default + Send + Sync + 'static;
+
+    /// Packs the weights of channels `0..channels` of a group, channel `j`
+    /// at `src[j·stride]`; channels up to [`GROUP`](Element::GROUP) past
+    /// `channels` (an odd last channel's partner) count as zero.
+    fn pack_weight(src: &[Self], stride: usize, channels: usize) -> Self::Weight;
+
+    /// Writes every `step`-th pixel of one image row of a channel group
+    /// into the bordered image: `dst[x·GROUP + j] = src[j·stride + x·step]`
+    /// for `j < channels`, zero for the group's other channels.
+    fn interleave(
+        dst: &mut [Self::Lane],
+        src: &[Self],
+        step: usize,
+        stride: usize,
+        channels: usize,
+    );
+
+    /// `acc + w·x` over one tap of one output pixel, `x` the pixel's
+    /// [`GROUP`](Element::GROUP) lanes: the step of the convolution route's
+    /// scalar loop, with the tile's arithmetic (f32: a separate multiply and
+    /// add; int8: exact in i32).
+    fn mul_add(acc: Self::Acc, w: Self::Weight, x: &[Self::Lane]) -> Self::Acc;
+
+    /// Adds one convolution product tile into `c`: the arguments of
+    /// `ConvTile::f32_into` / `ConvTile::i16_into`.
+    #[cfg(target_arch = "x86_64")]
+    fn conv_tile(
+        tile: ConvTile,
+        taps: TapOffsets<'_>,
+        weights: &[Self::Weight],
+        image: &[Self::Lane],
+        c: &mut [Self::Acc],
+        rows: &[usize],
+        at: Placement,
+    );
+}
+
+impl Element for f32 {
+    type Acc = f32;
+    const GROUP: usize = 1;
+    type Lane = f32;
+    type Weight = f32;
+
+    #[inline]
+    fn pack_weight(src: &[f32], _stride: usize, _channels: usize) -> f32 {
+        src[0]
+    }
+
+    #[inline]
+    fn interleave(dst: &mut [f32], src: &[f32], step: usize, _stride: usize, _channels: usize) {
+        if step == 1 {
+            dst.copy_from_slice(&src[..dst.len()]);
+        } else {
+            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(step)) {
+                *d = v;
+            }
+        }
+    }
+
+    #[inline]
+    fn mul_add(acc: f32, w: f32, x: &[f32]) -> f32 {
+        acc + w * x[0]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn conv_tile(
+        tile: ConvTile,
+        taps: TapOffsets<'_>,
+        weights: &[f32],
+        image: &[f32],
+        c: &mut [f32],
+        rows: &[usize],
+        at: Placement,
+    ) {
+        tile.f32_into(taps, weights, image, c, rows, at);
+    }
+}
+
+impl Element for i8 {
+    type Acc = i32;
+    const GROUP: usize = 2;
+    type Lane = i16;
+    /// The channel pair's two i16 in memory order: `w[c]` in the low half,
+    /// `w[c+1]` in the high half, as `vpmaddwd` pairs them with the image.
+    type Weight = i32;
+
+    #[inline]
+    fn pack_weight(src: &[i8], stride: usize, channels: usize) -> i32 {
+        let hi = if channels > 1 { src[stride] } else { 0 };
+        let [a, b] = i16::from(src[0]).to_ne_bytes();
+        let [c, d] = i16::from(hi).to_ne_bytes();
+        i32::from_ne_bytes([a, b, c, d])
+    }
+
+    #[inline]
+    fn interleave(dst: &mut [i16], src: &[i8], step: usize, stride: usize, channels: usize) {
+        let (pairs, _) = dst.as_chunks_mut::<2>();
+        if step == 1 {
+            let lo = &src[..pairs.len()];
+            if channels > 1 {
+                for ((p, &a), &b) in pairs.iter_mut().zip(lo).zip(&src[stride..]) {
+                    *p = [a.into(), b.into()];
+                }
+            } else {
+                for (p, &a) in pairs.iter_mut().zip(lo) {
+                    *p = [a.into(), 0];
+                }
+            }
+        } else if channels > 1 {
+            let (lo, hi) = (src.iter().step_by(step), src[stride..].iter().step_by(step));
+            for ((p, &a), &b) in pairs.iter_mut().zip(lo).zip(hi) {
+                *p = [a.into(), b.into()];
+            }
+        } else {
+            for (p, &a) in pairs.iter_mut().zip(src.iter().step_by(step)) {
+                *p = [a.into(), 0];
+            }
+        }
+    }
+
+    #[inline]
+    fn mul_add(acc: i32, w: i32, x: &[i16]) -> i32 {
+        let [a, b, c, d] = w.to_ne_bytes();
+        let (lo, hi) = (i16::from_ne_bytes([a, b]), i16::from_ne_bytes([c, d]));
+        acc + i32::from(lo) * i32::from(x[0]) + i32::from(hi) * i32::from(x[1])
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn conv_tile(
+        tile: ConvTile,
+        taps: TapOffsets<'_>,
+        weights: &[i32],
+        image: &[i16],
+        c: &mut [i32],
+        rows: &[usize],
+        at: Placement,
+    ) {
+        tile.i16_into(taps, weights, image, c, rows, at);
+    }
+}
 
 /// The layout of a zero-bordered, phase-split copy of one image: `G`
 /// channels per pixel, `s²` phase planes per channel group (see the module
@@ -212,7 +567,7 @@ impl Border {
 
 /// `C = A · unfold(X)` for a convolution on `kernel`, `rows` restricting
 /// it to the surviving filters; every other row of `C` is zero. The caller
-/// ([`conv_gemm_into`](super::conv_gemm_into)) has checked all lengths.
+/// ([`conv_gemm_into`]) has checked all lengths.
 /// `threads` splits the filter blocks across workers when the live rows
 /// span more than one `MC` block.
 #[allow(clippy::too_many_arguments)] // conv_gemm_into's, plus the kernel
@@ -346,8 +701,7 @@ pub(super) fn conv_direct_into<T: Element>(
 /// one stride-1 convolution per phase, the module docs describe how. `a`
 /// is the `[m, ci·k²]` weight matrix, `g` the `NCHW` output gradient, `dx`
 /// the `NCHW` input gradient, fully overwritten. The caller
-/// ([`conv_input_grad_into`](super::conv_input_grad_into)) has checked all
-/// lengths. `threads` splits the input channels across workers when they
+/// ([`conv_input_grad_into`]) has checked all lengths. `threads` splits the input channels across workers when they
 /// span more than one `MC` block.
 #[allow(clippy::too_many_arguments)] // conv_input_grad_into's, plus the kernel
 pub(super) fn input_grad_into(
@@ -743,8 +1097,7 @@ impl Kernel {
 
 /// `C = G · unfold(X)ᵀ` on `kernel`, `rows` restricting it to the surviving
 /// filters; every other row of `C` is zero. The caller
-/// ([`conv_weight_grad_into`](super::conv_weight_grad_into)) has checked
-/// all lengths. `threads` splits the channel blocks across workers when
+/// ([`conv_weight_grad_into`]) has checked all lengths. `threads` splits the channel blocks across workers when
 /// the live rows span more than one `MC` block.
 #[allow(clippy::too_many_arguments)] // conv_weight_grad_into's, plus the kernel
 pub(super) fn weight_grad_into(
@@ -881,7 +1234,8 @@ pub(super) fn weight_grad_into(
 mod tests {
     use super::*;
     use crate::init::Init;
-    use crate::ops::gemm::MC;
+    use crate::ops::gemm::{MC, NC};
+    use crate::ops::gemm_i8_into;
     use crate::rng::Rng;
     use crate::Tensor;
 
@@ -994,5 +1348,131 @@ mod tests {
         kernels_agree(tile, dims, spec, m_wide, Some(wide), 2, next(), &mut ws);
         kernels_agree(tile, dims, spec, MC + 1, None, 2, next(), &mut ws);
         kernels_agree(tile, [1, MC + 3, 4, 5], spec, 3, None, 2, next(), &mut ws);
+    }
+
+    #[test]
+    fn conv_products_are_allocation_free_after_warmup() {
+        // Strides 1 and 2, each in f32 (dense and row-gathered) and i8,
+        // beside the weight and input gradients, dense and row-gathered
+        // (the stride-2 input gradient through its phase slot); then calls
+        // wider than one `MC` block on two tile workers, f32 dense and
+        // gathered (the compact row buffer) and i8. One warm-up per
+        // geometry sizes every slot — the phase planes, the weight panels
+        // and the tap table included — and nothing grows after, whichever
+        // geometry the slots last served.
+        let (n, ci, h, w, m) = (2, 5, 11, 19, 9);
+        let dims = [n, ci, h, w];
+        let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)];
+        let x: Vec<f32> = (0..n * ci * h * w).map(|i| (i % 17) as f32 - 8.0).collect();
+        let wide = MC + 1;
+        let a_wide: Vec<f32> = (0..wide * ci * 9).map(|i| (i % 13) as f32 - 6.0).collect();
+        let (x8, a8_wide): (Vec<i8>, Vec<i8>) = (
+            x.iter().map(|&v| v as i8).collect(),
+            a_wide.iter().map(|&v| v as i8).collect(),
+        );
+        let (a, a8) = (&a_wide[..m * ci * 9], &a8_wide[..m * ci * 9]);
+        let rows = ActiveRows::from_indices(vec![0, 2, 3, 8], m).unwrap();
+        let wide_rows = ActiveRows::from_indices((1..wide).collect(), wide).unwrap();
+        let mut ws = Workspace::new();
+        let pass = |ws: &mut Workspace| {
+            for spec in specs {
+                let (ho, wo) = spec.output_hw(h, w);
+                let mut c = vec![0.0f32; m * n * ho * wo];
+                let mut c8 = vec![0i32; m * n * ho * wo];
+                conv_gemm_into(&mut c, a, &x, m, dims, spec, None, ws, 1);
+                conv_gemm_into(&mut c, a, &x, m, dims, spec, Some(&rows), ws, 1);
+                conv_gemm_into(&mut c8, a8, &x8, m, dims, spec, None, ws, 1);
+                let mut dw = vec![0.0f32; a.len()];
+                conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, None, ws, 1);
+                conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, Some(&rows), ws, 1);
+                let mut dx = vec![0.0f32; x.len()];
+                conv_input_grad_into(&mut dx, a, &c, m, dims, spec, None, ws, 1);
+                conv_input_grad_into(&mut dx, a, &c, m, dims, spec, Some(&rows), ws, 1);
+            }
+            let (ho, wo) = specs[1].output_hw(h, w);
+            let mut c = vec![0.0f32; wide * n * ho * wo];
+            let mut c8 = vec![0i32; wide * n * ho * wo];
+            conv_gemm_into(&mut c, &a_wide, &x, wide, dims, specs[1], None, ws, 2);
+            let gathered = Some(&wide_rows);
+            conv_gemm_into(&mut c, &a_wide, &x, wide, dims, specs[1], gathered, ws, 2);
+            conv_gemm_into(&mut c8, &a8_wide, &x8, wide, dims, specs[1], None, ws, 2);
+        };
+        pass(&mut ws);
+        let warm = ws.alloc_events();
+        ws.freeze();
+        for _ in 0..3 {
+            pass(&mut ws);
+        }
+        assert_eq!(ws.alloc_events(), warm);
+    }
+
+    #[test]
+    fn no_conv_product_runs_the_packed_driver() {
+        // Each product has one route. The forward in f32 and i8, strides 1
+        // and 2, one worker and `MC + 1` rows on two, dense and
+        // row-gathered, on the host's kernel and on the scalar lane; the
+        // weight and input gradients at strides 1–3, at a pad past `k − 1`
+        // and with more than KC live channels; the int8 matrix product at
+        // the shapes its own tests use, ragged in MC, KC and NC: not one
+        // driver run.
+        let dims = [2, 3, 9, 10];
+        let x = vec![1.0f32; 2 * 3 * 9 * 10];
+        let a = vec![1.0f32; (KC + 1) * 3 * 9];
+        let (x8, a8) = (vec![1i8; x.len()], vec![1i8; a.len()]);
+        let mut ws = Workspace::new();
+        for spec in [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)] {
+            let (ho, wo) = spec.output_hw(9, 10);
+            for (m, threads) in [(5, 1), (MC + 1, 2)] {
+                let (a, a8) = (&a[..m * 27], &a8[..m * 27]);
+                let drawn = ActiveRows::from_indices((0..m).step_by(2).collect(), m).unwrap();
+                let mut c = vec![0.0f32; m * 2 * ho * wo];
+                let mut c8 = vec![0i32; m * 2 * ho * wo];
+                let ws = &mut ws;
+                conv_gemm_into(&mut c, a, &x, m, dims, spec, None, ws, threads);
+                conv_gemm_into(&mut c8, a8, &x8, m, dims, spec, None, ws, threads);
+                for kernel in [Kernel::detect(), Kernel::Scalar] {
+                    for rows in [None, Some(&drawn)] {
+                        conv_direct_into(kernel, &mut c, a, &x, m, dims, spec, rows, ws, threads);
+                        conv_direct_into(
+                            kernel, &mut c8, a8, &x8, m, dims, spec, rows, ws, threads,
+                        );
+                    }
+                }
+            }
+        }
+        let specs = [
+            (3, 1, 1),
+            (1, 1, 0),
+            (3, 1, 3),
+            (3, 2, 1),
+            (3, 3, 0),
+            (5, 2, 2),
+        ];
+        for (spec, m) in specs
+            .map(|(k, s, p)| (Conv2dSpec::new(k, s, p), 4))
+            .into_iter()
+            .chain([(Conv2dSpec::new(1, 2, 0), KC + 1)])
+        {
+            let (ho, wo) = spec.output_hw(9, 10);
+            let (a, g) = (
+                &a[..m * 3 * spec.kernel * spec.kernel],
+                vec![0.25f32; m * 2 * ho * wo],
+            );
+            let (mut dx, mut dw) = (vec![0.0f32; x.len()], vec![0.0f32; a.len()]);
+            conv_input_grad_into(&mut dx, a, &g, m, dims, spec, None, &mut ws, 1);
+            conv_weight_grad_into(&mut dw, &g, &x, m, dims, spec, None, &mut ws, 1);
+        }
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 5, 2),
+            (7, 9, 11),
+            (64, 27, 1024 + 9),
+            (MC + 5, KC + 3, 40),
+            (2 * MC + 3, KC + 3, NC + 9),
+        ] {
+            let mut c = vec![0i32; m * n];
+            gemm_i8_into(&mut c, &vec![1; m * k], &vec![1; k * n], m, k, n, &mut ws);
+        }
+        assert_eq!(ws.packed_products(), 0);
     }
 }

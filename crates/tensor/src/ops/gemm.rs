@@ -1,10 +1,10 @@
-//! Cache-blocked, register-tiled, optionally multithreaded GEMM.
+//! Cache-blocked, register-tiled, optionally multithreaded f32 GEMM.
 //!
-//! This is the single blocked driver behind every matrix product in the
+//! This is the blocked driver behind every plain f32 matrix product in the
 //! workspace ([`super::matmul`], [`super::matmul_at`],
 //! [`super::matmul_bt`], the linear layers and the autoencoder player in
-//! `alf-core`). No convolution product runs it. The structure is the
-//! classic three-level blocking of Goto/BLIS:
+//! `alf-core`). It multiplies f32 matrices and nothing else. The structure
+//! is the classic three-level blocking of Goto/BLIS:
 //!
 //! * the `n` dimension is split into [`NC`]-wide column strips,
 //! * the `k` dimension into [`KC`]-deep slabs — for each `(NC, KC)` pair
@@ -23,8 +23,8 @@
 //!   lives *inside* the kernel function: the accumulator never crosses a
 //!   call boundary, which keeps it in registers instead of round-tripping
 //!   through a return slot on the stack. (That crate is also the one place
-//!   the workspace allows `unsafe`: its explicit AVX2 convolution tile,
-//!   below. This crate and every other keep `#![forbid(unsafe_code)]`.)
+//!   the workspace allows `unsafe`. This crate and every other keep
+//!   `#![forbid(unsafe_code)]`.)
 //!
 //! Transposed operands are handled in the packing routines — `Aᵀ` and
 //! `Bᵀ` cost a different read stride during the O(size) pack, never a
@@ -42,32 +42,6 @@
 //! entry points. Declared row/depth elision is the *only* sparse
 //! mechanism: nothing scans an operand for zeros.
 //!
-//! **One driver for every element type.** The loop nest, both packers and
-//! the per-worker tile walk are generic over a private `Element` trait
-//! that hides exactly three things: the accumulator type of `C` (`f32`
-//! for `f32` operands, `i32` for `i8`), how an operand value is widened
-//! into the f32 lane of a packed panel, and which `alf-gemm-kernels` tile
-//! consumes a panel pair. (The trait also tells the convolution route its
-//! own image layout, below.) The int8 product ([`super::gemm_i8_into`]) is
-//! therefore the same code as the f32 one, entered with one thread and
-//! identity gathers; see [`super::qgemm`] for why it stays exact.
-//!
-//! **Convolutions never unfold, and never pack.** Each of the three
-//! convolution products has one route (`conv_direct`), at every stride,
-//! pad and width, and each reads and writes its activations in the
-//! layer's own `NCHW` layout: [`conv_gemm_into`], the forward of every
-//! mode (training, eval, statistics, int8), copies each image once into a
-//! zero-bordered, phase-split scratch from which the explicit tile of
-//! `alf-gemm-kernels` loads its operands — f32 in the unfolded product's
-//! per-element operation order, int8 as i16 channel pairs in exact integer
-//! arithmetic — so it is bit for bit `im2col` + this driver. The weight
-//! gradient `G · unfold(X)ᵀ` ([`conv_weight_grad_into`]) runs on the
-//! weight-gradient tile, and the input gradient ([`conv_input_grad_into`])
-//! on the forward tile, one stride-1 convolution per input phase. A host
-//! without AVX2 runs the same bookkeeping on a scalar loop with the tiles'
-//! per-element sequence, and filters past one [`MC`] block split across
-//! workers there as here.
-//!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block on
 //! `std::thread::scope`). Workers share the read-only packed `B` and own
@@ -82,13 +56,9 @@
 //! product) comes from the caller's [`Workspace`], so steady-state calls
 //! are allocation-free.
 
-use super::conv::Conv2dSpec;
-use super::conv_direct::{self, Kernel};
 use super::workspace::Workspace;
 use crate::ShapeError;
-use alf_gemm_kernels::{microkernel_i8_into, microkernel_into, microkernel_into_clipped};
-#[cfg(target_arch = "x86_64")]
-use alf_gemm_kernels::{ConvTile, Placement, TapOffsets};
+use alf_gemm_kernels::{microkernel_into, microkernel_into_clipped};
 
 // The micro-kernels and the tile geometry live in `alf-gemm-kernels`, a
 // dedicated crate, because their codegen is context-sensitive: compiled in
@@ -123,8 +93,8 @@ const PAR_FLOP_THRESHOLD: f64 = 8.0e6;
 /// mask (`Mprune = 1{|m| > t}·m`, so "active" means `|m| > t`), caches it,
 /// and hands it to every kernel that can skip pruned work — the code-conv
 /// forward and both backward products compute only the live output
-/// channels ([`conv_gemm_into`], [`conv_weight_grad_into`],
-/// [`conv_input_grad_into`]), and the autoencoder decoder GEMM skips
+/// channels ([`super::conv_gemm_into`], [`super::conv_weight_grad_into`],
+/// [`super::conv_input_grad_into`]), and the autoencoder decoder GEMM skips
 /// inactive `k` slices ([`gemm_active_k_into`]).
 ///
 /// Indices are strictly increasing and bounded by `total`, the full row
@@ -235,14 +205,10 @@ impl ActiveRows {
 
 /// Thread count policy for a `[m,k]·[k,n]` product: 1 on single-core
 /// hosts and below the flop threshold, otherwise capped by the host's
-/// parallelism, [`MAX_THREADS`], and the number of `MC` row blocks. The
-/// `ALF_GEMM_THREADS` environment variable overrides the policy (clamped
-/// to `[1, MAX_THREADS]`) — useful for benchmarking scaling and for
-/// forcing determinism checks across counts.
+/// parallelism, [`MAX_THREADS`], and the number of `MC` row blocks.
+/// Callers that need another count (the determinism tests) pass `threads`
+/// to the entry points directly.
 pub fn auto_threads(m: usize, k: usize, n: usize) -> usize {
-    if let Some(t) = thread_override() {
-        return t.clamp(1, MAX_THREADS);
-    }
     let hw = host_parallelism();
     if hw <= 1 {
         return 1;
@@ -262,23 +228,6 @@ pub fn host_parallelism() -> usize {
     *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |v| v.get()))
 }
 
-fn thread_override() -> Option<usize> {
-    static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    // Cached because this sits on the GEMM dispatch path.
-    *OVERRIDE.get_or_init(|| env_threads("ALF_GEMM_THREADS"))
-}
-
-/// Parses a positive worker count from `env_var`. Returns `None` when the
-/// variable is unset, empty, non-numeric, or zero; surrounding whitespace
-/// is tolerated.
-fn env_threads(env_var: &str) -> Option<usize> {
-    std::env::var(env_var).ok().and_then(|v| parse_threads(&v))
-}
-
-fn parse_threads(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
 /// Gather maps threaded through the packing stage.
 ///
 /// `rmap` replaces logical row `i` of the blocked problem with physical
@@ -290,7 +239,7 @@ fn parse_threads(v: &str) -> Option<usize> {
 /// and with identity maps the packed panels — and therefore the result —
 /// are bitwise identical to the plain dense path.
 #[derive(Clone, Copy)]
-pub(super) struct Gather<'g> {
+struct Gather<'g> {
     rmap: Option<&'g [usize]>,
     kmap: Option<&'g [usize]>,
     am: usize,
@@ -298,7 +247,7 @@ pub(super) struct Gather<'g> {
 }
 
 impl<'g> Gather<'g> {
-    pub(super) fn dense(m: usize, k: usize) -> Self {
+    fn dense(m: usize, k: usize) -> Self {
         Self {
             rmap: None,
             kmap: None,
@@ -490,410 +439,21 @@ pub fn gemm_active_k_into(
     gemm_driver(c, a, ta, b, false, m, ke, n, ws, threads, gather);
 }
 
-/// Convolution as one GEMM, with the im2col matrix never materialised:
-/// `C = A · unfold(X)` where `A` is the `[m, ci·k²]` weight matrix, `X` the
-/// `NCHW` input (`dims = [n, ci, h, w]`) and `C` the `NCHW` output `[n, m,
-/// h_out, w_out]`: row `row` of image `b` starts at `(b·m + row)·h_out·w_out`.
-/// `rows` restricts the product to the surviving filters exactly as
-/// [`gemm_active_rows_into`] does; the others are written as zero.
-///
-/// Every bit of `C` is that of `im2col_into` + [`gemm_into`] (or
-/// `im2col_i8_into` + `gemm_i8_into` for `i8`), whose `[m, n·h_out·w_out]`
-/// product holds the same elements image by image, at any stride and kernel
-/// (1×1 included), without that driver: no `B` is packed. Each image is
-/// copied once into a zero-bordered scratch (f32, or i16 channel pairs for
-/// `i8`), split into phase planes at stride `s` so that every stride reads
-/// it as stride 1 does, and the explicit tile of `alf-gemm-kernels` reads
-/// it in place — or, on a host without AVX2, a scalar loop in the tile's
-/// per-element order (see `conv_direct`). When the live rows span more
-/// than one [`MC`] block, `threads` splits each image's rows across
-/// workers in whole filter blocks, so the bits do not depend on `threads`.
-///
-/// Every convolution forward uses it: training, eval, the statistics pass
-/// and int8. A training step's backward reads the same image through
-/// [`conv_weight_grad_into`] and [`conv_input_grad_into`].
-///
-/// # Panics
-///
-/// Panics when a buffer length disagrees with the stated dimensions,
-/// `rows` does not cover `m` rows, or the padded input is smaller than the
-/// kernel.
-#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
-pub fn conv_gemm_into<T: Element>(
-    c: &mut [T::Acc],
-    a: &[T],
-    x: &[T],
-    m: usize,
-    dims: [usize; 4],
-    spec: Conv2dSpec,
-    rows: Option<&ActiveRows>,
-    ws: &mut Workspace,
-    threads: usize,
-) {
-    let (k, ncols) = unfolded(x.len(), dims, spec, "conv_gemm");
-    assert_eq!(a.len(), m * k, "conv_gemm: A buffer is not [{m}x{k}]");
-    assert_eq!(
-        c.len(),
-        m * ncols,
-        "conv_gemm: C buffer is not [n x {m} x ho x wo]"
-    );
-    if let Some(rows) = rows {
-        assert_eq!(
-            rows.total(),
-            m,
-            "conv_gemm: descriptor covers {} rows, A has {m}",
-            rows.total()
-        );
-    }
-    let kernel = Kernel::detect();
-    conv_direct::conv_direct_into(kernel, c, a, x, m, dims, spec, rows, ws, threads);
-}
-
-/// The weight gradient of a convolution, with the im2col matrix never
-/// materialised: `C = G · unfold(X)ᵀ` where `G` is the `NCHW` output
-/// gradient `[n, m, h_out, w_out]`, `X` the `NCHW` input (`dims = [n, ci,
-/// h, w]`) and `C` the `[m, ci·k²]` gradient of the weight matrix. `rows` restricts the
-/// product to the surviving filters exactly as [`gemm_active_rows_into`]
-/// does; the others are written as zero.
-///
-/// Every bit of `C` is that of `im2col_into` followed by
-/// `gemm_into(c, g, false, cols, true, ..)` (or `gemm_active_rows_into(..,
-/// tb = true)` on `rows`) with `G` unfolded to `[m, n·h_out·w_out]`, at
-/// every stride, without that driver: the
-/// weight-gradient tile of `alf-gemm-kernels` (lanes over live output
-/// channels, accumulators over taps) reads a zero-bordered, phase-split
-/// copy of the batch and a pixel-major copy of `G`, and sums each element
-/// over the pixels in the unfolded product's order with the same [`KC`]
-/// flushes (see `conv_direct`). Hosts without AVX2 run a scalar loop in
-/// that order. The work follows the live rows: a block of up to eight
-/// costs one channel vector. When the live rows span more than one
-/// [`MC`] block, `threads` splits them across workers, each computing
-/// whole elements, so the bits do not depend on `threads`.
-///
-/// # Panics
-///
-/// Panics when a buffer length disagrees with the stated dimensions,
-/// `rows` does not cover `m` rows, or the padded input is smaller than the
-/// kernel.
-#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
-pub fn conv_weight_grad_into(
-    c: &mut [f32],
-    g: &[f32],
-    x: &[f32],
-    m: usize,
-    dims: [usize; 4],
-    spec: Conv2dSpec,
-    rows: Option<&ActiveRows>,
-    ws: &mut Workspace,
-    threads: usize,
-) {
-    let (taps, ncols) = unfolded(x.len(), dims, spec, "conv_weight_grad");
-    assert_eq!(
-        g.len(),
-        m * ncols,
-        "conv_weight_grad: G buffer is not [n x {m} x ho x wo]"
-    );
-    assert_eq!(
-        c.len(),
-        m * taps,
-        "conv_weight_grad: C buffer is not [{m}x{taps}]"
-    );
-    if let Some(rows) = rows {
-        assert_eq!(
-            rows.total(),
-            m,
-            "conv_weight_grad: descriptor covers {} rows, G has {m}",
-            rows.total()
-        );
-    }
-    let kernel = Kernel::detect();
-    conv_direct::weight_grad_into(kernel, c, g, x, m, dims, spec, rows, ws, threads);
-}
-
-/// The input gradient of a convolution: `dX = col2im(Aᵀ · G)`, where `A`
-/// is the `[m, ci·k²]` weight matrix, `G` the `[n, m, h_out, w_out]` output
-/// gradient and `dX` the `NCHW` gradient of the input (`dims = [n, ci, h,
-/// w]`), fully overwritten. `rows` lists the output channels that survive
-/// a clipped mask; the caller guarantees the other rows of `A` are zero,
-/// and their terms are skipped.
-///
-/// No column matrix is formed, at any stride, pad or width: each of the
-/// `s²` input phases is a stride-1 convolution of the bordered output
-/// gradient with the flipped, transposed sub-kernel of its taps, run on the
-/// forward tile (or its scalar loop without AVX2) once per spatial tap (see
-/// `conv_direct`). Each element of `dX` adds its taps in ascending `(ky,
-/// kx)`, each tap's `Σ_co` formed from `+0.0` over the live channels in
-/// ascending order: for finite weights and at most [`KC`] live channels
-/// every bit is that of `gemm_into(Aᵀ, G)` (or `gemm_active_k_into` on
-/// `rows`) followed by `col2im`. Past `KC` live channels a tap's `Σ_co` is
-/// one sum where the blocked driver would flush it per `KC` slab. When the
-/// input channels span more than one [`MC`] block, `threads` splits them
-/// across workers, so the bits do not depend on `threads`.
-///
-/// # Panics
-///
-/// Panics when a buffer length disagrees with the stated dimensions,
-/// `rows` does not cover `m` rows, or the padded input is smaller than the
-/// kernel.
-#[allow(clippy::too_many_arguments)] // gemm signature plus the conv geometry
-pub fn conv_input_grad_into(
-    dx: &mut [f32],
-    a: &[f32],
-    g: &[f32],
-    m: usize,
-    dims: [usize; 4],
-    spec: Conv2dSpec,
-    rows: Option<&ActiveRows>,
-    ws: &mut Workspace,
-    threads: usize,
-) {
-    let (k, ncols) = unfolded(dx.len(), dims, spec, "conv_input_grad");
-    assert_eq!(a.len(), m * k, "conv_input_grad: A buffer is not [{m}x{k}]");
-    assert_eq!(
-        g.len(),
-        m * ncols,
-        "conv_input_grad: G buffer is not [n x {m} x ho x wo]"
-    );
-    if let Some(rows) = rows {
-        assert_eq!(
-            rows.total(),
-            m,
-            "conv_input_grad: descriptor covers {} rows, A has {m}",
-            rows.total()
-        );
-    }
-    let kernel = Kernel::detect();
-    conv_direct::input_grad_into(kernel, dx, a, g, m, dims, spec, rows, ws, threads);
-}
-
 /// Workers the blocked driver engages for `m` logical rows when asked for
 /// `threads`: one per [`MC`] row block at most.
 pub(super) fn workers(threads: usize, m: usize) -> usize {
     threads.clamp(1, m.div_ceil(MC).max(1)).min(MAX_THREADS)
 }
 
-/// The shape `(ci·k², n·ho·wo)` of the matrix im2col would unfold the
-/// `NCHW` input of `dims` into under `spec`.
-///
-/// # Panics
-///
-/// Panics, naming `op`, when the input's length `len` does not hold
-/// `dims`, or when the padded input is smaller than the kernel.
-fn unfolded(len: usize, dims: [usize; 4], spec: Conv2dSpec, op: &str) -> (usize, usize) {
-    let [n, ci, h, w] = dims;
-    assert_eq!(len, n * ci * h * w, "{op}: X is not {dims:?}");
-    let (ho, wo) = spec.output_hw(h, w);
-    (ci * spec.kernel * spec.kernel, n * ho * wo)
-}
-
-/// What the blocked driver is generic over: the operand element type.
-///
-/// Packed panels always hold f32 lanes (that is what the register tiles
-/// in `alf-gemm-kernels` consume), so an element only has to say how it
-/// widens into a lane, what `C` accumulates in, and which tile to run. The
-/// direct convolution route (`conv_direct`) reads a bordered image of its
-/// own lane type instead, [`GROUP`](Element::GROUP) channels interleaved
-/// per pixel, against weights packed one [`Weight`](Element::Weight) per
-/// channel group. Implemented for `f32` and `i8`; public only so that
-/// [`conv_gemm_into`] can name it.
-pub trait Element: Copy + Sync {
-    /// Element type of `C`.
-    type Acc: Copy + Default + std::ops::AddAssign + Send + Sync + 'static;
-
-    /// Channels one pixel of the convolution route's bordered image holds
-    /// side by side: 1 for `f32`, 2 for `i8` (one `vpmaddwd` pair).
-    const GROUP: usize;
-
-    /// Element type of the convolution route's bordered image.
-    type Lane: Copy + Default + Send + Sync + 'static;
-
-    /// One filter's [`GROUP`](Element::GROUP) weights of one tap, packed
-    /// as the convolution route's tile reads them.
-    type Weight: Copy + Default + Send + Sync + 'static;
-
-    /// The value as a packed-panel lane.
-    fn widen(self) -> f32;
-
-    /// Packs the weights of channels `0..channels` of a group, channel `j`
-    /// at `src[j·stride]`; channels up to [`GROUP`](Element::GROUP) past
-    /// `channels` (an odd last channel's partner) count as zero.
-    fn pack_weight(src: &[Self], stride: usize, channels: usize) -> Self::Weight;
-
-    /// Writes every `step`-th pixel of one image row of a channel group
-    /// into the bordered image: `dst[x·GROUP + j] = src[j·stride + x·step]`
-    /// for `j < channels`, zero for the group's other channels.
-    fn interleave(
-        dst: &mut [Self::Lane],
-        src: &[Self],
-        step: usize,
-        stride: usize,
-        channels: usize,
-    );
-
-    /// Adds one `apanel · bpanel` product tile into `c` (row stride `n`),
-    /// writing only the live `rlim`×`clim` region.
-    fn tile(
-        apanel: &[f32],
-        bpanel: &[f32],
-        c: &mut [Self::Acc],
-        n: usize,
-        rlim: usize,
-        clim: usize,
-    );
-
-    /// `acc + w·x` over one tap of one output pixel, `x` the pixel's
-    /// [`GROUP`](Element::GROUP) lanes: the step of the convolution route's
-    /// scalar loop, with the tile's arithmetic (f32: a separate multiply and
-    /// add; int8: exact in i32).
-    fn mul_add(acc: Self::Acc, w: Self::Weight, x: &[Self::Lane]) -> Self::Acc;
-
-    /// Adds one convolution product tile into `c`: the arguments of
-    /// `ConvTile::f32_into` / `ConvTile::i16_into`.
-    #[cfg(target_arch = "x86_64")]
-    fn conv_tile(
-        tile: ConvTile,
-        taps: TapOffsets<'_>,
-        weights: &[Self::Weight],
-        image: &[Self::Lane],
-        c: &mut [Self::Acc],
-        rows: &[usize],
-        at: Placement,
-    );
-}
-
-impl Element for f32 {
-    type Acc = f32;
-    const GROUP: usize = 1;
-    type Lane = f32;
-    type Weight = f32;
-
-    fn widen(self) -> f32 {
-        self
-    }
-
-    #[inline]
-    fn pack_weight(src: &[f32], _stride: usize, _channels: usize) -> f32 {
-        src[0]
-    }
-
-    #[inline]
-    fn interleave(dst: &mut [f32], src: &[f32], step: usize, _stride: usize, _channels: usize) {
-        if step == 1 {
-            dst.copy_from_slice(&src[..dst.len()]);
-        } else {
-            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(step)) {
-                *d = v;
-            }
-        }
-    }
-
-    fn tile(apanel: &[f32], bpanel: &[f32], c: &mut [f32], n: usize, rlim: usize, clim: usize) {
-        if rlim == MR && clim == NR {
-            microkernel_into(apanel, bpanel, c, n);
-        } else {
-            microkernel_into_clipped(apanel, bpanel, c, n, rlim, clim);
-        }
-    }
-
-    #[inline]
-    fn mul_add(acc: f32, w: f32, x: &[f32]) -> f32 {
-        acc + w * x[0]
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn conv_tile(
-        tile: ConvTile,
-        taps: TapOffsets<'_>,
-        weights: &[f32],
-        image: &[f32],
-        c: &mut [f32],
-        rows: &[usize],
-        at: Placement,
-    ) {
-        tile.f32_into(taps, weights, image, c, rows, at);
-    }
-}
-
-impl Element for i8 {
-    type Acc = i32;
-    const GROUP: usize = 2;
-    type Lane = i16;
-    /// The channel pair's two i16 in memory order: `w[c]` in the low half,
-    /// `w[c+1]` in the high half, as `vpmaddwd` pairs them with the image.
-    type Weight = i32;
-
-    fn widen(self) -> f32 {
-        f32::from(self)
-    }
-
-    #[inline]
-    fn pack_weight(src: &[i8], stride: usize, channels: usize) -> i32 {
-        let hi = if channels > 1 { src[stride] } else { 0 };
-        let [a, b] = i16::from(src[0]).to_ne_bytes();
-        let [c, d] = i16::from(hi).to_ne_bytes();
-        i32::from_ne_bytes([a, b, c, d])
-    }
-
-    #[inline]
-    fn interleave(dst: &mut [i16], src: &[i8], step: usize, stride: usize, channels: usize) {
-        let (pairs, _) = dst.as_chunks_mut::<2>();
-        if step == 1 {
-            let lo = &src[..pairs.len()];
-            if channels > 1 {
-                for ((p, &a), &b) in pairs.iter_mut().zip(lo).zip(&src[stride..]) {
-                    *p = [a.into(), b.into()];
-                }
-            } else {
-                for (p, &a) in pairs.iter_mut().zip(lo) {
-                    *p = [a.into(), 0];
-                }
-            }
-        } else if channels > 1 {
-            let (lo, hi) = (src.iter().step_by(step), src[stride..].iter().step_by(step));
-            for ((p, &a), &b) in pairs.iter_mut().zip(lo).zip(hi) {
-                *p = [a.into(), b.into()];
-            }
-        } else {
-            for (p, &a) in pairs.iter_mut().zip(src.iter().step_by(step)) {
-                *p = [a.into(), 0];
-            }
-        }
-    }
-
-    fn tile(apanel: &[f32], bpanel: &[f32], c: &mut [i32], n: usize, rlim: usize, clim: usize) {
-        microkernel_i8_into(apanel, bpanel, c, n, rlim, clim);
-    }
-
-    #[inline]
-    fn mul_add(acc: i32, w: i32, x: &[i16]) -> i32 {
-        let [a, b, c, d] = w.to_ne_bytes();
-        let (lo, hi) = (i16::from_ne_bytes([a, b]), i16::from_ne_bytes([c, d]));
-        acc + i32::from(lo) * i32::from(x[0]) + i32::from(hi) * i32::from(x[1])
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn conv_tile(
-        tile: ConvTile,
-        taps: TapOffsets<'_>,
-        weights: &[i32],
-        image: &[i16],
-        c: &mut [i32],
-        rows: &[usize],
-        at: Placement,
-    ) {
-        tile.i16_into(taps, weights, image, c, rows, at);
-    }
-}
-
 /// The blocked driver behind every entry point. `m` and `k` are the
 /// *logical* (post-gather) dimensions the blocking runs over; `gather`
 /// carries the physical strides and optional index maps (see [`Gather`]).
 #[allow(clippy::too_many_arguments)]
-pub(super) fn gemm_driver<T: Element>(
-    c: &mut [T::Acc],
-    a: &[T],
+fn gemm_driver(
+    c: &mut [f32],
+    a: &[f32],
     ta: bool,
-    b: &[T],
+    b: &[f32],
     tb: bool,
     m: usize,
     k: usize,
@@ -908,7 +468,7 @@ pub(super) fn gemm_driver<T: Element>(
     debug_assert_eq!(gather.rmap.map_or(gather.am, <[usize]>::len), m);
     debug_assert_eq!(gather.kmap.map_or(gather.ak, <[usize]>::len), k);
     ws.count_packed_product();
-    c.fill(T::Acc::default());
+    c.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -985,11 +545,11 @@ pub(super) fn gemm_driver<T: Element>(
 ///
 /// `c_rows` holds rows `row0 .. row0 + mrows` of `C` at full stride `n`.
 #[allow(clippy::too_many_arguments)]
-fn process_rows<T: Element>(
-    c_rows: &mut [T::Acc],
+fn process_rows(
+    c_rows: &mut [f32],
     row0: usize,
     mrows: usize,
-    a: &[T],
+    a: &[f32],
     ta: bool,
     n: usize,
     jc: usize,
@@ -1013,7 +573,12 @@ fn process_rows<T: Element>(
             let clim = NR.min(nc - jp * NR);
             let coff = rbase * n + cbase;
             let cend = coff + (rlim - 1) * n + clim;
-            T::tile(apanel, bpanel, &mut c_rows[coff..cend], n, rlim, clim);
+            let c = &mut c_rows[coff..cend];
+            if rlim == MR && clim == NR {
+                microkernel_into(apanel, bpanel, c, n);
+            } else {
+                microkernel_into_clipped(apanel, bpanel, c, n, rlim, clim);
+            }
         }
     }
 }
@@ -1023,9 +588,9 @@ fn process_rows<T: Element>(
 /// kmap(p0 + p)]`, zero-padding rows past `mc`. This is where row/depth
 /// elision physically happens — a pruned row simply has no panel slot.
 #[allow(clippy::too_many_arguments)]
-fn pack_a<T: Element>(
+fn pack_a(
     apack: &mut [f32],
-    a: &[T],
+    a: &[f32],
     ta: bool,
     i0: usize,
     mc: usize,
@@ -1042,9 +607,9 @@ fn pack_a<T: Element>(
                 *slot = if row < i0 + mc {
                     let pr = gather.rmap.map_or(row, |rm| rm[row]);
                     if ta {
-                        a[pk * gather.am + pr].widen()
+                        a[pk * gather.am + pr]
                     } else {
-                        a[pr * gather.ak + pk].widen()
+                        a[pr * gather.ak + pk]
                     }
                 } else {
                     0.0
@@ -1058,12 +623,12 @@ fn pack_a<T: Element>(
 /// `NR`-column panels: `bpack[(jp·kc + p)·NR + r] = B[kmap(p0 + p),
 /// j0 + jp·NR + r]`, zero-padding columns past `nc`. A non-transposed `B`
 /// row is contiguous across a panel's columns, so that case is a straight
-/// widening copy — this is the O(k·n) stage small-`m` products (every conv
-/// at batch 8) spend most of their non-tile time in.
+/// copy — this is the O(k·n) stage small-`m` products spend most of their
+/// non-tile time in.
 #[allow(clippy::too_many_arguments)]
-fn pack_b<T: Element>(
+fn pack_b(
     bpack: &mut [f32],
-    b: &[T],
+    b: &[f32],
     tb: bool,
     n: usize,
     p0: usize,
@@ -1081,12 +646,15 @@ fn pack_b<T: Element>(
             let (cols, pad) = out.split_at_mut(live);
             if tb {
                 for (r, slot) in cols.iter_mut().enumerate() {
-                    *slot = b[(col0 + r) * gather.ak + pk].widen();
+                    *slot = b[(col0 + r) * gather.ak + pk];
                 }
             } else {
+                // Element by element, not `copy_from_slice`: a panel row is
+                // at most `NR` floats, and a `memcpy` call per row costs
+                // more than the copy.
                 let src = &b[pk * n + col0..pk * n + col0 + live];
                 for (slot, &v) in cols.iter_mut().zip(src) {
-                    *slot = v.widen();
+                    *slot = v;
                 }
             }
             pad.fill(0.0);
@@ -1101,16 +669,6 @@ mod tests {
     use crate::ops::reference;
     use crate::rng::Rng;
     use crate::Tensor;
-
-    #[test]
-    fn env_threads_rejects_garbage() {
-        assert_eq!(env_threads("ALF_GEMM_TEST_UNSET"), None);
-        assert_eq!(parse_threads(" 4 "), Some(4));
-        assert_eq!(parse_threads("0"), None);
-        assert_eq!(parse_threads(""), None);
-        assert_eq!(parse_threads("four"), None);
-        assert_eq!(parse_threads("-2"), None);
-    }
 
     fn run(a: &Tensor, ta: bool, b: &Tensor, tb: bool, threads: usize) -> Tensor {
         let (m, k) = if ta {
@@ -1424,121 +982,6 @@ mod tests {
             );
         }
         assert_eq!(ws.alloc_events(), warm);
-    }
-
-    #[test]
-    fn conv_products_are_allocation_free_after_warmup() {
-        // Strides 1 and 2, each in f32 (dense and row-gathered) and i8,
-        // beside the weight and input gradients, dense and row-gathered
-        // (the stride-2 input gradient through its phase slot); then calls
-        // wider than one `MC` block on two tile workers, f32 dense and
-        // gathered (the compact row buffer) and i8. One warm-up per
-        // geometry sizes every slot — the phase planes, the weight panels
-        // and the tap table included — and nothing grows after, whichever
-        // geometry the slots last served.
-        let (n, ci, h, w, m) = (2, 5, 11, 19, 9);
-        let dims = [n, ci, h, w];
-        let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)];
-        let x: Vec<f32> = (0..n * ci * h * w).map(|i| (i % 17) as f32 - 8.0).collect();
-        let wide = MC + 1;
-        let a_wide: Vec<f32> = (0..wide * ci * 9).map(|i| (i % 13) as f32 - 6.0).collect();
-        let (x8, a8_wide): (Vec<i8>, Vec<i8>) = (
-            x.iter().map(|&v| v as i8).collect(),
-            a_wide.iter().map(|&v| v as i8).collect(),
-        );
-        let (a, a8) = (&a_wide[..m * ci * 9], &a8_wide[..m * ci * 9]);
-        let rows = ActiveRows::from_indices(vec![0, 2, 3, 8], m).unwrap();
-        let wide_rows = ActiveRows::from_indices((1..wide).collect(), wide).unwrap();
-        let mut ws = Workspace::new();
-        let pass = |ws: &mut Workspace| {
-            for spec in specs {
-                let (ho, wo) = spec.output_hw(h, w);
-                let mut c = vec![0.0f32; m * n * ho * wo];
-                let mut c8 = vec![0i32; m * n * ho * wo];
-                conv_gemm_into(&mut c, a, &x, m, dims, spec, None, ws, 1);
-                conv_gemm_into(&mut c, a, &x, m, dims, spec, Some(&rows), ws, 1);
-                conv_gemm_into(&mut c8, a8, &x8, m, dims, spec, None, ws, 1);
-                let mut dw = vec![0.0f32; a.len()];
-                conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, None, ws, 1);
-                conv_weight_grad_into(&mut dw, &c, &x, m, dims, spec, Some(&rows), ws, 1);
-                let mut dx = vec![0.0f32; x.len()];
-                conv_input_grad_into(&mut dx, a, &c, m, dims, spec, None, ws, 1);
-                conv_input_grad_into(&mut dx, a, &c, m, dims, spec, Some(&rows), ws, 1);
-            }
-            let (ho, wo) = specs[1].output_hw(h, w);
-            let mut c = vec![0.0f32; wide * n * ho * wo];
-            let mut c8 = vec![0i32; wide * n * ho * wo];
-            conv_gemm_into(&mut c, &a_wide, &x, wide, dims, specs[1], None, ws, 2);
-            let gathered = Some(&wide_rows);
-            conv_gemm_into(&mut c, &a_wide, &x, wide, dims, specs[1], gathered, ws, 2);
-            conv_gemm_into(&mut c8, &a8_wide, &x8, wide, dims, specs[1], None, ws, 2);
-        };
-        pass(&mut ws);
-        let warm = ws.alloc_events();
-        ws.freeze();
-        for _ in 0..3 {
-            pass(&mut ws);
-        }
-        assert_eq!(ws.alloc_events(), warm);
-    }
-
-    #[test]
-    fn no_conv_product_runs_the_packed_driver() {
-        // Each product has one route. The forward in f32 and i8, strides 1
-        // and 2, one worker and `MC + 1` rows on two, dense and
-        // row-gathered, on the host's kernel and on the scalar lane; the
-        // weight and input gradients at strides 1–3, at a pad past `k − 1`
-        // and with more than KC live channels: not one driver run.
-        let dims = [2, 3, 9, 10];
-        let x = vec![1.0f32; 2 * 3 * 9 * 10];
-        let a = vec![1.0f32; (KC + 1) * 3 * 9];
-        let (x8, a8) = (vec![1i8; x.len()], vec![1i8; a.len()]);
-        let mut ws = Workspace::new();
-        for spec in [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)] {
-            let (ho, wo) = spec.output_hw(9, 10);
-            for (m, threads) in [(5, 1), (MC + 1, 2)] {
-                let (a, a8) = (&a[..m * 27], &a8[..m * 27]);
-                let drawn = ActiveRows::from_indices((0..m).step_by(2).collect(), m).unwrap();
-                let mut c = vec![0.0f32; m * 2 * ho * wo];
-                let mut c8 = vec![0i32; m * 2 * ho * wo];
-                let ws = &mut ws;
-                conv_gemm_into(&mut c, a, &x, m, dims, spec, None, ws, threads);
-                conv_gemm_into(&mut c8, a8, &x8, m, dims, spec, None, ws, threads);
-                for kernel in [Kernel::detect(), Kernel::Scalar] {
-                    for rows in [None, Some(&drawn)] {
-                        conv_direct::conv_direct_into(
-                            kernel, &mut c, a, &x, m, dims, spec, rows, ws, threads,
-                        );
-                        conv_direct::conv_direct_into(
-                            kernel, &mut c8, a8, &x8, m, dims, spec, rows, ws, threads,
-                        );
-                    }
-                }
-            }
-        }
-        let specs = [
-            (3, 1, 1),
-            (1, 1, 0),
-            (3, 1, 3),
-            (3, 2, 1),
-            (3, 3, 0),
-            (5, 2, 2),
-        ];
-        for (spec, m) in specs
-            .map(|(k, s, p)| (Conv2dSpec::new(k, s, p), 4))
-            .into_iter()
-            .chain([(Conv2dSpec::new(1, 2, 0), KC + 1)])
-        {
-            let (ho, wo) = spec.output_hw(9, 10);
-            let (a, g) = (
-                &a[..m * 3 * spec.kernel * spec.kernel],
-                vec![0.25f32; m * 2 * ho * wo],
-            );
-            let (mut dx, mut dw) = (vec![0.0f32; x.len()], vec![0.0f32; a.len()]);
-            conv_input_grad_into(&mut dx, a, &g, m, dims, spec, None, &mut ws, 1);
-            conv_weight_grad_into(&mut dw, &g, &x, m, dims, spec, None, &mut ws, 1);
-        }
-        assert_eq!(ws.packed_products(), 0);
     }
 
     #[test]

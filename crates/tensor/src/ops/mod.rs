@@ -12,30 +12,30 @@
 //! Performance architecture (see `DESIGN.md` for the full picture):
 //!
 //! * [`gemm`] holds the one cache-blocked, register-tiled, multithreaded
-//!   driver every matrix product routes through — f32 and int8 alike: the
-//!   loop nest and both packers are generic over the operand element, and
-//!   a private element trait picks the accumulator type and the register
-//!   tile. [`gemm_into`] / [`gemm_active_rows_into`] /
-//!   [`gemm_active_k_into`] are the slice-level f32 entry points hot
-//!   loops call with their own [`Workspace`]. [`ActiveRows`] is the
-//!   shared descriptor of which rows of a masked operand survive pruning;
-//!   declared row/depth elision at pack time is the only sparse mechanism.
+//!   driver every plain f32 matrix product routes through.
+//!   [`gemm_into`] / [`gemm_active_rows_into`] / [`gemm_active_k_into`]
+//!   are the slice-level entry points hot loops call with their own
+//!   [`Workspace`]. [`ActiveRows`] is the shared descriptor of which rows
+//!   of a masked operand survive pruning; declared row/depth elision at
+//!   pack time is the only sparse mechanism.
 //! * [`matmul`] / [`matmul_at`] / [`matmul_bt`] are the tensor-level
 //!   conveniences, drawing scratch from a thread-local workspace (the
 //!   `_ws` variants take the caller's).
-//! * [`qgemm`] holds the int8 entry points: [`gemm_i8_into`] runs
-//!   `i8×i8→i32` products through the same driver, and [`im2col_i8_into`]
-//!   feeds it. Together they are the reference route the int8
-//!   convolution is tested against; the deployed int8 engine runs
-//!   [`conv_gemm_into`]. [`requantize_into`] is that engine's store, on
-//!   the explicit AVX2 store of `alf-gemm-kernels` where the host has it.
+//! * [`qgemm`] holds the int8 entry points: [`gemm_i8_into`] runs an
+//!   `i8×i8→i32` product as the convolution route's 1×1 convolution, and
+//!   [`im2col_i8_into`] unfolds for it. Together they are the unfolded
+//!   route the int8 convolution is tested against; the deployed int8
+//!   engine runs [`conv_gemm_into`]. [`requantize_into`] is that engine's
+//!   store, on the explicit AVX2 store of `alf-gemm-kernels` where the host
+//!   has it.
 //! * [`mod@reference`] preserves the seed's naive kernels for differential
 //!   tests and as the benchmark baseline.
-//! * [`conv_gemm_into`] is the convolution forward of every mode (f32
-//!   and i8) at every stride and kernel (1×1 included), bitwise equal to
-//!   unfold + GEMM with neither: the pack-free tile of `alf-gemm-kernels`
-//!   reads a zero-bordered copy of the image, split into phase planes at
-//!   stride 2 and up. [`conv_weight_grad_into`] is the training weight
+//! * The convolution route sits behind one private module, with the
+//!   element trait it is generic over. [`conv_gemm_into`] is the
+//!   convolution forward of every mode (f32 and i8) at every stride and
+//!   kernel (1×1 included), bitwise equal to unfold + GEMM with neither:
+//!   the pack-free tile of `alf-gemm-kernels` reads a zero-bordered copy
+//!   of the image, split into phase planes at stride 2 and up. [`conv_weight_grad_into`] is the training weight
 //!   gradient `G · unfold(X)ᵀ`, on the weight-gradient tile (lanes over
 //!   output channels, accumulators over taps) at every stride.
 //!   [`conv_input_grad_into`] is the input gradient, on the forward tile,
@@ -58,9 +58,10 @@ pub mod reference;
 mod workspace;
 
 pub use conv::{conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
+pub use conv_direct::{conv_gemm_into, conv_input_grad_into, conv_weight_grad_into};
 pub use gemm::{
-    auto_threads, conv_gemm_into, conv_input_grad_into, conv_weight_grad_into, gemm_active_k_into,
-    gemm_active_rows_into, gemm_into, host_parallelism, ActiveRows,
+    auto_threads, gemm_active_k_into, gemm_active_rows_into, gemm_into, host_parallelism,
+    ActiveRows,
 };
 pub use matmul::{matmul, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws};
 pub use qgemm::{gemm_i8_into, im2col_i8_into, requantize, requantize_into};

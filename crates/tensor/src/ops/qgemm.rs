@@ -1,59 +1,39 @@
-//! Int8 entry points into the shared kernel layer.
+//! Int8 entry points.
 //!
-//! The quantized deployment path runs convolutions as `i8×i8→i32` matrix
+//! The quantized deployment path runs convolutions as `i8×i8→i32`
 //! products: weights and activations are symmetric int8, accumulation is
 //! exact in i32, and requantization back to i8 happens on store
 //! ([`requantize_into`], called by `alf-core::qmodel`, where the scales
-//! live). Nothing here re-implements
-//! blocking or unfolding: [`gemm_i8_into`] enters the one blocked driver
-//! in [`gemm`](super::gemm) with `i8` operands, and [`im2col_i8_into`]
-//! enters the one unfold loop in `conv.rs` with an `i8` buffer. (The
-//! engine itself neither unfolds nor packs: its convolutions are the `i8`
-//! instantiation of [`conv_gemm_into`](super::conv_gemm_into), every one
-//! of them — strided code convs and 1×1 expansions included — on the
-//! pack-free tile, or its scalar loop where the host lacks AVX2; the pair
-//! here is the packed driver on an unfolded matrix, which is what that
-//! entry is property-tested against, bit for bit.) The store that maps
+//! live). Nothing here re-implements blocking or unfolding. The engine's
+//! convolutions, strided code convs and 1×1 expansions included, are the
+//! `i8` instantiation of [`conv_gemm_into`]: the pack-free tile multiplies
+//! i16 channel pairs with `vpmaddwd` into i32 lanes (a scalar loop in i32
+//! where the host lacks AVX2), exact in any order because integer sums
+//! are. [`gemm_i8_into`] is that route's 1×1
+//! convolution: an `[m, k]·[k, n]` product is one `k`-channel, `1×n` image
+//! under `m` filters. [`im2col_i8_into`] enters the one unfold loop in
+//! `conv.rs` with an `i8` buffer; with [`gemm_i8_into`] it is the unfolded
+//! route the convolution is property-tested against. The store that maps
 //! the i32 accumulators back to i8 is defined here too: [`requantize`] is
 //! the scalar definition, [`requantize_into`] the run-of-a-channel store
 //! the engine calls.
 //!
-//! What the element trait does for `i8` in the packed driver: the packers
-//! widen each value into an f32 panel lane, the register tile
-//! (`alf_gemm_kernels::microkernel_i8_into`, isolated in its own crate for
-//! the same codegen reason as the f32 tile) accumulates those lanes in
-//! f32, and the write-back converts to the i32 `C`. That is *exact*, not
-//! approximate: every product of two i8 values has magnitude ≤ 128², and
-//! a packed panel is at most [`KC`](super::gemm::KC) deep, so every
-//! partial sum inside a tile stays below `KC · 128² < 2²⁴`, where f32
-//! represents every integer. Sums across `KC` slabs are added in i32. The
-//! result is therefore bit-identical to a naive i32 triple loop by
-//! construction; there is no evaluation-order subtlety to defend, only
-//! cache behaviour. The convolution route (every stride, all of the
-//! engine's convolutions) widens nothing to f32: its bordered copy holds
-//! i16 channel pairs and `ConvTile::i16_into` multiplies them with
-//! `vpmaddwd` into i32 lanes (the scalar loop without AVX2 in i32 too),
-//! exact in any order for the same reason.
-//!
-//! The int8 product runs on one thread with identity gathers on purpose:
-//! the conv shapes the int8 path runs (`m = c_out ≤ 64` for Plain-20)
-//! never span more than one [`MC`](super::gemm::MC) row block, which is
-//! exactly the unit the driver partitions across workers — the f32 path
-//! runs these shapes on one thread too. Serving-level parallelism comes
-//! from replica workers instead.
+//! The int8 product runs on one thread: the shapes the int8 path runs
+//! (`m = c_out ≤ 64` for Plain-20) never span more than one
+//! [`MC`](super::gemm::MC) row block, the unit the route splits across
+//! workers. Serving-level parallelism comes from replica workers instead.
 
 use super::conv::unfold;
-use super::gemm::{gemm_driver, Gather};
 use super::workspace::Workspace;
-use super::Conv2dSpec;
+use super::{conv_gemm_into, Conv2dSpec};
 
 /// `C = A · B` for int8 operands with exact i32 accumulation.
 ///
 /// `A` is `[m, k]` row-major i8, `B` is `[k, n]` row-major i8, `C` is
-/// `[m, n]` row-major i32 and is fully overwritten. Packing panels come
-/// from `ws` (the driver's f32 `gemm_apack` / `gemm_bpack` slots — the i8
-/// values are widened at pack time), so steady-state calls are
-/// allocation-free.
+/// `[m, n]` row-major i32 and is fully overwritten. The product is the
+/// convolution route's 1×1 convolution of one `k`-channel, `1×n` image
+/// (`B`) under `m` filters (`A`), whose `[1, m, 1, n]` output is `C`.
+/// Scratch comes from `ws`, so steady-state calls are allocation-free.
 ///
 /// # Panics
 ///
@@ -70,7 +50,12 @@ pub fn gemm_i8_into(
     assert_eq!(c.len(), m * n, "gemm_i8: C buffer is not [{m}x{n}]");
     assert_eq!(a.len(), m * k, "gemm_i8: A buffer is not [{m}x{k}]");
     assert_eq!(b.len(), k * n, "gemm_i8: B buffer is not [{k}x{n}]");
-    gemm_driver(c, a, false, b, false, m, k, n, ws, 1, Gather::dense(m, k));
+    if m == 0 || k == 0 || n == 0 {
+        c.fill(0);
+        return;
+    }
+    let spec = Conv2dSpec::new(1, 1, 0);
+    conv_gemm_into::<i8>(c, a, b, m, [1, k, 1, n], spec, None, ws, 1);
 }
 
 /// [`im2col_into`](super::im2col_into) for int8 activations: unfolds an
@@ -259,6 +244,7 @@ mod tests {
         gemm_i8_into(&mut c, &[], &[], 2, 0, 3, &mut ws);
         assert_eq!(c, vec![0; 6]);
         gemm_i8_into(&mut [], &[], &[1, 2], 0, 1, 2, &mut ws);
+        gemm_i8_into(&mut [], &[1, 2], &[], 2, 1, 0, &mut ws);
     }
 
     #[test]

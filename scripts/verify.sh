@@ -128,10 +128,11 @@ if [ "$active_rows_defs" -ne 1 ]; then
   exit 1
 fi
 
-# The fused i8×i8→i32 micro-kernel is defined in exactly one place
-# (alf_gemm_kernels::microkernel_i8_into). A second definition means a
-# consumer regrew its own quantized inner loop that can drift from the
-# exactness contract (f32 accumulation, KC·127² < 2²⁴).
+# The packed i8 micro-kernel is defined in exactly one place
+# (alf_gemm_kernels::microkernel_i8_into). No program path calls it: it
+# serves the benchmark's tile probe, and this gate goes when the function
+# does. A second definition means a consumer regrew its own quantized
+# inner loop beside the convolution route's exact i32 tile.
 echo "==> single i8 micro-kernel definition"
 i8_kernel_defs=$(grep -rn "pub fn microkernel_i8_into" crates src --include='*.rs' | wc -l)
 if [ "$i8_kernel_defs" -ne 1 ]; then
